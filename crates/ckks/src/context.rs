@@ -97,6 +97,15 @@ impl CkksContext {
     /// GEMMs). Tables come from the process-wide [`PlanCache`], so contexts
     /// sharing `(N, q, algorithm)` keys share twiddle plans.
     ///
+    /// [`NttAlgorithm::FourStep`] is the host fast path for the GEMM
+    /// formulation: every transform the evaluator issues — per-limb
+    /// (keygen, encrypt, decrypt) or batched (key switch, ModDown,
+    /// rescale) — runs the plan's fused Montgomery/SIMD two-GEMM pipeline
+    /// (`tensorfhe_ntt::batch`), the same kernels the `host-parallel`
+    /// service backend executes. [`NttAlgorithm::TensorCore`] executes the
+    /// segmented u8 formulation, a faithful model of the device datapath
+    /// rather than a fast host kernel.
+    ///
     /// # Errors
     ///
     /// Returns [`CkksError::InvalidParams`] if not enough NTT-friendly primes

@@ -1,24 +1,26 @@
 //! Cross-kernel bit-identity: the cache-blocked Montgomery fast kernels
-//! (host backend) vs the Barrett scalar reference, across the conversion
-//! shapes of all nine paper presets and the batched-NTT block shapes —
-//! including both register tiles (the 4-lane limb-split SIMD tile and
-//! the scalar `u128` tile) on every preset's GEMM shapes — plus the
-//! no-allocation-growth property of the pooled scratch arenas under
-//! repeated key-switch drains.
+//! (every caller's default path) vs the Barrett scalar reference, across
+//! the conversion shapes of all nine paper presets and the batched-NTT
+//! block shapes — including both register tiles (the 4-lane limb-split
+//! SIMD tile and the scalar `u128` tile) on every preset's GEMM shapes,
+//! the fused four-step pipeline at every preset's `(N, q)`, and the
+//! evaluator's bench circuit on the GEMM context vs the butterfly one —
+//! plus the no-allocation-growth property of the pooled scratch arenas
+//! under repeated key-switch drains.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use tensorfhe_ckks::keyswitch::{mod_down_batch, ExtPoly};
-use tensorfhe_ckks::trace::Tracing;
-use tensorfhe_ckks::{CkksContext, CkksParams, Domain};
+use tensorfhe_ckks::trace::{RecordingTracer, Tracing};
+use tensorfhe_ckks::{Ciphertext, CkksContext, CkksParams, Domain, Evaluator, KeyChain};
 use tensorfhe_math::gemm_fast::{gemm_lm_with, gemm_rm_with, MontOperand};
 use tensorfhe_math::prime::generate_ntt_primes;
 use tensorfhe_math::scratch;
 use tensorfhe_math::simd::{scalar_tile, simd4};
 use tensorfhe_math::Modulus;
-use tensorfhe_ntt::{NttAlgorithm, NttBatchOps, PlanCache};
+use tensorfhe_ntt::{BatchedGemmNtt, NttAlgorithm, NttBatchOps, NttOps, NttTable, PlanCache};
 
 /// All nine paper parameter presets (Table V, Table VII, HEAX sets).
 fn presets() -> [CkksParams; 9] {
@@ -153,8 +155,10 @@ proptest! {
         }
     }
 
-    /// The fast batched-NTT pipeline must be bit-identical to the scalar
-    /// batch path (and invert it) at every degree/batch/algorithm corner.
+    /// The default batched-NTT path (the fused Montgomery pipeline under
+    /// the four-step formulation) must be bit-identical to the named
+    /// Barrett reference (and invert it) at every degree/batch/algorithm
+    /// corner.
     #[test]
     fn fast_ntt_batch_bit_identical_to_scalar(
         log_n in 6u32..11,
@@ -175,25 +179,131 @@ proptest! {
                 .collect();
             let mut scalar = orig.clone();
             let mut fast = orig.clone();
-            {
-                let mut rows: Vec<&mut [u64]> =
-                    scalar.iter_mut().map(Vec::as_mut_slice).collect();
-                plan.forward_batch(&mut rows);
-            }
-            {
-                let mut rows: Vec<&mut [u64]> =
-                    fast.iter_mut().map(Vec::as_mut_slice).collect();
-                plan.forward_batch_fast(&mut rows);
-            }
+            plan.reference_batch(&mut views(&mut scalar), false);
+            plan.forward_batch(&mut views(&mut fast));
             prop_assert_eq!(&scalar, &fast, "{:?} forward n={} b={}", algo, n, b);
-            {
-                let mut rows: Vec<&mut [u64]> =
-                    fast.iter_mut().map(Vec::as_mut_slice).collect();
-                plan.inverse_batch_fast(&mut rows);
-            }
+            plan.inverse_batch_fast(&mut views(&mut fast));
             prop_assert_eq!(&fast, &orig, "{:?} roundtrip n={} b={}", algo, n, b);
         }
     }
+}
+
+fn views(block: &mut [Vec<u64>]) -> Vec<&mut [u64]> {
+    block.iter_mut().map(Vec::as_mut_slice).collect()
+}
+
+/// One block through the four-step plan's default path, the Barrett
+/// reference and per-row butterflies: all three bit-identical, forward
+/// and back.
+fn check_four_step_block(n: usize, q: u64, b: usize, rng: &mut StdRng) {
+    let butterfly = NttTable::new(n, q);
+    let plan = BatchedGemmNtt::new(n, q, NttAlgorithm::FourStep);
+    let orig: Vec<Vec<u64>> = (0..b)
+        .map(|_| (0..n).map(|_| rng.gen_range(0..q)).collect())
+        .collect();
+    let mut want = orig.clone();
+    want.iter_mut().for_each(|row| butterfly.forward(row));
+
+    let mut fused = orig.clone();
+    plan.forward_batch(&mut views(&mut fused));
+    assert_eq!(fused, want, "fused forward vs butterfly N={n} q={q} B={b}");
+    let mut reference = orig.clone();
+    plan.reference_batch(&mut views(&mut reference), false);
+    assert_eq!(
+        reference, want,
+        "reference forward vs butterfly N={n} q={q} B={b}"
+    );
+
+    plan.inverse_batch(&mut views(&mut fused));
+    assert_eq!(fused, orig, "fused inverse N={n} q={q} B={b}");
+    plan.reference_batch(&mut views(&mut reference), true);
+    assert_eq!(reference, orig, "reference inverse N={n} q={q} B={b}");
+}
+
+/// The default four-step path at every paper preset's `(N, q)` — square
+/// splits (2^12, 2^14, 2^16) and rectangular ones (2^13 → 128×64,
+/// 2^15 → 256×128) — plus the largest NTT-friendly prime below 2^32 (the
+/// fused twiddle epilogue next to the saturation bound).
+#[test]
+fn fused_four_step_bit_identical_at_every_preset_modulus() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let mut seen = BTreeSet::new();
+    for params in &presets() {
+        let n = params.n();
+        let q = generate_ntt_primes(1, params.prime_bits(), n as u64)[0];
+        if seen.insert((n, q)) {
+            check_four_step_block(n, q, 1, &mut rng);
+        }
+    }
+    let n = 1usize << 13;
+    let q = generate_ntt_primes(1, 32, n as u64)[0];
+    assert!(q > (1 << 32) - (1 << 20), "prime {q} is not near 2^32");
+    check_four_step_block(n, q, 2, &mut rng);
+}
+
+/// Ragged block widths at the HEAX set B shape (the rectangular 128×64
+/// split) and at degrees whose panels are narrower than a register tile.
+#[test]
+fn fused_four_step_ragged_blocks() {
+    let mut rng = StdRng::seed_from_u64(78);
+    let n = CkksParams::heax_set_b().n();
+    let q = generate_ntt_primes(1, 28, n as u64)[0];
+    for b in [1usize, 3, 5, 47] {
+        check_four_step_block(n, q, b, &mut rng);
+    }
+    for n in [4usize, 8, 16, 32, 64] {
+        let q = generate_ntt_primes(1, 28, n as u64)[0];
+        check_four_step_block(n, q, 3, &mut rng);
+    }
+}
+
+/// The benchmark's circuit — `hrotate(hadd(rescale(hmult(a, b)),
+/// rescale(cmult(a, pt))), 1)` — on the four-step context must produce the
+/// same ciphertext bits and the same kernel-event stream as on the
+/// butterfly context, from the same seed.
+#[test]
+fn bench_circuit_on_gemm_context_bit_equal_to_butterfly() {
+    let params = CkksParams::test_small();
+    let run = |ctx: &CkksContext| -> (Ciphertext, RecordingTracer) {
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut keys = KeyChain::generate(ctx, &mut rng);
+        keys.gen_rotation_keys(&[1], &mut rng);
+        let slots = params.slots();
+        let values = |rng: &mut StdRng| -> Vec<_> {
+            (0..slots)
+                .map(|_| {
+                    tensorfhe_math::Complex64::new(
+                        rng.gen_range(-1.0..1.0),
+                        rng.gen_range(-1.0..1.0),
+                    )
+                })
+                .collect()
+        };
+        let pa = ctx.encode(&values(&mut rng), params.scale()).expect("fits");
+        let pt = ctx.encode(&values(&mut rng), params.scale()).expect("fits");
+        let (a, b) = (keys.encrypt(&pa, &mut rng), keys.encrypt(&pt, &mut rng));
+        let mut tracer = RecordingTracer::new();
+        let out = {
+            let mut eval = Evaluator::with_tracer(ctx, Box::new(&mut tracer));
+            let m = eval.hmult(&a, &b, &keys).expect("hmult");
+            let m = eval.rescale(&m).expect("rescale");
+            let c = eval.cmult(&a, &pt).expect("cmult");
+            let c = eval.rescale(&c).expect("rescale");
+            let s = eval.hadd(&m, &c).expect("hadd");
+            eval.hrotate(&s, 1, &keys).expect("hrotate")
+        };
+        (out, tracer)
+    };
+    let butterfly = CkksContext::new(&params).expect("ctx");
+    let gemm = CkksContext::with_algorithm(&params, NttAlgorithm::FourStep).expect("ctx");
+    let (want, want_trace) = run(&butterfly);
+    let (got, got_trace) = run(&gemm);
+    assert_eq!(got.scale.to_bits(), want.scale.to_bits());
+    assert_eq!(got.c0, want.c0, "c0 differs between formulations");
+    assert_eq!(got.c1, want.c1, "c1 differs between formulations");
+    assert_eq!(got_trace.events, want_trace.events, "kernel-event stream");
+    assert_eq!(got_trace.ops, want_trace.ops, "operation markers");
+    assert!(!got_trace.events.is_empty());
 }
 
 /// Repeated `mod_down_batch` drains must reach a scratch steady state: the

@@ -13,10 +13,11 @@
 //!
 //! * `NTT`/`INTT` events run the batched four-step pipeline
 //!   (`tensorfhe_ntt::BatchedGemmNtt`) over the chunk's row range —
-//!   through the cache-blocked Montgomery fast kernels
-//!   ([`ExecBackend::HostParallel`], SIMD register tiles) or the Barrett
-//!   scalar reference ([`ExecBackend::HostScalar`], the baseline
-//!   `fig14_host_gemm` measures against). Chunks are whole rows.
+//!   through the plan's own batch path, the fused Montgomery GEMMs on
+//!   SIMD register tiles ([`ExecBackend::HostParallel`]), or through the
+//!   explicitly named Barrett reference pipeline
+//!   ([`ExecBackend::HostScalar`], the baseline `fig14_host_gemm`
+//!   measures against). Chunks are whole rows.
 //! * `Conv` events run the wide basis-conversion GEMM (`BasisConvGemm`);
 //!   chunks are column ranges of the `(L_dst × L_src) × (L_src × W)`
 //!   product, generated and folded independently per column.
@@ -363,11 +364,12 @@ impl RealWork {
                 }
                 {
                     let mut views: Vec<&mut [u64]> = block.chunks_mut(n).collect();
+                    // The plan's own batch path is the fast one; the
+                    // scalar backend asks for the Barrett reference by name.
                     match (fast, inverse) {
-                        (true, false) => plan.forward_batch_fast(&mut views),
-                        (true, true) => plan.inverse_batch_fast(&mut views),
-                        (false, false) => plan.forward_batch(&mut views),
-                        (false, true) => plan.inverse_batch(&mut views),
+                        (true, false) => plan.forward_batch(&mut views),
+                        (true, true) => plan.inverse_batch(&mut views),
+                        (false, _) => plan.reference_batch(&mut views, inverse),
                     }
                 }
                 for (r, row) in block.chunks(n).enumerate() {

@@ -75,10 +75,11 @@ pub enum ExecBackend {
     #[default]
     Sim,
     /// Real host arithmetic through the cache-blocked Montgomery fast
-    /// kernels (`tensorfhe_math::gemm_fast`).
+    /// kernels (`tensorfhe_math::gemm_fast`) — for the NTT, the plan's
+    /// ordinary batch path.
     HostParallel,
-    /// Real host arithmetic through the Barrett scalar reference kernels —
-    /// the baseline the fast path is measured against.
+    /// Real host arithmetic through the Barrett scalar reference kernels,
+    /// requested by name — the baseline the fast path is measured against.
     HostScalar,
 }
 

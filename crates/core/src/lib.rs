@@ -170,10 +170,16 @@
 //!    *executes* the batch's batched-NTT and basis-conversion GEMMs with
 //!    real cache-blocked, register-tiled Montgomery `u64` arithmetic
 //!    (`tensorfhe_math::gemm_fast`), staged through thread-local scratch
-//!    arenas (`tensorfhe_math::scratch`);
+//!    arenas (`tensorfhe_math::scratch`). Its NTT is the four-step plan's
+//!    ordinary batch path — the fused two-GEMM Montgomery pipeline that
+//!    `ckks::Evaluator` and every other caller of
+//!    `tensorfhe_ntt::NttBatchOps` also runs; there is no separate
+//!    "fast" entry point to opt into.
 //!    [`exec::ExecBackend::HostScalar`] pins the same executor to the
-//!    Barrett scalar reference kernels, the baseline the
-//!    `fig14_host_gemm` bench measures the fast kernels against. Reports
+//!    Barrett scalar reference kernels, which it asks for by name
+//!    (`BatchedGemmNtt::reference_batch`, `convert_block_into`): the
+//!    baseline the `fig14_host_gemm` bench measures the fast kernels
+//!    against. Reports
 //!    and stats stay bit-identical across all three backends — the host
 //!    backends add only wall-clock and the [`exec::HostWorkStats`]
 //!    counters, whose checksum is itself invariant across worker counts

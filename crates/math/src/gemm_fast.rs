@@ -12,20 +12,31 @@
 //!   `REDC(Σ aᵢ·b′ᵢ) = Σ aᵢ·bᵢ mod q` — the lazy-reduction identity that
 //!   makes the result **bit-identical** to the Barrett path (both produce
 //!   the canonical residue).
-//! * The kernel is blocked for the memory hierarchy: the constant operand
-//!   is packed into `k×8` column panels that stay L1-resident while every
-//!   row of the data operand streams through, and each `4×8` output tile
-//!   is accumulated in registers before its eight `REDC`s. The register
-//!   tile itself is pluggable ([`crate::simd::MicroKernel`]): each
-//!   [`MontOperand`] captures [`crate::simd::active`]'s choice once at
-//!   construction — the lane-parallel [`crate::simd::Simd4`] limb-split
-//!   tile by default — and every product against that operand dispatches
-//!   through it. All tiles are bit-identical; see [`crate::simd`] for the
-//!   limb-splitting derivation.
+//! * The kernel is blocked for the memory hierarchy: the right operand is
+//!   consumed as zero-padded `k×NR` column panels that stay L1-resident
+//!   while every row of the left operand streams through, and each `4×8`
+//!   output tile is accumulated in registers before its `REDC`s. A
+//!   constant right operand is packed into that layout **once**, at plan
+//!   build ([`MontOperand::new_packed`]); a row-major one is packed panel
+//!   by panel on every call. The register tile itself is pluggable
+//!   ([`crate::simd::MicroKernel`]): each [`MontOperand`] captures
+//!   [`crate::simd::active`]'s choice once at construction — the
+//!   lane-parallel [`crate::simd::Simd4`] limb-split tile by default — and
+//!   every product against that operand dispatches through it. All tiles
+//!   are bit-identical; see [`crate::simd`] for the limb-splitting
+//!   derivation.
+//! * Input and output layouts are the caller's: the streamed left operand
+//!   is a [`Strided`] view (so a column-major block multiplies in place of
+//!   a gathered copy), pre-laid panels are accepted as the right operand
+//!   ([`gemm_lm_fused`]), and every finished register tile is handed to an
+//!   *epilogue* closure ([`TileOut`]) that may post-process and store it
+//!   anywhere — the four-step NTT folds its twiddle Hadamard and both
+//!   repacks into those hooks. [`gemm_rm`] / [`gemm_lm`] are the plain
+//!   row-major instances.
 //!
-//! Overflow never occurs: residues are `< 2^32` (asserted), so `k` terms
-//! accumulate to `< k·q² < q·2^64`, within `REDC`'s `t < q·R` domain for
-//! every supported inner dimension.
+//! Overflow never occurs: residues are `< 2^32` and both dimensions of an
+//! operand are `< 2^32` (checked once, by [`MontOperand::new`]), so `k`
+//! terms accumulate to `< k·q² < q·2^64`, within `REDC`'s `t < q·R` domain.
 //!
 //! The kernel is symmetric in which side carries the Montgomery form —
 //! exactly one operand must. [`gemm_rm`] keeps the *right* operand
@@ -34,7 +45,33 @@
 
 use crate::montgomery::Montgomery;
 use crate::scratch;
+pub use crate::simd::Strided;
 use crate::simd::{MicroKernel, MR, NR};
+
+/// How a [`MontOperand`]'s entries are stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// Row-major `rows × cols`: usable on either side of a product.
+    RowMajor,
+    /// Zero-padded `rows × NR` column panels ([`panel_index`]): the form
+    /// the tiled kernel consumes a right operand in.
+    Panels,
+}
+
+/// Elements of a `k×n` right operand laid out as zero-padded `k×NR` column
+/// panels (`⌈n/NR⌉` panels back to back).
+#[must_use]
+pub const fn packed_len(k: usize, n: usize) -> usize {
+    n.div_ceil(NR) * NR * k
+}
+
+/// Position of entry `(row, col)` of a `k`-row right operand in the panel
+/// layout: panel `col / NR`, then row-major `k×NR` inside it.
+#[inline]
+#[must_use]
+pub const fn panel_index(k: usize, row: usize, col: usize) -> usize {
+    (col / NR) * (k * NR) + row * NR + col % NR
+}
 
 /// A constant GEMM operand held in Montgomery form.
 ///
@@ -45,38 +82,73 @@ pub struct MontOperand {
     mont: Montgomery,
     rows: usize,
     cols: usize,
-    /// Row-major `rows × cols`, each entry `b·R mod q`.
+    /// Every entry `b·R mod q`, stored once, in `layout`.
     data: Vec<u64>,
+    layout: Layout,
     /// Register tile selected once at construction (plan build time).
     kernel: &'static dyn MicroKernel,
 }
 
 impl MontOperand {
     /// Converts a row-major `rows × cols` matrix of canonical residues
-    /// into Montgomery form.
+    /// into Montgomery form, kept row-major: the operand may sit on either
+    /// side of a product ([`gemm_rm`] packs it panel by panel per call).
     ///
     /// # Panics
     ///
-    /// Panics if `q` is even or `≥ 2^32` (the lazy-reduction overflow
-    /// argument needs 32-bit residues), if `data.len() ≠ rows·cols`, or if
-    /// any entry is `≥ q`.
+    /// Panics if `q` is even or `≥ 2^32`, or a dimension is `≥ 2^32` (the
+    /// lazy-reduction overflow argument needs 32-bit residues and
+    /// `k·q < 2^64` for either dimension as `k`), if
+    /// `data.len() ≠ rows·cols`, or if any entry is `≥ q`.
     #[must_use]
     pub fn new(q: u64, data: &[u64], rows: usize, cols: usize) -> Self {
+        Self::build(q, data, rows, cols, Layout::RowMajor)
+    }
+
+    /// [`MontOperand::new`] for a **right-hand** constant: the entries are
+    /// stored only as the `rows × NR` column panels the kernel consumes,
+    /// so products against it ([`gemm_rm`], [`gemm_rm_fused`]) skip the
+    /// per-call pack. Such an operand cannot be a left operand.
+    ///
+    /// # Panics
+    ///
+    /// As [`MontOperand::new`].
+    #[must_use]
+    pub fn new_packed(q: u64, data: &[u64], rows: usize, cols: usize) -> Self {
+        Self::build(q, data, rows, cols, Layout::Panels)
+    }
+
+    fn build(q: u64, data: &[u64], rows: usize, cols: usize, layout: Layout) -> Self {
         assert!(q < (1 << 32), "Montgomery GEMM requires q < 2^32");
+        // Either dimension may become the inner one. k < 2^32 keeps the
+        // tiles' 32-bit limb sums in a u64 and, with q < 2^32, gives
+        // k·q < 2^64: k terms of a·b′ < q² stay inside REDC's domain.
+        assert!(
+            (rows.max(cols) as u64) < (1 << 32),
+            "inner dimension too large for lazy reduction"
+        );
         assert_eq!(data.len(), rows * cols, "operand shape mismatch");
         let mont = Montgomery::new(q);
-        let data = data
-            .iter()
-            .map(|&b| {
-                assert!(b < q, "operand entry {b} not reduced mod {q}");
-                mont.to_mont(b)
-            })
-            .collect();
+        let conv = |b: u64| {
+            assert!(b < q, "operand entry {b} not reduced mod {q}");
+            mont.to_mont(b)
+        };
+        let data = match layout {
+            Layout::RowMajor => data.iter().map(|&b| conv(b)).collect(),
+            Layout::Panels => {
+                let mut panels = vec![0u64; packed_len(rows, cols)];
+                for (idx, &b) in data.iter().enumerate() {
+                    panels[panel_index(rows, idx / cols, idx % cols)] = conv(b);
+                }
+                panels
+            }
+        };
         Self {
             mont,
             rows,
             cols,
             data,
+            layout,
             kernel: crate::simd::active(),
         }
     }
@@ -104,6 +176,61 @@ impl MontOperand {
     pub fn modulus(&self) -> u64 {
         self.mont.modulus()
     }
+
+    /// The Montgomery context of the operand's modulus (what an epilogue
+    /// multiplies Montgomery-form constants with).
+    #[must_use]
+    pub fn montgomery(&self) -> &Montgomery {
+        &self.mont
+    }
+
+    /// The operand as the kernel's right-hand side.
+    fn as_right(&self) -> Right<'_> {
+        match self.layout {
+            Layout::RowMajor => Right::RowMajor(&self.data),
+            Layout::Panels => Right::Packed(&self.data),
+        }
+    }
+
+    /// The operand as the kernel's left-hand side.
+    fn as_left(&self) -> Strided<'_> {
+        assert_eq!(
+            self.layout,
+            Layout::RowMajor,
+            "a pre-packed operand is right-hand only"
+        );
+        Strided::row_major(&self.data, self.cols)
+    }
+}
+
+/// One finished register tile, handed to a GEMM epilogue: `vals` holds the
+/// canonical residues of output rows `row0..row0+rows`, columns
+/// `col0..col0+cols`, row-major with stride [`NR`] (`rows ≤ MR`,
+/// `cols ≤ NR`; `col0` is a multiple of `NR`; entries beyond `rows`/`cols`
+/// are unspecified).
+#[derive(Debug, Clone, Copy)]
+pub struct TileOut<'a> {
+    /// First output row of the tile.
+    pub row0: usize,
+    /// First output column of the tile.
+    pub col0: usize,
+    /// Valid rows.
+    pub rows: usize,
+    /// Valid columns.
+    pub cols: usize,
+    /// The tile, row-major with stride `NR`.
+    pub vals: &'a [u64; MR * NR],
+}
+
+impl TileOut<'_> {
+    /// Copies the tile to its place in a row-major output whose rows are
+    /// `n` elements long — the whole epilogue of a plain product.
+    pub fn store_row_major(&self, out: &mut [u64], n: usize) {
+        for ii in 0..self.rows {
+            let at = (self.row0 + ii) * n + self.col0;
+            out[at..at + self.cols].copy_from_slice(&self.vals[ii * NR..ii * NR + self.cols]);
+        }
+    }
 }
 
 /// `C (m×n) = A (m×k) × B (k×n) mod q` where the **right** operand is the
@@ -127,7 +254,36 @@ pub fn gemm_rm_with(
     kernel: &dyn MicroKernel,
     out: &mut [u64],
 ) {
-    gemm_tiled(a, m, b.rows, &b.data, b.cols, &b.mont, kernel, out);
+    assert_eq!(a.len(), m * b.rows, "left operand shape mismatch");
+    assert_eq!(out.len(), m * b.cols, "output shape mismatch");
+    let a = Strided::row_major(a, b.rows);
+    gemm_tiled(a, m, b.rows, b.as_right(), b.cols, &b.mont, kernel, |t| {
+        t.store_row_major(out, b.cols)
+    });
+}
+
+/// [`gemm_rm`] with the layout hooks exposed: the left operand is any
+/// [`Strided`] view of `m` rows, and each finished tile goes to `epilogue`
+/// instead of a row-major output.
+///
+/// # Panics
+///
+/// Panics if the view does not cover `m × b.rows()` elements.
+pub fn gemm_rm_fused(a: Strided<'_>, m: usize, b: &MontOperand, epilogue: impl FnMut(TileOut<'_>)) {
+    if m > 0 && b.rows > 0 {
+        let last = (m - 1) * a.row_stride + (b.rows - 1) * a.k_stride;
+        assert!(last < a.data.len(), "left operand shape mismatch");
+    }
+    gemm_tiled(
+        a,
+        m,
+        b.rows,
+        b.as_right(),
+        b.cols,
+        &b.mont,
+        b.kernel,
+        epilogue,
+    );
 }
 
 /// `C (m×n) = A (m×k) × B (k×n) mod q` where the **left** operand is the
@@ -135,7 +291,8 @@ pub fn gemm_rm_with(
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches (`b.len() ≠ k·n`, `out.len() ≠ m·n`).
+/// Panics on shape mismatches (`b.len() ≠ k·n`, `out.len() ≠ m·n`) or if
+/// `a` was built with [`MontOperand::new_packed`].
 pub fn gemm_lm(a: &MontOperand, b: &[u64], n: usize, out: &mut [u64]) {
     gemm_lm_with(a, b, n, a.kernel, out);
 }
@@ -149,7 +306,44 @@ pub fn gemm_lm_with(
     out: &mut [u64],
 ) {
     assert_eq!(b.len(), a.cols * n, "data operand shape mismatch");
-    gemm_tiled(&a.data, a.rows, a.cols, b, n, &a.mont, kernel, out);
+    assert_eq!(out.len(), a.rows * n, "output shape mismatch");
+    gemm_tiled(
+        a.as_left(),
+        a.rows,
+        a.cols,
+        Right::RowMajor(b),
+        n,
+        &a.mont,
+        kernel,
+        |t| t.store_row_major(out, n),
+    );
+}
+
+/// [`gemm_lm`] with the layout hooks exposed: the data operand arrives
+/// already laid out as `k×NR` panels ([`packed_len`], [`panel_index`] —
+/// typically written there by a previous product's epilogue, padding
+/// columns zero), and each finished tile goes to `epilogue`.
+///
+/// # Panics
+///
+/// Panics if `panels.len() ≠ packed_len(a.cols(), n)` or if `a` was built
+/// with [`MontOperand::new_packed`].
+pub fn gemm_lm_fused(a: &MontOperand, panels: &[u64], n: usize, epilogue: impl FnMut(TileOut<'_>)) {
+    assert_eq!(
+        panels.len(),
+        packed_len(a.cols, n),
+        "data operand shape mismatch"
+    );
+    gemm_tiled(
+        a.as_left(),
+        a.rows,
+        a.cols,
+        Right::Packed(panels),
+        n,
+        &a.mont,
+        a.kernel,
+        epilogue,
+    );
 }
 
 /// Scalar (untiled) reference of the same lazy-reduction product, for the
@@ -163,7 +357,11 @@ pub fn gemm_rm_ref(a: &[u64], m: usize, b: &MontOperand) -> Vec<u64> {
         for j in 0..n {
             let mut acc = 0u128;
             for kk in 0..k {
-                acc += a[i * k + kk] as u128 * b.data[kk * n + j] as u128;
+                let at = match b.layout {
+                    Layout::RowMajor => kk * n + j,
+                    Layout::Panels => panel_index(k, kk, j),
+                };
+                acc += a[i * k + kk] as u128 * b.data[at] as u128;
             }
             out[i * n + j] = b.mont.redc(acc);
         }
@@ -171,80 +369,97 @@ pub fn gemm_rm_ref(a: &[u64], m: usize, b: &MontOperand) -> Vec<u64> {
     out
 }
 
+/// The tiled kernel's right operand (`k×n`).
+#[derive(Clone, Copy)]
+enum Right<'a> {
+    /// Already in the panel layout.
+    Packed(&'a [u64]),
+    /// Row-major: each panel is packed into scratch as it comes up.
+    RowMajor(&'a [u64]),
+}
+
 /// The shared tiled kernel. Exactly one of `a`/`b` is in Montgomery form;
-/// `REDC` folds the `R` factor away either way. Full `MR×NR` tiles go
-/// through `kernel`; edge rows and narrow panels share the scalar path
-/// below (bit-identical, off the hot path).
-// The GEMM shape (two operands + dims + modulus + tile) is irreducibly
-// eight values; bundling them into a struct for one private fn obscures
-// the call sites.
+/// `REDC` folds the `R` factor away either way. Panels are zero-padded to
+/// `NR` columns, so every `MR`-row strip — edge panels included — goes
+/// through `kernel`; only the last `m mod MR` rows take the scalar path
+/// below (bit-identical, off the hot path). Shape and overflow
+/// preconditions are the callers' (checked per call and at
+/// [`MontOperand::new`] respectively).
+// The GEMM shape (two operands + dims + modulus + tile + sink) is
+// irreducibly eight values; bundling them into a struct for one private fn
+// obscures the call sites.
 #[allow(clippy::too_many_arguments)]
 fn gemm_tiled(
-    a: &[u64],
+    a: Strided<'_>,
     m: usize,
     k: usize,
-    b: &[u64],
+    b: Right<'_>,
     n: usize,
     mont: &Montgomery,
     kernel: &dyn MicroKernel,
-    out: &mut [u64],
+    mut epilogue: impl FnMut(TileOut<'_>),
 ) {
-    assert_eq!(a.len(), m * k, "left operand shape mismatch");
-    assert_eq!(b.len(), k * n, "right operand shape mismatch");
-    assert_eq!(out.len(), m * n, "output shape mismatch");
-    // k terms of a·b′ < q² each: k·q² < q·2^64 ⇔ k·q < 2^64.
-    assert!(
-        (k as u128) * (mont.modulus() as u128) < (1u128 << 64),
-        "inner dimension too large for lazy reduction"
-    );
+    debug_assert!((k as u128) * (mont.modulus() as u128) < (1u128 << 64));
     if m == 0 || n == 0 {
         return;
     }
-    let mut pack = scratch::take_u64(k * NR);
+    let mut pack = match b {
+        Right::RowMajor(data) => {
+            assert_eq!(data.len(), k * n, "right operand shape mismatch");
+            scratch::take_u64(k * NR)
+        }
+        Right::Packed(_) => Vec::new(),
+    };
+    let mut tile = [0u64; MR * NR];
     for j0 in (0..n).step_by(NR) {
         let nr = NR.min(n - j0);
-        // Pack the k×nr column panel contiguously; it stays L1-resident
-        // while every data row streams through it.
-        for kk in 0..k {
-            pack[kk * nr..kk * nr + nr].copy_from_slice(&b[kk * n + j0..kk * n + j0 + nr]);
-        }
+        // The k×NR column panel stays L1-resident while every data row
+        // streams through it.
+        let panel: &[u64] = match b {
+            Right::Packed(panels) => &panels[j0 * k..(j0 + NR) * k],
+            Right::RowMajor(data) => {
+                for (kk, dst) in pack.chunks_exact_mut(NR).enumerate() {
+                    dst[..nr].copy_from_slice(&data[kk * n + j0..kk * n + j0 + nr]);
+                    dst[nr..].fill(0);
+                }
+                &pack
+            }
+        };
         let mut i0 = 0;
-        // Full MR×NR register tiles: fixed-size accumulator arrays the
+        // Full MR-row register tiles: fixed-size accumulator arrays the
         // compiler keeps in registers and unrolls.
-        if nr == NR {
-            let mut tile = [0u64; MR * NR];
-            while i0 + MR <= m {
-                // The MR data rows are contiguous in `a` (stride k), which
-                // is exactly the tile contract.
-                kernel.tile(
-                    &a[i0 * k..(i0 + MR) * k],
-                    k,
-                    &pack[..k * NR],
-                    mont,
-                    &mut tile,
-                );
-                for ii in 0..MR {
-                    out[(i0 + ii) * n + j0..(i0 + ii) * n + j0 + NR]
-                        .copy_from_slice(&tile[ii * NR..(ii + 1) * NR]);
-                }
-                i0 += MR;
-            }
+        while i0 + MR <= m {
+            kernel.tile(a.from_row(i0), k, panel, mont, &mut tile);
+            epilogue(TileOut {
+                row0: i0,
+                col0: j0,
+                rows: MR,
+                cols: nr,
+                vals: &tile,
+            });
+            i0 += MR;
         }
-        // Edge rows (and edge panels): same math, dynamic tile bounds.
-        for i in i0..m {
-            let mut acc = [0u128; NR];
-            let arow = &a[i * k..(i + 1) * k];
-            for (kk, &av) in arow.iter().enumerate() {
-                let av = av as u128;
-                let prow = &pack[kk * nr..kk * nr + nr];
-                for (lane, &p) in acc[..nr].iter_mut().zip(prow.iter()) {
-                    *lane += av * p as u128;
+        // Edge rows: same math, one u128 accumulator per lane.
+        if i0 < m {
+            for ii in 0..m - i0 {
+                let mut acc = [0u128; NR];
+                for (kk, prow) in panel.chunks_exact(NR).enumerate() {
+                    let av = a.at(i0 + ii, kk) as u128;
+                    for (lane, &p) in acc.iter_mut().zip(prow) {
+                        *lane += av * p as u128;
+                    }
+                }
+                for (o, &lane) in tile[ii * NR..(ii + 1) * NR].iter_mut().zip(&acc) {
+                    *o = mont.redc(lane);
                 }
             }
-            let orow = &mut out[i * n + j0..i * n + j0 + nr];
-            for (o, &lane) in orow.iter_mut().zip(acc[..nr].iter()) {
-                *o = mont.redc(lane);
-            }
+            epilogue(TileOut {
+                row0: i0,
+                col0: j0,
+                rows: m - i0,
+                cols: nr,
+                vals: &tile,
+            });
         }
     }
     scratch::give_u64(pack);
@@ -308,6 +523,18 @@ mod tests {
             assert_eq!(got, want, "gemm_rm m={m} k={k} n={n}");
             assert_eq!(gemm_rm_ref(&a, m, &bm), want, "ref m={m} k={k} n={n}");
 
+            // The pre-packed form of the same constant: no per-call pack,
+            // same bits.
+            let bp = MontOperand::new_packed(q, &b, k, n);
+            let mut got_p = vec![0u64; m * n];
+            gemm_rm(&a, m, &bp, &mut got_p);
+            assert_eq!(got_p, want, "packed gemm_rm m={m} k={k} n={n}");
+            assert_eq!(
+                gemm_rm_ref(&a, m, &bp),
+                want,
+                "packed ref m={m} k={k} n={n}"
+            );
+
             let am = MontOperand::new(q, &a, m, k);
             let mut got_l = vec![0u64; m * n];
             gemm_lm(&am, &b, n, &mut got_l);
@@ -338,6 +565,92 @@ mod tests {
         let mut got = vec![0u64; m * n];
         gemm_rm(&a, m, &bm, &mut got);
         assert_eq!(got, want);
+    }
+
+    /// `C = W2 × ((Aᵀ-view × W1) ⊙ T)` through the layout hooks — a
+    /// column-major left operand, an epilogue that multiplies by
+    /// Montgomery-form constants and stores the tiles as the next
+    /// product's panels, a product over those panels — against the plain
+    /// schoolbook chain.
+    fn fused_chain_matches_schoolbook(q: u64, d1: usize, d2: usize, a: &[u64], w: [&[u64]; 3]) {
+        let md = Modulus::new(q);
+        let [w1, tw, w2] = w;
+        // a is column-major d1×d2: A[r][c] = a[r + d1·c].
+        let a_rows: Vec<u64> = (0..d1 * d2).map(|i| a[i / d2 + d1 * (i % d2)]).collect();
+        let mut u = barrett_gemm(&a_rows, d1, d2, w1, d2, q);
+        for (x, &t) in u.iter_mut().zip(tw) {
+            *x = md.mul(*x, t);
+        }
+        let want = barrett_gemm(w2, d1, d1, &u, d2, q);
+
+        let w1 = MontOperand::new_packed(q, w1, d2, d2);
+        let w2 = MontOperand::new(q, w2, d1, d1);
+        let mont = *w1.montgomery();
+        let tw: Vec<u64> = tw.iter().map(|&t| mont.to_mont(t)).collect();
+        let mut panels = vec![0u64; packed_len(d1, d2)];
+        let view = Strided {
+            data: a,
+            row_stride: 1,
+            k_stride: d1,
+        };
+        gemm_rm_fused(view, d1, &w1, |t| {
+            for ii in 0..t.rows {
+                for jj in 0..t.cols {
+                    let (r, c) = (t.row0 + ii, t.col0 + jj);
+                    panels[panel_index(d1, r, c)] = mont.mul(t.vals[ii * NR + jj], tw[r * d2 + c]);
+                }
+            }
+        });
+        let mut got = vec![0u64; d1 * d2];
+        gemm_lm_fused(&w2, &panels, d2, |t| t.store_row_major(&mut got, d2));
+        assert_eq!(got, want, "fused chain d1={d1} d2={d2} q={q}");
+    }
+
+    #[test]
+    fn layout_hooks_match_schoolbook() {
+        let q = generate_ntt_primes(1, 28, 1 << 8)[0];
+        // Full tiles, edge rows (d1 mod MR ≠ 0) and edge panels (d2 mod NR ≠ 0).
+        for &(d1, d2) in &[(16usize, 8usize), (8, 16), (2, 2), (4, 2), (6, 11), (13, 5)] {
+            let a = fill(d1, d2, q, 31);
+            let (w1, tw, w2) = (
+                fill(d2, d2, q, 37),
+                fill(d1, d2, q, 41),
+                fill(d1, d1, q, 43),
+            );
+            fused_chain_matches_schoolbook(q, d1, d2, &a, [&w1, &tw, &w2]);
+        }
+    }
+
+    #[test]
+    fn saturated_entries_survive_the_fused_epilogue() {
+        // Every value q−1 at the widest supported modulus, through the
+        // lazy accumulation *and* the epilogue's extra REDC.
+        let q = (1u64 << 32) - 5;
+        let (d1, d2) = (12usize, 256usize);
+        let sat = |len: usize| vec![q - 1; len];
+        fused_chain_matches_schoolbook(
+            q,
+            d1,
+            d2,
+            &sat(d1 * d2),
+            [&sat(d2 * d2), &sat(d1 * d2), &sat(d1 * d1)],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "right-hand only")]
+    fn packed_operand_rejected_on_the_left() {
+        let q = generate_ntt_primes(1, 28, 1 << 6)[0];
+        let a = MontOperand::new_packed(q, &[1, 2, 3, 4], 2, 2);
+        let mut out = [0u64; 4];
+        gemm_lm(&a, &[1, 0, 0, 1], 2, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "inner dimension too large")]
+    fn oversized_dimension_rejected_at_construction() {
+        // The check the tiles used to repeat per call: k < 2^32.
+        let _ = MontOperand::new(97, &[], 1 << 32, 0);
     }
 
     #[test]

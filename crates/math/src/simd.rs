@@ -13,12 +13,13 @@
 //! * [`Simd4`] — the lane-parallel tile. Residues and Montgomery-form
 //!   panel entries are both `< 2^32` (asserted by
 //!   [`crate::gemm_fast::MontOperand`]), so each product fits one `u64`:
-//!   a 32×32→64 multiply. The tile therefore splits every product into
-//!   32-bit limbs and accumulates **two** `u64` vectors per lane group —
-//!   `lo += p mod 2^32`, `hi += ⌊p / 2^32⌋` — with *no* `u128` arithmetic
-//!   in the inner loop. The compiler turns the masked multiplies into
-//!   packed 32×32→64 instructions (`pmuludq` / `vpmuludq`) and the limb
-//!   adds into packed 64-bit adds, four-plus lanes wide.
+//!   a 32×32→64 multiply. The tile accumulates **two** `u64` vectors per
+//!   lane group — the wrapping sum `sum += p` and the exact high-limb sum
+//!   `hi += ⌊p / 2^32⌋` — with *no* `u128` arithmetic in the inner loop:
+//!   one multiply, one shift and two adds per product. The compiler turns
+//!   the masked multiplies into packed 32×32→64 instructions (`pmuludq` /
+//!   `vpmuludq`) and the rest into packed 64-bit shifts and adds,
+//!   four-plus lanes wide.
 //!
 //! # Why the limb split is exact
 //!
@@ -30,12 +31,16 @@
 //! ```
 //!
 //! and each limb sum stays below `k·2^32`, which fits a `u64` for every
-//! `k < 2^32` (asserted; the GEMM layer already requires the much tighter
-//! `k·q < 2^64`). The tile reconstructs the exact 96-bit-bounded sum
-//! `t = lo + (hi << 32)` in `u128` **once per output element**, then
-//! applies the same single `REDC(t) = Σ a·b mod q` lazy reduction as the
-//! scalar tile — so the two kernels are bit-identical by construction,
-//! a property the proptest suites pin across all nine paper presets.
+//! `k < 2^32` — a bound [`crate::gemm_fast::MontOperand::new`] enforces on
+//! both dimensions of every operand, so no kernel re-checks it per tile.
+//! The low-limb sum is never accumulated: `sum ≡ Σ p_lo + 2^32·Σ p_hi
+//! (mod 2^64)` and `Σ p_lo < 2^64`, so `Σ p_lo = sum − (hi << 32)` in
+//! wrapping arithmetic, exactly. The tile reconstructs the exact
+//! 96-bit-bounded sum `t = lo + (hi << 32)` in `u128` **once per output
+//! element**, then applies the same single `REDC(t) = Σ a·b mod q` lazy
+//! reduction as the scalar tile — so the two kernels are bit-identical by
+//! construction, a property the proptest suites pin across all nine paper
+//! presets.
 //!
 //! # Selection
 //!
@@ -47,6 +52,52 @@
 //! GEMM entry points for the A/B benches and the equivalence proofs.
 
 use crate::montgomery::Montgomery;
+
+/// A strided view of a GEMM's streamed data operand: element `(i, kk)` of
+/// the logical `m×k` matrix lives at `data[i·row_stride + kk·k_stride]`.
+///
+/// A dense row-major matrix is `row_stride = k, k_stride = 1`; a
+/// column-major one (`row_stride = 1`) lets a kernel multiply a matrix
+/// straight out of the layout it arrived in instead of a gathered copy —
+/// the four-step NTT reads its `N1×N2` input block this way.
+#[derive(Debug, Clone, Copy)]
+pub struct Strided<'a> {
+    /// Backing elements.
+    pub data: &'a [u64],
+    /// Distance between consecutive rows.
+    pub row_stride: usize,
+    /// Distance between consecutive inner-dimension entries of one row.
+    pub k_stride: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// The dense row-major `m×k` view of `data`.
+    #[must_use]
+    pub fn row_major(data: &'a [u64], k: usize) -> Self {
+        Self {
+            data,
+            row_stride: k,
+            k_stride: 1,
+        }
+    }
+
+    /// Element `(i, kk)`.
+    #[inline]
+    #[must_use]
+    pub fn at(&self, i: usize, kk: usize) -> u64 {
+        self.data[i * self.row_stride + kk * self.k_stride]
+    }
+
+    /// The view starting at row `i` (the operand of one register tile).
+    #[inline]
+    #[must_use]
+    pub fn from_row(&self, i: usize) -> Self {
+        Self {
+            data: &self.data[i * self.row_stride..],
+            ..*self
+        }
+    }
+}
 
 /// Register-tile height (data rows per tile). Mirrored by
 /// [`crate::gemm_fast`]'s blocking.
@@ -68,11 +119,19 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
 
     /// Computes one full tile.
     ///
-    /// `a` holds the `MR` data rows of the tile back to back with stride
-    /// `k` (`a.len() == MR·k`, row `ii` at `a[ii·k..][..k]`); `panel` is
-    /// the packed `k×NR` column panel; `out` receives the `MR×NR`
-    /// canonical residues row-major.
-    fn tile(&self, a: &[u64], k: usize, panel: &[u64], mont: &Montgomery, out: &mut [u64; MR * NR]);
+    /// `a` views the `MR` data rows of the tile (row `ii`, inner index
+    /// `kk` at `a.at(ii, kk)`, `kk < k`); `panel` is the packed `k×NR`
+    /// column panel; `out` receives the `MR×NR` canonical residues
+    /// row-major. `k < 2^32` and `k·q < 2^64` are the caller's contract
+    /// (established once by [`crate::gemm_fast::MontOperand::new`]).
+    fn tile(
+        &self,
+        a: Strided<'_>,
+        k: usize,
+        panel: &[u64],
+        mont: &Montgomery,
+        out: &mut [u64; MR * NR],
+    );
 }
 
 /// The PR-9 scalar register tile: one `u128` accumulator per lane.
@@ -90,21 +149,21 @@ impl MicroKernel for ScalarTile {
 
     fn tile(
         &self,
-        a: &[u64],
+        a: Strided<'_>,
         k: usize,
         panel: &[u64],
         mont: &Montgomery,
         out: &mut [u64; MR * NR],
     ) {
-        debug_assert_eq!(a.len(), MR * k);
         debug_assert_eq!(panel.len(), k * NR);
+        debug_assert!((k as u128) * (mont.modulus() as u128) < (1u128 << 64));
         let mut acc = [[0u128; NR]; MR];
         for kk in 0..k {
             let prow: &[u64; NR] = panel[kk * NR..(kk + 1) * NR]
                 .try_into()
                 .expect("panel row width");
             for (ii, acc_row) in acc.iter_mut().enumerate() {
-                let av = a[ii * k + kk] as u128;
+                let av = a.at(ii, kk) as u128;
                 for (jj, lane) in acc_row.iter_mut().enumerate() {
                     *lane += av * prow[jj] as u128;
                 }
@@ -138,18 +197,20 @@ impl MicroKernel for Simd4 {
 
     fn tile(
         &self,
-        a: &[u64],
+        a: Strided<'_>,
         k: usize,
         panel: &[u64],
         mont: &Montgomery,
         out: &mut [u64; MR * NR],
     ) {
-        debug_assert_eq!(a.len(), MR * k);
         debug_assert_eq!(panel.len(), k * NR);
-        // Limb sums of k terms each < 2^32 must fit u64. Always true in
-        // practice (the GEMM layer requires k·q < 2^64 with q ≥ 2^27).
-        assert!(k < (1usize << 32), "inner dimension overflows limb sums");
-        let mut lo = [[0u64; NR]; MR];
+        // Limb sums of k terms each < 2^32 must fit u64.
+        debug_assert!(
+            (k as u64) < (1u64 << 32),
+            "inner dimension overflows limb sums"
+        );
+        // Per lane: `sum = Σ p mod 2^64` and `hi = Σ ⌊p / 2^32⌋` (exact).
+        let mut sum = [[0u64; NR]; MR];
         let mut hi = [[0u64; NR]; MR];
         for kk in 0..k {
             let prow: &[u64; NR] = panel[kk * NR..(kk + 1) * NR]
@@ -159,19 +220,22 @@ impl MicroKernel for Simd4 {
                 // Residues are < 2^32; the masks prove it to the
                 // vectorizer, which lowers the multiply to packed
                 // 32×32→64 (`vpmuludq`) instead of a serial 64×64 chain.
-                let av = a[ii * k + kk] & LO32;
+                let av = a.at(ii, kk) & LO32;
                 for jj in 0..NR {
                     let p = av.wrapping_mul(prow[jj] & LO32);
-                    lo[ii][jj] = lo[ii][jj].wrapping_add(p & LO32);
+                    sum[ii][jj] = sum[ii][jj].wrapping_add(p);
                     hi[ii][jj] = hi[ii][jj].wrapping_add(p >> 32);
                 }
             }
         }
         for ii in 0..MR {
             for jj in 0..NR {
-                // Exact reconstruction: one u128 op per *output*, not per
-                // MAC. t = Σ a·b′ < k·q² < q·2^64, inside REDC's domain.
-                let t = lo[ii][jj] as u128 + ((hi[ii][jj] as u128) << 32);
+                // The low-limb sum lo = Σ (p mod 2^32) < k·2^32 ≤ 2^64 is
+                // recovered exactly from sum ≡ lo + 2^32·hi (mod 2^64).
+                // Then one u128 op per *output*, not per MAC:
+                // t = Σ a·b′ < k·q² < q·2^64, inside REDC's domain.
+                let lo = sum[ii][jj].wrapping_sub(hi[ii][jj] << 32);
+                let t = lo as u128 + ((hi[ii][jj] as u128) << 32);
                 out[ii * NR + jj] = mont.redc(t);
             }
         }
@@ -236,8 +300,8 @@ mod tests {
             let panel = fill(k * NR, q, 99 + k as u64);
             let mut want = [0u64; MR * NR];
             let mut got = [0u64; MR * NR];
-            scalar_tile().tile(&a, k, &panel, &mont, &mut want);
-            simd4().tile(&a, k, &panel, &mont, &mut got);
+            scalar_tile().tile(Strided::row_major(&a, k), k, &panel, &mont, &mut want);
+            simd4().tile(Strided::row_major(&a, k), k, &panel, &mont, &mut got);
             assert_eq!(got, want, "k={k}");
         }
     }
@@ -252,8 +316,8 @@ mod tests {
         let panel = vec![q - 1; k * NR];
         let mut want = [0u64; MR * NR];
         let mut got = [0u64; MR * NR];
-        scalar_tile().tile(&a, k, &panel, &mont, &mut want);
-        simd4().tile(&a, k, &panel, &mont, &mut got);
+        scalar_tile().tile(Strided::row_major(&a, k), k, &panel, &mont, &mut want);
+        simd4().tile(Strided::row_major(&a, k), k, &panel, &mont, &mut got);
         assert_eq!(got, want);
     }
 

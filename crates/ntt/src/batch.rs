@@ -20,6 +20,36 @@
 //! segmented tensor-core pipeline (the u8 planes of the stacked input are
 //! segmented once for all `B` rows).
 //!
+//! # Which pipeline runs
+//!
+//! The four-step formulation executes those stages as **two Montgomery
+//! GEMMs with fused epilogues** (`FourStepNtt::transform_rows`) — for
+//! every caller: `NttOps`, [`NttBatchOps`], the CKKS evaluator above them
+//! and the host executor.
+//!
+//! ```text
+//!            strided tile reads            register-tile epilogues
+//! row ──► GEMM 1: A × W1 (pre-packed) ──► ⊙ twiddle (one extra REDC),
+//!                                          stored as GEMM 2's column panels
+//!         GEMM 2: W2 × panels         ──► stored straight into the row
+//! ```
+//!
+//! No gather, repack or scatter pass exists: GEMM 1 reads the `N1×N2`
+//! block column-major out of the row, its epilogue writes the twiddled
+//! tiles in the operand layout GEMM 2 consumes, and GEMM 2's epilogue
+//! writes the output row. The inverse is the same pass over transposed
+//! constants. On the host the wide block is walked row by row, which keeps
+//! a row, the one row-sized staging buffer and the constants
+//! cache-resident; the constants are still shared by the whole block.
+//!
+//! The five-stage **Barrett wide pipeline** (gather → `gemm_mod_into` →
+//! twiddle repack → `gemm_mod_into` → scatter, `u128` accumulators and one
+//! Barrett reduction per output) is the *reference*: it is reachable only
+//! through [`BatchedGemmNtt::reference_batch`], for the `host-scalar`
+//! backend and the equivalence tests, and it shares its block plumbing
+//! with [`TensorCoreNtt`], whose segmented u8 GEMMs plug into the same
+//! stages. All of them are bit-identical to the butterfly.
+//!
 //! Three pieces live here:
 //!
 //! * [`NttBatchOps`] — the batched transform interface every NTT variant
@@ -52,7 +82,6 @@ use crate::{NttAlgorithm, NttOps};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 pub use tensorfhe_math::crt::BasisConvGemm;
-use tensorfhe_math::gemm_fast::{gemm_lm, gemm_rm};
 
 /// Batched companion to [`NttOps`]: transforms a block of same-modulus
 /// residue rows in one call.
@@ -92,12 +121,14 @@ pub trait NttBatchOps: NttOps {
 impl NttBatchOps for NttTable {}
 
 // ---------------------------------------------------------------------------
-// The shared wide-GEMM pipeline.
+// The shared wide-GEMM reference pipeline.
 //
-// Both GEMM formulations run the same five-stage block pipeline and differ
-// only in how they multiply: dense u64 GEMMs (four-step) vs segmented u8
-// plane GEMMs (tensor-core). `WideGemm` captures exactly that difference so
-// the nontrivial pack / twiddle / unpack layout arithmetic exists once.
+// The Barrett reference and the tensor-core formulation run the same
+// five-stage block pipeline and differ only in how they multiply: dense u64
+// Barrett GEMMs vs segmented u8 plane GEMMs. `WideGemm` captures exactly
+// that difference so the nontrivial pack / twiddle / unpack layout
+// arithmetic exists once. (The four-step fast path needs none of it: see
+// `FourStepNtt::transform_rows`.)
 // ---------------------------------------------------------------------------
 
 /// The four wide matrix products of the batched pipeline, provided by each
@@ -121,76 +152,34 @@ pub(crate) trait WideGemm {
     fn gemm_n2_inv(&self, stacked: &Mat) -> Mat;
 }
 
+/// The Barrett reference: dense `u128`-accumulator GEMMs against the
+/// plan's canonical matrices.
 impl WideGemm for FourStepNtt {
     fn four_step_plan(&self) -> &FourStepNtt {
         self
     }
 
     fn gemm_n2(&self, stacked: &Mat) -> Mat {
-        let mut out = Mat::pooled(stacked.rows, self.mat_n2().cols);
-        gemm_mod_into(stacked, self.mat_n2(), self.modulus_handle(), &mut out);
-        out
+        barrett_gemm(stacked, &self.canon().w_n2, self)
     }
 
     fn gemm_dft(&self, wide: &Mat) -> Mat {
-        let mut out = Mat::pooled(self.mat_dft().rows, wide.cols);
-        gemm_mod_into(self.mat_dft(), wide, self.modulus_handle(), &mut out);
-        out
+        barrett_gemm(&self.canon().w_dft, wide, self)
     }
 
     fn gemm_idft(&self, wide: &Mat) -> Mat {
-        let mut out = Mat::pooled(self.mat_idft().rows, wide.cols);
-        gemm_mod_into(self.mat_idft(), wide, self.modulus_handle(), &mut out);
-        out
+        barrett_gemm(&self.canon().w_idft, wide, self)
     }
 
     fn gemm_n2_inv(&self, stacked: &Mat) -> Mat {
-        let mut out = Mat::pooled(stacked.rows, self.mat_n2_inv().cols);
-        gemm_mod_into(stacked, self.mat_n2_inv(), self.modulus_handle(), &mut out);
-        out
+        barrett_gemm(stacked, &self.canon().w_n2_inv, self)
     }
 }
 
-/// The Montgomery fast-kernel formulation over the same four-step plan:
-/// identical pipeline, but every wide product runs through the
-/// cache-blocked `gemm_fast` kernels against the plan's pre-converted
-/// Montgomery operands. Canonical residues out — bit-identical to the
-/// Barrett [`WideGemm`] impl above, a property the tests pin across every
-/// paper preset.
-pub(crate) struct FastWide<'a>(pub(crate) &'a FourStepNtt);
-
-impl WideGemm for FastWide<'_> {
-    fn four_step_plan(&self) -> &FourStepNtt {
-        self.0
-    }
-
-    fn gemm_n2(&self, stacked: &Mat) -> Mat {
-        let b = self.0.mont_n2();
-        let mut out = Mat::pooled(stacked.rows, b.cols());
-        gemm_rm(&stacked.data, stacked.rows, b, &mut out.data);
-        out
-    }
-
-    fn gemm_dft(&self, wide: &Mat) -> Mat {
-        let a = self.0.mont_dft();
-        let mut out = Mat::pooled(a.rows(), wide.cols);
-        gemm_lm(a, &wide.data, wide.cols, &mut out.data);
-        out
-    }
-
-    fn gemm_idft(&self, wide: &Mat) -> Mat {
-        let a = self.0.mont_idft();
-        let mut out = Mat::pooled(a.rows(), wide.cols);
-        gemm_lm(a, &wide.data, wide.cols, &mut out.data);
-        out
-    }
-
-    fn gemm_n2_inv(&self, stacked: &Mat) -> Mat {
-        let b = self.0.mont_n2_inv();
-        let mut out = Mat::pooled(stacked.rows, b.cols());
-        gemm_rm(&stacked.data, stacked.rows, b, &mut out.data);
-        out
-    }
+fn barrett_gemm(a: &Mat, b: &Mat, plan: &FourStepNtt) -> Mat {
+    let mut out = Mat::pooled(a.rows, b.cols);
+    gemm_mod_into(a, b, plan.modulus_handle(), &mut out);
+    out
 }
 
 /// Gathers `B` coefficient rows into the vertically stacked `(B·N1) × N2`
@@ -289,7 +278,7 @@ fn wide_forward_batch<G: WideGemm>(g: &G, rows: &mut [&mut [u64]]) {
     let stacked = gather_stacked(plan, rows);
     let t = g.gemm_n2(&stacked);
     stacked.recycle();
-    let wide = twiddle_repack(&t, plan.twiddle_forward(), plan, true);
+    let wide = twiddle_repack(&t, &plan.canon().w_tw, plan, true);
     t.recycle();
     let out = g.gemm_dft(&wide);
     wide.recycle();
@@ -304,7 +293,7 @@ fn wide_inverse_batch<G: WideGemm>(g: &G, rows: &mut [&mut [u64]]) {
     let wide = gather_wide(plan, rows);
     let v = g.gemm_idft(&wide);
     wide.recycle();
-    let stacked = twiddle_repack(&v, plan.twiddle_inverse(), plan, false);
+    let stacked = twiddle_repack(&v, &plan.canon().w_tw_inv, plan, false);
     v.recycle();
     let res = g.gemm_n2_inv(&stacked);
     stacked.recycle();
@@ -312,17 +301,15 @@ fn wide_inverse_batch<G: WideGemm>(g: &G, rows: &mut [&mut [u64]]) {
     res.recycle();
 }
 
+/// The fused Montgomery pipeline — the same code the per-row transforms
+/// run with `B = 1`.
 impl NttBatchOps for FourStepNtt {
     fn forward_batch(&self, rows: &mut [&mut [u64]]) {
-        if !rows.is_empty() {
-            wide_forward_batch(self, rows);
-        }
+        self.transform_rows(rows, false);
     }
 
     fn inverse_batch(&self, rows: &mut [&mut [u64]]) {
-        if !rows.is_empty() {
-            wide_inverse_batch(self, rows);
-        }
+        self.transform_rows(rows, true);
     }
 }
 
@@ -457,28 +444,34 @@ impl NttBatchOps for BatchedGemmNtt {
 }
 
 impl BatchedGemmNtt {
-    /// [`NttBatchOps::forward_batch`] through the cache-blocked Montgomery
-    /// fast kernels (the host backend's path). Only the four-step
-    /// formulation has dense GEMMs to accelerate; the other variants fall
-    /// back to their normal batch path. Bit-identical to
-    /// [`NttBatchOps::forward_batch`] in every case.
-    pub fn forward_batch_fast(&self, rows: &mut [&mut [u64]]) {
+    /// The **reference** batch transform: for the four-step formulation,
+    /// the five-stage Barrett wide pipeline over the plan's canonical
+    /// matrices (see the module docs) instead of the fused Montgomery
+    /// one; the other formulations have a single batch path, which this
+    /// calls. Bit-identical to [`NttBatchOps`] in every case — it exists
+    /// so the `host-scalar` backend and the equivalence tests have a
+    /// second, independent kernel to compare against.
+    pub fn reference_batch(&self, rows: &mut [&mut [u64]], inverse: bool) {
         match &self.kernel {
-            Kernel::FourStep(t) if !rows.is_empty() => {
-                wide_forward_batch(&FastWide(t.as_ref()), rows)
-            }
+            Kernel::FourStep(_) if rows.is_empty() => {}
+            Kernel::FourStep(t) if inverse => wide_inverse_batch(t.as_ref(), rows),
+            Kernel::FourStep(t) => wide_forward_batch(t.as_ref(), rows),
+            _ if inverse => self.inverse_batch(rows),
             _ => self.forward_batch(rows),
         }
     }
 
-    /// Fast-kernel companion of [`NttBatchOps::inverse_batch`].
+    /// Alias of [`NttBatchOps::forward_batch`], which runs the fast
+    /// kernels for every caller; kept because the end-to-end harness
+    /// probes the kernels under this name.
+    pub fn forward_batch_fast(&self, rows: &mut [&mut [u64]]) {
+        self.forward_batch(rows);
+    }
+
+    /// Alias of [`NttBatchOps::inverse_batch`] (see
+    /// [`BatchedGemmNtt::forward_batch_fast`]).
     pub fn inverse_batch_fast(&self, rows: &mut [&mut [u64]]) {
-        match &self.kernel {
-            Kernel::FourStep(t) if !rows.is_empty() => {
-                wide_inverse_batch(&FastWide(t.as_ref()), rows)
-            }
-            _ => self.inverse_batch(rows),
-        }
+        self.inverse_batch(rows);
     }
 }
 
@@ -693,34 +686,49 @@ mod tests {
 
     #[test]
     fn fast_kernels_bit_identical_to_scalar_batch() {
+        // The default batch path (fused Montgomery pipeline for the
+        // four-step plan) against the named Barrett reference, over both
+        // square and rectangular splits, tile-edge degrees included.
         let mut rng = StdRng::seed_from_u64(33);
         for algo in ALGOS {
-            for b in [1usize, 3, 8] {
-                let n = 256;
+            for (n, b) in [
+                (4usize, 2usize),
+                (8, 3),
+                (32, 5),
+                (256, 1),
+                (256, 3),
+                (512, 8),
+            ] {
                 let q = generate_ntt_primes(1, 28, n as u64)[0];
                 let plan = BatchedGemmNtt::new(n, q, algo);
                 let orig = random_rows(&mut rng, b, n, q);
 
-                let mut scalar = orig.clone();
+                let mut reference = orig.clone();
                 let mut fast = orig.clone();
                 {
                     let mut rows: Vec<&mut [u64]> =
-                        scalar.iter_mut().map(Vec::as_mut_slice).collect();
-                    plan.forward_batch(&mut rows);
+                        reference.iter_mut().map(Vec::as_mut_slice).collect();
+                    plan.reference_batch(&mut rows, false);
                 }
                 {
                     let mut rows: Vec<&mut [u64]> =
                         fast.iter_mut().map(Vec::as_mut_slice).collect();
-                    plan.forward_batch_fast(&mut rows);
+                    plan.forward_batch(&mut rows);
                 }
-                assert_eq!(scalar, fast, "{algo:?} forward fast B={b}");
+                assert_eq!(reference, fast, "{algo:?} forward N={n} B={b}");
 
+                {
+                    let mut rows: Vec<&mut [u64]> =
+                        reference.iter_mut().map(Vec::as_mut_slice).collect();
+                    plan.reference_batch(&mut rows, true);
+                }
                 {
                     let mut rows: Vec<&mut [u64]> =
                         fast.iter_mut().map(Vec::as_mut_slice).collect();
                     plan.inverse_batch_fast(&mut rows);
                 }
-                assert_eq!(fast, orig, "{algo:?} fast roundtrip B={b}");
+                assert_eq!(reference, orig, "{algo:?} reference roundtrip N={n} B={b}");
+                assert_eq!(fast, orig, "{algo:?} fast roundtrip N={n} B={b}");
             }
         }
     }
@@ -729,25 +737,51 @@ mod tests {
     fn repeated_batches_do_not_grow_scratch_state() {
         use tensorfhe_math::scratch;
         let n = 256;
-        let q = generate_ntt_primes(1, 28, n as u64)[0];
+        let (b, q) = (4, generate_ntt_primes(1, 28, n as u64)[0]);
         let plan = BatchedGemmNtt::new(n, q, NttAlgorithm::FourStep);
         let mut rng = StdRng::seed_from_u64(34);
-        let mut block = random_rows(&mut rng, 4, n, q);
-        let drain = |block: &mut Vec<Vec<u64>>| {
-            let mut rows: Vec<&mut [u64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
-            plan.forward_batch_fast(&mut rows);
-            let mut rows: Vec<&mut [u64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
-            plan.inverse_batch_fast(&mut rows);
+        let mut block = random_rows(&mut rng, b, n, q);
+        let fused = |block: &mut Vec<Vec<u64>>| {
             let mut rows: Vec<&mut [u64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
             plan.forward_batch(&mut rows);
             let mut rows: Vec<&mut [u64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
             plan.inverse_batch(&mut rows);
         };
+        let reference = |block: &mut Vec<Vec<u64>>| {
+            let mut rows: Vec<&mut [u64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
+            plan.reference_batch(&mut rows, false);
+            let mut rows: Vec<&mut [u64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
+            plan.reference_batch(&mut rows, true);
+        };
+
+        // From an empty pool, every buffer the fused path ever held at
+        // once is idle in the pool afterwards: at most two, none larger
+        // than the block.
         scratch::clear_thread_pool();
-        drain(&mut block);
+        fused(&mut block);
+        let warm = scratch::thread_stats();
+        assert!(
+            warm.u64_buffers <= 2 && warm.u64_capacity <= 2 * b * n,
+            "fused pipeline staged {warm:?} for a {b}x{n} block"
+        );
+        assert_eq!(
+            warm.u128_buffers, 0,
+            "no wide accumulators on the fast path"
+        );
+        for _ in 0..20 {
+            fused(&mut block);
+        }
+        assert_eq!(
+            scratch::thread_stats(),
+            warm,
+            "fused NTT batches must reuse pooled scratch, not grow it"
+        );
+
+        reference(&mut block);
         let warm = scratch::thread_stats();
         for _ in 0..20 {
-            drain(&mut block);
+            fused(&mut block);
+            reference(&mut block);
         }
         assert_eq!(
             scratch::thread_stats(),

@@ -23,17 +23,26 @@
 //! what removes the RAW pipeline stalls measured in Fig. 10 — and each
 //! output element incurs exactly one modulo reduction.
 
-use crate::mat::{gemm_mod, hadamard_mod, Mat};
+use crate::mat::Mat;
 use crate::NttOps;
 use std::sync::OnceLock;
-use tensorfhe_math::gemm_fast::MontOperand;
+use tensorfhe_math::gemm_fast::{
+    gemm_lm_fused, gemm_rm_fused, packed_len, panel_index, MontOperand, Strided, TileOut,
+};
+use tensorfhe_math::montgomery::Montgomery;
 use tensorfhe_math::prime::root_of_unity;
-use tensorfhe_math::Modulus;
+use tensorfhe_math::simd::NR;
+use tensorfhe_math::{scratch, Modulus};
 
 /// Plan (pre-computed twiddle matrices) for the four-step NTT.
 ///
 /// The twiddle factor matrices depend only on `(N, q)` and are reused by all
 /// NTT calls of a CKKS instance — the *Data Reuse* property of §IV-B.
+///
+/// Every constant is stored **once**, in the Montgomery form and the
+/// layout the fused pipeline (see [`crate::batch`]) consumes.
+/// The canonical matrices of Eq. 9 — what the Barrett reference pipeline
+/// and [`crate::TensorCoreNtt`] multiply with — are derived on first use.
 #[derive(Debug, Clone)]
 pub struct FourStepNtt {
     n: usize,
@@ -41,28 +50,140 @@ pub struct FourStepNtt {
     n2: usize,
     q: Modulus,
     psi: u64,
-    w_n2: Mat,
-    w_tw: Mat,
-    w_dft: Mat,
-    w_idft: Mat,
-    w_tw_inv: Mat,
-    /// Inverse N2-side matrix with `N^{-1}` folded in.
-    w_n2_inv: Mat,
-    /// Lazily-built Montgomery-form copies of the four GEMM operands,
-    /// shared by every fast-kernel call against this plan. `OnceLock` keeps
-    /// the plan `Clone` (a cloned plan re-derives them on first use);
-    /// boxed so the cold cache adds one pointer to the plan, not four
-    /// matrices.
-    mont: OnceLock<Box<MontMats>>,
+    fwd: Pass,
+    inv: Pass,
+    /// Lazily derived canonical matrices (reference paths only). `OnceLock`
+    /// keeps the plan `Clone`; boxed so a plan that never leaves the fast
+    /// path carries one pointer, not six matrices.
+    canon: OnceLock<Box<CanonMats>>,
 }
 
-/// The four GEMM constants in Montgomery form (host fast path).
+/// The constants of one direction of the transform, which is the same
+/// fused pass either way — per row, with the `d1×d2` block `A` read
+/// column-major (`A[r][c] = row[r + d1·c]`) and the result written back
+/// row-major:
+///
+/// ```text
+/// row ← W2 (d1×d1) × ( (A × W1 (d2×d2)) ⊙ T (d1×d2) )
+/// ```
+///
+/// Forward: `(d1, d2) = (N1, N2)`, `W1 = W_n2`, `T = W_tw`, `W2 = W_dft`.
+/// Inverse: `(d1, d2) = (N2, N1)`, `W1 = W_idft`, `T = W_tw_invᵀ`,
+/// `W2 = W_n2_invᵀ` — the mirrored pipeline with every matrix transposed,
+/// so it reads evaluations row-major and writes coefficients `a[n1 + N1·n2]`
+/// through the very same two strides.
 #[derive(Debug, Clone)]
-struct MontMats {
-    n2: MontOperand,
-    dft: MontOperand,
-    idft: MontOperand,
-    n2_inv: MontOperand,
+struct Pass {
+    /// Right operand of the first GEMM, pre-packed into column panels.
+    w1: MontOperand,
+    /// Twiddle Hadamard operand in Montgomery form, row-major `d1×d2`.
+    tw: Vec<u64>,
+    /// Left operand of the second GEMM.
+    w2: MontOperand,
+}
+
+/// Generators of the six matrices of Eq. 9, as canonical residues.
+struct Twiddles {
+    n1: usize,
+    n2: usize,
+    m: Modulus,
+    psi: u64,
+}
+
+impl Twiddles {
+    /// `ψ_{2N2} = ψ^{N1}`.
+    fn psi_2n2(&self) -> u64 {
+        self.m.pow(self.psi, self.n1 as u64)
+    }
+
+    /// `ψ_{2N1} = ψ^{N2}`.
+    fn psi_2n1(&self) -> u64 {
+        self.m.pow(self.psi, self.n2 as u64)
+    }
+
+    /// `base^(2·r·c + r)` as a `rows×cols` matrix.
+    fn negacyclic(&self, rows: usize, cols: usize, base: u64) -> Mat {
+        Mat::from_fn(rows, cols, |r, c| self.m.pow(base, (2 * r * c + r) as u64))
+    }
+
+    /// `base^(2·r·c)` as an `N1×N1` matrix.
+    fn cyclic(&self, base: u64) -> Mat {
+        Mat::from_fn(self.n1, self.n1, |r, c| {
+            self.m.pow(base, (2 * r * c) as u64)
+        })
+    }
+
+    fn w_n2(&self) -> Mat {
+        self.negacyclic(self.n2, self.n2, self.psi_2n2())
+    }
+
+    fn w_tw(&self) -> Mat {
+        self.negacyclic(self.n1, self.n2, self.psi)
+    }
+
+    fn w_dft(&self) -> Mat {
+        self.cyclic(self.psi_2n1())
+    }
+
+    fn w_idft(&self) -> Mat {
+        self.cyclic(self.m.inv(self.psi_2n1()))
+    }
+
+    fn w_tw_inv(&self) -> Mat {
+        self.negacyclic(self.n1, self.n2, self.m.inv(self.psi))
+    }
+
+    /// Inverse N2-side matrix with `N^{-1}` folded in.
+    fn w_n2_inv(&self) -> Mat {
+        let base = self.m.inv(self.psi_2n2());
+        let n_inv = self.m.inv((self.n1 * self.n2) as u64);
+        Mat::from_fn(self.n2, self.n2, |r, c| {
+            self.m.mul(self.m.pow(base, (2 * r * c + c) as u64), n_inv)
+        })
+    }
+}
+
+/// The six matrices of Eq. 9 as canonical residues.
+#[derive(Debug, Clone)]
+pub(crate) struct CanonMats {
+    pub(crate) w_n2: Mat,
+    pub(crate) w_tw: Mat,
+    pub(crate) w_dft: Mat,
+    pub(crate) w_idft: Mat,
+    pub(crate) w_tw_inv: Mat,
+    pub(crate) w_n2_inv: Mat,
+}
+
+impl Pass {
+    /// Runs the pass over one row in place. `inter` is the caller's
+    /// `packed_len(d1, d2)` staging buffer: the first GEMM's epilogue
+    /// multiplies each register tile by its twiddles and stores it
+    /// directly as the second GEMM's column panels; the second GEMM's
+    /// epilogue stores its tiles directly into the row. Nothing else is
+    /// copied. Padding columns of `inter` (only when `d2 < NR`) must be
+    /// zero on entry and stay zero.
+    fn run(&self, row: &mut [u64], inter: &mut [u64]) {
+        let (d1, d2) = (self.w2.rows(), self.w1.rows());
+        let mont = self.w1.montgomery();
+        let a = Strided {
+            data: row,
+            row_stride: 1,
+            k_stride: d1,
+        };
+        gemm_rm_fused(a, d1, &self.w1, |t: TileOut<'_>| {
+            for ii in 0..t.rows {
+                let r = t.row0 + ii;
+                let tw = &self.tw[r * d2 + t.col0..r * d2 + t.col0 + t.cols];
+                let at = panel_index(d1, r, t.col0);
+                let vals = &t.vals[ii * NR..ii * NR + t.cols];
+                for ((o, &v), &w) in inter[at..at + t.cols].iter_mut().zip(vals).zip(tw) {
+                    // v·(w·R)·R⁻¹ = v·w mod q, canonical.
+                    *o = mont.mul(v, w);
+                }
+            }
+        });
+        gemm_lm_fused(&self.w2, inter, d2, |t| t.store_row_major(row, d2));
+    }
 }
 
 impl FourStepNtt {
@@ -99,69 +220,55 @@ impl FourStepNtt {
         let log_n = n.trailing_zeros();
         let n1 = 1usize << log_n.div_ceil(2);
         let n2 = n / n1;
-        let psi_inv = m.inv(psi);
-        // ψ_{2N2} = ψ^{N1}, ψ_{2N1} = ψ^{N2}.
-        let psi_2n2 = m.pow(psi, n1 as u64);
-        let psi_2n2_inv = m.inv(psi_2n2);
-        let psi_2n1 = m.pow(psi, n2 as u64);
-        let psi_2n1_inv = m.inv(psi_2n1);
-        let n_inv = m.inv(n as u64);
-
-        let w_n2 = Mat::from_fn(n2, n2, |r, c| m.pow(psi_2n2, (2 * r * c + r) as u64));
-        let w_tw = Mat::from_fn(n1, n2, |r, c| m.pow(psi, (2 * r * c + r) as u64));
-        let w_dft = Mat::from_fn(n1, n1, |r, c| m.pow(psi_2n1, (2 * r * c) as u64));
-        let w_idft = Mat::from_fn(n1, n1, |r, c| m.pow(psi_2n1_inv, (2 * r * c) as u64));
-        let w_tw_inv = Mat::from_fn(n1, n2, |r, c| m.pow(psi_inv, (2 * r * c + r) as u64));
-        let w_n2_inv = Mat::from_fn(n2, n2, |r, c| {
-            m.mul(m.pow(psi_2n2_inv, (2 * r * c + c) as u64), n_inv)
-        });
-
+        let t = Twiddles { n1, n2, m, psi };
+        // Each canonical matrix is generated, converted and dropped in
+        // turn, so building a plan never holds a second copy of its
+        // constants.
+        let mont = Montgomery::new(q);
+        let packed = |w: Mat| MontOperand::new_packed(q, &w.data, w.rows, w.cols);
+        let plain = |w: Mat| MontOperand::new(q, &w.data, w.rows, w.cols);
+        let twiddle = |w: Mat| w.data.iter().map(|&x| mont.to_mont(x)).collect();
         Self {
             n,
             n1,
             n2,
             q: m,
             psi,
-            w_n2,
-            w_tw,
-            w_dft,
-            w_idft,
-            w_tw_inv,
-            w_n2_inv,
-            mont: OnceLock::new(),
+            fwd: Pass {
+                w1: packed(t.w_n2()),
+                tw: twiddle(t.w_tw()),
+                w2: plain(t.w_dft()),
+            },
+            inv: Pass {
+                // W_idft is symmetric, so it is its own transpose.
+                w1: packed(t.w_idft()),
+                tw: twiddle(t.w_tw_inv().transposed()),
+                w2: plain(t.w_n2_inv().transposed()),
+            },
+            canon: OnceLock::new(),
         }
     }
 
-    /// The Montgomery-form GEMM operands, built on first use and cached on
-    /// the plan (so [`crate::PlanCache`]-shared plans pay the conversion
-    /// once per process).
-    fn mont_mats(&self) -> &MontMats {
-        self.mont.get_or_init(|| {
-            let q = self.q.value();
-            let conv = |m: &Mat| MontOperand::new(q, &m.data, m.rows, m.cols);
-            Box::new(MontMats {
-                n2: conv(&self.w_n2),
-                dft: conv(&self.w_dft),
-                idft: conv(&self.w_idft),
-                n2_inv: conv(&self.w_n2_inv),
+    /// The canonical matrices, derived on first use and cached on the plan
+    /// (so [`crate::PlanCache`]-shared plans pay for them once, and only
+    /// if a reference path ever runs).
+    pub(crate) fn canon(&self) -> &CanonMats {
+        self.canon.get_or_init(|| {
+            let t = Twiddles {
+                n1: self.n1,
+                n2: self.n2,
+                m: self.q,
+                psi: self.psi,
+            };
+            Box::new(CanonMats {
+                w_n2: t.w_n2(),
+                w_tw: t.w_tw(),
+                w_dft: t.w_dft(),
+                w_idft: t.w_idft(),
+                w_tw_inv: t.w_tw_inv(),
+                w_n2_inv: t.w_n2_inv(),
             })
         })
-    }
-
-    pub(crate) fn mont_n2(&self) -> &MontOperand {
-        &self.mont_mats().n2
-    }
-
-    pub(crate) fn mont_dft(&self) -> &MontOperand {
-        &self.mont_mats().dft
-    }
-
-    pub(crate) fn mont_idft(&self) -> &MontOperand {
-        &self.mont_mats().idft
-    }
-
-    pub(crate) fn mont_n2_inv(&self) -> &MontOperand {
-        &self.mont_mats().n2_inv
     }
 
     /// The `(N1, N2)` split, `N1 ≥ N2`, `N1·N2 = N`.
@@ -176,44 +283,14 @@ impl FourStepNtt {
         self.psi
     }
 
-    /// Gathers the input vector into the `N1×N2` matrix `A[n1][n2] =
-    /// a[n1 + N1·n2]` (stage 1 of Fig. 8).
-    pub(crate) fn reshape_in(&self, a: &[u64]) -> Mat {
-        Mat::from_fn(self.n1, self.n2, |n1, n2| a[n1 + self.n1 * n2])
-    }
-
-    pub(crate) fn twiddle_forward(&self) -> &Mat {
-        &self.w_tw
-    }
-
-    pub(crate) fn twiddle_inverse(&self) -> &Mat {
-        &self.w_tw_inv
-    }
-
-    pub(crate) fn mat_n2(&self) -> &Mat {
-        &self.w_n2
-    }
-
-    pub(crate) fn mat_dft(&self) -> &Mat {
-        &self.w_dft
-    }
-
-    pub(crate) fn mat_idft(&self) -> &Mat {
-        &self.w_idft
-    }
-
-    pub(crate) fn mat_n2_inv(&self) -> &Mat {
-        &self.w_n2_inv
-    }
-
     pub(crate) fn modulus_handle(&self) -> &Modulus {
         &self.q
     }
 
-    /// Scatters the forward-output matrix `Out[k1][k2]` to the vector
-    /// `A[k2 + N2·k1]` — row-major flattening.
-    pub(crate) fn flatten_out(&self, out: &Mat, dst: &mut [u64]) {
-        dst.copy_from_slice(&out.data);
+    /// Gathers the input vector into the `N1×N2` matrix `A[n1][n2] =
+    /// a[n1 + N1·n2]` (stage 1 of Fig. 8).
+    pub(crate) fn reshape_in(&self, a: &[u64]) -> Mat {
+        Mat::from_fn(self.n1, self.n2, |n1, n2| a[n1 + self.n1 * n2])
     }
 
     /// Scatters the inverse-output matrix `A[n1][n2]` to
@@ -224,6 +301,27 @@ impl FourStepNtt {
                 dst[n1 + self.n1 * n2] = out.at(n1, n2);
             }
         }
+    }
+
+    /// The four-step pipeline: transforms every row in place — two
+    /// Montgomery GEMMs per row with the twiddle Hadamard and every
+    /// repack fused into their epilogues ([`Pass::run`]), staged through
+    /// one pooled row-sized buffer for the whole block. Rows are
+    /// independent and each one's working set (row, staging buffer,
+    /// constants) stays cache-resident, so a block is simply its rows in
+    /// turn: `B = 1` is the same code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row's length differs from the degree.
+    pub(crate) fn transform_rows(&self, rows: &mut [&mut [u64]], inverse: bool) {
+        let pass = if inverse { &self.inv } else { &self.fwd };
+        let mut inter = scratch::take_u64(packed_len(pass.w2.rows(), pass.w1.rows()));
+        for row in rows.iter_mut() {
+            assert_eq!(row.len(), self.n, "input length mismatch");
+            pass.run(row, &mut inter);
+        }
+        scratch::give_u64(inter);
     }
 }
 
@@ -237,31 +335,11 @@ impl NttOps for FourStepNtt {
     }
 
     fn forward(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "input length mismatch");
-        let mat = self.reshape_in(a);
-        // GEMM 1: inner negacyclic N2-NTT along each row.
-        let t = gemm_mod(&mat, &self.w_n2, &self.q);
-        // Hadamard twiddle.
-        let u = hadamard_mod(&t, &self.w_tw, &self.q);
-        // GEMM 2: outer cyclic N1-DFT. Out = W_dft × U.
-        let out = gemm_mod(&self.w_dft, &u, &self.q);
-        self.flatten_out(&out, a);
+        self.transform_rows(&mut [a], false);
     }
 
     fn inverse(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "input length mismatch");
-        let out = Mat {
-            rows: self.n1,
-            cols: self.n2,
-            data: a.to_vec(),
-        };
-        // GEMM 1: inverse cyclic N1-DFT. V = W_idft × Out.
-        let v = gemm_mod(&self.w_idft, &out, &self.q);
-        // Hadamard inverse twiddle.
-        let vp = hadamard_mod(&v, &self.w_tw_inv, &self.q);
-        // GEMM 2: inverse negacyclic N2-NTT (with N^{-1} folded in).
-        let res = gemm_mod(&vp, &self.w_n2_inv, &self.q);
-        self.flatten_in(&res, a);
+        self.transform_rows(&mut [a], true);
     }
 }
 

@@ -9,16 +9,24 @@
 //! |---|---|---|
 //! | Cooley–Tukey / Gentleman–Sande butterflies | TensorFHE-NT | [`butterfly`] |
 //! | `O(N²)` matrix–vector product (Eq. 8) | analysis only | [`naive`] |
-//! | Four-step GEMM decomposition (Eq. 9) | TensorFHE-CO | [`four_step`] |
+//! | Four-step GEMM decomposition (Eq. 9): two Montgomery GEMMs with the twiddle Hadamard and all repacks fused into their epilogues | TensorFHE-CO | [`four_step`] |
 //! | Segmented u8 GEMM + Booth fusion (Fig. 7/8) | TensorFHE | [`tensor_core`] |
-//! | Batched `B×L` wide-GEMM execution + plan cache (Fig. 8, §IV-B/D) | TensorFHE batching | [`batch`] |
+//! | Batched `B×L` execution + plan cache (Fig. 8, §IV-B/D); the Barrett wide pipeline kept as the named reference | TensorFHE batching | [`batch`] |
 //!
 //! The [`batch`] module is the execution layer the others plug into:
 //! [`batch::NttBatchOps`] transforms a whole block of same-modulus residue
-//! rows per call (single wide GEMMs per four-step stage for the GEMM
-//! variants), and [`batch::PlanCache`] shares one [`batch::BatchedGemmNtt`]
-//! plan per `(n, q, algorithm)` key across the entire process — twiddle
-//! matrices are built once, whoever asks.
+//! rows per call, and [`batch::PlanCache`] shares one
+//! [`batch::BatchedGemmNtt`] plan per `(n, q, algorithm)` key across the
+//! entire process — twiddle matrices are built once, whoever asks.
+//!
+//! There is **one** four-step pipeline and every caller gets it: per-row
+//! [`NttOps`] calls, batched calls, the CKKS evaluator and the host
+//! executor all run the fused Montgomery/SIMD GEMMs of
+//! [`tensorfhe_math::gemm_fast`]. The scalar Barrett wide pipeline
+//! survives only as [`batch::BatchedGemmNtt::reference_batch`] — the
+//! independent kernel the `host-scalar` backend and the equivalence tests
+//! compare against (its block plumbing also carries the tensor-core
+//! formulation).
 //!
 //! The same cache also hands out [`batch::BasisConvGemm`] plans (keyed on
 //! the `(src, dst)` prime lists) for the GEMM-lowered fast basis conversion

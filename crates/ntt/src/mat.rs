@@ -12,14 +12,6 @@ pub(crate) struct Mat {
 }
 
 impl Mat {
-    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0; rows * cols],
-        }
-    }
-
     /// A zero matrix backed by this thread's scratch pool; pair with
     /// [`Mat::recycle`] so steady-state batch pipelines stop allocating.
     pub(crate) fn pooled(rows: usize, cols: usize) -> Self {
@@ -53,22 +45,21 @@ impl Mat {
     pub(crate) fn at(&self, i: usize, j: usize) -> u64 {
         self.data[i * self.cols + j]
     }
+
+    pub(crate) fn transposed(&self) -> Self {
+        Self::from_fn(self.cols, self.rows, |i, j| self.at(j, i))
+    }
 }
 
-/// `(A × B) mod q` with a single Barrett reduction per output element.
+/// `(A × B) mod q` with a single Barrett reduction per output element,
+/// into a caller-provided (typically pooled) output matrix — the scalar
+/// reference GEMM of the Barrett wide pipeline.
 ///
 /// Requires `q < 2^32` so that the `u128` accumulator cannot overflow for any
 /// realistic inner dimension (`cols ≤ 2^64 / q² `): this is exactly the
 /// paper's "only one modulo operation is required for each A_k" argument,
 /// realised with a 128-bit accumulator instead of the paper's 64-bit one so
 /// the property holds for every supported `N`.
-pub(crate) fn gemm_mod(a: &Mat, b: &Mat, q: &Modulus) -> Mat {
-    let mut out = Mat::zeros(a.rows, b.cols);
-    gemm_mod_into(a, b, q, &mut out);
-    out
-}
-
-/// [`gemm_mod`] into a caller-provided (typically pooled) output matrix.
 pub(crate) fn gemm_mod_into(a: &Mat, b: &Mat, q: &Modulus, out: &mut Mat) {
     assert_eq!(a.cols, b.rows, "GEMM dimension mismatch");
     assert!(q.bits() <= 32, "GEMM NTT path requires q < 2^32");
@@ -119,6 +110,12 @@ pub(crate) fn hadamard_mod(a: &Mat, b: &Mat, q: &Modulus) -> Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn gemm_mod(a: &Mat, b: &Mat, q: &Modulus) -> Mat {
+        let mut out = Mat::from_fn(a.rows, b.cols, |_, _| 0);
+        gemm_mod_into(a, b, q, &mut out);
+        out
+    }
 
     #[test]
     fn gemm_small_identity() {

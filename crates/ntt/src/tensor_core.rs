@@ -173,10 +173,11 @@ impl TensorCoreNtt {
     }
 
     fn from_plan(plan: FourStepNtt) -> Self {
-        let seg_n2 = SegmentedMatrix::from_mat(plan.mat_n2());
-        let seg_dft = SegmentedMatrix::from_mat(plan.mat_dft());
-        let seg_idft = SegmentedMatrix::from_mat(plan.mat_idft());
-        let seg_n2_inv = SegmentedMatrix::from_mat(plan.mat_n2_inv());
+        let c = plan.canon();
+        let seg_n2 = SegmentedMatrix::from_mat(&c.w_n2);
+        let seg_dft = SegmentedMatrix::from_mat(&c.w_dft);
+        let seg_idft = SegmentedMatrix::from_mat(&c.w_idft);
+        let seg_n2_inv = SegmentedMatrix::from_mat(&c.w_n2_inv);
         Self {
             plan,
             seg_n2,
@@ -268,18 +269,11 @@ impl NttOps for TensorCoreNtt {
             data: seg_in.gemm(&self.seg_n2, &q),
         };
         // Stage 3 (cont.): Hadamard with W_tw on the CUDA cores, re-segment.
-        let u = hadamard_mod(&t, self.plan.twiddle_forward(), &q);
+        let u = hadamard_mod(&t, &self.plan.canon().w_tw, &q);
         let seg_u = SegmentedMatrix::from_mat(&u);
         // Stage 4: 16 TCU GEMMs; Stage 5: fusion + final modulo.
-        let out = self.seg_dft.gemm(&seg_u, &q);
-        self.plan.flatten_out(
-            &Mat {
-                rows: n1,
-                cols: n2,
-                data: out,
-            },
-            a,
-        );
+        // Out[k1][k2] → A[k2 + N2·k1] is the row-major flattening.
+        a.copy_from_slice(&self.seg_dft.gemm(&seg_u, &q));
     }
 
     fn inverse(&self, a: &mut [u64]) {
@@ -293,7 +287,7 @@ impl NttOps for TensorCoreNtt {
             cols: n2,
             data: self.seg_idft.gemm(&seg_in, &q),
         };
-        let vp = hadamard_mod(&v, self.plan.twiddle_inverse(), &q);
+        let vp = hadamard_mod(&v, &self.plan.canon().w_tw_inv, &q);
         let seg_vp = SegmentedMatrix::from_mat(&vp);
         // Inverse negacyclic N2-NTT with N^{-1} folded in (the "extra
         // modular multiplicative inverse of N" of stage 5).
