@@ -2,11 +2,20 @@
 //! NTT formulations, modular primitives and basis conversion. These measure
 //! real CPU wall time of this implementation (not the simulated GPU),
 //! anchoring the repository's arithmetic performance.
+//!
+//! The last table sets the word-size kernels (`q < 2^31`: lazy 32-bit
+//! Shoup butterflies, Barrett-64 slice kernels, the limb-split conversion
+//! kernel) beside the wide bodies they replace on the evaluator's hot path.
+//! Its butterfly ratio is emitted as `kernels/host_butterfly_word_vs_wide`
+//! (a guarded wall-clock median, gated in `check_regression`'s `host_`
+//! tolerance class).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tensorfhe_math::crt::{BasisConvTable, RnsBasis};
+use std::time::Instant;
+use tensorfhe_bench::{print_table, report};
+use tensorfhe_math::crt::{BasisConvGemm, BasisConvTable, RnsBasis};
 use tensorfhe_math::prime::generate_ntt_primes;
 use tensorfhe_math::Modulus;
 use tensorfhe_ntt::{FourStepNtt, NttOps, NttTable, TensorCoreNtt};
@@ -82,9 +91,120 @@ fn bench_basis_conversion(c: &mut Criterion) {
     });
 }
 
+/// Maximum relative spread `(max − min) / median` for a quiet run.
+const MAX_SPREAD: f64 = 0.3;
+
+/// Median seconds per call of `f` over `trials` samples of `reps` calls
+/// each, and the samples' relative spread.
+fn median_secs(trials: usize, reps: usize, mut f: impl FnMut()) -> (f64, f64) {
+    let mut samples: Vec<f64> = (0..trials)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                f();
+            }
+            t0.elapsed().as_secs_f64() / reps as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let median = samples[samples.len() / 2];
+    (median, (samples[samples.len() - 1] - samples[0]) / median)
+}
+
+/// Word-size kernels beside the wide bodies, at the HEAX set B shapes
+/// (`N = 2^13`, 4 + 4 primes, `α = 1`).
+fn word_size_rows() {
+    let n = 1usize << 13;
+    let (trials, reps) = if report::smoke() { (5, 20) } else { (9, 100) };
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut rows = Vec::new();
+    let mut row = |name: &str, unit: &str, per: f64, word: (f64, f64), wide: (f64, f64)| {
+        rows.push(vec![
+            name.to_string(),
+            format!("{:.2} {unit}", word.0 * per),
+            format!("{:.2} {unit}", wide.0 * per),
+            format!("{:.2}×", wide.0 / word.0),
+            format!("{:.0}%", word.1.max(wide.1) * 100.0),
+        ]);
+        (wide.0 / word.0, word.1.max(wide.1) <= MAX_SPREAD)
+    };
+
+    // butterfly-2^13: the largest NTT prime below 2^31 runs the word-size
+    // kernel, the largest below 2^32 the wide one; same N, same stages.
+    let time_ntt = |bits: u32, rng: &mut StdRng| {
+        let q = generate_ntt_primes(1, bits, n as u64)[0];
+        let table = NttTable::new(n, q);
+        let mut a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+        median_secs(trials, reps, || {
+            table.forward(&mut a);
+            table.inverse(&mut a);
+        })
+    };
+    let (word, wide) = (time_ntt(31, &mut rng), time_ntt(32, &mut rng));
+    let (ratio, quiet) = row("butterfly-2^13 (fwd+inv)", "µs", 1e6, word, wide);
+
+    // mul-acc-slice: the key-switch inner product over one limb.
+    let q = generate_ntt_primes(1, 28, n as u64)[0];
+    let m = Modulus::new(q);
+    let vec = |rng: &mut StdRng| -> Vec<u64> { (0..n).map(|_| rng.gen_range(0..q)).collect() };
+    let (x, y, mut acc) = (vec(&mut rng), vec(&mut rng), vec(&mut rng));
+    let word = median_secs(trials, reps, || m.mul_acc_slice(&mut acc, &x, &y));
+    let wide = median_secs(trials, reps, || {
+        for ((a, &xv), &yv) in acc.iter_mut().zip(&x).zip(&y) {
+            *a = m.add(*a, m.mul(xv, yv));
+        }
+    });
+    row(
+        "mul-acc-slice (per element)",
+        "ns",
+        1e9 / n as f64,
+        word,
+        wide,
+    );
+
+    // basis-conv: ModDown's K = 4 → 4 conversion of two polynomials, the
+    // block kernel beside the per-coefficient scalar walk.
+    let primes = generate_ntt_primes(8, 28, n as u64);
+    let conv = BasisConvGemm::new(&primes[4..], &primes[..4]);
+    let width = 2 * n;
+    let src: Vec<Vec<u64>> = primes[4..]
+        .iter()
+        .map(|&p| (0..width).map(|_| rng.gen_range(0..p)).collect())
+        .collect();
+    let src_rows: Vec<&[u64]> = src.iter().map(Vec::as_slice).collect();
+    let mut out = vec![vec![0u64; width]; 4];
+    let word = median_secs(trials, reps.div_ceil(4), || {
+        let mut out_rows: Vec<&mut [u64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+        conv.convert_block_into(&src_rows, &mut out_rows);
+    });
+    let wide = median_secs(trials, reps.div_ceil(20), || {
+        for c in 0..width {
+            let residues: Vec<u64> = src.iter().map(|r| r[c]).collect();
+            std::hint::black_box(conv.table().convert_coeff(&residues));
+        }
+    });
+    let per_out = 1e9 / (4 * width) as f64;
+    row("basis-conv 4→4 (per output)", "ns", per_out, word, wide);
+
+    print_table(
+        &format!("Word-size kernels vs wide bodies (N = 2^13, median of {trials})"),
+        &["kernel", "word", "wide", "speedup", "spread"],
+        &rows,
+    );
+    if quiet {
+        report::emit("kernels", &[("host_butterfly_word_vs_wide", ratio)]);
+    } else {
+        println!("[kernels] host_butterfly_word_vs_wide not emitted: spread exceeded {MAX_SPREAD}");
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_ntt_variants, bench_modmul, bench_basis_conversion
 }
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    word_size_rows();
+}

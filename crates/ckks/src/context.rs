@@ -131,6 +131,14 @@ impl CkksContext {
             CkksError::InvalidParams("not enough special primes for the parameter set".into())
         })?;
 
+        // All ciphertext primes share one bit width, so any two are within
+        // a factor of two: RESCALE's centred top-limb residue (|v| ≤ q_l/2)
+        // then fits every lower modulus without a division.
+        let (q_min, q_max) = q_primes
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &q| (lo.min(q), hi.max(q)));
+        assert!(q_max < 2 * q_min, "ciphertext primes differ in width");
+
         let q_mods: Vec<Modulus> = q_primes.iter().map(|&q| Modulus::new(q)).collect();
         let p_mods: Vec<Modulus> = p_primes.iter().map(|&p| Modulus::new(p)).collect();
 

@@ -451,8 +451,8 @@ impl<'a> Evaluator<'a> {
         use tensorfhe_ntt::NttBatchOps;
         let ctx = self.ctx;
         let l = p0.level();
-        let m_l = *ctx.q_mod(l);
-        let half = m_l.value() / 2;
+        let q_l = ctx.q_mod(l).value();
+        let half = q_l / 2;
         let polys = [p0, p1];
 
         // INTT the two top limbs in one batched call.
@@ -462,44 +462,33 @@ impl<'a> Evaluator<'a> {
             ctx.ntt_q(l).inverse_batch(&mut rows);
         }
 
-        // Centered representatives of [c]_{q_l}.
-        let centered: Vec<Vec<i64>> = tops
-            .iter()
-            .map(|top| {
-                top.iter()
-                    .map(|&x| {
-                        if x > half {
-                            x as i64 - m_l.value() as i64
-                        } else {
-                            x as i64
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-
         let mut limbs0 = Vec::with_capacity(l);
         let mut limbs1 = Vec::with_capacity(l);
         for j in 0..l {
             let m_j = ctx.q_mod(j);
-            let inv = ctx.rescale_inv(l, j);
-            // NTT([c_l] mod q_j) for both components, then (c_j − t)·q_l^{-1}.
-            let mut ts: Vec<Vec<u64>> = centered
+            let q_j = m_j.value();
+            // The centred representative v of [c]_{q_l}, mod q_j: the
+            // context guarantees q_l < 2·q_j, so |v| ≤ q_l/2 < q_j and a
+            // sign-select add (v < 0 ⇒ v + q_j = x + q_j − q_l) replaces
+            // a division per coefficient.
+            let mut ts: Vec<Vec<u64>> = tops
                 .iter()
-                .map(|c| c.iter().map(|&v| m_j.from_i64(v)).collect())
+                .map(|top| {
+                    top.iter()
+                        .map(|&x| if x > half { x + q_j - q_l } else { x })
+                        .collect()
+                })
                 .collect();
             {
                 let mut rows: Vec<&mut [u64]> = ts.iter_mut().map(Vec::as_mut_slice).collect();
                 ctx.ntt_q(j).forward_batch(&mut rows);
             }
-            for (poly, t, limbs) in [(p0, &ts[0], &mut limbs0), (p1, &ts[1], &mut limbs1)] {
-                let limb: Vec<u64> = poly
-                    .limb(j)
-                    .iter()
-                    .zip(t)
-                    .map(|(&c, &tv)| m_j.mul(m_j.sub(c, tv), inv))
-                    .collect();
-                limbs.push(limb);
+            // (c_j − t)·q_l^{-1} with t = NTT([c_l] mod q_j), computed in place
+            // on the lifted limb as (t − c_j)·(−q_l^{-1}).
+            let neg_inv = m_j.neg(ctx.rescale_inv(l, j));
+            for ((poly, mut t), limbs) in polys.iter().zip(ts).zip([&mut limbs0, &mut limbs1]) {
+                m_j.sub_scale_slice(&mut t, poly.limb(j), neg_inv);
+                limbs.push(t);
             }
         }
         (

@@ -39,9 +39,12 @@ impl ExtPoly {
     #[must_use]
     pub fn zero(ctx: &CkksContext, level: usize, domain: Domain) -> Self {
         let n = ctx.params().n();
+        // One zeroed allocation per limb (cloning a zero limb would read
+        // and copy it instead).
+        let zeros = |limbs: usize| (0..limbs).map(|_| vec![0; n]).collect();
         Self {
-            q_limbs: vec![vec![0; n]; level + 1],
-            p_limbs: vec![vec![0; n]; ctx.params().special_primes()],
+            q_limbs: zeros(level + 1),
+            p_limbs: zeros(ctx.params().special_primes()),
             domain,
         }
     }
@@ -163,18 +166,10 @@ impl ExtPoly {
         assert_eq!(ext.domain, Domain::Ntt);
         assert_eq!(key.domain, Domain::Ntt);
         for (i, (acc, x)) in self.q_limbs.iter_mut().zip(&ext.q_limbs).enumerate() {
-            let m = ctx.q_mod(i);
-            let k_limb = &key.q_limbs[i];
-            for ((a, &xv), &kv) in acc.iter_mut().zip(x).zip(k_limb) {
-                *a = m.add(*a, m.mul(xv, kv));
-            }
+            ctx.q_mod(i).mul_acc_slice(acc, x, &key.q_limbs[i]);
         }
         for (k, (acc, x)) in self.p_limbs.iter_mut().zip(&ext.p_limbs).enumerate() {
-            let m = ctx.p_mod(k);
-            let k_limb = &key.p_limbs[k];
-            for ((a, &xv), &kv) in acc.iter_mut().zip(x).zip(k_limb) {
-                *a = m.add(*a, m.mul(xv, kv));
-            }
+            ctx.p_mod(k).mul_acc_slice(acc, x, &key.p_limbs[k]);
         }
     }
 }
@@ -282,15 +277,25 @@ pub fn mod_down_batch(
     tracing: &mut Tracing<'_>,
     accs: &[&ExtPoly],
 ) -> Vec<RnsPoly> {
-    if accs.is_empty() {
+    mod_down_owned(ctx, tracing, accs.iter().map(|a| (*a).clone()).collect())
+}
+
+/// [`mod_down_batch`] consuming its accumulators: their limbs are
+/// transformed in place and the `q` part becomes the result, so a caller
+/// that is done with them (the key switch) pays for no copy.
+fn mod_down_owned(
+    ctx: &CkksContext,
+    tracing: &mut Tracing<'_>,
+    mut work: Vec<ExtPoly>,
+) -> Vec<RnsPoly> {
+    let Some(first) = work.first() else {
         return Vec::new();
-    }
-    let l = accs[0].level();
+    };
+    let l = first.level();
     let n = ctx.params().n();
     let k = ctx.params().special_primes();
     let table = ctx.moddown_table(l);
 
-    let mut work: Vec<ExtPoly> = accs.iter().map(|a| (*a).clone()).collect();
     ExtPoly::ntt_inverse_batch(ctx, &mut work);
     for acc in &work {
         tracing.emit(KernelEvent::Ntt {
@@ -328,24 +333,18 @@ pub fn mod_down_batch(
     let conv_wide: Vec<&[u64]> = conv_flat.chunks(width).collect();
 
     let mut outs: Vec<RnsPoly> = Vec::with_capacity(work.len());
-    for (b, acc) in work.iter().enumerate() {
+    for (b, acc) in work.into_iter().enumerate() {
         tracing.emit(KernelEvent::Conv {
             n,
             l_src: k,
             l_dst: l + 1,
         });
 
-        // out_i = (acc_i - conv_i) · P^{-1} mod q_i
-        let mut out_limbs = Vec::with_capacity(l + 1);
-        for (i, conv_row) in conv_wide.iter().enumerate().take(l + 1) {
-            let m = ctx.q_mod(i);
-            let p_inv = table.p_inv_mod_q[i];
-            let limb = acc.q_limbs[i]
-                .iter()
-                .zip(&conv_row[b * n..(b + 1) * n])
-                .map(|(&a, &t)| m.mul(m.sub(a, t), p_inv))
-                .collect();
-            out_limbs.push(limb);
+        // out_i = (acc_i - conv_i) · P^{-1} mod q_i, in place on acc_i.
+        let mut out_limbs = acc.q_limbs;
+        for (i, (limb, conv_row)) in out_limbs.iter_mut().zip(&conv_wide).enumerate() {
+            ctx.q_mod(i)
+                .sub_scale_slice(limb, &conv_row[b * n..(b + 1) * n], table.p_inv_mod_q[i]);
         }
         tracing.emit(KernelEvent::EleSub { n, limbs: l + 1 });
         outs.push(RnsPoly::from_limbs(out_limbs, Domain::Coeff));
@@ -478,20 +477,17 @@ pub fn key_switch_batch(
         let mut acc0 = ExtPoly::zero(ctx, l, Domain::Ntt);
         let mut acc1 = ExtPoly::zero(ctx, l, Domain::Ntt);
         for (j, ext) in exts[r * digits..(r + 1) * digits].iter().enumerate() {
-            // Keys store the full basis; slice q-limbs to the active level.
+            // Keys store the full basis; `mul_acc` reads its active prefix.
             let key = &ksk.digits[j];
-            let b = slice_key(ctx, &key.b, l);
-            let a = slice_key(ctx, &key.a, l);
-            acc0.mul_acc(ctx, ext, &b);
-            acc1.mul_acc(ctx, ext, &a);
+            acc0.mul_acc(ctx, ext, &key.b);
+            acc1.mul_acc(ctx, ext, &key.a);
         }
         accs.push(acc0);
         accs.push(acc1);
     }
 
     // All accumulators ModDown together (B = 2·inputs rows per modulus).
-    let acc_refs: Vec<&ExtPoly> = accs.iter().collect();
-    let mut outs = mod_down_batch(ctx, &mut silent, &acc_refs);
+    let mut outs = mod_down_owned(ctx, &mut silent, accs);
 
     // The costed schedule is unchanged: one sequential event group per
     // input, exactly as [`key_switch`] emits.
@@ -567,15 +563,6 @@ pub(crate) fn emit_key_switch_events(ctx: &CkksContext, tracing: &mut Tracing<'_
             limbs,
             inverse: false,
         });
-    }
-}
-
-/// Borrows the active-level prefix of a full-basis key polynomial.
-fn slice_key(_ctx: &CkksContext, key: &ExtPoly, level: usize) -> ExtPoly {
-    ExtPoly {
-        q_limbs: key.q_limbs[..=level].to_vec(),
-        p_limbs: key.p_limbs.clone(),
-        domain: key.domain,
     }
 }
 

@@ -1,6 +1,7 @@
 //! RNS polynomials, plaintexts and ciphertexts.
 
 use crate::context::{CkksContext, GaloisTables};
+use tensorfhe_math::Modulus;
 use tensorfhe_ntt::{NttBatchOps, NttOps};
 
 /// Representation domain of a polynomial.
@@ -223,7 +224,11 @@ impl RnsPoly {
     ///
     /// Panics on level or domain mismatch.
     pub fn add_assign(&mut self, ctx: &CkksContext, rhs: &RnsPoly) {
-        self.zip_assign(ctx, rhs, |m, a, b| m.add(a, b));
+        self.zip_assign(ctx, rhs, |m, a, b| {
+            for (x, &y) in a.iter_mut().zip(b) {
+                *x = m.add(*x, y);
+            }
+        });
     }
 
     /// Element-wise subtraction (Ele-Sub kernel).
@@ -232,7 +237,11 @@ impl RnsPoly {
     ///
     /// Panics on level or domain mismatch.
     pub fn sub_assign(&mut self, ctx: &CkksContext, rhs: &RnsPoly) {
-        self.zip_assign(ctx, rhs, |m, a, b| m.sub(a, b));
+        self.zip_assign(ctx, rhs, |m, a, b| {
+            for (x, &y) in a.iter_mut().zip(b) {
+                *x = m.sub(*x, y);
+            }
+        });
     }
 
     /// Element-wise (Hadamard) multiplication (Hada-Mult kernel). Both
@@ -245,7 +254,7 @@ impl RnsPoly {
     pub fn hada_assign(&mut self, ctx: &CkksContext, rhs: &RnsPoly) {
         assert_eq!(self.domain, Domain::Ntt, "Hadamard needs NTT domain");
         assert_eq!(rhs.domain, Domain::Ntt, "Hadamard needs NTT domain");
-        self.zip_assign(ctx, rhs, |m, a, b| m.mul(a, b));
+        self.zip_assign(ctx, rhs, Modulus::mul_slice);
     }
 
     /// Negates every residue.
@@ -262,11 +271,7 @@ impl RnsPoly {
     pub fn scale_limbs(&mut self, ctx: &CkksContext, scalars: &[u64]) {
         assert_eq!(scalars.len(), self.limbs.len());
         for (l, limb) in self.limbs.iter_mut().enumerate() {
-            let m = ctx.q_mod(l);
-            let s = scalars[l];
-            for x in limb.iter_mut() {
-                *x = m.mul(*x, s);
-            }
+            ctx.q_mod(l).scale_slice(limb, scalars[l]);
         }
     }
 
@@ -327,19 +332,17 @@ impl RnsPoly {
         }
     }
 
+    /// Applies a limb-wise kernel `f(q_l, self_l, rhs_l)` to every limb.
     fn zip_assign(
         &mut self,
         ctx: &CkksContext,
         rhs: &RnsPoly,
-        f: impl Fn(&tensorfhe_math::Modulus, u64, u64) -> u64,
+        f: impl Fn(&Modulus, &mut [u64], &[u64]),
     ) {
         assert_eq!(self.level(), rhs.level(), "level mismatch");
         assert_eq!(self.domain, rhs.domain, "domain mismatch");
         for (l, (a, b)) in self.limbs.iter_mut().zip(&rhs.limbs).enumerate() {
-            let m = ctx.q_mod(l);
-            for (x, &y) in a.iter_mut().zip(b) {
-                *x = f(m, *x, y);
-            }
+            f(ctx.q_mod(l), a, b);
         }
     }
 }

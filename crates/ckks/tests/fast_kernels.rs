@@ -1,10 +1,11 @@
 //! Cross-kernel bit-identity: the cache-blocked Montgomery fast kernels
 //! (every caller's default path) vs the Barrett scalar reference, across
-//! the conversion shapes of all nine paper presets and the batched-NTT
-//! block shapes — including both register tiles (the 4-lane limb-split
+//! the conversion shapes of all nine paper presets (28- and 31-bit primes)
+//! and the batched-NTT block shapes — including both register tiles (the 4-lane limb-split
 //! SIMD tile and the scalar `u128` tile) on every preset's GEMM shapes,
-//! the fused four-step pipeline at every preset's `(N, q)`, and the
-//! evaluator's bench circuit on the GEMM context vs the butterfly one —
+//! the fused four-step pipeline at every preset's `(N, q)`, the
+//! evaluator's bench circuit on the GEMM context vs the butterfly one and
+//! against ciphertext digests recorded before the word-size kernels —
 //! plus the no-allocation-growth property of the pooled scratch arenas
 //! under repeated key-switch drains.
 
@@ -56,9 +57,13 @@ fn conversion_shapes(params: &CkksParams) -> BTreeSet<(usize, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The Montgomery conversion kernel must be bit-identical to the
-    /// Barrett path on every conversion shape any paper preset uses, at
-    /// arbitrary block widths (tile-edge widths included).
+    /// The conversion block kernel (32-bit Montgomery folds in `u64` lanes,
+    /// through either entry point) must be bit-identical to the scalar
+    /// `convert_coeff` walk (128-bit Barrett accumulation) on every
+    /// conversion shape any paper preset uses plus a 15-limb source basis,
+    /// at arbitrary block widths (block-edge widths included) — with 28-bit
+    /// primes (one fold per output at every shape) and with 31-bit primes
+    /// (two source limbs per fold: the accumulation-depth edge).
     #[test]
     fn mont_conv_bit_identical_across_paper_presets(
         width in 1usize..80,
@@ -68,32 +73,51 @@ proptest! {
         for p in &presets() {
             shapes.extend(conversion_shapes(p));
         }
+        shapes.insert((15, 4));
         let max_src = shapes.iter().map(|&(s, _)| s).max().expect("non-empty");
         let max_dst = shapes.iter().map(|&(_, d)| d).max().expect("non-empty");
-        let pool = generate_ntt_primes(max_src + max_dst, 28, 1 << 10);
 
         let mut rng = StdRng::seed_from_u64(seed);
-        for &(l_src, l_dst) in &shapes {
-            let (src, rest) = pool.split_at(l_src);
-            let dst = &rest[..l_dst];
-            // Shared through the process-wide cache, like the service path.
-            let gemm = PlanCache::global().get_bconv(src, dst);
-            let src_rows: Vec<Vec<u64>> = src
-                .iter()
-                .map(|&q| (0..width).map(|_| rng.gen_range(0..q)).collect())
-                .collect();
-            let views: Vec<&[u64]> = src_rows.iter().map(Vec::as_slice).collect();
-            let barrett = gemm.convert_block(&views);
-            let mut mont = vec![vec![0u64; width]; l_dst];
-            {
-                let mut out: Vec<&mut [u64]> =
-                    mont.iter_mut().map(Vec::as_mut_slice).collect();
-                gemm.convert_block_into_mont(&views, &mut out);
+        for bits in [28, 31] {
+            let pool = generate_ntt_primes(max_src + max_dst, bits, 1 << 10);
+            for &(l_src, l_dst) in &shapes {
+                let (src, rest) = pool.split_at(l_src);
+                let dst = &rest[..l_dst];
+                // Shared through the process-wide cache, like the service path.
+                let gemm = PlanCache::global().get_bconv(src, dst);
+                // Column 0 is saturated: every residue q − 1.
+                let src_rows: Vec<Vec<u64>> = src
+                    .iter()
+                    .map(|&q| {
+                        (0..width)
+                            .map(|c| if c == 0 { q - 1 } else { rng.gen_range(0..q) })
+                            .collect()
+                    })
+                    .collect();
+                let views: Vec<&[u64]> = src_rows.iter().map(Vec::as_slice).collect();
+                let block = gemm.convert_block(&views);
+                let mut mont = vec![vec![0u64; width]; l_dst];
+                {
+                    let mut out: Vec<&mut [u64]> =
+                        mont.iter_mut().map(Vec::as_mut_slice).collect();
+                    gemm.convert_block_into_mont(&views, &mut out);
+                }
+                prop_assert_eq!(
+                    &mont, &block,
+                    "entry points, {}-bit shape ({} → {}) width {}", bits, l_src, l_dst, width
+                );
+                for c in 0..width {
+                    let residues: Vec<u64> = src_rows.iter().map(|r| r[c]).collect();
+                    let scalar = gemm.table().convert_coeff(&residues);
+                    for (j, row) in block.iter().enumerate() {
+                        prop_assert_eq!(
+                            row[c], scalar[j],
+                            "{}-bit shape ({} → {}) width {} column {} limb {}",
+                            bits, l_src, l_dst, width, c, j
+                        );
+                    }
+                }
             }
-            prop_assert_eq!(
-                mont, barrett,
-                "shape ({} → {}) width {}", l_src, l_dst, width
-            );
         }
     }
 
@@ -258,52 +282,92 @@ fn fused_four_step_ragged_blocks() {
 }
 
 /// The benchmark's circuit — `hrotate(hadd(rescale(hmult(a, b)),
-/// rescale(cmult(a, pt))), 1)` — on the four-step context must produce the
-/// same ciphertext bits and the same kernel-event stream as on the
-/// butterfly context, from the same seed.
+/// rescale(cmult(a, pt))), 1)` — from a fixed seed: the result ciphertext
+/// and the kernel-event stream the evaluator emitted.
+fn bench_circuit(ctx: &CkksContext, seed: u64) -> (Ciphertext, RecordingTracer) {
+    let params = ctx.params();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut keys = KeyChain::generate(ctx, &mut rng);
+    keys.gen_rotation_keys(&[1], &mut rng);
+    let slots = params.slots();
+    let values = |rng: &mut StdRng| -> Vec<_> {
+        (0..slots)
+            .map(|_| {
+                tensorfhe_math::Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+            })
+            .collect()
+    };
+    let pa = ctx.encode(&values(&mut rng), params.scale()).expect("fits");
+    let pt = ctx.encode(&values(&mut rng), params.scale()).expect("fits");
+    let (a, b) = (keys.encrypt(&pa, &mut rng), keys.encrypt(&pt, &mut rng));
+    let mut tracer = RecordingTracer::new();
+    let out = {
+        let mut eval = Evaluator::with_tracer(ctx, Box::new(&mut tracer));
+        let m = eval.hmult(&a, &b, &keys).expect("hmult");
+        let m = eval.rescale(&m).expect("rescale");
+        let c = eval.cmult(&a, &pt).expect("cmult");
+        let c = eval.rescale(&c).expect("rescale");
+        let s = eval.hadd(&m, &c).expect("hadd");
+        eval.hrotate(&s, 1, &keys).expect("hrotate")
+    };
+    (out, tracer)
+}
+
+/// The bench circuit on the four-step context must produce the same
+/// ciphertext bits and the same kernel-event stream as on the butterfly
+/// context, from the same seed.
 #[test]
 fn bench_circuit_on_gemm_context_bit_equal_to_butterfly() {
     let params = CkksParams::test_small();
-    let run = |ctx: &CkksContext| -> (Ciphertext, RecordingTracer) {
-        let mut rng = StdRng::seed_from_u64(2024);
-        let mut keys = KeyChain::generate(ctx, &mut rng);
-        keys.gen_rotation_keys(&[1], &mut rng);
-        let slots = params.slots();
-        let values = |rng: &mut StdRng| -> Vec<_> {
-            (0..slots)
-                .map(|_| {
-                    tensorfhe_math::Complex64::new(
-                        rng.gen_range(-1.0..1.0),
-                        rng.gen_range(-1.0..1.0),
-                    )
-                })
-                .collect()
-        };
-        let pa = ctx.encode(&values(&mut rng), params.scale()).expect("fits");
-        let pt = ctx.encode(&values(&mut rng), params.scale()).expect("fits");
-        let (a, b) = (keys.encrypt(&pa, &mut rng), keys.encrypt(&pt, &mut rng));
-        let mut tracer = RecordingTracer::new();
-        let out = {
-            let mut eval = Evaluator::with_tracer(ctx, Box::new(&mut tracer));
-            let m = eval.hmult(&a, &b, &keys).expect("hmult");
-            let m = eval.rescale(&m).expect("rescale");
-            let c = eval.cmult(&a, &pt).expect("cmult");
-            let c = eval.rescale(&c).expect("rescale");
-            let s = eval.hadd(&m, &c).expect("hadd");
-            eval.hrotate(&s, 1, &keys).expect("hrotate")
-        };
-        (out, tracer)
-    };
     let butterfly = CkksContext::new(&params).expect("ctx");
     let gemm = CkksContext::with_algorithm(&params, NttAlgorithm::FourStep).expect("ctx");
-    let (want, want_trace) = run(&butterfly);
-    let (got, got_trace) = run(&gemm);
+    let (want, want_trace) = bench_circuit(&butterfly, 2024);
+    let (got, got_trace) = bench_circuit(&gemm, 2024);
     assert_eq!(got.scale.to_bits(), want.scale.to_bits());
     assert_eq!(got.c0, want.c0, "c0 differs between formulations");
     assert_eq!(got.c1, want.c1, "c1 differs between formulations");
     assert_eq!(got_trace.events, want_trace.events, "kernel-event stream");
     assert_eq!(got_trace.ops, want_trace.ops, "operation markers");
     assert!(!got_trace.events.is_empty());
+}
+
+/// FNV-1a 64 over the scale bits and every residue word, little-endian.
+fn ciphertext_fnv64(ct: &Ciphertext) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    word(ct.scale.to_bits());
+    for poly in [&ct.c0, &ct.c1] {
+        for limb in poly.limbs() {
+            limb.iter().for_each(|&w| word(w));
+        }
+    }
+    h
+}
+
+/// Golden ciphertext digests of the bench circuit on the butterfly
+/// context, recorded at the commit before the word-size kernels landed
+/// (64-bit Shoup butterflies, `u128` Barrett pointwise and Conv kernels):
+/// any kernel change must reproduce these bits.
+#[test]
+fn bench_circuit_matches_golden_digest() {
+    for (params, want) in [
+        (CkksParams::test_small(), 0xba03_1b04_f4f9_f84d_u64),
+        (CkksParams::heax_set_b(), 0x1e4a_ff06_56a3_a89f_u64),
+    ] {
+        let ctx = CkksContext::new(&params).expect("ctx");
+        let (ct, _) = bench_circuit(&ctx, 2024);
+        let got = ciphertext_fnv64(&ct);
+        assert_eq!(
+            got,
+            want,
+            "N={} digest {got:#018x} differs from the recorded {want:#018x}",
+            params.n()
+        );
+    }
 }
 
 /// Repeated `mod_down_batch` drains must reach a scratch steady state: the

@@ -18,9 +18,10 @@
 //!   explicitly named Barrett reference pipeline
 //!   ([`ExecBackend::HostScalar`], the baseline `fig14_host_gemm`
 //!   measures against). Chunks are whole rows.
-//! * `Conv` events run the wide basis-conversion GEMM (`BasisConvGemm`);
-//!   chunks are column ranges of the `(L_dst × L_src) × (L_src × W)`
-//!   product, generated and folded independently per column.
+//! * `Conv` events run the wide basis-conversion GEMM (`BasisConvGemm`,
+//!   one word-size kernel under both host backends); chunks are column
+//!   ranges of the `(L_dst × L_src) × (L_src × W)` product, generated and
+//!   folded independently per column.
 //! * Element-wise events are counted but not executed — the issue scope
 //!   is the two GEMM families, which dominate the arithmetic.
 //!
@@ -399,11 +400,8 @@ impl RealWork {
                 {
                     let src_rows: Vec<&[u64]> = src_flat.chunks(cols).collect();
                     let mut out_rows: Vec<&mut [u64]> = out_flat.chunks_mut(cols).collect();
-                    if fast {
-                        plan.convert_block_into_mont(&src_rows, &mut out_rows);
-                    } else {
-                        plan.convert_block_into(&src_rows, &mut out_rows);
-                    }
+                    // One conversion kernel serves both host backends.
+                    plan.convert_block_into(&src_rows, &mut out_rows);
                 }
                 for (i, orow) in out_flat.chunks(cols).enumerate() {
                     let base = (i * chunk.total_units + chunk.units.start) as u64;

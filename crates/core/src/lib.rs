@@ -175,11 +175,11 @@
 //!    `ckks::Evaluator` and every other caller of
 //!    `tensorfhe_ntt::NttBatchOps` also runs; there is no separate
 //!    "fast" entry point to opt into.
-//!    [`exec::ExecBackend::HostScalar`] pins the same executor to the
-//!    Barrett scalar reference kernels, which it asks for by name
-//!    (`BatchedGemmNtt::reference_batch`, `convert_block_into`): the
-//!    baseline the `fig14_host_gemm` bench measures the fast kernels
-//!    against. Reports
+//!    [`exec::ExecBackend::HostScalar`] pins the same executor's NTT to
+//!    the Barrett scalar reference pipeline, which it asks for by name
+//!    (`BatchedGemmNtt::reference_batch`): the baseline the
+//!    `fig14_host_gemm` bench measures the fast kernels against (the
+//!    basis conversion has one kernel, shared by both). Reports
 //!    and stats stay bit-identical across all three backends — the host
 //!    backends add only wall-clock and the [`exec::HostWorkStats`]
 //!    counters, whose checksum is itself invariant across worker counts

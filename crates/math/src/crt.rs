@@ -31,7 +31,7 @@
 //! that replaces the per-coefficient scalar walk of
 //! [`BasisConvTable::convert_coeff`].
 
-use crate::modulus::Modulus;
+use crate::modulus::{csub, Modulus, LO32};
 use crate::montgomery::Montgomery;
 use crate::scratch;
 
@@ -437,27 +437,73 @@ impl BasisConvTable {
 }
 
 /// The GEMM formulation of the fast basis conversion (see the module docs):
-/// a [`BasisConvTable`] whose `q̂_i mod p_j` constants are packed into a
-/// row-major `(L_dst × L_src)` matrix operand, converting limb-major blocks
-/// of `W = B·N` coefficients in one wide matrix product per target limb.
+/// a [`BasisConvTable`] whose `q̂_i mod p_j` constants are packed into
+/// Montgomery-form matrix rows, converting limb-major blocks of `W = B·N`
+/// coefficients in one wide matrix product per target limb.
 ///
-/// Bit-exact with the scalar path: every output residue is the same
-/// `Σ_i y_i·(q̂_i mod p_j)` accumulated in 128 bits and reduced once, so
-/// [`BasisConvGemm::convert_block`] agrees with
-/// [`BasisConvTable::convert_coeff`] coefficient by coefficient (a property
-/// the test suite pins for every paper parameter shape).
+/// Bit-exact with the scalar path: every output residue is the canonical
+/// `Σ_i y_i·(q̂_i mod p_j) mod p_j`, so [`BasisConvGemm::convert_block`]
+/// agrees with [`BasisConvTable::convert_coeff`] coefficient by coefficient
+/// (a property the test suite pins for every paper parameter shape).
+///
+/// # The block kernel
+///
+/// One kernel serves every caller. The `y`-stage is
+/// [`Modulus::scale_slice`] per source limb. The product then runs over
+/// blocks of 16 columns (`CONV_LANES`) with one `u64` accumulator per lane:
+/// the constants are stored as `m′_ji = (q̂_i mod p_j)·2^32 mod p_j`, each
+/// product `y_i·m′_ji` is a 32×32→64 multiply below `q_i·p_j`, and the
+/// source limbs are taken `fold` at a time with `fold·q_i ≤ 2^32`, so a
+/// partial sum `T < 2^32·p_j` never overflows. One 32-bit Montgomery step
+/// (`m = T·(−p_j^{-1}) mod 2^32`, `(T + m·p_j) / 2^32`) folds it to a value
+/// below `2p_j` congruent to `Σ y_i·(q̂_i mod p_j)`; the folds of one output
+/// add up lazily in `[0, 2p_j)` and a last conditional subtraction makes the
+/// result canonical. For 28-bit primes `fold = 16`: at every HEAX and
+/// Table V shape but the 29-bit Default set an output is reduced exactly
+/// once. With target primes below `2^31` no step touches `u128`; a 32-bit
+/// target prime widens only the `T + m·p_j` addition.
 #[derive(Debug, Clone)]
 pub struct BasisConvGemm {
     table: BasisConvTable,
-    /// Row-major `(L_dst × L_src)` GEMM operand: `mat[j·L_src + i]` =
-    /// `q̂_i mod p_j`.
-    mat: Vec<u64>,
-    /// Per-target-limb Montgomery contexts and matrix rows in Montgomery
-    /// form (`(q̂_i mod p_j)·R mod p_j`). Each target row reduces by its own
-    /// `p_j`, so the fast path needs one context per row rather than a
-    /// single [`crate::gemm_fast::MontOperand`].
-    mont_rows: Vec<(Montgomery, Vec<u64>)>,
+    rows: Vec<ConvRow>,
+    /// Source limbs per Montgomery fold: `⌊2^32 / max q_i⌋`.
+    fold: usize,
 }
+
+/// One target limb of the conversion matrix.
+#[derive(Debug, Clone)]
+struct ConvRow {
+    /// The target prime `p_j`.
+    p: u64,
+    /// `−p_j^{-1} mod 2^32`.
+    p_inv_neg: u64,
+    /// `(q̂_i mod p_j)·2^32 mod p_j` for every source limb `i`.
+    consts: Vec<u64>,
+}
+
+impl ConvRow {
+    /// The 32-bit Montgomery step on every lane: `t[c]·2^-32 mod p` as a
+    /// value below `2p`, for `t[c] < 2^32·p`.
+    #[inline(always)]
+    fn redc32(&self, t: &[u64; CONV_LANES]) -> [u64; CONV_LANES] {
+        let mut r = [0u64; CONV_LANES];
+        if self.p < 1 << 31 {
+            for (r, &t) in r.iter_mut().zip(t) {
+                let m = ((t & LO32) * self.p_inv_neg) & LO32;
+                *r = (t + m * (self.p & LO32)) >> 32;
+            }
+        } else {
+            for (r, &t) in r.iter_mut().zip(t) {
+                let m = ((t & LO32) * self.p_inv_neg) & LO32;
+                *r = ((t as u128 + m as u128 * self.p as u128) >> 32) as u64;
+            }
+        }
+        r
+    }
+}
+
+/// Columns per register block of the conversion kernel.
+const CONV_LANES: usize = 16;
 
 impl BasisConvGemm {
     /// Builds the plan converting from the `src` primes to the `dst` primes.
@@ -478,7 +524,9 @@ impl BasisConvGemm {
     ///
     /// # Panics
     ///
-    /// Panics if any source or destination prime is `≥ 2^32`.
+    /// Panics if any source or destination prime is `≥ 2^32`, or a
+    /// destination modulus is even (the Montgomery fold needs
+    /// `gcd(p_j, 2^32) = 1`).
     #[must_use]
     pub fn from_table(table: BasisConvTable) -> Self {
         for m in table.src_moduli().iter().chain(table.dst_moduli()) {
@@ -488,26 +536,24 @@ impl BasisConvGemm {
                 m.value()
             );
         }
-        let l_src = table.src_moduli().len();
-        let mut mat = Vec::with_capacity(table.dst_moduli().len() * l_src);
-        for row in &table.qhat_mod_p {
-            mat.extend_from_slice(row);
-        }
-        let mont_rows = table
+        let rows = table
             .dst_moduli()
             .iter()
             .zip(&table.qhat_mod_p)
             .map(|(pj, row)| {
-                let mont = Montgomery::new(pj.value());
-                let mrow = row.iter().map(|&m| mont.to_mont(m)).collect();
-                (mont, mrow)
+                let p = pj.value();
+                let r = pj.reduce(1 << 32);
+                ConvRow {
+                    p,
+                    // Also rejects an even target.
+                    p_inv_neg: Montgomery::new(p).neg_inv() & LO32,
+                    consts: row.iter().map(|&m| pj.mul(m, r)).collect(),
+                }
             })
             .collect();
-        Self {
-            table,
-            mat,
-            mont_rows,
-        }
+        let q_max = table.src_moduli().iter().map(Modulus::value).max();
+        let fold = ((1u64 << 32) / q_max.expect("non-empty source basis")) as usize;
+        Self { table, rows, fold }
     }
 
     /// The underlying scalar conversion table (reference path, `Q mod p_j`
@@ -560,7 +606,9 @@ impl BasisConvGemm {
             .zip(&self.table.src_qhat_inv)
             .map(|((row, m), &inv)| {
                 assert_eq!(row.len(), width, "ragged source block");
-                row.iter().map(|&x| m.mul(m.reduce(x), inv)).collect()
+                let mut y = row.to_vec();
+                m.scale_slice(&mut y, inv);
+                y
             })
             .collect()
     }
@@ -568,96 +616,76 @@ impl BasisConvGemm {
     /// Converts a limb-major block: `src_rows[i][c] = x_c mod q_i` →
     /// `out_rows[j][c] ≈ x_c mod p_j` (up to the additive `α·Q` overshoot),
     /// as one wide `(L_dst × L_src) × (L_src × W)` GEMM with a single
-    /// reduction per output element.
+    /// reduction per output element (see the type docs for the kernel).
     ///
     /// # Panics
     ///
     /// Panics on limb-count or width mismatches between `src_rows` and
     /// `out_rows`.
     pub fn convert_block_into(&self, src_rows: &[&[u64]], out_rows: &mut [&mut [u64]]) {
-        self.convert_block_impl(src_rows, out_rows, false);
-    }
-
-    /// Montgomery-kernel variant of [`BasisConvGemm::convert_block_into`]:
-    /// identical tiling and accumulation order, but each target row
-    /// multiplies against its pre-converted Montgomery-form matrix row and
-    /// folds the accumulator with one `REDC` instead of a Barrett
-    /// reduction. `REDC(Σ y_i·m′_ji) = Σ y_i·m_ji mod p_j`, so outputs are
-    /// bit-identical to the Barrett path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on limb-count or width mismatches between `src_rows` and
-    /// `out_rows`.
-    pub fn convert_block_into_mont(&self, src_rows: &[&[u64]], out_rows: &mut [&mut [u64]]) {
-        self.convert_block_impl(src_rows, out_rows, true);
-    }
-
-    fn convert_block_impl(&self, src_rows: &[&[u64]], out_rows: &mut [&mut [u64]], mont: bool) {
         assert_eq!(out_rows.len(), self.l_dst(), "target limb count mismatch");
         assert_eq!(src_rows.len(), self.l_src(), "source limb count mismatch");
         let width = src_rows.first().map_or(0, |r| r.len());
         for out in out_rows.iter_mut() {
             assert_eq!(out.len(), width, "ragged target block");
         }
-        let l_src = self.l_src();
-        // y stage into pooled scratch (flattened L_src × W): repeated
-        // drains reuse the same staging allocation instead of growing the
-        // heap per call.
-        let mut y = scratch::take_u64(l_src * width);
+        // y stage into pooled scratch (flattened L_src × W, rows padded with
+        // zeros to whole column blocks): repeated drains reuse the same
+        // staging allocation instead of growing the heap per call.
+        let stride = width.next_multiple_of(CONV_LANES);
+        let mut y = scratch::take_u64(self.l_src() * stride);
         for (i, row) in src_rows.iter().enumerate() {
             assert_eq!(row.len(), width, "ragged source block");
-            let m = &self.table.src_moduli[i];
-            let inv = self.table.src_qhat_inv[i];
-            for (yv, &x) in y[i * width..(i + 1) * width].iter_mut().zip(row.iter()) {
-                *yv = m.mul(m.reduce(x), inv);
-            }
+            let y_row = &mut y[i * stride..i * stride + width];
+            y_row.copy_from_slice(row);
+            self.table.src_moduli[i].scale_slice(y_row, self.table.src_qhat_inv[i]);
         }
-        // Column-tiled t-j-i-c loops: within one column tile, the y block
-        // and the accumulator row stay cache-resident while every target
-        // limb streams over them — the GEMM operand-reuse argument of
-        // §IV-B applied to the conversion matrix. Products are < 2^64
-        // (32-bit residues), so `L_src` terms never overflow the u128
-        // accumulator and a single reduction per output element suffices
-        // — the paper's "one modulo per A_k" argument applied to the Conv
-        // kernel.
-        const TILE: usize = 1 << 11;
-        let mut acc = scratch::take_u128(TILE.min(width));
-        for start in (0..width).step_by(TILE) {
-            let end = (start + TILE).min(width);
-            let acc = &mut acc[..end - start];
-            for (j, out) in out_rows.iter_mut().enumerate() {
-                let row = if mont {
-                    &self.mont_rows[j].1[..]
-                } else {
-                    &self.mat[j * l_src..(j + 1) * l_src]
-                };
-                acc.iter_mut().for_each(|a| *a = 0);
-                for (i, &mji) in row.iter().enumerate() {
-                    if mji == 0 {
-                        continue;
+        // Column block outermost: the block's y values stay in L1 while
+        // every target limb multiplies against them — the GEMM
+        // operand-reuse argument of §IV-B applied to the conversion
+        // matrix — and the accumulators never leave registers.
+        for start in (0..width).step_by(CONV_LANES) {
+            let len = CONV_LANES.min(width - start);
+            for (row, out) in self.rows.iter().zip(out_rows.iter_mut()) {
+                let two_p = 2 * row.p;
+                let mut acc = [0u64; CONV_LANES];
+                for (chunk, consts) in row.consts.chunks(self.fold).enumerate() {
+                    let mut t = [0u64; CONV_LANES];
+                    for (i, &m) in consts.iter().enumerate() {
+                        let at = (chunk * self.fold + i) * stride + start;
+                        let yi: &[u64; CONV_LANES] =
+                            y[at..at + CONV_LANES].try_into().expect("padded block");
+                        for (t, &yv) in t.iter_mut().zip(yi) {
+                            *t += (m & LO32) * (yv & LO32);
+                        }
                     }
-                    let m = mji as u128;
-                    let yi = &y[i * width + start..i * width + end];
-                    for (a, &yv) in acc.iter_mut().zip(yi.iter()) {
-                        *a += m * yv as u128;
+                    for (a, r) in acc.iter_mut().zip(row.redc32(&t)) {
+                        *a = csub(*a + r, two_p);
                     }
                 }
-                if mont {
-                    let ctx = &self.mont_rows[j].0;
-                    for (o, &a) in out[start..end].iter_mut().zip(acc.iter()) {
-                        *o = ctx.redc(a);
-                    }
+                for a in &mut acc {
+                    *a = csub(*a, row.p);
+                }
+                if len == CONV_LANES {
+                    // Constant length: plain vector stores, no `memcpy` call.
+                    out[start..start + CONV_LANES].copy_from_slice(&acc);
                 } else {
-                    let pj = &self.table.dst_moduli[j];
-                    for (o, &a) in out[start..end].iter_mut().zip(acc.iter()) {
-                        *o = pj.reduce_u128(a);
-                    }
+                    out[start..].copy_from_slice(&acc[..len]);
                 }
             }
         }
-        scratch::give_u128(acc);
         scratch::give_u64(y);
+    }
+
+    /// [`BasisConvGemm::convert_block_into`] under its former name: the one
+    /// block kernel already multiplies against Montgomery-form constants.
+    /// Kept because the end-to-end harness probes it by name.
+    ///
+    /// # Panics
+    ///
+    /// See [`BasisConvGemm::convert_block_into`].
+    pub fn convert_block_into_mont(&self, src_rows: &[&[u64]], out_rows: &mut [&mut [u64]]) {
+        self.convert_block_into(src_rows, out_rows);
     }
 
     /// Allocating variant of [`BasisConvGemm::convert_block_into`].
@@ -850,12 +878,39 @@ mod tests {
         assert!(block.iter().all(Vec::is_empty));
     }
 
+    /// Every coefficient of the block kernel's output against the scalar
+    /// `convert_coeff` walk (128-bit Barrett accumulation).
+    fn assert_block_matches_scalar(gemm: &BasisConvGemm, src_rows: &[Vec<u64>], what: &str) {
+        let width = src_rows[0].len();
+        let views: Vec<&[u64]> = src_rows.iter().map(Vec::as_slice).collect();
+        let mut block = vec![vec![0u64; width]; gemm.l_dst()];
+        {
+            let mut out: Vec<&mut [u64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
+            gemm.convert_block_into_mont(&views, &mut out);
+        }
+        assert_eq!(
+            block,
+            gemm.convert_block(&views),
+            "{what}: the two entry points"
+        );
+        for c in 0..width {
+            let residues: Vec<u64> = src_rows.iter().map(|r| r[c]).collect();
+            let scalar = gemm.table().convert_coeff(&residues);
+            for (j, row) in block.iter().enumerate() {
+                assert_eq!(
+                    row[c], scalar[j],
+                    "{what}: coefficient {c}, target limb {j}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn mont_conversion_is_bit_identical_to_barrett() {
         let primes = generate_ntt_primes(9, 30, 1 << 10);
         let (src, dst) = primes.split_at(5);
         let gemm = BasisConvGemm::new(src, dst);
-        let width = 70usize; // spans a register-tile edge
+        let width = 70usize; // spans a register-block edge
         let src_rows: Vec<Vec<u64>> = src
             .iter()
             .enumerate()
@@ -870,14 +925,47 @@ mod tests {
                     .collect()
             })
             .collect();
-        let views: Vec<&[u64]> = src_rows.iter().map(Vec::as_slice).collect();
-        let barrett = gemm.convert_block(&views);
-        let mut mont = vec![vec![0u64; width]; gemm.l_dst()];
-        {
-            let mut out: Vec<&mut [u64]> = mont.iter_mut().map(Vec::as_mut_slice).collect();
-            gemm.convert_block_into_mont(&views, &mut out);
+        assert_block_matches_scalar(&gemm, &src_rows, "30-bit 5→4");
+    }
+
+    #[test]
+    fn conversion_folds_are_exact_at_the_accumulation_depth_edge() {
+        // 31-bit primes: two source limbs per Montgomery fold, so a
+        // 15-limb source basis takes eight folds per output. Saturated
+        // residues (q − 1 everywhere) maximise every partial sum.
+        let primes = generate_ntt_primes(19, 31, 1 << 8);
+        let (src, dst) = primes.split_at(15);
+        let gemm = BasisConvGemm::new(src, dst);
+        assert_eq!(gemm.fold, 2);
+        for width in [1usize, CONV_LANES - 1, CONV_LANES, 2 * CONV_LANES + 3] {
+            let saturated: Vec<Vec<u64>> = src.iter().map(|&q| vec![q - 1; width]).collect();
+            assert_block_matches_scalar(&gemm, &saturated, "31-bit 15→4 saturated");
+            let mixed: Vec<Vec<u64>> = src
+                .iter()
+                .enumerate()
+                .map(|(i, &q)| {
+                    (0..width as u64)
+                        .map(|c| c.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i as u64) % q)
+                        .collect()
+                })
+                .collect();
+            assert_block_matches_scalar(&gemm, &mixed, "31-bit 15→4 mixed");
         }
-        assert_eq!(mont, barrett, "mont kernel must match Barrett bit-for-bit");
+        // 28-bit primes never need a second fold at these depths.
+        let primes = generate_ntt_primes(19, 28, 1 << 8);
+        assert_eq!(BasisConvGemm::new(&primes[..15], &primes[15..]).fold, 16);
+    }
+
+    #[test]
+    fn conversion_to_32_bit_targets_takes_the_widened_fold() {
+        // Targets in [2^31, 2^32) widen the fold's addition to u128;
+        // sources that wide fold one limb at a time.
+        let primes = generate_ntt_primes(6, 32, 1 << 8);
+        let (src, dst) = primes.split_at(3);
+        let gemm = BasisConvGemm::new(src, dst);
+        assert_eq!(gemm.fold, 1);
+        let saturated: Vec<Vec<u64>> = src.iter().map(|&q| vec![q - 1; 21]).collect();
+        assert_block_matches_scalar(&gemm, &saturated, "32-bit 3→3 saturated");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! arithmetic in prime fields `Z_q` and to move between residue bases:
 //!
 //! * [`Modulus`] — Barrett-reduced modular arithmetic over `u64` primes,
-//!   including Shoup multiplication for hot loops with a fixed multiplicand.
+//!   including Shoup multiplication for hot loops with a fixed multiplicand,
+//!   and slice kernels that run `u128`-free word-size bodies (Barrett-64,
+//!   32-bit Shoup) whenever `q < 2^31`.
 //! * [`prime`] — Miller–Rabin primality testing and generation of
 //!   NTT-friendly primes (`q ≡ 1 mod 2N`) together with primitive roots.
 //! * [`crt`] — Chinese-Remainder reconstruction (Garner mixed radix) and the

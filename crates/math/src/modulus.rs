@@ -5,6 +5,50 @@
 //! costs two widening multiplies and at most one correction subtraction.
 //! [`ShoupMul`] specialises multiplication for a fixed multiplicand (twiddle
 //! factors), the trick used by every production NTT.
+//!
+//! # Word-size moduli (`q < 2^31`)
+//!
+//! Every CKKS prime is 20–31 bits wide, so residues and their products fit
+//! one `u64` and the 128-bit machinery above is pure overhead on the hot
+//! loops. A modulus below `2^31` is *word-size* ([`Modulus::is_word_size`],
+//! decided once in [`Modulus::new`]) and the slice kernels
+//! ([`Modulus::mul_slice`], [`Modulus::mul_acc_slice`],
+//! [`Modulus::scale_slice`], [`Modulus::sub_scale_slice`]) then run bodies
+//! made only of 32×32→64 multiplies, shifts, adds and unsigned `min`s in
+//! `u64` lanes — what the autovectoriser turns into packed `vpmuludq`
+//! code. Wider moduli run the per-element [`Modulus::mul`] body. Either way
+//! every output is the canonical residue in `[0, q)`, so the two bodies are
+//! bit-identical.
+//!
+//! **Barrett-64.** Let `b` be the bit length of `q` (`2^(b-1) ≤ q < 2^b`,
+//! `b ≤ 31`), `μ = ⌊2^(2b) / q⌋` and `z < 2^(2b)` (a product of two
+//! residues, plus at most one more residue: `q² + q ≤ 2^(2b)`). The quotient
+//! estimate is
+//!
+//! ```text
+//! q̂ = ⌊ ⌊z / 2^(b-1)⌋ · μ / 2^(b+1) ⌋
+//! ```
+//!
+//! Both factors are below `2^32` — `⌊z / 2^(b-1)⌋ < 2^(b+1)` and
+//! `μ ≤ 2^(2b) / 2^(b-1) = 2^(b+1)`, with equality only for the power of two
+//! `q = 2^30`, which is therefore not word-size — so the product is one
+//! 32×32→64 multiply. Writing `z / q − q̂` as the three roundings it is made
+//! of,
+//!
+//! ```text
+//! z/q − q̂  <  1  +  z / 2^(2b)  +  2^(b-1) / q  ≤  1 + 1 + 1
+//! ```
+//!
+//! (the outer floor; `μ` short of `2^(2b)/q` by less than one, times
+//! `z / 2^(2b)`; the inner floor, times `μ / 2^(b+1) ≤ 2^(b-1)/q`), so
+//! `q̂ ≤ ⌊z/q⌋ ≤ q̂ + 2` and `r = z − q̂·q` lies in `[0, 3q)`: two conditional
+//! subtractions fix it to `[0, q)`. Three multiplies in all.
+//!
+//! **Shoup-32.** For a fixed multiplicand `w < q` the companion
+//! `w′ = ⌊w·2^32 / q⌋` ([`Modulus::shoup32`]) gives
+//! `w·x − ⌊w′·x / 2^32⌋·q ∈ [0, 2q)` for *any* `x < 2^32`
+//! ([`Modulus::mul_shoup32_lazy`]): the estimate is short of `w·x/q` by less
+//! than `1 + x/2^32 < 2`. The scaling kernels and the butterfly NTT use it.
 
 /// A prime (or odd) modulus together with pre-computed Barrett constants.
 ///
@@ -23,6 +67,19 @@ pub struct Modulus {
     barrett_hi: u64,
     /// Low 64 bits of ⌊2^128 / q⌋.
     barrett_lo: u64,
+    /// Barrett-64 constant `μ = ⌊2^(2b) / q⌋` of a word-size modulus
+    /// (see the module docs); `0` marks a modulus on the wide path.
+    word_mu: u64,
+}
+
+/// 32-bit mask exposing zero high halves to the autovectoriser, which then
+/// lowers a `u64` multiply to a packed 32×32→64 one.
+pub(crate) const LO32: u64 = 0xFFFF_FFFF;
+
+/// `min(r, r − q)` in wrapping arithmetic: `r − q` if `r ≥ q`, else `r`.
+#[inline(always)]
+pub(crate) fn csub(r: u64, q: u64) -> u64 {
+    r.min(r.wrapping_sub(q))
 }
 
 impl Modulus {
@@ -49,11 +106,28 @@ impl Modulus {
                 (b, r + 1)
             }
         };
+        let bits = 64 - q.leading_zeros();
+        let word_mu = if bits <= 31 {
+            (1u64 << (2 * bits)) / q
+        } else {
+            0
+        };
         Self {
             q,
             barrett_hi: (barrett >> 64) as u64,
             barrett_lo: barrett as u64,
+            // μ = 2^32 only for q = 2^30, which stays on the wide path.
+            word_mu: if word_mu <= LO32 { word_mu } else { 0 },
         }
+    }
+
+    /// Whether the slice kernels run their word-size bodies: `q < 2^31`
+    /// (and not the power of two `2^30`, whose Barrett-64 constant needs 33
+    /// bits). Fixed at construction.
+    #[inline]
+    #[must_use]
+    pub fn is_word_size(&self) -> bool {
+        self.word_mu != 0
     }
 
     /// The raw modulus value.
@@ -208,6 +282,122 @@ impl Modulus {
             a as i64
         }
     }
+
+    /// Barrett-64: reduces `z < 2^(2b)` into `[0, q)` (module docs).
+    #[inline(always)]
+    fn reduce_word(&self, z: u64) -> u64 {
+        let bits = self.bits();
+        let est = ((z >> (bits - 1)) & LO32) * (self.word_mu & LO32);
+        let r = z.wrapping_sub(((est >> (bits + 1)) & LO32) * (self.q & LO32));
+        csub(csub(r, self.q), self.q)
+    }
+
+    /// The 32-bit Shoup companion `⌊w·2^32 / q⌋` of a fixed multiplicand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the modulus is not word-size or `w ≥ q`.
+    #[inline]
+    #[must_use]
+    pub fn shoup32(&self, w: u64) -> u64 {
+        assert!(
+            self.is_word_size() && w < self.q,
+            "shoup32 needs w < q < 2^31"
+        );
+        (w << 32) / self.q
+    }
+
+    /// Lazy Shoup product: a value in `[0, 2q)` congruent to `w·x`, for a
+    /// word-size modulus, `ws = self.shoup32(w)` and **any** `x < 2^32` —
+    /// three 32×32→64 multiplies and no correction.
+    #[inline(always)]
+    #[must_use]
+    pub fn mul_shoup32_lazy(&self, w: u64, ws: u64, x: u64) -> u64 {
+        debug_assert!(self.is_word_size() && x <= LO32);
+        let hi = ((ws & LO32) * (x & LO32)) >> 32;
+        ((w & LO32) * (x & LO32)).wrapping_sub(hi * (self.q & LO32))
+    }
+
+    /// `a[i] ← a[i]·b[i] mod q` (the Hada-Mult kernel over one limb).
+    /// Operands must be reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn mul_slice(&self, a: &mut [u64], b: &[u64]) {
+        assert_eq!(a.len(), b.len(), "slice length mismatch");
+        if self.is_word_size() {
+            for (x, &y) in a.iter_mut().zip(b) {
+                debug_assert!(*x < self.q && y < self.q);
+                *x = self.reduce_word((*x & LO32) * (y & LO32));
+            }
+        } else {
+            for (x, &y) in a.iter_mut().zip(b) {
+                *x = self.mul(*x, y);
+            }
+        }
+    }
+
+    /// `acc[i] ← acc[i] + x[i]·y[i] mod q` (the key-switch inner product
+    /// over one limb). Operands must be reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn mul_acc_slice(&self, acc: &mut [u64], x: &[u64], y: &[u64]) {
+        assert_eq!(acc.len(), x.len(), "slice length mismatch");
+        assert_eq!(acc.len(), y.len(), "slice length mismatch");
+        if self.is_word_size() {
+            for ((a, &xv), &yv) in acc.iter_mut().zip(x).zip(y) {
+                debug_assert!(*a < self.q && xv < self.q && yv < self.q);
+                // q² + q ≤ 2^(2b): one reduction covers the addend too.
+                *a = self.reduce_word((xv & LO32) * (yv & LO32) + *a);
+            }
+        } else {
+            for ((a, &xv), &yv) in acc.iter_mut().zip(x).zip(y) {
+                *a = self.add(*a, self.mul(xv, yv));
+            }
+        }
+    }
+
+    /// `a[i] ← a[i]·c mod q` for a fixed reduced `c`. On a word-size
+    /// modulus any `a[i] < 2^32` is accepted (and reduced on the way).
+    pub fn scale_slice(&self, a: &mut [u64], c: u64) {
+        if self.is_word_size() {
+            let cs = self.shoup32(c);
+            for x in a.iter_mut() {
+                *x = csub(self.mul_shoup32_lazy(c, cs, *x), self.q);
+            }
+        } else {
+            for x in a.iter_mut() {
+                *x = self.mul(self.reduce(*x), c);
+            }
+        }
+    }
+
+    /// `a[i] ← (a[i] − b[i])·c mod q` for a fixed reduced `c` (the
+    /// subtract-then-scale tail of `ModDown` and `RESCALE`). Operands must
+    /// be reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn sub_scale_slice(&self, a: &mut [u64], b: &[u64], c: u64) {
+        assert_eq!(a.len(), b.len(), "slice length mismatch");
+        if self.is_word_size() {
+            let cs = self.shoup32(c);
+            for (av, &bv) in a.iter_mut().zip(b) {
+                debug_assert!(*av < self.q && bv < self.q);
+                // a − b + q ∈ (0, 2q) < 2^32 goes into the lazy product as is.
+                let d = *av + self.q - bv;
+                *av = csub(self.mul_shoup32_lazy(c, cs, d), self.q);
+            }
+        } else {
+            for (av, &bv) in a.iter_mut().zip(b) {
+                *av = self.mul(self.sub(*av, bv), c);
+            }
+        }
+    }
 }
 
 /// Shoup pre-scaled multiplication by a fixed constant.
@@ -337,6 +527,41 @@ mod tests {
             let s = ShoupMul::new(w, &m);
             for x in [0u64, 1, 12345, P30 - 1] {
                 assert_eq!(s.mul(x, &m), m.mul(w, x), "w={w} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_size_selection_boundaries() {
+        assert!(Modulus::new(2).is_word_size());
+        assert!(Modulus::new(97).is_word_size());
+        assert!(Modulus::new((1 << 31) - 1).is_word_size());
+        assert!(!Modulus::new(1 << 31).is_word_size());
+        // μ = ⌊2^62 / 2^30⌋ = 2^32 does not fit a 32-bit factor.
+        assert!(!Modulus::new(1 << 30).is_word_size());
+        assert!(Modulus::new((1 << 30) + 1).is_word_size());
+        assert!(!Modulus::new(P61).is_word_size());
+    }
+
+    #[test]
+    fn barrett64_matches_naive_on_small_and_power_of_two_moduli() {
+        // Exhaustive over operands for tiny moduli (the estimate's error
+        // bound at its loosest), and the power of two the Galois-element
+        // arithmetic uses.
+        for q in [2u64, 3, 97, 1 << 14] {
+            let m = Modulus::new(q);
+            let span = q.min(128);
+            for a in (0..span).chain(q - span.min(q)..q) {
+                let lhs = vec![a; span as usize];
+                let rhs: Vec<u64> = (q - span..q).collect();
+                let mut prod = lhs.clone();
+                m.mul_slice(&mut prod, &rhs);
+                let mut acc = rhs.clone();
+                m.mul_acc_slice(&mut acc, &lhs, &rhs);
+                for ((&p, &s), &b) in prod.iter().zip(&acc).zip(&rhs) {
+                    assert_eq!(p, a * b % q, "{a}·{b} mod {q}");
+                    assert_eq!(s, (a * b + b) % q, "{a}·{b} + {b} mod {q}");
+                }
             }
         }
     }

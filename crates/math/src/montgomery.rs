@@ -64,6 +64,12 @@ impl Montgomery {
         self.q
     }
 
+    /// `−q^{-1} mod 2^64` (its low `k` bits are `−q^{-1} mod 2^k`).
+    #[must_use]
+    pub(crate) fn neg_inv(&self) -> u64 {
+        self.q_inv_neg
+    }
+
     /// Montgomery reduction: given `t < qR`, returns `tR^{-1} mod q`.
     #[inline]
     #[must_use]

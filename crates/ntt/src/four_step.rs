@@ -101,16 +101,34 @@ impl Twiddles {
         self.m.pow(self.psi, self.n2 as u64)
     }
 
+    /// The `rows×cols` matrix whose row `r` is the geometric sequence
+    /// `first_r·ratio_r^c` with `first_r = first.0·first.1^r` and
+    /// `ratio_r = ratio.0·ratio.1^r`: one modular multiply per entry (a
+    /// running product along each row) instead of one exponentiation.
+    fn geometric(&self, rows: usize, cols: usize, first: (u64, u64), ratio: (u64, u64)) -> Mat {
+        let m = &self.m;
+        let mut data = Vec::with_capacity(rows * cols);
+        let (mut row_first, mut row_ratio) = (first.0, ratio.0);
+        for _ in 0..rows {
+            let mut entry = row_first;
+            for _ in 0..cols {
+                data.push(entry);
+                entry = m.mul(entry, row_ratio);
+            }
+            row_first = m.mul(row_first, first.1);
+            row_ratio = m.mul(row_ratio, ratio.1);
+        }
+        Mat { rows, cols, data }
+    }
+
     /// `base^(2·r·c + r)` as a `rows×cols` matrix.
     fn negacyclic(&self, rows: usize, cols: usize, base: u64) -> Mat {
-        Mat::from_fn(rows, cols, |r, c| self.m.pow(base, (2 * r * c + r) as u64))
+        self.geometric(rows, cols, (1, base), (1, self.m.mul(base, base)))
     }
 
     /// `base^(2·r·c)` as an `N1×N1` matrix.
     fn cyclic(&self, base: u64) -> Mat {
-        Mat::from_fn(self.n1, self.n1, |r, c| {
-            self.m.pow(base, (2 * r * c) as u64)
-        })
+        self.geometric(self.n1, self.n1, (1, 1), (1, self.m.mul(base, base)))
     }
 
     fn w_n2(&self) -> Mat {
@@ -135,11 +153,10 @@ impl Twiddles {
 
     /// Inverse N2-side matrix with `N^{-1}` folded in.
     fn w_n2_inv(&self) -> Mat {
+        // N⁻¹·base^(2·r·c + c) = N⁻¹·(base^(2r+1))^c.
         let base = self.m.inv(self.psi_2n2());
         let n_inv = self.m.inv((self.n1 * self.n2) as u64);
-        Mat::from_fn(self.n2, self.n2, |r, c| {
-            self.m.mul(self.m.pow(base, (2 * r * c + c) as u64), n_inv)
-        })
+        self.geometric(self.n2, self.n2, (n_inv, 1), (base, self.m.mul(base, base)))
     }
 }
 
@@ -359,6 +376,42 @@ mod tests {
         let q = generate_ntt_primes(1, 28, 1 << 7)[0];
         let t = FourStepNtt::new(128, q);
         assert_eq!(t.split(), (16, 8));
+    }
+
+    #[test]
+    fn twiddle_matrices_equal_the_per_entry_powers() {
+        // The running-product generators, entry for entry against the
+        // closed forms of Eq. 9 (one exponentiation per entry).
+        for n in [16usize, 128, 512] {
+            let q = generate_ntt_primes(1, 28, n as u64)[0];
+            let m = Modulus::new(q);
+            let plan = FourStepNtt::new(n, q);
+            let (n1, n2) = plan.split();
+            let psi = plan.psi();
+            let (psi_n2, psi_n1) = (m.pow(psi, n1 as u64), m.pow(psi, n2 as u64));
+            let n_inv = m.inv(n as u64);
+            let c = plan.canon();
+            let pow = |base: u64, e: usize| m.pow(base, e as u64);
+            let check = |mat: &Mat, name: &str, f: &dyn Fn(usize, usize) -> u64| {
+                for r in 0..mat.rows {
+                    for col in 0..mat.cols {
+                        assert_eq!(mat.at(r, col), f(r, col), "{name}[{r}][{col}] at N={n}");
+                    }
+                }
+            };
+            check(&c.w_n2, "w_n2", &|r, col| pow(psi_n2, 2 * r * col + r));
+            check(&c.w_tw, "w_tw", &|r, col| pow(psi, 2 * r * col + r));
+            check(&c.w_dft, "w_dft", &|r, col| pow(psi_n1, 2 * r * col));
+            check(&c.w_idft, "w_idft", &|r, col| {
+                pow(m.inv(psi_n1), 2 * r * col)
+            });
+            check(&c.w_tw_inv, "w_tw_inv", &|r, col| {
+                pow(m.inv(psi), 2 * r * col + r)
+            });
+            check(&c.w_n2_inv, "w_n2_inv", &|r, col| {
+                m.mul(pow(m.inv(psi_n2), 2 * r * col + col), n_inv)
+            });
+        }
     }
 
     #[test]

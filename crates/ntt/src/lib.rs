@@ -7,7 +7,7 @@
 //!
 //! | Variant | Paper name | Module |
 //! |---|---|---|
-//! | Cooley–Tukey / Gentleman–Sande butterflies | TensorFHE-NT | [`butterfly`] |
+//! | Cooley–Tukey / Gentleman–Sande butterflies: Harvey lazy butterflies on 32-bit Shoup twiddles in `u64` lanes for `q < 2^31`, 64-bit Shoup for wider primes | TensorFHE-NT | [`butterfly`] |
 //! | `O(N²)` matrix–vector product (Eq. 8) | analysis only | [`naive`] |
 //! | Four-step GEMM decomposition (Eq. 9): two Montgomery GEMMs with the twiddle Hadamard and all repacks fused into their epilogues | TensorFHE-CO | [`four_step`] |
 //! | Segmented u8 GEMM + Booth fusion (Fig. 7/8) | TensorFHE | [`tensor_core`] |
