@@ -26,7 +26,9 @@
 //! 5. **Window independence**: two batches simultaneously in flight never
 //!    share a `(client, level)` key.
 //! 6. **Accounting closure**: `busy_us` = Σ batch walls (exact fold),
-//!    `elapsed_us` = makespan (exact fold), Σ intervals ≈ Σ per-device
+//!    `elapsed_us` = makespan (exact fold), `overlap_fraction` =
+//!    `1 − makespan / Σ (upload + wall)` (exact fold, in join order) and
+//!    inside `[0, 1)`, Σ intervals ≈ Σ per-device
 //!    attribution, upload count/time match, and
 //!    `ops_submitted = completed + shed + rejected + pending`.
 //! 7. **Program order**: two batches sharing a `(client, level)` key are
@@ -857,6 +859,29 @@ pub fn verify_schedule(
             stat: "elapsed_us",
             expected: makespan,
             got: stats.elapsed_us,
+        });
+    }
+    // The overlap is measured against the one-at-a-time makespan of the
+    // same batches — upload stall, then wall, in join order, guarded like
+    // the clock itself — so it can never leave [0, 1).
+    let serial = trace.iter().fold(0.0f64, |s, r| {
+        let s = if r.upload_us > 0.0 {
+            s + r.upload_us
+        } else {
+            s
+        };
+        s + r.wall_us
+    });
+    let overlap = if serial > 0.0 {
+        1.0 - makespan / serial
+    } else {
+        0.0
+    };
+    if overlap != stats.overlap_fraction || !(0.0..1.0).contains(&stats.overlap_fraction) {
+        v.push(Violation::AccountingMismatch {
+            stat: "overlap_fraction",
+            expected: overlap,
+            got: stats.overlap_fraction,
         });
     }
     let interval_sum: f64 = trace

@@ -8,7 +8,9 @@
 //! kernel) beside the wide bodies they replace on the evaluator's hot path.
 //! Its butterfly ratio is emitted as `kernels/host_butterfly_word_vs_wide`
 //! (a guarded wall-clock median, gated in `check_regression`'s `host_`
-//! tolerance class).
+//! tolerance class). A second table sets the narrow single-accumulator
+//! GEMM tile beside the limb-split one at the two four-step products of
+//! HEAX set B and emits `kernels/host_tile_narrow_vs_split` the same way.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -16,7 +18,9 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use tensorfhe_bench::{print_table, report};
 use tensorfhe_math::crt::{BasisConvGemm, BasisConvTable, RnsBasis};
+use tensorfhe_math::gemm_fast::{gemm_rm, gemm_rm_with, MontOperand};
 use tensorfhe_math::prime::generate_ntt_primes;
+use tensorfhe_math::simd;
 use tensorfhe_math::Modulus;
 use tensorfhe_ntt::{FourStepNtt, NttOps, NttTable, TensorCoreNtt};
 
@@ -198,6 +202,53 @@ fn word_size_rows() {
     }
 }
 
+/// The narrow tile a 28-bit operand captures beside the limb-split tile
+/// forced onto the same operand, at the two inner dimensions of the HEAX
+/// set B four-step NTT (`N = 2^13 = 128·64`: `k = 64` for the inner
+/// N2-NTT, `k = 128` for the outer N1-DFT), 8 rows of a block each.
+fn tile_rows() {
+    let (trials, reps) = if report::smoke() { (5, 4) } else { (9, 20) };
+    let q = generate_ntt_primes(1, 28, 1 << 13)[0];
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut rows = Vec::new();
+    let (mut secs, mut quiet) = ([0.0f64; 2], true);
+    for k in [64usize, 128] {
+        let m = 8 * (1 << 13) / k;
+        let mut fill = |len: usize| -> Vec<u64> { (0..len).map(|_| rng.gen_range(0..q)).collect() };
+        let (a, w) = (fill(m * k), MontOperand::new(q, &fill(k * k), k, k));
+        assert_eq!(w.kernel().label(), "narrow", "28-bit operand");
+        let mut c = vec![0u64; m * k];
+        let narrow = median_secs(trials, reps, || gemm_rm(&a, m, &w, &mut c));
+        let split = median_secs(trials, reps, || {
+            gemm_rm_with(&a, m, &w, simd::simd4(), &mut c);
+        });
+        let mmacs = (m * k * k) as f64 / 1e6;
+        rows.push(vec![
+            format!("{m}×{k}×{k}"),
+            format!("{:.0} Mmac/s", mmacs / narrow.0),
+            format!("{:.0} Mmac/s", mmacs / split.0),
+            format!("{:.2}×", split.0 / narrow.0),
+            format!("{:.0}%", narrow.1.max(split.1) * 100.0),
+        ]);
+        secs[0] += narrow.0;
+        secs[1] += split.0;
+        quiet &= narrow.1.max(split.1) <= MAX_SPREAD;
+    }
+    print_table(
+        &format!("GEMM register tile, 28-bit prime (HEAX-B four-step shapes, median of {trials})"),
+        &["m×k×n", "narrow", "limb-split", "speedup", "spread"],
+        &rows,
+    );
+    if quiet {
+        report::emit(
+            "kernels",
+            &[("host_tile_narrow_vs_split", secs[1] / secs[0])],
+        );
+    } else {
+        println!("[kernels] host_tile_narrow_vs_split not emitted: spread exceeded {MAX_SPREAD}");
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
@@ -207,4 +258,5 @@ criterion_group! {
 fn main() {
     benches();
     word_size_rows();
+    tile_rows();
 }

@@ -157,6 +157,26 @@ impl ExtPoly {
         }
     }
 
+    /// `ext ⊙ key` as a new polynomial, limb-wise over the shared basis
+    /// prefix — what [`ExtPoly::mul_acc`] leaves in an all-zero accumulator,
+    /// without the zero fill and the pass that reads it back.
+    #[must_use]
+    pub fn product(ctx: &CkksContext, ext: &ExtPoly, key: &ExtPoly) -> Self {
+        assert_eq!(ext.domain, Domain::Ntt);
+        assert_eq!(key.domain, Domain::Ntt);
+        let q_limbs = ext.q_limbs.iter().zip(&key.q_limbs).enumerate();
+        let p_limbs = ext.p_limbs.iter().zip(&key.p_limbs).enumerate();
+        Self {
+            q_limbs: q_limbs
+                .map(|(i, (x, y))| ctx.q_mod(i).mul_to_vec(x, y))
+                .collect(),
+            p_limbs: p_limbs
+                .map(|(k, (x, y))| ctx.p_mod(k).mul_to_vec(x, y))
+                .collect(),
+            domain: Domain::Ntt,
+        }
+    }
+
     /// `self += ext ⊙ key`, limb-wise over the shared basis prefix.
     ///
     /// `key` spans the full basis (`L+1` q-limbs); `self`/`ext` span only the
@@ -224,11 +244,22 @@ pub fn mod_up(
     let (s0, s1) = (table.src_start, table.src_end);
     let k = ctx.params().special_primes();
 
-    let mut ext = ExtPoly::zero(ctx, l, Domain::Coeff);
-    // Own limbs are copied verbatim (the conversion is exact there).
-    for i in s0..s1 {
-        ext.q_limbs[i].copy_from_slice(d_coeff.limb(i));
-    }
+    // Own limbs are copied verbatim (the conversion is exact there); the
+    // complement limbs are allocated for the conversion to fill.
+    let own = |i: usize| (s0..s1).contains(&i);
+    let mut ext = ExtPoly {
+        q_limbs: (0..=l)
+            .map(|i| {
+                if own(i) {
+                    d_coeff.limb(i).to_vec()
+                } else {
+                    vec![0; n]
+                }
+            })
+            .collect(),
+        p_limbs: (0..k).map(|_| vec![0; n]).collect(),
+        domain: Domain::Coeff,
+    };
     // Complement limbs via the GEMM-lowered fast basis conversion: the
     // digit's limb-major block converts as one `(L_dst × α) × (α × N)`
     // matrix product (batched y-stage + wide GEMM) instead of walking the
@@ -239,7 +270,7 @@ pub fn mod_up(
         let mut out_rows: Vec<&mut [u64]> = q_limbs
             .iter_mut()
             .enumerate()
-            .filter(|&(i, _)| i < s0 || i >= s1)
+            .filter(|&(i, _)| !own(i))
             .map(|(_, limb)| limb.as_mut_slice())
             .chain(p_limbs.iter_mut().map(Vec::as_mut_slice))
             .collect();
@@ -263,10 +294,10 @@ pub fn mod_down(ctx: &CkksContext, tracing: &mut Tracing<'_>, acc: &ExtPoly) -> 
 }
 
 /// Batched `ModDown` of several same-level accumulators: the INTT and NTT
-/// sandwiches run through the batched per-modulus path (`B` = block size),
-/// and the basis conversion of all `B` special-prime parts runs as one
-/// `((l+1) × K) × (K × B·N)` wide GEMM; only the scaled subtractions
-/// remain per accumulator.
+/// sandwiches run through the batched per-modulus path (`B` = block size);
+/// each accumulator's special-prime part then converts straight out of its
+/// own limbs — one `((l+1) × K) × (K × N)` GEMM into a pooled buffer every
+/// accumulator reuses — followed by its scaled subtraction.
 ///
 /// Emits the same kernel events as calling [`mod_down`] per accumulator —
 /// batching changes the arithmetic packing, not the costed schedule —
@@ -305,35 +336,21 @@ fn mod_down_owned(
         });
     }
 
-    // Convert the special-prime parts of ALL accumulators in one shot:
-    // each special limb's rows concatenate into a `(K × B·N)` block, so the
-    // whole batch is a single `((l+1) × K) × (K × B·N)` wide GEMM — the
-    // `B` dimension of the paper's operation-level batching applied to the
-    // Conv kernel.
     for acc in &work {
         assert_eq!(acc.level(), l, "level mismatch in ModDown batch");
     }
-    // Stage the concatenated special-prime block and the conversion output
-    // in pooled scratch: repeated drains reuse the same two wide buffers
-    // instead of reallocating `K + (l+1)` rows per batch.
-    let width = work.len() * n;
-    let mut src_cat = scratch::take_u64(k * width);
-    for (kk, row) in src_cat.chunks_mut(width).enumerate() {
-        for (b, acc) in work.iter().enumerate() {
-            row[b * n..(b + 1) * n].copy_from_slice(&acc.p_limbs[kk]);
-        }
-    }
-    let l_dst = table.conv.l_dst();
-    let mut conv_flat = scratch::take_u64(l_dst * width);
-    {
-        let src_rows: Vec<&[u64]> = src_cat.chunks(width).collect();
-        let mut out_rows: Vec<&mut [u64]> = conv_flat.chunks_mut(width).collect();
-        table.conv.convert_block_into(&src_rows, &mut out_rows);
-    }
-    let conv_wide: Vec<&[u64]> = conv_flat.chunks(width).collect();
-
+    // Each accumulator converts straight from its own special limbs (the
+    // kernel works 16 columns at a time, so a wider concatenated block
+    // would buy nothing but the copy) into one pooled `(l+1) × N` buffer,
+    // overwritten whole per accumulator.
+    let mut conv = scratch::take_dirty_u64(table.conv.l_dst() * n);
     let mut outs: Vec<RnsPoly> = Vec::with_capacity(work.len());
-    for (b, acc) in work.into_iter().enumerate() {
+    for acc in work {
+        {
+            let src_rows: Vec<&[u64]> = acc.p_limbs.iter().map(Vec::as_slice).collect();
+            let mut out_rows: Vec<&mut [u64]> = conv.chunks_mut(n).collect();
+            table.conv.convert_block_into(&src_rows, &mut out_rows);
+        }
         tracing.emit(KernelEvent::Conv {
             n,
             l_src: k,
@@ -342,16 +359,14 @@ fn mod_down_owned(
 
         // out_i = (acc_i - conv_i) · P^{-1} mod q_i, in place on acc_i.
         let mut out_limbs = acc.q_limbs;
-        for (i, (limb, conv_row)) in out_limbs.iter_mut().zip(&conv_wide).enumerate() {
+        for (i, (limb, conv_row)) in out_limbs.iter_mut().zip(conv.chunks(n)).enumerate() {
             ctx.q_mod(i)
-                .sub_scale_slice(limb, &conv_row[b * n..(b + 1) * n], table.p_inv_mod_q[i]);
+                .sub_scale_slice(limb, conv_row, table.p_inv_mod_q[i]);
         }
         tracing.emit(KernelEvent::EleSub { n, limbs: l + 1 });
         outs.push(RnsPoly::from_limbs(out_limbs, Domain::Coeff));
     }
-    drop(conv_wide);
-    scratch::give_u64(conv_flat);
-    scratch::give_u64(src_cat);
+    scratch::give_u64(conv);
 
     {
         let mut views: Vec<&mut RnsPoly> = outs.iter_mut().collect();
@@ -473,12 +488,13 @@ pub fn key_switch_batch(
 
     // Per-input inner products against that input's key digits.
     let mut accs: Vec<ExtPoly> = Vec::with_capacity(2 * ds.len());
-    for (r, ksk) in ksks.iter().enumerate() {
-        let mut acc0 = ExtPoly::zero(ctx, l, Domain::Ntt);
-        let mut acc1 = ExtPoly::zero(ctx, l, Domain::Ntt);
-        for (j, ext) in exts[r * digits..(r + 1) * digits].iter().enumerate() {
-            // Keys store the full basis; `mul_acc` reads its active prefix.
-            let key = &ksk.digits[j];
+    for (exts, ksk) in exts.chunks(digits).zip(ksks) {
+        // Keys store the full basis; the products read its active prefix.
+        // The first digit writes the accumulators, the rest add to them.
+        let (first, rest) = (&ksk.digits[0], &ksk.digits[1..]);
+        let mut acc0 = ExtPoly::product(ctx, &exts[0], &first.b);
+        let mut acc1 = ExtPoly::product(ctx, &exts[0], &first.a);
+        for (ext, key) in exts[1..].iter().zip(rest) {
             acc0.mul_acc(ctx, ext, &key.b);
             acc1.mul_acc(ctx, ext, &key.a);
         }

@@ -129,3 +129,49 @@ proptest! {
         prop_assert_eq!(&batched, &block);
     }
 }
+
+/// The GEMM register tile is selected from the prime alone, once per
+/// operand. Every prime chain of every paper preset must land on the
+/// narrow single-accumulator tile, and the run length it was sized for
+/// must cover the four-step inner dimensions the preset's degree implies:
+/// no spill at all with 28-bit primes, runs of at least 64 (four per
+/// `k = 256` product) for the 29-bit Default set.
+#[test]
+fn every_paper_preset_prime_selects_the_narrow_tile() {
+    use tensorfhe_math::gemm_fast::MontOperand;
+    use tensorfhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
+    use tensorfhe_math::simd::Narrow;
+
+    let presets = [
+        CkksParams::table_v_default(),
+        CkksParams::table_v_resnet20(),
+        CkksParams::table_v_lr(),
+        CkksParams::table_v_lstm(),
+        CkksParams::table_v_packed_boot(),
+        CkksParams::table_vii_bootstrap(),
+        CkksParams::heax_set_a(),
+        CkksParams::heax_set_b(),
+        CkksParams::heax_set_c(),
+        CkksParams::test_small(),
+        CkksParams::toy(),
+    ];
+    for params in &presets {
+        // The chain `CkksContext` builds, without its plans and keys.
+        let (n, bits) = (params.n() as u64, params.prime_bits());
+        let mut primes = generate_ntt_primes(params.max_level() + 1, bits, n);
+        let special = generate_ntt_primes_excluding(params.special_primes(), bits, n, &primes);
+        primes.extend(special);
+        // The larger side of the N = N1·N2 split is the deepest product.
+        let k_max = 1usize << params.n().trailing_zeros().div_ceil(2);
+        for &q in &primes {
+            let label = MontOperand::new(q, &[], 0, 0).kernel().label();
+            assert_eq!(label, "narrow", "{}: q = {q}", params.name());
+            let fold = Narrow::select(q).expect("word-size prime").fold();
+            if bits <= 28 {
+                assert!(fold >= k_max, "{}: q = {q} spills", params.name());
+            } else {
+                assert!(fold >= 64, "{}: q = {q} runs {fold}", params.name());
+            }
+        }
+    }
+}

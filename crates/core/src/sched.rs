@@ -35,7 +35,9 @@
 //!   completed. At `depth = 1` the frontier serializes every batch and the
 //!   overlap clock reproduces the serial clock bit-for-bit; at larger
 //!   depths narrow independent batches land on idle devices and
-//!   [`Scheduler::elapsed_us`] (the makespan) falls below the busy time.
+//!   [`Scheduler::elapsed_us`] (the makespan) falls below
+//!   [`Scheduler::serial_us`], the same batches' one-at-a-time makespan
+//!   (key-upload stalls included on both sides).
 //!
 //! # Out-of-order scoreboard admission
 //!
@@ -395,8 +397,12 @@ pub struct Scheduler {
     /// Completion time of the newest joined batch (µs).
     joined_frontier: f64,
     /// Makespan of everything joined so far (µs): the virtual instant the
-    /// last device went idle. Equals the serial busy time at `depth = 1`.
+    /// last device went idle. Equals `serial_us` at `depth = 1`.
     elapsed_us: f64,
+    /// What the makespan would be had every joined batch run alone, one
+    /// after another: `Σ (key upload + wall)`, folded in join order with
+    /// the overlap clock's own float operations.
+    serial_us: f64,
     /// Most batches ever simultaneously in flight.
     inflight_hwm: usize,
     /// Window-event tick: one counter over freezes, admissions *and*
@@ -484,6 +490,7 @@ impl Scheduler {
             free_at: vec![0.0; devices],
             joined_frontier: 0.0,
             elapsed_us: 0.0,
+            serial_us: 0.0,
             inflight_hwm: 0,
             event_tick: 0,
             joined_count: 0,
@@ -585,11 +592,22 @@ impl Scheduler {
     }
 
     /// Overlap-clock makespan (µs): when the last device went idle. At
-    /// `depth = 1` this is bit-identical to the accumulated batch wall
-    /// time; at larger depths overlapped batches pull it below that sum.
+    /// `depth = 1` this is bit-identical to [`Scheduler::serial_us`]; at
+    /// larger depths overlapped batches pull it below that sum.
     #[must_use]
     pub fn elapsed_us(&self) -> f64 {
         self.elapsed_us
+    }
+
+    /// The serial reference of the overlap clock (µs): the makespan of
+    /// the same batches run strictly one at a time, each paying its key
+    /// upload stall and then its wall time. Never below
+    /// [`Scheduler::elapsed_us`] — float addition is monotone, and every
+    /// gang start is some earlier completion — and equal to the summed
+    /// batch wall time when no batch ever stalled on an upload.
+    #[must_use]
+    pub fn serial_us(&self) -> f64 {
+        self.serial_us
     }
 
     /// Operation instances currently inside in-flight batches, frozen
@@ -1063,9 +1081,12 @@ impl Scheduler {
         // Non-resident keys stall the gang on the copy engine before any
         // shard can launch. The guard keeps the anonymous/no-session path
         // bit-identical: `start + 0.0` is a float op this clock never did.
+        // The serial reference pays the same stall, in the same order.
         if upload_us > 0.0 {
             start += upload_us;
+            self.serial_us += upload_us;
         }
+        self.serial_us += result.stats.time_us;
         // Longest shard onto the least-loaded device keeps queues level.
         for (&d, &t) in chosen.iter().zip(&shards) {
             self.free_at[d] = start + t;

@@ -258,13 +258,18 @@ pub struct ServiceStats {
     /// accounted against, identical at every pipeline depth.
     pub busy_us: f64,
     /// Overlap-clock makespan (µs, virtual): when the last device went
-    /// idle under the scheduler's per-device FIFO model. Bit-identical to
+    /// idle under the scheduler's per-device FIFO model, key-upload stalls
+    /// included. On the anonymous path (no uploads) bit-identical to
     /// [`ServiceStats::busy_us`] at depth 1; smaller whenever independent
     /// batches really overlapped.
     pub elapsed_us: f64,
-    /// `1 − elapsed_us / busy_us`: the fraction of serial batch time the
-    /// in-flight window hid by overlapping independent batches. Exactly
-    /// `0.0` at depth 1.
+    /// `1 − elapsed_us / serial`, where `serial` is the makespan of the
+    /// same batches run one at a time — every batch's key-upload stall
+    /// plus its wall time ([`crate::sched::Scheduler::serial_us`]): the
+    /// fraction of the serial schedule the in-flight window hid by
+    /// overlapping independent batches. Always in `[0, 1)`; exactly `0.0`
+    /// at depth 1. (With no upload stalls `serial` is
+    /// [`ServiceStats::busy_us`].)
     pub overlap_fraction: f64,
     /// Total energy charged (J).
     pub energy_j: f64,
@@ -1513,10 +1518,14 @@ impl FheService {
             })
             .collect();
         let elapsed_us = self.sched.elapsed_us();
-        // At depth 1 `elapsed` and `busy` are the same accumulation, so
-        // the ratio is exactly 1.0 and the overlap exactly 0.0.
-        let overlap_fraction = if self.busy_us > 0.0 {
-            1.0 - elapsed_us / self.busy_us
+        // Measured against the serial makespan *with* the upload stalls
+        // the overlap clock charges — against `busy_us`, which has none,
+        // a session-heavy run read far below zero. At depth 1 `elapsed`
+        // and `serial` are the same accumulation, so the ratio is exactly
+        // 1.0 and the overlap exactly 0.0.
+        let serial_us = self.sched.serial_us();
+        let overlap_fraction = if serial_us > 0.0 {
+            1.0 - elapsed_us / serial_us
         } else {
             0.0
         };

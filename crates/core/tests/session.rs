@@ -169,6 +169,56 @@ fn key_cache_thrash_shows_up_in_hit_rate_evictions_and_the_clock() {
 }
 
 #[test]
+fn overlap_fraction_charges_upload_stalls_to_both_clocks() {
+    // The thrash scenario above, at depth 1 and depth 4. The makespan
+    // includes every upload stall, so the serial reference it is measured
+    // against must too: against bare `busy_us` the overlap read negative
+    // as soon as any batch stalled on an upload (−20.8 on a session-heavy
+    // stream). Depth 1 overlaps nothing, bit-exactly; deeper windows hide
+    // a proper fraction of the serial schedule.
+    let run = |depth: usize| {
+        let params = CkksParams::test_small();
+        let mut svc = TensorFhe::builder(&params)
+            .devices(4)
+            .workers(1)
+            .pipeline_depth(depth)
+            .key_cache_mb(1)
+            .service()
+            .expect("valid");
+        let max_level = svc.params().max_level();
+        let sessions: Vec<_> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|name| {
+                svc.register_session(SessionConfig::new(*name))
+                    .expect("valid")
+            })
+            .collect();
+        // One narrow batch per (session, level), each session on its own
+        // op: incompatible groups that a deep window can run side by side
+        // on the idle devices.
+        let ops = [FheOp::HMult, FheOp::HRotate, FheOp::Rescale, FheOp::HAdd];
+        for level in 1..=max_level {
+            for (&sid, op) in sessions.iter().zip(ops) {
+                svc.submit(FheRequest::in_session(op, level, 1, sid))
+                    .expect("valid");
+            }
+        }
+        svc.drain();
+        svc.stats()
+    };
+    let serial = run(1);
+    assert!(serial.key_uploads >= 2 && serial.elapsed_us > serial.busy_us);
+    assert_eq!(serial.overlap_fraction.to_bits(), 0.0f64.to_bits());
+    let deep = run(4);
+    assert!(deep.key_uploads >= 2);
+    assert!(
+        deep.overlap_fraction > 0.0 && deep.overlap_fraction < 1.0,
+        "depth 4 hides a proper fraction of the serial schedule, got {}",
+        deep.overlap_fraction
+    );
+}
+
+#[test]
 fn warm_keys_and_a_big_cache_never_pay_twice() {
     let mut svc = service();
     let level = svc.params().max_level();

@@ -631,14 +631,16 @@ impl BasisConvGemm {
         }
         // y stage into pooled scratch (flattened L_src × W, rows padded with
         // zeros to whole column blocks): repeated drains reuse the same
-        // staging allocation instead of growing the heap per call.
+        // staging allocation instead of growing the heap per call. Taken
+        // dirty — every row is written whole, padding included.
         let stride = width.next_multiple_of(CONV_LANES);
-        let mut y = scratch::take_u64(self.l_src() * stride);
+        let mut y = scratch::take_dirty_u64(self.l_src() * stride);
         for (i, row) in src_rows.iter().enumerate() {
             assert_eq!(row.len(), width, "ragged source block");
-            let y_row = &mut y[i * stride..i * stride + width];
+            let (y_row, pad) = y[i * stride..(i + 1) * stride].split_at_mut(width);
             y_row.copy_from_slice(row);
             self.table.src_moduli[i].scale_slice(y_row, self.table.src_qhat_inv[i]);
+            pad.fill(0);
         }
         // Column block outermost: the block's y values stay in L1 while
         // every target limb multiplies against them — the GEMM

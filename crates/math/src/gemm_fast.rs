@@ -19,12 +19,13 @@
 //!   constant right operand is packed into that layout **once**, at plan
 //!   build ([`MontOperand::new_packed`]); a row-major one is packed panel
 //!   by panel on every call. The register tile itself is pluggable
-//!   ([`crate::simd::MicroKernel`]): each [`MontOperand`] captures
-//!   [`crate::simd::active`]'s choice once at construction — the
-//!   lane-parallel [`crate::simd::Simd4`] limb-split tile by default — and
-//!   every product against that operand dispatches through it. All tiles
-//!   are bit-identical; see [`crate::simd`] for the limb-splitting
-//!   derivation.
+//!   ([`crate::simd::MicroKernel`]): each [`MontOperand`] selects its tile
+//!   once, at construction, from its prime alone — the single-accumulator
+//!   [`crate::simd::Narrow`] tile when [`crate::simd::Narrow::select`]
+//!   admits the prime (`q < 2^31`), the limb-split [`crate::simd::Simd4`]
+//!   tile otherwise — and every product against that operand dispatches
+//!   through it. All tiles are bit-identical; see [`crate::simd`] for the
+//!   two exactness arguments.
 //! * Input and output layouts are the caller's: the streamed left operand
 //!   is a [`Strided`] view (so a column-major block multiplies in place of
 //!   a gathered copy), pre-laid panels are accepted as the right operand
@@ -37,6 +38,12 @@
 //! Overflow never occurs: residues are `< 2^32` and both dimensions of an
 //! operand are `< 2^32` (checked once, by [`MontOperand::new`]), so `k`
 //! terms accumulate to `< k·q² < q·2^64`, within `REDC`'s `t < q·R` domain.
+//! How a tile *holds* that sum is its own business: the limb-split tile
+//! keeps two `u64` limb sums per lane, the narrow tile one `u64` lane whose
+//! high limb is folded back in every `fold = ⌊(2^64 − 2^33)/(q−1)²⌋`
+//! products (never, at `k ≤ 256` with a 28-bit prime) — `fold` is computed
+//! with the selection, from the same `q` the operand's entries are checked
+//! against.
 //!
 //! The kernel is symmetric in which side carries the Montgomery form —
 //! exactly one operand must. [`gemm_rm`] keeps the *right* operand
@@ -46,7 +53,7 @@
 use crate::montgomery::Montgomery;
 use crate::scratch;
 pub use crate::simd::Strided;
-use crate::simd::{MicroKernel, MR, NR};
+use crate::simd::{MicroKernel, Narrow, MR, NR};
 
 /// How a [`MontOperand`]'s entries are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,8 +92,9 @@ pub struct MontOperand {
     /// Every entry `b·R mod q`, stored once, in `layout`.
     data: Vec<u64>,
     layout: Layout,
-    /// Register tile selected once at construction (plan build time).
-    kernel: &'static dyn MicroKernel,
+    /// The narrow register tile, if the prime admits it — decided once,
+    /// here at construction (plan build time); `None` means limb-split.
+    narrow: Option<Narrow>,
 }
 
 impl MontOperand {
@@ -149,14 +157,17 @@ impl MontOperand {
             cols,
             data,
             layout,
-            kernel: crate::simd::active(),
+            narrow: Narrow::select(q),
         }
     }
 
     /// The register tile this operand's products dispatch through.
     #[must_use]
-    pub fn kernel(&self) -> &'static dyn MicroKernel {
-        self.kernel
+    pub fn kernel(&self) -> &dyn MicroKernel {
+        match &self.narrow {
+            Some(narrow) => narrow,
+            None => crate::simd::simd4(),
+        }
     }
 
     /// Row count.
@@ -206,8 +217,10 @@ impl MontOperand {
 /// One finished register tile, handed to a GEMM epilogue: `vals` holds the
 /// canonical residues of output rows `row0..row0+rows`, columns
 /// `col0..col0+cols`, row-major with stride [`NR`] (`rows ≤ MR`,
-/// `cols ≤ NR`; `col0` is a multiple of `NR`; entries beyond `rows`/`cols`
-/// are unspecified).
+/// `cols ≤ NR`; `col0` is a multiple of `NR`). Rows beyond `rows` are
+/// unspecified; columns `cols..NR` of a valid row are the products against
+/// the panel's padding columns — zero whenever the padding is, which it
+/// always is for a [`MontOperand`]'s panels and per-call packs.
 #[derive(Debug, Clone, Copy)]
 pub struct TileOut<'a> {
     /// First output row of the tile.
@@ -242,7 +255,7 @@ impl TileOut<'_> {
 ///
 /// Panics on shape mismatches (`a.len() ≠ m·k`, `out.len() ≠ m·n`).
 pub fn gemm_rm(a: &[u64], m: usize, b: &MontOperand, out: &mut [u64]) {
-    gemm_rm_with(a, m, b, b.kernel, out);
+    gemm_rm_with(a, m, b, b.kernel(), out);
 }
 
 /// [`gemm_rm`] with an explicit register tile, overriding the one the
@@ -281,7 +294,7 @@ pub fn gemm_rm_fused(a: Strided<'_>, m: usize, b: &MontOperand, epilogue: impl F
         b.as_right(),
         b.cols,
         &b.mont,
-        b.kernel,
+        b.kernel(),
         epilogue,
     );
 }
@@ -294,7 +307,7 @@ pub fn gemm_rm_fused(a: Strided<'_>, m: usize, b: &MontOperand, epilogue: impl F
 /// Panics on shape mismatches (`b.len() ≠ k·n`, `out.len() ≠ m·n`) or if
 /// `a` was built with [`MontOperand::new_packed`].
 pub fn gemm_lm(a: &MontOperand, b: &[u64], n: usize, out: &mut [u64]) {
-    gemm_lm_with(a, b, n, a.kernel, out);
+    gemm_lm_with(a, b, n, a.kernel(), out);
 }
 
 /// [`gemm_lm`] with an explicit register tile (see [`gemm_rm_with`]).
@@ -341,7 +354,7 @@ pub fn gemm_lm_fused(a: &MontOperand, panels: &[u64], n: usize, epilogue: impl F
         Right::Packed(panels),
         n,
         &a.mont,
-        a.kernel,
+        a.kernel(),
         epilogue,
     );
 }
@@ -406,7 +419,8 @@ fn gemm_tiled(
     let mut pack = match b {
         Right::RowMajor(data) => {
             assert_eq!(data.len(), k * n, "right operand shape mismatch");
-            scratch::take_u64(k * NR)
+            // Every panel pack below overwrites the buffer whole.
+            scratch::take_dirty_u64(k * NR)
         }
         Right::Packed(_) => Vec::new(),
     };
@@ -501,6 +515,66 @@ mod tests {
             .collect()
     }
 
+    /// Every product entry point, through the captured tile and through
+    /// each tile by name, against the Barrett schoolbook.
+    fn check_all_entry_points(q: u64, (m, k, n): (usize, usize, usize), a: &[u64], b: &[u64]) {
+        let want = barrett_gemm(a, m, k, b, n, q);
+
+        let bm = MontOperand::new(q, b, k, n);
+        let mut got = vec![0u64; m * n];
+        gemm_rm(a, m, &bm, &mut got);
+        assert_eq!(got, want, "gemm_rm q={q} m={m} k={k} n={n}");
+        assert_eq!(gemm_rm_ref(a, m, &bm), want, "ref q={q} m={m} k={k} n={n}");
+
+        // The pre-packed form of the same constant: no per-call pack,
+        // same bits.
+        let bp = MontOperand::new_packed(q, b, k, n);
+        let mut got_p = vec![0u64; m * n];
+        gemm_rm(a, m, &bp, &mut got_p);
+        assert_eq!(got_p, want, "packed gemm_rm q={q} m={m} k={k} n={n}");
+        assert_eq!(gemm_rm_ref(a, m, &bp), want, "packed ref q={q}");
+
+        let am = MontOperand::new(q, a, m, k);
+        let mut got_l = vec![0u64; m * n];
+        gemm_lm(&am, b, n, &mut got_l);
+        assert_eq!(got_l, want, "gemm_lm q={q} m={m} k={k} n={n}");
+
+        // Every register tile must reproduce the same bits through the
+        // full blocked kernel, not just in isolation.
+        let tiles = [
+            crate::simd::scalar_tile(),
+            crate::simd::simd4(),
+            bm.kernel(),
+        ];
+        for kernel in tiles {
+            let mut got_k = vec![0u64; m * n];
+            gemm_rm_with(a, m, &bm, kernel, &mut got_k);
+            assert_eq!(got_k, want, "{} q={q} m={m} k={k} n={n}", kernel.label());
+            let mut got_kl = vec![0u64; m * n];
+            gemm_lm_with(&am, b, n, kernel, &mut got_kl);
+            assert_eq!(
+                got_kl,
+                want,
+                "lm {} q={q} m={m} k={k} n={n}",
+                kernel.label()
+            );
+        }
+    }
+
+    /// One prime per width the selection rule distinguishes, with the tile
+    /// label it must capture: 28-bit (no spill to k = 256), 29-bit (runs of
+    /// 64), 30- and 31-bit (runs of 16 and 4), and beyond word size.
+    fn selection_primes() -> Vec<(u64, &'static str)> {
+        let mut primes: Vec<(u64, &str)> = [28u32, 29, 30, 31]
+            .iter()
+            .map(|&bits| (generate_ntt_primes(1, bits, 1 << 8)[0], "narrow"))
+            .collect();
+        primes.push(((1 << 31) - 1, "narrow"));
+        primes.push(((1 << 31) + 11, "simd4"));
+        primes.push(((1 << 32) - 5, "simd4"));
+        primes
+    }
+
     #[test]
     fn matches_barrett_across_shapes() {
         let q = generate_ntt_primes(1, 28, 1 << 8)[0];
@@ -513,42 +587,25 @@ mod tests {
             (3, 60, 40),
             (7, 1, 12),
         ] {
-            let a = fill(m, k, q, 11);
-            let b = fill(k, n, q, 23);
-            let want = barrett_gemm(&a, m, k, &b, n, q);
+            check_all_entry_points(q, (m, k, n), &fill(m, k, q, 11), &fill(k, n, q, 23));
+        }
+    }
 
-            let bm = MontOperand::new(q, &b, k, n);
-            let mut got = vec![0u64; m * n];
-            gemm_rm(&a, m, &bm, &mut got);
-            assert_eq!(got, want, "gemm_rm m={m} k={k} n={n}");
-            assert_eq!(gemm_rm_ref(&a, m, &bm), want, "ref m={m} k={k} n={n}");
-
-            // The pre-packed form of the same constant: no per-call pack,
-            // same bits.
-            let bp = MontOperand::new_packed(q, &b, k, n);
-            let mut got_p = vec![0u64; m * n];
-            gemm_rm(&a, m, &bp, &mut got_p);
-            assert_eq!(got_p, want, "packed gemm_rm m={m} k={k} n={n}");
-            assert_eq!(
-                gemm_rm_ref(&a, m, &bp),
-                want,
-                "packed ref m={m} k={k} n={n}"
-            );
-
-            let am = MontOperand::new(q, &a, m, k);
-            let mut got_l = vec![0u64; m * n];
-            gemm_lm(&am, &b, n, &mut got_l);
-            assert_eq!(got_l, want, "gemm_lm m={m} k={k} n={n}");
-
-            // Both register tiles must reproduce the same bits through
-            // the full blocked kernel, not just in isolation.
-            for kernel in [crate::simd::scalar_tile(), crate::simd::simd4()] {
-                let mut got_k = vec![0u64; m * n];
-                gemm_rm_with(&a, m, &bm, kernel, &mut got_k);
-                assert_eq!(got_k, want, "{} m={m} k={k} n={n}", kernel.label());
-                let mut got_kl = vec![0u64; m * n];
-                gemm_lm_with(&am, &b, n, kernel, &mut got_kl);
-                assert_eq!(got_kl, want, "lm {} m={m} k={k} n={n}", kernel.label());
+    #[test]
+    fn tile_is_selected_by_prime_width_and_every_tile_agrees() {
+        for (q, label) in selection_primes() {
+            assert_eq!(MontOperand::new(q, &[], 0, 0).kernel().label(), label);
+            // Inner dimensions around the 29-, 30- and 31-bit spill
+            // points, with edge rows and an edge panel, random and
+            // saturated.
+            for &(m, k, n) in &[
+                (5usize, 4usize, 9usize),
+                (9, 17, 8),
+                (6, 65, 11),
+                (4, 257, 8),
+            ] {
+                check_all_entry_points(q, (m, k, n), &fill(m, k, q, 5), &fill(k, n, q, 7));
+                check_all_entry_points(q, (m, k, n), &vec![q - 1; m * k], &vec![q - 1; k * n]);
             }
         }
     }
@@ -608,16 +665,19 @@ mod tests {
 
     #[test]
     fn layout_hooks_match_schoolbook() {
-        let q = generate_ntt_primes(1, 28, 1 << 8)[0];
-        // Full tiles, edge rows (d1 mod MR ≠ 0) and edge panels (d2 mod NR ≠ 0).
-        for &(d1, d2) in &[(16usize, 8usize), (8, 16), (2, 2), (4, 2), (6, 11), (13, 5)] {
-            let a = fill(d1, d2, q, 31);
-            let (w1, tw, w2) = (
-                fill(d2, d2, q, 37),
-                fill(d1, d2, q, 41),
-                fill(d1, d1, q, 43),
-            );
-            fused_chain_matches_schoolbook(q, d1, d2, &a, [&w1, &tw, &w2]);
+        // Full tiles, edge rows (d1 mod MR ≠ 0) and edge panels (d2 mod NR
+        // ≠ 0), a strided left operand and pre-laid panels, under the
+        // narrow tile (with and without spills) and the limb split.
+        for (q, _) in selection_primes() {
+            for &(d1, d2) in &[(16usize, 8usize), (8, 16), (2, 2), (4, 2), (6, 11), (13, 5)] {
+                let a = fill(d1, d2, q, 31);
+                let (w1, tw, w2) = (
+                    fill(d2, d2, q, 37),
+                    fill(d1, d2, q, 41),
+                    fill(d1, d1, q, 43),
+                );
+                fused_chain_matches_schoolbook(q, d1, d2, &a, [&w1, &tw, &w2]);
+            }
         }
     }
 

@@ -19,10 +19,14 @@
 //!   the host fast path for the batched-NTT and basis-conversion products
 //!   (bit-identical to the Barrett scalar reference).
 //! * [`simd`] — the pluggable register tiles behind [`gemm_fast`]: the
-//!   lane-parallel 32×32→64 limb-split Montgomery tile (`Simd4`) and the
-//!   `u128`-accumulator scalar reference tile, selected once per plan.
+//!   single-`u64`-accumulator, `u128`-free tile for word-size primes
+//!   (`Narrow`), the lane-parallel 32×32→64 limb-split Montgomery tile
+//!   (`Simd4`) and the `u128`-accumulator scalar reference tile; an
+//!   operand selects `Narrow` or `Simd4` from its prime, once, when it is
+//!   built.
 //! * [`scratch`] — thread-local reusable buffer pools backing the hot GEMM
-//!   paths, so steady-state drains stop allocating.
+//!   paths, so steady-state drains stop allocating; buffers a kernel
+//!   overwrites whole can be taken dirty and skip the zero fill.
 //!
 //! # Examples
 //!

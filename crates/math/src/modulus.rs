@@ -338,6 +338,29 @@ impl Modulus {
         }
     }
 
+    /// `x[i]·y[i] mod q` as a new vector — [`Modulus::mul_slice`] writing
+    /// its result once instead of copying an operand and multiplying in
+    /// place. Operands must be reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    #[must_use]
+    pub fn mul_to_vec(&self, x: &[u64], y: &[u64]) -> Vec<u64> {
+        assert_eq!(x.len(), y.len(), "slice length mismatch");
+        let pairs = x.iter().zip(y);
+        if self.is_word_size() {
+            pairs
+                .map(|(&xv, &yv)| {
+                    debug_assert!(xv < self.q && yv < self.q);
+                    self.reduce_word((xv & LO32) * (yv & LO32))
+                })
+                .collect()
+        } else {
+            pairs.map(|(&xv, &yv)| self.mul(xv, yv)).collect()
+        }
+    }
+
     /// `acc[i] ← acc[i] + x[i]·y[i] mod q` (the key-switch inner product
     /// over one limb). Operands must be reduced.
     ///

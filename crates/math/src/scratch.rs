@@ -6,9 +6,12 @@
 //! scale but shows up as allocator churn once the host backend executes
 //! the same GEMMs for real on every drain. This module keeps a small
 //! per-thread pool of `u64`/`u128` buffers: a kernel *takes* a buffer of
-//! the length it needs (zero-filled), uses it, and *gives* it back, so a
-//! steady-state drain loop reuses the same allocations instead of growing
-//! the heap — the property `scratch` tests pin via [`thread_stats`].
+//! the length it needs, uses it, and *gives* it back, so a steady-state
+//! drain loop reuses the same allocations instead of growing the heap —
+//! the property `scratch` tests pin via [`thread_stats`]. A take is
+//! zero-filled ([`take_u64`]) unless the kernel overwrites the whole buffer
+//! anyway and asks for it dirty ([`take_dirty_u64`]): a recycled buffer
+//! then comes back with whatever it last held and costs no memory pass.
 //!
 //! The pool is thread-local on purpose: worker threads never contend, no
 //! ordering is introduced (determinism lints stay trivially satisfied),
@@ -67,7 +70,11 @@ pub fn clear_thread_pool() {
 /// Best-fit take: the smallest pooled buffer whose capacity covers `len`,
 /// else the largest available (it will regrow once and then be retained),
 /// else a fresh allocation.
-fn take_from<T: Clone + Default>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
+///
+/// `dirty` keeps the recycled contents (every element initialised, values
+/// unspecified) and writes `T::default()` only into growth past the
+/// buffer's previous length; otherwise the whole buffer is reset.
+fn take_from<T: Clone + Default>(pool: &mut Vec<Vec<T>>, len: usize, dirty: bool) -> Vec<T> {
     let mut best: Option<usize> = None;
     for (i, buf) in pool.iter().enumerate() {
         let cap = buf.capacity();
@@ -90,7 +97,9 @@ fn take_from<T: Clone + Default>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
         Some(i) => pool.swap_remove(i),
         None => Vec::new(),
     };
-    buf.clear();
+    if !dirty {
+        buf.clear();
+    }
     buf.resize(len, T::default());
     buf
 }
@@ -115,7 +124,16 @@ fn give_to<T>(pool: &mut Vec<Vec<T>>, buf: Vec<T>) {
 /// Takes a zero-filled `u64` buffer of exactly `len` elements.
 #[must_use]
 pub fn take_u64(len: usize) -> Vec<u64> {
-    POOL.with(|p| take_from(&mut p.borrow_mut().u64s, len))
+    POOL.with(|p| take_from(&mut p.borrow_mut().u64s, len, false))
+}
+
+/// Takes a `u64` buffer of exactly `len` elements with **unspecified
+/// contents** (initialised, but whatever a recycled buffer last held; only
+/// growth past its previous length is zero-filled). For kernels that
+/// overwrite the buffer whole before reading it.
+#[must_use]
+pub fn take_dirty_u64(len: usize) -> Vec<u64> {
+    POOL.with(|p| take_from(&mut p.borrow_mut().u64s, len, true))
 }
 
 /// Returns a `u64` buffer to this thread's pool.
@@ -126,7 +144,7 @@ pub fn give_u64(buf: Vec<u64>) {
 /// Takes a zero-filled `u128` buffer of exactly `len` elements.
 #[must_use]
 pub fn take_u128(len: usize) -> Vec<u128> {
-    POOL.with(|p| take_from(&mut p.borrow_mut().u128s, len))
+    POOL.with(|p| take_from(&mut p.borrow_mut().u128s, len, false))
 }
 
 /// Returns a `u128` buffer to this thread's pool.
@@ -148,6 +166,26 @@ mod tests {
         assert_eq!(b.len(), 6);
         assert!(b.iter().all(|&x| x == 0), "recycled buffer must be zeroed");
         give_u64(b);
+    }
+
+    #[test]
+    fn dirty_take_keeps_contents_and_zero_fills_only_growth() {
+        clear_thread_pool();
+        let mut a = take_u64(8);
+        a.iter_mut().for_each(|x| *x = 7);
+        give_u64(a);
+        let b = take_dirty_u64(12);
+        assert_eq!(b.len(), 12);
+        assert!(b[..8].iter().all(|&x| x == 7), "recycled part is kept");
+        assert!(b[8..].iter().all(|&x| x == 0), "growth is zero-filled");
+        give_u64(b);
+        let c = take_dirty_u64(5);
+        assert_eq!(c, [7; 5], "a shorter take truncates, nothing is written");
+        give_u64(c);
+        assert!(
+            take_u64(12).iter().all(|&x| x == 0),
+            "plain takes still zero"
+        );
     }
 
     #[test]

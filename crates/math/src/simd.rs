@@ -3,23 +3,30 @@
 //! [`crate::gemm_fast`]'s tiled kernel bottoms out in an `MR×NR`
 //! register tile: `MR` data rows multiply-accumulated against a packed
 //! `k×NR` column panel, one `REDC` per output. This module makes that
-//! tile pluggable behind the [`MicroKernel`] trait and provides two
+//! tile pluggable behind the [`MicroKernel`] trait and provides three
 //! implementations:
 //!
 //! * [`ScalarTile`] — the PR-9 reference tile: each lane accumulates in a
 //!   single `u128` (`acc += a·b'` with a 64×64→128 multiply). Exact, but
 //!   128-bit lanes defeat autovectorization, so every MAC is a serial
 //!   `mul`/`add`/`adc` chain.
-//! * [`Simd4`] — the lane-parallel tile. Residues and Montgomery-form
-//!   panel entries are both `< 2^32` (asserted by
-//!   [`crate::gemm_fast::MontOperand`]), so each product fits one `u64`:
+//! * [`Simd4`] — the lane-parallel **limb-split** tile, for any `q < 2^32`.
+//!   Residues and Montgomery-form panel entries are both `< 2^32` (asserted
+//!   by [`crate::gemm_fast::MontOperand`]), so each product fits one `u64`:
 //!   a 32×32→64 multiply. The tile accumulates **two** `u64` vectors per
 //!   lane group — the wrapping sum `sum += p` and the exact high-limb sum
 //!   `hi += ⌊p / 2^32⌋` — with *no* `u128` arithmetic in the inner loop:
-//!   one multiply, one shift and two adds per product. The compiler turns
-//!   the masked multiplies into packed 32×32→64 instructions (`pmuludq` /
-//!   `vpmuludq`) and the rest into packed 64-bit shifts and adds,
-//!   four-plus lanes wide.
+//!   one multiply, one shift and two adds per product.
+//! * [`Narrow`] — the lane-parallel **single-accumulator** tile, for
+//!   word-size primes (`q < 2^31`, every admitted CKKS prime). One `u64`
+//!   lane holds the exact sum of a whole run of products, so the inner
+//!   loop is one multiply and one add per product — half the vector work
+//!   of the limb split — and the per-output `REDC` is two 32-bit Shoup
+//!   products in `u64` lanes: no `u128` anywhere in the tile.
+//!
+//! In both lane-parallel tiles the compiler turns the masked multiplies
+//! into packed 32×32→64 instructions (`pmuludq` / `vpmuludq`) and the rest
+//! into packed 64-bit shifts and adds, four-plus lanes wide.
 //!
 //! # Why the limb split is exact
 //!
@@ -42,16 +49,61 @@
 //! construction, a property the proptest suites pin across all nine paper
 //! presets.
 //!
+//! # Why the narrow tile is exact
+//!
+//! Operands are reduced, so a product is at most `(q−1)²` and a lane that
+//! starts below `2^33` takes
+//!
+//! ```text
+//!   fold = ⌊(2^64 − 2^33) / (q−1)²⌋
+//! ```
+//!
+//! products before it can wrap. `fold ≥ 256` for every prime below `2^28`
+//! and `≥ 64` below `2^29`, so at every HEAX / Table V shape (`k ≤ 256`)
+//! a 28-bit prime never spills and the 29-bit Default set at `N = 2^16`
+//! runs four runs of 64. Between runs the lane *spills*: its high limb is
+//! folded back in as `acc ← acc_lo + [2^32·acc_hi]`, where `[w·x]` is the
+//! lazy 32-bit Shoup product ([`crate::Modulus::mul_shoup32_lazy`]: a
+//! value in `[0, 2q)` congruent to `w·x`, for any `x < 2^32`). The lane
+//! stays congruent to the exact sum and drops below `2^32 + 2q < 2^33` —
+//! eight vector ops per `fold` products instead of two more per product.
+//!
+//! The final reduction must equal `REDC` with `R = 2^64`, because the
+//! constant operand is stored as `b·R mod q` whichever tile multiplies
+//! it. The lane is below `2^64`, so with `c₁ = 2^-32` and `c₂ = 2^-64
+//! (mod q)`,
+//!
+//! ```text
+//!   acc·R⁻¹  ≡  [c₁·acc_hi] + [c₂·acc_lo]   ∈ [0, 4q)
+//! ```
+//!
+//! and two conditional subtractions make it the canonical residue
+//! [`Montgomery::redc`] returns. Every multiply in the tile is a 32×32→64
+//! one whose full result is used, which is what lets the compiler keep
+//! them all packed (`vpmuludq`); the textbook alternative — two 32-bit
+//! Montgomery steps — needs the *low* half of a product, and LLVM lowers
+//! that to the slow 64-bit `vpmullq` wherever AVX-512DQ makes it legal.
+//!
 //! # Selection
 //!
-//! A kernel is selected **once per plan**: [`crate::gemm_fast::MontOperand`]
-//! captures [`active`]'s choice at construction, and every GEMM against
-//! that operand dispatches through it. [`active`] always returns
-//! [`Simd4`] — it is portable safe Rust with no feature detection to go
-//! wrong — while [`ScalarTile`] stays reachable through the `*_with`
-//! GEMM entry points for the A/B benches and the equivalence proofs.
+//! There is one rule and one place it is applied. [`Narrow::select`]
+//! computes `fold` and the three Shoup constants from the prime — `Some`
+//! exactly when the prime is word-size ([`crate::Modulus::is_word_size`],
+//! which gives `fold ≥ 4`), `None` for `2^31 ≤ q < 2^32` where a run would
+//! be too short to pay — and
+//! [`crate::gemm_fast::MontOperand`] calls it **once, at construction**:
+//! every product against that operand dispatches through the captured
+//! tile, [`Narrow`] if selected and [`Simd4`] otherwise. No runtime
+//! switch, no feature probe. A [`Narrow`] tile remembers the prime it was
+//! sized for and refuses (asserts) a tile call under any other, so a
+//! `fold` can never be applied to products it does not bound.
+//! [`ScalarTile`] and [`Simd4`] stay reachable through the `*_with` GEMM
+//! entry points as the differential references for the A/B benches and the
+//! equivalence proofs.
 
+use crate::modulus::{csub, Modulus, LO32};
 use crate::montgomery::Montgomery;
+use std::ops::Range;
 
 /// A strided view of a GEMM's streamed data operand: element `(i, kk)` of
 /// the logical `m×k` matrix lives at `data[i·row_stride + kk·k_stride]`.
@@ -177,9 +229,6 @@ impl MicroKernel for ScalarTile {
     }
 }
 
-/// 32-bit mask exposing the zero high halves to the autovectorizer.
-const LO32: u64 = 0xFFFF_FFFF;
-
 /// The lane-parallel tile: 32×32→64 products, 32-bit limb-split `u64`
 /// accumulators, no `u128` in the inner loop (see the module docs for the
 /// exactness argument).
@@ -192,7 +241,7 @@ impl MicroKernel for Simd4 {
     }
 
     fn lanes(&self) -> usize {
-        4
+        LANES
     }
 
     fn tile(
@@ -242,6 +291,131 @@ impl MicroKernel for Simd4 {
     }
 }
 
+/// The single-accumulator tile for a word-size prime: one `u64` lane per
+/// output holds the exact sum of up to `fold` products, and every
+/// reduction is a 32-bit Shoup product in the same lanes (see the module
+/// docs for the exactness argument). Built only by [`Narrow::select`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Narrow {
+    /// The prime everything below was computed for.
+    q: Modulus,
+    /// Products a lane below `2^33` takes before it can wrap.
+    fold: usize,
+    /// `2^32 mod q` — folds a lane's high limb back in at a spill — as a
+    /// Shoup pair `[w, ⌊w·2^32/q⌋]`.
+    spill: [u64; 2],
+    /// `2^-32 mod q` and `2^-64 mod q`, as Shoup pairs — `REDC` of the
+    /// high and low limb.
+    redc: [[u64; 2]; 2],
+}
+
+impl Narrow {
+    /// The selection rule: the narrow tile sized for `q` if `q` is an odd
+    /// word-size modulus (`q < 2^31`), else `None` — the caller keeps
+    /// [`Simd4`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q < 2`.
+    #[must_use]
+    pub fn select(q: u64) -> Option<Self> {
+        let m = Modulus::new(q);
+        if q.is_multiple_of(2) || !m.is_word_size() {
+            return None;
+        }
+        let fold = (u64::MAX - LO32 - (1 << 32)) / ((q - 1) * (q - 1));
+        // R⁻¹ = REDC(1) and 2^-32 = REDC(2^32), for R = 2^64.
+        let mont = Montgomery::new(q);
+        let shoup = |w: u64| [w, m.shoup32(w)];
+        Some(Self {
+            q: m,
+            fold: usize::try_from(fold).unwrap_or(usize::MAX),
+            spill: shoup(m.reduce(1 << 32)),
+            redc: [shoup(mont.redc(1 << 32)), shoup(mont.redc(1))],
+        })
+    }
+
+    /// Products per accumulator run: `⌊(2^64 − 2^33) / (q−1)²⌋`.
+    #[must_use]
+    pub fn fold(&self) -> usize {
+        self.fold
+    }
+}
+
+/// `acc[ii·NR + jj] += Σ_{kk ∈ run} a[ii][kk]·panel[kk][jj]`, one multiply
+/// and one add per product.
+///
+/// Deliberately its own function: inlined next to the reduction loop,
+/// LLVM's SLP pass merges the two and fills this loop with cross-lane
+/// shuffles; on its own it compiles to `MR·NR / lanes` independent
+/// multiply-accumulate chains.
+#[inline(never)]
+fn accumulate(a: Strided<'_>, run: Range<usize>, panel: &[u64], acc: &mut [u64; MR * NR]) {
+    let mut s = *acc;
+    let rows = panel[run.start * NR..run.end * NR].chunks_exact(NR);
+    for (kk, prow) in run.zip(rows) {
+        for ii in 0..MR {
+            // Both factors are < 2^32; the masks prove it to the
+            // vectorizer (packed 32×32→64, `vpmuludq`).
+            let av = a.at(ii, kk) & LO32;
+            for jj in 0..NR {
+                s[ii * NR + jj] += av * (prow[jj] & LO32);
+            }
+        }
+    }
+    *acc = s;
+}
+
+impl MicroKernel for Narrow {
+    fn label(&self) -> &'static str {
+        "narrow"
+    }
+
+    fn lanes(&self) -> usize {
+        LANES
+    }
+
+    fn tile(
+        &self,
+        a: Strided<'_>,
+        k: usize,
+        panel: &[u64],
+        mont: &Montgomery,
+        out: &mut [u64; MR * NR],
+    ) {
+        let q = &self.q;
+        assert_eq!(
+            mont.modulus(),
+            q.value(),
+            "narrow tile sized for another prime"
+        );
+        debug_assert_eq!(panel.len(), k * NR);
+        let mut acc = [0u64; MR * NR];
+        let mut k0 = 0usize;
+        loop {
+            let k1 = k.min(k0.saturating_add(self.fold));
+            accumulate(a, k0..k1, panel, &mut acc);
+            if k1 == k {
+                break;
+            }
+            // Spill: fold the high limb back in. Congruent to the exact
+            // sum, and below 2^32 + 2q < 2^33.
+            let [w, ws] = self.spill;
+            for acc in &mut acc {
+                *acc = (*acc & LO32) + q.mul_shoup32_lazy(w, ws, *acc >> 32);
+            }
+            k0 = k1;
+        }
+        let [[hi, his], [lo, los]] = self.redc;
+        for (o, &acc) in out.iter_mut().zip(&acc) {
+            // acc·2^-64 = acc_hi·2^-32 + acc_lo·2^-64, in [0, 4q).
+            let r =
+                q.mul_shoup32_lazy(hi, his, acc >> 32) + q.mul_shoup32_lazy(lo, los, acc & LO32);
+            *o = csub(csub(r, 2 * q.value()), q.value());
+        }
+    }
+}
+
 static SCALAR_TILE: ScalarTile = ScalarTile;
 static SIMD4: Simd4 = Simd4;
 
@@ -251,26 +425,21 @@ pub fn scalar_tile() -> &'static dyn MicroKernel {
     &SCALAR_TILE
 }
 
-/// The lane-parallel tile instance.
+/// The limb-split lane-parallel tile instance.
 #[must_use]
 pub fn simd4() -> &'static dyn MicroKernel {
     &SIMD4
 }
 
-/// The micro-kernel new plans capture: always [`Simd4`]. Portable safe
-/// Rust — there is no feature probe to mis-detect, and the kernel is
-/// bit-identical to [`ScalarTile`] everywhere, so the selection is a pure
-/// perf choice made once per plan (see the module docs).
-#[must_use]
-pub fn active() -> &'static dyn MicroKernel {
-    &SIMD4
-}
+/// Lanes both lane-parallel tiles ([`Simd4`], [`Narrow`]) are written for.
+const LANES: usize = 4;
 
-/// Lane count of the [`active`] micro-kernel (what `ServiceStats`
-/// reports as `simd_lanes` for the fast host backend).
+/// Lane count of the tile a [`crate::gemm_fast::MontOperand`] captures,
+/// whichever of the two it is (what `ServiceStats` reports as `simd_lanes`
+/// for the fast host backend).
 #[must_use]
 pub fn active_lanes() -> usize {
-    active().lanes()
+    LANES
 }
 
 #[cfg(test)]
@@ -291,40 +460,131 @@ mod tests {
             .collect()
     }
 
+    /// Runs all three tiles on the same operands and demands equal bits.
+    fn assert_tiles_agree(q: u64, k: usize, a: &[u64], panel: &[u64]) {
+        let mont = Montgomery::new(q);
+        let view = Strided::row_major(a, k);
+        let mut want = [0u64; MR * NR];
+        scalar_tile().tile(view, k, panel, &mont, &mut want);
+        let mut got = [0u64; MR * NR];
+        simd4().tile(view, k, panel, &mont, &mut got);
+        assert_eq!(got, want, "limb-split q={q} k={k}");
+        if let Some(narrow) = Narrow::select(q) {
+            let mut got = [0u64; MR * NR];
+            narrow.tile(view, k, panel, &mont, &mut got);
+            assert_eq!(got, want, "narrow (fold {}) q={q} k={k}", narrow.fold());
+        }
+    }
+
     #[test]
     fn simd_tile_matches_scalar_tile() {
-        let q = generate_ntt_primes(1, 28, 1 << 8)[0];
-        let mont = Montgomery::new(q);
-        for k in [1usize, 2, 7, 16, 64, 257] {
-            let a = fill(MR * k, q, 7 + k as u64);
-            let panel = fill(k * NR, q, 99 + k as u64);
-            let mut want = [0u64; MR * NR];
-            let mut got = [0u64; MR * NR];
-            scalar_tile().tile(Strided::row_major(&a, k), k, &panel, &mont, &mut want);
-            simd4().tile(Strided::row_major(&a, k), k, &panel, &mont, &mut got);
-            assert_eq!(got, want, "k={k}");
+        // 28-bit: no spill up to k = 256, one at 257. 29-bit: runs of 64.
+        // 30- and 31-bit: runs of 16 and 4.
+        let cases: [(u32, &[usize]); 4] = [
+            (28, &[1, 2, 7, 16, 64, 128, 256, 257]),
+            (29, &[64, 65, 256]),
+            (30, &[15, 16, 17, 256]),
+            (31, &[3, 4, 5, 64, 256]),
+        ];
+        for (bits, ks) in cases {
+            let q = generate_ntt_primes(1, bits, 1 << 8)[0];
+            for &k in ks {
+                let a = fill(MR * k, q, 7 + k as u64);
+                let panel = fill(k * NR, q, 99 + k as u64);
+                assert_tiles_agree(q, k, &a, &panel);
+            }
+        }
+    }
+
+    #[test]
+    fn fold_is_the_last_run_length_that_cannot_wrap() {
+        for bits in [20u32, 28, 29, 30, 31] {
+            let q = generate_ntt_primes(1, bits, 1 << 8)[0];
+            let fold = Narrow::select(q).expect("word-size").fold() as u128;
+            let p = (q as u128 - 1) * (q as u128 - 1);
+            // A lane that starts at 2^33 − 1 and takes `fold` worst-case
+            // products stays inside u64; one more product would not.
+            assert!((1 << 33) - 1 + fold * p < 1 << 64, "{bits}-bit fold wraps");
+            assert!(
+                (1 << 33) - 1 + (fold + 1) * p >= 1 << 64,
+                "{bits}-bit slack"
+            );
+        }
+        let fold = |bits: u32| {
+            let q = generate_ntt_primes(1, bits, 1 << 8)[0];
+            Narrow::select(q).expect("word-size").fold()
+        };
+        assert!(fold(28) >= 256, "28-bit primes never spill at k ≤ 256");
+        assert!(
+            (64..256).contains(&fold(29)),
+            "29-bit primes run 64 at a time"
+        );
+        assert!(fold(31) >= 4);
+    }
+
+    #[test]
+    fn saturated_runs_at_the_fold_edge() {
+        // Every operand q − 1, inner dimension one product below, at and
+        // above a whole number of runs: the last product a lane may take,
+        // the first spill, and runs that start from a spilled lane.
+        for bits in [28u32, 29, 30, 31] {
+            let q = generate_ntt_primes(1, bits, 1 << 8)[0];
+            let fold = Narrow::select(q).expect("word-size").fold();
+            for k in [
+                fold - 1,
+                fold,
+                fold + 1,
+                2 * fold,
+                2 * fold + 1,
+                5 * fold + 3,
+            ] {
+                assert_tiles_agree(q, k, &vec![q - 1; MR * k], &vec![q - 1; k * NR]);
+            }
+        }
+        // The largest word-size prime: (q−1)² is as close to 2^62 as it gets.
+        let q = (1u64 << 31) - 1;
+        assert_eq!(Narrow::select(q).expect("word-size").fold(), 4);
+        for k in [3usize, 4, 5, 8, 9, 256, 1021] {
+            assert_tiles_agree(q, k, &vec![q - 1; MR * k], &vec![q - 1; k * NR]);
         }
     }
 
     #[test]
     fn saturated_tile_does_not_overflow() {
-        // Worst case: every entry q−1 at the widest supported modulus.
+        // Worst case: every entry q−1 at the widest supported modulus —
+        // not word-size, so only the limb split takes it.
         let q = (1u64 << 32) - 5;
-        let mont = Montgomery::new(q);
+        assert_eq!(Narrow::select(q), None);
         let k = 256usize;
-        let a = vec![q - 1; MR * k];
-        let panel = vec![q - 1; k * NR];
-        let mut want = [0u64; MR * NR];
-        let mut got = [0u64; MR * NR];
-        scalar_tile().tile(Strided::row_major(&a, k), k, &panel, &mont, &mut want);
-        simd4().tile(Strided::row_major(&a, k), k, &panel, &mont, &mut got);
-        assert_eq!(got, want);
+        assert_tiles_agree(q, k, &vec![q - 1; MR * k], &vec![q - 1; k * NR]);
     }
 
     #[test]
     fn selection_is_simd() {
-        assert_eq!(active().label(), "simd4");
+        for q in [3u64, 97, (1 << 28) - 57, (1 << 30) + 1, (1 << 31) - 1] {
+            let narrow = Narrow::select(q).expect("word-size prime");
+            assert_eq!((narrow.label(), narrow.lanes()), ("narrow", 4));
+        }
+        for q in [(1u64 << 31) + 11, (1 << 32) - 5, (1 << 61) - 1] {
+            assert_eq!(Narrow::select(q), None, "q = {q} keeps the limb split");
+        }
+        assert_eq!((simd4().label(), simd4().lanes()), ("simd4", 4));
         assert_eq!(active_lanes(), 4);
         assert_eq!(scalar_tile().lanes(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sized for another prime")]
+    fn narrow_tile_refuses_another_prime() {
+        let narrow = Narrow::select(97).expect("word-size");
+        let mont = Montgomery::new((1 << 31) - 1);
+        let mut out = [0u64; MR * NR];
+        narrow.tile(
+            Strided::row_major(&[0; MR], 1),
+            1,
+            &[0; NR],
+            &mont,
+            &mut out,
+        );
     }
 }

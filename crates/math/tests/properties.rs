@@ -121,6 +121,7 @@ proptest! {
             m.mul_slice(&mut got, &b);
             let want: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| m.mul(x, y)).collect();
             prop_assert_eq!(&got, &want, "mul_slice q={}", q);
+            prop_assert_eq!(&m.mul_to_vec(&a, &b), &want, "mul_to_vec q={}", q);
 
             let mut got = acc.clone();
             m.mul_acc_slice(&mut got, &a, &b);

@@ -97,16 +97,16 @@ enum Twiddles {
 
 /// A 32-bit Shoup pair packed as `w | ⌊w·2^32/q⌋ << 32`.
 #[derive(Debug, Clone, Copy)]
-struct Shoup32(u64);
+pub(crate) struct Shoup32(pub(crate) u64);
 
 impl Shoup32 {
-    fn new(w: u64, m: &Modulus) -> Self {
+    pub(crate) fn new(w: u64, m: &Modulus) -> Self {
         Self(w | m.shoup32(w) << 32)
     }
 
     /// The lazy product `w·x` in `[0, 2q)`, for any `x < 2^32`.
     #[inline(always)]
-    fn mul_lazy(self, x: u64, m: &Modulus) -> u64 {
+    pub(crate) fn mul_lazy(self, x: u64, m: &Modulus) -> u64 {
         m.mul_shoup32_lazy(self.0 & LO32, self.0 >> 32, x)
     }
 }
@@ -115,7 +115,7 @@ const LO32: u64 = 0xFFFF_FFFF;
 
 /// `min(r, r − m)` in wrapping arithmetic: `r − m` if `r ≥ m`, else `r`.
 #[inline(always)]
-fn csub(r: u64, m: u64) -> u64 {
+pub(crate) fn csub(r: u64, m: u64) -> u64 {
     r.min(r.wrapping_sub(m))
 }
 

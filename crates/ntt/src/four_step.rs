@@ -23,6 +23,7 @@
 //! what removes the RAW pipeline stalls measured in Fig. 10 — and each
 //! output element incurs exactly one modulo reduction.
 
+use crate::butterfly::{csub, Shoup32};
 use crate::mat::Mat;
 use crate::NttOps;
 use std::sync::OnceLock;
@@ -72,11 +73,21 @@ pub struct FourStepNtt {
 /// `W2 = W_n2_invᵀ` — the mirrored pipeline with every matrix transposed,
 /// so it reads evaluations row-major and writes coefficients `a[n1 + N1·n2]`
 /// through the very same two strides.
+///
+/// The twiddles `T` are stored in the layout the first GEMM's tiles are
+/// *stored* in — the `d1×NR` column panels the second GEMM consumes,
+/// padding columns zero — so the Hadamard product of one register tile is
+/// one straight element-wise loop over `rows·NR` contiguous values. For a
+/// word-size prime each entry is the packed 32-bit Shoup pair the
+/// butterfly's twiddles use (`w | ⌊w·2^32/q⌋ << 32`) and the product is
+/// [`Modulus::mul_shoup32_lazy`] plus one conditional subtraction, all in
+/// `u64` lanes; a wider prime keeps Montgomery-form entries and a `REDC`
+/// per element.
 #[derive(Debug, Clone)]
 struct Pass {
     /// Right operand of the first GEMM, pre-packed into column panels.
     w1: MontOperand,
-    /// Twiddle Hadamard operand in Montgomery form, row-major `d1×d2`.
+    /// Twiddle Hadamard operand, in the panel layout (see above).
     tw: Vec<u64>,
     /// Left operand of the second GEMM.
     w2: MontOperand,
@@ -173,13 +184,13 @@ pub(crate) struct CanonMats {
 
 impl Pass {
     /// Runs the pass over one row in place. `inter` is the caller's
-    /// `packed_len(d1, d2)` staging buffer: the first GEMM's epilogue
-    /// multiplies each register tile by its twiddles and stores it
-    /// directly as the second GEMM's column panels; the second GEMM's
-    /// epilogue stores its tiles directly into the row. Nothing else is
-    /// copied. Padding columns of `inter` (only when `d2 < NR`) must be
-    /// zero on entry and stay zero.
-    fn run(&self, row: &mut [u64], inter: &mut [u64]) {
+    /// `packed_len(d1, d2)` staging buffer, contents unspecified: the
+    /// first GEMM's epilogue multiplies each register tile by its twiddles
+    /// and stores it directly as the second GEMM's column panels — padding
+    /// columns included, which come out zero because the twiddle padding
+    /// is — and the second GEMM's epilogue stores its tiles directly into
+    /// the row. Nothing else is copied.
+    fn run(&self, q: &Modulus, row: &mut [u64], inter: &mut [u64]) {
         let (d1, d2) = (self.w2.rows(), self.w1.rows());
         let mont = self.w1.montgomery();
         let a = Strided {
@@ -188,12 +199,20 @@ impl Pass {
             k_stride: d1,
         };
         gemm_rm_fused(a, d1, &self.w1, |t: TileOut<'_>| {
-            for ii in 0..t.rows {
-                let r = t.row0 + ii;
-                let tw = &self.tw[r * d2 + t.col0..r * d2 + t.col0 + t.cols];
-                let at = panel_index(d1, r, t.col0);
-                let vals = &t.vals[ii * NR..ii * NR + t.cols];
-                for ((o, &v), &w) in inter[at..at + t.cols].iter_mut().zip(vals).zip(tw) {
+            // Rows row0.. of panel col0/NR are contiguous in the panel
+            // layout, as they are in the tile.
+            let at = panel_index(d1, t.row0, t.col0);
+            let len = t.rows * NR;
+            let lanes = inter[at..at + len]
+                .iter_mut()
+                .zip(&t.vals[..len])
+                .zip(&self.tw[at..at + len]);
+            if q.is_word_size() {
+                for ((o, &v), &w) in lanes {
+                    *o = csub(Shoup32(w).mul_lazy(v, q), q.value());
+                }
+            } else {
+                for ((o, &v), &w) in lanes {
                     // v·(w·R)·R⁻¹ = v·w mod q, canonical.
                     *o = mont.mul(v, w);
                 }
@@ -244,7 +263,17 @@ impl FourStepNtt {
         let mont = Montgomery::new(q);
         let packed = |w: Mat| MontOperand::new_packed(q, &w.data, w.rows, w.cols);
         let plain = |w: Mat| MontOperand::new(q, &w.data, w.rows, w.cols);
-        let twiddle = |w: Mat| w.data.iter().map(|&x| mont.to_mont(x)).collect();
+        let twiddle = |w: Mat| {
+            let mut panels = vec![0u64; packed_len(w.rows, w.cols)];
+            for (idx, &x) in w.data.iter().enumerate() {
+                panels[panel_index(w.rows, idx / w.cols, idx % w.cols)] = if m.is_word_size() {
+                    Shoup32::new(x, &m).0
+                } else {
+                    mont.to_mont(x)
+                };
+            }
+            panels
+        };
         Self {
             n,
             n1,
@@ -333,10 +362,11 @@ impl FourStepNtt {
     /// Panics if any row's length differs from the degree.
     pub(crate) fn transform_rows(&self, rows: &mut [&mut [u64]], inverse: bool) {
         let pass = if inverse { &self.inv } else { &self.fwd };
-        let mut inter = scratch::take_u64(packed_len(pass.w2.rows(), pass.w1.rows()));
+        // Every row's first GEMM overwrites the staging buffer whole.
+        let mut inter = scratch::take_dirty_u64(packed_len(pass.w2.rows(), pass.w1.rows()));
         for row in rows.iter_mut() {
             assert_eq!(row.len(), self.n, "input length mismatch");
-            pass.run(row, &mut inter);
+            pass.run(&self.q, row, &mut inter);
         }
         scratch::give_u64(inter);
     }
@@ -434,6 +464,47 @@ mod tests {
             fs.inverse(&mut y);
             assert_eq!(x, y, "inverse mismatch at N={n}");
             assert_eq!(x, a);
+        }
+    }
+
+    #[test]
+    fn twiddle_epilogue_is_exact_at_every_prime_width() {
+        // The Shoup-32 twiddle epilogue under the narrow tile without
+        // spills (28-bit), with them (29- to 31-bit: k = N2 = 32 > fold at
+        // 31 bits), and the Montgomery one under the limb split (32-bit);
+        // degrees with edge rows (N1 = 2), edge panels (N2 < NR) and a
+        // rectangular split, against the butterfly.
+        let mut rng = StdRng::seed_from_u64(13);
+        for bits in [28u32, 29, 30, 31, 32] {
+            for log_n in [2u32, 3, 5, 6, 9, 10] {
+                let n = 1usize << log_n;
+                let q = generate_ntt_primes(1, bits, n as u64)[0];
+                let bf = NttTable::new(n, q);
+                let fs = FourStepNtt::with_root(n, q, bf.psi());
+                let label = if bits < 32 { "narrow" } else { "simd4" };
+                assert_eq!(fs.fwd.w1.kernel().label(), label, "{bits}-bit tile");
+                for saturated in [false, true] {
+                    // The staging buffer is taken dirty: hand it garbage.
+                    scratch::give_u64(vec![u64::MAX; packed_len(fs.n1, fs.n2)]);
+                    let a: Vec<u64> = (0..n)
+                        .map(|_| {
+                            if saturated {
+                                q - 1
+                            } else {
+                                rng.gen_range(0..q)
+                            }
+                        })
+                        .collect();
+                    let (mut x, mut y) = (a.clone(), a.clone());
+                    bf.forward(&mut x);
+                    fs.forward(&mut y);
+                    assert_eq!(x, y, "forward at N={n}, {bits}-bit q");
+                    bf.inverse(&mut x);
+                    fs.inverse(&mut y);
+                    assert_eq!(x, y, "inverse at N={n}, {bits}-bit q");
+                    assert_eq!(x, a);
+                }
+            }
         }
     }
 
