@@ -11,12 +11,21 @@
 //! tolerance class). A second table sets the narrow single-accumulator
 //! GEMM tile beside the limb-split one at the two four-step products of
 //! HEAX set B and emits `kernels/host_tile_narrow_vs_split` the same way.
+//! A third sets the NTT-lean, limb-major `ckks::key_switch` beside the
+//! composition of the public whole-polynomial helpers (`key_switch_literal`:
+//! Algorithm 1 as written through the inner product — every limb of every
+//! digit raised, transformed and multiplied — ending in the same NTT-domain
+//! ModDown; outputs asserted bit-equal) and emits
+//! `kernels/host_keyswitch_lean_vs_reference`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use tensorfhe_bench::{print_table, report};
+use tensorfhe_ckks::keyswitch::{key_switch, key_switch_literal};
+use tensorfhe_ckks::trace::Tracing;
+use tensorfhe_ckks::{CkksContext, CkksParams, Domain, KeyChain, RnsPoly};
 use tensorfhe_math::crt::{BasisConvGemm, BasisConvTable, RnsBasis};
 use tensorfhe_math::gemm_fast::{gemm_rm, gemm_rm_with, MontOperand};
 use tensorfhe_math::prime::generate_ntt_primes;
@@ -249,6 +258,57 @@ fn tile_rows() {
     }
 }
 
+/// HMULT's key switch at HEAX set B (`N = 2^13`, 4 + 4 primes, `α = 1`,
+/// butterfly NTT): the lean, limb-major `key_switch` beside the reference
+/// composition.
+fn keyswitch_rows() {
+    let (trials, reps) = if report::smoke() { (5, 4) } else { (9, 20) };
+    let ctx = CkksContext::new(&CkksParams::heax_set_b()).expect("preset is valid");
+    let mut rng = StdRng::seed_from_u64(6);
+    let keys = KeyChain::generate(&ctx, &mut rng);
+    let level = ctx.params().max_level();
+    let limbs = (0..=level)
+        .map(|i| {
+            let q = ctx.q_mod(i).value();
+            (0..ctx.params().n()).map(|_| rng.gen_range(0..q)).collect()
+        })
+        .collect();
+    let d = RnsPoly::from_limbs(limbs, Domain::Ntt);
+    let relin = keys.relin_key();
+    assert_eq!(
+        key_switch(&ctx, &mut Tracing::new(None), &d, relin),
+        key_switch_literal(&ctx, &d, relin),
+        "the lean key switch must be bit-equal to the reference composition"
+    );
+    let lean = median_secs(trials, reps, || {
+        std::hint::black_box(key_switch(&ctx, &mut Tracing::new(None), &d, relin));
+    });
+    let reference = median_secs(trials, reps, || {
+        std::hint::black_box(key_switch_literal(&ctx, &d, relin));
+    });
+    let spread = lean.1.max(reference.1);
+    print_table(
+        &format!("Key switch, HEAX set B level {level} (median of {trials})"),
+        &["lean", "reference", "speedup", "spread"],
+        &[vec![
+            format!("{:.3} ms", lean.0 * 1e3),
+            format!("{:.3} ms", reference.0 * 1e3),
+            format!("{:.2}×", reference.0 / lean.0),
+            format!("{:.0}%", spread * 100.0),
+        ]],
+    );
+    if spread <= MAX_SPREAD {
+        report::emit(
+            "kernels",
+            &[("host_keyswitch_lean_vs_reference", reference.0 / lean.0)],
+        );
+    } else {
+        println!(
+            "[kernels] host_keyswitch_lean_vs_reference not emitted: spread exceeded {MAX_SPREAD}"
+        );
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
@@ -259,4 +319,5 @@ fn main() {
     benches();
     word_size_rows();
     tile_rows();
+    keyswitch_rows();
 }

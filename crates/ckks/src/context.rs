@@ -42,6 +42,22 @@ pub struct ModUpTable {
     pub conv: Arc<BasisConvGemm>,
 }
 
+impl ModUpTable {
+    /// Which target row of [`ModUpTable::conv`] is extended limb `e` (the
+    /// `q` limbs of the level in order, then the special limbs): `None` for
+    /// a limb the digit owns.
+    #[must_use]
+    pub fn target_index(&self, e: usize) -> Option<usize> {
+        if e < self.src_start {
+            Some(e)
+        } else if e < self.src_end {
+            None
+        } else {
+            Some(e - (self.src_end - self.src_start))
+        }
+    }
+}
+
 /// Tables for `ModDown` at one level: conversion from the special basis `P`
 /// to `q_0..q_l` plus `P^{-1} mod q_i`.
 #[derive(Debug)]

@@ -11,6 +11,7 @@ use crate::keys::KeyChain;
 use crate::keyswitch::key_switch;
 use crate::poly::{Ciphertext, Domain, Plaintext, RnsPoly};
 use crate::trace::{KernelEvent, KernelTracer, Tracing};
+use tensorfhe_math::scratch;
 
 /// Relative scale mismatch tolerated by additive operations.
 const SCALE_TOLERANCE: f64 = 1e-9;
@@ -106,10 +107,8 @@ impl<'a> Evaluator<'a> {
         self.begin("HADD");
         let n = a.n();
         let limbs = a.level() + 1;
-        let mut c0 = a.c0.clone();
-        c0.add_assign(self.ctx, &b.c0);
-        let mut c1 = a.c1.clone();
-        c1.add_assign(self.ctx, &b.c1);
+        let c0 = RnsPoly::sum(self.ctx, &a.c0, &b.c0);
+        let c1 = RnsPoly::sum(self.ctx, &a.c1, &b.c1);
         self.emit(KernelEvent::EleAdd {
             n,
             limbs: 2 * limbs,
@@ -189,10 +188,8 @@ impl<'a> Evaluator<'a> {
         self.begin("HADD");
         let n = a.n();
         let limbs = a.level() + 1;
-        let mut c0 = a.c0.clone();
-        c0.sub_assign(self.ctx, &b.c0);
-        let mut c1 = a.c1.clone();
-        c1.sub_assign(self.ctx, &b.c1);
+        let c0 = RnsPoly::difference(self.ctx, &a.c0, &b.c0);
+        let c1 = RnsPoly::difference(self.ctx, &a.c1, &b.c1);
         self.emit(KernelEvent::EleSub {
             n,
             limbs: 2 * limbs,
@@ -231,15 +228,10 @@ impl<'a> Evaluator<'a> {
         let limbs = a.level() + 1;
 
         // d0 = a0·b0, d2 = a1·b1, d1 = a0·b1 + a1·b0.
-        let mut d0 = a.c0.clone();
-        d0.hada_assign(ctx, &b.c0);
-        let mut d2 = a.c1.clone();
-        d2.hada_assign(ctx, &b.c1);
-        let mut d1 = a.c0.clone();
-        d1.hada_assign(ctx, &b.c1);
-        let mut t = a.c1.clone();
-        t.hada_assign(ctx, &b.c0);
-        d1.add_assign(ctx, &t);
+        let mut d0 = RnsPoly::hada(ctx, &a.c0, &b.c0);
+        let d2 = RnsPoly::hada(ctx, &a.c1, &b.c1);
+        let mut d1 = RnsPoly::hada(ctx, &a.c0, &b.c1);
+        d1.hada_acc(ctx, &a.c1, &b.c0);
         self.emit(KernelEvent::HadaMult {
             n,
             limbs: 4 * limbs,
@@ -292,10 +284,8 @@ impl<'a> Evaluator<'a> {
         self.begin("CMULT");
         let n = ct.n();
         let limbs = ct.level() + 1;
-        let mut c0 = ct.c0.clone();
-        c0.hada_assign(self.ctx, &pt.poly);
-        let mut c1 = ct.c1.clone();
-        c1.hada_assign(self.ctx, &pt.poly);
+        let c0 = RnsPoly::hada(self.ctx, &ct.c0, &pt.poly);
+        let c1 = RnsPoly::hada(self.ctx, &ct.c1, &pt.poly);
         self.emit(KernelEvent::HadaMult {
             n,
             limbs: 2 * limbs,
@@ -327,8 +317,7 @@ impl<'a> Evaluator<'a> {
         self.begin("HADD");
         let n = ct.n();
         let limbs = ct.level() + 1;
-        let mut c0 = ct.c0.clone();
-        c0.add_assign(self.ctx, &pt.poly);
+        let c0 = RnsPoly::sum(self.ctx, &ct.c0, &pt.poly);
         self.emit(KernelEvent::EleAdd { n, limbs });
         self.end("HADD");
         Ok(Ciphertext {
@@ -455,10 +444,14 @@ impl<'a> Evaluator<'a> {
         let half = q_l / 2;
         let polys = [p0, p1];
 
-        // INTT the two top limbs in one batched call.
-        let mut tops: Vec<Vec<u64>> = polys.iter().map(|p| p.limb(l).to_vec()).collect();
+        // INTT the two top limbs in one batched call, in pooled rows.
+        let n = p0.n();
+        let mut tops = scratch::take_dirty_u64(2 * n);
+        for (row, p) in tops.chunks_mut(n).zip(polys) {
+            row.copy_from_slice(p.limb(l));
+        }
         {
-            let mut rows: Vec<&mut [u64]> = tops.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut rows: Vec<&mut [u64]> = tops.chunks_mut(n).collect();
             ctx.ntt_q(l).inverse_batch(&mut rows);
         }
 
@@ -472,7 +465,7 @@ impl<'a> Evaluator<'a> {
             // sign-select add (v < 0 ⇒ v + q_j = x + q_j − q_l) replaces
             // a division per coefficient.
             let mut ts: Vec<Vec<u64>> = tops
-                .iter()
+                .chunks(n)
                 .map(|top| {
                     top.iter()
                         .map(|&x| if x > half { x + q_j - q_l } else { x })
@@ -491,6 +484,7 @@ impl<'a> Evaluator<'a> {
                 limbs.push(t);
             }
         }
+        scratch::give_u64(tops);
         (
             RnsPoly::from_limbs(limbs0, Domain::Ntt),
             RnsPoly::from_limbs(limbs1, Domain::Ntt),
@@ -553,8 +547,9 @@ impl<'a> Evaluator<'a> {
     ///
     /// The rotations' key switches pack into wide batched NTT blocks
     /// ([`crate::keyswitch::key_switch_batch`]): one batched INTT across
-    /// every rotation, one `steps × dnum`-row ModUp NTT block, and a single
-    /// ModDown over all `2·steps` accumulators. This is the
+    /// every rotation, per extended limb one NTT of up to `steps × dnum`
+    /// ModUp rows, and a single ModDown over all `2·steps` accumulators.
+    /// This is the
     /// streaming-bootstrap path — a BSGS stage's ≈√D baby rotations of the
     /// same ciphertext flow through `RnsPoly::ntt_forward_batch` blocks
     /// instead of transforming one polynomial at a time.
@@ -586,8 +581,9 @@ impl<'a> Evaluator<'a> {
     /// group's inner sum — yet all share the same level, so their key
     /// switches pack into the same wide batched NTT blocks
     /// ([`crate::keyswitch::key_switch_batch`]): one batched INTT across
-    /// every accumulator, one `pairs × dnum`-row ModUp NTT block, and a
-    /// single ModDown over all `2·pairs` accumulators. `hrotate_many` is
+    /// every accumulator, per extended limb one NTT of up to
+    /// `pairs × dnum` ModUp rows, and a single ModDown over all `2·pairs`
+    /// accumulators. `hrotate_many` is
     /// the special case where every pair names the same ciphertext.
     ///
     /// Results and emitted kernel events are identical to calling
@@ -617,7 +613,7 @@ impl<'a> Evaluator<'a> {
         if pairs.iter().any(|(ct, _)| ct.level() != level) {
             return Err(CkksError::Mismatch(
                 "hrotate_pairs ciphertexts must share one level (the batched \
-                 key switch packs same-level ModUp blocks)"
+                 key switch packs same-level ModUp rows)"
                     .into(),
             ));
         }
@@ -636,11 +632,12 @@ impl<'a> Evaluator<'a> {
 
         // Process live rotations in bounded chunks so the staged operands
         // (rotated components, switched pairs) obey the same residency cap
-        // as the key switch's own ModUp block — a paper-scale BSGS stage
+        // as the key switch's own ModUp rows — a paper-scale BSGS stage
         // must not hold ≈√D rotations' polynomials at once. Chunking never
         // changes results or events: batched transforms are bit-exact at
         // any width and emission stays strictly per rotation, in order.
         let chunk = crate::keyswitch::batch_chunk_inputs(ctx, level);
+        let switch_events = crate::keyswitch::key_switch_events(ctx.params(), level);
         let mut out = Vec::with_capacity(pairs.len());
         let mut i = 0usize;
         while i < elements.len() {
@@ -701,9 +698,8 @@ impl<'a> Evaluator<'a> {
                     n,
                     limbs: 2 * limbs,
                 });
-                {
-                    let mut tracing = Tracing::new(self.tracer.as_deref_mut().map(|t| t as _));
-                    crate::keyswitch::emit_key_switch_events(ctx, &mut tracing, level);
+                for &e in &switch_events {
+                    self.emit(e);
                 }
                 let mut c0 = c0_rot;
                 c0.add_assign(ctx, &k0);
@@ -1169,11 +1165,21 @@ mod tests {
             let mut eval2 = Evaluator::with_tracer(&ctx, Box::new(&mut rec));
             let _ = eval2.hmult(&a, &a, &keys).expect("hmult");
         }
-        // Table II: HMULT = NTT + Hada-Mult + Conv + Ele-Add.
-        assert!(rec.count("Hada-Mult") >= 1);
-        assert!(rec.count("Conv") >= 1, "keyswitch must emit Conv kernels");
-        assert!(rec.count("NTT") >= 1 && rec.count("INTT") >= 1);
-        assert!(rec.count("Ele-Add") >= 2);
+        // Table II: HMULT = NTT + Hada-Mult + Conv + Ele-Add. At toy's top
+        // level (m = 4, K = 2, α = 2: D = 2 digits over E = 6 limbs) the
+        // NTT-lean key switch emits one complement NTT per digit plus
+        // ModDown's two, the input INTT plus ModDown's two, and a Conv per
+        // digit plus ModDown's two.
+        assert_eq!(rec.count("Hada-Mult"), 1 + 2);
+        assert_eq!(rec.count("Conv"), 2 + 2);
+        assert_eq!((rec.count("NTT"), rec.count("INTT")), (2 + 2, 1 + 2));
+        assert_eq!(rec.count("Ele-Add"), 1 + 2 + 1);
+        // D·E + 2K + 2m rows, where the literal Algorithm 1 transforms 36.
+        let rows = rec.events.iter().map(|e| match *e {
+            KernelEvent::Ntt { limbs, .. } => limbs,
+            _ => 0,
+        });
+        assert_eq!(rows.sum::<usize>(), 2 * 6 + 2 * 2 + 2 * 4);
         // Operation markers bracket the work.
         assert_eq!(rec.ops.first().map(|o| o.0.as_str()), Some("HMULT"));
     }

@@ -16,12 +16,79 @@
 //! The evaluation key for digit `j` encrypts `P·Q̂_j·[Q̂_j^{-1}]_{Q_j}·s'`,
 //! whose RNS residues are simply `P mod q_i` inside digit `j` and `0`
 //! elsewhere — no big-integer arithmetic is ever needed.
+//!
+//! # Algorithm 1 as executed
+//!
+//! [`key_switch_batch`] computes exactly the values above, bit for bit, but
+//! runs only the transforms its data flow needs. Write `m = l+1`,
+//! `E = m + K` and `D` for the digit count ([`KeySwitchShape`] holds them).
+//!
+//! * **Own limbs are borrowed.** A digit's own limbs of `ModUp(d_j)` are
+//!   `d`'s limbs, and `d` arrives in the NTT domain: `NTT(INTT(x)) = x` on
+//!   canonical residues, so they are read straight from the input — no
+//!   copy, no transform. Only the `E − α_j` *complement* limbs of a digit
+//!   are converted and forward-transformed.
+//! * **Single-limb digits reduce.** With `α = 1` the conversion matrix is
+//!   the `1 × 1` identity and a complement limb is `x mod p`; the plan
+//!   picks that body when it is built
+//!   ([`tensorfhe_math::crt::BasisConvGemm`], "the single-limb rule").
+//! * **ModDown stays in the NTT domain on the `q` side.** Only the `K`
+//!   special limbs of an accumulator are inverse-transformed (they are all
+//!   the conversion reads). The `m` converted rows are forward-transformed
+//!   and the output is `(acc_i − NTT(conv_i))·P^{-1} mod q_i`. This is
+//!   exact, not approximate: the NTT is a `Z_{q_i}`-linear bijection, so
+//!   `NTT((a − c)·s) = (NTT(a) − NTT(c))·s`, and every step returns the
+//!   canonical residue in `[0, q_i)` — the same bits as transforming `acc_i`
+//!   back, subtracting in the coefficient domain and transforming forward.
+//!
+//! One switch therefore transforms
+//!
+//! ```text
+//! m  +  Σ_j (E − α_j)  +  2K  +  2m   =   D·E + 2K + 2m   rows
+//! ```
+//!
+//! (input INTT, complement NTTs, special-limb INTTs of both accumulators,
+//! converted-row NTTs) where the literal Algorithm 1 transforms
+//! `m + D·E + 2E + 2m` — 48 instead of 60 at HEAX set B.
+//! [`KeySwitchShape::ntt_rows`] is the formula, [`key_switch_events`] the
+//! kernel-event stream that carries it to the cost model.
+//!
+//! **The limb-major loop.** The work is ordered by extended limb, not by
+//! digit. After one batched INTT of the inputs into pooled rows and the
+//! in-place `y`-stage of every digit, each extended limb `e` (a `q_i` or a
+//! `p_k`) is finished before the next is touched: the complement rows of
+//! all `inputs × D` digits at `e` are converted into one pooled buffer, run
+//! through `e`'s plan as **one** `forward_batch`, and multiplied into both
+//! accumulators' limb `e` while they are hot (first digit writes, the rest
+//! multiply-accumulate). The live set is `inputs·D` rows plus two
+//! accumulator limbs per input — a few hundred KiB at HEAX set B, inside
+//! L2 — and each key limb is streamed exactly once, in order; the
+//! `D × E`-limb heap block of raised digits the literal algorithm builds
+//! (2 MB per HMULT at set B) never exists. ModDown then walks the `q` limbs
+//! the same way: convert row `i` of every accumulator, one `forward_batch`,
+//! subtract-and-scale.
+//!
+//! The public helpers [`mod_up`], [`ExtPoly::ntt_forward_batch`],
+//! [`ExtPoly::mul_acc`] and [`mod_down_batch`] are the same steps one whole
+//! polynomial at a time; composed in that order ([`key_switch_literal`])
+//! they are the reference the differential tests hold [`key_switch_batch`]
+//! to. That composition is literal up to the accumulators — it raises,
+//! transforms and multiplies all `D·E` limbs — but its ModDown is
+//! [`mod_down_batch`], i.e. already the NTT-domain one: it transforms
+//! `m + D·E + 2K + 2m` rows, not Algorithm 1's `m + D·E + 2E + 2m`. The
+//! coefficient-domain ModDown it replaced lives on as a test-only
+//! reference (`tests/keyswitch_lean.rs`), which holds [`mod_down_batch`]
+//! to it bit for bit on random accumulators.
 
-use crate::context::CkksContext;
+use crate::context::{CkksContext, ModDownTable, ModUpTable};
+use crate::params::CkksParams;
 use crate::poly::{Domain, RnsPoly};
 use crate::trace::{KernelEvent, Tracing};
-use tensorfhe_math::scratch;
-use tensorfhe_ntt::{NttBatchOps, NttOps};
+use std::ops::Range;
+use std::sync::Arc;
+use tensorfhe_math::crt::BasisConvGemm;
+use tensorfhe_math::{scratch, Modulus};
+use tensorfhe_ntt::{BatchedGemmNtt, NttBatchOps, NttOps};
 
 /// A polynomial over the extended basis `{q_0..q_l} ∪ {p_0..p_{K-1}}`.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,41 +153,17 @@ impl ExtPoly {
     }
 
     /// Forward NTT of a block of extended polynomials sharing one basis
-    /// layout, batched per modulus (`B` = block size rows per wide GEMM).
-    ///
-    /// This is the key-switch hot loop of §IV-D: all `dnum` ModUp digits
-    /// share the extended basis, so their transforms pack into one wide
-    /// GEMM per prime instead of `dnum` narrow ones.
+    /// layout, batched per modulus (`B` = block size rows per wide GEMM):
+    /// every limb of every polynomial, own and complement alike — the
+    /// whole-polynomial form of the per-limb transforms
+    /// [`key_switch_batch`] runs on complement rows only.
     ///
     /// # Panics
     ///
     /// Panics if the polynomials disagree on basis shape or any is already
     /// in NTT domain.
     pub fn ntt_forward_batch(ctx: &CkksContext, exts: &mut [ExtPoly]) {
-        let Some(first) = exts.first() else { return };
-        let (nq, np) = (first.q_limbs.len(), first.p_limbs.len());
-        for e in exts.iter() {
-            assert_eq!(e.q_limbs.len(), nq, "basis mismatch in batch");
-            assert_eq!(e.p_limbs.len(), np, "basis mismatch in batch");
-            assert_eq!(e.domain, Domain::Coeff);
-        }
-        for i in 0..nq {
-            let mut rows: Vec<&mut [u64]> = exts
-                .iter_mut()
-                .map(|e| e.q_limbs[i].as_mut_slice())
-                .collect();
-            ctx.ntt_q(i).forward_batch(&mut rows);
-        }
-        for k in 0..np {
-            let mut rows: Vec<&mut [u64]> = exts
-                .iter_mut()
-                .map(|e| e.p_limbs[k].as_mut_slice())
-                .collect();
-            ctx.ntt_p(k).forward_batch(&mut rows);
-        }
-        for e in exts.iter_mut() {
-            e.domain = Domain::Ntt;
-        }
+        Self::transform_batch(ctx, exts, Domain::Coeff);
     }
 
     /// Inverse NTT of a block of extended polynomials, batched per modulus
@@ -131,50 +174,38 @@ impl ExtPoly {
     /// Panics if the polynomials disagree on basis shape or any is already
     /// in coefficient domain.
     pub fn ntt_inverse_batch(ctx: &CkksContext, exts: &mut [ExtPoly]) {
+        Self::transform_batch(ctx, exts, Domain::Ntt);
+    }
+
+    /// Moves every polynomial of the block out of domain `from`, one
+    /// batched transform per modulus.
+    fn transform_batch(ctx: &CkksContext, exts: &mut [ExtPoly], from: Domain) {
         let Some(first) = exts.first() else { return };
         let (nq, np) = (first.q_limbs.len(), first.p_limbs.len());
         for e in exts.iter() {
             assert_eq!(e.q_limbs.len(), nq, "basis mismatch in batch");
             assert_eq!(e.p_limbs.len(), np, "basis mismatch in batch");
-            assert_eq!(e.domain, Domain::Ntt);
+            assert_eq!(e.domain, from);
         }
-        for i in 0..nq {
+        for e in 0..nq + np {
             let mut rows: Vec<&mut [u64]> = exts
                 .iter_mut()
-                .map(|e| e.q_limbs[i].as_mut_slice())
+                .map(|x| match e.checked_sub(nq) {
+                    None => x.q_limbs[e].as_mut_slice(),
+                    Some(k) => x.p_limbs[k].as_mut_slice(),
+                })
                 .collect();
-            ctx.ntt_q(i).inverse_batch(&mut rows);
+            let (_, plan) = ext_prime(ctx, nq, e);
+            match from {
+                Domain::Coeff => plan.forward_batch(&mut rows),
+                Domain::Ntt => plan.inverse_batch(&mut rows),
+            }
         }
-        for k in 0..np {
-            let mut rows: Vec<&mut [u64]> = exts
-                .iter_mut()
-                .map(|e| e.p_limbs[k].as_mut_slice())
-                .collect();
-            ctx.ntt_p(k).inverse_batch(&mut rows);
-        }
-        for e in exts.iter_mut() {
-            e.domain = Domain::Coeff;
-        }
-    }
-
-    /// `ext ⊙ key` as a new polynomial, limb-wise over the shared basis
-    /// prefix — what [`ExtPoly::mul_acc`] leaves in an all-zero accumulator,
-    /// without the zero fill and the pass that reads it back.
-    #[must_use]
-    pub fn product(ctx: &CkksContext, ext: &ExtPoly, key: &ExtPoly) -> Self {
-        assert_eq!(ext.domain, Domain::Ntt);
-        assert_eq!(key.domain, Domain::Ntt);
-        let q_limbs = ext.q_limbs.iter().zip(&key.q_limbs).enumerate();
-        let p_limbs = ext.p_limbs.iter().zip(&key.p_limbs).enumerate();
-        Self {
-            q_limbs: q_limbs
-                .map(|(i, (x, y))| ctx.q_mod(i).mul_to_vec(x, y))
-                .collect(),
-            p_limbs: p_limbs
-                .map(|(k, (x, y))| ctx.p_mod(k).mul_to_vec(x, y))
-                .collect(),
-            domain: Domain::Ntt,
-        }
+        let to = match from {
+            Domain::Coeff => Domain::Ntt,
+            Domain::Ntt => Domain::Coeff,
+        };
+        exts.iter_mut().for_each(|e| e.domain = to);
     }
 
     /// `self += ext ⊙ key`, limb-wise over the shared basis prefix.
@@ -194,20 +225,184 @@ impl ExtPoly {
     }
 }
 
-/// Most extended polynomials a single [`key_switch_batch`] call keeps
-/// resident in its ModUp block; wider rotation batches are chunked. At the
-/// paper's largest parameters one extended polynomial is ≈25 MB of limbs,
-/// so this bounds the block near ~400 MB — a few× one key switch's own
-/// transient, far below an unchunked √D-rotation batch.
+/// Limb `e` of `poly` in an extended basis whose `q` part has `limbs` active
+/// limbs (`q` limbs first, then the special limbs) — a key spans the full
+/// chain, so its special limbs are not at `q_limbs.len()`.
+fn ext_limb(poly: &ExtPoly, limbs: usize, e: usize) -> &[u64] {
+    match e.checked_sub(limbs) {
+        None => &poly.q_limbs[e],
+        Some(k) => &poly.p_limbs[k],
+    }
+}
+
+/// Modulus and NTT plan of extended limb `e` when the `q` part has `limbs`
+/// limbs.
+fn ext_prime(ctx: &CkksContext, limbs: usize, e: usize) -> (&Modulus, &BatchedGemmNtt) {
+    match e.checked_sub(limbs) {
+        None => (ctx.q_mod(e), ctx.ntt_q(e)),
+        Some(k) => (ctx.p_mod(k), ctx.ntt_p(k)),
+    }
+}
+
+/// The shape of one hybrid key switch at one level: everything the
+/// arithmetic loops and the costed kernel-event stream both depend on, in
+/// one place. [`key_switch_batch`] iterates over it; [`key_switch_events`]
+/// is generated from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeySwitchShape {
+    n: usize,
+    limbs: usize,
+    special: usize,
+    alpha: usize,
+}
+
+impl KeySwitchShape {
+    /// The shape at ciphertext level `level` of `params`.
+    #[must_use]
+    pub fn new(params: &CkksParams, level: usize) -> Self {
+        Self {
+            n: params.n(),
+            limbs: level + 1,
+            special: params.special_primes(),
+            alpha: params.alpha(),
+        }
+    }
+
+    /// Active ciphertext limbs `m = l + 1`.
+    #[must_use]
+    pub fn limbs(&self) -> usize {
+        self.limbs
+    }
+
+    /// Special limbs `K`.
+    #[must_use]
+    pub fn special(&self) -> usize {
+        self.special
+    }
+
+    /// Limbs of the extended basis, `E = m + K`.
+    #[must_use]
+    pub fn ext_limbs(&self) -> usize {
+        self.limbs + self.special
+    }
+
+    /// Decomposition digits at this level, `D = ⌈m/α⌉`.
+    #[must_use]
+    pub fn digits(&self) -> usize {
+        self.limbs.div_ceil(self.alpha)
+    }
+
+    /// The limbs digit `j` owns: `[jα, min((j+1)α, m))` (the last digit may
+    /// be partial).
+    #[must_use]
+    pub fn digit_limbs(&self, j: usize) -> Range<usize> {
+        j * self.alpha..((j + 1) * self.alpha).min(self.limbs)
+    }
+
+    /// Per digit, the `(src, dst)` widths of its ModUp conversion: its own
+    /// limbs and its complement `E − src`.
+    pub fn digit_widths(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.digits()).map(|j| {
+            let src = self.digit_limbs(j).len();
+            (src, self.ext_limbs() - src)
+        })
+    }
+
+    /// NTT + INTT rows one switch transforms: `D·E + 2K + 2m` (module
+    /// docs).
+    #[must_use]
+    pub fn ntt_rows(&self) -> usize {
+        self.digits() * self.ext_limbs() + 2 * self.special + 2 * self.limbs
+    }
+
+    /// The kernel-event stream of one key switch: the input INTT, every
+    /// digit's Conv, per digit the complement NTT and both inner-product
+    /// kernels, then the ModDown of the two accumulators.
+    #[must_use]
+    pub fn events(&self) -> Vec<KernelEvent> {
+        let n = self.n;
+        let ext = self.ext_limbs();
+        let mut ev = Vec::with_capacity(4 * self.digits() + 9);
+        ev.push(KernelEvent::Ntt {
+            n,
+            limbs: self.limbs,
+            inverse: true,
+        });
+        // Each Conv is a single event whatever the variant — under the
+        // GEMM formulations the tracer lowers it to a batched y stage plus
+        // one wide (L_dst × α) × (α × B·N) GEMM, under the butterfly
+        // baseline to the scalar per-residue kernel.
+        ev.extend(
+            self.digit_widths()
+                .map(|(l_src, l_dst)| KernelEvent::Conv { n, l_src, l_dst }),
+        );
+        for (_, complement) in self.digit_widths() {
+            ev.push(KernelEvent::Ntt {
+                n,
+                limbs: complement,
+                inverse: false,
+            });
+            ev.push(KernelEvent::HadaMult { n, limbs: 2 * ext });
+            ev.push(KernelEvent::EleAdd { n, limbs: 2 * ext });
+        }
+        ev.extend(self.mod_down_events(2));
+        ev
+    }
+
+    /// The ModDown of `accs` accumulators, stage by stage: special-limb
+    /// INTTs, conversions, converted-row NTTs, scaled subtractions — each
+    /// costed per accumulator, in the kernel shapes the rest of the switch
+    /// already uses. (The arithmetic batches the transforms across the
+    /// accumulators; costing them as one `accs·K`- or `accs·m`-limb event
+    /// adds a kernel shape per level that every costing has to simulate —
+    /// tried, +17 % `round_ms_p50` on the harness's `paper_model`.)
+    fn mod_down_events(&self, accs: usize) -> impl Iterator<Item = KernelEvent> {
+        let (n, limbs) = (self.n, self.limbs);
+        let stages = [
+            KernelEvent::Ntt {
+                n,
+                limbs: self.special,
+                inverse: true,
+            },
+            KernelEvent::Conv {
+                n,
+                l_src: self.special,
+                l_dst: limbs,
+            },
+            KernelEvent::Ntt {
+                n,
+                limbs,
+                inverse: false,
+            },
+            KernelEvent::EleSub { n, limbs },
+        ];
+        stages
+            .into_iter()
+            .flat_map(move |stage| std::iter::repeat_n(stage, accs))
+    }
+}
+
+/// The kernel-event stream of one [`key_switch`] at `level` — the single
+/// generator of that stream: the evaluator emits it per switch and
+/// `tensorfhe-core`'s schedules are built from it.
+#[must_use]
+pub fn key_switch_events(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
+    KeySwitchShape::new(params, level).events()
+}
+
+/// Most `N`-element rows a single [`key_switch_batch`] call keeps in its
+/// per-limb ModUp buffer (`inputs × digits`); wider rotation batches are
+/// chunked. The same count bounds the call's other pooled blocks to a few
+/// rows per input limb, so a paper-scale √D-rotation batch stays within
+/// tens of MB of transient instead of scaling with the batch.
 pub const MAX_MODUP_BLOCK: usize = 16;
 
 /// Inputs per [`key_switch_batch`] chunk at `level`: as many as keep the
-/// ModUp block within [`MAX_MODUP_BLOCK`] extended polynomials. Callers
-/// that stage per-input operands around the switch (e.g. batched
-/// rotations) chunk at the same width so their own transients obey the
-/// same residency bound.
+/// ModUp buffer within [`MAX_MODUP_BLOCK`] rows. Callers that stage
+/// per-input operands around the switch (e.g. batched rotations) chunk at
+/// the same width so their own transients obey the same residency bound.
 pub(crate) fn batch_chunk_inputs(ctx: &CkksContext, level: usize) -> usize {
-    let digits = (level + 1).div_ceil(ctx.params().alpha());
+    let digits = KeySwitchShape::new(ctx.params(), level).digits();
     (MAX_MODUP_BLOCK / digits).max(1)
 }
 
@@ -241,16 +436,15 @@ pub fn mod_up(
     let l = d_coeff.level();
     let n = d_coeff.n();
     let table = ctx.modup_table(digit, l);
-    let (s0, s1) = (table.src_start, table.src_end);
+    let own = table.src_start..table.src_end;
     let k = ctx.params().special_primes();
 
     // Own limbs are copied verbatim (the conversion is exact there); the
     // complement limbs are allocated for the conversion to fill.
-    let own = |i: usize| (s0..s1).contains(&i);
     let mut ext = ExtPoly {
         q_limbs: (0..=l)
             .map(|i| {
-                if own(i) {
+                if own.contains(&i) {
                     d_coeff.limb(i).to_vec()
                 } else {
                     vec![0; n]
@@ -262,15 +456,14 @@ pub fn mod_up(
     };
     // Complement limbs via the GEMM-lowered fast basis conversion: the
     // digit's limb-major block converts as one `(L_dst × α) × (α × N)`
-    // matrix product (batched y-stage + wide GEMM) instead of walking the
-    // N coefficients one at a time.
-    let src_rows: Vec<&[u64]> = (s0..s1).map(|i| d_coeff.limb(i)).collect();
+    // matrix product — the y-stage, then every target row.
+    let src_rows: Vec<&[u64]> = own.clone().map(|i| d_coeff.limb(i)).collect();
     {
         let (q_limbs, p_limbs) = (&mut ext.q_limbs, &mut ext.p_limbs);
         let mut out_rows: Vec<&mut [u64]> = q_limbs
             .iter_mut()
             .enumerate()
-            .filter(|&(i, _)| !own(i))
+            .filter(|(i, _)| !own.contains(i))
             .map(|(_, limb)| limb.as_mut_slice())
             .chain(p_limbs.iter_mut().map(Vec::as_mut_slice))
             .collect();
@@ -278,8 +471,8 @@ pub fn mod_up(
     }
     tracing.emit(KernelEvent::Conv {
         n,
-        l_src: s1 - s0,
-        l_dst: (l + 1 - (s1 - s0)) + k,
+        l_src: own.len(),
+        l_dst: (l + 1 - own.len()) + k,
     });
     ext
 }
@@ -293,93 +486,140 @@ pub fn mod_down(ctx: &CkksContext, tracing: &mut Tracing<'_>, acc: &ExtPoly) -> 
         .expect("one input")
 }
 
-/// Batched `ModDown` of several same-level accumulators: the INTT and NTT
-/// sandwiches run through the batched per-modulus path (`B` = block size);
-/// each accumulator's special-prime part then converts straight out of its
-/// own limbs — one `((l+1) × K) × (K × N)` GEMM into a pooled buffer every
-/// accumulator reuses — followed by its scaled subtraction.
+/// Batched `ModDown` of several same-level NTT-domain accumulators, through
+/// the routine the key switch itself runs (module docs): the special limbs
+/// are inverse-transformed in one batch per prime, then each `q` limb's
+/// converted rows take one batched forward transform and the scaled
+/// subtraction happens in the NTT domain.
 ///
-/// Emits the same kernel events as calling [`mod_down`] per accumulator —
-/// batching changes the arithmetic packing, not the costed schedule —
-/// grouped by stage instead of by accumulator.
+/// Emits the ModDown part of [`key_switch_events`] for `accs.len()`
+/// accumulators, grouped by stage.
+///
+/// # Panics
+///
+/// Panics if the accumulators disagree on level or any is in coefficient
+/// domain.
 #[must_use]
 pub fn mod_down_batch(
     ctx: &CkksContext,
     tracing: &mut Tracing<'_>,
     accs: &[&ExtPoly],
 ) -> Vec<RnsPoly> {
-    mod_down_owned(ctx, tracing, accs.iter().map(|a| (*a).clone()).collect())
-}
-
-/// [`mod_down_batch`] consuming its accumulators: their limbs are
-/// transformed in place and the `q` part becomes the result, so a caller
-/// that is done with them (the key switch) pays for no copy.
-fn mod_down_owned(
-    ctx: &CkksContext,
-    tracing: &mut Tracing<'_>,
-    mut work: Vec<ExtPoly>,
-) -> Vec<RnsPoly> {
-    let Some(first) = work.first() else {
+    let Some(first) = accs.first() else {
         return Vec::new();
     };
     let l = first.level();
     let n = ctx.params().n();
     let k = ctx.params().special_primes();
-    let table = ctx.moddown_table(l);
-
-    ExtPoly::ntt_inverse_batch(ctx, &mut work);
-    for acc in &work {
-        tracing.emit(KernelEvent::Ntt {
-            n,
-            limbs: acc.total_limbs(),
-            inverse: true,
-        });
-    }
-
-    for acc in &work {
+    // The routine consumes its operands: copy the special limbs into the
+    // pooled block it works in and the `q` limbs into what becomes the
+    // result.
+    let mut p_rows = scratch::take_dirty_u64(accs.len() * k * n);
+    for (acc, block) in accs.iter().zip(p_rows.chunks_mut(k * n)) {
         assert_eq!(acc.level(), l, "level mismatch in ModDown batch");
+        assert_eq!(acc.domain, Domain::Ntt);
+        for (limb, row) in acc.p_limbs.iter().zip(block.chunks_mut(n)) {
+            row.copy_from_slice(limb);
+        }
     }
-    // Each accumulator converts straight from its own special limbs (the
-    // kernel works 16 columns at a time, so a wider concatenated block
-    // would buy nothing but the copy) into one pooled `(l+1) × N` buffer,
-    // overwritten whole per accumulator.
-    let mut conv = scratch::take_dirty_u64(table.conv.l_dst() * n);
-    let mut outs: Vec<RnsPoly> = Vec::with_capacity(work.len());
-    for acc in work {
-        {
-            let src_rows: Vec<&[u64]> = acc.p_limbs.iter().map(Vec::as_slice).collect();
-            let mut out_rows: Vec<&mut [u64]> = conv.chunks_mut(n).collect();
-            table.conv.convert_block_into(&src_rows, &mut out_rows);
-        }
-        tracing.emit(KernelEvent::Conv {
-            n,
-            l_src: k,
-            l_dst: l + 1,
-        });
+    let q_parts = accs.iter().map(|acc| acc.q_limbs.clone()).collect();
+    let table = ctx.moddown_table(l);
+    let (outs, _) = mod_down_rows(ctx, &table, q_parts, &mut p_rows);
+    scratch::give_u64(p_rows);
+    KeySwitchShape::new(ctx.params(), l)
+        .mod_down_events(accs.len())
+        .for_each(|e| tracing.emit(e));
+    outs
+}
 
-        // out_i = (acc_i - conv_i) · P^{-1} mod q_i, in place on acc_i.
-        let mut out_limbs = acc.q_limbs;
-        for (i, (limb, conv_row)) in out_limbs.iter_mut().zip(conv.chunks(n)).enumerate() {
-            ctx.q_mod(i)
-                .sub_scale_slice(limb, conv_row, table.p_inv_mod_q[i]);
+/// Rows the arithmetic really pushed through each kernel, counted where
+/// the loops run and returned by the two private routines. The unit tests
+/// tie [`key_switch_events`] to it, so the costed stream cannot drift from
+/// the executed work.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct RowTally {
+    /// Rows inverse-transformed.
+    intt: usize,
+    /// Rows forward-transformed.
+    ntt: usize,
+    /// Target rows produced by basis conversions.
+    conv: usize,
+    /// Row products of the inner product (writes and accumulates alike).
+    mac: usize,
+    /// Rows through ModDown's subtract-and-scale.
+    sub: usize,
+}
+
+impl RowTally {
+    /// Field-wise `self + other·times`.
+    fn plus(self, other: RowTally, times: usize) -> RowTally {
+        RowTally {
+            intt: self.intt + other.intt * times,
+            ntt: self.ntt + other.ntt * times,
+            conv: self.conv + other.conv * times,
+            mac: self.mac + other.mac * times,
+            sub: self.sub + other.sub * times,
         }
-        tracing.emit(KernelEvent::EleSub { n, limbs: l + 1 });
-        outs.push(RnsPoly::from_limbs(out_limbs, Domain::Coeff));
+    }
+}
+
+/// Every `step`-th `n`-element row of a flat pooled block, from row
+/// `first`: the rows of one limb across the block's polynomials.
+fn strided_rows(block: &mut [u64], n: usize, first: usize, step: usize) -> Vec<&mut [u64]> {
+    block.chunks_mut(n).skip(first).step_by(step).collect()
+}
+
+/// The ModDown routine. `q_parts[a]` are accumulator `a`'s `q` limbs (NTT
+/// domain; they become the result in place), `p_rows` its special limbs as
+/// a flat accumulator-major block of `K` rows each (NTT domain on entry,
+/// consumed as working space).
+fn mod_down_rows(
+    ctx: &CkksContext,
+    table: &ModDownTable,
+    mut q_parts: Vec<Vec<Vec<u64>>>,
+    p_rows: &mut [u64],
+) -> (Vec<RnsPoly>, RowTally) {
+    let n = ctx.params().n();
+    let k = ctx.params().special_primes();
+    let accs = q_parts.len();
+    assert_eq!(p_rows.len(), accs * k * n, "special-limb block shape");
+    assert_eq!(BasisConvGemm::y_stride(n), n, "N is whole column blocks");
+    let mut tally = RowTally::default();
+
+    // The special limbs are all the conversion reads: only they go back to
+    // the coefficient domain, one batch per prime, then through the
+    // y-stage once per accumulator.
+    for kk in 0..k {
+        let mut rows = strided_rows(p_rows, n, kk, k);
+        ctx.ntt_p(kk).inverse_batch(&mut rows);
+        tally.intt += rows.len();
+    }
+    for y in p_rows.chunks_mut(k * n) {
+        table.conv.y_stage(y, n);
+    }
+
+    // Limb by limb: the converted rows of every accumulator, one batched
+    // NTT, then (acc_i − NTT(conv_i))·P^{-1} where acc_i already lives.
+    let mut conv = scratch::take_dirty_u64(accs * n);
+    for (i, &p_inv) in table.p_inv_mod_q.iter().enumerate() {
+        for (row, y) in conv.chunks_mut(n).zip(p_rows.chunks(k * n)) {
+            table.conv.convert_row(i, y, row);
+        }
+        let mut rows: Vec<&mut [u64]> = conv.chunks_mut(n).collect();
+        ctx.ntt_q(i).forward_batch(&mut rows);
+        for (acc, row) in q_parts.iter_mut().zip(conv.chunks(n)) {
+            ctx.q_mod(i).sub_scale_slice(&mut acc[i], row, p_inv);
+        }
+        tally.conv += accs;
+        tally.ntt += accs;
+        tally.sub += accs;
     }
     scratch::give_u64(conv);
-
-    {
-        let mut views: Vec<&mut RnsPoly> = outs.iter_mut().collect();
-        RnsPoly::ntt_forward_batch(ctx, &mut views);
-    }
-    for _ in &outs {
-        tracing.emit(KernelEvent::Ntt {
-            n,
-            limbs: l + 1,
-            inverse: false,
-        });
-    }
-    outs
+    let outs = q_parts
+        .into_iter()
+        .map(|limbs| RnsPoly::from_limbs(limbs, Domain::Ntt))
+        .collect();
+    (outs, tally)
 }
 
 /// Full key switch (Algorithm 1): `d` must be in NTT domain.
@@ -398,22 +638,54 @@ pub fn key_switch(
         .expect("one input")
 }
 
+/// The key switch composed from the whole-polynomial helpers: INTT, every
+/// digit raised whole ([`mod_up`]), the whole `digits × (l+1+K)` block
+/// forward-transformed ([`ExtPoly::ntt_forward_batch`]), both inner
+/// products ([`ExtPoly::mul_acc`] into zeroed accumulators),
+/// [`mod_down_batch`]. Literal Algorithm 1 through the inner product (it
+/// owns, transforms and multiplies every limb of every digit); its ModDown
+/// is the shared NTT-domain routine, so it transforms `m + D·E + 2K + 2m`
+/// rows. The reference [`key_switch`] must match bit for bit (the
+/// differential tests and the `kernels` bench hold it to that); it emits no
+/// events.
+#[must_use]
+pub fn key_switch_literal(ctx: &CkksContext, d: &RnsPoly, ksk: &KsKey) -> (RnsPoly, RnsPoly) {
+    let level = d.level();
+    let mut silent = Tracing::new(None);
+    let mut d_coeff = d.clone();
+    d_coeff.ntt_inverse(ctx);
+    let digits = KeySwitchShape::new(ctx.params(), level).digits();
+    let mut exts: Vec<ExtPoly> = (0..digits)
+        .map(|j| mod_up(ctx, &mut silent, &d_coeff, j))
+        .collect();
+    ExtPoly::ntt_forward_batch(ctx, &mut exts);
+    let mut acc0 = ExtPoly::zero(ctx, level, Domain::Ntt);
+    let mut acc1 = ExtPoly::zero(ctx, level, Domain::Ntt);
+    for (ext, key) in exts.iter().zip(&ksk.digits) {
+        acc0.mul_acc(ctx, ext, &key.b);
+        acc1.mul_acc(ctx, ext, &key.a);
+    }
+    let mut outs = mod_down_batch(ctx, &mut silent, &[&acc0, &acc1]);
+    let c1 = outs.pop().expect("two accumulators");
+    (outs.pop().expect("two accumulators"), c1)
+}
+
 /// Batched key switch of several same-level polynomials, each under its own
 /// key (the streaming-bootstrap hot path: a BSGS stage key-switches ≈√D
 /// rotations of one ciphertext at once).
 ///
-/// The arithmetic packs across inputs — one [`RnsPoly::ntt_inverse_batch`]
-/// for every input, one [`ExtPoly::ntt_forward_batch`] over the whole
-/// `inputs × dnum` ModUp digit block, and one [`mod_down_batch`] over all
-/// `2·inputs` accumulators — so each per-modulus transform is a single wide
-/// GEMM under the GEMM formulations. The emitted kernel events are exactly
-/// those of calling [`key_switch`] once per input, in the same order:
-/// batching changes the arithmetic packing, not the costed schedule.
+/// The arithmetic is the limb-major loop of the module docs and packs
+/// across inputs: one batched INTT per input limb, one `forward_batch` of
+/// up to `inputs × dnum` complement rows per extended limb, and one ModDown
+/// over all `2·inputs` accumulators — so each per-modulus transform is a
+/// single wide GEMM under the GEMM formulations. The emitted kernel events
+/// are [`key_switch_events`] once per input, in input order: batching
+/// changes the arithmetic packing, not the costed schedule.
 ///
-/// Peak host memory is bounded: batches whose ModUp block would exceed
-/// [`MAX_MODUP_BLOCK`] extended polynomials are processed in fixed-size
-/// input chunks (results and events are identical — batched transforms are
-/// bit-exact at any width — only the GEMM row count per call changes).
+/// Peak host memory is bounded: batches whose ModUp buffer would exceed
+/// [`MAX_MODUP_BLOCK`] rows are processed in fixed-size input chunks
+/// (results and events are identical — batched transforms are bit-exact at
+/// any width — only the row count per call changes).
 ///
 /// # Panics
 ///
@@ -430,156 +702,164 @@ pub fn key_switch_batch(
     let Some(first) = ds.first() else {
         return Vec::new();
     };
-    let l = first.level();
-    let alpha = ctx.params().alpha();
-    let digits = (l + 1).div_ceil(alpha);
-    // Validate the WHOLE batch before the residency-chunk recursion: the
-    // documented contract violations must fire even when each individual
-    // chunk would happen to be internally consistent.
+    let shape = KeySwitchShape::new(ctx.params(), first.level());
+    // Validate the WHOLE batch before chunking: the documented contract
+    // violations must fire even when each individual chunk would happen to
+    // be internally consistent.
     for d in ds {
         assert_eq!(
             d.domain(),
             Domain::Ntt,
             "key switch input must be in NTT domain"
         );
-        assert_eq!(d.level(), l, "level mismatch in key-switch batch");
+        assert_eq!(
+            d.level(),
+            first.level(),
+            "level mismatch in key-switch batch"
+        );
     }
     for ksk in ksks {
-        assert!(digits <= ksk.digits.len(), "key has too few digits");
+        assert!(shape.digits() <= ksk.digits.len(), "key has too few digits");
     }
 
-    // Residency cap: a BSGS stage can hand over ≈√D rotations, and each
-    // input materializes `digits` extended polynomials plus two
-    // accumulators. Chunking keeps the transient block O(chunk × digits)
-    // — still far wider than any single key switch — instead of letting a
-    // paper-scale rotation batch hold gigabytes of limbs at once.
-    let chunk_inputs = batch_chunk_inputs(ctx, l);
-    if ds.len() > chunk_inputs {
-        let mut out = Vec::with_capacity(ds.len());
-        for (dc, kc) in ds.chunks(chunk_inputs).zip(ksks.chunks(chunk_inputs)) {
-            out.extend(key_switch_batch(ctx, tracing, dc, kc));
-        }
-        return out;
-    }
-
-    // Arithmetic runs silently in batched blocks; the sequential event
-    // stream is emitted once per input at the end.
-    let mut silent = Tracing::new(None);
-
-    // INTT every input in one batched block.
-    let mut d_coeffs: Vec<RnsPoly> = ds.iter().map(|d| (*d).clone()).collect();
-    {
-        let mut views: Vec<&mut RnsPoly> = d_coeffs.iter_mut().collect();
-        RnsPoly::ntt_inverse_batch(ctx, &mut views);
-    }
-
-    // ModUp every digit of every input, then NTT the whole block at once:
-    // all digits of all inputs share the extended basis, so each prime's
-    // transform is one wide `inputs·dnum`-row GEMM under the GEMM
-    // formulations (the §IV-D key-switch hot loop, widened across the
-    // rotation batch).
-    let mut exts: Vec<ExtPoly> = Vec::with_capacity(ds.len() * digits);
-    for d_coeff in &d_coeffs {
-        for j in 0..digits {
-            exts.push(mod_up(ctx, &mut silent, d_coeff, j));
-        }
-    }
-    ExtPoly::ntt_forward_batch(ctx, &mut exts);
-
-    // Per-input inner products against that input's key digits.
-    let mut accs: Vec<ExtPoly> = Vec::with_capacity(2 * ds.len());
-    for (exts, ksk) in exts.chunks(digits).zip(ksks) {
-        // Keys store the full basis; the products read its active prefix.
-        // The first digit writes the accumulators, the rest add to them.
-        let (first, rest) = (&ksk.digits[0], &ksk.digits[1..]);
-        let mut acc0 = ExtPoly::product(ctx, &exts[0], &first.b);
-        let mut acc1 = ExtPoly::product(ctx, &exts[0], &first.a);
-        for (ext, key) in exts[1..].iter().zip(rest) {
-            acc0.mul_acc(ctx, ext, &key.b);
-            acc1.mul_acc(ctx, ext, &key.a);
-        }
-        accs.push(acc0);
-        accs.push(acc1);
-    }
-
-    // All accumulators ModDown together (B = 2·inputs rows per modulus).
-    let mut outs = mod_down_owned(ctx, &mut silent, accs);
-
-    // The costed schedule is unchanged: one sequential event group per
-    // input, exactly as [`key_switch`] emits.
-    for _ in ds {
-        emit_key_switch_events(ctx, tracing, l);
-    }
-
-    outs.reverse();
+    // Residency cap: a BSGS stage can hand over ≈√D rotations; chunking
+    // keeps the pooled blocks O(chunk × digits) rows — still far wider
+    // than any single key switch — instead of scaling with the batch.
+    let chunk = batch_chunk_inputs(ctx, first.level());
     let mut pairs = Vec::with_capacity(ds.len());
-    while let (Some(c0), Some(c1)) = (outs.pop(), outs.pop()) {
-        pairs.push((c0, c1));
+    for (dc, kc) in ds.chunks(chunk).zip(ksks.chunks(chunk)) {
+        pairs.extend(key_switch_rows(ctx, &shape, dc, kc).0);
+    }
+
+    // The costed schedule: one sequential event group per input.
+    let events = shape.events();
+    for _ in ds {
+        events.iter().for_each(|&e| tracing.emit(e));
     }
     pairs
 }
 
-/// Emits the kernel-event stream of one [`key_switch`] call at `level` —
-/// shared by the single and batched entry points (and the batched rotation
-/// path in `eval`) so batched arithmetic leaves the costed schedule
-/// bit-identical to sequential execution.
-pub(crate) fn emit_key_switch_events(ctx: &CkksContext, tracing: &mut Tracing<'_>, level: usize) {
+/// One residency chunk of [`key_switch_batch`]: the limb-major loop.
+fn key_switch_rows(
+    ctx: &CkksContext,
+    shape: &KeySwitchShape,
+    ds: &[&RnsPoly],
+    ksks: &[&KsKey],
+) -> (Vec<(RnsPoly, RnsPoly)>, RowTally) {
     let n = ctx.params().n();
-    let k = ctx.params().special_primes();
-    let alpha = ctx.params().alpha();
-    let limbs = level + 1;
-    let digits = limbs.div_ceil(alpha);
-    let ext_limbs = limbs + k;
-    tracing.emit(KernelEvent::Ntt {
-        n,
-        limbs,
-        inverse: true,
-    });
-    for j in 0..digits {
-        let src = alpha.min(limbs - j * alpha);
-        tracing.emit(KernelEvent::Conv {
-            n,
-            l_src: src,
-            l_dst: limbs - src + k,
-        });
+    let (m, k, digits) = (shape.limbs(), shape.special(), shape.digits());
+    let level = m - 1;
+    assert_eq!(BasisConvGemm::y_stride(n), n, "N is whole column blocks");
+    // One cache lookup per table per switch, not per digit use.
+    let modup: Vec<Arc<ModUpTable>> = (0..digits).map(|j| ctx.modup_table(j, level)).collect();
+    let moddown = ctx.moddown_table(level);
+    let mut tally = RowTally::default();
+
+    // Dcomp: every input's coefficient form, in pooled rows (input-major),
+    // one batched INTT per limb; then each digit's y-stage, once, in place
+    // on the rows it owns.
+    let mut coeff = scratch::take_dirty_u64(ds.len() * m * n);
+    for (d, block) in ds.iter().zip(coeff.chunks_mut(m * n)) {
+        for (limb, row) in d.limbs().iter().zip(block.chunks_mut(n)) {
+            row.copy_from_slice(limb);
+        }
     }
-    for _ in 0..digits {
-        tracing.emit(KernelEvent::Ntt {
-            n,
-            limbs: ext_limbs,
-            inverse: false,
-        });
-        tracing.emit(KernelEvent::HadaMult {
-            n,
-            limbs: 2 * ext_limbs,
-        });
-        tracing.emit(KernelEvent::EleAdd {
-            n,
-            limbs: 2 * ext_limbs,
-        });
+    for i in 0..m {
+        let mut rows = strided_rows(&mut coeff, n, i, m);
+        ctx.ntt_q(i).inverse_batch(&mut rows);
+        tally.intt += rows.len();
     }
-    for _ in 0..2 {
-        tracing.emit(KernelEvent::Ntt {
-            n,
-            limbs: ext_limbs,
-            inverse: true,
-        });
+    for block in coeff.chunks_mut(m * n) {
+        for t in &modup {
+            t.conv
+                .y_stage(&mut block[t.src_start * n..t.src_end * n], n);
+        }
     }
-    for _ in 0..2 {
-        tracing.emit(KernelEvent::Conv {
-            n,
-            l_src: k,
-            l_dst: limbs,
-        });
-        tracing.emit(KernelEvent::EleSub { n, limbs });
+
+    // Accumulators: the `q` limbs are the result's own allocations, pushed
+    // limb by limb; the special limbs live in a pooled block ModDown
+    // consumes (per input: K rows of c0's, then K rows of c1's).
+    let mut acc_q: Vec<[Vec<Vec<u64>>; 2]> = ds
+        .iter()
+        .map(|_| [Vec::with_capacity(m), Vec::with_capacity(m)])
+        .collect();
+    let mut acc_p = scratch::take_dirty_u64(ds.len() * 2 * k * n);
+    let mut raised = scratch::take_dirty_u64(ds.len() * digits * n);
+
+    for e in 0..m + k {
+        let (modulus, plan) = ext_prime(ctx, m, e);
+        // ModUp at limb e: the complement row of every (input, digit) that
+        // does not own e, then all of them through e's plan at once.
+        let mut filled = 0;
+        for block in coeff.chunks(m * n) {
+            for t in &modup {
+                if let Some(j) = t.target_index(e) {
+                    let y = &block[t.src_start * n..t.src_end * n];
+                    t.conv
+                        .convert_row(j, y, &mut raised[filled * n..(filled + 1) * n]);
+                    filled += 1;
+                }
+            }
+        }
+        {
+            let mut rows: Vec<&mut [u64]> = raised[..filled * n].chunks_mut(n).collect();
+            plan.forward_batch(&mut rows);
+        }
+        tally.conv += filled;
+        tally.ntt += filled;
+
+        // Inner product at limb e while the rows are hot. A digit's own
+        // limb is the input's NTT-domain limb itself.
+        let mut converted = raised.chunks(n);
+        let per_input = ds.iter().zip(ksks).zip(&mut acc_q);
+        for (((d, ksk), acc_q), acc_p) in per_input.zip(acc_p.chunks_mut(2 * k * n)) {
+            let mut terms = modup.iter().zip(&ksk.digits).map(|(t, key)| {
+                let x = match t.target_index(e) {
+                    None => d.limb(e),
+                    Some(_) => converted.next().expect("one row per complement digit"),
+                };
+                (x, ext_limb(&key.b, m, e), ext_limb(&key.a, m, e))
+            });
+            // The first digit writes the accumulators, the rest add to them.
+            let (x, kb, ka) = terms.next().expect("at least one digit");
+            let (a0, a1): (&mut [u64], &mut [u64]) = match e.checked_sub(m) {
+                None => {
+                    let [q0, q1] = acc_q;
+                    q0.push(modulus.mul_to_vec(x, kb));
+                    q1.push(modulus.mul_to_vec(x, ka));
+                    (q0[e].as_mut_slice(), q1[e].as_mut_slice())
+                }
+                Some(kk) => {
+                    let (p0, p1) = acc_p.split_at_mut(k * n);
+                    let row = kk * n..(kk + 1) * n;
+                    let (a0, a1) = (&mut p0[row.clone()], &mut p1[row]);
+                    for (a, key) in [(&mut *a0, kb), (&mut *a1, ka)] {
+                        a.copy_from_slice(x);
+                        modulus.mul_slice(a, key);
+                    }
+                    (a0, a1)
+                }
+            };
+            for (x, kb, ka) in terms {
+                modulus.mul_acc_slice(a0, x, kb);
+                modulus.mul_acc_slice(a1, x, ka);
+            }
+            tally.mac += 2 * digits;
+        }
     }
-    for _ in 0..2 {
-        tracing.emit(KernelEvent::Ntt {
-            n,
-            limbs,
-            inverse: false,
-        });
+    scratch::give_u64(raised);
+    scratch::give_u64(coeff);
+
+    // All accumulators ModDown together (2·inputs rows per modulus).
+    let q_parts = acc_q.into_iter().flatten().collect();
+    let (outs, down) = mod_down_rows(ctx, &moddown, q_parts, &mut acc_p);
+    scratch::give_u64(acc_p);
+    let mut outs = outs.into_iter();
+    let mut pairs = Vec::with_capacity(ds.len());
+    while let (Some(c0), Some(c1)) = (outs.next(), outs.next()) {
+        pairs.push((c0, c1));
     }
+    (pairs, tally.plus(down, 1))
 }
 
 #[cfg(test)]
@@ -652,63 +932,106 @@ mod tests {
         }
     }
 
+    /// Totals of a kernel-event stream, in [`RowTally`]'s units.
+    fn costed_rows(events: &[KernelEvent]) -> RowTally {
+        let mut t = RowTally::default();
+        for e in events {
+            match *e {
+                KernelEvent::Ntt {
+                    limbs,
+                    inverse: true,
+                    ..
+                } => t.intt += limbs,
+                KernelEvent::Ntt { limbs, .. } => t.ntt += limbs,
+                KernelEvent::Conv { l_dst, .. } => t.conv += l_dst,
+                KernelEvent::HadaMult { limbs, .. } => t.mac += limbs,
+                KernelEvent::EleSub { limbs, .. } => t.sub += limbs,
+                // One Ele-Add per digit is costed; the first digit's writes
+                // its accumulators instead, which `mac` already counts.
+                KernelEvent::EleAdd { .. } => {}
+                other => panic!("{other:?} is not a key-switch kernel"),
+            }
+        }
+        t
+    }
+
     #[test]
     fn emitted_stream_matches_real_arithmetic_emission() {
-        // `key_switch_batch` runs the arithmetic silently and emits events
-        // through `emit_key_switch_events`; this test ties that synthetic
-        // stream to the REAL emission of the arithmetic helpers (the
-        // pre-batch `key_switch` inline sequence: INTT marker, `mod_up`'s
-        // Conv per digit, per-digit NTT/HadaMult/EleAdd markers,
-        // `mod_down_batch`'s pair events) so a future kernel-shape change
-        // in `mod_up`/`mod_down_batch` cannot silently desynchronize the
-        // costed schedule from the executed kernels.
-        use crate::trace::RecordingTracer;
+        // `key_switch_batch` emits `key_switch_events` once per input; this
+        // test ties that stream to the rows the limb-major arithmetic
+        // really transformed, converted, multiplied and subtracted (its
+        // `RowTally`), so a change to what the loops touch cannot silently
+        // desynchronize the costed schedule from the executed kernels.
+        use crate::keys::KeyChain;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
         let c = ctx();
         let n = c.params().n();
-        let alpha = c.params().alpha();
-        // Level 2 exercises a partial last digit (α = 2, 3 limbs).
-        for level in [2usize, 3] {
-            let digits = (level + 1).div_ceil(alpha);
-            let d = RnsPoly::from_i128_coeffs(&c, &vec![1i128; n], level);
-            let mut real = RecordingTracer::new();
-            {
-                let mut tr = Tracing::new(Some(&mut real));
-                tr.emit(KernelEvent::Ntt {
-                    n,
-                    limbs: level + 1,
-                    inverse: true,
-                });
-                let exts: Vec<ExtPoly> = (0..digits).map(|j| mod_up(&c, &mut tr, &d, j)).collect();
-                for ext in &exts {
-                    tr.emit(KernelEvent::Ntt {
-                        n,
-                        limbs: ext.total_limbs(),
-                        inverse: false,
-                    });
-                    tr.emit(KernelEvent::HadaMult {
-                        n,
-                        limbs: 2 * ext.total_limbs(),
-                    });
-                    tr.emit(KernelEvent::EleAdd {
-                        n,
-                        limbs: 2 * ext.total_limbs(),
-                    });
-                }
-                let acc0 = ExtPoly::zero(&c, level, Domain::Ntt);
-                let acc1 = ExtPoly::zero(&c, level, Domain::Ntt);
-                let _ = mod_down_batch(&c, &mut tr, &[&acc0, &acc1]);
+        let mut rng = StdRng::seed_from_u64(17);
+        let keys = KeyChain::generate(&c, &mut rng);
+        // Level 2 has a partial last digit (α = 2, 3 limbs), level 3 a full
+        // one; level 0 is a single one-limb digit.
+        for level in [0usize, 2, 3] {
+            let shape = KeySwitchShape::new(c.params(), level);
+            let mut d = RnsPoly::from_i128_coeffs(&c, &vec![1i128; n], level);
+            d.ntt_forward(&c);
+            for inputs in [1usize, 3] {
+                let ds = vec![&d; inputs];
+                let ksks = vec![keys.relin_key(); inputs];
+                let (_, real) = key_switch_rows(&c, &shape, &ds, &ksks);
+                let costed = costed_rows(&shape.events());
+                let scaled = RowTally::default().plus(costed, inputs);
+                assert_eq!(real, scaled, "level {level}, {inputs} input(s)");
+                assert_eq!(costed.intt + costed.ntt, shape.ntt_rows());
+
+                // The public ModDown probe runs the same routine and emits
+                // the same ModDown events.
+                let accs = vec![ExtPoly::zero(&c, level, Domain::Ntt); 2 * inputs];
+                let views: Vec<&ExtPoly> = accs.iter().collect();
+                let mut rec = crate::trace::RecordingTracer::new();
+                let _ = mod_down_batch(&c, &mut Tracing::new(Some(&mut rec)), &views);
+                let costed: Vec<_> = shape.mod_down_events(2 * inputs).collect();
+                assert_eq!(rec.events, costed);
             }
-            let mut synth = RecordingTracer::new();
-            {
-                let mut tr = Tracing::new(Some(&mut synth));
-                emit_key_switch_events(&c, &mut tr, level);
-            }
-            assert_eq!(
-                synth.events, real.events,
-                "synthetic key-switch stream diverged from the arithmetic \
-                 helpers' real emission at level {level}"
-            );
         }
+    }
+
+    #[test]
+    fn ntt_row_formula_holds_at_every_preset_and_level() {
+        // D·E + 2K + 2m, against the stream and against the literal
+        // Algorithm 1's m + D·E + 2E + 2m.
+        let presets = [
+            CkksParams::table_v_default(),
+            CkksParams::table_v_resnet20(),
+            CkksParams::table_v_lr(),
+            CkksParams::table_v_lstm(),
+            CkksParams::table_v_packed_boot(),
+            CkksParams::table_vii_bootstrap(),
+            CkksParams::heax_set_a(),
+            CkksParams::heax_set_b(),
+            CkksParams::heax_set_c(),
+            CkksParams::toy(),
+            CkksParams::test_small(),
+        ];
+        for params in &presets {
+            for level in 0..=params.max_level() {
+                let shape = KeySwitchShape::new(params, level);
+                let (m, k) = (shape.limbs(), shape.special());
+                let (d, e) = (shape.digits(), shape.ext_limbs());
+                let costed = costed_rows(&key_switch_events(params, level));
+                assert_eq!(costed.intt + costed.ntt, d * e + 2 * k + 2 * m);
+                assert_eq!(shape.ntt_rows() + 3 * m, m + d * e + 2 * e + 2 * m);
+                let own: usize = shape.digit_widths().map(|(src, _)| src).sum();
+                assert_eq!(
+                    own,
+                    m,
+                    "{} level {level}: digits tile the limbs",
+                    params.name()
+                );
+            }
+        }
+        let set_b = CkksParams::heax_set_b();
+        assert_eq!(KeySwitchShape::new(&set_b, 3).ntt_rows(), 48);
     }
 
     #[test]

@@ -257,6 +257,59 @@ impl RnsPoly {
         self.zip_assign(ctx, rhs, Modulus::mul_slice);
     }
 
+    /// `a ⊙ b` as a new polynomial: [`RnsPoly::hada_assign`] writing its
+    /// result once instead of cloning an operand and multiplying in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics on level mismatch or if either operand is in coefficient
+    /// domain.
+    #[must_use]
+    pub fn hada(ctx: &CkksContext, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
+        assert_eq!(a.domain, Domain::Ntt, "Hadamard needs NTT domain");
+        a.zip_with(ctx, b, Modulus::mul_to_vec)
+    }
+
+    /// `self += x ⊙ y`, one fused pass per limb (all three in NTT domain).
+    ///
+    /// # Panics
+    ///
+    /// Panics on level mismatch or if any operand is in coefficient domain.
+    pub fn hada_acc(&mut self, ctx: &CkksContext, x: &RnsPoly, y: &RnsPoly) {
+        for p in [&*self, x, y] {
+            assert_eq!(p.domain, Domain::Ntt, "Hadamard needs NTT domain");
+            assert_eq!(p.level(), x.level(), "level mismatch");
+        }
+        let limbs = self.limbs.iter_mut().zip(&x.limbs).zip(&y.limbs);
+        for (l, ((acc, xs), ys)) in limbs.enumerate() {
+            ctx.q_mod(l).mul_acc_slice(acc, xs, ys);
+        }
+    }
+
+    /// `a + b` as a new polynomial (Ele-Add without the operand clone).
+    ///
+    /// # Panics
+    ///
+    /// Panics on level or domain mismatch.
+    #[must_use]
+    pub fn sum(ctx: &CkksContext, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
+        a.zip_with(ctx, b, |m, x, y| {
+            x.iter().zip(y).map(|(&x, &y)| m.add(x, y)).collect()
+        })
+    }
+
+    /// `a − b` as a new polynomial (Ele-Sub without the operand clone).
+    ///
+    /// # Panics
+    ///
+    /// Panics on level or domain mismatch.
+    #[must_use]
+    pub fn difference(ctx: &CkksContext, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
+        a.zip_with(ctx, b, |m, x, y| {
+            x.iter().zip(y).map(|(&x, &y)| m.sub(x, y)).collect()
+        })
+    }
+
     /// Negates every residue.
     pub fn neg_assign(&mut self, ctx: &CkksContext) {
         for (l, limb) in self.limbs.iter_mut().enumerate() {
@@ -328,6 +381,23 @@ impl RnsPoly {
         RnsPoly {
             limbs,
             domain: Domain::Coeff,
+            n: self.n,
+        }
+    }
+
+    /// A new polynomial whose limb `l` is `f(q_l, self_l, rhs_l)`.
+    fn zip_with(
+        &self,
+        ctx: &CkksContext,
+        rhs: &RnsPoly,
+        f: impl Fn(&Modulus, &[u64], &[u64]) -> Vec<u64>,
+    ) -> RnsPoly {
+        assert_eq!(self.level(), rhs.level(), "level mismatch");
+        assert_eq!(self.domain, rhs.domain, "domain mismatch");
+        let limbs = self.limbs.iter().zip(&rhs.limbs).enumerate();
+        RnsPoly {
+            limbs: limbs.map(|(l, (a, b))| f(ctx.q_mod(l), a, b)).collect(),
+            domain: self.domain,
             n: self.n,
         }
     }

@@ -77,6 +77,19 @@ fn gemm_matches_scalar_for_all_paper_conversion_shapes() {
                 );
             }
         }
+        // The row entry point the limb-major key switch calls: one y-stage
+        // on a caller-owned block, then any target limb on its own.
+        let stride = BasisConvGemm::y_stride(width);
+        let mut y = vec![u64::MAX; l_src * stride];
+        for (row, y_row) in src_rows.iter().zip(y.chunks_mut(stride)) {
+            y_row[..width].copy_from_slice(row);
+        }
+        gemm.y_stage(&mut y, width);
+        for (j, want) in block.iter().enumerate().rev() {
+            let mut got = vec![0u64; width];
+            gemm.convert_row(j, &y, &mut got);
+            assert_eq!(&got, want, "shape ({l_src} → {l_dst}), row {j}");
+        }
     }
 }
 

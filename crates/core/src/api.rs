@@ -565,23 +565,32 @@ mod tests {
     #[test]
     fn hmult_is_ntt_dominated() {
         // §VI-B2: "the NTT kernels occupy the most significant proportion in
-        // HMULT … 92.1%".
-        let mut a = api(Variant::TensorCore);
-        let level = a.params().max_level();
-        let r = cost(&mut a, FheOp::HMult, level, 32);
-        let ntt_time: f64 = r
-            .by_kernel
-            .iter()
-            .filter(|(k, _)| k.starts_with("ntt") || k.starts_with("intt"))
-            .map(|(_, t)| t)
-            .sum();
-        let total: f64 = r.by_kernel.iter().map(|(_, t)| t).sum();
-        assert!(
-            ntt_time / total > 0.5,
-            "NTT share {} too small in {:?}",
-            ntt_time / total,
-            r.by_kernel
-        );
+        // HMULT … 92.1%" — measured at Table V's Default set, so that is
+        // where the property is held (unbatched and at the set's batch). At
+        // a bandwidth-bound toy degree the NTT-lean key switch's 60 rows
+        // (the literal Algorithm 1: 84) fall behind its element-wise
+        // kernels.
+        let params = CkksParams::table_v_default();
+        let mut a = TensorFhe::builder(&params)
+            .variant(Variant::TensorCore)
+            .build()
+            .expect("single-device build");
+        for batch in [1, params.batch_size()] {
+            let r = cost(&mut a, FheOp::HMult, params.max_level(), batch);
+            let ntt_time: f64 = r
+                .by_kernel
+                .iter()
+                .filter(|(k, _)| k.starts_with("ntt") || k.starts_with("intt"))
+                .map(|(_, t)| t)
+                .sum();
+            let total: f64 = r.by_kernel.iter().map(|(_, t)| t).sum();
+            assert!(
+                ntt_time / total > 0.5,
+                "NTT share {} too small at batch {batch} in {:?}",
+                ntt_time / total,
+                r.by_kernel
+            );
+        }
     }
 
     #[test]

@@ -174,7 +174,14 @@
 //!    ordinary batch path — the fused two-GEMM Montgomery pipeline that
 //!    `ckks::Evaluator` and every other caller of
 //!    `tensorfhe_ntt::NttBatchOps` also runs; there is no separate
-//!    "fast" entry point to opt into.
+//!    "fast" entry point to opt into. What it executes per operation is
+//!    what the schedule lists, so it follows the evaluator's NTT-lean key
+//!    switch (`tensorfhe_ckks::keyswitch::key_switch_events`): per HMULT
+//!    `D·E + 2K + 2m` NTT rows — own limbs of a digit are never
+//!    re-transformed and ModDown round-trips only the `K` special limbs;
+//!    48 rows at HEAX set B where the literal Algorithm 1 is 60 — plus
+//!    `D + 2` basis conversions, each single-limb one (`α = 1`) a plain
+//!    reduction chosen when its plan is built.
 //!    [`exec::ExecBackend::HostScalar`] pins the same executor's NTT to
 //!    the Barrett scalar reference pipeline, which it asks for by name
 //!    (`BatchedGemmNtt::reference_batch`): the baseline the

@@ -6,80 +6,17 @@
 //! against `RecordingTracer` captures of genuine homomorphic executions —
 //! which is what justifies costing paper-scale workloads without running
 //! the arithmetic.
+//!
+//! The key switch (Algorithm 1) inside HMULT, HROTATE and HCONJ is not
+//! described here a second time: its stream is
+//! [`tensorfhe_ckks::keyswitch::key_switch_events`], generated from the
+//! same `KeySwitchShape` the evaluator's arithmetic iterates over — the
+//! NTT-lean form that transforms `D·E + 2K + 2m` rows per switch (see
+//! `tensorfhe_ckks::keyswitch`). Everything costed from these schedules
+//! (the gpu lowering, `boot`'s BSGS stages, `workloads`) follows it.
 
+use tensorfhe_ckks::keyswitch::key_switch_events;
 use tensorfhe_ckks::{CkksParams, KernelEvent};
-
-/// Key-switch schedule at ciphertext level `l` (Algorithm 1).
-#[must_use]
-pub fn key_switch_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
-    let n = params.n();
-    let k = params.special_primes();
-    let alpha = params.alpha();
-    let limbs = level + 1;
-    let digits = limbs.div_ceil(alpha);
-    let ext_limbs = limbs + k;
-    let mut ev = Vec::new();
-    // INTT of the input.
-    ev.push(KernelEvent::Ntt {
-        n,
-        limbs,
-        inverse: true,
-    });
-    // ModUp: every digit's Conv to the complement basis runs first (the
-    // digit block is built in full). Each Conv is a single event whatever
-    // the variant — under the GEMM formulations the tracer lowers it to a
-    // batched y stage plus one wide (L_dst × α) × (α × B·N) GEMM, under
-    // the butterfly baseline to the scalar per-residue kernel…
-    for j in 0..digits {
-        let src = alpha.min(limbs - j * alpha);
-        ev.push(KernelEvent::Conv {
-            n,
-            l_src: src,
-            l_dst: limbs - src + k,
-        });
-    }
-    // …then the block is NTT'd through the batched execution layer and
-    // accumulated against both key components digit by digit.
-    for _ in 0..digits {
-        ev.push(KernelEvent::Ntt {
-            n,
-            limbs: ext_limbs,
-            inverse: false,
-        });
-        ev.push(KernelEvent::HadaMult {
-            n,
-            limbs: 2 * ext_limbs,
-        });
-        ev.push(KernelEvent::EleAdd {
-            n,
-            limbs: 2 * ext_limbs,
-        });
-    }
-    // Batched ModDown of both accumulators, stage by stage.
-    for _ in 0..2 {
-        ev.push(KernelEvent::Ntt {
-            n,
-            limbs: ext_limbs,
-            inverse: true,
-        });
-    }
-    for _ in 0..2 {
-        ev.push(KernelEvent::Conv {
-            n,
-            l_src: k,
-            l_dst: limbs,
-        });
-        ev.push(KernelEvent::EleSub { n, limbs });
-    }
-    for _ in 0..2 {
-        ev.push(KernelEvent::Ntt {
-            n,
-            limbs,
-            inverse: false,
-        });
-    }
-    ev
-}
 
 /// HMULT schedule (Algorithm 2).
 #[must_use]
@@ -93,7 +30,7 @@ pub fn hmult_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
         },
         KernelEvent::EleAdd { n, limbs },
     ];
-    ev.extend(key_switch_schedule(params, level));
+    ev.extend(key_switch_events(params, level));
     ev.push(KernelEvent::EleAdd {
         n,
         limbs: 2 * limbs,
@@ -150,7 +87,7 @@ pub fn hrotate_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
         n,
         limbs: 2 * limbs,
     }];
-    ev.extend(key_switch_schedule(params, level));
+    ev.extend(key_switch_events(params, level));
     ev.push(KernelEvent::EleAdd { n, limbs });
     ev
 }
@@ -164,7 +101,7 @@ pub fn conjugate_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent>
         n,
         limbs: 2 * limbs,
     }];
-    ev.extend(key_switch_schedule(params, level));
+    ev.extend(key_switch_events(params, level));
     ev.push(KernelEvent::EleAdd { n, limbs });
     ev
 }
@@ -444,7 +381,7 @@ mod tests {
         // At a level where the last digit is partial, the Conv source width
         // shrinks (Dcomp covers only active limbs).
         let params = CkksParams::test_small(); // L=7, α=2
-        let ev = key_switch_schedule(&params, 4); // limbs=5 → digits=3, last src=1
+        let ev = key_switch_events(&params, 4); // limbs=5 → digits=3, last src=1
         let convs: Vec<_> = ev
             .iter()
             .filter_map(|e| match e {
@@ -453,6 +390,46 @@ mod tests {
             })
             .collect();
         assert_eq!(&convs[..3], &[2, 2, 1], "digit widths at level 4");
+    }
+
+    #[test]
+    fn key_switch_ntt_rows_follow_the_lean_formula_at_every_preset() {
+        // Every op that key-switches transforms D·E + 2K + 2m rows for it
+        // (m = l+1, E = m+K, D = ⌈m/α⌉) — not the literal Algorithm 1's
+        // m + D·E + 2E + 2m: HMULT at HEAX set B is 48 rows, not 60.
+        let ntt_rows = |ev: &[KernelEvent]| -> usize {
+            ev.iter()
+                .map(|e| match *e {
+                    KernelEvent::Ntt { limbs, .. } => limbs,
+                    _ => 0,
+                })
+                .sum()
+        };
+        for params in [
+            CkksParams::table_v_default(),
+            CkksParams::table_v_resnet20(),
+            CkksParams::table_v_lr(),
+            CkksParams::table_v_lstm(),
+            CkksParams::table_v_packed_boot(),
+            CkksParams::table_vii_bootstrap(),
+            CkksParams::heax_set_a(),
+            CkksParams::heax_set_b(),
+            CkksParams::heax_set_c(),
+        ] {
+            for level in [0, params.max_level() / 2, params.max_level()] {
+                let (m, k) = (level + 1, params.special_primes());
+                let lean = m.div_ceil(params.alpha()) * (m + k) + 2 * k + 2 * m;
+                for ev in [
+                    hmult_schedule(&params, level),
+                    hrotate_schedule(&params, level),
+                    conjugate_schedule(&params, level),
+                ] {
+                    assert_eq!(ntt_rows(&ev), lean, "{} level {level}", params.name());
+                }
+            }
+        }
+        let set_b = CkksParams::heax_set_b();
+        assert_eq!(ntt_rows(&hmult_schedule(&set_b, set_b.max_level())), 48);
     }
 
     fn boot_capable_params() -> CkksParams {

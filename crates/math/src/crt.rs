@@ -446,28 +446,59 @@ impl BasisConvTable {
 /// agrees with [`BasisConvTable::convert_coeff`] coefficient by coefficient
 /// (a property the test suite pins for every paper parameter shape).
 ///
-/// # The block kernel
+/// # The `y` stage and the row kernel
 ///
-/// One kernel serves every caller. The `y`-stage is
-/// [`Modulus::scale_slice`] per source limb. The product then runs over
-/// blocks of 16 columns (`CONV_LANES`) with one `u64` accumulator per lane:
-/// the constants are stored as `m′_ji = (q̂_i mod p_j)·2^32 mod p_j`, each
-/// product `y_i·m′_ji` is a 32×32→64 multiply below `q_i·p_j`, and the
-/// source limbs are taken `fold` at a time with `fold·q_i ≤ 2^32`, so a
-/// partial sum `T < 2^32·p_j` never overflows. One 32-bit Montgomery step
-/// (`m = T·(−p_j^{-1}) mod 2^32`, `(T + m·p_j) / 2^32`) folds it to a value
-/// below `2p_j` congruent to `Σ y_i·(q̂_i mod p_j)`; the folds of one output
-/// add up lazily in `[0, 2p_j)` and a last conditional subtraction makes the
-/// result canonical. For 28-bit primes `fold = 16`: at every HEAX and
-/// Table V shape but the 29-bit Default set an output is reduced exactly
-/// once. With target primes below `2^31` no step touches `u128`; a 32-bit
-/// target prime widens only the `T + m·p_j` addition.
+/// A conversion is two steps, and they are two entry points. The `y`-stage
+/// ([`BasisConvGemm::y_stage`]) scales source limb `i` by `q̂_i^{-1}`
+/// ([`Modulus::scale_slice`]) in place, **once per source block**; it is
+/// shared by every target limb. [`BasisConvGemm::convert_row`] then
+/// produces **one target limb** from that block, so a caller that works
+/// limb by limb (the key switch) asks for exactly the rows it is about to
+/// transform, when it is about to transform them.
+/// [`BasisConvGemm::convert_block_into`] is the `y`-stage into pooled
+/// scratch followed by a loop over `convert_row` — not a second kernel.
+///
+/// The row kernel runs over blocks of 16 columns (`CONV_LANES`) with one
+/// `u64` accumulator per lane: the constants are stored as
+/// `m′_ji = (q̂_i mod p_j)·2^32 mod p_j`, each product `y_i·m′_ji` is a
+/// 32×32→64 multiply below `q_i·p_j`, and the source limbs are taken `fold`
+/// at a time with `fold·q_i ≤ 2^32`, so a partial sum `T < 2^32·p_j` never
+/// overflows. One 32-bit Montgomery step (`m = T·(−p_j^{-1}) mod 2^32`,
+/// `(T + m·p_j) / 2^32`) folds it to a value below `2p_j` congruent to
+/// `Σ y_i·(q̂_i mod p_j)`; the folds of one output add up lazily in
+/// `[0, 2p_j)` and a last conditional subtraction makes the result
+/// canonical. For 28-bit primes `fold = 16`: at every HEAX and Table V
+/// shape but the 29-bit Default set an output is reduced exactly once. With
+/// target primes below `2^31` no step touches `u128`; a 32-bit target prime
+/// widens only the `T + m·p_j` addition.
+///
+/// # The single-limb rule
+///
+/// With one source prime (`α = 1`: every Table VIII set and Table V
+/// Default) `q̂_0 = 1`, so `y = x` and the output is plainly `x mod p_j`.
+/// Each target row's body is selected once, at construction, from the
+/// primes alone (like `simd::Narrow::select`): a conditional subtraction
+/// when `q_0 < 2·p_j`, [`Modulus::reduce`] otherwise, the fold kernel for
+/// two or more source limbs. The `y`-stage of a single-limb plan is the
+/// identity and does nothing. All bodies return the canonical residue, so
+/// which one ran is not observable.
 #[derive(Debug, Clone)]
 pub struct BasisConvGemm {
     table: BasisConvTable,
     rows: Vec<ConvRow>,
     /// Source limbs per Montgomery fold: `⌊2^32 / max q_i⌋`.
     fold: usize,
+}
+
+/// How one target limb is computed; fixed at construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowBody {
+    /// Two or more source limbs: Montgomery folds over `consts`.
+    Fold,
+    /// One source limb below `2·p_j`: `min(x, x − p_j)`.
+    Csub,
+    /// One source limb, any size: `x mod p_j`.
+    Reduce,
 }
 
 /// One target limb of the conversion matrix.
@@ -479,6 +510,7 @@ struct ConvRow {
     p_inv_neg: u64,
     /// `(q̂_i mod p_j)·2^32 mod p_j` for every source limb `i`.
     consts: Vec<u64>,
+    body: RowBody,
 }
 
 impl ConvRow {
@@ -536,6 +568,9 @@ impl BasisConvGemm {
                 m.value()
             );
         }
+        let q_max = table.src_moduli().iter().map(Modulus::value).max();
+        let q_max = q_max.expect("non-empty source basis");
+        let single = table.src_moduli().len() == 1;
         let rows = table
             .dst_moduli()
             .iter()
@@ -548,11 +583,15 @@ impl BasisConvGemm {
                     // Also rejects an even target.
                     p_inv_neg: Montgomery::new(p).neg_inv() & LO32,
                     consts: row.iter().map(|&m| pj.mul(m, r)).collect(),
+                    body: match (single, q_max < 2 * p) {
+                        (false, _) => RowBody::Fold,
+                        (true, true) => RowBody::Csub,
+                        (true, false) => RowBody::Reduce,
+                    },
                 }
             })
             .collect();
-        let q_max = table.src_moduli().iter().map(Modulus::value).max();
-        let fold = ((1u64 << 32) / q_max.expect("non-empty source basis")) as usize;
+        let fold = ((1u64 << 32) / q_max) as usize;
         Self { table, rows, fold }
     }
 
@@ -587,36 +626,109 @@ impl BasisConvGemm {
         self.table.dst_moduli().len()
     }
 
-    /// The batched `y`-stage: `y[i][c] = [src[i][c] · q̂_i^{-1}]_{q_i}` for
-    /// every source limb `i` and block coefficient `c` — one element-wise
-    /// scaling pass over the whole `L_src × W` block, shared by every
-    /// target limb of the GEMM.
+    /// Row stride of the flat `y` block [`BasisConvGemm::y_stage`] and
+    /// [`BasisConvGemm::convert_row`] work on: `width` rounded up to whole
+    /// column blocks of the kernel (a power-of-two polynomial degree `≥ 16`
+    /// is its own stride).
+    #[must_use]
+    pub fn y_stride(width: usize) -> usize {
+        width.next_multiple_of(CONV_LANES)
+    }
+
+    /// The `y`-stage in place on a flat `L_src × y_stride(width)` block:
+    /// row `i` holds the reduced residues `x_c mod q_i` in its first `width`
+    /// entries on entry and `[x_c · q̂_i^{-1}]_{q_i}` on return, with the
+    /// padding up to the stride zeroed. Run once per source block; every
+    /// target limb then reads the same block through
+    /// [`BasisConvGemm::convert_row`]. A single-limb plan's `y` is `x`
+    /// (type docs), so nothing is touched.
     ///
     /// # Panics
     ///
-    /// Panics if `src_rows` does not have one row per source limb or the
-    /// rows have unequal widths.
-    #[must_use]
-    pub fn y_rows(&self, src_rows: &[&[u64]]) -> Vec<Vec<u64>> {
-        assert_eq!(src_rows.len(), self.l_src(), "source limb count mismatch");
-        let width = src_rows.first().map_or(0, |r| r.len());
-        src_rows
-            .iter()
-            .zip(self.table.src_moduli())
-            .zip(&self.table.src_qhat_inv)
-            .map(|((row, m), &inv)| {
-                assert_eq!(row.len(), width, "ragged source block");
-                let mut y = row.to_vec();
-                m.scale_slice(&mut y, inv);
-                y
-            })
-            .collect()
+    /// Panics if `y` is not exactly `L_src` rows of the stride.
+    pub fn y_stage(&self, y: &mut [u64], width: usize) {
+        let stride = Self::y_stride(width);
+        assert_eq!(y.len(), self.l_src() * stride, "y block shape mismatch");
+        if self.l_src() == 1 {
+            return;
+        }
+        let consts = self.table.src_moduli.iter().zip(&self.table.src_qhat_inv);
+        for (row, (m, &inv)) in y.chunks_mut(stride.max(1)).zip(consts) {
+            let (y_row, pad) = row.split_at_mut(width);
+            m.scale_slice(y_row, inv);
+            pad.fill(0);
+        }
+    }
+
+    /// Target limb `j` of the conversion from a block that has been through
+    /// [`BasisConvGemm::y_stage`]: `out[c] = Σ_i y[i][c]·(q̂_i mod p_j)
+    /// mod p_j`, canonical, for `c < out.len()` (see the type docs for the
+    /// kernel and the single-limb bodies).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not a target limb or `y` is not `L_src` rows of
+    /// `y_stride(out.len())`.
+    pub fn convert_row(&self, j: usize, y: &[u64], out: &mut [u64]) {
+        let width = out.len();
+        let stride = Self::y_stride(width);
+        assert_eq!(y.len(), self.l_src() * stride, "y block shape mismatch");
+        let row = &self.rows[j];
+        match row.body {
+            RowBody::Csub => {
+                for (o, &x) in out.iter_mut().zip(y) {
+                    debug_assert!(x < 2 * row.p, "source residue not reduced");
+                    *o = csub(x, row.p);
+                }
+            }
+            RowBody::Reduce => {
+                let p = &self.table.dst_moduli[j];
+                for (o, &x) in out.iter_mut().zip(y) {
+                    *o = p.reduce(x);
+                }
+            }
+            RowBody::Fold => self.fold_row(row, y, stride, out),
+        }
+    }
+
+    /// The fold-and-reduce kernel over one target row (type docs).
+    fn fold_row(&self, row: &ConvRow, y: &[u64], stride: usize, out: &mut [u64]) {
+        let width = out.len();
+        let two_p = 2 * row.p;
+        // The accumulators of a column block never leave registers.
+        for start in (0..width).step_by(CONV_LANES) {
+            let mut acc = [0u64; CONV_LANES];
+            for (chunk, consts) in row.consts.chunks(self.fold).enumerate() {
+                let mut t = [0u64; CONV_LANES];
+                for (i, &m) in consts.iter().enumerate() {
+                    let at = (chunk * self.fold + i) * stride + start;
+                    let yi: &[u64; CONV_LANES] =
+                        y[at..at + CONV_LANES].try_into().expect("padded block");
+                    for (t, &yv) in t.iter_mut().zip(yi) {
+                        *t += (m & LO32) * (yv & LO32);
+                    }
+                }
+                for (a, r) in acc.iter_mut().zip(row.redc32(&t)) {
+                    *a = csub(*a + r, two_p);
+                }
+            }
+            for a in &mut acc {
+                *a = csub(*a, row.p);
+            }
+            if width - start >= CONV_LANES {
+                // Constant length: plain vector stores, no `memcpy` call.
+                out[start..start + CONV_LANES].copy_from_slice(&acc);
+            } else {
+                out[start..].copy_from_slice(&acc[..width - start]);
+            }
+        }
     }
 
     /// Converts a limb-major block: `src_rows[i][c] = x_c mod q_i` →
     /// `out_rows[j][c] ≈ x_c mod p_j` (up to the additive `α·Q` overshoot),
     /// as one wide `(L_dst × L_src) × (L_src × W)` GEMM with a single
-    /// reduction per output element (see the type docs for the kernel).
+    /// reduction per output element: the `y`-stage into pooled scratch,
+    /// then [`BasisConvGemm::convert_row`] per target limb.
     ///
     /// # Panics
     ///
@@ -629,52 +741,25 @@ impl BasisConvGemm {
         for out in out_rows.iter_mut() {
             assert_eq!(out.len(), width, "ragged target block");
         }
-        // y stage into pooled scratch (flattened L_src × W, rows padded with
-        // zeros to whole column blocks): repeated drains reuse the same
-        // staging allocation instead of growing the heap per call. Taken
-        // dirty — every row is written whole, padding included.
-        let stride = width.next_multiple_of(CONV_LANES);
-        let mut y = scratch::take_dirty_u64(self.l_src() * stride);
-        for (i, row) in src_rows.iter().enumerate() {
-            assert_eq!(row.len(), width, "ragged source block");
-            let (y_row, pad) = y[i * stride..(i + 1) * stride].split_at_mut(width);
-            y_row.copy_from_slice(row);
-            self.table.src_moduli[i].scale_slice(y_row, self.table.src_qhat_inv[i]);
-            pad.fill(0);
-        }
-        // Column block outermost: the block's y values stay in L1 while
-        // every target limb multiplies against them — the GEMM
-        // operand-reuse argument of §IV-B applied to the conversion
-        // matrix — and the accumulators never leave registers.
-        for start in (0..width).step_by(CONV_LANES) {
-            let len = CONV_LANES.min(width - start);
-            for (row, out) in self.rows.iter().zip(out_rows.iter_mut()) {
-                let two_p = 2 * row.p;
-                let mut acc = [0u64; CONV_LANES];
-                for (chunk, consts) in row.consts.chunks(self.fold).enumerate() {
-                    let mut t = [0u64; CONV_LANES];
-                    for (i, &m) in consts.iter().enumerate() {
-                        let at = (chunk * self.fold + i) * stride + start;
-                        let yi: &[u64; CONV_LANES] =
-                            y[at..at + CONV_LANES].try_into().expect("padded block");
-                        for (t, &yv) in t.iter_mut().zip(yi) {
-                            *t += (m & LO32) * (yv & LO32);
-                        }
-                    }
-                    for (a, r) in acc.iter_mut().zip(row.redc32(&t)) {
-                        *a = csub(*a + r, two_p);
-                    }
-                }
-                for a in &mut acc {
-                    *a = csub(*a, row.p);
-                }
-                if len == CONV_LANES {
-                    // Constant length: plain vector stores, no `memcpy` call.
-                    out[start..start + CONV_LANES].copy_from_slice(&acc);
-                } else {
-                    out[start..].copy_from_slice(&acc[..len]);
-                }
+        let stride = Self::y_stride(width);
+        if let ([x], true) = (src_rows, stride == width) {
+            // Single-limb plan, whole column blocks: y is x where it lies.
+            for (j, out) in out_rows.iter_mut().enumerate() {
+                self.convert_row(j, x, out);
             }
+            return;
+        }
+        // Pooled scratch: repeated drains reuse the same staging allocation
+        // instead of growing the heap per call. Taken dirty — the copy and
+        // the `y`-stage write every row whole, padding included.
+        let mut y = scratch::take_dirty_u64(self.l_src() * stride);
+        for (row, y_row) in src_rows.iter().zip(y.chunks_mut(stride.max(1))) {
+            assert_eq!(row.len(), width, "ragged source block");
+            y_row[..width].copy_from_slice(row);
+        }
+        self.y_stage(&mut y, width);
+        for (j, out) in out_rows.iter_mut().enumerate() {
+            self.convert_row(j, &y, out);
         }
         scratch::give_u64(y);
     }
@@ -895,6 +980,18 @@ mod tests {
             gemm.convert_block(&views),
             "{what}: the two entry points"
         );
+        // The row entry point on a caller-owned y block.
+        let stride = BasisConvGemm::y_stride(width);
+        let mut y = vec![u64::MAX; gemm.l_src() * stride];
+        for (row, y_row) in src_rows.iter().zip(y.chunks_mut(stride)) {
+            y_row[..width].copy_from_slice(row);
+        }
+        gemm.y_stage(&mut y, width);
+        for (j, want) in block.iter().enumerate() {
+            let mut got = vec![0u64; width];
+            gemm.convert_row(j, &y, &mut got);
+            assert_eq!(&got, want, "{what}: row entry point, target limb {j}");
+        }
         for c in 0..width {
             let residues: Vec<u64> = src_rows.iter().map(|r| r[c]).collect();
             let scalar = gemm.table().convert_coeff(&residues);
@@ -968,6 +1065,44 @@ mod tests {
         assert_eq!(gemm.fold, 1);
         let saturated: Vec<Vec<u64>> = src.iter().map(|&q| vec![q - 1; 21]).collect();
         assert_block_matches_scalar(&gemm, &saturated, "32-bit 3→3 saturated");
+    }
+
+    #[test]
+    fn single_limb_bodies_are_selected_from_the_primes_and_reduce_exactly() {
+        let bodies =
+            |gemm: &BasisConvGemm| -> Vec<RowBody> { gemm.rows.iter().map(|r| r.body).collect() };
+        let edges = |q: u64, width: usize| -> Vec<Vec<u64>> {
+            let row = (0..width as u64).map(|c| match c % 4 {
+                0 => 0,
+                1 => 1,
+                2 => q - 1,
+                _ => c.wrapping_mul(0x9e37_79b9_7f4a_7c15) % q,
+            });
+            vec![row.collect()]
+        };
+        // Same-width primes (every α = 1 preset): one conditional subtract.
+        for bits in [28u32, 31] {
+            let primes = generate_ntt_primes(4, bits, 1 << 8);
+            let gemm = BasisConvGemm::new(&primes[..1], &primes[1..]);
+            assert_eq!(bodies(&gemm), [RowBody::Csub; 3], "{bits}-bit");
+            for width in [1usize, CONV_LANES, 2 * CONV_LANES + 5] {
+                let what = format!("{bits}-bit 1→3 width {width}");
+                assert_block_matches_scalar(&gemm, &edges(primes[0], width), &what);
+            }
+        }
+        // A source at least twice a target must divide; a [2^31, 2^32)
+        // target beside it takes the subtract.
+        let q = generate_ntt_primes(1, 31, 1 << 8)[0];
+        let small = generate_ntt_primes(1, 28, 1 << 8)[0];
+        let wide = generate_ntt_primes(1, 32, 1 << 8)[0];
+        assert!(q >= 2 * small && wide >= 1 << 31);
+        let gemm = BasisConvGemm::new(&[q], &[small, wide]);
+        assert_eq!(bodies(&gemm), [RowBody::Reduce, RowBody::Csub]);
+        assert_block_matches_scalar(&gemm, &edges(q, 37), "31-bit → 28-bit, 32-bit");
+        // Two source limbs never take a single-limb body.
+        let primes = generate_ntt_primes(3, 28, 1 << 8);
+        let gemm = BasisConvGemm::new(&primes[..2], &primes[2..]);
+        assert_eq!(bodies(&gemm), [RowBody::Fold]);
     }
 
     #[test]
