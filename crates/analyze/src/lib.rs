@@ -37,5 +37,6 @@ pub mod verify;
 
 pub use lint::{lint_source, lint_workspace, Diagnostic, FileScope, LintId};
 pub use verify::{
-    verify_launch_intervals, verify_schedule, verify_service, ScheduleReport, Violation,
+    verify_launch_intervals, verify_schedule, verify_schedule_from, verify_service, ScheduleReport,
+    Violation,
 };

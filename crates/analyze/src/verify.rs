@@ -10,42 +10,77 @@
 //! demands exact equality; only cross-order sums (interval time vs the
 //! canonical shard attribution) get a relative epsilon.
 //!
-//! Invariants checked, per [`verify_schedule`]:
+//! # Resuming from a base
+//!
+//! A long-lived service keeps only a window of its trace
+//! (`tensorfhe_core::sched`, "the trace is a window"): the records before
+//! it are folded into a [`TraceBase`], cut at a quiescent point — nothing
+//! in flight, frozen or unsettled — so the batches dropped are exactly
+//! those with `seq < dropped` and exactly those with `serial_seq <
+//! dropped`. Every replay below therefore *starts from the base instead of
+//! from zero*: indices are offset by `base.dropped`, ticks start at
+//! `base.event_tick`, clocks start at the base's frontier and free-ats,
+//! and every cumulative fold continues from the base's partial, in the
+//! order the accumulator itself uses — so exact folds stay exact however
+//! often the trace was folded. With [`TraceBase::empty`]
+//! ([`verify_schedule`]) the offsets are zero and the checks are the
+//! whole-trace checks. The base cannot be replayed (its records are gone),
+//! only held to what every quiescent snapshot satisfies
+//! ([`Violation::BaseInconsistent`]): one free-at and one busy total per
+//! device, `2·dropped ≤ event_tick ≤ 3·dropped`, makespan = frontier, no
+//! free-at outside `[0, frontier]`, no more uploads than batches.
+//!
+//! Invariants checked, per [`verify_schedule_from`], each relative to the
+//! base:
 //!
 //! 1. **Per-device intervals** are non-overlapping and monotone: every
-//!    shard starts at or after its device's previous free time.
+//!    shard starts at or after its device's previous free time — for a
+//!    device's first kept shard, the base's free-at.
 //! 2. **Gang start** `≥ max(join frontier, chosen device free times)`,
 //!    with the key-upload stall applied on top — and the frontier itself
 //!    must equal the max completion of exactly the batches joined before
-//!    admission.
+//!    admission: the base's frontier joined with the completions of the
+//!    first `joins_at_admit − dropped` kept records.
 //! 3. **Joins settle in submission order** (one global event counter
-//!    orders admissions and joins; both must be strictly increasing).
+//!    orders admissions and joins; both must be strictly increasing, and
+//!    start at or after the base's tick), the record at window position
+//!    `k` is batch `dropped + k`, and each `joins_at_admit` counts the
+//!    dropped batches plus the kept ones joined before that admission.
 //! 4. **Key uploads** are charged before the first gang compute (every
 //!    placement starts at the post-upload gang start) and never on
 //!    anonymous plans.
 //! 5. **Window independence**: two batches simultaneously in flight never
-//!    share a `(client, level)` key.
-//! 6. **Accounting closure**: `busy_us` = Σ batch walls (exact fold),
-//!    `elapsed_us` = makespan (exact fold), `overlap_fraction` =
-//!    `1 − makespan / Σ (upload + wall)` (exact fold, in join order) and
-//!    inside `[0, 1)`, Σ intervals ≈ Σ per-device
-//!    attribution, upload count/time match, and
+//!    share a `(client, level)` key. (Nothing was in flight at the cut, so
+//!    kept batches only ever meet kept batches.)
+//! 6. **Accounting closure**: `busy_us` = base partial + Σ kept walls
+//!    (exact fold, serial order), `elapsed_us` = max(base makespan, kept
+//!    completions) (exact), `overlap_fraction` = `1 − makespan / serial`
+//!    with `serial` = base partial + Σ (upload + wall) in join order
+//!    (exact) and inside `[0, 1)`, base attribution + Σ kept intervals ≈ Σ
+//!    per-device attribution, upload count/time = base partials + kept,
+//!    `batches_dispatched = dropped + kept`, `ops_completed` = base ops +
+//!    kept widths, and
 //!    `ops_submitted = completed + shed + rejected + pending`.
 //! 7. **Program order**: two batches sharing a `(client, level)` key are
 //!    admitted in serial plan order — the scoreboard never reorders one
-//!    client stream against itself.
-//! 8. **Reorder accounting**: every plan is frozen before it is admitted,
-//!    no plan is bypassed more than the aging bound, the frontier never
-//!    moves backwards while a plan is pending, and
-//!    `reorder_distance` / `head_blocked_us` replay from the trace. Under
-//!    in-order admission the records must be degenerate: planned =
-//!    admitted, serial order = admission order, zero bypasses.
+//!    client stream against itself. (Every dropped batch was planned
+//!    before every kept one, so the check runs among kept records.)
+//! 8. **Reorder accounting**: every plan is frozen before it is admitted
+//!    and not before the base's tick, no plan is bypassed more than the
+//!    aging bound, the frontier never moves backwards while a plan is
+//!    pending, and `reorder_distance` / `head_blocked_us` replay from the
+//!    base's partials plus the trace. Under in-order admission the
+//!    records must be degenerate: planned = admitted, serial order =
+//!    admission order, zero bypasses. A drained trace's serial indices
+//!    are a permutation of `dropped..dropped + kept`.
 //! 9. **Priority-rule replay** (quiescent out-of-order traces): the
 //!    verifier re-simulates every freeze/admit/join event against the
 //!    scheduler's documented greedy-then-oldest rule — lookahead bound,
 //!    key eligibility, aging gate, greedy group preference with
 //!    reset-on-empty-window, bypass bumping — and rejects any admission
-//!    the rule would not have made.
+//!    the rule would not have made. The replay starts where the base
+//!    left the scoreboard: empty, no greedy preference, `dropped` plans
+//!    frozen so far.
 //!
 //! [`verify_launch_intervals`] holds a [`DeviceSim`]'s per-stream launch
 //! records to the FIFO-stream contract (non-overlapping, monotone).
@@ -54,7 +89,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use tensorfhe_core::sched::{AdmissionMode, BatchRecord};
+use std::sync::Arc;
+use tensorfhe_core::sched::{AdmissionMode, BatchRecord, TraceBase};
 use tensorfhe_core::service::{FheService, ServiceStats};
 
 /// Relative tolerance for sums folded in a different order than the
@@ -187,6 +223,12 @@ pub enum Violation {
         /// The broken relation.
         detail: String,
     },
+    /// The trace's carry-in contradicts itself: a relation every quiescent
+    /// snapshot satisfies, whatever records were folded into it, fails.
+    BaseInconsistent {
+        /// The broken relation.
+        detail: String,
+    },
     /// Two kernels on one FIFO stream overlapped or ran backwards.
     StreamOverlap {
         /// The stream id.
@@ -267,6 +309,7 @@ impl fmt::Display for Violation {
             ),
             Violation::PriorityViolated { seq, detail } => write!(f, "batch {seq}: {detail}"),
             Violation::ReorderInconsistent { seq, detail } => write!(f, "batch {seq}: {detail}"),
+            Violation::BaseInconsistent { detail } => write!(f, "trace base: {detail}"),
             Violation::StreamOverlap {
                 stream,
                 index,
@@ -330,9 +373,13 @@ fn close(a: f64, b: f64) -> bool {
 /// record freezes and admits on the same tick and replays as an immediate
 /// pick from a one-plan scoreboard). Each replayed admission must be
 /// exactly the plan the documented greedy-then-oldest rule picks.
-fn replay_scoreboard(trace: &[BatchRecord], stats: &ServiceStats, v: &mut Vec<Violation>) {
+fn replay_scoreboard(
+    base: &TraceBase,
+    trace: &[BatchRecord],
+    stats: &ServiceStats,
+    v: &mut Vec<Violation>,
+) {
     use std::collections::{BTreeSet, VecDeque};
-    use std::sync::Arc;
 
     #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     enum Ev {
@@ -355,8 +402,10 @@ fn replay_scoreboard(trace: &[BatchRecord], stats: &ServiceStats, v: &mut Vec<Vi
     let mut bypassed = vec![0usize; trace.len()];
     let mut window: VecDeque<usize> = VecDeque::new();
     let mut inflight: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
+    // The base is a quiescent point: scoreboard and window empty, no
+    // greedy preference, and `dropped` plans frozen so far.
     let mut last_group: Option<(tensorfhe_core::FheOp, usize)> = None;
-    let mut next_serial = 0usize;
+    let mut next_serial = base.dropped;
 
     for (_, ev, k) in events {
         let rec = &trace[k];
@@ -494,14 +543,80 @@ fn replay_scoreboard(trace: &[BatchRecord], stats: &ServiceStats, v: &mut Vec<Vi
     }
 }
 
-/// Verifies the scheduler trace against the service's cumulative stats.
-///
-/// `pending_ops` is the service's live op count (queued + in flight) at
-/// the moment `stats` was taken; `devices` bounds placement indices.
-/// Pass the trace of a *quiescent or mid-drain* service — the checks are
-/// valid at any point, since every record is final once joined.
+/// Verifies a whole (never folded) scheduler trace against the service's
+/// cumulative stats: [`verify_schedule_from`] on the empty base.
 #[must_use]
 pub fn verify_schedule(
+    trace: &[BatchRecord],
+    stats: &ServiceStats,
+    pending_ops: usize,
+    devices: usize,
+) -> ScheduleReport {
+    verify_schedule_from(
+        &TraceBase::empty(devices),
+        trace,
+        stats,
+        pending_ops,
+        devices,
+    )
+}
+
+/// Checks a base against itself: what any quiescent snapshot satisfies
+/// whatever the records behind it were.
+fn check_base(base: &TraceBase, devices: usize, v: &mut Vec<Violation>) {
+    let mut fail = |detail: String| v.push(Violation::BaseInconsistent { detail });
+    if base.free_at.len() != devices || base.settled.device_busy_us.len() != devices {
+        fail(format!(
+            "carries {} free-at and {} busy entries for {devices} devices",
+            base.free_at.len(),
+            base.settled.device_busy_us.len()
+        ));
+    }
+    // One tick per admission and per join, one more per out-of-order
+    // freeze.
+    let (lo, hi) = (2 * base.dropped as u64, 3 * base.dropped as u64);
+    if !(lo..=hi).contains(&base.event_tick) {
+        fail(format!(
+            "event tick {} outside [{lo}, {hi}] for {} dropped batches",
+            base.event_tick, base.dropped
+        ));
+    }
+    // The frontier and the makespan are the same max over the same
+    // completions; no device is busy past it, and none before time zero.
+    if base.elapsed_us != base.frontier_us {
+        fail(format!(
+            "makespan {} µs ≠ join frontier {} µs",
+            base.elapsed_us, base.frontier_us
+        ));
+    }
+    for (d, &free) in base.free_at.iter().enumerate() {
+        if !(0.0..=base.frontier_us).contains(&free) {
+            fail(format!(
+                "device {d} free at {free} µs, outside [0, join frontier {} µs]",
+                base.frontier_us
+            ));
+        }
+    }
+    if base.settled.key_uploads > base.dropped {
+        fail(format!(
+            "{} uploads charged to {} dropped batches",
+            base.settled.key_uploads, base.dropped
+        ));
+    }
+}
+
+/// Verifies the scheduler trace — the window of records since `base` —
+/// against the service's cumulative stats.
+///
+/// `base` is the service's [`FheService::schedule_trace_base`] (the empty
+/// base for a trace nothing was folded out of); `pending_ops` is the
+/// service's live op count (queued + in flight) at the moment `stats` was
+/// taken; `devices` bounds placement indices. Pass the trace of a
+/// *quiescent or mid-drain* service — the checks are valid at any point,
+/// since every record is final once joined.
+#[must_use]
+pub fn verify_schedule_from(
+    base: &TraceBase,
     trace: &[BatchRecord],
     stats: &ServiceStats,
     pending_ops: usize,
@@ -512,13 +627,42 @@ pub fn verify_schedule(
         ..ScheduleReport::default()
     };
     let v = &mut report.violations;
+    check_base(base, devices, v);
+
+    // `joined_before(t)`: how many batches — dropped ones included — had
+    // joined before tick `t`. Joins are in trace order (checked below), so
+    // that set is the base plus a trace prefix.
+    let joined_before =
+        |k: usize, t: u64| base.dropped + trace[..k].partition_point(|r| r.joined_at < t);
+    // `frontier_after[j]`: the join frontier once the base and the first
+    // `j` trace records have joined.
+    let mut frontier_after = Vec::with_capacity(trace.len() + 1);
+    frontier_after.push(base.frontier_us);
+    for rec in trace {
+        let last = frontier_after[frontier_after.len() - 1];
+        frontier_after.push(last.max(rec.completion_us));
+    }
+    let frontier_at =
+        |joins: usize| frontier_after[joins.saturating_sub(base.dropped).min(trace.len())];
 
     // --- Ordering: one global tick orders admissions and joins. ---
     for (k, rec) in trace.iter().enumerate() {
-        if rec.seq != k {
+        if rec.seq != base.dropped + k {
             v.push(Violation::OutOfOrder {
                 seq: rec.seq,
-                detail: format!("trace position {k} holds seq {}", rec.seq),
+                detail: format!(
+                    "trace position {k} after {} dropped records holds seq {}",
+                    base.dropped, rec.seq
+                ),
+            });
+        }
+        if rec.planned_at.min(rec.admitted_at) < base.event_tick {
+            v.push(Violation::OutOfOrder {
+                seq: rec.seq,
+                detail: format!(
+                    "planned at tick {}, admitted at tick {}: before the base's tick {}",
+                    rec.planned_at, rec.admitted_at, base.event_tick
+                ),
             });
         }
         if rec.admitted_at >= rec.joined_at {
@@ -545,10 +689,7 @@ pub fn verify_schedule(
                 });
             }
         }
-        let joins_before = trace[..k]
-            .iter()
-            .filter(|r| r.joined_at < rec.admitted_at)
-            .count();
+        let joins_before = joined_before(k, rec.admitted_at);
         if joins_before != rec.joins_at_admit {
             v.push(Violation::OutOfOrder {
                 seq: rec.seq,
@@ -561,12 +702,11 @@ pub fn verify_schedule(
     }
 
     // --- Frontier, stall, placement, and per-batch consistency. ---
-    let mut free_at = vec![0.0f64; devices];
+    let mut free_at = base.free_at.clone();
+    free_at.resize(devices, 0.0);
     for rec in trace {
         // Frontier: max completion over exactly the joined-before prefix.
-        let expected_frontier = trace[..rec.joins_at_admit.min(trace.len())]
-            .iter()
-            .fold(0.0f64, |m, r| m.max(r.completion_us));
+        let expected_frontier = frontier_at(rec.joins_at_admit);
         if expected_frontier != rec.frontier_us {
             v.push(Violation::FrontierMismatch {
                 seq: rec.seq,
@@ -723,14 +863,8 @@ pub fn verify_schedule(
         }
         // Pending-frontier snapshot: max completion over exactly the
         // batches joined before the freeze tick (joins are monotone, so
-        // that set is a trace prefix).
-        let joins_before_freeze = trace
-            .iter()
-            .filter(|r| r.joined_at < rec.planned_at)
-            .count();
-        let expected = trace[..joins_before_freeze.min(trace.len())]
-            .iter()
-            .fold(0.0f64, |m, r| m.max(r.completion_us));
+        // that set is the base plus a trace prefix).
+        let expected = frontier_at(joined_before(trace.len(), rec.planned_at));
         if expected != rec.planned_frontier_us {
             v.push(Violation::ReorderInconsistent {
                 seq: rec.seq,
@@ -774,22 +908,25 @@ pub fn verify_schedule(
         }
     }
 
-    // --- Program order: one client stream is never reordered. ---
-    for (k, rec) in trace.iter().enumerate() {
-        for prev in &trace[..k] {
-            if prev.serial_seq >= rec.serial_seq
-                && prev.keys.iter().any(|key| rec.keys.contains(key))
-            {
-                let shared = prev
-                    .keys
-                    .iter()
-                    .find(|key| rec.keys.contains(key))
-                    .expect("checked above");
-                v.push(Violation::ProgramOrderViolated {
-                    first: rec.seq,
-                    second: prev.seq,
-                    key: (shared.0.to_string(), shared.1),
-                });
+    // --- Program order: one client stream is never reordered. Every
+    // --- dropped record was planned before every kept one, so only kept
+    // --- records can be out of order with each other: per key, the
+    // --- latest-planned batch admitted so far must have been planned
+    // --- before this one.
+    let mut latest: BTreeMap<&(Arc<str>, usize), &BatchRecord> = BTreeMap::new();
+    for rec in trace {
+        for key in &rec.keys {
+            match latest.get(key) {
+                Some(prev) if prev.serial_seq >= rec.serial_seq => {
+                    v.push(Violation::ProgramOrderViolated {
+                        first: rec.seq,
+                        second: prev.seq,
+                        key: (key.0.to_string(), key.1),
+                    });
+                }
+                _ => {
+                    latest.insert(key, rec);
+                }
             }
         }
     }
@@ -799,23 +936,31 @@ pub fn verify_schedule(
     if pending_ops == 0 {
         let mut serials: Vec<usize> = trace.iter().map(|r| r.serial_seq).collect();
         serials.sort_unstable();
-        if serials.iter().enumerate().any(|(i, &s)| i != s) {
+        if serials
+            .iter()
+            .enumerate()
+            .any(|(i, &s)| base.dropped + i != s)
+        {
             v.push(Violation::ReorderInconsistent {
-                seq: 0,
-                detail: "serial indices of a drained trace are not a permutation of 0..n".into(),
+                seq: base.dropped,
+                detail: format!(
+                    "serial indices of a drained trace are not a permutation of {}..{}",
+                    base.dropped,
+                    base.dropped + trace.len()
+                ),
             });
         }
         if stats.admission == AdmissionMode::OutOfOrder {
-            replay_scoreboard(trace, stats, v);
+            replay_scoreboard(base, trace, stats, v);
         }
     }
 
     // --- Reorder accounting. The service accumulates both stats at
     // --- admission (= trace order), so a mid-drain trace replays a
     // --- prefix: the replay may trail the stat but never exceed it.
-    let head_blocked: f64 = trace
-        .iter()
-        .fold(0.0, |acc, r| acc + (r.frontier_us - r.planned_frontier_us));
+    let head_blocked: f64 = trace.iter().fold(base.head_blocked_us, |acc, r| {
+        acc + (r.frontier_us - r.planned_frontier_us)
+    });
     if head_blocked > stats.head_blocked_us
         || (pending_ops == 0 && head_blocked != stats.head_blocked_us)
     {
@@ -828,8 +973,7 @@ pub fn verify_schedule(
     let reorder = trace
         .iter()
         .map(|r| r.seq.abs_diff(r.serial_seq))
-        .max()
-        .unwrap_or(0);
+        .fold(base.reorder_max, usize::max);
     if reorder > stats.reorder_distance || (pending_ops == 0 && reorder != stats.reorder_distance) {
         v.push(Violation::AccountingMismatch {
             stat: "reorder_distance",
@@ -838,14 +982,17 @@ pub fn verify_schedule(
         });
     }
 
-    // --- Accounting closure. The service accumulates `busy_us` at
-    // --- settle time, and the reorder buffer settles in *serial* plan
-    // --- order — so the exact-equality fold must run over the trace
-    // --- sorted by `serial_seq`, not by admission. (In-order traces are
-    // --- unchanged: there the two orders coincide.) ---
+    // --- Accounting closure, every fold resumed from the base's partial.
+    // --- The service accumulates `busy_us` at settle time, and the
+    // --- reorder buffer settles in *serial* plan order — so the
+    // --- exact-equality fold must run over the trace sorted by
+    // --- `serial_seq`, not by admission. (In-order traces are unchanged:
+    // --- there the two orders coincide.) ---
     let mut settle_order: Vec<&BatchRecord> = trace.iter().collect();
     settle_order.sort_by_key(|r| r.serial_seq);
-    let busy: f64 = settle_order.iter().fold(0.0, |acc, r| acc + r.wall_us);
+    let busy: f64 = settle_order
+        .iter()
+        .fold(base.settled.busy_us, |acc, r| acc + r.wall_us);
     if busy != stats.busy_us {
         v.push(Violation::AccountingMismatch {
             stat: "busy_us",
@@ -853,7 +1000,9 @@ pub fn verify_schedule(
             got: stats.busy_us,
         });
     }
-    let makespan = trace.iter().fold(0.0f64, |m, r| m.max(r.completion_us));
+    let makespan = trace
+        .iter()
+        .fold(base.elapsed_us, |m, r| m.max(r.completion_us));
     if makespan != stats.elapsed_us {
         v.push(Violation::AccountingMismatch {
             stat: "elapsed_us",
@@ -864,7 +1013,7 @@ pub fn verify_schedule(
     // The overlap is measured against the one-at-a-time makespan of the
     // same batches — upload stall, then wall, in join order, guarded like
     // the clock itself — so it can never leave [0, 1).
-    let serial = trace.iter().fold(0.0f64, |s, r| {
+    let serial = trace.iter().fold(base.serial_us, |s, r| {
         let s = if r.upload_us > 0.0 {
             s + r.upload_us
         } else {
@@ -889,15 +1038,16 @@ pub fn verify_schedule(
         .flat_map(|r| r.placements.iter())
         .map(|&(_, _, dur)| dur)
         .sum();
+    let attributed_before: f64 = base.settled.device_busy_us.iter().sum();
     let attributed: f64 = stats.device_busy_us.iter().sum();
-    if !close(interval_sum, attributed) {
+    if !close(attributed_before + interval_sum, attributed) {
         v.push(Violation::AccountingMismatch {
             stat: "interval sum vs device attribution",
-            expected: interval_sum,
+            expected: attributed_before + interval_sum,
             got: attributed,
         });
     }
-    let uploads = trace.iter().filter(|r| r.upload_us > 0.0).count();
+    let uploads = base.settled.key_uploads + trace.iter().filter(|r| r.upload_us > 0.0).count();
     if uploads != stats.key_uploads {
         v.push(Violation::AccountingMismatch {
             stat: "key_uploads",
@@ -907,7 +1057,9 @@ pub fn verify_schedule(
     }
     // Uploads are charged when a plan *freezes*, i.e. along the serial
     // walk — fold in serial order for the same reason as `busy_us`.
-    let upload_us: f64 = settle_order.iter().fold(0.0, |acc, r| acc + r.upload_us);
+    let upload_us: f64 = settle_order
+        .iter()
+        .fold(base.settled.key_upload_us, |acc, r| acc + r.upload_us);
     if upload_us != stats.key_upload_us {
         v.push(Violation::AccountingMismatch {
             stat: "key_upload_us",
@@ -915,7 +1067,7 @@ pub fn verify_schedule(
             got: stats.key_upload_us,
         });
     }
-    let widths: usize = trace.iter().map(|r| r.width).sum();
+    let widths: usize = base.settled.ops_completed + trace.iter().map(|r| r.width).sum::<usize>();
     if widths != stats.ops_completed {
         v.push(Violation::AccountingMismatch {
             stat: "ops_completed",
@@ -923,10 +1075,11 @@ pub fn verify_schedule(
             got: stats.ops_completed as f64,
         });
     }
-    if trace.len() != stats.batches_dispatched {
+    let batches = base.dropped + trace.len();
+    if batches != stats.batches_dispatched {
         v.push(Violation::AccountingMismatch {
             stat: "batches_dispatched",
-            expected: trace.len() as f64,
+            expected: batches as f64,
             got: stats.batches_dispatched as f64,
         });
     }
@@ -951,7 +1104,8 @@ pub fn verify_schedule(
 /// all reconcile.
 #[must_use]
 pub fn verify_service(svc: &FheService) -> ScheduleReport {
-    verify_schedule(
+    verify_schedule_from(
+        svc.schedule_trace_base(),
         svc.schedule_trace(),
         &svc.stats(),
         svc.pending_ops(),

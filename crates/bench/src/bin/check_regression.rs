@@ -133,6 +133,51 @@ fn verify_smoke_schedules() -> Result<(), String> {
             failures.push(format!("ooo workers={workers} depth={depth}:\n{report}"));
         }
     }
+    // A stream long enough to fold the schedule trace once (two windows
+    // of batches; the simulated backend is pinned so the dispatch-cost
+    // cache keeps that to a fraction of a second): the verifier must
+    // resume clean from the trace base the fold left behind.
+    {
+        let mut svc = TensorFhe::builder(&CkksParams::test_small())
+            .sched(
+                SchedPolicy::new()
+                    .workers(1)
+                    .pipeline_depth(4)
+                    .admission(AdmissionMode::OutOfOrder),
+            )
+            .devices(4)
+            .backend(tensorfhe_core::exec::ExecBackend::Sim)
+            .service()
+            .map_err(|e| e.to_string())?;
+        let max_level = svc.params().max_level();
+        let tenants = [
+            svc.register_session(SessionConfig::new("a"))
+                .map_err(|e| e.to_string())?,
+            svc.register_session(SessionConfig::new("b").weight(2.0))
+                .map_err(|e| e.to_string())?,
+        ];
+        let ops = [FheOp::HMult, FheOp::Rescale, FheOp::HRotate, FheOp::HAdd];
+        let mut wave = 0usize;
+        while svc.schedule_trace_base().dropped == 0 && wave < 4096 {
+            for step in 0..12 {
+                let (op, level) = (ops[(step + wave) % 4], 1 + (step + wave) % max_level);
+                svc.submit(FheRequest::in_session(op, level, 1, tenants[step % 2]))
+                    .map_err(|e| e.to_string())?;
+            }
+            svc.drain();
+            wave += 1;
+        }
+        if svc.schedule_trace_base().dropped == 0 {
+            failures.push(format!(
+                "long stream: {} batches in {wave} waves never folded the trace",
+                svc.stats().batches_dispatched
+            ));
+        }
+        let report = tensorfhe_analyze::verify_service(&svc);
+        if !report.is_clean() {
+            failures.push(format!("long stream, folded trace:\n{report}"));
+        }
+    }
     if failures.is_empty() {
         Ok(())
     } else {

@@ -110,8 +110,12 @@ pub struct OpReport {
     pub ops_per_watt: f64,
     /// Kernel launches issued.
     pub launches: usize,
-    /// Per-kernel device time (name → µs).
-    pub by_kernel: Vec<(String, f64)>,
+    /// Per-kernel device time (name → µs). A name is a
+    /// [`tensorfhe_gpu::KernelName`] — the `Arc<str>` the kernel layer
+    /// interned when it built its name table — so it prints, orders and
+    /// derefs as `str` and costs a reference count, not a `String`, per
+    /// report.
+    pub by_kernel: Vec<(tensorfhe_gpu::KernelName, f64)>,
 }
 
 impl OpReport {

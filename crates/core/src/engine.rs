@@ -5,7 +5,7 @@ use crate::tracer::GpuTracer;
 use std::cell::RefCell;
 use std::rc::Rc;
 use tensorfhe_ckks::{CkksContext, CkksParams, KernelEvent, KernelTracer};
-use tensorfhe_gpu::{DeviceConfig, DeviceSim, Profiler};
+use tensorfhe_gpu::{CostMemo, DeviceConfig, DeviceSim, KernelName, KernelStats, Profiler};
 
 /// The NTT lowering variant — Table IV's three TensorFHE configurations.
 pub type Variant = tensorfhe_ntt::NttAlgorithm;
@@ -90,8 +90,23 @@ pub struct OpStats {
     pub energy_j: f64,
     /// Kernel launches in the window.
     pub launches: usize,
-    /// Per-kernel time shares (name → µs).
-    pub by_kernel: Vec<(String, f64)>,
+    /// Per-kernel time shares (name → µs), names interned: cloning the
+    /// stats (a dispatch-cache replay) bumps reference counts.
+    pub by_kernel: Vec<(KernelName, f64)>,
+}
+
+impl OpStats {
+    /// Folds a window of the launch log, borrowed where it lies.
+    fn of_window(window: &[KernelStats]) -> Self {
+        let p = Profiler::new(window);
+        Self {
+            time_us: p.span_us(),
+            occupancy: p.occupancy(),
+            energy_j: p.energy_j(),
+            launches: window.len(),
+            by_kernel: p.time_by_kernel(),
+        }
+    }
 }
 
 /// Owner of the simulated device plus the engine configuration.
@@ -99,6 +114,9 @@ pub struct OpStats {
 pub struct Engine {
     sim: Rc<RefCell<DeviceSim>>,
     cfg: EngineConfig,
+    /// The engine's one launch-cost memo, lent to the fresh simulator of
+    /// every [`Engine::run_schedule`] window and taken back afterwards.
+    memo: CostMemo,
 }
 
 impl Engine {
@@ -108,6 +126,7 @@ impl Engine {
         Self {
             sim: Rc::new(RefCell::new(DeviceSim::new(cfg.device.clone()))),
             cfg,
+            memo: CostMemo::default(),
         }
     }
 
@@ -164,38 +183,41 @@ impl Engine {
     /// into the last ulp of the window span. Full-mode tracing through
     /// [`Engine::make_tracer`] keeps the engine's persistent sim and
     /// profiler; only synthetic costing windows are isolated.
+    ///
+    /// The one thing a window inherits is the engine's launch-cost memo
+    /// ([`tensorfhe_gpu::CostMemo`]): a launch's standalone cost is a pure
+    /// function of `(device config, launch shape)`, so lending it changes
+    /// no bit of any result and the warp simulator runs once per kernel
+    /// shape per engine instead of once per shape per window.
     pub fn run_schedule(&mut self, tag: &str, events: &[KernelEvent], batch: usize) -> OpStats {
-        let sim = Rc::new(RefCell::new(DeviceSim::new(self.cfg.device.clone())));
+        let memo = std::mem::take(&mut self.memo);
+        let sim = Rc::new(RefCell::new(DeviceSim::with_memo(
+            self.cfg.device.clone(),
+            memo,
+        )));
         let mut tracer = GpuTracer::new(Rc::clone(&sim), self.cfg.variant, self.cfg.layout, batch);
         tracer.op_begin(tag);
         for &e in events {
             tracer.kernel(e);
         }
-        sim.borrow_mut().synchronize();
-        let sim = sim.borrow();
-        let p = Profiler::new(sim.stats().to_vec());
-        OpStats {
-            time_us: p.span_us(),
-            occupancy: p.occupancy(),
-            energy_j: p.energy_j(),
-            launches: sim.stats().len(),
-            by_kernel: p.time_by_kernel(),
-        }
+        let mut sim = sim.borrow_mut();
+        sim.synchronize();
+        self.memo = sim.take_memo();
+        OpStats::of_window(sim.stats())
+    }
+
+    /// Launch shapes costed so far by [`Engine::run_schedule`] windows —
+    /// the size of the engine's launch-cost memo. It stops growing once
+    /// every kernel shape of the traffic has been seen.
+    #[must_use]
+    pub fn costed_shapes(&self) -> usize {
+        self.memo.len()
     }
 
     /// Statistics over launches recorded since index `first`.
     #[must_use]
     pub fn window_stats(&self, first: usize) -> OpStats {
-        let sim = self.sim.borrow();
-        let window = &sim.stats()[first..];
-        let p = Profiler::new(window.to_vec());
-        OpStats {
-            time_us: p.span_us(),
-            occupancy: p.occupancy(),
-            energy_j: p.energy_j(),
-            launches: window.len(),
-            by_kernel: p.time_by_kernel(),
-        }
+        OpStats::of_window(&self.sim.borrow().stats()[first..])
     }
 
     /// Number of launches recorded so far (window bookmarking).
@@ -204,10 +226,10 @@ impl Engine {
         self.sim.borrow().stats().len()
     }
 
-    /// Profiler over everything recorded so far.
-    #[must_use]
-    pub fn profiler(&self) -> Profiler {
-        Profiler::new(self.sim.borrow().stats().to_vec())
+    /// Runs `f` on a profiler over everything recorded so far — a view
+    /// of the persistent simulator's launch log, valid for the call.
+    pub fn profiler<R>(&self, f: impl FnOnce(&Profiler<'_>) -> R) -> R {
+        f(&Profiler::new(self.sim.borrow().stats()))
     }
 
     /// Total virtual time elapsed (µs).
@@ -287,6 +309,51 @@ mod tests {
         let s = e.run_schedule("HADD", &hadd_schedule(&params, 7), 8);
         assert!(s.time_us > 0.0);
         assert!(s.launches >= 1);
+    }
+
+    fn bits(s: &OpStats) -> Vec<u64> {
+        let mut v = vec![
+            s.time_us.to_bits(),
+            s.occupancy.to_bits(),
+            s.energy_j.to_bits(),
+            s.launches as u64,
+        ];
+        for (k, t) in &s.by_kernel {
+            v.extend(k.bytes().map(u64::from));
+            v.push(t.to_bits());
+        }
+        v
+    }
+
+    #[test]
+    fn warm_memo_changes_no_bit_and_costs_nothing_twice() {
+        let params = small();
+        let sched = hmult_schedule(&params, 7);
+        for variant in [Variant::Butterfly, Variant::FourStep, Variant::TensorCore] {
+            let fresh = |batch| {
+                Engine::new(EngineConfig::a100(variant)).run_schedule("HMULT", &sched, batch)
+            };
+            let mut warm = Engine::new(EngineConfig::a100(variant));
+            assert_eq!(warm.costed_shapes(), 0);
+            let first = warm.run_schedule("HMULT", &sched, 8);
+            let shapes = warm.costed_shapes();
+            assert!(shapes > 0, "the first window fills the memo");
+            let second = warm.run_schedule("HMULT", &sched, 8);
+            assert_eq!(
+                warm.costed_shapes(),
+                shapes,
+                "the second window must hit the memo on every launch"
+            );
+            // One engine twice == two fresh engines once each, bit for bit:
+            // the window is history-free, only the pure memo persists.
+            assert_eq!(bits(&first), bits(&fresh(8)));
+            assert_eq!(bits(&second), bits(&fresh(8)));
+            // A different batch is a different set of shapes on the same
+            // memo, and still a fresh engine's answer.
+            let wide = warm.run_schedule("HMULT", &sched, 32);
+            assert!(warm.costed_shapes() > shapes);
+            assert_eq!(bits(&wide), bits(&fresh(32)));
+        }
     }
 
     #[test]

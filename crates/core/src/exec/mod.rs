@@ -230,6 +230,20 @@ pub fn shard_widths(width: usize, devices: usize) -> Vec<usize> {
     widths
 }
 
+/// `table[name] += us`, cloning the interned name (a reference-count bump)
+/// only the first time the table sees it.
+pub(crate) fn add_kernel_time(
+    table: &mut std::collections::BTreeMap<tensorfhe_gpu::KernelName, f64>,
+    name: &tensorfhe_gpu::KernelName,
+    us: f64,
+) {
+    match table.get_mut(&**name) {
+        Some(t) => *t += us,
+        // The first share still folds onto 0.0, like `or_insert(0.0) +=`.
+        None => *table.entry(name.clone()).or_insert(0.0) += us,
+    }
+}
+
 /// Merges per-device shard statistics into one batch result, folding in
 /// device-index order so serial and threaded executors agree bit-for-bit.
 ///
@@ -275,10 +289,11 @@ pub fn merge_shards(per_device: Vec<(usize, OpStats)>, devices: usize) -> BatchR
     } else {
         0.0
     };
-    let mut by_kernel: std::collections::BTreeMap<String, f64> = Default::default();
+    let mut by_kernel: std::collections::BTreeMap<tensorfhe_gpu::KernelName, f64> =
+        Default::default();
     for (_, s) in &per_device {
         for (k, t) in &s.by_kernel {
-            *by_kernel.entry(k.clone()).or_insert(0.0) += t;
+            add_kernel_time(&mut by_kernel, k, *t);
         }
     }
     BatchResult {

@@ -288,6 +288,25 @@
 //!   anonymous plans, no two in-flight batches sharing a
 //!   `(client, level)` key, and the ops ledger closed
 //!   (`submitted = completed + shed + rejected + pending`).
+//! * **The trace is a window, the verifier resumes from its base.** A
+//!   long-lived service keeps the newest [`sched::TRACE_WINDOW`] records
+//!   (at most about twice that) and folds older generations into a
+//!   [`sched::TraceBase`] — cut only at quiescent points, every partial
+//!   fold read from the accumulator itself, so no float is ever summed in
+//!   a second order. `tensorfhe_analyze::verify_service` starts every
+//!   replay (device intervals, frontier, window membership, priority
+//!   rule, accounting closure) from
+//!   [`service::FheService::schedule_trace_base`] instead of from zero;
+//!   recording, folding and verifying never touch a report or a stat.
+//! * **Costing windows are history-free; only a pure memo persists.**
+//!   [`Engine::run_schedule`] runs every window on a fresh, zero-based
+//!   `DeviceSim` — new clocks, queues and launch log — so a batch's cost
+//!   never depends on what ran before it. The one thing an engine carries
+//!   from window to window is its launch-cost memo
+//!   (`tensorfhe_gpu::CostMemo`): the standalone cost of a launch is a
+//!   pure function of `(device config, launch shape)`, so a warm engine
+//!   and a fresh one return the same bits (tested per variant), and the
+//!   memo refuses a simulator of any other device.
 //! * **Reorder invariants.** Under out-of-order admission the trace
 //!   additionally proves: program order within a client stream is never
 //!   violated (same-key batches admit in serial plan order), no plan is

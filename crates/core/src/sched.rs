@@ -86,6 +86,51 @@
 //! `pipelined_ops_per_second` — the honest schedule-level throughput the
 //! `fig11_pipeline` and `fig13_ooo_window` benches pin.
 //!
+//! # The trace is a window
+//!
+//! Every joined batch leaves a [`BatchRecord`], and a service that runs
+//! for ever must not keep them for ever. [`Scheduler::trace`] is therefore
+//! a *window* over the newest records — still one contiguous slice — and
+//! everything older is folded into a [`TraceBase`], the carry-in the
+//! schedule verifier resumes from.
+//!
+//! * **Where a fold may cut.** Only at a *quiescent point*: window,
+//!   scoreboard and reorder buffer all empty (every
+//!   [`crate::service::FheService::drain`] return is one). It is the only
+//!   place where each accumulator the verifier replays has a well-defined
+//!   value: the busy-time and upload folds run in *serial* order while the
+//!   trace is in *join* order, and the two orders describe the same set of
+//!   batches only when nothing is in flight; the scoreboard replay needs an
+//!   empty scoreboard to start from; and at such a point the next admission
+//!   index, the next serial index and the count of joined batches are one
+//!   number ([`TraceBase::dropped`]).
+//! * **The fold rule.** The records since the base form an *old* and a
+//!   *young* generation, split at the *mark* — a [`TraceBase`] snapshot
+//!   taken at an earlier quiescent point. At a quiescent point where the
+//!   young generation has reached [`TRACE_WINDOW`] records, the old
+//!   generation is dropped, the mark becomes the base, and a snapshot of
+//!   *now* becomes the new mark. Each partial fold in a snapshot is read
+//!   from the accumulator itself at that instant — never recomputed from
+//!   records — so no float is ever folded in a second order.
+//! * **The bound.** Right after a fold the window holds one generation: at
+//!   least [`TRACE_WINDOW`] records, fewer than [`TRACE_WINDOW`] plus the
+//!   records between two quiescent points. It never holds more than two
+//!   generations plus what has joined since the last quiescent point, i.e.
+//!   fewer than `2 · (TRACE_WINDOW + g)` records at any quiescent point,
+//!   `g` being the most records that join between two of them (one wave of
+//!   a wave-driven service; the whole backlog of a pump-driven one, which
+//!   quiesces — and folds — only when its queue empties). The first fold
+//!   that drops anything needs `2 · TRACE_WINDOW` records, so shorter runs
+//!   see the whole trace, with absolute indices, exactly as before.
+//! * **What the base carries.** Identity: records dropped (= the next
+//!   `seq`, `serial_seq` and `joins_at_admit`) and the next event tick.
+//!   Overlap clock: the join frontier and every device's free-at. Partial
+//!   folds, each in the order its accumulator uses: `elapsed_us` (max, join
+//!   order), `serial_us` (join order), `head_blocked_us` (admission order),
+//!   `reorder_max`, and — handed in by the service, which owns them —
+//!   `busy_us` and `device_busy_us[]` (settle = serial order), the upload
+//!   count and time (plan = serial order) and the completed-ops ledger.
+//!
 //! [`ServiceStats`]: crate::service::ServiceStats
 
 use crate::api::FheOp;
@@ -98,6 +143,14 @@ pub const DEFAULT_LOOKAHEAD: usize = 8;
 
 /// Default aging bound (bypasses before a plan must be admitted next).
 pub const DEFAULT_AGING_BOUND: usize = 4;
+
+/// Length of one generation of the schedule trace: the newest
+/// `TRACE_WINDOW` [`BatchRecord`]s are always in [`Scheduler::trace`], and
+/// older ones are folded into the [`TraceBase`] a generation at a time (see
+/// the [module docs](self#the-trace-is-a-window)). A constant, like the
+/// residency trace's cap: the verifier needs no tuning and the records are
+/// a diagnostic, not a result.
+pub const TRACE_WINDOW: usize = 8192;
 
 /// Window-admission discipline: the order in which planned batches enter
 /// the in-flight window.
@@ -308,6 +361,84 @@ pub struct BatchRecord {
     pub placements: Vec<(usize, f64, f64)>,
 }
 
+/// Everything the schedule verifier needs to know about the records that
+/// were folded out of the trace: the state of the overlap clock at the
+/// cut, and each cumulative stat's partial fold up to it. The cut is
+/// always a quiescent point, so the records dropped are exactly the
+/// batches with `seq < dropped`, which are also exactly those with
+/// `serial_seq < dropped`. See the
+/// [module docs](self#the-trace-is-a-window).
+///
+/// Fields are public, like [`BatchRecord`]'s, so tests can doctor a base
+/// and watch the verifier object.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceBase {
+    /// Records folded away: the `seq`, the `serial_seq` and the
+    /// `joins_at_admit` the first kept record can have at the least.
+    pub dropped: usize,
+    /// The window-event tick at the cut: every dropped record's ticks lie
+    /// below it, every kept record's at or above.
+    pub event_tick: u64,
+    /// The join frontier at the cut (µs): the max completion over the
+    /// dropped records.
+    pub frontier_us: f64,
+    /// Each virtual device's free time at the cut (µs).
+    pub free_at: Vec<f64>,
+    /// Partial [`Scheduler::elapsed_us`] (max completion, join order).
+    pub elapsed_us: f64,
+    /// Partial [`Scheduler::serial_us`] (upload then wall, join order).
+    pub serial_us: f64,
+    /// Partial [`Scheduler::head_blocked_us`] (admission order).
+    pub head_blocked_us: f64,
+    /// Partial [`Scheduler::reorder_distance`].
+    pub reorder_max: usize,
+    /// The service-side partials, as the service handed them over.
+    pub settled: SettledTotals,
+}
+
+impl TraceBase {
+    /// The base of a trace nothing was folded out of: every count zero,
+    /// every clock at time zero.
+    #[must_use]
+    pub fn empty(devices: usize) -> Self {
+        Self {
+            dropped: 0,
+            event_tick: 0,
+            frontier_us: 0.0,
+            free_at: vec![0.0; devices],
+            elapsed_us: 0.0,
+            serial_us: 0.0,
+            head_blocked_us: 0.0,
+            reorder_max: 0,
+            settled: SettledTotals {
+                busy_us: 0.0,
+                device_busy_us: vec![0.0; devices],
+                key_uploads: 0,
+                key_upload_us: 0.0,
+                ops_completed: 0,
+            },
+        }
+    }
+}
+
+/// The settle-side accumulators a [`TraceBase`] snapshots next to the
+/// scheduler's own: the service owns them (they fold in settle order, on
+/// its side of the seam) and hands them over at a fold, read as they
+/// stand. In a base they are the partial folds over the dropped records.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SettledTotals {
+    /// `ServiceStats::busy_us`: Σ wall, settle (= serial) order.
+    pub busy_us: f64,
+    /// `ServiceStats::device_busy_us`, per device, settle order.
+    pub device_busy_us: Vec<f64>,
+    /// `ServiceStats::key_uploads`: batches that stalled on a key upload.
+    pub key_uploads: usize,
+    /// `ServiceStats::key_upload_us`, plan (= serial) order.
+    pub key_upload_us: f64,
+    /// `ServiceStats::ops_completed`: Σ width.
+    pub ops_completed: usize,
+}
+
 /// Outcome of one planning walk.
 #[derive(Debug)]
 pub enum Plan {
@@ -411,9 +542,15 @@ pub struct Scheduler {
     event_tick: u64,
     /// Batches joined so far.
     joined_count: usize,
-    /// Structural trace of every joined batch, in join (= admission)
-    /// order; see [`BatchRecord`].
+    /// Structural trace of the newest joined batches, in join
+    /// (= admission) order; see [`BatchRecord`]. `base.dropped +
+    /// trace.len() == joined_count`.
     trace: Vec<BatchRecord>,
+    /// What was folded out of `trace` so far.
+    base: TraceBase,
+    /// The next base: a snapshot taken at the quiescent point that ended
+    /// the old generation (`base.dropped ≤ mark.dropped ≤ joined_count`).
+    mark: TraceBase,
     /// Window-admission discipline.
     admission: AdmissionMode,
     /// Scoreboard lookahead: max plans frozen but not yet admitted.
@@ -495,6 +632,8 @@ impl Scheduler {
             event_tick: 0,
             joined_count: 0,
             trace: Vec::new(),
+            base: TraceBase::empty(devices),
+            mark: TraceBase::empty(devices),
             admission,
             lookahead,
             aging_bound,
@@ -508,11 +647,56 @@ impl Scheduler {
         }
     }
 
-    /// The structural trace of every joined batch, in join (= admission)
-    /// order. `tensorfhe-analyze::verify` consumes this.
+    /// The structural trace of the newest joined batches, in join
+    /// (= admission) order: everything since [`Scheduler::trace_base`].
+    /// `tensorfhe-analyze::verify` consumes the pair.
     #[must_use]
     pub fn trace(&self) -> &[BatchRecord] {
         &self.trace
+    }
+
+    /// The carry-in of [`Scheduler::trace`]: what the records folded out
+    /// of it amounted to. Empty until the trace first outgrows two
+    /// generations.
+    #[must_use]
+    pub fn trace_base(&self) -> &TraceBase {
+        &self.base
+    }
+
+    /// Whether nothing is in flight, frozen or awaiting settlement: the
+    /// only kind of point a trace fold may cut at.
+    #[must_use]
+    pub fn quiescent(&self) -> bool {
+        self.window.is_empty() && self.scoreboard_idle()
+    }
+
+    /// Rotates the trace generations if this is a quiescent point and at
+    /// least [`TRACE_WINDOW`] batches joined since the mark: drops the
+    /// records older than the mark, promotes the mark to base, and
+    /// snapshots the present — the scheduler's own accumulators plus the
+    /// service's `settled` totals, asked for only when a fold happens — as
+    /// the new mark. Anywhere else it does nothing.
+    pub fn fold_trace(&mut self, settled: impl FnOnce() -> SettledTotals) {
+        if !self.quiescent() || self.joined_count - self.mark.dropped < TRACE_WINDOW {
+            return;
+        }
+        debug_assert!(
+            self.serial_count == self.joined_count && self.settled_count == self.joined_count,
+            "quiescent scheduler with unsettled batches"
+        );
+        let now = TraceBase {
+            dropped: self.joined_count,
+            event_tick: self.event_tick,
+            frontier_us: self.joined_frontier,
+            free_at: self.free_at.clone(),
+            elapsed_us: self.elapsed_us,
+            serial_us: self.serial_us,
+            head_blocked_us: self.head_blocked_us,
+            reorder_max: self.reorder_max,
+            settled: settled(),
+        };
+        self.trace.drain(..self.mark.dropped - self.base.dropped);
+        self.base = std::mem::replace(&mut self.mark, now);
     }
 
     /// Configured window depth.
@@ -1375,6 +1559,66 @@ mod tests {
             "trace is join-ordered; serial order lives in serial_seq"
         );
         assert!(s.head_blocked_us() > 0.0, "chain link waited pending");
+    }
+
+    #[test]
+    fn trace_folds_a_generation_at_a_time_at_quiescent_points_only() {
+        let cfg = EngineConfig::a100(Variant::TensorCore);
+        let mut exec = SimExecutor::new(cfg, 2);
+        let mut s = sched(2, 2);
+        let settled = |busy: f64, ops: usize| SettledTotals {
+            busy_us: busy,
+            device_busy_us: vec![busy, 0.0],
+            key_uploads: 0,
+            key_upload_us: 0.0,
+            ops_completed: ops,
+        };
+        // Pairs of independent batches: two in flight, then both joined —
+        // every second join is a quiescent point.
+        let mut busy = 0.0f64;
+        let mut elapsed_after = Vec::new(); // per pair, at its quiescent point
+        let mut folds = Vec::new(); // batches joined when `dropped` moved
+        for pair in 0..TRACE_WINDOW + 8 {
+            for half in 0..2usize {
+                let i = 2 * pair + half;
+                let Plan::Batch(p) = s.plan(1, vec![(i, view(FheOp::HMult, half, 1, "c"))]) else {
+                    panic!("expected a batch");
+                };
+                s.admit(p, Work::Cached(result(vec![1.5, 0.0])));
+            }
+            let _ = s.complete_next(&mut exec).expect("in flight");
+            busy += 1.5;
+            // Mid-pair: one batch still in flight, so never a fold — even
+            // when the young generation is long enough.
+            assert!(!s.quiescent());
+            s.fold_trace(|| unreachable!("folded with a batch in flight"));
+            let _ = s.complete_next(&mut exec).expect("in flight");
+            busy += 1.5;
+            assert!(s.quiescent());
+            elapsed_after.push(s.elapsed_us());
+            let dropped = s.trace_base().dropped;
+            s.fold_trace(|| settled(busy, 2 * (pair + 1)));
+            if s.trace_base().dropped != dropped {
+                folds.push(2 * (pair + 1));
+            }
+        }
+        // Generation one closed at the first quiescent point with a window
+        // of records — nothing older to drop yet — and became the base when
+        // generation two closed a window later.
+        assert_eq!(folds, vec![2 * TRACE_WINDOW]);
+        let base = s.trace_base();
+        assert_eq!(base.dropped, TRACE_WINDOW);
+        assert_eq!(base.event_tick, 2 * TRACE_WINDOW as u64);
+        assert_eq!(base.settled.ops_completed, TRACE_WINDOW);
+        // Read from the accumulators as they stood when it closed.
+        let then = elapsed_after[TRACE_WINDOW / 2 - 1];
+        assert_eq!(base.elapsed_us.to_bits(), then.to_bits());
+        assert_eq!(base.frontier_us.to_bits(), then.to_bits());
+        assert_eq!(base.settled.busy_us, 1.5 * TRACE_WINDOW as f64);
+        // The window: everything since the base, first record at `dropped`.
+        assert_eq!(s.trace().len(), TRACE_WINDOW + 16);
+        assert_eq!(s.trace()[0].seq, TRACE_WINDOW);
+        assert_eq!(s.trace()[0].joins_at_admit, TRACE_WINDOW);
     }
 
     #[test]

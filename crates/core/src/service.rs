@@ -55,8 +55,8 @@ use crate::engine::ExecMode;
 use crate::error::{CoreError, CoreResult};
 use crate::exec::{build_executor, BatchResult, ExecBackend, ExecBatch, Executor};
 use crate::sched::{
-    AdmissionMode, BatchPlan, Finished, Plan, Scheduler, SlotView, Work, DEFAULT_AGING_BOUND,
-    DEFAULT_LOOKAHEAD,
+    AdmissionMode, BatchPlan, Finished, Plan, Scheduler, SettledTotals, SlotView, Work,
+    DEFAULT_AGING_BOUND, DEFAULT_LOOKAHEAD,
 };
 use crate::session::{
     default_galois_steps, jain_index, key_set_bytes, ClientSession, CoalescePolicy, DrrState,
@@ -142,7 +142,10 @@ pub struct RequestReport {
     pub batches: usize,
     /// The attributed operation report (`batch` = the request's `count`;
     /// time/energy/kernel shares are the request's proportional slice of
-    /// the batches it shared with other requests).
+    /// the batches it shared with other requests). Its `by_kernel` rows
+    /// are keyed by [`tensorfhe_gpu::KernelName`] — the kernel layer's
+    /// interned `Arc<str>`, shared with the batch results the shares came
+    /// from, in `str` order.
     pub report: OpReport,
 }
 
@@ -351,7 +354,7 @@ struct Pending {
     /// apportioned so every batch's launches sum exactly to the batch total
     /// (largest-remainder, FIFO tie-break).
     launches: u64,
-    by_kernel: std::collections::BTreeMap<String, f64>,
+    by_kernel: std::collections::BTreeMap<tensorfhe_gpu::KernelName, f64>,
     batches: usize,
 }
 
@@ -827,9 +830,28 @@ impl FheService {
     /// `serial_seq`. The schedule verifier in `tensorfhe-analyze` replays
     /// this against [`FheService::stats`] to prove the overlap clock —
     /// and the reorder rule — well-formed.
+    ///
+    /// The trace is a *window*: it always holds the newest
+    /// [`crate::sched::TRACE_WINDOW`] records and never more than about
+    /// twice that, so a long-lived service stays in constant memory; what
+    /// was folded out of it is summed up in
+    /// [`FheService::schedule_trace_base`]. Nothing is folded before
+    /// `2 · TRACE_WINDOW` batches have been dispatched, so shorter runs
+    /// see every record at its absolute index.
     #[must_use]
     pub fn schedule_trace(&self) -> &[crate::sched::BatchRecord] {
         self.sched.trace()
+    }
+
+    /// The carry-in of [`FheService::schedule_trace`]: how many records
+    /// were folded out of the trace and what they amounted to — the state
+    /// of the overlap clock at the cut and every cumulative stat's partial
+    /// fold up to it. `base.dropped + schedule_trace().len()` is
+    /// [`ServiceStats::batches_dispatched`] whenever the service is
+    /// quiescent; the schedule verifier resumes its replay from here.
+    #[must_use]
+    pub fn schedule_trace_base(&self) -> &crate::sched::TraceBase {
+        self.sched.trace_base()
     }
 
     /// Operation instances not yet completed (queued or in flight).
@@ -985,6 +1007,7 @@ impl FheService {
         while self.pump_into(&mut done) {
             self.compact();
         }
+        self.fold_trace();
         done
     }
 
@@ -999,7 +1022,24 @@ impl FheService {
         let mut done = Vec::new();
         self.pump_into(&mut done);
         self.compact();
+        self.fold_trace();
         done
+    }
+
+    /// Lets the schedule trace shed its old generation if this is a
+    /// quiescent point and the young one is long enough (the rule lives
+    /// in [`crate::sched`], "the trace is a window"). The scheduler
+    /// snapshots its own accumulators; the settle-side ones are the
+    /// service's, so it hands them over — read as they stand, never
+    /// recomputed, so the verifier can resume every exact fold from them.
+    fn fold_trace(&mut self) {
+        self.sched.fold_trace(|| SettledTotals {
+            busy_us: self.busy_us,
+            device_busy_us: self.device_busy_us.clone(),
+            key_uploads: self.key_upload_count,
+            key_upload_us: self.key_upload_us_total,
+            ops_completed: self.ops_completed,
+        });
     }
 
     /// The drain step: fill the window, settle one batch. `false` once
@@ -1443,7 +1483,7 @@ impl FheService {
             p.occ_weighted += stats.occupancy * stats.time_us * share;
             p.launches += launches;
             for (k, t) in &stats.by_kernel {
-                *p.by_kernel.entry(k.clone()).or_insert(0.0) += t * share;
+                crate::exec::add_kernel_time(&mut p.by_kernel, k, t * share);
             }
             if let Some(sid) = p.session {
                 let s = &mut self.sessions[sid.0 as usize];

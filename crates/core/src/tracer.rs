@@ -23,11 +23,73 @@ use crate::engine::{Layout, Variant};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tensorfhe_ckks::{KernelEvent, KernelTracer};
-use tensorfhe_gpu::{DeviceSim, KernelClass, KernelDesc, StreamId};
+use tensorfhe_gpu::{DeviceSim, KernelClass, KernelDesc, KernelName, StreamId};
 
 /// Number of concurrent streams used for the segmented plane GEMMs
 /// (`SEGMENTS² = 16`, §IV-C "assigning each GEMM to a separate stream").
 pub const TCU_STREAMS: usize = 16;
+
+/// The names one NTT direction launches under.
+struct NttNames {
+    /// Every CUDA-core stage: `ntt` / `intt`.
+    kernel: KernelName,
+    /// The fat grouped plane-GEMM launch: `ntt-planes`.
+    planes: KernelName,
+    /// The per-stream plane GEMMs, `ntt-plane0` … `ntt-plane15` (only the
+    /// tensor-core lowering launches them; empty otherwise).
+    plane: Vec<KernelName>,
+}
+
+impl NttNames {
+    fn new(kernel: &str, variant: Variant) -> Self {
+        let plane = match variant {
+            Variant::TensorCore => (0..TCU_STREAMS)
+                .map(|i| format!("{kernel}-plane{i}").into())
+                .collect(),
+            Variant::Butterfly | Variant::FourStep => Vec::new(),
+        };
+        Self {
+            kernel: kernel.into(),
+            planes: format!("{kernel}-planes").into(),
+            plane,
+        }
+    }
+}
+
+/// Every kernel name a tracer can launch, interned once when the tracer is
+/// built: a launch clones a reference count, never formats or allocates a
+/// string, and every launch of one kernel shares one allocation.
+struct Names {
+    ntt: NttNames,
+    intt: NttNames,
+    hada_mult: KernelName,
+    ele_add: KernelName,
+    ele_sub: KernelName,
+    frobenius_map: KernelName,
+    conjugate: KernelName,
+    conv: KernelName,
+    conv_y: KernelName,
+    conv_gemm: KernelName,
+    key_upload: KernelName,
+}
+
+impl Names {
+    fn new(variant: Variant) -> Self {
+        Self {
+            ntt: NttNames::new("ntt", variant),
+            intt: NttNames::new("intt", variant),
+            hada_mult: "hada-mult".into(),
+            ele_add: "ele-add".into(),
+            ele_sub: "ele-sub".into(),
+            frobenius_map: "forbenius-map".into(),
+            conjugate: "conjugate".into(),
+            conv: "conv".into(),
+            conv_y: "conv-y".into(),
+            conv_gemm: "conv-gemm".into(),
+            key_upload: "key-upload".into(),
+        }
+    }
+}
 
 /// A [`KernelTracer`] that lowers kernel events onto a [`DeviceSim`].
 pub struct GpuTracer {
@@ -39,6 +101,7 @@ pub struct GpuTracer {
     batch: usize,
     main: StreamId,
     tcu: Vec<StreamId>,
+    names: Names,
 }
 
 impl std::fmt::Debug for GpuTracer {
@@ -72,6 +135,7 @@ impl GpuTracer {
             batch: batch.max(1),
             main,
             tcu,
+            names: Names::new(variant),
         }
     }
 
@@ -100,7 +164,10 @@ impl GpuTracer {
         }
         self.sim.borrow_mut().launch(
             self.main,
-            KernelDesc::new(KernelClass::KeyUpload { bytes }, "key-upload"),
+            KernelDesc::new(
+                KernelClass::KeyUpload { bytes },
+                self.names.key_upload.clone(),
+            ),
         );
     }
 
@@ -129,25 +196,30 @@ impl GpuTracer {
         self.sim.borrow_mut().launch(self.main, desc);
     }
 
-    fn elementwise(&self, name: &str, elems: u64, ops: u32, bytes: u32) {
+    fn elementwise(&self, name: &KernelName, elems: u64, ops: u32, bytes: u32) {
         self.launch_main(KernelDesc::new(
             KernelClass::Elementwise {
                 elems,
                 ops_per_elem: ops,
                 bytes_per_elem: bytes,
             },
-            name,
+            name.clone(),
         ));
     }
 
-    fn launch_ntt(&mut self, n: usize, limbs: usize, inverse: bool) {
+    fn launch_ntt(&self, n: usize, limbs: usize, inverse: bool) {
         let batch = limbs * self.batch;
-        let name = if inverse { "intt" } else { "ntt" };
+        let names = if inverse {
+            &self.names.intt
+        } else {
+            &self.names.ntt
+        };
+        let name = &names.kernel;
         match self.variant {
             Variant::Butterfly => {
                 self.launch_main(KernelDesc::new(
                     KernelClass::ButterflyNtt { n, batch },
-                    name,
+                    name.clone(),
                 ));
             }
             Variant::FourStep => {
@@ -159,7 +231,7 @@ impl GpuTracer {
                         cols: n2,
                         batch,
                     },
-                    name,
+                    name.clone(),
                 ));
                 self.elementwise(name, (n * batch) as u64, 2, 12);
                 self.launch_main(KernelDesc::new(
@@ -169,7 +241,7 @@ impl GpuTracer {
                         cols: n2,
                         batch,
                     },
-                    name,
+                    name.clone(),
                 ));
             }
             Variant::TensorCore => {
@@ -177,20 +249,20 @@ impl GpuTracer {
                 // Stage 1: input segmentation (u32 → 4×u8 planes).
                 self.elementwise(name, (n * batch) as u64, 1, 8);
                 // Stage 2: 16 plane GEMMs across dedicated streams.
-                self.plane_gemms(name, n1, n2, n2, batch);
+                self.plane_gemms(names, n1, n2, n2, batch);
                 // Stage 3: Booth fusion + twiddle Hadamard + re-segmentation
                 // run as one fused epilogue kernel (partials stay L2
                 // resident; see the GemmTcu traffic model).
                 self.elementwise(name, (n * batch) as u64, 6, 8);
                 // Stage 4: 16 plane GEMMs with the outer DFT matrix.
-                self.plane_gemms(name, n1, n1, n2, batch);
+                self.plane_gemms(names, n1, n1, n2, batch);
                 // Stage 5: fusion + final modulo (+ N^{-1} fold for INTT).
                 self.elementwise(name, (n * batch) as u64, 4, 8);
             }
         }
     }
 
-    fn plane_gemms(&mut self, name: &str, m: usize, k: usize, cols: usize, batch: usize) {
+    fn plane_gemms(&self, names: &NttNames, m: usize, k: usize, cols: usize, batch: usize) {
         // At saturating batch the 16 plane GEMMs each fill the device on
         // their own, so the streams no longer overlap anything; issue them
         // as one fat launch (fewer host round trips — what a production
@@ -205,20 +277,17 @@ impl GpuTracer {
                         cols,
                         batch: batch * TCU_STREAMS,
                     },
-                    format!("{name}-planes"),
+                    names.planes.clone(),
                 ),
             );
             return;
         }
         {
             let mut sim = self.sim.borrow_mut();
-            for (i, stream) in self.tcu.iter().enumerate() {
+            for (stream, name) in self.tcu.iter().zip(&names.plane) {
                 sim.launch(
                     *stream,
-                    KernelDesc::new(
-                        KernelClass::GemmTcu { m, k, cols, batch },
-                        format!("{name}-plane{i}"),
-                    ),
+                    KernelDesc::new(KernelClass::GemmTcu { m, k, cols, batch }, name.clone()),
                 );
             }
         }
@@ -241,20 +310,20 @@ impl KernelTracer for GpuTracer {
         match event {
             KernelEvent::Ntt { n, limbs, inverse } => self.launch_ntt(n, limbs, inverse),
             KernelEvent::HadaMult { n, limbs } => {
-                self.elementwise("hada-mult", (n * limbs) as u64 * b, 2, 12);
+                self.elementwise(&self.names.hada_mult, (n * limbs) as u64 * b, 2, 12);
             }
             KernelEvent::EleAdd { n, limbs } => {
-                self.elementwise("ele-add", (n * limbs) as u64 * b, 1, 12);
+                self.elementwise(&self.names.ele_add, (n * limbs) as u64 * b, 1, 12);
             }
             KernelEvent::EleSub { n, limbs } => {
-                self.elementwise("ele-sub", (n * limbs) as u64 * b, 1, 12);
+                self.elementwise(&self.names.ele_sub, (n * limbs) as u64 * b, 1, 12);
             }
             KernelEvent::FrobeniusMap { n, limbs } => {
                 self.launch_main(KernelDesc::new(
                     KernelClass::Permute {
                         elems: (n * limbs) as u64 * b,
                     },
-                    "forbenius-map",
+                    self.names.frobenius_map.clone(),
                 ));
             }
             KernelEvent::Conjugate { n, limbs } => {
@@ -262,7 +331,7 @@ impl KernelTracer for GpuTracer {
                     KernelClass::Permute {
                         elems: (n * limbs) as u64 * b,
                     },
-                    "conjugate",
+                    self.names.conjugate.clone(),
                 ));
             }
             KernelEvent::Conv { n, l_src, l_dst } => match self.variant {
@@ -273,7 +342,7 @@ impl KernelTracer for GpuTracer {
                             elems: (n * l_dst) as u64 * b,
                             l_src,
                         },
-                        "conv",
+                        self.names.conv.clone(),
                     ));
                 }
                 // GEMM formulations: batched y stage + one wide
@@ -284,7 +353,7 @@ impl KernelTracer for GpuTracer {
                 // padding to 16×8×32 tiles would waste an order of
                 // magnitude more MACs than the product contains.
                 Variant::FourStep | Variant::TensorCore => {
-                    self.elementwise("conv-y", (n * l_src) as u64 * b, 2, 12);
+                    self.elementwise(&self.names.conv_y, (n * l_src) as u64 * b, 2, 12);
                     self.launch_main(KernelDesc::new(
                         KernelClass::GemmCuda {
                             m: l_dst,
@@ -292,7 +361,7 @@ impl KernelTracer for GpuTracer {
                             cols: n * self.batch,
                             batch: 1,
                         },
-                        "conv-gemm",
+                        self.names.conv_gemm.clone(),
                     ));
                 }
             },
@@ -452,6 +521,87 @@ mod tests {
         assert!(stats[1].bytes > stats[0].bytes * 32);
     }
 
+    /// Every launch of one costing window, as [`Engine::run_schedule`]
+    /// makes them: an HMULT at the CI-sized preset, unbatched, so the
+    /// tensor-core lowering spreads its plane GEMMs over the streams.
+    fn hmult_window(variant: Variant) -> Vec<tensorfhe_gpu::KernelStats> {
+        let params = tensorfhe_ckks::CkksParams::test_small();
+        let s = sim();
+        let mut t = GpuTracer::new(Rc::clone(&s), variant, Layout::Lbn, 1);
+        t.op_begin("HMULT");
+        for e in crate::schedule::hmult_schedule(&params, params.max_level()) {
+            t.kernel(e);
+        }
+        let mut sim = s.borrow_mut();
+        sim.synchronize();
+        sim.stats().to_vec()
+    }
+
+    #[test]
+    fn launches_share_one_allocation_per_distinct_name() {
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+        for variant in [Variant::Butterfly, Variant::FourStep, Variant::TensorCore] {
+            let stats = hmult_window(variant);
+            let mut first: BTreeMap<&str, &tensorfhe_gpu::KernelName> = BTreeMap::new();
+            for k in &stats {
+                let seen = first.entry(&k.name).or_insert(&k.name);
+                assert!(Arc::ptr_eq(seen, &k.name), "{} allocated twice", k.name);
+                assert!(Arc::ptr_eq(&k.op_tag, &stats[0].op_tag));
+            }
+            assert!(
+                first.len() < stats.len() / 2,
+                "names repeat within a window"
+            );
+        }
+    }
+
+    #[test]
+    fn plane_names_are_spelled_as_before() {
+        let stats = hmult_window(Variant::TensorCore);
+        for (dir, prefix) in [("ntt", "ntt-plane"), ("intt", "intt-plane")] {
+            let mut planes: Vec<(usize, &str)> = stats
+                .iter()
+                .filter(|k| k.name.starts_with(prefix))
+                .map(|k| (k.stream, &*k.name))
+                .collect();
+            planes.sort_unstable();
+            planes.dedup();
+            let want: Vec<String> = (0..TCU_STREAMS)
+                .map(|i| format!("{dir}-plane{i}"))
+                .collect();
+            let got: Vec<&str> = planes.iter().map(|&(_, name)| name).collect();
+            assert_eq!(got, want, "one name per plane stream, in stream order");
+        }
+        // At a saturating batch the planes fuse into one fat launch.
+        let s = sim();
+        let mut t = GpuTracer::new(Rc::clone(&s), Variant::TensorCore, Layout::Lbn, 64);
+        t.kernel(KernelEvent::Ntt {
+            n: 1 << 12,
+            limbs: 1,
+            inverse: true,
+        });
+        s.borrow_mut().synchronize();
+        assert!(s.borrow().stats().iter().any(|k| &*k.name == "intt-planes"));
+    }
+
+    #[test]
+    fn kernel_table_equals_a_string_keyed_fold() {
+        use std::collections::BTreeMap;
+        let stats = hmult_window(Variant::TensorCore);
+        let mut m: BTreeMap<String, f64> = BTreeMap::new();
+        for k in &stats {
+            *m.entry(k.name.to_string()).or_insert(0.0) += k.duration_us;
+        }
+        let mut want: Vec<(String, f64)> = m.into_iter().collect();
+        want.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        let got = tensorfhe_gpu::Profiler::new(&stats[..]).time_by_kernel();
+        assert_eq!(got.len(), want.len());
+        for ((gk, gt), (wk, wt)) in got.iter().zip(&want) {
+            assert_eq!((&**gk, gt.to_bits()), (wk.as_str(), wt.to_bits()));
+        }
+    }
+
     #[test]
     fn op_scope_propagates() {
         let s = sim();
@@ -459,6 +609,6 @@ mod tests {
         t.op_begin("HMULT");
         t.kernel(KernelEvent::EleAdd { n: 64, limbs: 1 });
         s.borrow_mut().synchronize();
-        assert_eq!(s.borrow().stats()[0].op_tag, "HMULT");
+        assert_eq!(&*s.borrow().stats()[0].op_tag, "HMULT");
     }
 }

@@ -16,10 +16,10 @@
 //! never start before its enqueue completes.
 
 use crate::device::DeviceConfig;
-use crate::kernel::{KernelClass, KernelDesc};
+use crate::kernel::{KernelClass, KernelDesc, KernelName};
 use crate::stall::{StallBreakdown, StallKind};
 use crate::warp_sim::simulate_scheduler;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 /// Handle to a CUDA stream created by [`DeviceSim::create_stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,12 +41,13 @@ pub enum BoundBy {
 /// Per-launch measurement record.
 #[derive(Debug, Clone)]
 pub struct KernelStats {
-    /// Kernel name from the descriptor.
-    pub name: String,
+    /// Kernel name from the descriptor (the descriptor's own interned
+    /// name: launches built from one name table share one allocation).
+    pub name: KernelName,
     /// Class tag (`"butterfly-ntt"`, `"gemm-tcu"`, …).
     pub class_tag: &'static str,
     /// Operation scope active at launch time (`"HMULT"`, …).
-    pub op_tag: String,
+    pub op_tag: KernelName,
     /// Stream index.
     pub stream: usize,
     /// Virtual start time (µs).
@@ -127,10 +128,43 @@ fn class_key(c: &KernelClass) -> ClassKey {
     }
 }
 
+/// Memoised standalone launch costs.
+///
+/// A launch's standalone cost is a pure function of the device description
+/// and the launch shape (class, geometry, layout) — never of clocks,
+/// queues or what ran before — so the memo can outlive the simulator that
+/// filled it: [`DeviceSim::take_memo`] hands it out and
+/// [`DeviceSim::with_memo`] starts a fresh, zero-based simulator on it.
+/// That is how an engine runs every costing window history-free and still
+/// pays for the warp simulation once per kernel shape. A memo remembers
+/// the device it was filled for and refuses any other.
+#[derive(Debug, Default)]
+pub struct CostMemo {
+    /// The device the entries were computed for (`None` while empty).
+    device: Option<DeviceConfig>,
+    // lint: ordered-ok (keyed get/insert only; never iterated)
+    costs: HashMap<CostKey, CostProfile>,
+}
+
+impl CostMemo {
+    /// Distinct launch shapes costed so far — each one is exactly one run
+    /// of the cost model (for CUDA-core kernels, of the warp simulator).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.costs.len()
+    }
+
+    /// Whether no launch shape has been costed yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.costs.is_empty()
+    }
+}
+
 #[derive(Debug)]
 struct Pending {
     desc: KernelDesc,
-    op_tag: String,
+    op_tag: KernelName,
     stream: usize,
     host_ready_us: f64,
     cost: CostProfile,
@@ -157,12 +191,23 @@ pub struct DeviceSim {
     host_clock_us: f64,
     device_clock_us: f64,
     /// FIFO launch queue per stream.
-    queues: Vec<std::collections::VecDeque<Pending>>,
+    queues: Vec<VecDeque<Pending>>,
     pending_count: usize,
     completed: Vec<KernelStats>,
-    // lint: ordered-ok (keyed get/insert only; never iterated)
-    cost_cache: HashMap<CostKey, CostProfile>,
-    op_tag: String,
+    memo: CostMemo,
+    op_tag: KernelName,
+    /// Event-loop scratch, reused across [`DeviceSim::step`] calls (two
+    /// steps a launch): the streams whose head is runnable, one pool's
+    /// `(stream, cap)` list, and the water-fill share per stream.
+    active: Vec<usize>,
+    caps: Vec<(usize, f64)>,
+    /// Indexed by stream, so walking it visits streams in index order.
+    /// That order is load-bearing: the retire loop pushes simultaneous
+    /// completions into `completed` in the order it walks this table, and
+    /// a hash-ordered table here would survive the stable end-time sort
+    /// in `synchronize` and leak a per-process-random tiebreak into
+    /// completion order (exactly the bug the L003 lint exists to catch).
+    alloc: Vec<Option<f64>>,
     seq: usize,
     vram_used: u64,
     /// Maximum warp-sim iterations before linear extrapolation.
@@ -173,6 +218,22 @@ impl DeviceSim {
     /// Creates a device simulator.
     #[must_use]
     pub fn new(config: DeviceConfig) -> Self {
+        Self::with_memo(config, CostMemo::default())
+    }
+
+    /// Creates a device simulator that starts on an existing launch-cost
+    /// memo: clocks, queues and stats are new, only the pure memo carries
+    /// over (see [`CostMemo`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memo was filled for a different device description.
+    #[must_use]
+    pub fn with_memo(config: DeviceConfig, memo: CostMemo) -> Self {
+        assert!(
+            memo.device.as_ref().is_none_or(|d| *d == config),
+            "launch-cost memo lent to a different device"
+        );
         Self {
             config,
             streams: 0,
@@ -181,12 +242,25 @@ impl DeviceSim {
             queues: Vec::new(),
             pending_count: 0,
             completed: Vec::new(),
-            cost_cache: HashMap::new(),
-            op_tag: String::new(),
+            memo,
+            op_tag: KernelName::default(),
+            active: Vec::new(),
+            caps: Vec::new(),
+            alloc: Vec::new(),
             seq: 0,
             vram_used: 0,
             sim_iter_cap: 48,
         }
+    }
+
+    /// Takes the launch-cost memo out of the simulator (which keeps
+    /// working on an empty one), stamped with this device.
+    pub fn take_memo(&mut self) -> CostMemo {
+        let mut memo = std::mem::take(&mut self.memo);
+        if memo.device.is_none() {
+            memo.device = Some(self.config.clone());
+        }
+        memo
     }
 
     /// The device description.
@@ -199,13 +273,14 @@ impl DeviceSim {
     pub fn create_stream(&mut self) -> StreamId {
         let id = StreamId(self.streams);
         self.streams += 1;
-        self.queues.push(std::collections::VecDeque::new());
+        self.queues.push(VecDeque::new());
+        self.alloc.push(None);
         id
     }
 
     /// Tags subsequent launches with an operation scope (e.g. `"HMULT"`),
     /// used by the profiler's per-operation breakdowns.
-    pub fn set_scope(&mut self, tag: impl Into<String>) {
+    pub fn set_scope(&mut self, tag: impl Into<KernelName>) {
         self.op_tag = tag.into();
     }
 
@@ -278,8 +353,9 @@ impl DeviceSim {
 
     /// Runs the event loop until every pending kernel has completed, and
     /// returns the stats of kernels completed by *this* call in completion
-    /// order.
-    pub fn synchronize(&mut self) -> Vec<KernelStats> {
+    /// order — a window borrowed from the launch log ([`DeviceSim::stats`]),
+    /// not a copy of it.
+    pub fn synchronize(&mut self) -> &[KernelStats] {
         let first_new = self.completed.len();
         while self.pending_count > 0 {
             self.step();
@@ -289,7 +365,7 @@ impl DeviceSim {
         // instead of on every retire keeps long runs linear).
         self.completed[first_new..]
             .sort_by(|a, b| a.end_us.partial_cmp(&b.end_us).expect("finite times"));
-        self.completed[first_new..].to_vec()
+        &self.completed[first_new..]
     }
 
     /// Virtual time elapsed on the device so far (µs).
@@ -320,7 +396,7 @@ impl DeviceSim {
         self.completed.clear();
         self.host_clock_us = 0.0;
         self.device_clock_us = 0.0;
-        self.op_tag.clear();
+        self.op_tag = KernelName::default();
     }
 
     /// One event-loop step: advance to the next arrival or completion.
@@ -328,10 +404,17 @@ impl DeviceSim {
     /// every step is O(#streams).
     fn step(&mut self) {
         let t = self.device_clock_us;
+        let Self {
+            queues,
+            active,
+            caps,
+            alloc,
+            ..
+        } = self;
         // Head-of-line kernel per stream.
-        let mut active: Vec<usize> = Vec::new();
+        active.clear();
         let mut next_arrival = f64::INFINITY;
-        for (sid, q) in self.queues.iter().enumerate() {
+        for (sid, q) in queues.iter().enumerate() {
             if let Some(p) = q.front() {
                 if p.host_ready_us <= t + 1e-12 {
                     active.push(sid);
@@ -346,79 +429,73 @@ impl DeviceSim {
             return;
         }
 
-        // Water-fill each pool independently over the active heads. Keyed
-        // by stream index in a `BTreeMap` deliberately: the retire loop
-        // below iterates it, and pushing simultaneous completions into
-        // `completed` in hash order would survive the stable end-time sort
-        // in `synchronize` and leak a per-process-random tiebreak into
-        // completion order (a `HashMap` here is exactly the bug the L003
-        // lint exists to catch).
-        let mut alloc: BTreeMap<usize, f64> = BTreeMap::new();
+        // Water-fill each pool independently over the active heads.
+        alloc.fill(None);
         for pool in [Pool::Cuda, Pool::Tcu] {
-            let mut caps: Vec<(usize, f64)> = active
-                .iter()
-                .copied()
-                .filter(|&sid| self.queues[sid].front().expect("head").cost.pool == pool)
-                .map(|sid| {
-                    let cap = self.queues[sid]
-                        .front()
-                        .expect("head")
-                        .cost
-                        .parallel_fraction
-                        .clamp(1e-6, 1.0);
-                    (sid, cap)
-                })
-                .collect();
+            caps.clear();
+            caps.extend(active.iter().filter_map(|&sid| {
+                let cost = &queues[sid].front().expect("head").cost;
+                (cost.pool == pool).then(|| (sid, cost.parallel_fraction.clamp(1e-6, 1.0)))
+            }));
             if caps.is_empty() {
                 continue;
             }
             caps.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fractions"));
             let mut capacity = 1.0f64;
             let mut remaining = caps.len();
-            for (sid, cap) in caps {
+            for &(sid, cap) in caps.iter() {
                 let share = capacity / remaining as f64;
                 let a = cap.min(share);
-                alloc.insert(sid, a);
+                alloc[sid] = Some(a);
                 capacity -= a;
                 remaining -= 1;
             }
         }
+        // The streams holding a share, in stream order.
+        let shares = || {
+            alloc
+                .iter()
+                .enumerate()
+                .filter_map(|(sid, a)| a.map(|a| (sid, a)))
+        };
 
         // Next event: earliest completion or next arrival.
         let mut dt = next_arrival - t;
-        for (&sid, &a) in &alloc {
+        for (sid, a) in shares() {
             if a > 0.0 {
-                dt = dt.min(self.queues[sid].front().expect("head").remaining_work / a);
+                dt = dt.min(queues[sid].front().expect("head").remaining_work / a);
             }
         }
         assert!(dt.is_finite(), "device engine stalled with work pending");
         let dt = dt.max(1e-9);
 
         // Progress the active heads.
-        for (&sid, &a) in &alloc {
-            let p = self.queues[sid].front_mut().expect("head");
+        for (sid, a) in shares() {
+            let p = queues[sid].front_mut().expect("head");
             if p.started_us.is_none() {
                 p.started_us = Some(t);
             }
             p.remaining_work -= a * dt;
         }
-        self.device_clock_us = t + dt;
+        let now = t + dt;
+        self.device_clock_us = now;
 
         // Retire finished heads.
-        let now = self.device_clock_us;
         let power = self.config.power_watts;
-        for &sid in alloc.keys() {
-            let done = self.queues[sid]
+        for (sid, _) in shares() {
+            let done = queues[sid]
                 .front()
                 .is_some_and(|p| p.remaining_work <= 1e-9);
             if done {
-                let p = self.queues[sid].pop_front().expect("head");
+                let p = queues[sid].pop_front().expect("head");
                 self.pending_count -= 1;
                 let start = p.started_us.unwrap_or(now);
                 let work = p.cost.standalone_us * p.cost.parallel_fraction;
                 self.completed.push(KernelStats {
-                    name: p.desc.name.clone(),
                     class_tag: p.desc.class.tag(),
+                    bytes: p.desc.bytes_moved(),
+                    tcu_macs: p.desc.tcu_macs(),
+                    name: p.desc.name,
                     op_tag: p.op_tag,
                     stream: p.stream,
                     start_us: start,
@@ -427,8 +504,6 @@ impl DeviceSim {
                     standalone_us: p.cost.standalone_us,
                     breakdown: p.cost.breakdown,
                     occupancy: p.cost.occupancy,
-                    bytes: p.desc.bytes_moved(),
-                    tcu_macs: p.desc.tcu_macs(),
                     energy_j: work * power / 1e6,
                     bound: p.cost.bound,
                 });
@@ -444,11 +519,11 @@ impl DeviceSim {
             threads: desc.threads_override,
             coalesced: desc.coalesced,
         };
-        if let Some(c) = self.cost_cache.get(&key) {
+        if let Some(c) = self.memo.costs.get(&key) {
             return c.clone();
         }
         let cost = self.compute_cost(desc);
-        self.cost_cache.insert(key, cost.clone());
+        self.memo.costs.insert(key, cost.clone());
         cost
     }
 
@@ -604,7 +679,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         let k = &done[0];
         assert!(k.duration_us > 0.0);
-        assert_eq!(k.op_tag, "HADD");
+        assert_eq!(&*k.op_tag, "HADD");
         assert!(k.end_us >= k.start_us);
     }
 
@@ -630,6 +705,40 @@ mod tests {
         );
         assert_eq!(k.occupancy, 0.0, "the copy engine occupies no SMs");
         assert_eq!(k.tcu_macs, 0);
+    }
+
+    #[test]
+    fn memo_outlives_its_simulator_and_costs_nothing_twice() {
+        let mut first = sim();
+        let st = first.create_stream();
+        first.launch(st, ew(1 << 20));
+        first.launch(st, ew(1 << 22));
+        let cold: Vec<u64> = first
+            .synchronize()
+            .iter()
+            .map(|k| k.duration_us.to_bits())
+            .collect();
+        let memo = first.take_memo();
+        assert_eq!(memo.len(), 2, "one entry per launch shape");
+
+        // A fresh simulator on the warm memo: zero-based clocks, same
+        // bits, and not one new cost computed.
+        let mut second = DeviceSim::with_memo(DeviceConfig::a100(), memo);
+        let st = second.create_stream();
+        second.launch(st, ew(1 << 20));
+        second.launch(st, ew(1 << 22));
+        let warm: Vec<u64> = second
+            .synchronize()
+            .iter()
+            .map(|k| k.duration_us.to_bits())
+            .collect();
+        assert_eq!(cold, warm);
+        let memo = second.take_memo();
+        assert_eq!(memo.len(), 2, "the warm run hit the memo every time");
+
+        // Costs are per device: the memo refuses another machine.
+        let lent = std::panic::catch_unwind(|| DeviceSim::with_memo(DeviceConfig::v100(), memo));
+        assert!(lent.is_err(), "an A100 memo must not cost V100 launches");
     }
 
     #[test]

@@ -16,6 +16,17 @@
 //! chains; element-wise kernels are bandwidth-bound.
 
 use crate::warp_sim::{Instr, InstrTemplate};
+use std::sync::Arc;
+
+/// An interned kernel (or operation-scope) name.
+///
+/// A name is allocated once — by whoever builds the descriptor, e.g. the
+/// kernel layer's per-tracer name table — and from there on every copy
+/// (the launch queue, [`crate::KernelStats`], profiler tables, per-request
+/// reports) is a reference-count bump, never a heap `String`. It orders,
+/// hashes and derefs as `str`, so tables keyed by it sort exactly as the
+/// `String`-keyed tables they replaced.
+pub type KernelName = Arc<str>;
 
 /// Bytes per RNS residue on the device (the paper stores limbs as 32-bit
 /// words — `N × 32-bits` data entries, Fig. 9).
@@ -159,7 +170,7 @@ pub struct KernelDesc {
     /// Computation shape.
     pub class: KernelClass,
     /// Kernel name shown in profiles (e.g. `"ntt-fwd"`, `"hada-mult"`).
-    pub name: String,
+    pub name: KernelName,
     /// Threads per block.
     pub block_size: u32,
     /// Launch exactly this many threads instead of the natural geometry
@@ -174,7 +185,7 @@ impl KernelDesc {
     /// Creates a descriptor with the default geometry (block size 256,
     /// coalesced layout).
     #[must_use]
-    pub fn new(class: KernelClass, name: impl Into<String>) -> Self {
+    pub fn new(class: KernelClass, name: impl Into<KernelName>) -> Self {
         Self {
             class,
             name: name.into(),

@@ -42,9 +42,12 @@
 //!     ops_per_elem: 2,
 //!     bytes_per_elem: 24,
 //! }, "ele-add"));
+//! // `synchronize` lends the window it just retired out of the launch
+//! // log; nothing is copied.
 //! let stats = sim.synchronize();
 //! assert_eq!(stats.len(), 1);
 //! assert!(stats[0].duration_us > 0.0);
+//! assert_eq!(&*stats[0].name, "ele-add");
 //! ```
 
 #![warn(missing_docs)]
@@ -58,7 +61,7 @@ pub mod stall;
 pub mod warp_sim;
 
 pub use device::DeviceConfig;
-pub use engine::{DeviceSim, KernelStats, StreamId};
-pub use kernel::{KernelClass, KernelDesc, H2D_BANDWIDTH_GBPS};
+pub use engine::{CostMemo, DeviceSim, KernelStats, StreamId};
+pub use kernel::{KernelClass, KernelDesc, KernelName, H2D_BANDWIDTH_GBPS};
 pub use profiler::Profiler;
 pub use stall::{StallBreakdown, StallKind};

@@ -4,29 +4,50 @@
 //! operation, per kernel within a workload, per operation within a
 //! workload); Table IX reports occupancy per operation; Table XI reports
 //! energy. [`Profiler`] computes all of these from a flat slice of
-//! [`KernelStats`].
+//! [`KernelStats`] — normally one *borrowed* from the simulator's launch
+//! log, so costing a window never copies it.
 
 use crate::engine::KernelStats;
+use crate::kernel::KernelName;
 use crate::stall::StallBreakdown;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Aggregated view over a set of kernel launches.
 #[derive(Debug, Clone)]
-pub struct Profiler {
-    stats: Vec<KernelStats>,
+pub struct Profiler<'a> {
+    stats: Cow<'a, [KernelStats]>,
 }
 
-impl Profiler {
-    /// Builds a profiler over a snapshot of launch stats.
+impl<'a> Profiler<'a> {
+    /// Builds a profiler over launch stats: a view when handed a slice
+    /// (`Profiler::new(sim.stats())`), an owner when handed a `Vec`.
     #[must_use]
-    pub fn new(stats: Vec<KernelStats>) -> Self {
-        Self { stats }
+    pub fn new(stats: impl Into<Cow<'a, [KernelStats]>>) -> Self {
+        Self {
+            stats: stats.into(),
+        }
     }
 
     /// Underlying records.
     #[must_use]
     pub fn records(&self) -> &[KernelStats] {
         &self.stats
+    }
+
+    /// Device time grouped by `key`, descending. Keys are compared as
+    /// `str` and each distinct name is cloned (a reference-count bump)
+    /// once, so the table has the order and the sums of a `String`-keyed
+    /// fold without allocating per launch.
+    fn time_by(&self, key: impl Fn(&KernelStats) -> &KernelName) -> Vec<(KernelName, f64)> {
+        let mut m: BTreeMap<&str, (&KernelName, f64)> = BTreeMap::new();
+        for s in self.stats.iter() {
+            let name = key(s);
+            m.entry(name).or_insert((name, 0.0)).1 += s.duration_us;
+        }
+        let mut v: Vec<_> = m.into_values().map(|(k, t)| (k.clone(), t)).collect();
+        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        v
     }
 
     /// Wall-clock span covered by the launches (µs): latest end minus
@@ -55,31 +76,19 @@ impl Profiler {
 
     /// Device time grouped by kernel name, descending.
     #[must_use]
-    pub fn time_by_kernel(&self) -> Vec<(String, f64)> {
-        let mut m: BTreeMap<String, f64> = BTreeMap::new();
-        for s in &self.stats {
-            *m.entry(s.name.clone()).or_insert(0.0) += s.duration_us;
-        }
-        let mut v: Vec<_> = m.into_iter().collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        v
+    pub fn time_by_kernel(&self) -> Vec<(KernelName, f64)> {
+        self.time_by(|s| &s.name)
     }
 
     /// Device time grouped by operation scope, descending.
     #[must_use]
-    pub fn time_by_op(&self) -> Vec<(String, f64)> {
-        let mut m: BTreeMap<String, f64> = BTreeMap::new();
-        for s in &self.stats {
-            *m.entry(s.op_tag.clone()).or_insert(0.0) += s.duration_us;
-        }
-        let mut v: Vec<_> = m.into_iter().collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        v
+    pub fn time_by_op(&self) -> Vec<(KernelName, f64)> {
+        self.time_by(|s| &s.op_tag)
     }
 
     /// Fractional kernel breakdown (sums to 1) — the Fig. 11/12 bars.
     #[must_use]
-    pub fn kernel_fractions(&self) -> Vec<(String, f64)> {
+    pub fn kernel_fractions(&self) -> Vec<(KernelName, f64)> {
         let total = self.busy_us();
         if total <= 0.0 {
             return Vec::new();
@@ -92,7 +101,7 @@ impl Profiler {
 
     /// Fractional operation breakdown (sums to 1) — the Fig. 13 bars.
     #[must_use]
-    pub fn op_fractions(&self) -> Vec<(String, f64)> {
+    pub fn op_fractions(&self) -> Vec<(KernelName, f64)> {
         let total = self.busy_us();
         if total <= 0.0 {
             return Vec::new();
@@ -105,25 +114,23 @@ impl Profiler {
 
     /// Restricts to launches inside one operation scope.
     #[must_use]
-    pub fn for_op(&self, op: &str) -> Profiler {
-        Profiler::new(
-            self.stats
-                .iter()
-                .filter(|s| s.op_tag == op)
-                .cloned()
-                .collect(),
-        )
+    pub fn for_op(&self, op: &str) -> Profiler<'static> {
+        self.filtered(|s| &*s.op_tag == op)
     }
 
     /// Restricts to launches of one kernel name.
     #[must_use]
-    pub fn for_kernel(&self, name: &str) -> Profiler {
+    pub fn for_kernel(&self, name: &str) -> Profiler<'static> {
+        self.filtered(|s| &*s.name == name)
+    }
+
+    fn filtered(&self, keep: impl Fn(&KernelStats) -> bool) -> Profiler<'static> {
         Profiler::new(
             self.stats
                 .iter()
-                .filter(|s| s.name == name)
+                .filter(|s| keep(s))
                 .cloned()
-                .collect(),
+                .collect::<Vec<_>>(),
         )
     }
 
@@ -157,7 +164,7 @@ impl Profiler {
     #[must_use]
     pub fn stall_breakdown(&self) -> StallBreakdown {
         let mut b = StallBreakdown::new();
-        for s in &self.stats {
+        for s in self.stats.iter() {
             b += s.breakdown;
         }
         b
@@ -171,7 +178,7 @@ mod tests {
     use crate::engine::DeviceSim;
     use crate::kernel::{KernelClass, KernelDesc};
 
-    fn run_two_ops() -> Profiler {
+    fn run_two_ops() -> Profiler<'static> {
         let mut sim = DeviceSim::new(DeviceConfig::a100());
         let st = sim.create_stream();
         sim.set_scope("HADD");
@@ -226,15 +233,21 @@ mod tests {
         let p = run_two_ops();
         let hmult = p.for_op("HMULT");
         assert_eq!(hmult.records().len(), 2);
-        assert!(hmult.time_by_kernel().iter().any(|(k, _)| k == "ntt"));
-        assert!(!hmult.time_by_kernel().iter().any(|(k, _)| k == "ele-add"));
+        assert!(hmult.time_by_kernel().iter().any(|(k, _)| &**k == "ntt"));
+        assert!(!hmult
+            .time_by_kernel()
+            .iter()
+            .any(|(k, _)| &**k == "ele-add"));
     }
 
     #[test]
     fn ntt_dominates_its_op() {
         let p = run_two_ops().for_op("HMULT");
         let by_kernel = p.time_by_kernel();
-        assert_eq!(by_kernel[0].0, "ntt", "NTT should dominate: {by_kernel:?}");
+        assert_eq!(
+            &*by_kernel[0].0, "ntt",
+            "NTT should dominate: {by_kernel:?}"
+        );
     }
 
     #[test]

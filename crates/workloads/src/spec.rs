@@ -8,12 +8,13 @@
 //! `count ×` the cost of one `spec.batch`-wide dispatch — while exercising
 //! the same code path a serving deployment uses.
 
+use std::collections::BTreeMap;
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe, TensorFheBuilder};
 use tensorfhe_core::engine::Variant;
 use tensorfhe_core::error::CoreResult;
 use tensorfhe_core::service::FheRequest;
-use tensorfhe_gpu::Profiler;
+use tensorfhe_gpu::KernelName;
 
 /// One batched operation step of a workload.
 #[derive(Debug, Clone, Copy)]
@@ -123,23 +124,36 @@ pub fn run_workload_on(
     }
     let reports = svc.drain();
 
-    let mut by_op: std::collections::BTreeMap<String, f64> = Default::default();
-    let mut by_kernel: std::collections::BTreeMap<String, f64> = Default::default();
+    // Both folds run on interned names — a report's kernel names are
+    // `KernelName`s, an op's name is static — and become `String`s once
+    // per table row, not once per kernel per report.
+    let mut by_op: BTreeMap<&'static str, f64> = BTreeMap::new();
+    let mut by_kernel: BTreeMap<KernelName, f64> = BTreeMap::new();
+    let mut bases: BTreeMap<KernelName, KernelName> = BTreeMap::new();
     let mut occ_weighted = 0.0f64;
     for r in &reports {
-        *by_op.entry(r.report.op.name().to_string()).or_insert(0.0) += r.report.time_us;
+        *by_op.entry(r.report.op.name()).or_insert(0.0) += r.report.time_us;
         occ_weighted += r.report.occupancy * r.report.time_us;
         for (k, t) in &r.report.by_kernel {
-            *by_kernel.entry(normalise_kernel(k)).or_insert(0.0) += t;
+            *by_kernel
+                .entry(normalise_kernel(&mut bases, k))
+                .or_insert(0.0) += t;
         }
     }
     let stats = svc.stats();
     let time_us = stats.busy_us;
 
-    let mut per_op_us: Vec<_> = by_op.into_iter().collect();
-    per_op_us.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-    let mut per_kernel_us: Vec<_> = by_kernel.into_iter().collect();
-    per_kernel_us.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+    let descending = |mut rows: Vec<(String, f64)>| {
+        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        rows
+    };
+    let per_op_us = descending(by_op.into_iter().map(|(k, t)| (k.into(), t)).collect());
+    let per_kernel_us = descending(
+        by_kernel
+            .into_iter()
+            .map(|(k, t)| (k.to_string(), t))
+            .collect(),
+    );
 
     Ok(WorkloadReport {
         name: spec.name.clone(),
@@ -156,16 +170,26 @@ pub fn run_workload_on(
     })
 }
 
-/// Collapses per-stream plane-GEMM names into the parent kernel.
-fn normalise_kernel(name: &str) -> String {
-    let base = name.split("-plane").next().unwrap_or(name);
-    base.to_string()
-}
-
-/// Allows callers to inspect the raw profiler if they run manually.
-#[must_use]
-pub fn profiler_of(api: &TensorFhe) -> Profiler {
-    api.engine().profiler()
+/// Collapses per-stream plane-GEMM names into the parent kernel
+/// (`ntt-plane13` → `ntt`). `bases` is the caller's table from every name
+/// seen so far — base names included — to its base name, so a name is
+/// split, and a new base interned, the first time it appears and looked up
+/// after that.
+fn normalise_kernel(bases: &mut BTreeMap<KernelName, KernelName>, name: &KernelName) -> KernelName {
+    if let Some(base) = bases.get(&**name) {
+        return base.clone();
+    }
+    let spelled = name.split("-plane").next().unwrap_or(name);
+    let base = match bases.get(spelled) {
+        Some(known) => known.clone(),
+        None => {
+            let base: KernelName = spelled.into();
+            bases.insert(base.clone(), base.clone());
+            base
+        }
+    };
+    bases.insert(name.clone(), base.clone());
+    base
 }
 
 #[cfg(test)]
@@ -208,7 +232,16 @@ mod tests {
 
     #[test]
     fn kernel_names_are_normalised() {
-        assert_eq!(normalise_kernel("ntt-plane13"), "ntt");
-        assert_eq!(normalise_kernel("hada-mult"), "hada-mult");
+        let mut bases = BTreeMap::new();
+        let plane: KernelName = "ntt-plane13".into();
+        let ntt = normalise_kernel(&mut bases, &plane);
+        assert_eq!(&*ntt, "ntt");
+        // Every other spelling of the base shares its allocation.
+        for other in ["ntt-plane0", "ntt-planes", "ntt", "ntt-plane13"] {
+            let base = normalise_kernel(&mut bases, &other.into());
+            assert!(std::sync::Arc::ptr_eq(&base, &ntt), "{other}");
+        }
+        let plain = normalise_kernel(&mut bases, &"hada-mult".into());
+        assert_eq!(&*plain, "hada-mult");
     }
 }

@@ -6,7 +6,6 @@ use rand::SeedableRng;
 use tensorfhe::ckks::{CkksParams, Evaluator, KeyChain};
 use tensorfhe::core::api::{FheOp, TensorFhe};
 use tensorfhe::core::engine::{Engine, EngineConfig, Variant};
-use tensorfhe::gpu::Profiler;
 use tensorfhe::math::Complex64;
 
 /// Engine-level costing of one fixed-width schedule run — what the
@@ -42,13 +41,14 @@ fn traced_full_mode_pipeline() {
 
     // Drain the simulated device and inspect the profile.
     engine.device().borrow_mut().synchronize();
-    let profiler = Profiler::new(engine.device().borrow().stats().to_vec());
-    assert!(profiler.span_us() > 0.0, "GPU time must have been charged");
-    let ops = profiler.time_by_op();
-    assert!(
-        ops.iter().any(|(o, _)| o == "HMULT"),
-        "HMULT scope missing from {ops:?}"
-    );
+    engine.profiler(|profiler| {
+        assert!(profiler.span_us() > 0.0, "GPU time must have been charged");
+        let ops = profiler.time_by_op();
+        assert!(
+            ops.iter().any(|(o, _)| &**o == "HMULT"),
+            "HMULT scope missing from {ops:?}"
+        );
+    });
 
     // The math still decrypts correctly with tracing attached.
     let dec = ctx.decode(&keys.decrypt(&sq)).expect("decode");
