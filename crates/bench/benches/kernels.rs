@@ -9,9 +9,13 @@
 //! Its butterfly ratio is emitted as `kernels/host_butterfly_word_vs_wide`
 //! (a guarded wall-clock median, gated in `check_regression`'s `host_`
 //! tolerance class). A second table sets the narrow single-accumulator
-//! GEMM tile beside the limb-split one at the two four-step products of
+//! GEMM tile beside the limb-split one at the two products of Eq. 9 at
 //! HEAX set B and emits `kernels/host_tile_narrow_vs_split` the same way.
-//! A third sets the NTT-lean, limb-major `ckks::key_switch` beside the
+//! A third sets the four-step NTT's staged host pass (the radix rule's
+//! list, three GEMMs from `N = 2^9`) beside Eq. 9's two-stage pass built
+//! through `FourStepNtt::with_radices`, at `N = 2^12 … 2^16` (outputs
+//! asserted bit-equal), and emits `kernels/host_fourstep_staged_vs_eq9`.
+//! A fourth sets the NTT-lean, limb-major `ckks::key_switch` beside the
 //! composition of the public whole-polynomial helpers (`key_switch_literal`:
 //! Algorithm 1 as written through the inner product — every limb of every
 //! digit raised, transformed and multiplied — ending in the same NTT-domain
@@ -107,21 +111,26 @@ fn bench_basis_conversion(c: &mut Criterion) {
 /// Maximum relative spread `(max − min) / median` for a quiet run.
 const MAX_SPREAD: f64 = 0.3;
 
-/// Median seconds per call of `f` over `trials` samples of `reps` calls
-/// each, and the samples' relative spread.
-fn median_secs(trials: usize, reps: usize, mut f: impl FnMut()) -> (f64, f64) {
-    let mut samples: Vec<f64> = (0..trials)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            t0.elapsed().as_secs_f64() / reps as f64
-        })
-        .collect();
+/// Seconds per call of `f` over one sample of `reps` calls.
+fn sample_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t0.elapsed().as_secs_f64() / reps as f64
+}
+
+/// The median of `samples` and their relative spread `(max − min) / median`.
+fn median_spread(mut samples: Vec<f64>) -> (f64, f64) {
     samples.sort_by(f64::total_cmp);
     let median = samples[samples.len() / 2];
     (median, (samples[samples.len() - 1] - samples[0]) / median)
+}
+
+/// Median seconds per call of `f` over `trials` samples of `reps` calls
+/// each, and the samples' relative spread.
+fn median_secs(trials: usize, reps: usize, mut f: impl FnMut()) -> (f64, f64) {
+    median_spread((0..trials).map(|_| sample_secs(reps, &mut f)).collect())
 }
 
 /// Word-size kernels beside the wide bodies, at the HEAX set B shapes
@@ -212,9 +221,9 @@ fn word_size_rows() {
 }
 
 /// The narrow tile a 28-bit operand captures beside the limb-split tile
-/// forced onto the same operand, at the two inner dimensions of the HEAX
-/// set B four-step NTT (`N = 2^13 = 128·64`: `k = 64` for the inner
-/// N2-NTT, `k = 128` for the outer N1-DFT), 8 rows of a block each.
+/// forced onto the same operand, at the two inner dimensions of Eq. 9 at
+/// HEAX set B (`N = 2^13 = 128·64`: `k = 64` for the inner N2-NTT,
+/// `k = 128` for the outer N1-DFT), 8 rows of a block each.
 fn tile_rows() {
     let (trials, reps) = if report::smoke() { (5, 4) } else { (9, 20) };
     let q = generate_ntt_primes(1, 28, 1 << 13)[0];
@@ -255,6 +264,123 @@ fn tile_rows() {
         );
     } else {
         println!("[kernels] host_tile_narrow_vs_split not emitted: spread exceeded {MAX_SPREAD}");
+    }
+}
+
+/// The four-step NTT's staged host pass (the radix rule's list) beside
+/// Eq. 9's two-stage pass built through the radix-list hook, at a 28-bit
+/// prime, `N = 2^12 … 2^16`: rows/s each way, outputs asserted bit-equal.
+/// The emitted ratio is the geometric mean over degrees of the speedup. A
+/// trial times every cell of every degree back to back, and the spread
+/// guard is on that ratio's per-trial values, which a clock-state change
+/// moves on both sides alike.
+fn staged_rows() {
+    let (trials, reps) = if report::smoke() { (5, 4) } else { (9, 20) };
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut blocks: Vec<_> = (12..=16u32)
+        .map(|log_n| {
+            let n = 1usize << log_n;
+            let q = generate_ntt_primes(1, 28, n as u64)[0];
+            let staged = FourStepNtt::new(n, q);
+            let (n1, n2) = staged.split();
+            let eq9 = FourStepNtt::with_radices(n, q, staged.psi(), &[n2, n1]);
+            let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+            let (mut x, mut y) = (a.clone(), a.clone());
+            staged.forward(&mut x);
+            eq9.forward(&mut y);
+            assert_eq!(x, y, "staged vs Eq. 9 forward at N = 2^{log_n}");
+            staged.inverse(&mut x);
+            eq9.inverse(&mut y);
+            assert_eq!(
+                (&x, &y),
+                (&a, &a),
+                "staged vs Eq. 9 inverse at N = 2^{log_n}"
+            );
+            (log_n, staged, eq9, x)
+        })
+        .collect();
+    // samples[trial][degree] = [staged fwd, staged inv, Eq. 9 fwd, Eq. 9 inv].
+    let samples: Vec<Vec<[f64; 4]>> = (0..trials)
+        .map(|_| {
+            blocks
+                .iter_mut()
+                .map(|(log_n, staged, eq9, x)| {
+                    // About the same work per sample at every degree.
+                    let reps = reps << (16 - *log_n);
+                    let cells = [
+                        (&*staged, false),
+                        (&*staged, true),
+                        (&*eq9, false),
+                        (&*eq9, true),
+                    ];
+                    cells.map(|(plan, inverse)| {
+                        sample_secs(reps, || {
+                            if inverse {
+                                plan.inverse(x);
+                            } else {
+                                plan.forward(x);
+                            }
+                        })
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    // The geometric mean over degrees of the Eq. 9 / staged time ratio.
+    let ratio = |cells: &[[f64; 4]]| {
+        let logs: f64 = cells
+            .iter()
+            .map(|c| ((c[2] + c[3]) / (c[0] + c[1])).ln())
+            .sum();
+        (logs / cells.len() as f64).exp()
+    };
+    let (_, spread) = median_spread(samples.iter().map(|t| ratio(t)).collect());
+    let mut medians = Vec::new();
+    let rows: Vec<Vec<String>> = blocks
+        .iter()
+        .enumerate()
+        .map(|(d, (log_n, staged, eq9, _))| {
+            let cell = |c: usize| median_spread(samples.iter().map(|t| t[d][c]).collect()).0;
+            let m = [0, 1, 2, 3].map(cell);
+            medians.push(m);
+            let radices: Vec<String> = staged.radices().iter().map(usize::to_string).collect();
+            vec![
+                format!("2^{log_n}"),
+                radices.join("·"),
+                format!("{:.0} / {:.0}", 1.0 / m[0], 1.0 / m[1]),
+                format!("{:.0} / {:.0}", 1.0 / m[2], 1.0 / m[3]),
+                format!("{:.2}×", ratio(&[m])),
+                format!(
+                    "{:.2} / {:.2} M",
+                    staged.macs_per_row() as f64 / 1e6,
+                    eq9.macs_per_row() as f64 / 1e6
+                ),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!(
+            "Four-step NTT: staged pass vs Eq. 9's two stages, 28-bit prime \
+             (median of {trials}, speedup spread {:.0}%)",
+            spread * 100.0
+        ),
+        &[
+            "N",
+            "radices",
+            "staged fwd / inv rows/s",
+            "Eq. 9 fwd / inv rows/s",
+            "speedup",
+            "MACs/row",
+        ],
+        &rows,
+    );
+    if spread <= MAX_SPREAD {
+        report::emit(
+            "kernels",
+            &[("host_fourstep_staged_vs_eq9", ratio(&medians))],
+        );
+    } else {
+        println!("[kernels] host_fourstep_staged_vs_eq9 not emitted: spread exceeded {MAX_SPREAD}");
     }
 }
 
@@ -319,5 +445,6 @@ fn main() {
     benches();
     word_size_rows();
     tile_rows();
+    staged_rows();
     keyswitch_rows();
 }

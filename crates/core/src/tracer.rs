@@ -296,7 +296,12 @@ impl GpuTracer {
     }
 }
 
-/// The four-step `(N1, N2)` split (`N1 ≥ N2`).
+/// The four-step `(N1, N2)` split (`N1 ≥ N2`) of the **modelled GPU
+/// kernel**: the paper's two-GEMM form of Eq. 9, which every simulated NTT
+/// launch is lowered to. It is not the host pass's shape — on the host
+/// `FourStepNtt` runs one GEMM per entry of `FourStepNtt::radices()`
+/// (three from `N = 2^9`), doing `FourStepNtt::macs_per_row()`
+/// multiply-accumulates instead of `N·(N1 + N2)`.
 #[must_use]
 pub fn split(n: usize) -> (usize, usize) {
     let log = n.trailing_zeros();

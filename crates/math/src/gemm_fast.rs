@@ -397,7 +397,8 @@ enum Right<'a> {
 /// through `kernel`; only the last `m mod MR` rows take the scalar path
 /// below (bit-identical, off the hot path). Shape and overflow
 /// preconditions are the callers' (checked per call and at
-/// [`MontOperand::new`] respectively).
+/// [`MontOperand::new`] respectively); the tile's prime is checked here,
+/// once per product, for every entry point.
 // The GEMM shape (two operands + dims + modulus + tile + sink) is
 // irreducibly eight values; bundling them into a struct for one private fn
 // obscures the call sites.
@@ -413,6 +414,9 @@ fn gemm_tiled(
     mut epilogue: impl FnMut(TileOut<'_>),
 ) {
     debug_assert!((k as u128) * (mont.modulus() as u128) < (1u128 << 64));
+    if let Some(p) = kernel.sized_for() {
+        assert_eq!(p, mont.modulus(), "narrow tile sized for another prime");
+    }
     if m == 0 || n == 0 {
         return;
     }

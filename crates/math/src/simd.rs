@@ -95,8 +95,10 @@
 //! every product against that operand dispatches through the captured
 //! tile, [`Narrow`] if selected and [`Simd4`] otherwise. No runtime
 //! switch, no feature probe. A [`Narrow`] tile remembers the prime it was
-//! sized for and refuses (asserts) a tile call under any other, so a
-//! `fold` can never be applied to products it does not bound.
+//! sized for ([`MicroKernel::sized_for`]) and every GEMM entry point
+//! refuses (asserts) a product under any other — once per product, before
+//! the first tile, not in the tile loop — so a `fold` can never be applied
+//! to products it does not bound.
 //! [`ScalarTile`] and [`Simd4`] stay reachable through the `*_with` GEMM
 //! entry points as the differential references for the A/B benches and the
 //! equivalence proofs.
@@ -169,13 +171,23 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
     /// Parallel lanes the inner loop is written for (1 = scalar).
     fn lanes(&self) -> usize;
 
+    /// The one prime this tile is exact for, if it was sized for one
+    /// ([`Narrow`]); `None` for a tile exact under every `q < 2^32`. The
+    /// GEMM entry points check it against the operand's prime once per
+    /// product, so [`MicroKernel::tile`] never does.
+    fn sized_for(&self) -> Option<u64> {
+        None
+    }
+
     /// Computes one full tile.
     ///
     /// `a` views the `MR` data rows of the tile (row `ii`, inner index
     /// `kk` at `a.at(ii, kk)`, `kk < k`); `panel` is the packed `k×NR`
     /// column panel; `out` receives the `MR×NR` canonical residues
     /// row-major. `k < 2^32` and `k·q < 2^64` are the caller's contract
-    /// (established once by [`crate::gemm_fast::MontOperand::new`]).
+    /// (established once by [`crate::gemm_fast::MontOperand::new`]), as is
+    /// `mont`'s prime matching [`MicroKernel::sized_for`] (checked once per
+    /// product by the GEMM entry points).
     fn tile(
         &self,
         a: Strided<'_>,
@@ -375,6 +387,10 @@ impl MicroKernel for Narrow {
         LANES
     }
 
+    fn sized_for(&self) -> Option<u64> {
+        Some(self.q.value())
+    }
+
     fn tile(
         &self,
         a: Strided<'_>,
@@ -384,11 +400,7 @@ impl MicroKernel for Narrow {
         out: &mut [u64; MR * NR],
     ) {
         let q = &self.q;
-        assert_eq!(
-            mont.modulus(),
-            q.value(),
-            "narrow tile sized for another prime"
-        );
+        debug_assert_eq!(mont.modulus(), q.value());
         debug_assert_eq!(panel.len(), k * NR);
         let mut acc = [0u64; MR * NR];
         let mut k0 = 0usize;
@@ -576,15 +588,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "sized for another prime")]
     fn narrow_tile_refuses_another_prime() {
+        // Checked at the GEMM entry point, once per product.
         let narrow = Narrow::select(97).expect("word-size");
-        let mont = Montgomery::new((1 << 31) - 1);
+        assert_eq!(narrow.sized_for(), Some(97));
+        let b = crate::gemm_fast::MontOperand::new((1 << 31) - 1, &[0; NR], 1, NR);
         let mut out = [0u64; MR * NR];
-        narrow.tile(
-            Strided::row_major(&[0; MR], 1),
-            1,
-            &[0; NR],
-            &mont,
-            &mut out,
-        );
+        crate::gemm_fast::gemm_rm_with(&[0; MR], MR, &b, &narrow, &mut out);
     }
 }

@@ -22,30 +22,35 @@
 //!
 //! # Which pipeline runs
 //!
-//! The four-step formulation executes those stages as **two Montgomery
-//! GEMMs with fused epilogues** (`FourStepNtt::transform_rows`) — for
-//! every caller: `NttOps`, [`NttBatchOps`], the CKKS evaluator above them
-//! and the host executor.
+//! The four-step formulation executes on the host as **one Montgomery
+//! GEMM per stage with fused epilogues** (`FourStepNtt::transform_rows`)
+//! — for every caller: `NttOps`, [`NttBatchOps`], the CKKS evaluator above
+//! them and the host executor. The stages are Eq. 9 applied recursively to
+//! its own outer DFT, over a radix list chosen from `N` alone (two stages,
+//! Eq. 9 itself, below `N = 2^9`; three from there on — see
+//! [`crate::four_step`]):
 //!
 //! ```text
 //!            strided tile reads            register-tile epilogues
-//! row ──► GEMM 1: A × W1 (pre-packed) ──► ⊙ twiddle (one extra REDC),
-//!                                          stored as GEMM 2's column panels
-//!         GEMM 2: W2 × panels         ──► stored straight into the row
+//! row ──► GEMM 0: A × W_0 (pre-packed) ──► ⊙ twiddle, stored as GEMM 1's panels
+//!         GEMM t: W_t × panels         ──► ⊙ twiddle, stored as GEMM t+1's panels
+//!         GEMM s−1: W_{s−1} × panels   ──► stored straight into the row
 //! ```
 //!
-//! No gather, repack or scatter pass exists: GEMM 1 reads the `N1×N2`
-//! block column-major out of the row, its epilogue writes the twiddled
-//! tiles in the operand layout GEMM 2 consumes, and GEMM 2's epilogue
-//! writes the output row. The inverse is the same pass over transposed
-//! constants. On the host the wide block is walked row by row, which keeps
-//! a row, the one row-sized staging buffer and the constants
-//! cache-resident; the constants are still shared by the whole block.
+//! No gather, repack or scatter pass exists: GEMM 0 reads its block
+//! column-major out of the row, each epilogue writes the twiddled tiles in
+//! the operand layout the next GEMM consumes, and the last one writes the
+//! output row. The inverse is the mirrored pass over the reversed radix
+//! list. On the host the wide block is walked row by row, which keeps a
+//! row, its row-sized staging buffers and the constants cache-resident;
+//! the constants are still shared by the whole block.
 //!
 //! The five-stage **Barrett wide pipeline** (gather → `gemm_mod_into` →
 //! twiddle repack → `gemm_mod_into` → scatter, `u128` accumulators and one
-//! Barrett reduction per output) is the *reference*: it is reachable only
-//! through [`BatchedGemmNtt::reference_batch`], for the `host-scalar`
+//! Barrett reduction per output) is the *reference*: it keeps Eq. 9's
+//! two-factor form, so it shares no stage constant or index map with the
+//! staged host pass, and it is reachable only through
+//! [`BatchedGemmNtt::reference_batch`], for the `host-scalar`
 //! backend and the equivalence tests, and it shares its block plumbing
 //! with [`TensorCoreNtt`], whose segmented u8 GEMMs plug into the same
 //! stages. All of them are bit-identical to the butterfly.

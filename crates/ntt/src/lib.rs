@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | Cooley–Tukey / Gentleman–Sande butterflies: Harvey lazy butterflies on 32-bit Shoup twiddles in `u64` lanes for `q < 2^31`, 64-bit Shoup for wider primes | TensorFHE-NT | [`butterfly`] |
 //! | `O(N²)` matrix–vector product (Eq. 8) | analysis only | [`naive`] |
-//! | Four-step GEMM decomposition (Eq. 9): two Montgomery GEMMs with the twiddle Hadamard and all repacks fused into their epilogues; for `q < 2^31` a single-`u64`-accumulator register tile and a packed 32-bit Shoup twiddle product, no `u128` anywhere in the pass | TensorFHE-CO | [`four_step`] |
+//! | Four-step GEMM decomposition (Eq. 9), run on the host as Eq. 9 applied to its own outer DFT: one Montgomery GEMM per radix (three from `N = 2^9`) with the twiddle Hadamards and all repacks fused into their epilogues; for `q < 2^31` a single-`u64`-accumulator register tile and a packed 32-bit Shoup twiddle product, no `u128` anywhere in the pass | TensorFHE-CO | [`four_step`] |
 //! | Segmented u8 GEMM + Booth fusion (Fig. 7/8) | TensorFHE | [`tensor_core`] |
 //! | Batched `B×L` execution + plan cache (Fig. 8, §IV-B/D); the Barrett wide pipeline kept as the named reference | TensorFHE batching | [`batch`] |
 //!

@@ -45,10 +45,6 @@ impl Mat {
     pub(crate) fn at(&self, i: usize, j: usize) -> u64 {
         self.data[i * self.cols + j]
     }
-
-    pub(crate) fn transposed(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |i, j| self.at(j, i))
-    }
 }
 
 /// `(A × B) mod q` with a single Barrett reduction per output element,
