@@ -30,7 +30,7 @@
 //! # Allowlist
 //!
 //! `tfhe-lint.allow` at the workspace root sanctions whole files or
-//! directories per lint: `L006 crates/core/src/service.rs # builder env
+//! directories per lint: `L006 crates/core/src/env.rs # builder env
 //! knobs`. `*` matches every lint. Diagnostics are reported in stable
 //! `(file, line, id)` order as `file:line [L00x] message`.
 

@@ -10,12 +10,11 @@ use tensorfhe_analyze::verify_service;
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
 use tensorfhe_core::service::{FheRequest, FheService};
-use tensorfhe_core::SessionConfig;
+use tensorfhe_core::{SchedPolicy, SessionConfig};
 
 fn service(workers: usize, depth: usize) -> FheService {
     TensorFhe::builder(&CkksParams::test_small())
-        .workers(workers)
-        .pipeline_depth(depth)
+        .sched(SchedPolicy::new().workers(workers).pipeline_depth(depth))
         .service()
         .expect("valid service config")
 }

@@ -2,8 +2,8 @@
 //! cluster.
 //!
 //! The request service drains one fixed multi-tenant stream against 1, 2
-//! and 4 per-device workers (`TensorFheBuilder::workers`, one simulated
-//! A100 per worker). Two numbers fall out:
+//! and 4 per-device workers (`SchedPolicy::workers`, one simulated A100
+//! per worker). Two numbers fall out:
 //!
 //! * **Simulated ops/s** — deterministic cluster scaling *through the
 //!   executor path*: more devices coalesce wider batches and shard them.
@@ -13,7 +13,8 @@
 //!   threading. Pinned in `BENCH_baseline.json`, gated by
 //!   `check_regression`.
 //! * **Host drain wall-clock** — the actual threading win of the
-//!   `ThreadedPool` executor (workers simulate device shards in parallel).
+//!   `exec::Pool` (its workers simulate device shards in parallel; one
+//!   worker runs them on the calling thread).
 //!   Machine-dependent, printed for the trajectory but never gated.
 //!
 //! The threading feature itself is held to two assertions: each service
@@ -25,6 +26,7 @@ use std::time::Instant;
 use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
+use tensorfhe_core::sched::SchedPolicy;
 use tensorfhe_core::service::{FheRequest, FheService, RequestReport, ServiceStats};
 
 /// The fixed multi-tenant stream: three tenants mixing NTT-heavy and
@@ -55,7 +57,7 @@ fn drain(workers: usize, ops_per_client: usize) -> (Vec<RequestReport>, ServiceS
     let params = CkksParams::heax_set_c();
     let mut svc = TensorFhe::builder(&params)
         .devices(workers)
-        .workers(workers)
+        .sched(SchedPolicy::new().workers(workers))
         .service()
         .expect("valid service");
     assert_eq!(
@@ -135,7 +137,7 @@ fn main() {
         let params = CkksParams::heax_set_c();
         let mut svc = TensorFhe::builder(&params)
             .devices(4)
-            .workers(workers)
+            .sched(SchedPolicy::new().workers(workers))
             .service()
             .expect("valid");
         let cap = svc.batch_cap();

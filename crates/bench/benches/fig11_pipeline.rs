@@ -4,7 +4,7 @@
 //! A mixed-(op, level) multi-client stream — many mutually *incompatible*
 //! coalescing groups of one or two operations each, every group its own
 //! client — drains against window depths 1, 2 and 4
-//! (`TensorFheBuilder::pipeline_depth`) on a fixed 4-device cluster. Two
+//! (`SchedPolicy::pipeline_depth`) on a fixed 4-device cluster. Two
 //! kinds of numbers fall out:
 //!
 //! * **Simulated pipelined ops/s** — deterministic overlap-clock
@@ -27,6 +27,7 @@ use std::time::Instant;
 use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
+use tensorfhe_core::sched::SchedPolicy;
 use tensorfhe_core::service::{FheRequest, FheService, RequestReport, ServiceStats};
 
 const OPS: [FheOp; 6] = [
@@ -60,7 +61,7 @@ fn drain(depth: usize, levels: usize) -> (Vec<RequestReport>, ServiceStats, f64)
     let params = CkksParams::heax_set_c();
     let mut svc = TensorFhe::builder(&params)
         .devices(4)
-        .pipeline_depth(depth)
+        .sched(SchedPolicy::new().pipeline_depth(depth))
         .service()
         .expect("valid service");
     assert_eq!(

@@ -28,7 +28,7 @@ use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
 use tensorfhe_core::service::FheRequest;
-use tensorfhe_core::{CoalescePolicy, SessionConfig};
+use tensorfhe_core::{CoalescePolicy, SchedPolicy, SessionConfig};
 
 struct Run {
     elapsed_us: f64,
@@ -61,8 +61,7 @@ fn run(
     let set_bytes = key_set_bytes(params);
     let cache_mb = ((cache_sets * set_bytes) >> 20).max(1);
     let mut svc = TensorFhe::builder(params)
-        .workers(1)
-        .pipeline_depth(1)
+        .sched(SchedPolicy::new().workers(1).pipeline_depth(1))
         .key_cache_mb(cache_mb)
         .coalesce_policy(policy)
         .service()

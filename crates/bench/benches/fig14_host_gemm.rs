@@ -1,7 +1,7 @@
 //! Figure 14 (host GEMM) — the cache-blocked Montgomery fast kernels vs
 //! the Barrett scalar reference, behind the executor seam.
 //!
-//! Drives the [`HostParallelExecutor`] directly with a repeated `HMult`
+//! Drives a host-backend [`Pool`] directly with a repeated `HMult`
 //! batch stream at the paper-scale HEAX set-A preset (`N = 2^12`), with
 //! the real-row cap raised so the batched-NTT and basis-conversion GEMMs
 //! dominate wall-clock, and compares:
@@ -45,7 +45,7 @@ use tensorfhe_core::api::{FheOp, TensorFhe};
 use tensorfhe_core::schedule::hmult_schedule;
 use tensorfhe_core::service::FheRequest;
 use tensorfhe_core::{
-    EngineConfig, ExecBackend, ExecBatch, Executor, HostParallelExecutor, HostWorkStats, Variant,
+    EngineConfig, ExecBackend, ExecBatch, Executor, HostWorkStats, Pool, Variant,
 };
 
 const DEVICES: usize = 2;
@@ -64,7 +64,7 @@ fn run(
     iters: usize,
 ) -> (f64, HostWorkStats) {
     let cfg = EngineConfig::a100(Variant::TensorCore);
-    let mut ex = HostParallelExecutor::with_rows_cap(cfg, DEVICES, workers, backend, rows_cap);
+    let mut ex = Pool::new(&cfg, DEVICES, workers, backend, rows_cap).expect("valid pool");
     let events: Arc<[KernelEvent]> = hmult_schedule(params, params.max_level()).into();
     let t0 = Instant::now();
     for _ in 0..iters {

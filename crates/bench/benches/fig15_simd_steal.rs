@@ -30,9 +30,7 @@ use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::{CkksParams, KernelEvent};
 use tensorfhe_core::exec::StealStats;
 use tensorfhe_core::schedule::hmult_schedule;
-use tensorfhe_core::{
-    EngineConfig, ExecBackend, ExecBatch, Executor, HostParallelExecutor, Variant,
-};
+use tensorfhe_core::{EngineConfig, ExecBackend, ExecBatch, Executor, Pool, Variant};
 use tensorfhe_math::gemm_fast::{gemm_rm_with, MontOperand};
 use tensorfhe_math::prime::generate_ntt_primes;
 use tensorfhe_math::simd::{scalar_tile, simd4, MicroKernel};
@@ -157,7 +155,7 @@ fn run_stream(params: &CkksParams, workers: usize, iters: usize) -> (f64, StealS
     let cfg = EngineConfig::a100(Variant::TensorCore);
     // 2 devices so a surplus worker exists even at `workers = 2`; width 1
     // keeps every chunk on device 0's queue.
-    let mut ex = HostParallelExecutor::with_rows_cap(cfg, 2, workers, ExecBackend::HostParallel, 8);
+    let mut ex = Pool::new(&cfg, 2, workers, ExecBackend::HostParallel, 8).expect("valid pool");
     let events: Arc<[KernelEvent]> = hmult_schedule(params, params.max_level()).into();
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -169,34 +167,47 @@ fn run_stream(params: &CkksParams, workers: usize, iters: usize) -> (f64, StealS
         let _ = ex.join(h);
     }
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    (ms, ex.steals())
+    (ms, ex.steal_stats().expect("host backends steal"))
 }
 
 /// Part 2: steal-efficiency point. Returns `Some(speedup)` on a quiet
 /// multi-core run.
 fn steal_point(trials: usize, iters: usize, cores: usize) -> Option<f64> {
     let params = CkksParams::heax_set_a();
-    let mut stats1 = None;
-    let mut stats2 = None;
-    let (ms1, spread1) = median_of(trials, || {
-        let (ms, s) = run_stream(&params, 1, iters);
-        stats1 = Some(s);
-        ms
-    });
-    let (ms2, spread2) = median_of(trials, || {
-        let (ms, s) = run_stream(&params, 2, iters);
-        stats2 = Some(s);
-        ms
-    });
-    let (s1, s2) = (stats1.expect("ran"), stats2.expect("ran"));
-    for (workers, s) in [(1u64, s1), (2, s2)] {
-        assert_eq!(
-            s.planned_rows, s.executed_rows,
-            "work must be conserved at {workers} worker(s): planned {} vs executed {}",
-            s.planned_rows, s.executed_rows
-        );
-        assert!(s.planned_rows > 0, "the stream must plan real rows");
+    // Counters of every trial: conservation must hold in each, and the
+    // surplus worker must have stolen in at least one (a single short
+    // trial can finish before it wakes).
+    let mut stats: [Vec<StealStats>; 2] = Default::default();
+    let mut timed = |workers: usize| {
+        median_of(trials, || {
+            let (ms, s) = run_stream(&params, workers, iters);
+            stats[workers - 1].push(s);
+            ms
+        })
+    };
+    let (ms1, spread1) = timed(1);
+    let (ms2, spread2) = timed(2);
+    for (workers, trials) in (1..).zip(&stats) {
+        for s in trials {
+            assert_eq!(
+                s.planned_rows, s.executed_rows,
+                "work must be conserved at {workers} worker(s): planned {} vs executed {}",
+                s.planned_rows, s.executed_rows
+            );
+            assert!(s.planned_rows > 0, "the stream must plan real rows");
+        }
     }
+    let total = |trials: &[StealStats]| {
+        trials
+            .iter()
+            .fold(StealStats::default(), |a, s| StealStats {
+                steals: a.steals + s.steals,
+                stolen_rows: a.stolen_rows + s.stolen_rows,
+                planned_rows: a.planned_rows + s.planned_rows,
+                executed_rows: a.executed_rows + s.executed_rows,
+            })
+    };
+    let (s1, s2) = (total(&stats[0]), total(&stats[1]));
     assert_eq!(s1.steals, 0, "a single worker has nobody to steal from");
     assert!(
         s2.steals > 0,
@@ -210,7 +221,7 @@ fn steal_point(trials: usize, iters: usize, cores: usize) -> Option<f64> {
         &format!(
             "Figure 15b — work-stealing a width-1 HMult stream \
              (HEAX set A, device 0 owns all rows, median of {trials}, \
-             {cores}-core host)"
+             counters summed over the trials, {cores}-core host)"
         ),
         &[
             "workers",

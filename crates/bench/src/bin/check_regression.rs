@@ -68,8 +68,7 @@ fn verify_smoke_schedules() -> Result<(), String> {
     let mut failures = Vec::new();
     for &(workers, depth) in &[(1usize, 1usize), (4, 4)] {
         let mut svc = TensorFhe::builder(&CkksParams::test_small())
-            .workers(workers)
-            .pipeline_depth(depth)
+            .sched(SchedPolicy::new().workers(workers).pipeline_depth(depth))
             .service()
             .map_err(|e| e.to_string())?;
         let level = svc.params().max_level();

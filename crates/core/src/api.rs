@@ -21,9 +21,10 @@
 //! old `TensorFhe::new(params, EngineConfig)` constructor threading.
 
 use crate::engine::{Engine, EngineConfig, ExecMode, Layout, OpStats, Variant};
+use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::exec::ExecBackend;
-use crate::sched::{AdmissionMode, SchedPolicy};
+use crate::sched::SchedPolicy;
 use crate::schedule;
 use crate::service::FheService;
 use crate::session::CoalescePolicy;
@@ -247,10 +248,11 @@ impl TensorFheBuilder {
         self
     }
 
-    /// The unified scheduler policy: worker threads, pipeline depth,
-    /// admission mode, scoreboard lookahead and aging bound, as one typed
-    /// [`SchedPolicy`] value. Replaces the whole policy (unset fields
-    /// resolve through their env var, then their default).
+    /// The scheduler policy: worker threads, pipeline depth, admission
+    /// mode, scoreboard lookahead and aging bound, as one typed
+    /// [`SchedPolicy`] value — the only way to set them on the builder.
+    /// Replaces the whole policy (unset fields resolve through their env
+    /// var, then their default).
     ///
     /// Resolution order for every knob is *builder → environment →
     /// default*, with malformed or zero values a hard
@@ -258,17 +260,19 @@ impl TensorFheBuilder {
     ///
     /// | knob | env var | default |
     /// |---|---|---|
-    /// | `workers` | `TENSORFHE_WORKERS` | 1 (serial executor) |
+    /// | `workers` | `TENSORFHE_WORKERS` | 1 (runs on the calling thread) |
     /// | `pipeline_depth` | `TENSORFHE_PIPELINE` | 1 (synchronous) |
     /// | `admission` | `TENSORFHE_ADMISSION` (`inorder`/`ooo`) | in-order |
     /// | `lookahead` | — | [`crate::sched::DEFAULT_LOOKAHEAD`] |
     /// | `aging_bound` | — | [`crate::sched::DEFAULT_AGING_BOUND`] |
     ///
-    /// The execution backend resolves the same way (builder →
-    /// `TENSORFHE_BACKEND` → simulated default) but lives outside
-    /// [`SchedPolicy`]; see [`TensorFheBuilder::backend`]. So does the
-    /// host real-row cap (builder → `TENSORFHE_ROWS_CAP` → `0` =
-    /// uncapped); see [`TensorFheBuilder::rows_cap`].
+    /// `workers` is the [`crate::exec::Pool`]'s thread count (clamped to
+    /// the device count on the simulated backend). The execution backend
+    /// resolves the same way (builder → `TENSORFHE_BACKEND` → simulated
+    /// default) but lives outside [`SchedPolicy`]; see
+    /// [`TensorFheBuilder::backend`]. So does the host real-row cap
+    /// (builder → `TENSORFHE_ROWS_CAP` → `0` = uncapped); see
+    /// [`TensorFheBuilder::rows_cap`].
     ///
     /// Every policy choice is deterministic and leaves drain reports and
     /// [`ServiceStats`] request accounting bit-identical; workers change
@@ -287,20 +291,18 @@ impl TensorFheBuilder {
         self
     }
 
-    /// Execution backend behind the [`crate::exec::Executor`] seam.
+    /// What the service's [`crate::exec::Pool`] runs besides the
+    /// simulated launches.
     ///
-    /// [`ExecBackend::Sim`] (the default) is the pure timing model —
-    /// serial [`crate::exec::SimExecutor`] or the
-    /// [`crate::exec::ThreadedPool`] when workers are configured.
-    /// [`ExecBackend::HostParallel`] routes every batch through the
-    /// [`crate::exec::HostParallelExecutor`], whose per-device worker
-    /// threads execute the batched-NTT and basis-conversion GEMMs with
-    /// real cache-blocked Montgomery arithmetic on the host;
-    /// [`ExecBackend::HostScalar`] is the same executor pinned to the
-    /// Barrett scalar reference kernels (the fast kernels' baseline).
-    /// Reports and [`crate::service::ServiceStats`] stay bit-identical
-    /// across all three — the host backends add only wall-clock and the
-    /// [`crate::exec::HostWorkStats`] counters.
+    /// [`ExecBackend::Sim`] (the default) is the pure timing model.
+    /// [`ExecBackend::HostParallel`] makes the pool's workers also execute
+    /// every batch's batched-NTT and basis-conversion GEMMs with real
+    /// cache-blocked Montgomery arithmetic on the host, split into
+    /// work-stealing chunks; [`ExecBackend::HostScalar`] runs the same
+    /// chunks on the Barrett scalar reference kernels (the fast kernels'
+    /// baseline). Reports and [`crate::service::ServiceStats`] stay
+    /// bit-identical across all three — the host backends add only
+    /// wall-clock and the [`crate::exec::HostWorkStats`] counters.
     ///
     /// The `TENSORFHE_BACKEND` environment variable (`sim`,
     /// `host-parallel`, `host-scalar`) overrides the default but not this
@@ -314,8 +316,8 @@ impl TensorFheBuilder {
 
     /// Cap on real rows (NTT) / width factor (Conv) the host backends
     /// execute per kernel-event shard. `0` (the default) is uncapped:
-    /// every row of every batch runs through the work-stealing host
-    /// executor at full width. A positive cap bounds the real arithmetic
+    /// every row of every batch runs through the pool's work-stealing
+    /// chunks at full width. A positive cap bounds the real arithmetic
     /// so paper-scale widths stay tractable on slow (e.g. debug-build)
     /// hosts — CI's bounded matrix corners set `TENSORFHE_ROWS_CAP=4`.
     ///
@@ -329,46 +331,6 @@ impl TensorFheBuilder {
     #[must_use]
     pub fn rows_cap(mut self, cap: usize) -> Self {
         self.rows_cap = Some(cap);
-        self
-    }
-
-    /// Number of host worker threads driving the service's devices.
-    ///
-    /// `1` (the default) selects the serial [`crate::exec::SimExecutor`];
-    /// more selects the [`crate::exec::ThreadedPool`], which shards every
-    /// coalesced batch across one worker per device (clamped to the device
-    /// count). Thin shim over [`TensorFheBuilder::sched`]'s `workers`
-    /// field; see that method for the resolution rules.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.sched.workers = Some(workers);
-        self
-    }
-
-    /// Depth of the service's in-flight batch window (the
-    /// [`crate::sched::Scheduler`]'s pipeline).
-    ///
-    /// `1` (the default) reproduces the strictly synchronous drain — one
-    /// batch submitted, joined, then the next. Larger depths keep up to
-    /// `n` *independent* coalesced batches submitted-but-unjoined at once
-    /// (no two in-flight batches may contain requests from the same client
-    /// stream at the same ciphertext level, so chained operations observe
-    /// program order). Thin shim over [`TensorFheBuilder::sched`]'s
-    /// `pipeline_depth` field; see that method for the resolution rules.
-    #[must_use]
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.sched.pipeline = Some(depth);
-        self
-    }
-
-    /// Window-admission mode: in-order (the default) or the scoreboarded
-    /// out-of-order mode that admits independent batches past a blocked
-    /// head (see [`crate::sched`]'s module docs). Thin shim over
-    /// [`TensorFheBuilder::sched`]'s `admission` field; see that method
-    /// for the resolution rules.
-    #[must_use]
-    pub fn admission(mut self, mode: AdmissionMode) -> Self {
-        self.sched.admission = Some(mode);
         self
     }
 
@@ -459,7 +421,7 @@ impl TensorFheBuilder {
     /// Returns [`CoreError::InvalidConfig`] for a zero device count or a
     /// zero batch cap.
     pub fn service(self) -> CoreResult<FheService> {
-        FheService::from_builder(self)
+        FheService::from_builder(self, &EnvConfig::process())
     }
 }
 

@@ -1,7 +1,8 @@
 //! The unified error type of the engine and service layers.
 //!
-//! The seed code panicked on bad configurations (`MultiGpu::new` asserted a
-//! non-zero device count) and validated requests with ad-hoc `assert!`s.
+//! The seed code panicked on bad configurations (its multi-GPU cluster
+//! asserted a non-zero device count) and validated requests with ad-hoc
+//! `assert!`s.
 //! A service front end cannot afford that: one malformed client request must
 //! fail *that request*, not the process. Every fallible entry point of
 //! `tensorfhe-core` now returns [`CoreError`].

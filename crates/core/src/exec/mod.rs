@@ -1,37 +1,32 @@
-//! The executor seam: "run a scheduled batch on the device(s)" as a
-//! pluggable contract.
+//! The executor seam — "run a scheduled batch on the device(s)" as a
+//! pluggable contract — and the one executor behind it.
 //!
 //! The service layer coalesces requests into batches; *how* a batch turns
-//! into device work is this module's job, behind the [`Executor`] trait:
+//! into device work is this module's job, behind the [`Executor`] trait.
+//! [`Pool`] implements it: `threads` workers own the per-device simulated
+//! [`Engine`]s — device `d` belongs to worker `d % threads` — and the
+//! [`ExecBackend`] only chooses what else a batch runs:
 //!
-//! * [`SimExecutor`] — today's simulated launches ([`Engine`] per device),
-//!   executed serially on the calling thread. One device reproduces the old
-//!   single-engine service backend bit-for-bit; several devices reproduce
-//!   the old `MultiGpu` sharded dispatch.
-//! * [`ThreadedPool`] — the same per-device engines, owned by worker
-//!   threads and fed over channels, so independent device shards of a batch
-//!   simulate in parallel on the host. Results are merged in device-index
-//!   order, which makes the threaded path **bit-identical** to the serial
-//!   one: each device's simulator sees exactly the same launch sequence
-//!   either way, and the merge folds floats in the same order.
+//! * [`ExecBackend::Sim`] — simulated launches only. A worker beyond the
+//!   device count would own no engine and find nothing to steal, so the
+//!   pool clamps `threads` to the device count.
+//! * [`ExecBackend::HostParallel`] / [`ExecBackend::HostScalar`] — the
+//!   same engines, plus real host arithmetic: every batched-NTT and
+//!   basis-conversion GEMM is split into work-stealing row chunks
+//!   ([`host`]) and run on the Montgomery fast kernels or the Barrett
+//!   scalar reference. Surplus workers are kept: they own no engine and
+//!   only steal chunks.
 //!
-//! * [`host::HostParallelExecutor`] — the first backend that *computes*
-//!   instead of simulating: worker threads execute the batched-NTT and
-//!   basis-conversion GEMMs with real host arithmetic (cache-blocked
-//!   Montgomery fast kernels on SIMD register tiles, or the Barrett
-//!   scalar reference for comparison) at full width by default, split
-//!   into work-stealing row chunks so no worker idles while another has
-//!   arithmetic left — all while producing the same simulated reports as
-//!   [`SimExecutor`], so host wall-clock becomes measurable without
-//!   perturbing a single pinned ratio.
+//! A one-thread pool spawns nothing: `submit` runs the engine shards and
+//! any chunks eagerly on the calling thread. With more threads each worker
+//! runs its devices' shards in submission order, and results are merged in
+//! device-index order, so every thread count is **bit-identical**: each
+//! device's simulator sees exactly the same launch sequence either way,
+//! and the merge folds floats in the same order. Threads and host
+//! arithmetic buy wall-clock, never result drift.
 //!
-//! Backends are selected by [`ExecBackend`] (builder `backend(..)` /
-//! `TENSORFHE_BACKEND`). A real CUDA/CUTLASS (or wgpu) backend slots in by
-//! implementing [`Executor`] over real streams: `submit` enqueues the
-//! kernel workflow, [`Executor::join`] synchronizes and reports — the same
-//! grouped-GEMM shapes the host backend drives map 1:1 onto device queues.
-//! Everything above the seam — coalescing, attribution, stats — is
-//! backend-agnostic.
+//! A real CUDA/CUTLASS (or wgpu) backend slots in by implementing
+//! [`Executor`] over real streams (see the crate docs, step 7).
 //!
 //! Determinism contract: for a fixed executor configuration, `submit`ting
 //! the same sequence of batches must yield the same [`BatchResult`]s. The
@@ -53,14 +48,15 @@
 
 use crate::engine::{Engine, EngineConfig, OpStats};
 use crate::error::{CoreError, CoreResult};
+use host::{plan_chunks, Chunk, ChunkTally, RealWork, StealShared};
 use std::collections::HashMap;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
 use tensorfhe_ckks::KernelEvent;
 
 pub mod host;
 
-pub use host::{HostParallelExecutor, HostWorkStats, StealStats};
+pub use host::{HostWorkStats, StealStats};
 
 /// Which execution backend serves the batches behind the seam.
 ///
@@ -163,8 +159,8 @@ pub struct ExecCaps {
 ///
 /// `submit` hands a batch to the backend; `join` blocks until it completes
 /// and returns the merged result. Implementations must be deterministic:
-/// the same submission sequence yields the same results, so the serial and
-/// threaded backends are interchangeable bit-for-bit.
+/// the same submission sequence yields the same results, so every thread
+/// count and backend of a [`Pool`] is interchangeable bit-for-bit.
 pub trait Executor: std::fmt::Debug {
     /// Schedules a batch; the returned handle is redeemed exactly once.
     fn submit(&mut self, batch: ExecBatch) -> ExecHandle;
@@ -189,13 +185,8 @@ pub trait Executor: std::fmt::Debug {
     /// Backend capabilities (device count, workers, VRAM, power).
     fn caps(&self) -> ExecCaps;
 
-    /// Device count behind the seam.
-    fn devices(&self) -> usize {
-        self.caps().devices
-    }
-
     /// Accumulated real-arithmetic work counters, for backends that
-    /// execute kernels on the host ([`host::HostParallelExecutor`]).
+    /// execute kernels on the host (a [`Pool`] on a host backend).
     /// Simulation-only backends return `None`.
     fn host_work(&self) -> Option<HostWorkStats> {
         None
@@ -245,14 +236,14 @@ pub(crate) fn add_kernel_time(
 }
 
 /// Merges per-device shard statistics into one batch result, folding in
-/// device-index order so serial and threaded executors agree bit-for-bit.
+/// device-index order so every thread count agrees bit-for-bit.
 ///
 /// On a one-device backend the single shard passes through untouched (the
 /// old single-engine service numbers, with `Profiler`'s kernel-table
 /// ordering); a multi-device backend always runs the cluster merge — even
 /// for batches narrow enough to land on one device — so `by_kernel`
 /// ordering and float rounding are consistent across batch widths within
-/// one configuration (and match the old `MultiGpu` merge exactly).
+/// one configuration.
 #[must_use]
 pub fn merge_shards(per_device: Vec<(usize, OpStats)>, devices: usize) -> BatchResult {
     let devices = per_device
@@ -308,353 +299,234 @@ pub fn merge_shards(per_device: Vec<(usize, OpStats)>, devices: usize) -> BatchR
     }
 }
 
-/// Builds the executor a configuration describes. For [`ExecBackend::Sim`]:
-/// serial simulated launches for one worker, a sharded thread pool
-/// otherwise — simulated workers beyond the device count have nothing to
-/// do (each device's launch stream is serial), so they are clamped. The
-/// host backends always build a [`HostParallelExecutor`] with the
-/// *unclamped* worker count (surplus workers steal real-arithmetic
-/// chunks) and the given per-event real-row cap (`0` = uncapped).
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidConfig`] for zero devices or zero workers.
-pub fn build_executor(
-    cfg: &EngineConfig,
-    devices: usize,
-    workers: usize,
+/// The one executor: `threads` workers own the per-device engines — device
+/// `d` belongs to worker `d % threads` — and, on a host backend, run the
+/// batches' GEMM chunks, stealing from each other when idle (see the
+/// module docs and [`host`]).
+#[derive(Debug)]
+pub struct Pool {
+    caps: ExecCaps,
     backend: ExecBackend,
     rows_cap: usize,
-) -> CoreResult<Box<dyn Executor>> {
-    if devices == 0 {
-        return Err(CoreError::InvalidConfig("need at least one device".into()));
-    }
-    if workers == 0 {
-        return Err(CoreError::InvalidConfig(
-            "need at least one worker thread".into(),
-        ));
-    }
-    match backend {
-        ExecBackend::Sim => {
-            if workers.min(devices) == 1 {
-                Ok(Box::new(SimExecutor::new(cfg.clone(), devices)))
-            } else {
-                Ok(Box::new(ThreadedPool::new(
-                    cfg.clone(),
-                    devices,
-                    workers.min(devices),
-                )))
-            }
-        }
-        ExecBackend::HostParallel | ExecBackend::HostScalar => Ok(Box::new(
-            HostParallelExecutor::with_rows_cap(cfg.clone(), devices, workers, backend, rows_cap),
-        )),
-    }
-}
-
-/// Profile-friendly worker thread name: `tfhe-worker-{devices}` with the
-/// owned device indices joined by `+` (one device per worker in the common
-/// square configuration), so host profiles and stack dumps attribute time
-/// to devices.
-pub(crate) fn worker_thread_name(devices: &[usize]) -> String {
-    let ids: Vec<String> = devices.iter().map(ToString::to_string).collect();
-    format!("tfhe-worker-{}", ids.join("+"))
-}
-
-/// Serial executor over per-device simulated engines — today's launch path
-/// behind the seam. Batches run eagerly at `submit`; `join` returns the
-/// stored result.
-#[derive(Debug)]
-pub struct SimExecutor {
-    cfg: EngineConfig,
-    engines: Vec<Engine>,
-    next: u64,
-    // lint: ordered-ok (keyed insert/remove by handle only; never iterated)
-    done: HashMap<u64, BatchResult>,
-}
-
-impl SimExecutor {
-    /// Creates `devices` identical simulated engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` is zero (checked by [`build_executor`];
-    /// construct through it for a fallible path).
-    #[must_use]
-    pub fn new(cfg: EngineConfig, devices: usize) -> Self {
-        assert!(devices > 0, "need at least one device");
-        let engines = (0..devices).map(|_| Engine::new(cfg.clone())).collect();
-        Self {
-            cfg,
-            engines,
-            next: 0,
-            done: HashMap::new(),
-        }
-    }
-}
-
-impl Executor for SimExecutor {
-    fn submit(&mut self, batch: ExecBatch) -> ExecHandle {
-        let widths = shard_widths(batch.width, self.engines.len());
-        let mut per_device = Vec::new();
-        for (d, (engine, &w)) in self.engines.iter_mut().zip(&widths).enumerate() {
-            if w == 0 {
-                continue;
-            }
-            per_device.push((d, engine.run_schedule(&batch.tag, &batch.events, w)));
-        }
-        let id = self.next;
-        self.next += 1;
-        self.done
-            .insert(id, merge_shards(per_device, self.engines.len()));
-        ExecHandle(id)
-    }
-
-    fn join(&mut self, handle: ExecHandle) -> BatchResult {
-        self.done
-            .remove(&handle.0)
-            .expect("join of an unknown or already-joined handle")
-    }
-
-    fn try_join(&mut self, handle: ExecHandle) -> Option<BatchResult> {
-        // Serial submission runs eagerly, so a live handle is always ready.
-        Some(self.join(handle))
-    }
-
-    fn caps(&self) -> ExecCaps {
-        ExecCaps {
-            devices: self.engines.len(),
-            workers: 1,
-            vram_bytes_per_device: self.cfg.device.vram_bytes(),
-            power_watts: self.cfg.device.power_watts * self.engines.len() as f64,
-            device_name: self.cfg.device.name.clone(),
-            backend: ExecBackend::Sim.label(),
-        }
-    }
-}
-
-/// One unit of work for a pool worker: run `shards` (pairs of global device
-/// index and shard width, all owned by that worker) of a batch and reply
-/// with the per-device payloads (`T` = shard statistics; the host backend
-/// piggybacks its real-work counters on the same reply).
-pub(crate) struct Job<T> {
-    pub(crate) tag: Arc<str>,
-    pub(crate) events: Arc<[KernelEvent]>,
-    /// `(global_device_index, shard_width)` in increasing device order.
-    pub(crate) shards: Vec<(usize, usize)>,
-    pub(crate) reply: mpsc::Sender<Vec<(usize, T)>>,
-}
-
-/// An in-flight batch: the reply channel, how many worker replies the merge
-/// must collect, and the replies harvested so far (so a non-blocking
-/// [`Executor::try_join`] can drain partial progress without losing it).
-#[derive(Debug)]
-pub(crate) struct PendingBatch<T> {
-    pub(crate) rx: mpsc::Receiver<Vec<(usize, T)>>,
-    /// Worker replies still outstanding.
-    pub(crate) awaited: usize,
-    /// Per-device shard payloads harvested so far.
-    pub(crate) collected: Vec<(usize, T)>,
-}
-
-impl<T> PendingBatch<T> {
-    /// Harvests worker replies without blocking; `true` once every awaited
-    /// reply has arrived.
-    pub(crate) fn poll(&mut self) -> bool {
-        while self.awaited > 0 {
-            match self.rx.try_recv() {
-                Ok(shards) => {
-                    self.collected.extend(shards);
-                    self.awaited -= 1;
-                }
-                Err(mpsc::TryRecvError::Empty) => return false,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    panic!("worker thread died mid-batch")
-                }
-            }
-        }
-        true
-    }
-
-    /// Blocks until every awaited reply has arrived.
-    pub(crate) fn wait(&mut self) {
-        while self.awaited > 0 {
-            self.collected
-                .extend(self.rx.recv().expect("worker thread died mid-batch"));
-            self.awaited -= 1;
-        }
-    }
-
-    /// Sorts the collected shards into device order (workers answer in
-    /// completion order; downstream merges are defined in device order so
-    /// results are independent of thread scheduling).
-    pub(crate) fn into_device_order(mut self) -> Vec<(usize, T)> {
-        self.collected.sort_by_key(|&(d, _)| d);
-        self.collected
-    }
-}
-
-impl PendingBatch<OpStats> {
-    /// Device-order merge of the collected shards.
-    fn finish(self, devices: usize) -> BatchResult {
-        let collected = self.into_device_order();
-        merge_shards(collected, devices)
-    }
-}
-
-/// Multi-threaded sharded executor: one host worker thread per (group of)
-/// device(s), each owning its simulated engines, fed over channels.
-///
-/// Device `d` is owned by worker `d % workers`; every batch's shard for a
-/// given device runs on that device's engine in submission order, so the
-/// per-device launch sequences — and therefore the simulated statistics —
-/// are identical to [`SimExecutor`]'s. Parallelism buys host wall-clock
-/// only; virtual time is untouched.
-#[derive(Debug)]
-pub struct ThreadedPool {
-    cfg: EngineConfig,
-    devices: usize,
-    senders: Vec<mpsc::Sender<Job<OpStats>>>,
+    /// A one-thread pool's only worker, run on the calling thread.
+    inline: Option<Worker>,
+    /// Per worker thread: engine shards (`Some`) or a wake-up for new
+    /// chunks (`None`).
+    senders: Vec<mpsc::Sender<Option<Job>>>,
     handles: Vec<std::thread::JoinHandle<()>>,
+    shared: Arc<StealShared>,
     next: u64,
-    /// Outstanding submissions: receiver plus the number of worker replies
-    /// the merge must wait for.
     // lint: ordered-ok (keyed insert/remove by handle only; never iterated)
-    pending: HashMap<u64, PendingBatch<OpStats>>,
+    pending: HashMap<u64, Pending>,
+    /// Real work accumulated across joined batches (join-order
+    /// insensitive: all fields merge by wrapping addition).
+    work: HostWorkStats,
 }
 
-impl ThreadedPool {
-    /// Spawns `workers` threads driving `devices` simulated engines.
+impl Pool {
+    /// Builds the pool a configuration describes: `devices` engines driven
+    /// by `workers` threads — clamped to `devices` under
+    /// [`ExecBackend::Sim`], kept whole on a host backend, whose surplus
+    /// workers steal chunks — with `rows_cap` real rows per kernel-event
+    /// shard on a host backend (`0` = uncapped; ignored by the simulated
+    /// backend). One thread spawns nothing: batches run at `submit`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `devices` or `workers` is zero (checked by
-    /// [`build_executor`]; construct through it for a fallible path).
-    #[must_use]
-    pub fn new(cfg: EngineConfig, devices: usize, workers: usize) -> Self {
-        assert!(devices > 0, "need at least one device");
-        assert!(workers > 0, "need at least one worker");
-        let workers = workers.min(devices);
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = mpsc::channel::<Job<OpStats>>();
-            let my_devices: Vec<usize> = (0..devices).filter(|d| d % workers == w).collect();
-            let worker_cfg = cfg.clone();
-            let handle = std::thread::Builder::new()
-                .name(worker_thread_name(&my_devices))
-                .spawn(move || {
-                    // Engines live inside the thread: the simulator state
-                    // never crosses thread boundaries, only plain results.
-                    // lint: ordered-ok (keyed get_mut by device id only; never iterated)
-                    let mut engines: HashMap<usize, Engine> = my_devices
-                        .iter()
-                        .map(|&d| (d, Engine::new(worker_cfg.clone())))
-                        .collect();
-                    while let Ok(job) = rx.recv() {
-                        let mut out = Vec::with_capacity(job.shards.len());
-                        for (d, width) in job.shards {
-                            let engine = engines.get_mut(&d).expect("shard for owned device");
-                            out.push((d, engine.run_schedule(&job.tag, &job.events, width)));
-                        }
-                        // A dropped receiver means the pool abandoned the
-                        // batch; nothing to do but keep serving.
-                        let _ = job.reply.send(out);
-                    }
-                })
-                .expect("spawn worker thread");
-            senders.push(tx);
-            handles.push(handle);
+    /// Returns [`CoreError::InvalidConfig`] for zero devices or zero
+    /// workers, or when the host refuses a worker thread.
+    pub fn new(
+        cfg: &EngineConfig,
+        devices: usize,
+        workers: usize,
+        backend: ExecBackend,
+        rows_cap: usize,
+    ) -> CoreResult<Self> {
+        if devices == 0 {
+            return Err(CoreError::InvalidConfig("need at least one device".into()));
         }
-        Self {
-            cfg,
-            devices,
-            senders,
-            handles,
+        if workers == 0 {
+            return Err(CoreError::InvalidConfig(
+                "need at least one worker thread".into(),
+            ));
+        }
+        let threads = match backend {
+            ExecBackend::Sim => workers.min(devices),
+            ExecBackend::HostParallel | ExecBackend::HostScalar => workers,
+        };
+        let mut pool = Self {
+            caps: ExecCaps {
+                devices,
+                workers: threads,
+                vram_bytes_per_device: cfg.device.vram_bytes(),
+                power_watts: cfg.device.power_watts * devices as f64,
+                device_name: cfg.device.name.clone(),
+                backend: backend.label(),
+            },
+            backend,
+            rows_cap,
+            inline: None,
+            senders: Vec::new(),
+            handles: Vec::new(),
+            shared: Arc::new(StealShared::new(if threads == 1 { 0 } else { threads })),
             next: 0,
             pending: HashMap::new(),
+            work: HostWorkStats::default(),
+        };
+        if threads == 1 {
+            pool.inline = Some(Worker::new(cfg, devices, 1, backend));
+            return Ok(pool);
         }
+        for w in 0..threads {
+            let (tx, rx) = mpsc::channel();
+            // Named after the owned devices, so host profiles and stack
+            // dumps attribute time to them; a pure thief, owning none, by
+            // its index.
+            let ids: Vec<String> = (w..devices)
+                .step_by(threads)
+                .map(|d| d.to_string())
+                .collect();
+            let name = match ids.is_empty() {
+                true => format!("tfhe-worker-s{w}"),
+                false => format!("tfhe-worker-{}", ids.join("+")),
+            };
+            let (cfg, shared, owned) = (cfg.clone(), Arc::clone(&pool.shared), ids.len());
+            // Engines live inside the thread: the simulator state never
+            // crosses thread boundaries, only plain results.
+            let handle = std::thread::Builder::new()
+                .name(name)
+                .spawn(move || Worker::new(&cfg, owned, threads, backend).serve(w, &rx, &shared))
+                .map_err(|e| CoreError::InvalidConfig(format!("cannot spawn a worker: {e}")))?;
+            pool.senders.push(tx);
+            pool.handles.push(handle);
+        }
+        Ok(pool)
     }
 
-    /// Worker thread count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.senders.len()
+    /// Folds a finished batch's real work in and returns its result.
+    fn settle(&mut self, mut batch: Pending) -> BatchResult {
+        self.work.absorb(batch.work);
+        // Workers answer in completion order; the merge is defined in
+        // device order, so results ignore thread scheduling.
+        batch.shards.sort_by_key(|&(d, _)| d);
+        merge_shards(batch.shards, self.caps.devices)
     }
 }
 
-impl Executor for ThreadedPool {
+impl Executor for Pool {
     fn submit(&mut self, batch: ExecBatch) -> ExecHandle {
-        let widths = shard_widths(batch.width, self.devices);
-        let workers = self.senders.len();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut replies = 0usize;
-        for (w, tx) in self.senders.iter().enumerate() {
-            let shards: Vec<(usize, usize)> = widths
-                .iter()
-                .enumerate()
-                .filter(|&(d, &width)| d % workers == w && width > 0)
-                .map(|(d, &width)| (d, width))
-                .collect();
-            if shards.is_empty() {
-                continue;
+        let devices = self.caps.devices;
+        let widths = shard_widths(batch.width, devices);
+        let shards = widths
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w > 0)
+            .map(|(d, &w)| (d, w));
+        // Real-arithmetic chunks: planned purely from (events, widths,
+        // rows_cap), so the plan — and through the position-salted
+        // checksum, the folded result — is independent of who executes
+        // what.
+        let (chunks, upfront) = match self.backend {
+            ExecBackend::Sim => (Vec::new(), HostWorkStats::default()),
+            ExecBackend::HostParallel | ExecBackend::HostScalar => {
+                plan_chunks(&batch.events, &widths, self.rows_cap)
             }
-            tx.send(Job {
-                tag: Arc::clone(&batch.tag),
-                events: Arc::clone(&batch.events),
-                shards,
-                reply: reply_tx.clone(),
-            })
-            .expect("worker thread alive");
-            replies += 1;
-        }
+        };
+        let units: u64 = chunks.iter().map(|c| c.units.len() as u64).sum();
+        self.shared.planned_rows.fetch_add(units, Ordering::Relaxed);
+        let pending = if let Some(worker) = &mut self.inline {
+            let per_device = worker.run_shards(&batch.tag, &batch.events, shards);
+            let mut work = upfront;
+            for chunk in &chunks {
+                work.absorb(worker.real.run_chunk(&batch.events, chunk));
+            }
+            self.shared
+                .executed_rows
+                .fetch_add(units, Ordering::Relaxed);
+            Pending {
+                rx: None,
+                awaited: 0,
+                shards: per_device,
+                work,
+            }
+        } else {
+            // Chunks go on their devices' owners' deques, then every worker
+            // hears of the batch: owners get their engine shards, which
+            // they run in submission order, the rest a wake-up to steal.
+            let (reply, rx) = mpsc::channel();
+            let wake = !chunks.is_empty();
+            let mut awaited = usize::from(wake);
+            let tally = Arc::new(ChunkTally::new(chunks.len(), reply.clone()));
+            for spec in chunks {
+                let (events, tally) = (Arc::clone(&batch.events), Arc::clone(&tally));
+                self.shared.push(Chunk {
+                    spec,
+                    events,
+                    tally,
+                });
+            }
+            let threads = self.senders.len();
+            for (w, tx) in self.senders.iter().enumerate() {
+                let mine: Vec<_> = shards.clone().filter(|&(d, _)| d % threads == w).collect();
+                let job = (!mine.is_empty()).then(|| Job {
+                    tag: Arc::clone(&batch.tag),
+                    events: Arc::clone(&batch.events),
+                    shards: mine,
+                    reply: reply.clone(),
+                });
+                awaited += usize::from(job.is_some());
+                if job.is_some() || wake {
+                    tx.send(job).expect("worker thread alive");
+                }
+            }
+            Pending {
+                rx: Some(rx),
+                awaited,
+                shards: Vec::new(),
+                work: upfront,
+            }
+        };
         let id = self.next;
         self.next += 1;
-        self.pending.insert(
-            id,
-            PendingBatch {
-                rx: reply_rx,
-                awaited: replies,
-                collected: Vec::new(),
-            },
-        );
+        self.pending.insert(id, pending);
         ExecHandle(id)
     }
 
     fn join(&mut self, handle: ExecHandle) -> BatchResult {
-        let mut batch = self
+        let mut pending = self
             .pending
             .remove(&handle.0)
             .expect("join of an unknown or already-joined handle");
-        batch.wait();
-        batch.finish(self.devices)
+        pending.harvest(true);
+        self.settle(pending)
     }
 
     fn try_join(&mut self, handle: ExecHandle) -> Option<BatchResult> {
-        let batch = self
+        let pending = self
             .pending
             .get_mut(&handle.0)
             .expect("try_join of an unknown or already-joined handle");
-        if !batch.poll() {
+        if !pending.harvest(false) {
             return None;
         }
-        let batch = self.pending.remove(&handle.0).expect("present");
-        Some(batch.finish(self.devices))
+        let pending = self.pending.remove(&handle.0).expect("present");
+        Some(self.settle(pending))
     }
 
     fn caps(&self) -> ExecCaps {
-        ExecCaps {
-            devices: self.devices,
-            workers: self.senders.len(),
-            vram_bytes_per_device: self.cfg.device.vram_bytes(),
-            power_watts: self.cfg.device.power_watts * self.devices as f64,
-            device_name: self.cfg.device.name.clone(),
-            backend: ExecBackend::Sim.label(),
-        }
+        self.caps.clone()
+    }
+
+    fn host_work(&self) -> Option<HostWorkStats> {
+        (self.backend != ExecBackend::Sim).then_some(self.work)
+    }
+
+    fn steal_stats(&self) -> Option<StealStats> {
+        (self.backend != ExecBackend::Sim).then(|| self.shared.stats())
     }
 }
 
-impl Drop for ThreadedPool {
+impl Drop for Pool {
     fn drop(&mut self) {
         self.senders.clear(); // closes the channels; workers drain and exit
         for h in self.handles.drain(..) {
@@ -663,24 +535,149 @@ impl Drop for ThreadedPool {
     }
 }
 
+/// What one worker owns: the engines of its devices — device `d` at index
+/// `d / stride` — and the caches its chunks run on.
+#[derive(Debug)]
+struct Worker {
+    stride: usize,
+    engines: Vec<Engine>,
+    real: RealWork,
+}
+
+impl Worker {
+    /// A worker owning `owned` devices, every `stride`-th one.
+    fn new(cfg: &EngineConfig, owned: usize, stride: usize, backend: ExecBackend) -> Self {
+        let engines = (0..owned).map(|_| Engine::new(cfg.clone())).collect();
+        let real = RealWork::new(backend);
+        Self {
+            stride,
+            engines,
+            real,
+        }
+    }
+
+    /// Runs `(device, width)` shards on their engines, in order.
+    fn run_shards(
+        &mut self,
+        tag: &str,
+        events: &[KernelEvent],
+        shards: impl Iterator<Item = (usize, usize)>,
+    ) -> Vec<(usize, OpStats)> {
+        shards
+            .map(|(d, width)| {
+                let engine = &mut self.engines[d / self.stride];
+                (d, engine.run_schedule(tag, events, width))
+            })
+            .collect()
+    }
+
+    /// A worker thread's loop until the pool hangs up: block for a
+    /// message, run the engine shards of every queued one — they are cheap
+    /// and strictly ordered per device — then chunks, own or stolen, the
+    /// heavy tail, until none is left anywhere.
+    fn serve(mut self, me: usize, inbox: &mpsc::Receiver<Option<Job>>, shared: &StealShared) {
+        while let Ok(first) = inbox.recv() {
+            let queued = std::iter::once(first).chain(inbox.try_iter());
+            for job in queued.flatten() {
+                let out = self.run_shards(&job.tag, &job.events, job.shards.into_iter());
+                // A dropped receiver means the pool abandoned the batch;
+                // nothing to do but keep serving.
+                let _ = job.reply.send((out, HostWorkStats::default()));
+            }
+            shared.drain(me, &mut self.real);
+        }
+    }
+}
+
+/// What a worker sends back for a batch: engine-shard statistics (from a
+/// job) or real work (from a batch's last chunk).
+type Reply = (Vec<(usize, OpStats)>, HostWorkStats);
+
+/// A worker thread's share of a batch's engine shards: `(global device
+/// index, shard width)` pairs, all owned by that worker, in device order.
+struct Job {
+    tag: Arc<str>,
+    events: Arc<[KernelEvent]>,
+    shards: Vec<(usize, usize)>,
+    reply: mpsc::Sender<Reply>,
+}
+
+/// A submitted, not yet joined batch: its reply channel (none if it ran
+/// at submit), how many replies — one per job, one for all chunks — are
+/// outstanding, and what the harvested ones said, so a non-blocking
+/// [`Executor::try_join`] keeps partial progress.
+#[derive(Debug)]
+struct Pending {
+    rx: Option<mpsc::Receiver<Reply>>,
+    awaited: usize,
+    shards: Vec<(usize, OpStats)>,
+    work: HostWorkStats,
+}
+
+impl Pending {
+    /// Folds replies in until none is outstanding (`true`), or — not
+    /// blocking — until the channel is momentarily empty (`false`).
+    fn harvest(&mut self, block: bool) -> bool {
+        while self.awaited > 0 {
+            let rx = self
+                .rx
+                .as_ref()
+                .expect("outstanding replies have a channel");
+            let reply = match block {
+                true => rx.recv().ok(),
+                false => match rx.try_recv() {
+                    Err(mpsc::TryRecvError::Empty) => return false,
+                    reply => reply.ok(),
+                },
+            };
+            let (shards, work) = reply.expect("worker thread died mid-batch");
+            self.shards.extend(shards);
+            self.work.absorb(work);
+            self.awaited -= 1;
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Variant;
     use crate::schedule::hmult_schedule;
+    use std::collections::BTreeMap;
     use tensorfhe_ckks::CkksParams;
 
-    fn batch(params: &CkksParams, width: usize) -> ExecBatch {
+    pub(super) fn cfg() -> EngineConfig {
+        EngineConfig::a100(Variant::TensorCore)
+    }
+
+    fn batch(width: usize) -> ExecBatch {
+        let params = CkksParams::test_small();
         ExecBatch {
             tag: "HMULT".into(),
-            events: hmult_schedule(params, params.max_level()).into(),
+            events: hmult_schedule(&params, params.max_level()).into(),
             width,
         }
     }
 
-    fn run(exec: &mut dyn Executor, b: ExecBatch) -> BatchResult {
-        let h = exec.submit(b);
-        exec.join(h)
+    pub(super) fn pool(devices: usize, workers: usize, backend: ExecBackend) -> Pool {
+        Pool::new(&cfg(), devices, workers, backend, 4).expect("valid pool")
+    }
+
+    /// Submits a batch per width before joining any, then joins in order.
+    pub(super) fn drain(exec: &mut dyn Executor, widths: &[usize]) -> Vec<BatchResult> {
+        let handles: Vec<ExecHandle> = widths.iter().map(|&w| exec.submit(batch(w))).collect();
+        handles.into_iter().map(|h| exec.join(h)).collect()
+    }
+
+    /// Polls a handle with `try_join` until it resolves.
+    fn poll(exec: &mut dyn Executor, h: ExecHandle) -> BatchResult {
+        loop {
+            if let Some(r) = exec.try_join(h) {
+                return r;
+            }
+            std::thread::yield_now();
+        }
     }
 
     fn bits(r: &BatchResult) -> Vec<u64> {
@@ -707,52 +704,73 @@ mod tests {
         assert_eq!(shard_widths(0, 3), vec![0, 0, 0]);
     }
 
+    /// The executor equivalence table: at every backend × `(devices,
+    /// workers)` point, a batch sequence submitted all at once drains to
+    /// the raw bits of a one-thread simulated pool; every host point of a
+    /// device count folds one `HostWorkStats`; the thread count follows
+    /// the `caps().workers` rule; and sharding sums energy and divides
+    /// wall time.
     #[test]
-    fn threaded_pool_is_bit_identical_to_serial() {
-        let params = CkksParams::test_small();
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        for devices in [2usize, 4] {
-            let mut serial = SimExecutor::new(cfg.clone(), devices);
-            let mut pool = ThreadedPool::new(cfg.clone(), devices, devices);
-            // A sequence of batches so simulator state evolves per device.
-            for width in [1usize, 7, 16, 64, 5] {
-                let hs = serial.submit(batch(&params, width));
-                let hp = pool.submit(batch(&params, width));
-                let rs = serial.join(hs);
-                let rp = pool.join(hp);
-                assert_eq!(
-                    bits(&rs),
-                    bits(&rp),
-                    "serial vs threaded diverged at devices={devices} width={width}"
-                );
+    fn every_backend_and_thread_count_is_bit_identical() {
+        let widths = [1usize, 7, 16, 256, 5];
+        let (mut want, mut host_work) = (BTreeMap::new(), BTreeMap::new());
+        for backend in [
+            ExecBackend::Sim,
+            ExecBackend::HostParallel,
+            ExecBackend::HostScalar,
+        ] {
+            for (devices, workers) in [(1usize, 1usize), (2, 2), (4, 2), (4, 4), (2, 5)] {
+                let point = format!("{backend:?} devices={devices} workers={workers}");
+                let want = want.entry(devices).or_insert_with(|| {
+                    let results = drain(&mut pool(devices, 1, ExecBackend::Sim), &widths);
+                    // Sharding reduces wall time, not joules: the merged
+                    // energy is the device-order sum of the shards'.
+                    let mut engine = Engine::new(cfg());
+                    for (r, &w) in results.iter().zip(&widths) {
+                        let shards = shard_widths(w, devices).into_iter().filter(|&s| s > 0);
+                        let energy: f64 = shards
+                            .map(|s| engine.run_schedule("HMULT", &batch(s).events, s).energy_j)
+                            .sum();
+                        assert_eq!(r.stats.energy_j.to_bits(), energy.to_bits());
+                    }
+                    results
+                });
+                let mut pool = pool(devices, workers, backend);
+                let threads = match backend {
+                    ExecBackend::Sim => workers.min(devices),
+                    _ => workers,
+                };
+                assert_eq!(pool.caps().workers, threads, "{point}: caps().workers");
+                assert_eq!(pool.inline.is_some(), threads == 1, "{point}: inline");
+                let spawned = if threads == 1 { 0 } else { threads };
+                assert_eq!(pool.handles.len(), spawned, "{point}: threads spawned");
+                for (got, want) in drain(&mut pool, &widths).iter().zip(want.iter()) {
+                    assert_eq!(bits(got), bits(want), "{point}: result bits");
+                }
+                match (backend, pool.host_work()) {
+                    (ExecBackend::Sim, work) => {
+                        assert!(work.is_none() && pool.steal_stats().is_none(), "{point}");
+                    }
+                    (_, work) => {
+                        let work = work.expect("host backends report work");
+                        assert!(work.ntt_rows > 0 && work.conv_cols > 0, "{point}");
+                        assert_eq!(*host_work.entry(devices).or_insert(work), work, "{point}");
+                        let s = pool.steal_stats().expect("host backends steal");
+                        assert_eq!(s.planned_rows, s.executed_rows, "{point}: conserved");
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn fewer_workers_than_devices_still_bit_identical() {
-        let params = CkksParams::test_small();
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut serial = SimExecutor::new(cfg.clone(), 4);
-        let mut pool = ThreadedPool::new(cfg, 4, 2);
-        assert_eq!(pool.workers(), 2);
-        for width in [64usize, 3, 9] {
-            let rs = run(&mut serial, batch(&params, width));
-            let rp = run(&mut pool, batch(&params, width));
-            assert_eq!(bits(&rs), bits(&rp), "2-worker pool diverged");
-        }
+        // 64-operation shards: toy-degree shards this narrow are partly
+        // launch-bound, so four devices give ≳2.2×, not 4×.
+        let wall = |devices: usize| want[&devices][3].stats.time_us;
+        assert!(wall(1) > 2.2 * wall(4), "{} vs {}", wall(1), wall(4));
     }
 
     #[test]
     fn merge_passthrough_keeps_single_shard_stats() {
-        let params = CkksParams::test_small();
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut engine = Engine::new(cfg.clone());
-        let events = hmult_schedule(&params, params.max_level());
-        let want = engine.run_schedule("HMULT", &events, 8);
-
-        let mut exec = SimExecutor::new(cfg, 1);
-        let got = run(&mut exec, batch(&params, 8));
+        let want = Engine::new(cfg()).run_schedule("HMULT", &batch(8).events, 8);
+        let got = &drain(&mut pool(1, 1, ExecBackend::Sim), &[8])[0];
         assert_eq!(got.stats.time_us.to_bits(), want.time_us.to_bits());
         assert_eq!(got.stats.occupancy.to_bits(), want.occupancy.to_bits());
         assert_eq!(got.stats.by_kernel, want.by_kernel);
@@ -761,10 +779,7 @@ mod tests {
 
     #[test]
     fn per_device_time_covers_idle_devices() {
-        let params = CkksParams::test_small();
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut exec = SimExecutor::new(cfg, 4);
-        let r = run(&mut exec, batch(&params, 2));
+        let r = &drain(&mut pool(4, 1, ExecBackend::Sim), &[2])[0];
         assert_eq!(r.per_device_us.len(), 4);
         assert_eq!(r.devices_used(), 2);
         assert_eq!(r.per_device_us[2], 0.0);
@@ -777,46 +792,37 @@ mod tests {
     #[test]
     fn pool_pipelines_independent_batches() {
         // Submitting several batches before joining any must still resolve
-        // each handle to its own result (FIFO per worker).
-        let params = CkksParams::test_small();
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut pool = ThreadedPool::new(cfg.clone(), 2, 2);
-        let h1 = pool.submit(batch(&params, 4));
-        let h2 = pool.submit(batch(&params, 32));
-        let r2 = pool.join(h2);
-        let r1 = pool.join(h1);
-        let mut serial = SimExecutor::new(cfg, 2);
-        let s1 = run(&mut serial, batch(&params, 4));
-        let s2 = run(&mut serial, batch(&params, 32));
-        assert_eq!(bits(&r1), bits(&s1));
-        assert_eq!(bits(&r2), bits(&s2));
+        // each handle to its own result (FIFO per worker), joined in any
+        // order.
+        let mut threaded = pool(2, 2, ExecBackend::Sim);
+        let h1 = threaded.submit(batch(4));
+        let h2 = threaded.submit(batch(32));
+        let r2 = threaded.join(h2);
+        let r1 = threaded.join(h1);
+        let want = drain(&mut pool(2, 1, ExecBackend::Sim), &[4, 32]);
+        assert_eq!(bits(&r1), bits(&want[0]));
+        assert_eq!(bits(&r2), bits(&want[1]));
     }
 
     #[test]
     fn try_join_is_nonblocking_and_consumes_on_success() {
-        let params = CkksParams::test_small();
-        let cfg = EngineConfig::a100(Variant::TensorCore);
+        // One thread: submission runs eagerly, so try_join always resolves
+        // immediately and matches the blocking path bit-for-bit.
+        let want = &drain(&mut pool(2, 1, ExecBackend::Sim), &[8])[0];
+        let mut inline = pool(2, 1, ExecBackend::Sim);
+        let h = inline.submit(batch(8));
+        let r = inline.try_join(h).expect("an inline pool is always ready");
+        assert_eq!(bits(&r), bits(want));
 
-        // Serial executor: submission runs eagerly, so try_join always
-        // resolves immediately and matches the blocking path bit-for-bit.
-        let mut serial = SimExecutor::new(cfg.clone(), 2);
-        let h = serial.submit(batch(&params, 8));
-        let r = serial.try_join(h).expect("eager executor is always ready");
-        let mut reference = SimExecutor::new(cfg.clone(), 2);
-        let want = run(&mut reference, batch(&params, 8));
-        assert_eq!(bits(&r), bits(&want));
-
-        // Threaded pool: poll until the workers finish; the harvested
-        // result must equal the blocking join of an identical submission.
-        let mut pool = ThreadedPool::new(cfg.clone(), 2, 2);
-        let h1 = pool.submit(batch(&params, 8));
-        let r1 = loop {
-            if let Some(r) = pool.try_join(h1) {
-                break r;
-            }
-            std::thread::yield_now();
-        };
-        assert_eq!(bits(&r1), bits(&want), "polled result diverged");
+        // Worker threads: poll until they finish; the harvested result
+        // must equal the blocking join of an identical submission.
+        let mut threaded = pool(2, 2, ExecBackend::Sim);
+        let h = threaded.submit(batch(8));
+        assert_eq!(
+            bits(&poll(&mut threaded, h)),
+            bits(want),
+            "polled result diverged"
+        );
     }
 
     #[test]
@@ -824,32 +830,16 @@ mod tests {
         // The pipelined-scheduler usage pattern: several batches in flight,
         // handles polled out of order, blocking joins mixed in. Results
         // must match a serial submit-join-submit-join sequence exactly.
-        let params = CkksParams::test_small();
-        let cfg = EngineConfig::a100(Variant::TensorCore);
         let widths = [3usize, 16, 7, 1];
-
-        let mut serial = SimExecutor::new(cfg.clone(), 2);
-        let wants: Vec<BatchResult> = widths
-            .iter()
-            .map(|&w| run(&mut serial, batch(&params, w)))
-            .collect();
-
-        let mut pool = ThreadedPool::new(cfg, 2, 2);
-        let handles: Vec<ExecHandle> = widths
-            .iter()
-            .map(|&w| pool.submit(batch(&params, w)))
-            .collect();
+        let wants = drain(&mut pool(2, 1, ExecBackend::Sim), &widths);
+        let mut threaded = pool(2, 2, ExecBackend::Sim);
+        let handles: Vec<ExecHandle> = widths.iter().map(|&w| threaded.submit(batch(w))).collect();
         // Poll the third handle to completion, join the rest blockingly in
         // reverse submission order.
-        let r2 = loop {
-            if let Some(r) = pool.try_join(handles[2]) {
-                break r;
-            }
-            std::thread::yield_now();
-        };
-        let r3 = pool.join(handles[3]);
-        let r1 = pool.join(handles[1]);
-        let r0 = pool.join(handles[0]);
+        let r2 = poll(&mut threaded, handles[2]);
+        let r3 = threaded.join(handles[3]);
+        let r1 = threaded.join(handles[1]);
+        let r0 = threaded.join(handles[0]);
         for (got, want) in [r0, r1, r2, r3].iter().zip(&wants) {
             assert_eq!(bits(got), bits(want), "out-of-order harvest diverged");
         }
@@ -858,41 +848,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown or already-joined")]
     fn try_join_rejects_consumed_handles() {
-        let params = CkksParams::test_small();
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut exec = SimExecutor::new(cfg, 1);
-        let h = exec.submit(batch(&params, 2));
+        let mut exec = pool(1, 1, ExecBackend::Sim);
+        let h = exec.submit(batch(2));
         let _ = exec.join(h);
         let _ = exec.try_join(h);
     }
 
     #[test]
     fn caps_report_the_cluster() {
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let pool = ThreadedPool::new(cfg.clone(), 4, 4);
-        let caps = pool.caps();
+        let caps = pool(4, 4, ExecBackend::Sim).caps();
         assert_eq!(caps.devices, 4);
         assert_eq!(caps.workers, 4);
-        assert!((caps.power_watts - 4.0 * cfg.device.power_watts).abs() < 1e-9);
-        assert_eq!(caps.vram_bytes_per_device, cfg.device.vram_bytes());
+        assert!((caps.power_watts - 4.0 * cfg().device.power_watts).abs() < 1e-9);
+        assert_eq!(caps.vram_bytes_per_device, cfg().device.vram_bytes());
     }
 
     #[test]
-    fn build_executor_rejects_zero_configs() {
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        assert!(build_executor(&cfg, 0, 1, ExecBackend::Sim, 0).is_err());
-        assert!(build_executor(&cfg, 1, 0, ExecBackend::Sim, 0).is_err());
-        let serial = build_executor(&cfg, 1, 8, ExecBackend::Sim, 0).expect("clamped to devices");
-        assert_eq!(serial.caps().workers, 1, "1 device → serial executor");
-        assert_eq!(serial.caps().backend, "sim");
-        assert!(serial.host_work().is_none(), "sim backends do no host work");
-        assert!(serial.steal_stats().is_none(), "sim backends never steal");
-        let pool = build_executor(&cfg, 4, 8, ExecBackend::Sim, 0).expect("clamped to devices");
-        assert_eq!(pool.caps().workers, 4);
-        // Host backends keep surplus workers (they steal) and honor the cap.
-        let host = build_executor(&cfg, 4, 8, ExecBackend::HostParallel, 4).expect("host executor");
-        assert_eq!(host.caps().workers, 8, "host workers are not clamped");
-        assert!(host.steal_stats().is_some());
+    fn pool_rejects_zero_configs() {
+        for backend in [ExecBackend::Sim, ExecBackend::HostParallel] {
+            assert!(Pool::new(&cfg(), 0, 1, backend, 0).is_err());
+            assert!(Pool::new(&cfg(), 1, 0, backend, 0).is_err());
+        }
     }
 
     #[test]
@@ -910,18 +886,27 @@ mod tests {
 
     #[test]
     fn worker_threads_are_named_after_their_devices() {
-        assert_eq!(worker_thread_name(&[0]), "tfhe-worker-0");
-        assert_eq!(worker_thread_name(&[1, 3]), "tfhe-worker-1+3");
-        // The pool names real threads with it (observable via the panic
-        // path and profilers; here we just pin the scheme on the spawned
-        // thread itself).
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let pool = ThreadedPool::new(cfg, 4, 2);
-        let names: Vec<Option<&str>> = pool.handles.iter().map(|h| h.thread().name()).collect();
-        assert_eq!(
-            names,
-            vec![Some("tfhe-worker-0+2"), Some("tfhe-worker-1+3")],
-            "worker threads must carry device-attributing names"
-        );
+        // Owned devices joined by `+` (observable via the panic path and
+        // profilers), and a device-less thief by its index.
+        for (pool, want) in [
+            (
+                pool(4, 2, ExecBackend::Sim),
+                ["tfhe-worker-0+2", "tfhe-worker-1+3"],
+            ),
+            (
+                pool(1, 2, ExecBackend::HostParallel),
+                ["tfhe-worker-0", "tfhe-worker-s1"],
+            ),
+        ] {
+            let names: Vec<&str> = pool
+                .handles
+                .iter()
+                .filter_map(|h| h.thread().name())
+                .collect();
+            assert_eq!(
+                names, want,
+                "worker threads must carry device-attributing names"
+            );
+        }
     }
 }

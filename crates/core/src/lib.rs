@@ -42,8 +42,8 @@
 //!   a device" contract; see the architecture section below.
 //! * **Operation-level batching** ([`engine`]) — the `(L, B, N)` vs
 //!   `(B, L, N)` layout switch of Fig. 9 and the batch-size machinery of
-//!   Fig. 14; [`multi_gpu`] shards batches across devices (§VII) as a thin
-//!   configuration over [`exec`].
+//!   Fig. 14; sharding a batch across devices (§VII) is
+//!   [`TensorFheBuilder::devices`], served by the one [`exec::Pool`].
 //! * **Session tier** ([`session`]) — the multi-tenant layer over the
 //!   service: registered [`session::ClientSession`]s with parameter-derived
 //!   switch/rotation key-set footprints, a per-device LRU
@@ -70,14 +70,12 @@
 //!                                          │  independent batches only  │
 //!                                          └─────────────┬──────────────┘
 //!                                                        │ Executor::submit / try_join
-//!                  ┌─────────────────────────┬───────────┴────────────┐
-//!                  ▼                         ▼                        ▼
-//!            SimExecutor               ThreadedPool          HostParallelExecutor
-//!       (serial, calling thread)  (one worker thread     (worker threads + real
-//!                  │                  per device)          Montgomery/Barrett GEMMs)
-//!                  │                         │                        │
-//!                  └────────────── per-device ────────────────────────┘
-//!                                Engine → DeviceSim
+//!                                                        ▼
+//!                                          Pool: workers own devices d % threads
+//!                                    (one thread: inline on the calling thread;
+//!                                     host backends: + stealable GEMM chunks)
+//!                                                        │
+//!                                          per-device Engine → DeviceSim
 //! ```
 //!
 //! 1. **Request**: clients [`service::FheService::submit`] typed
@@ -109,7 +107,7 @@
 //!    [`session::KeyCache`] places the batch's key sets on the shard
 //!    devices, charging any host→device upload to the plan.
 //! 5. **Schedule**: up to `depth` planned batches
-//!    ([`TensorFheBuilder::pipeline_depth`] / `TENSORFHE_PIPELINE`) stay
+//!    ([`SchedPolicy::pipeline_depth`] / `TENSORFHE_PIPELINE`) stay
 //!    submitted-but-unjoined at once, **if independent**: no two in-flight
 //!    batches may contain requests from the same client stream at the same
 //!    ciphertext level, so chained operations on one working set observe
@@ -153,25 +151,25 @@
 //! 6. **Executor**: every batch crosses the [`exec::Executor`] seam —
 //!    `submit(batch) → ExecHandle`, `join`/`try_join``(handle) →
 //!    BatchResult`, any number of batches outstanding, FIFO per device —
-//!    which owns sharding ([`exec::shard_widths`]) and the deterministic
-//!    device-order merge ([`exec::merge_shards`]). The
-//!    [`exec::SimExecutor`] runs shards serially; the
-//!    [`exec::ThreadedPool`] ([`TensorFheBuilder::workers`] /
-//!    `TENSORFHE_WORKERS`) runs one worker thread per device with
-//!    bit-identical results, because each device's simulator sees the same
-//!    launch sequence and the merge folds in the same order.
+//!    into the one [`exec::Pool`], which owns sharding
+//!    ([`exec::shard_widths`]) and the deterministic device-order merge
+//!    ([`exec::merge_shards`]). Its workers ([`SchedPolicy::workers`] /
+//!    `TENSORFHE_WORKERS`) own the per-device engines, device `d` on worker
+//!    `d % threads`; one thread spawns nothing and runs every batch at
+//!    `submit` on the calling thread. Every thread count is bit-identical,
+//!    because each device's simulator sees the same launch sequence and
+//!    the merge folds in the same order.
 //!
 //!    6a. **Backend selection** ([`TensorFheBuilder::backend`] /
-//!    `TENSORFHE_BACKEND`): [`exec::ExecBackend::Sim`] (the default)
-//!    picks between the two simulated executors above by worker count.
-//!    [`exec::ExecBackend::HostParallel`] routes every batch through the
-//!    [`exec::HostParallelExecutor`] — the same sharding, worker-thread
-//!    and device-order-merge machinery, but each worker additionally
-//!    *executes* the batch's batched-NTT and basis-conversion GEMMs with
+//!    `TENSORFHE_BACKEND`) only chooses what the pool's workers run
+//!    besides the simulated launches. [`exec::ExecBackend::Sim`] (the
+//!    default) runs nothing else, so workers beyond the device count are
+//!    clamped. [`exec::ExecBackend::HostParallel`] makes the workers also
+//!    *execute* the batch's batched-NTT and basis-conversion GEMMs with
 //!    real cache-blocked, register-tiled Montgomery `u64` arithmetic
 //!    (`tensorfhe_math::gemm_fast`), staged through thread-local scratch
 //!    arenas (`tensorfhe_math::scratch`). Its NTT is the four-step plan's
-//!    ordinary batch path — the fused two-GEMM Montgomery pipeline that
+//!    ordinary batch path — the fused Montgomery GEMM pipeline that
 //!    `ckks::Evaluator` and every other caller of
 //!    `tensorfhe_ntt::NttBatchOps` also runs; there is no separate
 //!    "fast" entry point to opt into. What it executes per operation is
@@ -182,8 +180,8 @@
 //!    48 rows at HEAX set B where the literal Algorithm 1 is 60 — plus
 //!    `D + 2` basis conversions, each single-limb one (`α = 1`) a plain
 //!    reduction chosen when its plan is built.
-//!    [`exec::ExecBackend::HostScalar`] pins the same executor's NTT to
-//!    the Barrett scalar reference pipeline, which it asks for by name
+//!    [`exec::ExecBackend::HostScalar`] pins the NTT to the Barrett scalar
+//!    reference pipeline, which it asks for by name
 //!    (`BatchedGemmNtt::reference_batch`): the baseline the
 //!    `fig14_host_gemm` bench measures the fast kernels against (the
 //!    basis conversion has one kernel, shared by both). Reports
@@ -193,24 +191,14 @@
 //!    and kernel flavours (the Montgomery kernels are proven
 //!    bit-identical to Barrett).
 //!
-//!    The host executor runs **full-width by default**
+//!    The host backends run **full-width by default**
 //!    ([`TensorFheBuilder::rows_cap`] / `TENSORFHE_ROWS_CAP`, `0` =
-//!    uncapped) and drains real work through a **work-stealing chunk
-//!    pool**: at submit time each kernel event's real rows are split
-//!    into fixed-size row-chunks (~16 Ki elements each) and pushed onto
-//!    the owning worker's deque; owners pop their own deque LIFO (the
-//!    freshly pushed chunk is cache-warm), idle workers steal FIFO from
-//!    the most loaded peer, and workers beyond the device count act as
-//!    pure thieves. Stealing crosses devices but only for the *real
-//!    arithmetic* — the stateful device simulators stay pinned to their
-//!    owning worker thread, so the simulated launch sequence (and with
-//!    it every report) is untouched by who computed which rows. Chunk
-//!    checksums are folded with position-salted terms, so the combined
-//!    [`exec::HostWorkStats`] checksum is invariant to chunk boundaries,
-//!    steal interleavings and worker counts; [`exec::StealStats`]
-//!    exposes the telemetry (`steals`, `stolen_rows`) plus the
-//!    work-conservation ledger (`planned_rows == executed_rows`, which
-//!    *is* deterministic and asserted in tests and benches).
+//!    uncapped) through **work-stealing row chunks**. Stealing moves only
+//!    the real arithmetic, never an engine, so who computed which rows
+//!    touches no report; [`exec::host`] describes the chunk/steal
+//!    lifecycle and why the [`exec::HostWorkStats`] checksum is invariant
+//!    to it, and [`exec::StealStats`] carries the telemetry plus the
+//!    work-conservation ledger (`planned_rows == executed_rows`).
 //! 7. **Device**: each shard becomes kernel launches on a per-device
 //!    [`Engine`]/`DeviceSim` pair. A real CUDA/CUTLASS or wgpu backend
 //!    slots in *here*: implement [`exec::Executor`] over real device
@@ -218,9 +206,9 @@
 //!    calls, and the multi-outstanding `submit`/`try_join` contract maps
 //!    onto stream events) and hand it the same `ExecBatch`es —
 //!    coalescing, scheduling, attribution and reporting above the seam
-//!    are backend-agnostic. The [`exec::HostParallelExecutor`] is the
-//!    working template: it already runs real GEMM arithmetic behind the
-//!    seam with bit-identical reports. Contexts, NTT and basis-conversion plans, and
+//!    are backend-agnostic. A host-backend [`exec::Pool`] is the working
+//!    template: it already runs real GEMM arithmetic behind the seam with
+//!    bit-identical reports. Contexts, NTT and basis-conversion plans, and
 //!    DFT matrices are shared across workers through the `Send + Sync`
 //!    process-wide `PlanCache` / DFT caches.
 //!
@@ -383,19 +371,19 @@
 //! | seed API | service API |
 //! |---|---|
 //! | `TensorFhe::new(&params, EngineConfig::a100(v))` | `TensorFhe::builder(&params).variant(v).build()?` |
-//! | `MultiGpu::new(cfg, n, &params)` (panicked on 0) | `MultiGpu::new(cfg, n, &params)?` or `builder.devices(n).service()?` |
+//! | the seed's multi-GPU cluster type (panicked on 0 devices) | `builder.devices(n).service()?` |
 //! | caller-chosen `run_op(op, level, batch)` | `submit(FheRequest)` + `drain()` |
 //! | fixed-width costing via `run_op` | `schedule_of` + `run_schedule` + `OpReport::from_stats` |
-//! | `.workers(w).pipeline_depth(d)` | `.sched(SchedPolicy::new().workers(w).pipeline_depth(d))` (shims remain) |
+//! | `.workers(w).pipeline_depth(d)` | `.sched(SchedPolicy::new().workers(w).pipeline_depth(d))` |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod api;
 pub mod engine;
+mod env;
 pub mod error;
 pub mod exec;
-pub mod multi_gpu;
 pub mod sched;
 pub mod schedule;
 pub mod service;
@@ -405,11 +393,7 @@ pub mod tracer;
 pub use api::{FheOp, OpReport, TensorFhe, TensorFheBuilder};
 pub use engine::{Engine, EngineConfig, ExecMode, Layout, Variant};
 pub use error::{CoreError, CoreResult};
-pub use exec::{
-    BatchResult, ExecBackend, ExecBatch, ExecHandle, Executor, HostParallelExecutor, HostWorkStats,
-    SimExecutor, ThreadedPool,
-};
-pub use multi_gpu::{MultiGpu, MultiGpuStats};
+pub use exec::{BatchResult, ExecBackend, ExecBatch, ExecHandle, Executor, HostWorkStats, Pool};
 pub use sched::{AdmissionMode, SchedPolicy};
 pub use service::{FheRequest, FheService, RequestId, RequestReport, RequestStatus, ServiceStats};
 pub use session::{

@@ -1289,7 +1289,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, OpStats, Variant};
-    use crate::exec::SimExecutor;
+    use crate::exec::{ExecBackend, Pool};
 
     /// Test shorthand: leaks a tiny `Arc<str>` per call so literals can be
     /// passed where production code hands out `&Pending.client_key`.
@@ -1315,6 +1315,11 @@ mod tests {
             },
             per_device_us,
         }
+    }
+
+    fn sim_pool(devices: usize) -> Pool {
+        let cfg = EngineConfig::a100(Variant::TensorCore);
+        Pool::new(&cfg, devices, 1, ExecBackend::Sim, 0).expect("valid pool")
     }
 
     fn sched(depth: usize, devices: usize) -> Scheduler {
@@ -1387,8 +1392,7 @@ mod tests {
         }
 
         // Joining the holder releases the key.
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut exec = SimExecutor::new(cfg, 2);
+        let mut exec = sim_pool(2);
         let fin = s.complete_next(&mut exec).expect("one in flight");
         assert!(!fin.executed, "cached work never touches the executor");
         assert!(matches!(s.plan(4, chained), Plan::Batch(_)));
@@ -1413,8 +1417,7 @@ mod tests {
     fn depth_one_overlap_clock_accumulates_serial_walls() {
         // The bit-identity cornerstone: at depth 1 the makespan is the
         // plain sum of batch wall times, by the same float additions.
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut exec = SimExecutor::new(cfg, 4);
+        let mut exec = sim_pool(4);
         let mut s = sched(1, 4);
         let walls = [3.5f64, 1.25, 7.0];
         let mut serial = 0.0f64;
@@ -1435,8 +1438,7 @@ mod tests {
     fn deep_window_overlaps_narrow_batches_onto_idle_devices() {
         // Four width-1 batches on a 4-device cluster: the serial clock
         // charges 4 walls, the overlap clock one.
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut exec = SimExecutor::new(cfg, 4);
+        let mut exec = sim_pool(4);
         let mut s = sched(4, 4);
         for i in 0..4usize {
             let Plan::Batch(p) = s.plan(4, vec![(i, view(FheOp::HMult, i, 1, "c"))]) else {
@@ -1528,8 +1530,7 @@ mod tests {
 
     #[test]
     fn rob_settles_in_serial_order() {
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut exec = SimExecutor::new(cfg, 2);
+        let mut exec = sim_pool(2);
         let mut s = ooo(4, 2, 8, 4);
         // Chain blocks serial 1 behind serial 0; tenant (serial 2)
         // admits second. Joins pop admission order (0 then 2), but
@@ -1563,8 +1564,7 @@ mod tests {
 
     #[test]
     fn trace_folds_a_generation_at_a_time_at_quiescent_points_only() {
-        let cfg = EngineConfig::a100(Variant::TensorCore);
-        let mut exec = SimExecutor::new(cfg, 2);
+        let mut exec = sim_pool(2);
         let mut s = sched(2, 2);
         let settled = |busy: f64, ops: usize| SettledTotals {
             busy_us: busy,

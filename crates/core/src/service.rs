@@ -16,12 +16,13 @@
 //!    window live in the [`crate::sched::Scheduler`]; `drain` is a thin
 //!    loop that fills the window and settles completed batches.
 //! 3. Each batch is dispatched through the pluggable
-//!    [`crate::exec::Executor`] seam — serial simulated launches
-//!    ([`crate::exec::SimExecutor`]) or one worker thread per device
-//!    ([`crate::exec::ThreadedPool`], selected by
-//!    [`TensorFheBuilder::workers`] or the `TENSORFHE_WORKERS` environment
-//!    variable). With a pipeline depth above one
-//!    ([`TensorFheBuilder::pipeline_depth`] / `TENSORFHE_PIPELINE`), up to
+//!    [`crate::exec::Executor`] seam into the one [`crate::exec::Pool`]:
+//!    its workers ([`crate::sched::SchedPolicy::workers`] or the
+//!    `TENSORFHE_WORKERS` environment variable) own the per-device
+//!    engines, and a one-worker pool runs every batch on the calling
+//!    thread. With a pipeline depth above one
+//!    ([`crate::sched::SchedPolicy::pipeline_depth`] /
+//!    `TENSORFHE_PIPELINE`), up to
 //!    `depth` *independent* batches stay submitted-but-unjoined at once —
 //!    no two in-flight batches may contain requests from the same client
 //!    stream at the same ciphertext level, so chained operations observe
@@ -52,8 +53,9 @@
 
 use crate::api::{schedule_events, FheOp, OpReport, TensorFheBuilder};
 use crate::engine::ExecMode;
+use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::exec::{build_executor, BatchResult, ExecBackend, ExecBatch, Executor};
+use crate::exec::{BatchResult, ExecBackend, ExecBatch, Executor, Pool};
 use crate::sched::{
     AdmissionMode, BatchPlan, Finished, Plan, Scheduler, SettledTotals, SlotView, Work,
     DEFAULT_AGING_BOUND, DEFAULT_LOOKAHEAD,
@@ -208,7 +210,7 @@ pub struct ServiceStats {
     pub batch_cap: usize,
     /// Devices serving the queue.
     pub devices: usize,
-    /// Host worker threads driving the devices (1 = serial executor).
+    /// Host worker threads driving the devices (1 = the calling thread).
     pub workers: usize,
     /// Execution backend label ([`crate::exec::ExecBackend::label`]):
     /// `"sim"`, `"host-parallel"` or `"host-scalar"`. Every other field
@@ -439,7 +441,7 @@ impl FheService {
         TensorFheBuilder::new(params)
     }
 
-    pub(crate) fn from_builder(b: TensorFheBuilder) -> CoreResult<Self> {
+    pub(crate) fn from_builder(b: TensorFheBuilder, env: &EnvConfig) -> CoreResult<Self> {
         if b.devices == 0 {
             return Err(CoreError::InvalidConfig("need at least one device".into()));
         }
@@ -451,64 +453,15 @@ impl FheService {
             ));
         }
         let cfg = b.engine_config();
-        // Worker-thread count: an explicit builder setting wins, then the
-        // `TENSORFHE_WORKERS` environment override (the CI matrix knob),
-        // then the serial default. A malformed override is a hard error —
-        // silently falling back to the serial executor would let the CI
-        // determinism matrix pass vacuously. Executors are deterministic,
-        // so the choice only changes host wall-clock, never results.
-        let workers = match b.sched.workers {
-            Some(w) => w,
-            None => match std::env::var("TENSORFHE_WORKERS") {
-                Ok(v) => v.trim().parse::<usize>().map_err(|_| {
-                    CoreError::InvalidConfig(format!(
-                        "TENSORFHE_WORKERS must be a worker count, got {v:?}"
-                    ))
-                })?,
-                Err(_) => 1,
-            },
-        };
-        // Pipeline depth: same resolution order and strictness as the
-        // worker count — builder, then the `TENSORFHE_PIPELINE` CI matrix
-        // knob, then the depth-1 (strictly synchronous) default. The
-        // scheduler is deterministic at every depth, so the choice moves
-        // only the overlap accounting, never reports.
-        let depth = match b.sched.pipeline {
-            Some(d) => d,
-            None => match std::env::var("TENSORFHE_PIPELINE") {
-                Ok(v) => v.trim().parse::<usize>().map_err(|_| {
-                    CoreError::InvalidConfig(format!(
-                        "TENSORFHE_PIPELINE must be a window depth, got {v:?}"
-                    ))
-                })?,
-                Err(_) => 1,
-            },
-        };
+        // Each knob: builder, then its `TENSORFHE_*` variable, then default.
+        let workers = env.workers(b.sched.workers)?;
+        let depth = env.pipeline(b.sched.pipeline)?;
         if depth == 0 {
             return Err(CoreError::InvalidConfig(
                 "pipeline depth must be non-zero".into(),
             ));
         }
-        // Admission mode: builder, then the `TENSORFHE_ADMISSION` CI
-        // matrix knob, then the in-order default. Anything but the two
-        // documented spellings is a hard error — the same strictness as
-        // the other environment knobs. Both modes are deterministic and
-        // report-bit-identical; the choice moves only the overlap clock.
-        let admission = match b.sched.admission {
-            Some(m) => m,
-            None => match std::env::var("TENSORFHE_ADMISSION") {
-                Ok(v) => match v.trim() {
-                    "inorder" => AdmissionMode::InOrder,
-                    "ooo" => AdmissionMode::OutOfOrder,
-                    _ => {
-                        return Err(CoreError::InvalidConfig(format!(
-                            "TENSORFHE_ADMISSION must be \"inorder\" or \"ooo\", got {v:?}"
-                        )))
-                    }
-                },
-                Err(_) => AdmissionMode::InOrder,
-            },
-        };
+        let admission = env.admission(b.sched.admission)?;
         let lookahead = b.sched.lookahead.unwrap_or(DEFAULT_LOOKAHEAD);
         if lookahead == 0 {
             return Err(CoreError::InvalidConfig(
@@ -521,44 +474,9 @@ impl FheService {
                 "scoreboard aging bound must be non-zero".into(),
             ));
         }
-        // Execution backend: builder, then the `TENSORFHE_BACKEND` CI
-        // matrix knob, then the simulated default. The host backends
-        // execute real GEMM arithmetic behind the same seam; reports stay
-        // bit-identical, so the choice moves only host wall-clock and the
-        // `host_work` counters. Malformed spellings are hard errors, like
-        // every other environment knob.
-        let backend = match b.backend {
-            Some(be) => be,
-            None => match std::env::var("TENSORFHE_BACKEND") {
-                Ok(v) => ExecBackend::parse(v.trim()).ok_or_else(|| {
-                    CoreError::InvalidConfig(format!(
-                        "TENSORFHE_BACKEND must be \"sim\", \"host-parallel\" or \
-                         \"host-scalar\", got {v:?}"
-                    ))
-                })?,
-                Err(_) => ExecBackend::Sim,
-            },
-        };
-        // Real-row cap for the host backends: builder, then the
-        // `TENSORFHE_ROWS_CAP` CI matrix knob, then uncapped (`0` = every
-        // row executes, the full-width default). A positive cap bounds
-        // real arithmetic per kernel-event shard so paper widths stay
-        // tractable on slow (debug-mode) hosts; it never changes reports
-        // or the simulated stats, only host wall-clock and the
-        // `host_work` counters. Malformed overrides are hard errors, like
-        // every other environment knob. Sim backends ignore it.
-        let rows_cap = match b.rows_cap {
-            Some(cap) => cap,
-            None => match std::env::var("TENSORFHE_ROWS_CAP") {
-                Ok(v) => v.trim().parse::<usize>().map_err(|_| {
-                    CoreError::InvalidConfig(format!(
-                        "TENSORFHE_ROWS_CAP must be a row count (0 = uncapped), got {v:?}"
-                    ))
-                })?,
-                Err(_) => crate::exec::host::DEFAULT_ROWS_CAP,
-            },
-        };
-        let executor = build_executor(&cfg, b.devices, workers, backend, rows_cap)?;
+        let backend = env.backend(b.backend)?;
+        let rows_cap = env.rows_cap(b.rows_cap)?;
+        let executor = Box::new(Pool::new(&cfg, b.devices, workers, backend, rows_cap)?);
         // The executor owns the capability queries: a backend with
         // different board power or VRAM reports it through `caps()`, and
         // the batch policy / ops/W follow automatically.
@@ -581,35 +499,16 @@ impl FheService {
             Some(cap) => cap.min(vram_cap),
             None => vram_cap,
         };
-        // Key-cache capacity: an explicit builder setting wins, then the
-        // `TENSORFHE_KEY_CACHE_MB` environment knob, then the VRAM slice
-        // the ciphertext batch policy leaves free. Malformed or zero
-        // overrides are hard errors — the same strictness as the other
-        // environment knobs, since a silently-unbounded cache would let
-        // residency experiments pass vacuously.
-        let key_cache_bytes = match b.key_cache_mb {
-            Some(0) => {
-                return Err(CoreError::InvalidConfig(
-                    "key cache capacity must be non-zero".into(),
-                ))
-            }
+        if b.key_cache_mb == Some(0) {
+            return Err(CoreError::InvalidConfig(
+                "key cache capacity must be non-zero".into(),
+            ));
+        }
+        // Unset, the key cache gets the VRAM slice the ciphertext batch
+        // policy leaves free.
+        let key_cache_bytes = match env.key_cache_mb(b.key_cache_mb)? {
             Some(mb) => mb.saturating_mul(1 << 20),
-            None => match std::env::var("TENSORFHE_KEY_CACHE_MB") {
-                Ok(v) => {
-                    let mb = v.trim().parse::<u64>().map_err(|_| {
-                        CoreError::InvalidConfig(format!(
-                            "TENSORFHE_KEY_CACHE_MB must be a capacity in MiB, got {v:?}"
-                        ))
-                    })?;
-                    if mb == 0 {
-                        return Err(CoreError::InvalidConfig(
-                            "TENSORFHE_KEY_CACHE_MB must be non-zero".into(),
-                        ));
-                    }
-                    mb.saturating_mul(1 << 20)
-                }
-                Err(_) => (caps.vram_bytes_per_device as f64 * KEY_CACHE_VRAM_FRACTION) as u64,
-            },
+            None => (caps.vram_bytes_per_device as f64 * KEY_CACHE_VRAM_FRACTION) as u64,
         };
         if b.global_queue_cap == Some(0) {
             return Err(CoreError::InvalidConfig(
@@ -677,10 +576,9 @@ impl FheService {
         self.caps.workers
     }
 
-    /// Real-arithmetic counters from the executor, when the service runs
-    /// on a host backend ([`crate::exec::HostParallelExecutor`]); `None`
-    /// under the simulated backend. The checksum is bit-identical across
-    /// worker counts and across the fast/scalar kernel flavours.
+    /// Real-arithmetic counters from the executor on a host backend;
+    /// `None` under the simulated backend. The checksum is bit-identical
+    /// across worker counts and across the fast/scalar kernel flavours.
     #[must_use]
     pub fn host_work(&self) -> Option<crate::exec::HostWorkStats> {
         self.executor.host_work()

@@ -1,18 +1,20 @@
 //! Serial-vs-threaded drain determinism.
 //!
 //! The executor seam promises that the worker count changes host
-//! wall-clock only: a `drain` served by the [`ThreadedPool`] must produce
-//! **bit-identical** `RequestReport`s and `ServiceStats` to the serial
-//! `SimExecutor` path — ids, completion order, float stats down to the last
+//! wall-clock only: a `drain` served by a multi-threaded `Pool` must
+//! produce **bit-identical** `RequestReport`s and `ServiceStats` to the
+//! one-thread pool — ids, completion order, float stats down to the last
 //! bit, launch counts, per-kernel tables. These tests pin that contract
 //! across seeded pseudo-random streams and a ragged-queue property suite,
-//! plus the per-device utilization invariants.
+//! plus the per-device utilization invariants and the pickup of the
+//! `TENSORFHE_*` variables that drive the CI matrix.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
+use tensorfhe_core::sched::SchedPolicy;
 use tensorfhe_core::service::{FheRequest, FheService, RequestReport, ServiceStats};
 
 const OPS: [FheOp; 6] = [
@@ -27,7 +29,7 @@ const OPS: [FheOp; 6] = [
 fn service(devices: usize, workers: usize) -> FheService {
     TensorFhe::builder(&CkksParams::test_small())
         .devices(devices)
-        .workers(workers)
+        .sched(SchedPolicy::new().workers(workers))
         .service()
         .expect("valid service config")
 }
@@ -196,7 +198,7 @@ fn device_utilizations_sum_match_attributed_launch_time() {
     // that device's share of the service's busy window (≤ 1).
     use std::sync::Arc;
     use tensorfhe_core::api::schedule_events;
-    use tensorfhe_core::exec::{ExecBatch, Executor, SimExecutor};
+    use tensorfhe_core::exec::{ExecBackend, ExecBatch, Executor, Pool};
     use tensorfhe_core::EngineConfig;
 
     let mut svc = service(4, 4);
@@ -210,10 +212,11 @@ fn device_utilizations_sum_match_attributed_launch_time() {
     svc.drain();
     let s = svc.stats();
 
-    // Independent replay through a fresh serial executor: same batches in
+    // Independent replay through a fresh one-thread pool: same batches in
     // the same order must attribute the same per-device time.
     let params = svc.params().clone();
-    let mut replay = SimExecutor::new(EngineConfig::a100(tensorfhe_core::Variant::TensorCore), 4);
+    let cfg = EngineConfig::a100(tensorfhe_core::Variant::TensorCore);
+    let mut replay = Pool::new(&cfg, 4, 1, ExecBackend::Sim, 0).expect("valid pool");
     let mut expected = vec![0.0f64; 4];
     for (op, width) in [(FheOp::HMult, cap), (FheOp::HRotate, cap / 2 + 1)] {
         let events: Arc<[_]> = schedule_events(&params, op, level).into();
@@ -246,69 +249,67 @@ fn device_utilizations_sum_match_attributed_launch_time() {
 }
 
 #[test]
-fn env_var_selects_the_default_worker_count() {
-    // `TENSORFHE_WORKERS` is the CI matrix knob: it supplies the default
-    // when the builder does not set one, and never overrides an explicit
-    // `.workers(n)`. Env is process-global and other threads of this test
-    // binary read it concurrently, so the assertions run in child
-    // processes (re-exec of this binary in probe mode with the env fixed
-    // at spawn) — this process never mutates its own environment.
-    if let Ok(expected) = std::env::var("TENSORFHE_WORKERS_PROBE") {
-        if expected == "err" {
-            // A malformed override must be a hard error, not a silent
-            // serial fallback that would void the CI matrix.
-            let err = TensorFhe::builder(&CkksParams::test_small())
-                .devices(4)
-                .service()
-                .expect_err("malformed TENSORFHE_WORKERS must be rejected");
-            assert!(matches!(err, tensorfhe_core::CoreError::InvalidConfig(_)));
-            return;
-        }
-        let expected: usize = expected.parse().expect("probe expectation");
-        assert_eq!(service_devices_only(4).workers(), expected);
-        assert_eq!(
-            service(4, 1).workers(),
-            1,
-            "builder setting must win over env"
+fn service_picks_up_every_env_var() {
+    // The six `TENSORFHE_*` variables supply what the builder leaves
+    // unset (their parsing rules are tabled in-crate). Env is
+    // process-global and other threads of this test binary read it
+    // concurrently, so the checks run in a child process — a re-exec of
+    // this binary with all six fixed at spawn — and this process never
+    // mutates its own environment.
+    use tensorfhe_core::exec::ExecBackend;
+    use tensorfhe_core::sched::AdmissionMode;
+    const VARS: [(&str, &str); 6] = [
+        ("TENSORFHE_WORKERS", "2"),
+        ("TENSORFHE_PIPELINE", "3"),
+        ("TENSORFHE_ADMISSION", "ooo"),
+        ("TENSORFHE_BACKEND", "host-scalar"),
+        ("TENSORFHE_ROWS_CAP", "2"),
+        ("TENSORFHE_KEY_CACHE_MB", "64"),
+    ];
+    if std::env::var_os("TENSORFHE_ENV_PROBE").is_some() {
+        let drained = |builder: tensorfhe_core::TensorFheBuilder| {
+            let mut svc = builder.devices(2).service().expect("valid");
+            let level = svc.params().max_level();
+            svc.submit(FheRequest::new(FheOp::HMult, level, 3, "a"))
+                .expect("valid");
+            svc.drain();
+            svc
+        };
+        let params = CkksParams::test_small();
+        let from_env = drained(TensorFhe::builder(&params));
+        assert_eq!(from_env.workers(), 2);
+        assert_eq!(from_env.pipeline_depth(), 3);
+        assert_eq!(from_env.admission(), AdmissionMode::OutOfOrder);
+        assert_eq!(from_env.stats().backend, "host-scalar");
+        assert_eq!(from_env.key_cache().capacity_bytes(), 64 << 20);
+        // The row cap shows only in the real work done.
+        let explicit = drained(
+            TensorFhe::builder(&params)
+                .backend(ExecBackend::HostScalar)
+                .rows_cap(2),
         );
+        assert_eq!(from_env.host_work(), explicit.host_work());
         return;
     }
     let exe = std::env::current_exe().expect("test binary path");
-    for (workers_env, expected) in [
-        (Some("4"), "4"),
-        (Some("2"), "2"),
-        (Some("1"), "1"),
-        (None, "1"),
-        (Some("four"), "err"),
-    ] {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args(["env_var_selects_the_default_worker_count", "--exact"])
-            .env("TENSORFHE_WORKERS_PROBE", expected)
-            .env_remove("TENSORFHE_WORKERS");
-        if let Some(v) = workers_env {
-            cmd.env("TENSORFHE_WORKERS", v);
-        }
-        let out = cmd.output().expect("spawn env probe child");
-        assert!(
-            out.status.success(),
-            "probe with TENSORFHE_WORKERS={workers_env:?} failed:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
-}
-
-fn service_devices_only(devices: usize) -> FheService {
-    TensorFhe::builder(&CkksParams::test_small())
-        .devices(devices)
-        .service()
-        .expect("valid service config")
+    let out = std::process::Command::new(exe)
+        .args(["service_picks_up_every_env_var", "--exact"])
+        .env("TENSORFHE_ENV_PROBE", "1")
+        .envs(VARS)
+        .output()
+        .expect("spawn env probe child");
+    assert!(
+        out.status.success(),
+        "env probe failed:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Ragged queues: any mix of operations, levels, counts and client
-    /// interleavings must drain identically under the serial executor and
+    /// interleavings must drain identically under the one-thread pool and
     /// the 4-worker pool — including streams whose final batches are
     /// partially filled and requests spanning several batches.
     #[test]

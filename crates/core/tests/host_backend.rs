@@ -2,14 +2,13 @@
 //! simulated executor, across the full scheduler matrix.
 //!
 //! The backend seam promises that [`ExecBackend`] changes host wall-clock
-//! (and the [`HostWorkStats`] counters) only: a `drain` served by the
-//! [`tensorfhe_core::exec::HostParallelExecutor`] — fast Montgomery or
+//! (and the [`HostWorkStats`] counters) only: a `drain` served by a
+//! host-backend [`tensorfhe_core::exec::Pool`] — fast Montgomery or
 //! Barrett scalar kernels — must produce **bit-identical**
 //! `RequestReport`s and `ServiceStats` to the simulated path at every
 //! workers × pipeline-depth × admission point. These tests pin that
 //! contract over seeded pseudo-random streams, plus the worker-count and
-//! kernel-flavour independence of the real-work checksum and the
-//! `TENSORFHE_BACKEND` env-knob resolution rules.
+//! kernel-flavour independence of the real-work checksum.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -308,67 +307,4 @@ fn host_backend_executes_every_repeated_dispatch() {
         "identical batches must re-execute on host backends \
          (first {first:?}, second {second:?})"
     );
-}
-
-#[test]
-fn env_var_selects_the_default_backend() {
-    // `TENSORFHE_BACKEND` joins the `TENSORFHE_WORKERS` / `…_PIPELINE` /
-    // `…_ADMISSION` family: it supplies the default when the builder does
-    // not set one, and never overrides an explicit `.backend(..)`. Env is
-    // process-global and other threads of this test binary read it
-    // concurrently, so the assertions run in child processes (re-exec of
-    // this binary in probe mode with the env fixed at spawn) — this
-    // process never mutates its own environment.
-    if let Ok(expected) = std::env::var("TENSORFHE_BACKEND_PROBE") {
-        let build = |backend: Option<ExecBackend>| {
-            let mut b = TensorFhe::builder(&CkksParams::toy());
-            if let Some(be) = backend {
-                b = b.backend(be);
-            }
-            b.service()
-        };
-        if expected == "err" {
-            // A malformed override must be a hard error, not a silent
-            // simulated fallback that would void the CI matrix.
-            let err = build(None).expect_err("unknown backend must be rejected");
-            assert!(matches!(err, tensorfhe_core::CoreError::InvalidConfig(_)));
-            assert!(
-                err.to_string().contains("TENSORFHE_BACKEND"),
-                "error names the knob: {err}"
-            );
-            return;
-        }
-        let svc = build(None).expect("valid backend spelling");
-        assert_eq!(svc.stats().backend, expected);
-        assert_eq!(svc.host_work().is_some(), expected != "sim");
-        let svc = build(Some(ExecBackend::Sim)).expect("builder wins");
-        assert_eq!(
-            svc.stats().backend,
-            "sim",
-            "builder setting must win over env"
-        );
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    for (backend_env, expected) in [
-        (Some("host-parallel"), "host-parallel"),
-        (Some("host-scalar"), "host-scalar"),
-        (Some("sim"), "sim"),
-        (None, "sim"),
-        (Some("cuda"), "err"),
-    ] {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args(["env_var_selects_the_default_backend", "--exact"])
-            .env("TENSORFHE_BACKEND_PROBE", expected)
-            .env_remove("TENSORFHE_BACKEND");
-        if let Some(v) = backend_env {
-            cmd.env("TENSORFHE_BACKEND", v);
-        }
-        let out = cmd.output().expect("spawn env probe child");
-        assert!(
-            out.status.success(),
-            "probe with TENSORFHE_BACKEND={backend_env:?} failed:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
 }

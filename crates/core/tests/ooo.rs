@@ -325,68 +325,6 @@ fn sustained_ooo_pump_load_keeps_the_queue_compacted() {
 }
 
 #[test]
-fn env_var_selects_the_admission_mode() {
-    // `TENSORFHE_ADMISSION` joins the `TENSORFHE_WORKERS` /
-    // `TENSORFHE_PIPELINE` convention: it supplies the default when the
-    // builder does not set one, never overrides an explicit
-    // `.admission(..)`, and anything but `inorder` / `ooo` is a hard
-    // error. Env is process-global, so the assertions run in child
-    // processes with the env fixed at spawn.
-    if let Ok(expected) = std::env::var("TENSORFHE_ADMISSION_PROBE") {
-        if expected == "err" {
-            let err = TensorFhe::builder(&CkksParams::test_small())
-                .service()
-                .expect_err("malformed TENSORFHE_ADMISSION must be rejected");
-            assert!(matches!(err, CoreError::InvalidConfig(_)));
-            return;
-        }
-        let want = match expected.as_str() {
-            "ooo" => AdmissionMode::OutOfOrder,
-            "inorder" => AdmissionMode::InOrder,
-            other => panic!("unknown probe expectation {other}"),
-        };
-        let svc = TensorFhe::builder(&CkksParams::test_small())
-            .service()
-            .expect("valid");
-        assert_eq!(svc.admission(), want);
-        let pinned = TensorFhe::builder(&CkksParams::test_small())
-            .admission(AdmissionMode::InOrder)
-            .service()
-            .expect("valid");
-        assert_eq!(
-            pinned.admission(),
-            AdmissionMode::InOrder,
-            "builder setting must win over env"
-        );
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    for (env, expected) in [
-        (Some("ooo"), "ooo"),
-        (Some("inorder"), "inorder"),
-        (Some(" ooo "), "ooo"),
-        (None, "inorder"),
-        (Some("turbo"), "err"),
-        (Some("OOO"), "err"),
-        (Some(""), "err"),
-    ] {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args(["env_var_selects_the_admission_mode", "--exact"])
-            .env("TENSORFHE_ADMISSION_PROBE", expected)
-            .env_remove("TENSORFHE_ADMISSION");
-        if let Some(v) = env {
-            cmd.env("TENSORFHE_ADMISSION", v);
-        }
-        let out = cmd.output().expect("spawn env probe child");
-        assert!(
-            out.status.success(),
-            "probe with TENSORFHE_ADMISSION={env:?} failed:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
-}
-
-#[test]
 fn zero_lookahead_or_aging_bound_is_a_hard_error() {
     for policy in [
         SchedPolicy::new().lookahead(0),

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
-use tensorfhe_core::sched::AdmissionMode;
+use tensorfhe_core::sched::{AdmissionMode, SchedPolicy};
 use tensorfhe_core::service::{FheRequest, FheService, RequestReport, RequestStatus, ServiceStats};
 
 const OPS: [FheOp; 6] = [
@@ -34,8 +34,7 @@ const OPS: [FheOp; 6] = [
 fn service(devices: usize, workers: usize, depth: usize) -> FheService {
     TensorFhe::builder(&CkksParams::test_small())
         .devices(devices)
-        .workers(workers)
-        .pipeline_depth(depth)
+        .sched(SchedPolicy::new().workers(workers).pipeline_depth(depth))
         .service()
         .expect("valid service config")
 }
@@ -165,8 +164,8 @@ fn pipelined_drain_is_bit_identical_to_depth_one_across_seeds() {
 
 #[test]
 fn pipelined_drain_is_bit_identical_across_both_executors() {
-    // Depth × executor cross: a depth-4 window over the 4-worker
-    // ThreadedPool must still settle to the depth-1 SimExecutor bits —
+    // Depth × thread-count cross: a depth-4 window over a 4-thread pool
+    // must still settle to the depth-1 one-thread bits —
     // pipelining and host threading compose without touching results.
     for seed in [3u64, 99, 0xBEEF] {
         let mut reference = service(4, 1, 1);
@@ -271,9 +270,12 @@ fn pump_exposes_in_flight_status_mid_drain() {
     // window shape regardless of any ambient TENSORFHE_ADMISSION.
     let mut svc = TensorFhe::builder(&CkksParams::test_small())
         .devices(4)
-        .workers(1)
-        .pipeline_depth(4)
-        .admission(AdmissionMode::InOrder)
+        .sched(
+            SchedPolicy::new()
+                .workers(1)
+                .pipeline_depth(4)
+                .admission(AdmissionMode::InOrder),
+        )
         .service()
         .expect("valid service config");
     let level = svc.params().max_level();
@@ -362,9 +364,12 @@ fn sustained_pump_load_keeps_the_queue_compacted() {
     // bound below assumes the in-order window shape.
     let mut svc = TensorFhe::builder(&CkksParams::test_small())
         .devices(4)
-        .workers(1)
-        .pipeline_depth(4)
-        .admission(AdmissionMode::InOrder)
+        .sched(
+            SchedPolicy::new()
+                .workers(1)
+                .pipeline_depth(4)
+                .admission(AdmissionMode::InOrder),
+        )
         .service()
         .expect("valid service config");
     let max_level = svc.params().max_level();
@@ -400,61 +405,6 @@ fn sustained_pump_load_keeps_the_queue_compacted() {
         "drained queue must be fully reclaimed"
     );
     assert!(s.inflight_hwm >= 2, "sustained load should really pipeline");
-}
-
-#[test]
-fn env_var_selects_the_default_pipeline_depth() {
-    // `TENSORFHE_PIPELINE` mirrors `TENSORFHE_WORKERS`: it supplies the
-    // default when the builder does not set one, never overrides an
-    // explicit `.pipeline_depth(n)`, and a malformed or zero value is a
-    // hard error (a silent depth-1 fallback would void the CI matrix).
-    // Env is process-global, so the assertions run in child processes
-    // with the env fixed at spawn.
-    if let Ok(expected) = std::env::var("TENSORFHE_PIPELINE_PROBE") {
-        if expected == "err" {
-            let err = TensorFhe::builder(&CkksParams::test_small())
-                .devices(4)
-                .service()
-                .expect_err("malformed TENSORFHE_PIPELINE must be rejected");
-            assert!(matches!(err, tensorfhe_core::CoreError::InvalidConfig(_)));
-            return;
-        }
-        let expected: usize = expected.parse().expect("probe expectation");
-        let svc = TensorFhe::builder(&CkksParams::test_small())
-            .devices(4)
-            .service()
-            .expect("valid");
-        assert_eq!(svc.pipeline_depth(), expected);
-        assert_eq!(
-            service(4, 1, 2).pipeline_depth(),
-            2,
-            "builder setting must win over env"
-        );
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    for (depth_env, expected) in [
-        (Some("4"), "4"),
-        (Some("2"), "2"),
-        (Some("1"), "1"),
-        (None, "1"),
-        (Some("deep"), "err"),
-        (Some("0"), "err"),
-    ] {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args(["env_var_selects_the_default_pipeline_depth", "--exact"])
-            .env("TENSORFHE_PIPELINE_PROBE", expected)
-            .env_remove("TENSORFHE_PIPELINE");
-        if let Some(v) = depth_env {
-            cmd.env("TENSORFHE_PIPELINE", v);
-        }
-        let out = cmd.output().expect("spawn env probe child");
-        assert!(
-            out.status.success(),
-            "probe with TENSORFHE_PIPELINE={depth_env:?} failed:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
 }
 
 proptest! {

@@ -8,12 +8,11 @@ use proptest::prelude::*;
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
 use tensorfhe_core::service::{FheRequest, FheService, RequestReport, RequestStatus};
-use tensorfhe_core::{CoalescePolicy, SessionConfig};
+use tensorfhe_core::{CoalescePolicy, SchedPolicy, SessionConfig};
 
 fn service() -> FheService {
     TensorFhe::builder(&CkksParams::test_small())
-        .workers(1)
-        .pipeline_depth(1)
+        .sched(SchedPolicy::new().workers(1).pipeline_depth(1))
         .service()
         .expect("valid service config")
 }
@@ -127,8 +126,7 @@ fn key_cache_thrash_shows_up_in_hit_rate_evictions_and_the_clock() {
         svc.session(sid).expect("registered").key_bytes() / (1 << 20)
     };
     let mut svc = TensorFhe::builder(&params)
-        .workers(1)
-        .pipeline_depth(1)
+        .sched(SchedPolicy::new().workers(1).pipeline_depth(1))
         .key_cache_mb((set_mb + 1).max(1))
         .service()
         .expect("valid");
@@ -180,8 +178,7 @@ fn overlap_fraction_charges_upload_stalls_to_both_clocks() {
         let params = CkksParams::test_small();
         let mut svc = TensorFhe::builder(&params)
             .devices(4)
-            .workers(1)
-            .pipeline_depth(depth)
+            .sched(SchedPolicy::new().workers(1).pipeline_depth(depth))
             .key_cache_mb(1)
             .service()
             .expect("valid");
@@ -248,8 +245,7 @@ fn affinity_coalescing_beats_blind_on_cache_misses() {
     let run = |policy: CoalescePolicy| {
         let params = CkksParams::test_small();
         let mut svc = TensorFhe::builder(&params)
-            .workers(1)
-            .pipeline_depth(1)
+            .sched(SchedPolicy::new().workers(1).pipeline_depth(1))
             .key_cache_mb(1)
             .coalesce_policy(policy)
             .service()
@@ -286,8 +282,7 @@ fn affinity_coalescing_beats_blind_on_cache_misses() {
 #[test]
 fn admission_control_rejects_past_the_caps() {
     let mut svc = TensorFhe::builder(&CkksParams::test_small())
-        .workers(1)
-        .pipeline_depth(1)
+        .sched(SchedPolicy::new().workers(1).pipeline_depth(1))
         .global_queue_cap(64)
         .service()
         .expect("valid");
@@ -491,8 +486,7 @@ fn anonymous_traffic_is_bit_identical_across_the_matrix_and_to_fifo() {
         for depth in [1usize, 4] {
             let mut svc = TensorFhe::builder(&params)
                 .devices(4)
-                .workers(workers)
-                .pipeline_depth(depth)
+                .sched(SchedPolicy::new().workers(workers).pipeline_depth(depth))
                 .service()
                 .expect("valid");
             stream(&mut svc);
@@ -510,8 +504,7 @@ fn anonymous_traffic_is_bit_identical_across_the_matrix_and_to_fifo() {
     // Session tier armed but unused: same fingerprint.
     let mut svc = TensorFhe::builder(&params)
         .devices(4)
-        .workers(1)
-        .pipeline_depth(1)
+        .sched(SchedPolicy::new().workers(1).pipeline_depth(1))
         .service()
         .expect("valid");
     svc.register_session(SessionConfig::new("idle"))
@@ -523,63 +516,6 @@ fn anonymous_traffic_is_bit_identical_across_the_matrix_and_to_fifo() {
         fingerprint(&reports, &svc),
         "an idle session must not perturb anonymous results"
     );
-}
-
-#[test]
-fn env_var_sets_the_default_key_cache_capacity() {
-    // `TENSORFHE_KEY_CACHE_MB` supplies the default capacity and never
-    // overrides an explicit `.key_cache_mb(n)`. Same child-process probe
-    // pattern as the worker-count knob: env is process-global, so the
-    // assertions run in re-exec'd children with the env fixed at spawn.
-    if let Ok(expected) = std::env::var("TENSORFHE_KEY_CACHE_PROBE") {
-        let params = CkksParams::test_small();
-        if expected == "err" {
-            let err = TensorFhe::builder(&params)
-                .service()
-                .expect_err("malformed TENSORFHE_KEY_CACHE_MB must be rejected");
-            assert!(matches!(err, tensorfhe_core::CoreError::InvalidConfig(_)));
-            return;
-        }
-        let expected_mb: u64 = expected.parse().expect("probe expectation");
-        let svc = TensorFhe::builder(&params).service().expect("valid");
-        assert_eq!(svc.key_cache().capacity_bytes(), expected_mb << 20);
-        let svc = TensorFhe::builder(&params)
-            .key_cache_mb(7)
-            .service()
-            .expect("valid");
-        assert_eq!(
-            svc.key_cache().capacity_bytes(),
-            7 << 20,
-            "builder setting must win over env"
-        );
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    for (env_val, expected) in [
-        (Some("64"), "64"),
-        (Some("1"), "1"),
-        (Some("0"), "err"),
-        (Some("lots"), "err"),
-    ] {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args(["env_var_sets_the_default_key_cache_capacity", "--exact"])
-            .env("TENSORFHE_KEY_CACHE_PROBE", expected)
-            .env_remove("TENSORFHE_KEY_CACHE_MB");
-        if let Some(v) = env_val {
-            cmd.env("TENSORFHE_KEY_CACHE_MB", v);
-        }
-        let out = cmd.output().expect("spawn env probe child");
-        assert!(
-            out.status.success(),
-            "probe with TENSORFHE_KEY_CACHE_MB={env_val:?} failed:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
-    // No env, no builder: the default is the VRAM slice.
-    let svc = TensorFhe::builder(&CkksParams::test_small())
-        .service()
-        .expect("valid");
-    assert!(svc.key_cache().capacity_bytes() > 0);
 }
 
 #[test]

@@ -13,7 +13,7 @@
 use tensorfhe::ckks::CkksParams;
 use tensorfhe::core::api::{FheOp, TensorFhe};
 use tensorfhe::core::service::FheRequest;
-use tensorfhe::core::{ResidencyEvent, SessionConfig};
+use tensorfhe::core::{ResidencyEvent, SchedPolicy, SessionConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // N = 2^14 (the HEAX Set-C scale): single operations underfill the
@@ -69,14 +69,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.ops_per_watt,
     );
 
-    // The same stream on a 4-device cluster behind the threaded executor:
+    // The same stream on a 4-device cluster behind a 4-thread pool:
     // one worker thread per device. Coalesced batches grow 4× and shard,
     // so simulated throughput scales — and because executors are
-    // deterministic, a `.workers(1)` serial drain of this stream would be
+    // deterministic, a one-worker drain of this stream would be
     // bit-identical.
     let mut cluster = TensorFhe::builder(&params)
         .devices(4)
-        .workers(4)
+        .sched(SchedPolicy::new().workers(4))
         .service()?;
     cluster.submit_stream(stream.clone())?;
     cluster.drain();
