@@ -2,13 +2,17 @@
 //!
 //! Everything here is a pure function of the parameter set and is computed
 //! lazily — benches that only need kernel schedules (TimingOnly mode) never
-//! pay for `N = 2^16` twiddle tables they don't touch.
+//! pay for `N = 2^16` twiddle tables they don't touch. Tables that depend
+//! on less than the whole parameter set live in process-wide caches
+//! ([`PlanCache`] for NTT and basis-conversion plans, [`TableCache`] for
+//! encoders and Galois maps), so contexts built and dropped over and over
+//! hold on to nothing new.
 
 use crate::encoder::Encoder;
 use crate::error::CkksError;
 use crate::params::CkksParams;
 use crate::poly::Plaintext;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 use tensorfhe_math::crt::RnsBasis;
 use tensorfhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
@@ -26,6 +30,125 @@ pub struct GaloisTables {
     /// Coefficient-domain gather: `out[t] = ±in[src]`; entry is
     /// `(src, negate)`.
     pub coeff_map: Vec<(u32, bool)>,
+}
+
+impl GaloisTables {
+    /// Builds the tables of element `g` at degree `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is even or not below `2n`.
+    #[must_use]
+    pub(crate) fn new(n: usize, g: u64) -> Self {
+        let n = n as u64;
+        let two_n = 2 * n;
+        assert!(
+            g % 2 == 1 && g < two_n,
+            "galois element must be odd and < 2N"
+        );
+
+        // NTT-domain permutation: out[t] = in[π(t)], π(t) = (g(2t+1) mod 2N - 1)/2.
+        let mut ntt_perm = Vec::with_capacity(n as usize);
+        for t in 0..n {
+            let x = (g as u128 * (2 * t + 1) as u128 % two_n as u128) as u64;
+            ntt_perm.push(((x - 1) / 2) as u32);
+        }
+
+        // Coefficient-domain gather with sign: source k maps to k·g mod 2N.
+        let mut coeff_map = vec![(0u32, false); n as usize];
+        for k in 0..n {
+            let idx = (k as u128 * g as u128 % two_n as u128) as u64;
+            if idx < n {
+                coeff_map[idx as usize] = (k as u32, false);
+            } else {
+                coeff_map[(idx - n) as usize] = (k as u32, true);
+            }
+        }
+
+        Self {
+            g,
+            ntt_perm,
+            coeff_map,
+        }
+    }
+}
+
+/// Process-wide cache of the tables that depend on the ring degree alone:
+/// one [`Encoder`] per `N` and one [`GaloisTables`] per `(N, g)`.
+///
+/// The companion of [`PlanCache`]: every [`CkksContext`] of a degree shares
+/// these, whatever its primes or NTT formulation, so a context costs no
+/// encoder or Galois memory of its own. Thread-safe; tables are handed out
+/// as [`Arc`]s and built on first use.
+#[derive(Debug, Default)]
+pub struct TableCache {
+    encoders: Mutex<BTreeMap<usize, Arc<Encoder>>>,
+    galois: Mutex<BTreeMap<(usize, u64), Arc<GaloisTables>>>,
+}
+
+impl TableCache {
+    /// Creates an empty cache (prefer [`TableCache::global`]).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The process-wide cache instance.
+    #[must_use]
+    pub fn global() -> &'static TableCache {
+        static GLOBAL: OnceLock<TableCache> = OnceLock::new();
+        GLOBAL.get_or_init(TableCache::new)
+    }
+
+    /// The shared encoder for degree `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Encoder::new`].
+    #[must_use]
+    pub fn encoder(&self, n: usize) -> Arc<Encoder> {
+        shared(&self.encoders, n, || Encoder::new(n))
+    }
+
+    /// The shared Galois tables of element `g` at degree `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is even or not below `2n`.
+    #[must_use]
+    pub fn galois(&self, n: usize, g: u64) -> Arc<GaloisTables> {
+        shared(&self.galois, (n, g), || GaloisTables::new(n, g))
+    }
+
+    /// Number of cached encoders (Galois tables are counted by
+    /// [`TableCache::galois_len`]).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.encoders.lock().expect("table cache poisoned").len()
+    }
+
+    /// Number of cached Galois tables.
+    #[must_use]
+    pub fn galois_len(&self) -> usize {
+        self.galois.lock().expect("table cache poisoned").len()
+    }
+
+    /// Whether the cache holds no tables of either kind.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0 && self.galois_len() == 0
+    }
+}
+
+/// The entry for `key`, built on first use. Both kinds are cheap `O(N)`
+/// builds, so unlike [`PlanCache`] this holds the lock through one.
+fn shared<K: Ord, V>(
+    map: &Mutex<BTreeMap<K, Arc<V>>>,
+    key: K,
+    build: impl FnOnce() -> V,
+) -> Arc<V> {
+    let mut map = map.lock().expect("table cache poisoned");
+    Arc::clone(map.entry(key).or_insert_with(|| Arc::new(build())))
 }
 
 /// Basis-extension tables for one key-switching digit at one level.
@@ -75,6 +198,18 @@ pub struct ModDownTable {
 /// caches are lazily filled, deterministic, and thread-safe (`Mutex` /
 /// `OnceLock` / `Arc`), so a context is `Send + Sync` and can back
 /// parallel per-device executor workers without cloning its tables.
+///
+/// Which tables are whose:
+///
+/// * **Process-wide**, fetched on first use and held as [`Arc`]s: the NTT
+///   plans and the basis-conversion matrices ([`PlanCache`], keyed on
+///   `(N, q, algorithm)` and on the prime lists), the [`Encoder`]
+///   ([`TableCache`], keyed on `N`) and the [`GaloisTables`]
+///   ([`TableCache`], keyed on `(N, g)`).
+/// * **Per context**: the prime chain and its [`Modulus`] handles, the
+///   rescale constants, the per-level [`RnsBasis`] and the ModUp / ModDown
+///   entries, which own only their index ranges and `P^{-1} mod q_i` and
+///   borrow the conversion matrices from [`PlanCache`].
 #[derive(Debug)]
 pub struct CkksContext {
     params: CkksParams,
@@ -85,11 +220,10 @@ pub struct CkksContext {
     p_mods: Vec<Modulus>,
     ntt_q: Vec<OnceLock<Arc<BatchedGemmNtt>>>,
     ntt_p: Vec<OnceLock<Arc<BatchedGemmNtt>>>,
-    encoder: OnceLock<Encoder>,
+    encoder: OnceLock<Arc<Encoder>>,
     rns_per_level: Vec<OnceLock<RnsBasis>>,
     modup: Mutex<HashMap<(usize, usize), Arc<ModUpTable>>>, // lint: ordered-ok (keyed get/insert only)
     moddown: Mutex<HashMap<usize, Arc<ModDownTable>>>, // lint: ordered-ok (keyed get/insert only)
-    galois: Mutex<HashMap<u64, Arc<GaloisTables>>>,    // lint: ordered-ok (keyed get/insert only)
     /// `rescale_inv[l][j] = q_l^{-1} mod q_j` for `j < l`.
     rescale_inv: Vec<Vec<u64>>,
 }
@@ -173,7 +307,6 @@ impl CkksContext {
             rns_per_level: (0..l1).map(|_| OnceLock::new()).collect(),
             modup: Mutex::new(HashMap::new()),
             moddown: Mutex::new(HashMap::new()),
-            galois: Mutex::new(HashMap::new()),
             q_primes,
             p_primes,
             q_mods,
@@ -330,63 +463,30 @@ impl CkksContext {
         2 * self.params.n() as u64 - 1
     }
 
-    /// Galois tables for element `g` (built on first use).
+    /// Galois tables for element `g`, shared through [`TableCache`] by
+    /// every context of this degree.
     ///
     /// # Panics
     ///
     /// Panics if `g` is even or out of range.
     #[must_use]
     pub fn galois_tables(&self, g: u64) -> Arc<GaloisTables> {
-        if let Some(t) = self.galois.lock().expect("galois cache").get(&g) {
-            return Arc::clone(t);
-        }
-        let n = self.params.n() as u64;
-        let two_n = 2 * n;
-        assert!(
-            g % 2 == 1 && g < two_n,
-            "galois element must be odd and < 2N"
-        );
-
-        // NTT-domain permutation: out[t] = in[π(t)], π(t) = (g(2t+1) mod 2N - 1)/2.
-        let mut ntt_perm = Vec::with_capacity(n as usize);
-        for t in 0..n {
-            let x = (g as u128 * (2 * t + 1) as u128 % two_n as u128) as u64;
-            ntt_perm.push(((x - 1) / 2) as u32);
-        }
-
-        // Coefficient-domain gather with sign: source k maps to k·g mod 2N.
-        let mut coeff_map = vec![(0u32, false); n as usize];
-        for k in 0..n {
-            let idx = (k as u128 * g as u128 % two_n as u128) as u64;
-            if idx < n {
-                coeff_map[idx as usize] = (k as u32, false);
-            } else {
-                coeff_map[(idx - n) as usize] = (k as u32, true);
-            }
-        }
-
-        let t = Arc::new(GaloisTables {
-            g,
-            ntt_perm,
-            coeff_map,
-        });
-        self.galois
-            .lock()
-            .expect("galois cache")
-            .insert(g, Arc::clone(&t));
-        t
+        TableCache::global().galois(self.params.n(), g)
     }
 
-    fn encoder(&self) -> &Encoder {
-        self.encoder.get_or_init(|| Encoder::new(self.params.n()))
+    /// The encoder of this degree, shared through [`TableCache`] by every
+    /// context of the degree.
+    #[must_use]
+    pub fn encoder(&self) -> &Arc<Encoder> {
+        self.encoder
+            .get_or_init(|| TableCache::global().encoder(self.params.n()))
     }
 
     /// Encodes complex values into a plaintext at the top level.
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::TooManySlots`] if more than `N/2` values are
-    /// given.
+    /// As [`CkksContext::encode_at`].
     pub fn encode(&self, values: &[Complex64], scale: f64) -> Result<Plaintext, CkksError> {
         self.encode_at(values, scale, self.params.max_level())
     }
@@ -396,7 +496,9 @@ impl CkksContext {
     /// # Errors
     ///
     /// Returns [`CkksError::TooManySlots`] if more than `N/2` values are
-    /// given.
+    /// given, and [`CkksError::Unencodable`] if a value is not finite or a
+    /// rounded coefficient `c` has `|c| ≥ min(2^126, Q_l/2)`, `Q_l` the
+    /// product of the level's primes.
     pub fn encode_at(
         &self,
         values: &[Complex64],
@@ -404,6 +506,19 @@ impl CkksContext {
         level: usize,
     ) -> Result<Plaintext, CkksError> {
         let coeffs = self.encoder().encode(values, scale)?;
+        // The encoder already holds |c| below 2^126; a Q_l past u128 is
+        // wider than that.
+        let q_l = self.q_primes[..=level]
+            .iter()
+            .try_fold(1u128, |q, &p| q.checked_mul(u128::from(p)));
+        if let Some(half) = q_l.map(|q| q / 2) {
+            if let Some(k) = coeffs.iter().position(|c| c.unsigned_abs() > half) {
+                return Err(CkksError::Unencodable(format!(
+                    "coefficient {k} = {} is outside ±Q_{level}/2",
+                    coeffs[k]
+                )));
+            }
+        }
         let mut poly = crate::poly::RnsPoly::from_i128_coeffs(self, &coeffs, level);
         poly.ntt_forward(self);
         Ok(Plaintext { poly, scale })
@@ -489,6 +604,18 @@ mod tests {
     }
 
     #[test]
+    fn table_cache_keys_on_degree_and_element() {
+        let cache = TableCache::new();
+        assert!(cache.is_empty());
+        assert!(Arc::ptr_eq(&cache.encoder(64), &cache.encoder(64)));
+        assert!(!Arc::ptr_eq(&cache.encoder(64), &cache.encoder(128)));
+        assert!(Arc::ptr_eq(&cache.galois(64, 5), &cache.galois(64, 5)));
+        assert!(!Arc::ptr_eq(&cache.galois(64, 5), &cache.galois(64, 25)));
+        assert!(!Arc::ptr_eq(&cache.galois(64, 5), &cache.galois(128, 5)));
+        assert_eq!((cache.len(), cache.galois_len()), (2, 3));
+    }
+
+    #[test]
     fn modup_table_shapes() {
         let c = ctx();
         // test_small: L=7, dnum=4 → α=2. Digit 1 at level 7 covers limbs 2..4.
@@ -534,6 +661,7 @@ mod tests {
         assert_send_sync::<ModUpTable>();
         assert_send_sync::<ModDownTable>();
         assert_send_sync::<GaloisTables>();
+        assert_send_sync::<TableCache>();
     }
 
     #[test]
@@ -543,6 +671,52 @@ mod tests {
         assert!(matches!(
             c.encode(&too_many, c.params().scale()),
             Err(CkksError::TooManySlots { .. })
+        ));
+    }
+
+    #[test]
+    fn encode_at_refuses_non_finite_values() {
+        let c = ctx();
+        let scale = c.params().scale();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let vals = [Complex64::one(), Complex64::new(bad, 0.0)];
+            for level in [0, c.params().max_level()] {
+                assert!(matches!(
+                    c.encode_at(&vals, scale, level),
+                    Err(CkksError::Unencodable(_))
+                ));
+            }
+            // A non-finite scale makes every coefficient non-finite.
+            assert!(matches!(
+                c.encode_at(&[Complex64::one()], bad, 0),
+                Err(CkksError::Unencodable(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn encode_at_refuses_coefficients_past_half_the_level_modulus() {
+        let c = ctx();
+        let scale = c.params().scale();
+        // A constant in every slot encodes to the constant coefficient Δ·v.
+        let constant = |v: f64| vec![Complex64::new(v, 0.0); c.params().slots()];
+        // Level 0: Q_0/2 ≈ 2^27 against Δ = 2^26.
+        assert!(c.encode_at(&constant(1.0), scale, 0).is_ok());
+        assert!(matches!(
+            c.encode_at(&constant(4.0), scale, 0),
+            Err(CkksError::Unencodable(_))
+        ));
+        // Level 3: Q_3 ≈ 2^112 still fits u128 and bounds the coefficient.
+        let big = constant(94f64.exp2());
+        assert!(matches!(
+            c.encode_at(&big, scale, 3),
+            Err(CkksError::Unencodable(_))
+        ));
+        // Top level: Q_7 ≈ 2^224, so 2^120 fits and 2^126 is the bound.
+        assert!(c.encode_at(&big, scale, 7).is_ok());
+        assert!(matches!(
+            c.encode_at(&constant(100f64.exp2()), scale, 7),
+            Err(CkksError::Unencodable(_))
         ));
     }
 }

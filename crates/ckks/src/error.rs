@@ -21,6 +21,9 @@ pub enum CkksError {
     Mismatch(String),
     /// A rotation key for the requested step is missing.
     MissingRotationKey(i64),
+    /// A slot value is not finite, or a scaled coefficient does not fit the
+    /// centred range of the target level's modulus (nor `±2^126`).
+    Unencodable(String),
 }
 
 impl fmt::Display for CkksError {
@@ -35,6 +38,7 @@ impl fmt::Display for CkksError {
             CkksError::MissingRotationKey(r) => {
                 write!(f, "no rotation key generated for step {r}")
             }
+            CkksError::Unencodable(msg) => write!(f, "cannot encode: {msg}"),
         }
     }
 }

@@ -12,7 +12,8 @@
 //!   presets) and the pre-computed context (moduli chains, NTT tables,
 //!   basis-conversion caches, Galois permutations).
 //! * [`poly`] — RNS polynomials with explicit coefficient/NTT domains.
-//! * [`encoder`] — canonical-embedding encoding of complex vectors.
+//! * [`encoder`] — canonical-embedding encoding of complex vectors, by the
+//!   `O(N log N)` special FFT.
 //! * [`keys`] / [`encrypt`] — key generation (secret, public, relinearisation
 //!   and rotation keys in the hybrid gadget) and RLWE encryption.
 //! * [`keyswitch`] — `Dcomp` → `ModUp` → inner product → `ModDown`
