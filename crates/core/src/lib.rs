@@ -90,13 +90,13 @@
 //!    work whose budget expires before any instance runs is *shed* at
 //!    fill time ([`service::RequestStatus::Shed`]). Anonymous traffic is
 //!    never admission-controlled.
-//! 3. **Fair pick**: with sessions registered, each batch slot goes to a
-//!    bucket chosen by deficit round robin (quantum ∝
-//!    [`session::SessionConfig::weight`]) — unless a deadline session's
+//! 3. **Fair pick**: each batch slot goes to a bucket chosen by deficit
+//!    round robin (quantum ∝ [`session::SessionConfig::weight`]; the
+//!    anonymous traffic is bucket 0) — unless a deadline session's
 //!    slack has dropped below a quarter of its budget, in which case the
 //!    earliest-slack session pre-empts the round and may ship a
-//!    partially-filled, same-session-only batch. With no sessions the
-//!    pre-session FIFO walk runs verbatim (bit-identical results).
+//!    partially-filled, same-session-only batch. With no sessions bucket 0
+//!    is the only one and the walk is plain FIFO coalescing.
 //! 4. **Coalesce**: the [`sched::Scheduler`]'s planning walk folds
 //!    compatible requests (same op, same level) into VRAM-feasible
 //!    [`exec::ExecBatch`]es up to `auto_batch × devices` — exactly the
@@ -146,8 +146,9 @@
 //!    [`service::ServiceStats::head_blocked_us`] report what the
 //!    scoreboard did; deadline sessions are refused while out-of-order
 //!    work is in flight (their urgency clock reads settle time), and a
-//!    service with deadline sessions registered falls back to the
-//!    in-order fill verbatim.
+//!    service with deadline sessions registered falls back to in-order
+//!    admission. Both modes run the same planning walk and settle through
+//!    the same reorder buffer; in-order, a joined batch leaves it at once.
 //! 6. **Executor**: every batch crosses the [`exec::Executor`] seam —
 //!    `submit(batch) → ExecHandle`, `join`/`try_join``(handle) →
 //!    BatchResult`, any number of batches outstanding, FIFO per device —

@@ -7,22 +7,26 @@
 //! incompatible `(op, level)` groups. This module owns everything between
 //! the request queue and the [`crate::exec::Executor`] seam:
 //!
-//! * **Planning** ([`Scheduler::plan`]) — the FIFO coalescing walk that used
-//!   to live inline in `drain`: the first request with work defines the
-//!   batch's `(op, level)` group, and compatible instances are taken from
-//!   every matching request in submission order up to the cap.
+//! * **Planning** ([`Scheduler::plan`]) — the coalescing walk: the first
+//!   slot the service offers defines the batch's `(op, level)` group, and
+//!   compatible instances are taken from every matching slot, in the order
+//!   offered, up to the cap.
 //! * **The in-flight window** ([`Scheduler::admit`]) — up to `depth`
 //!   submitted-but-unjoined batches. A planned batch is admitted only if it
 //!   is *independent* of every batch already in flight: no two in-flight
 //!   batches may contain requests from the same client stream at the same
 //!   ciphertext level, so chained operations on one working set always
-//!   observe program order. A dependent plan reports [`Plan::Blocked`] and
-//!   the window drains until its keys are released.
-//! * **Deterministic joins** ([`Scheduler::complete_next`]) — handles are
-//!   joined in submission order whatever order the backend finishes them
-//!   in, so per-request attribution, reports and [`ServiceStats`] are
-//!   **bit-identical at every depth**: pipelining changes when device work
-//!   overlaps, never what a request is charged. (`try_join` harvesting via
+//!   observe program order. [`Scheduler::blocks`] reports a dependent plan,
+//!   and the window drains until its keys are released.
+//! * **Deterministic settles** ([`Scheduler::join_next`] /
+//!   [`Scheduler::drain_settleable`]) — handles are joined in admission
+//!   order whatever order the backend finishes them in, and every joined
+//!   batch passes through a reorder buffer that releases batches in
+//!   *serial plan order* (under in-order admission that is admission
+//!   order, so a joined batch leaves at once). Per-request attribution,
+//!   reports and [`ServiceStats`] are therefore **bit-identical at every
+//!   depth**: pipelining changes when device work overlaps, never what a
+//!   request is charged. (`try_join` harvesting via
 //!   [`Scheduler::harvest`] only moves completed results into the window
 //!   buffer early; consumption order is unchanged.)
 //! * **The overlap clock** — per-device virtual FIFO queues that account
@@ -70,14 +74,13 @@
 //!   forced through next and no plan's `bypassed` ever exceeds the bound.
 //!   (Key-*blocked* plans don't age: they are not being skipped unfairly,
 //!   they are waiting on program order.)
-//! * **Submission-ordered settles** ([`Scheduler::join_next`] /
-//!   [`Scheduler::drain_settleable`]) — joins still pop the window front
-//!   (admission order), but finished batches park in a reorder buffer and
-//!   settle strictly in *serial plan order*. Attribution, reports and
-//!   [`ServiceStats`] therefore fold in exactly the in-order sequence and
-//!   stay **bit-identical to in-order mode at every depth and worker
-//!   count** — reordering changes when device work overlaps, never what a
-//!   request is charged.
+//! * **Serial-ordered settles** — joins still pop the window front
+//!   (admission order), and a batch admitted early parks in the reorder
+//!   buffer until every batch planned before it has settled. Attribution,
+//!   reports and [`ServiceStats`] therefore fold in exactly the in-order
+//!   sequence and stay **bit-identical to in-order mode at every depth and
+//!   worker count** — reordering changes when device work overlaps, never
+//!   what a request is charged.
 //!
 //! The *request-accounting* clock (queue latency, `busy_us`, ops/s) is
 //! deliberately left on the serial reference semantics so reports and
@@ -234,7 +237,7 @@ impl SchedPolicy {
 }
 
 /// Planning view of one queue slot: what the scheduler needs to know about
-/// a pending request (tombstones appear as `None` at the call site).
+/// a pending request.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotView<'a> {
     /// The requested operation.
@@ -278,14 +281,6 @@ pub struct BatchPlan {
     /// Independence keys — the `(client, level)` pairs of every
     /// contributing request.
     keys: BTreeSet<(Arc<str>, usize)>,
-}
-
-impl BatchPlan {
-    /// The `(client, level)` independence keys of every contributing
-    /// request, in key order. Exposed for the schedule verifier.
-    pub fn independence_keys(&self) -> impl Iterator<Item = &(Arc<str>, usize)> {
-        self.keys.iter()
-    }
 }
 
 /// The structural trace of one batch through the window and the overlap
@@ -439,19 +434,6 @@ pub struct SettledTotals {
     pub ops_completed: usize,
 }
 
-/// Outcome of one planning walk.
-#[derive(Debug)]
-pub enum Plan {
-    /// The next serial batch, independent of everything in flight.
-    Batch(BatchPlan),
-    /// The next serial batch exists but shares a `(client, level)` stream
-    /// with an in-flight batch; the window must drain before it may start
-    /// (program order within a client stream).
-    Blocked,
-    /// No request has instances left to plan.
-    Empty,
-}
-
 /// How an admitted batch is backed: a deterministic result the dispatch
 /// cache already knew, or a live submission to the executor.
 #[derive(Debug)]
@@ -481,7 +463,7 @@ struct InFlight {
     plan: BatchPlan,
     work: Work,
     /// Result harvested early by a non-blocking [`Executor::try_join`];
-    /// consumed (in submission order) by [`Scheduler::complete_next`].
+    /// consumed (in admission order) by [`Scheduler::join_next`].
     ready: Option<BatchResult>,
     /// The join frontier at admission: completion time of the newest batch
     /// joined before this one entered the window.
@@ -508,8 +490,9 @@ struct PendingPlan {
     bypassed: usize,
 }
 
-/// The in-flight window plus the overlap clock (and, in out-of-order
-/// mode, the pending scoreboard and the serial reorder buffer).
+/// The in-flight window, the overlap clock, the serial reorder buffer
+/// every joined batch settles through, and (in out-of-order mode) the
+/// pending scoreboard.
 ///
 /// See the [module docs](self) for the scheduling model. The scheduler is
 /// deliberately queue-agnostic: the service feeds it [`SlotView`]s and
@@ -580,25 +563,8 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Creates an in-order scheduler with the given window depth over
-    /// `devices` virtual device queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero depth or device count (the service builder
-    /// validates both and returns a typed error first).
-    #[must_use]
-    pub fn new(depth: usize, devices: usize) -> Self {
-        Self::with_policy(
-            depth,
-            devices,
-            AdmissionMode::InOrder,
-            DEFAULT_LOOKAHEAD,
-            DEFAULT_AGING_BOUND,
-        )
-    }
-
-    /// Creates a scheduler with an explicit admission policy.
+    /// Creates a scheduler with the given window depth over `devices`
+    /// virtual device queues and an explicit admission policy.
     ///
     /// # Panics
     ///
@@ -667,7 +633,7 @@ impl Scheduler {
     /// only kind of point a trace fold may cut at.
     #[must_use]
     pub fn quiescent(&self) -> bool {
-        self.window.is_empty() && self.scoreboard_idle()
+        self.window.is_empty() && self.pending.is_empty() && self.rob.is_empty()
     }
 
     /// Rotates the trace generations if this is a quiescent point and at
@@ -749,14 +715,6 @@ impl Scheduler {
         self.pending.len()
     }
 
-    /// Whether the scoreboard holds no speculative state: no frozen
-    /// pending plans and no joined-but-unsettled batches. In-order
-    /// schedulers are always idle.
-    #[must_use]
-    pub fn scoreboard_idle(&self) -> bool {
-        self.pending.is_empty() && self.rob.is_empty()
-    }
-
     /// Whether another batch may be admitted.
     #[must_use]
     pub fn has_room(&self) -> bool {
@@ -804,20 +762,25 @@ impl Scheduler {
             + self.rob.values().map(|f| f.plan.width).sum::<usize>()
     }
 
-    /// The serial FIFO coalescing walk shared by every admission mode:
-    /// the first slot with instances left defines the `(op, level)`
-    /// group, then every matching slot contributes in submission order up
-    /// to `cap` instances.
-    fn plan_walk<'a, I>(cap: usize, slots: I) -> Option<BatchPlan>
+    /// The serial coalescing walk shared by every admission mode: the
+    /// first slot with instances left defines the `(op, level)` group,
+    /// then every matching slot contributes, in the order `slots` yields
+    /// them, up to `cap` instances. `slots` yields `(queue index, slot)`
+    /// pairs; fully-reserved slots (`remaining == 0`) are skipped. `None`
+    /// when no slot has instances left.
+    ///
+    /// Planning never mutates and never looks at the window: the service
+    /// applies the reservation itself, and asks [`Scheduler::blocks`]
+    /// before an in-order admission.
+    pub fn plan<'a, I>(cap: usize, slots: I) -> Option<BatchPlan>
     where
-        I: IntoIterator<Item = (usize, Option<SlotView<'a>>)>,
+        I: IntoIterator<Item = (usize, SlotView<'a>)>,
     {
         let mut group: Option<(FheOp, usize)> = None;
         let mut width = 0usize;
         let mut takes: Vec<(usize, usize)> = Vec::new();
         let mut keys: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
-        for (i, slot) in slots {
-            let Some(s) = slot else { continue };
+        for (i, s) in slots {
             if s.remaining == 0 {
                 continue;
             }
@@ -847,42 +810,13 @@ impl Scheduler {
         })
     }
 
-    /// The FIFO coalescing walk over the queue (the serial `drain`'s exact
-    /// batch-formation rule): the first slot with instances left defines
-    /// the `(op, level)` group, then every matching slot contributes in
-    /// submission order up to `cap` instances. The planned batch is then
-    /// checked against the in-flight independence keys.
-    ///
-    /// `slots` yields `(queue index, slot)` pairs; tombstones and
-    /// fully-reserved requests pass `None` / `remaining == 0` and are
-    /// skipped. Planning never mutates — the service applies the
-    /// reservation itself when it admits the plan.
-    pub fn plan<'a, I>(&self, cap: usize, slots: I) -> Plan
-    where
-        I: IntoIterator<Item = (usize, Option<SlotView<'a>>)>,
-    {
-        match Self::plan_walk(cap, slots) {
-            None => Plan::Empty,
-            Some(p) => {
-                if p.keys.iter().any(|k| self.keys.contains(k)) {
-                    Plan::Blocked
-                } else {
-                    Plan::Batch(p)
-                }
-            }
-        }
-    }
-
-    /// The same serial coalescing walk as [`Scheduler::plan`] but without
-    /// the in-flight independence check: out-of-order freezing wants the
-    /// next serial plan whether or not its keys are currently busy — the
-    /// scoreboard enforces independence at *admission* instead. Returns
-    /// `None` when no request has instances left.
-    pub fn plan_unchecked<'a, I>(&self, cap: usize, slots: I) -> Option<BatchPlan>
-    where
-        I: IntoIterator<Item = (usize, Option<SlotView<'a>>)>,
-    {
-        Self::plan_walk(cap, slots)
+    /// Whether `plan` shares a `(client, level)` stream with an in-flight
+    /// batch: such a plan may not start until the window drains past it
+    /// (program order within a client stream). Out-of-order freezing plans
+    /// regardless; the scoreboard applies the same check at admission.
+    #[must_use]
+    pub fn blocks(&self, plan: &BatchPlan) -> bool {
+        plan.keys.iter().any(|k| self.keys.contains(k))
     }
 
     /// Freezes the next serial plan into the scoreboard. The caller must
@@ -912,7 +846,7 @@ impl Scheduler {
     /// program-order guard).
     fn keys_eligible(&self, idx: usize) -> bool {
         let p = &self.pending[idx];
-        if p.plan.keys.iter().any(|k| self.keys.contains(k)) {
+        if self.blocks(&p.plan) {
             return false;
         }
         self.pending
@@ -1138,11 +1072,16 @@ impl Scheduler {
     }
 
     /// Joins the *oldest* in-flight batch (blocking if it is still
-    /// executing), releases its independence keys, and advances the
-    /// overlap clock. Returns the batch's serial index alongside the
-    /// finished work; `None` when nothing is in flight.
-    fn join_front(&mut self, exec: &mut dyn Executor) -> Option<(usize, Finished)> {
-        let mut inflight = self.window.pop_front()?;
+    /// executing), releases its independence keys, advances the overlap
+    /// clock, and parks the finished work in the reorder buffer under its
+    /// serial index. Returns `false` when nothing was in flight. Settleable
+    /// batches are then drained in serial order by
+    /// [`Scheduler::drain_settleable`]; under in-order admission the
+    /// joined batch is always the next one.
+    pub fn join_next(&mut self, exec: &mut dyn Executor) -> bool {
+        let Some(mut inflight) = self.window.pop_front() else {
+            return false;
+        };
         let (result, executed) = match (inflight.ready.take(), inflight.work) {
             (Some(r), _) => (r, true),
             (None, Work::Cached(r)) => (r, false),
@@ -1170,48 +1109,19 @@ impl Scheduler {
             self.last_group = None;
         }
         self.trace.push(record);
-        Some((
-            serial_seq,
-            Finished {
-                plan: inflight.plan,
-                result,
-                executed,
-            },
-        ))
-    }
-
-    /// Joins the oldest in-flight batch and hands it straight back for
-    /// attribution (in-order settlement: admission order *is* serial
-    /// order). Returns `None` when nothing is in flight.
-    pub fn complete_next(&mut self, exec: &mut dyn Executor) -> Option<Finished> {
-        debug_assert!(
-            self.scoreboard_idle(),
-            "in-order settle with live scoreboard state"
-        );
-        let (serial_seq, fin) = self.join_front(exec)?;
-        debug_assert_eq!(serial_seq, self.settled_count, "in-order settle reordered");
-        self.settled_count += 1;
-        Some(fin)
-    }
-
-    /// Joins the oldest in-flight batch into the reorder buffer
-    /// (out-of-order settlement). Returns `false` when nothing was in
-    /// flight. Settleable batches are then drained in serial order by
-    /// [`Scheduler::drain_settleable`].
-    pub fn join_next(&mut self, exec: &mut dyn Executor) -> bool {
-        match self.join_front(exec) {
-            Some((serial_seq, fin)) => {
-                let prev = self.rob.insert(serial_seq, fin);
-                debug_assert!(prev.is_none(), "duplicate serial index in reorder buffer");
-                true
-            }
-            None => false,
-        }
+        let fin = Finished {
+            plan: inflight.plan,
+            result,
+            executed,
+        };
+        let prev = self.rob.insert(serial_seq, fin);
+        debug_assert!(prev.is_none(), "duplicate serial index in reorder buffer");
+        true
     }
 
     /// Pops every reorder-buffer batch that is next in *serial* order.
     /// Settling strictly serially is what keeps attribution folds — and
-    /// therefore reports and stats — bit-identical to in-order mode.
+    /// therefore reports and stats — bit-identical across admission modes.
     pub fn drain_settleable(&mut self) -> Vec<Finished> {
         let mut out = Vec::new();
         while let Some(fin) = self.rob.remove(&self.settled_count) {
@@ -1293,14 +1203,14 @@ mod tests {
 
     /// Test shorthand: leaks a tiny `Arc<str>` per call so literals can be
     /// passed where production code hands out `&Pending.client_key`.
-    fn view(op: FheOp, level: usize, remaining: usize, client: &str) -> Option<SlotView<'static>> {
+    fn view(op: FheOp, level: usize, remaining: usize, client: &str) -> SlotView<'static> {
         let key: &'static Arc<str> = Box::leak(Box::new(Arc::from(client)));
-        Some(SlotView {
+        SlotView {
             op,
             level,
             remaining,
             client: key,
-        })
+        }
     }
 
     fn result(per_device_us: Vec<f64>) -> BatchResult {
@@ -1323,35 +1233,52 @@ mod tests {
     }
 
     fn sched(depth: usize, devices: usize) -> Scheduler {
-        Scheduler::new(depth, devices)
+        Scheduler::with_policy(
+            depth,
+            devices,
+            AdmissionMode::InOrder,
+            DEFAULT_LOOKAHEAD,
+            DEFAULT_AGING_BOUND,
+        )
     }
 
     fn ooo(depth: usize, devices: usize, lookahead: usize, aging: usize) -> Scheduler {
         Scheduler::with_policy(depth, devices, AdmissionMode::OutOfOrder, lookahead, aging)
     }
 
-    /// Plans the single-slot batch `(op, level, n, client)` without the
+    /// Plans the single-slot batch `(op, level, 1, client)` at queue index
+    /// `i`, asserting it is independent of everything in flight.
+    fn plan_one(s: &Scheduler, i: usize, op: FheOp, level: usize, client: &str) -> BatchPlan {
+        let p = Scheduler::plan(4, [(i, view(op, level, 1, client))]).expect("planned");
+        assert!(!s.blocks(&p), "expected an independent batch");
+        p
+    }
+
+    /// Plans the single-slot batch `(op, level, 1, client)` without the
     /// in-flight key check and freezes it.
     fn freeze_one(s: &mut Scheduler, i: usize, op: FheOp, level: usize, client: &str) {
-        let p = s
-            .plan_unchecked(4, vec![(i, view(op, level, 1, client))])
-            .expect("planned");
+        let p = Scheduler::plan(4, [(i, view(op, level, 1, client))]).expect("planned");
         s.freeze(p);
+    }
+
+    /// Joins the oldest in-flight batch and settles it: under in-order
+    /// admission it leaves the reorder buffer at once.
+    fn settle_next(s: &mut Scheduler, exec: &mut Pool) -> Finished {
+        assert!(s.join_next(exec), "nothing in flight");
+        let mut settled = s.drain_settleable();
+        assert_eq!(settled.len(), 1, "an in-order join settles at once");
+        settled.pop().expect("one settled")
     }
 
     #[test]
     fn plan_coalesces_the_head_group_fifo() {
-        let s = sched(2, 1);
         let slots = vec![
-            (0usize, None),
-            (1, view(FheOp::HMult, 3, 5, "a")),
+            (1usize, view(FheOp::HMult, 3, 5, "a")),
             (2, view(FheOp::Rescale, 3, 9, "b")),
             (3, view(FheOp::HMult, 3, 4, "c")),
             (4, view(FheOp::HMult, 2, 8, "a")),
         ];
-        let Plan::Batch(p) = s.plan(8, slots) else {
-            panic!("expected a batch");
-        };
+        let p = Scheduler::plan(8, slots).expect("a batch");
         assert_eq!(p.op, FheOp::HMult);
         assert_eq!(p.level, 3);
         assert_eq!(p.width, 8);
@@ -1360,51 +1287,43 @@ mod tests {
 
     #[test]
     fn plan_skips_fully_reserved_slots_and_reports_empty() {
-        let s = sched(2, 1);
-        let slots = vec![(0usize, view(FheOp::HAdd, 1, 0, "a")), (1, None)];
-        assert!(matches!(s.plan(4, slots), Plan::Empty));
+        let slots = [(0usize, view(FheOp::HAdd, 1, 0, "a"))];
+        assert!(Scheduler::plan(4, slots).is_none());
     }
 
     #[test]
     fn dependent_plans_block_until_keys_release() {
         let mut s = sched(4, 2);
-        let first = {
-            let Plan::Batch(p) = s.plan(4, vec![(0usize, view(FheOp::HMult, 3, 4, "a"))]) else {
-                panic!("expected a batch");
-            };
-            p
-        };
+        let first = Scheduler::plan(4, [(0usize, view(FheOp::HMult, 3, 4, "a"))]).expect("a batch");
         s.admit(first, Work::Cached(result(vec![1.0, 1.0])));
 
         // Same client, same level, different op: program order applies.
-        let chained = vec![(1usize, view(FheOp::HAdd, 3, 2, "a"))];
-        assert!(matches!(s.plan(4, chained.clone()), Plan::Blocked));
+        let chained = [(1usize, view(FheOp::HAdd, 3, 2, "a"))];
+        assert!(s.blocks(&Scheduler::plan(4, chained).expect("a batch")));
         // Same client at another level, or another client at the same
         // level: independent.
         for slots in [
-            vec![(1usize, view(FheOp::HAdd, 2, 2, "a"))],
-            vec![(1usize, view(FheOp::HAdd, 3, 2, "b"))],
+            [(1usize, view(FheOp::HAdd, 2, 2, "a"))],
+            [(1usize, view(FheOp::HAdd, 3, 2, "b"))],
         ] {
             assert!(
-                matches!(s.plan(4, slots), Plan::Batch(_)),
+                !s.blocks(&Scheduler::plan(4, slots).expect("a batch")),
                 "independent stream must not block"
             );
         }
 
         // Joining the holder releases the key.
         let mut exec = sim_pool(2);
-        let fin = s.complete_next(&mut exec).expect("one in flight");
+        let fin = settle_next(&mut s, &mut exec);
         assert!(!fin.executed, "cached work never touches the executor");
-        assert!(matches!(s.plan(4, chained), Plan::Batch(_)));
+        assert!(!s.blocks(&Scheduler::plan(4, chained).expect("a batch")));
     }
 
     #[test]
     fn window_depth_is_enforced() {
         let mut s = sched(2, 1);
         for i in 0..2 {
-            let Plan::Batch(p) = s.plan(1, vec![(i, view(FheOp::HMult, i, 1, "x"))]) else {
-                panic!("expected a batch");
-            };
+            let p = plan_one(&s, i, FheOp::HMult, i, "x");
             s.admit(p, Work::Cached(result(vec![1.0])));
         }
         assert!(!s.has_room());
@@ -1422,13 +1341,11 @@ mod tests {
         let walls = [3.5f64, 1.25, 7.0];
         let mut serial = 0.0f64;
         for (i, &w) in walls.iter().enumerate() {
-            let Plan::Batch(p) = s.plan(4, vec![(i, view(FheOp::HMult, 3, 1, "c"))]) else {
-                panic!("expected a batch");
-            };
+            let p = plan_one(&s, i, FheOp::HMult, 3, "c");
             // Ragged shards: the batch still gang-starts after the
             // previous completion because the window is one deep.
             s.admit(p, Work::Cached(result(vec![w, w / 2.0, 0.0, 0.0])));
-            let _ = s.complete_next(&mut exec).expect("in flight");
+            settle_next(&mut s, &mut exec);
             serial += w;
             assert_eq!(s.elapsed_us().to_bits(), serial.to_bits());
         }
@@ -1441,24 +1358,20 @@ mod tests {
         let mut exec = sim_pool(4);
         let mut s = sched(4, 4);
         for i in 0..4usize {
-            let Plan::Batch(p) = s.plan(4, vec![(i, view(FheOp::HMult, i, 1, "c"))]) else {
-                panic!("expected a batch");
-            };
+            let p = plan_one(&s, i, FheOp::HMult, i, "c");
             s.admit(p, Work::Cached(result(vec![10.0, 0.0, 0.0, 0.0])));
         }
         for _ in 0..4 {
-            let _ = s.complete_next(&mut exec).expect("in flight");
+            settle_next(&mut s, &mut exec);
         }
         assert_eq!(s.elapsed_us(), 10.0, "four batches share one wall");
         assert_eq!(s.inflight_hwm(), 4);
 
         // A fifth batch admitted after one join stacks behind the window
         // frontier, not at zero.
-        let Plan::Batch(p) = s.plan(4, vec![(9, view(FheOp::HMult, 9, 1, "c"))]) else {
-            panic!("expected a batch");
-        };
+        let p = plan_one(&s, 9, FheOp::HMult, 9, "c");
         s.admit(p, Work::Cached(result(vec![10.0, 0.0, 0.0, 0.0])));
-        let _ = s.complete_next(&mut exec).expect("in flight");
+        settle_next(&mut s, &mut exec);
         assert_eq!(s.elapsed_us(), 20.0, "fifth batch queues behind the window");
     }
 
@@ -1553,7 +1466,7 @@ mod tests {
         assert!(s.join_next(&mut exec));
         let rest = s.drain_settleable();
         assert_eq!(rest.len(), 2, "serial 1 unblocks 2");
-        assert!(s.scoreboard_idle());
+        assert!(s.quiescent());
         assert_eq!(
             s.trace().iter().map(|r| r.serial_seq).collect::<Vec<_>>(),
             vec![0, 2, 1],
@@ -1580,19 +1493,16 @@ mod tests {
         let mut folds = Vec::new(); // batches joined when `dropped` moved
         for pair in 0..TRACE_WINDOW + 8 {
             for half in 0..2usize {
-                let i = 2 * pair + half;
-                let Plan::Batch(p) = s.plan(1, vec![(i, view(FheOp::HMult, half, 1, "c"))]) else {
-                    panic!("expected a batch");
-                };
+                let p = plan_one(&s, 2 * pair + half, FheOp::HMult, half, "c");
                 s.admit(p, Work::Cached(result(vec![1.5, 0.0])));
             }
-            let _ = s.complete_next(&mut exec).expect("in flight");
+            settle_next(&mut s, &mut exec);
             busy += 1.5;
             // Mid-pair: one batch still in flight, so never a fold — even
             // when the young generation is long enough.
             assert!(!s.quiescent());
             s.fold_trace(|| unreachable!("folded with a batch in flight"));
-            let _ = s.complete_next(&mut exec).expect("in flight");
+            settle_next(&mut s, &mut exec);
             busy += 1.5;
             assert!(s.quiescent());
             elapsed_after.push(s.elapsed_us());

@@ -320,7 +320,6 @@ mod tests {
                 }
                 "rescale" => {
                     let prod = eval.hmult(&ct, &ct, &keys).expect("hmult");
-                    rec_reset(&mut eval);
                     let _ = eval.rescale(&prod).expect("rescale");
                 }
                 "hrotate" => {
@@ -330,16 +329,6 @@ mod tests {
             }
         }
         (params, rec.events)
-    }
-
-    /// `rescale` capture needs the recorder cleared after the setup HMULT;
-    /// swapping a fresh recorder in keeps borrows simple.
-    fn rec_reset(eval: &mut Evaluator<'_>) {
-        // Replace the tracer with a fresh recorder bound to the same
-        // lifetime; the original recorder keeps the pre-reset events, so the
-        // caller must account for them — here we simply leak the first
-        // recorder's events by never reading them.
-        let _ = eval;
     }
 
     #[test]
@@ -369,7 +358,7 @@ mod tests {
 
     #[test]
     fn rescale_schedule_matches_real_trace() {
-        // Captured trace includes the setup HMULT; strip its events.
+        // The capture records the setup HMULT first; slice its events off.
         let (params, real) = capture("rescale");
         let hmult_len = hmult_schedule(&params, params.max_level()).len();
         let real_rescale = &real[hmult_len..];

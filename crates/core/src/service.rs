@@ -11,10 +11,14 @@
 //!    handles back.
 //! 2. [`FheService::drain`] coalesces *compatible* queued requests — same
 //!    operation at the same level — into VRAM-feasible batches (the
-//!    `auto_batch` bound of §IV-E, multiplied across devices), preserving
-//!    FIFO order across client tags. Batch formation and the in-flight
-//!    window live in the [`crate::sched::Scheduler`]; `drain` is a thin
-//!    loop that fills the window and settles completed batches.
+//!    `auto_batch` bound of §IV-E, multiplied across devices). One planning
+//!    walk picks every batch: anonymous requests queue in bucket 0 of a
+//!    deficit-round-robin rotation, each registered session in a bucket of
+//!    its own. With no sessions bucket 0 is the only one, and the walk is
+//!    plain coalescing in FIFO order across client tags. The coalescing
+//!    rule and the in-flight window live in the
+//!    [`crate::sched::Scheduler`]; `drain` is a thin loop that fills the
+//!    window and settles completed batches.
 //! 3. Each batch is dispatched through the pluggable
 //!    [`crate::exec::Executor`] seam into the one [`crate::exec::Pool`]:
 //!    its workers ([`crate::sched::SchedPolicy::workers`] or the
@@ -57,7 +61,7 @@ use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::exec::{BatchResult, ExecBackend, ExecBatch, Executor, Pool};
 use crate::sched::{
-    AdmissionMode, BatchPlan, Finished, Plan, Scheduler, SettledTotals, SlotView, Work,
+    AdmissionMode, BatchPlan, Finished, Scheduler, SettledTotals, SlotView, Work,
     DEFAULT_AGING_BOUND, DEFAULT_LOOKAHEAD,
 };
 use crate::session::{
@@ -97,9 +101,10 @@ pub struct FheRequest {
     pub count: usize,
     /// Client tag (for fairness accounting and per-tenant reporting).
     pub client: String,
-    /// The registered session this request belongs to, if any. Session
-    /// requests ride the fair-share/residency pipeline; anonymous
-    /// requests (`None`) keep the plain FIFO path.
+    /// The registered session this request belongs to, if any. Each
+    /// session is its own fair-share bucket with its own resident key set;
+    /// anonymous requests (`None`) share DRR bucket 0 and never pay a key
+    /// upload.
     pub session: Option<SessionId>,
 }
 
@@ -338,9 +343,6 @@ pub struct ServiceStats {
 struct Pending {
     id: RequestId,
     req: FheRequest,
-    /// The registered session the request rides in, if any (denormalised
-    /// from `req` so the fill walk avoids re-deriving bucket indices).
-    session: Option<SessionId>,
     /// The client tag as a shared key: planning walks clone refcounts
     /// into independence keys instead of allocating strings.
     client_key: std::sync::Arc<str>,
@@ -358,6 +360,14 @@ struct Pending {
     launches: u64,
     by_kernel: std::collections::BTreeMap<tensorfhe_gpu::KernelName, f64>,
     batches: usize,
+}
+
+impl Pending {
+    /// The DRR bucket the request queues in: 0 for anonymous traffic,
+    /// `s + 1` for session `s`.
+    fn bucket(&self) -> usize {
+        self.req.session.map_or(0, |s| s.0 as usize + 1)
+    }
 }
 
 /// The batching FHE service front end.
@@ -417,7 +427,7 @@ pub struct FheService {
     sessions: Vec<ClientSession>,
     /// Per-device LRU over session key-set footprints.
     key_cache: KeyCache,
-    /// How the session fill walk orders candidate slots.
+    /// How the planning walk orders candidate slots.
     policy: CoalescePolicy,
     /// Deficit-round-robin buckets: 0 = anonymous, session `s` = `s + 1`.
     drr: DrrState,
@@ -515,7 +525,7 @@ impl FheService {
                 "global queue cap must be non-zero".into(),
             ));
         }
-        // Bucket 0 is the anonymous FIFO traffic; sessions grow from 1.
+        // Bucket 0 is the anonymous traffic; sessions grow from 1.
         let mut drr = DrrState::new();
         drr.grow();
         Ok(Self {
@@ -623,8 +633,8 @@ impl FheService {
     /// deadline. Deadline urgency and shedding read the settle clock,
     /// which under reordering would see a different (though equally
     /// valid) time at each decision point — so any deadline session
-    /// drops the service back to the verbatim in-order fill, keeping
-    /// deadline semantics exact.
+    /// drops the service back to the in-order fill, keeping deadline
+    /// semantics exact.
     fn ooo_active(&self) -> bool {
         self.sched.admission() == AdmissionMode::OutOfOrder
             && self.sessions.iter().all(|s| s.deadline_us.is_none())
@@ -632,9 +642,9 @@ impl FheService {
 
     /// Registers a client session, deriving its simulated key-set
     /// footprint (galois + relinearisation keys) from the service's
-    /// parameter set. Registration is what opts the service into the
-    /// fair-share/residency pipeline: with no sessions registered the
-    /// anonymous FIFO path runs bit-identical to the pre-session service.
+    /// parameter set. The session becomes a deficit-round-robin bucket of
+    /// its own next to bucket 0, the anonymous traffic, and its batches
+    /// place its key set on the devices they run on.
     ///
     /// # Errors
     ///
@@ -663,9 +673,7 @@ impl FheService {
             // settle clock, which reordering would skew). The switch is
             // only sound from a fully quiescent scheduler: a reordered
             // window or live scoreboard cannot be settled in-order.
-            if self.sched.admission() == AdmissionMode::OutOfOrder
-                && !(self.sched.scoreboard_idle() && self.sched.in_flight() == 0)
-            {
+            if self.sched.admission() == AdmissionMode::OutOfOrder && !self.sched.quiescent() {
                 return Err(CoreError::InvalidConfig(
                     "cannot register a deadline session while out-of-order \
                      batches are in flight; drain the service first"
@@ -860,13 +868,11 @@ impl FheService {
             self.sessions[sid.0 as usize].queued_ops += req.count;
             self.queued_session_ops += req.count;
         }
-        let session = req.session;
         let remaining = req.count;
         let client_key: std::sync::Arc<str> = req.client.as_str().into();
         self.queue.push_back(Some(Pending {
             id,
             req,
-            session,
             client_key,
             remaining,
             executing: 0,
@@ -940,119 +946,48 @@ impl FheService {
         });
     }
 
-    /// The drain step: fill the window, settle one batch. `false` once
-    /// nothing is in flight (the queue holds no plannable work). Under
-    /// out-of-order admission the joined batch may park in the reorder
-    /// buffer, so one step can settle zero requests (the settle lands on
-    /// a later step, once the serial predecessor joins) or several.
+    /// The drain step: fill the window, join the oldest batch, and settle
+    /// every batch that is now next in serial order. `false` once nothing
+    /// is in flight (the queue holds no plannable work). Under in-order
+    /// admission the joined batch settles at once; under out-of-order
+    /// admission it may park in the reorder buffer, so one step can settle
+    /// zero batches (the settle lands on a later step, once the serial
+    /// predecessor joins) or several.
     fn pump_into(&mut self, done: &mut Vec<RequestReport>) -> bool {
         self.fill_window();
-        if self.ooo_active() {
-            if !self.sched.join_next(self.executor.as_mut()) {
-                return false;
-            }
-            for fin in self.sched.drain_settleable() {
-                self.settle(fin, done);
-            }
-            true
-        } else {
-            let Some(fin) = self.sched.complete_next(self.executor.as_mut()) else {
-                return false;
-            };
-            self.settle(fin, done);
-            true
+        if !self.sched.join_next(self.executor.as_mut()) {
+            return false;
         }
+        for fin in self.sched.drain_settleable() {
+            self.settle(fin, done);
+        }
+        true
     }
 
     /// Plans and admits batches until the window is full, the next batch
     /// is blocked on an in-flight client stream, or the queue runs dry.
     /// Reservation happens at *plan* time (`remaining → executing`) so
     /// later plans — made while earlier batches are still in flight —
-    /// see exactly the queue state the serial path would. With no
-    /// registered sessions the pre-session FIFO walk runs verbatim; with
-    /// sessions the fair-share/residency walk takes over.
+    /// see exactly the queue state the serial path would.
     fn fill_window(&mut self) {
         if self.ooo_active() {
             self.fill_window_ooo();
-        } else if self.sessions.is_empty() {
-            self.fill_window_fifo();
         } else {
-            self.fill_window_sessions();
+            while self.sched.has_room() {
+                let Some((mut plan, bucket, alone)) = self.next_plan() else {
+                    break;
+                };
+                if self.sched.blocks(&plan) {
+                    break;
+                }
+                self.apply_plan(&mut plan, bucket, alone);
+                let work = self.dispatch(plan.op, plan.level, plan.width);
+                self.sched.admit(plan, work);
+            }
         }
         // Harvest whatever already finished on the host workers; purely a
         // channel-draining courtesy, never reordering settlement.
         self.sched.harvest(self.executor.as_mut());
-    }
-
-    /// The pre-session-tier FIFO fill, kept verbatim: an all-anonymous
-    /// service must stay bit-identical to the service before the session
-    /// tier existed.
-    fn fill_window_fifo(&mut self) {
-        while self.sched.has_room() {
-            self.advance_head();
-            let plan = {
-                let slots = self.queue.iter().enumerate().skip(self.head).map(|(i, s)| {
-                    (
-                        i,
-                        s.as_ref().map(|p| SlotView {
-                            op: p.req.op,
-                            level: p.req.level,
-                            remaining: p.remaining,
-                            client: &p.client_key,
-                        }),
-                    )
-                });
-                self.sched.plan(self.batch_cap, slots)
-            };
-            match plan {
-                Plan::Batch(plan) => {
-                    for &(i, take) in &plan.takes {
-                        let p = self.queue[i].as_mut().expect("take targets a live slot");
-                        p.remaining -= take;
-                        p.executing += take;
-                    }
-                    let work = self.dispatch(plan.op, plan.level, plan.width);
-                    self.sched.admit(plan, work);
-                }
-                Plan::Blocked | Plan::Empty => break,
-            }
-        }
-    }
-
-    /// The session-tier fill: shed expired deadline work, pick who goes
-    /// next — urgent deadline sessions earliest-slack-first, otherwise
-    /// deficit round robin across the anonymous bucket and every session
-    /// — order the coalescing walk by the residency policy, and charge
-    /// key-cache placement to the planned batch before admitting it.
-    fn fill_window_sessions(&mut self) {
-        while self.sched.has_room() {
-            let Some((bucket, same_session_only, order)) = self.session_pick() else {
-                break;
-            };
-            let plan = {
-                let queue = &self.queue;
-                let slots = order.iter().map(|&i| {
-                    (
-                        i,
-                        queue[i].as_ref().map(|p| SlotView {
-                            op: p.req.op,
-                            level: p.req.level,
-                            remaining: p.remaining,
-                            client: &p.client_key,
-                        }),
-                    )
-                });
-                self.sched.plan(self.batch_cap, slots)
-            };
-            match plan {
-                Plan::Batch(mut plan) => {
-                    self.apply_session_plan(&mut plan, bucket, same_session_only);
-                    let work = self.dispatch(plan.op, plan.level, plan.width);
-                    self.sched.admit(plan, work);
-                }
-                Plan::Blocked | Plan::Empty => break,
-            }
-        }
     }
 
     /// The out-of-order fill: run the *serial* planning walk speculatively
@@ -1066,14 +1001,11 @@ impl FheService {
         loop {
             let mut progressed = false;
             while self.sched.can_freeze() {
-                let froze = if self.sessions.is_empty() {
-                    self.freeze_next_fifo()
-                } else {
-                    self.freeze_next_session()
-                };
-                if !froze {
+                let Some((mut plan, bucket, alone)) = self.next_plan() else {
                     break;
-                }
+                };
+                self.apply_plan(&mut plan, bucket, alone);
+                self.sched.freeze(plan);
                 progressed = true;
             }
             while let Some((op, level, width)) = self.sched.peek_admissible() {
@@ -1087,96 +1019,77 @@ impl FheService {
         }
     }
 
-    /// Freezes the next serial FIFO plan into the scoreboard (the exact
-    /// [`FheService::fill_window_fifo`] walk, minus the in-flight key
-    /// check the scoreboard enforces at admission instead). `false` when
-    /// the queue has nothing left to plan.
-    fn freeze_next_fifo(&mut self) -> bool {
-        self.advance_head();
-        let plan = {
-            let slots = self.queue.iter().enumerate().skip(self.head).map(|(i, s)| {
-                (
-                    i,
-                    s.as_ref().map(|p| SlotView {
-                        op: p.req.op,
-                        level: p.req.level,
-                        remaining: p.remaining,
-                        client: &p.client_key,
-                    }),
-                )
-            });
-            self.sched.plan_unchecked(self.batch_cap, slots)
-        };
-        match plan {
-            Some(plan) => {
-                for &(i, take) in &plan.takes {
-                    let p = self.queue[i].as_mut().expect("take targets a live slot");
-                    p.remaining -= take;
-                    p.executing += take;
+    /// The serial planning walk, shared by in-order admission and
+    /// out-of-order freezing: pick the bucket that goes next
+    /// ([`FheService::session_pick`]), then coalesce live slots in the
+    /// policy's order. The chosen bucket's slots lead (they define the
+    /// batch's `(op, level)` group); unless the batch ships alone, the
+    /// policy decides the top-up: `KeyAffinity` keeps the rest of the
+    /// chosen bucket first so a batch spans fewer key sets, `Blind` tops
+    /// up in pure queue order, the fig12 comparison arm. Returns the
+    /// plan, its bucket and whether it ships alone — what
+    /// [`FheService::apply_plan`] needs — or `None` when nothing
+    /// is left to plan.
+    fn next_plan(&mut self) -> Option<(BatchPlan, usize, bool)> {
+        let (bucket, alone, lead) = self.session_pick()?;
+        let blind = !alone && self.policy == CoalescePolicy::Blind;
+        // `Blind` leads with the bucket's oldest slot only; a batch that
+        // ships alone gets no top-up.
+        let own = self
+            .live()
+            .filter(|(_, p)| p.bucket() == bucket)
+            .take(if blind { 1 } else { usize::MAX });
+        let top_up = self
+            .live()
+            .take(if alone { 0 } else { usize::MAX })
+            .filter(|&(i, p)| {
+                if blind {
+                    i != lead
+                } else {
+                    p.bucket() != bucket
                 }
-                self.sched.freeze(plan);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Freezes the next serial session-tier plan into the scoreboard: the
-    /// same bucket selection, coalescing order and residency/fair-share
-    /// charges as [`FheService::fill_window_sessions`], applied at freeze
-    /// time so the serial walk behind it sees identical queue state.
-    /// (Deadline shedding and urgency inside the shared walk are inert
-    /// here: out-of-order filling only runs with no deadline sessions.)
-    /// `false` when no bucket has plannable work.
-    fn freeze_next_session(&mut self) -> bool {
-        let Some((bucket, same_session_only, order)) = self.session_pick() else {
-            return false;
-        };
-        let plan = {
-            let queue = &self.queue;
-            let slots = order.iter().map(|&i| {
-                (
-                    i,
-                    queue[i].as_ref().map(|p| SlotView {
-                        op: p.req.op,
-                        level: p.req.level,
-                        remaining: p.remaining,
-                        client: &p.client_key,
-                    }),
-                )
             });
-            self.sched.plan_unchecked(self.batch_cap, slots)
-        };
-        match plan {
-            Some(mut plan) => {
-                self.apply_session_plan(&mut plan, bucket, same_session_only);
-                self.sched.freeze(plan);
-                true
-            }
-            None => false,
-        }
+        let slots = own.chain(top_up).map(|(i, p)| {
+            let view = SlotView {
+                op: p.req.op,
+                level: p.req.level,
+                remaining: p.remaining,
+                client: &p.client_key,
+            };
+            (i, view)
+        });
+        Scheduler::plan(self.batch_cap, slots).map(|plan| (plan, bucket, alone))
     }
 
-    /// One session-walk selection, shared by the in-order fill and
-    /// out-of-order freezing: shed expired deadline work, pick the next
-    /// bucket (urgent deadline sessions earliest-slack-first, otherwise
-    /// deficit round robin), and compute the policy-ordered coalescing
-    /// order. Returns `(bucket, same_session_only, order)` or `None` when
-    /// no bucket has plannable work.
-    fn session_pick(&mut self) -> Option<(usize, bool, Vec<usize>)> {
+    /// `(queue index, request)` of every slot from the planning cursor on
+    /// with instances left to plan, in queue order.
+    fn live(&self) -> impl Iterator<Item = (usize, &Pending)> + '_ {
+        self.queue
+            .iter()
+            .enumerate()
+            .skip(self.head)
+            .filter_map(|(i, slot)| Some((i, slot.as_ref().filter(|p| p.remaining > 0)?)))
+    }
+
+    /// Picks who goes next: shed expired deadline work, then take an
+    /// urgent deadline session (earliest slack first) or else the deficit
+    /// round robin's pick. Returns `(bucket, ships alone, the bucket's
+    /// oldest live slot)`, or `None` when no bucket has plannable work.
+    fn session_pick(&mut self) -> Option<(usize, bool, usize)> {
         self.advance_head();
+        if self.sessions.is_empty() {
+            // Bucket 0 is the only bucket: nothing to shed, no share to
+            // charge and nobody to top up from, so it ships alone.
+            return (self.head < self.queue.len()).then_some((0, true, self.head));
+        }
         self.shed_expired();
         // Per-bucket backlog: bucket 0 is anonymous, session `s` is
         // bucket `s + 1`.
         let buckets = self.sessions.len() + 1;
         let mut pending = vec![0usize; buckets];
         let mut first_slot = vec![usize::MAX; buckets];
-        for (i, slot) in self.queue.iter().enumerate().skip(self.head) {
-            let Some(p) = slot else { continue };
-            if p.remaining == 0 {
-                continue;
-            }
-            let b = p.session.map_or(0, |s| s.0 as usize + 1);
+        for (i, p) in self.live() {
+            let b = p.bucket();
             pending[b] += p.remaining;
             if first_slot[b] == usize::MAX {
                 first_slot[b] = i;
@@ -1206,7 +1119,7 @@ impl FheService {
                 }
             }
         }
-        let (bucket, same_session_only) = match urgent {
+        let (bucket, alone) = match urgent {
             Some((_, b)) => (b, true),
             None => {
                 let want: Vec<usize> = pending.iter().map(|&p| p.min(self.batch_cap)).collect();
@@ -1217,59 +1130,17 @@ impl FheService {
                 self.drr.select(&want, &quantum).map(|b| (b, false))?
             }
         };
-        // Coalescing order: the chosen bucket's slots lead (they
-        // define the batch's op/level group), then — unless the batch
-        // ships same-session-only — the policy decides the top-up:
-        // KeyAffinity keeps the rest of the chosen bucket first so a
-        // batch spans fewer key sets; Blind tops up in pure queue
-        // order, the fig12 comparison arm.
-        let mut order: Vec<usize> = Vec::new();
-        for (i, slot) in self.queue.iter().enumerate().skip(self.head) {
-            let Some(p) = slot else { continue };
-            if p.remaining == 0 {
-                continue;
-            }
-            if p.session.map_or(0, |s| s.0 as usize + 1) == bucket {
-                order.push(i);
-            }
-        }
-        if !same_session_only {
-            match self.policy {
-                CoalescePolicy::KeyAffinity => {
-                    for (i, slot) in self.queue.iter().enumerate().skip(self.head) {
-                        let Some(p) = slot else { continue };
-                        if p.remaining == 0 {
-                            continue;
-                        }
-                        if p.session.map_or(0, |s| s.0 as usize + 1) != bucket {
-                            order.push(i);
-                        }
-                    }
-                }
-                CoalescePolicy::Blind => {
-                    let lead = first_slot[bucket];
-                    order.clear();
-                    order.push(lead);
-                    for (i, slot) in self.queue.iter().enumerate().skip(self.head) {
-                        let Some(p) = slot else { continue };
-                        if p.remaining == 0 || i == lead {
-                            continue;
-                        }
-                        order.push(i);
-                    }
-                }
-            }
-        }
-        Some((bucket, same_session_only, order))
+        Some((bucket, alone, first_slot[bucket]))
     }
 
-    /// Applies a planned session batch's plan-time side effects exactly
-    /// once — reservation, key-cache residency placement (with the upload
-    /// charge on the batch's critical path), and the fair-share credit
-    /// charge. In-order admission runs this immediately before admitting;
-    /// out-of-order freezing runs it at freeze time, so the serial walk's
-    /// inputs evolve identically in both modes.
-    fn apply_session_plan(&mut self, plan: &mut BatchPlan, bucket: usize, same_session_only: bool) {
+    /// Applies a planned batch's plan-time side effects exactly once —
+    /// reservation, key-cache residency placement of the session key sets
+    /// riding it (with the upload charge on the batch's critical path),
+    /// and the fair-share credit charge. In-order admission runs this
+    /// immediately before admitting; out-of-order freezing runs it at
+    /// freeze time, so the serial walk's inputs evolve identically in both
+    /// modes.
+    fn apply_plan(&mut self, plan: &mut BatchPlan, bucket: usize, alone: bool) {
         for &(i, take) in &plan.takes {
             let p = self.queue[i].as_mut().expect("take targets a live slot");
             p.remaining -= take;
@@ -1283,10 +1154,10 @@ impl FheService {
         let mut charged = 0usize;
         for &(i, take) in &plan.takes {
             let p = self.queue[i].as_ref().expect("take targets a live slot");
-            if p.session.map_or(0, |s| s.0 as usize + 1) == bucket {
+            if p.bucket() == bucket {
                 charged += take;
             }
-            if let Some(sid) = p.session {
+            if let Some(sid) = p.req.session {
                 if !keys.iter().any(|&(s, _)| s == sid) {
                     keys.push((sid, self.sessions[sid.0 as usize].key_bytes));
                 }
@@ -1310,7 +1181,7 @@ impl FheService {
         // credit; fair-share batches are charged only the
         // width their own bucket contributed (top-up from
         // other sessions is their service, not this one's).
-        if !same_session_only {
+        if !alone {
             self.drr.charge(bucket, charged);
         }
     }
@@ -1323,7 +1194,7 @@ impl FheService {
     fn shed_expired(&mut self) {
         for i in self.head..self.queue.len() {
             let Some(p) = &self.queue[i] else { continue };
-            let Some(sid) = p.session else { continue };
+            let Some(sid) = p.req.session else { continue };
             let Some(deadline) = self.sessions[sid.0 as usize].deadline_us else {
                 continue;
             };
@@ -1383,7 +1254,7 @@ impl FheService {
             for (k, t) in &stats.by_kernel {
                 crate::exec::add_kernel_time(&mut p.by_kernel, k, t * share);
             }
-            if let Some(sid) = p.session {
+            if let Some(sid) = p.req.session {
                 let s = &mut self.sessions[sid.0 as usize];
                 s.served_ops += take;
                 s.queued_ops -= take;
@@ -1594,7 +1465,7 @@ impl FheService {
         let queue_us = self.clock_us - p.submitted_us;
         self.requests_completed += 1;
         self.queue_latency_sum_us += queue_us;
-        if let Some(sid) = p.session {
+        if let Some(sid) = p.req.session {
             if self.sessions[sid.0 as usize]
                 .deadline_us
                 .is_some_and(|d| queue_us > d)

@@ -34,9 +34,10 @@
 //! * **Fairness metric** ([`jain_index`]) — Jain's index over per-session
 //!   serviced ops, surfaced through `ServiceStats`.
 //!
-//! The tier is strictly additive: a service with no registered sessions
-//! never touches any of this and keeps the anonymous FIFO pipeline
-//! bit-identical to the pre-session behaviour.
+//! Anonymous traffic is bucket 0 of the same rotation and never touches a
+//! key set. With no sessions registered that bucket is the only one, so
+//! the service skips the rotation and the planning walk is plain FIFO
+//! coalescing.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -21,6 +21,7 @@ use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
 use tensorfhe_core::sched::{AdmissionMode, SchedPolicy};
 use tensorfhe_core::service::{FheRequest, FheService, RequestReport, RequestStatus, ServiceStats};
+use tensorfhe_core::session::SessionConfig;
 
 const OPS: [FheOp; 6] = [
     FheOp::HAdd,
@@ -407,6 +408,79 @@ fn sustained_pump_load_keeps_the_queue_compacted() {
     assert!(s.inflight_hwm >= 2, "sustained load should really pipeline");
 }
 
+/// FNV-1a (64-bit) over little-endian words.
+fn fnv64(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn anonymous_in_order_stream_matches_its_golden_digest() {
+    // Golden digests of every report and the result-bearing stats of one
+    // seeded anonymous stream under in-order admission: a batch drained in
+    // one go, then arrivals submitted between `pump` calls, then a final
+    // drain. Pumping lets the depth decide which arrivals a batch can still
+    // coalesce with, so each depth has its own digest. Any change to how
+    // batches are planned, admitted or settled moves them.
+    for (depth, golden) in [
+        (1usize, 0x2fd5_7dcc_0671_aba8u64),
+        (2, 0x1113_f6c7_4251_8149),
+        (4, 0xfbd8_8af7_0a19_3ddb),
+    ] {
+        let mut svc = TensorFhe::builder(&CkksParams::test_small())
+            .devices(4)
+            .sched(
+                SchedPolicy::new()
+                    .pipeline_depth(depth)
+                    .admission(AdmissionMode::InOrder),
+            )
+            .service()
+            .expect("valid service config");
+        let max_level = svc.params().max_level();
+        let cap = svc.batch_cap();
+        let mut rng = StdRng::seed_from_u64(29);
+        let request = |rng: &mut StdRng, i: usize| {
+            let op = OPS[rng.gen_range(0..OPS.len())];
+            let level = rng.gen_range(1..=max_level);
+            let count = if rng.gen_bool(0.25) {
+                rng.gen_range(cap..=cap + 3)
+            } else {
+                rng.gen_range(1..=4)
+            };
+            FheRequest::new(op, level, count, format!("c{}", i % 5))
+        };
+        let mut reports = Vec::new();
+        for i in 0..12 {
+            svc.submit(request(&mut rng, i)).expect("valid");
+        }
+        reports.extend(svc.drain());
+        for i in 12..48 {
+            svc.submit(request(&mut rng, i)).expect("valid");
+            if i % 4 == 3 {
+                reports.extend(svc.pump());
+            }
+        }
+        reports.extend(svc.drain());
+        assert_eq!(svc.stats().requests_completed, 48);
+        let digest = fnv64(
+            reports
+                .iter()
+                .flat_map(report_bits)
+                .chain(stats_bits(&svc.stats())),
+        );
+        assert_eq!(
+            digest, golden,
+            "depth {depth}: digest {digest:#018x} moved from {golden:#018x}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -449,4 +523,54 @@ proptest! {
         }
         prop_assert_eq!(stats_bits(&reference.stats()), stats_bits(&pipelined.stats()));
     }
+}
+
+#[test]
+fn a_session_registered_after_anonymous_traffic_matches_its_golden_digest() {
+    // Anonymous traffic served while no session is registered leaves the
+    // fair-share rotation untouched, so a session registered afterwards
+    // shares it with bucket 0 from a clean start. The anonymous phase ends
+    // on a partial batch, which would leave bucket 0 credit to spend in the
+    // mixed phase had it been charged.
+    let mut svc = service(4, 1, 1);
+    let level = svc.params().max_level();
+    let cap = svc.batch_cap();
+    let mut reports = Vec::new();
+    for i in 0..5 {
+        svc.submit(FheRequest::new(
+            FheOp::HMult,
+            level,
+            cap / 3 + i,
+            format!("c{i}"),
+        ))
+        .expect("valid");
+    }
+    reports.extend(svc.drain());
+    let tenant = svc
+        .register_session(SessionConfig::new("tenant"))
+        .expect("valid session");
+    for i in 0..6 {
+        svc.submit(FheRequest::new(
+            FheOp::HMult,
+            level,
+            cap / 2 + i,
+            format!("c{i}"),
+        ))
+        .expect("valid");
+        svc.submit(FheRequest::in_session(FheOp::HMult, level, cap / 3, tenant))
+            .expect("valid");
+    }
+    reports.extend(svc.drain());
+    assert_eq!(svc.stats().requests_completed, 17);
+    let digest = fnv64(
+        reports
+            .iter()
+            .flat_map(report_bits)
+            .chain(stats_bits(&svc.stats())),
+    );
+    let golden = 0xc5fd_7fa7_32c4_7a28u64;
+    assert_eq!(
+        digest, golden,
+        "digest {digest:#018x} moved from {golden:#018x}"
+    );
 }
