@@ -41,8 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::{CkksParams, KernelEvent};
-use tensorfhe_core::api::{FheOp, TensorFhe};
-use tensorfhe_core::schedule::hmult_schedule;
+use tensorfhe_core::api::{schedule_events, FheOp, TensorFhe};
 use tensorfhe_core::service::FheRequest;
 use tensorfhe_core::{
     EngineConfig, ExecBackend, ExecBatch, Executor, HostWorkStats, Pool, Variant,
@@ -65,7 +64,8 @@ fn run(
 ) -> (f64, HostWorkStats) {
     let cfg = EngineConfig::a100(Variant::TensorCore);
     let mut ex = Pool::new(&cfg, DEVICES, workers, backend, rows_cap).expect("valid pool");
-    let events: Arc<[KernelEvent]> = hmult_schedule(params, params.max_level()).into();
+    let events: Arc<[KernelEvent]> =
+        schedule_events(params, FheOp::HMult, params.max_level()).into();
     let t0 = Instant::now();
     for _ in 0..iters {
         let h = ex.submit(ExecBatch {

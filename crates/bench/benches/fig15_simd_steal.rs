@@ -28,8 +28,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::{CkksParams, KernelEvent};
+use tensorfhe_core::api::{schedule_events, FheOp};
 use tensorfhe_core::exec::StealStats;
-use tensorfhe_core::schedule::hmult_schedule;
 use tensorfhe_core::{EngineConfig, ExecBackend, ExecBatch, Executor, Pool, Variant};
 use tensorfhe_math::gemm_fast::{gemm_rm_with, MontOperand};
 use tensorfhe_math::prime::generate_ntt_primes;
@@ -156,7 +156,8 @@ fn run_stream(params: &CkksParams, workers: usize, iters: usize) -> (f64, StealS
     // 2 devices so a surplus worker exists even at `workers = 2`; width 1
     // keeps every chunk on device 0's queue.
     let mut ex = Pool::new(&cfg, 2, workers, ExecBackend::HostParallel, 8).expect("valid pool");
-    let events: Arc<[KernelEvent]> = hmult_schedule(params, params.max_level()).into();
+    let events: Arc<[KernelEvent]> =
+        schedule_events(params, FheOp::HMult, params.max_level()).into();
     let t0 = Instant::now();
     for _ in 0..iters {
         let h = ex.submit(ExecBatch {

@@ -1,7 +1,7 @@
 //! The CKKS context: primes, NTT tables, conversion caches, Galois maps.
 //!
 //! Everything here is a pure function of the parameter set and is computed
-//! lazily — benches that only need kernel schedules (TimingOnly mode) never
+//! lazily — benches that only cost kernel schedules never
 //! pay for `N = 2^16` twiddle tables they don't touch. Tables that depend
 //! on less than the whole parameter set live in process-wide caches
 //! ([`PlanCache`] for NTT and basis-conversion plans, [`TableCache`] for

@@ -1,16 +1,17 @@
 //! The CKKS evaluator: the five operations of Table II plus helpers.
 //!
 //! Every operation is decomposed into the seven reusable kernels exactly as
-//! Algorithms 2–6 prescribe, and every kernel invocation is reported to the
-//! attached [`KernelTracer`] — this is the "hierarchical reconstruction"
-//! layer the TensorFHE engine builds its GPU schedules from.
+//! Algorithms 2–6 prescribe. An operation reports its kernels to the
+//! attached [`KernelTracer`] as its [`OpStream`] — the one generator of its
+//! kernel sequence, which the TensorFHE engine's costing reads too — inside
+//! the operation's scope, once its arithmetic is done.
 
 use crate::context::CkksContext;
 use crate::error::CkksError;
 use crate::keys::KeyChain;
-use crate::keyswitch::key_switch;
+use crate::keyswitch::{batch_chunk_inputs, key_switch, key_switch_batch, KsKey, OpStream};
 use crate::poly::{Ciphertext, Domain, Plaintext, RnsPoly};
-use crate::trace::{KernelEvent, KernelTracer, Tracing};
+use crate::trace::{KernelTracer, Tracing};
 use tensorfhe_math::scratch;
 
 /// Relative scale mismatch tolerated by additive operations.
@@ -61,21 +62,15 @@ impl<'a> Evaluator<'a> {
         self.ctx
     }
 
-    fn begin(&mut self, op: &str) {
+    /// Reports one operation on a ciphertext at `level`: the `scope`
+    /// markers around `stream`'s events. Without a tracer nothing is built.
+    fn trace(&mut self, scope: &str, stream: OpStream, level: usize) {
         if let Some(t) = self.tracer.as_deref_mut() {
-            t.op_begin(op);
-        }
-    }
-
-    fn end(&mut self, op: &str) {
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.op_end(op);
-        }
-    }
-
-    fn emit(&mut self, e: KernelEvent) {
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.kernel(e);
+            t.op_begin(scope);
+            for e in stream.events(self.ctx.params(), level) {
+                t.kernel(e);
+            }
+            t.op_end(scope);
         }
     }
 
@@ -104,16 +99,9 @@ impl<'a> Evaluator<'a> {
     /// Returns [`CkksError::Mismatch`] on level or scale mismatch.
     pub fn hadd(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, CkksError> {
         self.check_binary(a, b)?;
-        self.begin("HADD");
-        let n = a.n();
-        let limbs = a.level() + 1;
         let c0 = RnsPoly::sum(self.ctx, &a.c0, &b.c0);
         let c1 = RnsPoly::sum(self.ctx, &a.c1, &b.c1);
-        self.emit(KernelEvent::EleAdd {
-            n,
-            limbs: 2 * limbs,
-        });
-        self.end("HADD");
+        self.trace("HADD", OpStream::HAdd, a.level());
         Ok(Ciphertext {
             c0,
             c1,
@@ -185,16 +173,9 @@ impl<'a> Evaluator<'a> {
     /// Returns [`CkksError::Mismatch`] on level or scale mismatch.
     pub fn hsub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, CkksError> {
         self.check_binary(a, b)?;
-        self.begin("HADD");
-        let n = a.n();
-        let limbs = a.level() + 1;
         let c0 = RnsPoly::difference(self.ctx, &a.c0, &b.c0);
         let c1 = RnsPoly::difference(self.ctx, &a.c1, &b.c1);
-        self.emit(KernelEvent::EleSub {
-            n,
-            limbs: 2 * limbs,
-        });
-        self.end("HADD");
+        self.trace("HADD", OpStream::HSub, a.level());
         Ok(Ciphertext {
             c0,
             c1,
@@ -222,35 +203,19 @@ impl<'a> Evaluator<'a> {
                 b.level()
             )));
         }
-        self.begin("HMULT");
         let ctx = self.ctx;
-        let n = a.n();
-        let limbs = a.level() + 1;
 
         // d0 = a0·b0, d2 = a1·b1, d1 = a0·b1 + a1·b0.
         let mut d0 = RnsPoly::hada(ctx, &a.c0, &b.c0);
         let d2 = RnsPoly::hada(ctx, &a.c1, &b.c1);
         let mut d1 = RnsPoly::hada(ctx, &a.c0, &b.c1);
         d1.hada_acc(ctx, &a.c1, &b.c0);
-        self.emit(KernelEvent::HadaMult {
-            n,
-            limbs: 4 * limbs,
-        });
-        self.emit(KernelEvent::EleAdd { n, limbs });
 
         // KeySwitch(d2) folds the s² component back onto (1, s).
-        let (ks0, ks1) = {
-            let mut tracing = Tracing::new(self.tracer.as_deref_mut().map(|t| t as _));
-            key_switch(ctx, &mut tracing, &d2, keys.relin_key())
-        };
+        let (ks0, ks1) = key_switch(ctx, &mut Tracing::new(None), &d2, keys.relin_key());
         d0.add_assign(ctx, &ks0);
         d1.add_assign(ctx, &ks1);
-        self.emit(KernelEvent::EleAdd {
-            n,
-            limbs: 2 * limbs,
-        });
-
-        self.end("HMULT");
+        self.trace("HMULT", OpStream::HMult, a.level());
         Ok(Ciphertext {
             c0: d0,
             c1: d1,
@@ -281,16 +246,9 @@ impl<'a> Evaluator<'a> {
                 pt.poly.level()
             )));
         }
-        self.begin("CMULT");
-        let n = ct.n();
-        let limbs = ct.level() + 1;
         let c0 = RnsPoly::hada(self.ctx, &ct.c0, &pt.poly);
         let c1 = RnsPoly::hada(self.ctx, &ct.c1, &pt.poly);
-        self.emit(KernelEvent::HadaMult {
-            n,
-            limbs: 2 * limbs,
-        });
-        self.end("CMULT");
+        self.trace("CMULT", OpStream::CMult, ct.level());
         Ok(Ciphertext {
             c0,
             c1,
@@ -314,12 +272,8 @@ impl<'a> Evaluator<'a> {
                 pt.scale, ct.scale
             )));
         }
-        self.begin("HADD");
-        let n = ct.n();
-        let limbs = ct.level() + 1;
         let c0 = RnsPoly::sum(self.ctx, &ct.c0, &pt.poly);
-        self.emit(KernelEvent::EleAdd { n, limbs });
-        self.end("HADD");
+        self.trace("HADD", OpStream::AddPlain, ct.level());
         Ok(Ciphertext {
             c0,
             c1: ct.c1.clone(),
@@ -330,22 +284,15 @@ impl<'a> Evaluator<'a> {
     /// Multiplies by a real constant, raising the scale by Δ (one level of
     /// budget when rescaled).
     pub fn mul_const(&mut self, ct: &Ciphertext, value: f64) -> Ciphertext {
-        self.begin("CMULT");
         let ctx = self.ctx;
-        let n = ct.n();
-        let limbs = ct.level() + 1;
         let delta = ctx.params().scale();
         let v = (value * delta).round() as i64;
-        let scalars: Vec<u64> = (0..limbs).map(|l| ctx.q_mod(l).from_i64(v)).collect();
+        let scalars: Vec<u64> = (0..=ct.level()).map(|l| ctx.q_mod(l).from_i64(v)).collect();
         let mut c0 = ct.c0.clone();
         c0.scale_limbs(ctx, &scalars);
         let mut c1 = ct.c1.clone();
         c1.scale_limbs(ctx, &scalars);
-        self.emit(KernelEvent::HadaMult {
-            n,
-            limbs: 2 * limbs,
-        });
-        self.end("CMULT");
+        self.trace("CMULT", OpStream::CMult, ct.level());
         Ciphertext {
             c0,
             c1,
@@ -355,22 +302,18 @@ impl<'a> Evaluator<'a> {
 
     /// Adds a real constant to every slot (no scale change).
     pub fn add_const(&mut self, ct: &Ciphertext, value: f64) -> Ciphertext {
-        self.begin("HADD");
         let ctx = self.ctx;
-        let n = ct.n();
-        let limbs = ct.level() + 1;
         let v = (value * ct.scale).round() as i64;
         // A constant polynomial is constant in NTT domain too.
         let mut c0 = ct.c0.clone();
-        for l in 0..limbs {
+        for l in 0..=ct.level() {
             let m = ctx.q_mod(l);
             let r = m.from_i64(v);
             for x in c0.limb_mut(l) {
                 *x = m.add(*x, r);
             }
         }
-        self.emit(KernelEvent::EleAdd { n, limbs });
-        self.end("HADD");
+        self.trace("HADD", OpStream::AddPlain, ct.level());
         Ciphertext {
             c0,
             c1: ct.c1.clone(),
@@ -380,16 +323,11 @@ impl<'a> Evaluator<'a> {
 
     /// Negates a ciphertext.
     pub fn negate(&mut self, ct: &Ciphertext) -> Ciphertext {
-        self.begin("HADD");
         let mut c0 = ct.c0.clone();
         c0.neg_assign(self.ctx);
         let mut c1 = ct.c1.clone();
         c1.neg_assign(self.ctx);
-        self.emit(KernelEvent::EleSub {
-            n: ct.n(),
-            limbs: 2 * (ct.level() + 1),
-        });
-        self.end("HADD");
+        self.trace("HADD", OpStream::HSub, ct.level());
         Ciphertext {
             c0,
             c1,
@@ -408,23 +346,9 @@ impl<'a> Evaluator<'a> {
         if l == 0 {
             return Err(CkksError::LevelExhausted);
         }
-        self.begin("RESCALE");
-        let ctx = self.ctx;
-        let n = ct.n();
-        let q_l = ctx.q_primes()[l];
+        let q_l = self.ctx.q_primes()[l];
         let (c0, c1) = self.rescale_pair(&ct.c0, &ct.c1);
-        self.emit(KernelEvent::Ntt {
-            n,
-            limbs: 2,
-            inverse: true,
-        });
-        self.emit(KernelEvent::Ntt {
-            n,
-            limbs: 2 * l,
-            inverse: false,
-        });
-        self.emit(KernelEvent::EleSub { n, limbs: 2 * l });
-        self.end("RESCALE");
+        self.trace("RESCALE", OpStream::Rescale, l);
         Ok(Ciphertext {
             c0,
             c1,
@@ -521,7 +445,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// `HROTATE` (Algorithm 4): rotates slots by `r` via the Galois
-    /// automorphism `X → X^{5^r}` plus a key switch.
+    /// automorphism `X → X^{5^r}` plus a key switch — the one-pair case of
+    /// [`Evaluator::hrotate_pairs`]. A step whose element is 1 returns a
+    /// clone and reports nothing.
     ///
     /// # Errors
     ///
@@ -533,30 +459,14 @@ impl<'a> Evaluator<'a> {
         r: i64,
         keys: &KeyChain<'_>,
     ) -> Result<Ciphertext, CkksError> {
-        let g = self.ctx.galois_element(r);
-        if g == 1 {
-            return Ok(ct.clone());
-        }
-        self.begin("HROTATE");
-        let out = self.apply_galois(ct, g, keys);
-        self.end("HROTATE");
-        out
+        self.hrotate_pairs(&[(ct, r)], keys)
+            .map(|mut out| out.pop().expect("one pair"))
     }
 
-    /// Batched `HROTATE`: rotates one ciphertext by several steps at once.
-    ///
-    /// The rotations' key switches pack into wide batched NTT blocks
-    /// ([`crate::keyswitch::key_switch_batch`]): one batched INTT across
-    /// every rotation, per extended limb one NTT of up to `steps × dnum`
-    /// ModUp rows, and a single ModDown over all `2·steps` accumulators.
-    /// This is the
-    /// streaming-bootstrap path — a BSGS stage's ≈√D baby rotations of the
-    /// same ciphertext flow through `RnsPoly::ntt_forward_batch` blocks
-    /// instead of transforming one polynomial at a time.
-    ///
-    /// Results and emitted kernel events are identical to calling
-    /// [`Evaluator::hrotate`] once per step, in order (steps with `g = 1`
-    /// return clones and emit nothing, exactly like the single-step path).
+    /// Batched `HROTATE`: rotates one ciphertext by several steps at once —
+    /// [`Evaluator::hrotate_pairs`] with every pair naming `ct`. Results and
+    /// emitted kernel events equal one [`Evaluator::hrotate`] per step, in
+    /// order.
     ///
     /// # Errors
     ///
@@ -572,24 +482,18 @@ impl<'a> Evaluator<'a> {
         self.hrotate_pairs(&pairs, keys)
     }
 
-    /// Batched `HROTATE` over *distinct* ciphertexts: rotates each
-    /// `(ciphertext, step)` pair, all pairs through one batched key switch.
+    /// Batched `HROTATE` over `(ciphertext, step)` pairs, all through one
+    /// batched key switch ([`crate::keyswitch::key_switch_batch`]): one
+    /// batched INTT across every live pair, per extended limb one NTT of up
+    /// to `pairs × dnum` ModUp rows, and a single ModDown over all
+    /// `2·pairs` accumulators. A BSGS stage's ≈√D baby rotations of one
+    /// ciphertext ([`Evaluator::hrotate_many`]) and its giant rotations of
+    /// distinct accumulators both run here; [`Evaluator::hrotate`] is the
+    /// one-pair case.
     ///
-    /// This is the giant-step counterpart of [`Evaluator::hrotate_many`]
-    /// (which rotates one ciphertext by several steps): a BSGS stage's
-    /// ≈√D *giant* rotations apply to distinct accumulators — each giant
-    /// group's inner sum — yet all share the same level, so their key
-    /// switches pack into the same wide batched NTT blocks
-    /// ([`crate::keyswitch::key_switch_batch`]): one batched INTT across
-    /// every accumulator, per extended limb one NTT of up to
-    /// `pairs × dnum` ModUp rows, and a single ModDown over all `2·pairs`
-    /// accumulators. `hrotate_many` is
-    /// the special case where every pair names the same ciphertext.
-    ///
-    /// Results and emitted kernel events are identical to calling
-    /// [`Evaluator::hrotate`] once per pair, in order (pairs with `g = 1`
-    /// return clones and emit nothing, exactly like the single-step
-    /// path). Live rotations are processed in bounded chunks under the
+    /// Results and emitted kernel events equal one [`Evaluator::hrotate`]
+    /// per pair, in order: pairs with `g = 1` return clones and report
+    /// nothing. Live rotations are processed in bounded chunks under the
     /// key switch's own residency cap; chunking never changes results or
     /// events.
     ///
@@ -603,119 +507,15 @@ impl<'a> Evaluator<'a> {
         pairs: &[(&Ciphertext, i64)],
         keys: &KeyChain<'_>,
     ) -> Result<Vec<Ciphertext>, CkksError> {
-        let ctx = self.ctx;
-        let Some(&(first, _)) = pairs.first() else {
-            return Ok(Vec::new());
-        };
-        let n = first.n();
-        let level = first.level();
-        let limbs = level + 1;
-        if pairs.iter().any(|(ct, _)| ct.level() != level) {
-            return Err(CkksError::Mismatch(
-                "hrotate_pairs ciphertexts must share one level (the batched \
-                 key switch packs same-level ModUp rows)"
-                    .into(),
-            ));
-        }
-
-        // Resolve every step up front so a missing key aborts cleanly.
-        let mut elements = Vec::with_capacity(pairs.len());
-        for &(_, r) in pairs {
-            let g = ctx.galois_element(r);
-            if g == 1 {
-                elements.push(None);
-            } else {
-                keys.galois_key(g)?;
-                elements.push(Some(g));
-            }
-        }
-
-        // Process live rotations in bounded chunks so the staged operands
-        // (rotated components, switched pairs) obey the same residency cap
-        // as the key switch's own ModUp rows — a paper-scale BSGS stage
-        // must not hold ≈√D rotations' polynomials at once. Chunking never
-        // changes results or events: batched transforms are bit-exact at
-        // any width and emission stays strictly per rotation, in order.
-        let chunk = crate::keyswitch::batch_chunk_inputs(ctx, level);
-        let switch_events = crate::keyswitch::key_switch_events(ctx.params(), level);
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut i = 0usize;
-        while i < elements.len() {
-            // Gather the next segment: up to `chunk` live rotations, with
-            // any interleaved no-op (g = 1) pairs carried along so they
-            // never fragment the key-switch batch.
-            let seg_start = i;
-            let mut live: Vec<(usize, u64)> = Vec::with_capacity(chunk);
-            while i < elements.len() && live.len() < chunk {
-                if let Some(g) = elements[i] {
-                    live.push((i, g));
-                }
-                i += 1;
-            }
-            // Trailing no-ops after the chunk's last live rotation belong
-            // to the next segment (they cost nothing either way).
-            if live.is_empty() {
-                out.extend((seg_start..i).map(|j| pairs[j].0.clone()));
-                continue;
-            }
-
-            // Frobenius permutations of both components, per rotation —
-            // each applied to its *own* ciphertext.
-            let mut c0_rots = Vec::with_capacity(live.len());
-            let mut c1_rots = Vec::with_capacity(live.len());
-            for &(j, g) in &live {
-                let tables = ctx.galois_tables(g);
-                c0_rots.push(pairs[j].0.c0.automorphism_ntt(&tables));
-                c1_rots.push(pairs[j].0.c1.automorphism_ntt(&tables));
-            }
-
-            // One batched key switch across the chunk (silent; the
-            // sequential event stream is emitted per rotation below).
-            let ds: Vec<&RnsPoly> = c1_rots.iter().collect();
-            let ksks: Vec<&crate::keyswitch::KsKey> = live
-                .iter()
-                .map(|&(_, g)| keys.galois_key(g).expect("checked above"))
-                .collect();
-            let switched = {
-                let mut silent = Tracing::new(None);
-                crate::keyswitch::key_switch_batch(ctx, &mut silent, &ds, &ksks)
-            };
-
-            // Assemble outputs in segment order — no-op pairs clone, live
-            // pairs consume the next switched pair — emitting each live
-            // rotation's events exactly as a sequential
-            // [`Evaluator::hrotate`] loop would.
-            let mut rotated = c0_rots.into_iter().zip(switched);
-            for j in seg_start..i {
-                let ct = pairs[j].0;
-                if elements[j].is_none() {
-                    out.push(ct.clone());
-                    continue;
-                }
-                let (c0_rot, (k0, k1)) = rotated.next().expect("one switch per live rotation");
-                self.begin("HROTATE");
-                self.emit(KernelEvent::FrobeniusMap {
-                    n,
-                    limbs: 2 * limbs,
-                });
-                for &e in &switch_events {
-                    self.emit(e);
-                }
-                let mut c0 = c0_rot;
-                c0.add_assign(ctx, &k0);
-                self.emit(KernelEvent::EleAdd { n, limbs });
-                self.end("HROTATE");
-                out.push(Ciphertext {
-                    c0,
-                    c1: k1,
-                    scale: ct.scale,
-                });
-            }
-        }
-        Ok(out)
+        let pairs: Vec<(&Ciphertext, u64)> = pairs
+            .iter()
+            .map(|&(ct, r)| (ct, self.ctx.galois_element(r)))
+            .collect();
+        self.automorphisms(&pairs, keys)
     }
 
-    /// Complex conjugation of every slot (HCONJ in the bootstrap pipeline).
+    /// Complex conjugation of every slot (HCONJ in the bootstrap pipeline):
+    /// the automorphism of the conjugation element, reported as `HROTATE`.
     ///
     /// # Errors
     ///
@@ -726,54 +526,96 @@ impl<'a> Evaluator<'a> {
         ct: &Ciphertext,
         keys: &KeyChain<'_>,
     ) -> Result<Ciphertext, CkksError> {
-        self.begin("HROTATE");
         let g = self.ctx.conjugation_element();
-        let out = self.apply_galois(ct, g, keys);
-        self.end("HROTATE");
-        out
+        self.automorphisms(&[(ct, g)], keys)
+            .map(|mut out| out.pop().expect("one pair"))
     }
 
-    fn apply_galois(
+    /// The one Galois path: applies each pair's automorphism `X → X^g`
+    /// (the NTT-domain permutation of both components), switches every
+    /// permuted `c1` back to `s` in one batched key switch, and adds the
+    /// switched `c0` parts. Each live pair is reported as one `HROTATE`
+    /// scope carrying its [`OpStream::Rotate`] or [`OpStream::Conjugate`]
+    /// stream.
+    fn automorphisms(
         &mut self,
-        ct: &Ciphertext,
-        g: u64,
+        pairs: &[(&Ciphertext, u64)],
         keys: &KeyChain<'_>,
-    ) -> Result<Ciphertext, CkksError> {
+    ) -> Result<Vec<Ciphertext>, CkksError> {
         let ctx = self.ctx;
-        let ksk = keys.galois_key(g)?;
-        let n = ct.n();
-        let limbs = ct.level() + 1;
-        let tables = ctx.galois_tables(g);
-
-        // ForbeniusMap kernel: slot permutation of both components.
-        let c0_rot = ct.c0.automorphism_ntt(&tables);
-        let c1_rot = ct.c1.automorphism_ntt(&tables);
-        if g == ctx.conjugation_element() {
-            self.emit(KernelEvent::Conjugate {
-                n,
-                limbs: 2 * limbs,
-            });
-        } else {
-            self.emit(KernelEvent::FrobeniusMap {
-                n,
-                limbs: 2 * limbs,
-            });
+        let Some(&(first, _)) = pairs.first() else {
+            return Ok(Vec::new());
+        };
+        let level = first.level();
+        if pairs.iter().any(|(ct, _)| ct.level() != level) {
+            return Err(CkksError::Mismatch(
+                "hrotate_pairs ciphertexts must share one level (the batched \
+                 key switch packs same-level ModUp rows)"
+                    .into(),
+            ));
+        }
+        // Resolve every key up front so a missing one aborts cleanly.
+        for &(_, g) in pairs.iter().filter(|&&(_, g)| g != 1) {
+            keys.galois_key(g)?;
         }
 
-        // Switch σ(c1) from σ(s) back to s.
-        let (k0, k1) = {
-            let mut tracing = Tracing::new(self.tracer.as_deref_mut().map(|t| t as _));
-            key_switch(ctx, &mut tracing, &c1_rot, ksk)
-        };
-        let mut c0 = c0_rot;
-        c0.add_assign(ctx, &k0);
-        self.emit(KernelEvent::EleAdd { n, limbs });
+        // Process live rotations in bounded chunks so the staged operands
+        // (permuted components, switched pairs) obey the same residency
+        // cap as the key switch's own ModUp rows — a paper-scale BSGS stage
+        // must not hold ≈√D rotations' polynomials at once. Chunking never
+        // changes results or events: batched transforms are bit-exact at
+        // any width and reporting stays strictly per pair, in order.
+        let chunk = batch_chunk_inputs(ctx, level);
+        let mut out = Vec::with_capacity(pairs.len());
+        let mut i = 0usize;
+        while i < pairs.len() {
+            // Gather the next segment: up to `chunk` live pairs, with any
+            // interleaved no-op (g = 1) pairs carried along so they never
+            // fragment the key-switch batch.
+            let seg_start = i;
+            let mut live = 0usize;
+            while i < pairs.len() && live < chunk {
+                live += usize::from(pairs[i].1 != 1);
+                i += 1;
+            }
+            let segment = &pairs[seg_start..i];
+            let mut c0_rots = Vec::with_capacity(live);
+            let mut c1_rots = Vec::with_capacity(live);
+            let mut ksks: Vec<&KsKey> = Vec::with_capacity(live);
+            for &(ct, g) in segment.iter().filter(|&&(_, g)| g != 1) {
+                let tables = ctx.galois_tables(g);
+                c0_rots.push(ct.c0.automorphism_ntt(&tables));
+                c1_rots.push(ct.c1.automorphism_ntt(&tables));
+                ksks.push(keys.galois_key(g)?);
+            }
+            // Switch every σ(c1) from σ(s) back to s at once.
+            let ds: Vec<&RnsPoly> = c1_rots.iter().collect();
+            let switched = key_switch_batch(ctx, &mut Tracing::new(None), &ds, &ksks);
 
-        Ok(Ciphertext {
-            c0,
-            c1: k1,
-            scale: ct.scale,
-        })
+            // Assemble in segment order: no-op pairs clone, live pairs
+            // consume the next switched pair and report their stream.
+            let mut rotated = c0_rots.into_iter().zip(switched);
+            for &(ct, g) in segment {
+                if g == 1 {
+                    out.push(ct.clone());
+                    continue;
+                }
+                let (mut c0, (k0, k1)) = rotated.next().expect("one switch per live pair");
+                c0.add_assign(ctx, &k0);
+                let stream = if g == ctx.conjugation_element() {
+                    OpStream::Conjugate
+                } else {
+                    OpStream::Rotate
+                };
+                self.trace("HROTATE", stream, level);
+                out.push(Ciphertext {
+                    c0,
+                    c1: k1,
+                    scale: ct.scale,
+                });
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -781,7 +623,7 @@ impl<'a> Evaluator<'a> {
 mod tests {
     use super::*;
     use crate::params::CkksParams;
-    use crate::trace::RecordingTracer;
+    use crate::trace::{KernelEvent, RecordingTracer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensorfhe_math::Complex64;
@@ -911,7 +753,7 @@ mod tests {
     fn hrotate_many_matches_sequential_rotations() {
         // The streaming-bootstrap path: batched rotations must be
         // bit-identical to one-at-a-time rotations AND emit the exact same
-        // kernel-event stream (the schedule mirror depends on it).
+        // kernel-event stream (the costing reads it).
         let (ctx, mut rng) = setup();
         let mut keys = KeyChain::generate(&ctx, &mut rng);
         keys.gen_rotation_keys(&[1, 2, 3], &mut rng);
@@ -981,7 +823,7 @@ mod tests {
         // The giant-step path: distinct accumulators, each rotated by its
         // own step through one batched key switch, must be bit-identical
         // to one-at-a-time rotations AND emit the exact same kernel-event
-        // stream (the schedule mirror depends on it).
+        // stream (the costing reads it).
         let (ctx, mut rng) = setup();
         let mut keys = KeyChain::generate(&ctx, &mut rng);
         keys.gen_rotation_keys(&[1, 2, 4], &mut rng);

@@ -17,10 +17,11 @@
 //! * [`keys`] / [`encrypt`] — key generation (secret, public, relinearisation
 //!   and rotation keys in the hybrid gadget) and RLWE encryption.
 //! * [`keyswitch`] — `Dcomp` → `ModUp` → inner product → `ModDown`
-//!   (Algorithm 1 of the paper).
+//!   (Algorithm 1 of the paper), and [`keyswitch::OpStream`], the one
+//!   kernel-stream generator per operation.
 //! * [`eval`] — the five CKKS operations of Table II (`HADD`, `HMULT`,
 //!   `CMULT`, `HROTATE`, `RESCALE`) plus conjugation, built from the seven
-//!   reusable kernels; every kernel invocation is reported to an optional
+//!   reusable kernels; each operation reports its `OpStream` to an optional
 //!   [`trace::KernelTracer`] so the GPU engine can cost it.
 //!
 //! # Examples

@@ -20,7 +20,7 @@
 //! Both are configured through [`TensorFhe::builder`], which replaces the
 //! old `TensorFhe::new(params, EngineConfig)` constructor threading.
 
-use crate::engine::{Engine, EngineConfig, ExecMode, Layout, OpStats, Variant};
+use crate::engine::{Engine, EngineConfig, Layout, OpStats, Variant};
 use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::exec::ExecBackend;
@@ -28,6 +28,7 @@ use crate::sched::SchedPolicy;
 use crate::schedule;
 use crate::service::FheService;
 use crate::session::CoalescePolicy;
+use tensorfhe_ckks::keyswitch::OpStream;
 use tensorfhe_ckks::{CkksParams, KernelEvent};
 use tensorfhe_gpu::DeviceConfig;
 
@@ -72,22 +73,25 @@ impl FheOp {
 }
 
 /// The kernel schedule of an operation at a level — the workflow the API
-/// layer "sequentially invokes" (§IV-E). Shared by [`TensorFhe`] and the
-/// request service.
+/// layer "sequentially invokes" (§IV-E), and the one costing entry: every
+/// operation but the bootstrap is its [`OpStream`], the stream the
+/// evaluator emits for it. Shared by [`TensorFhe`] and the request
+/// service.
 #[must_use]
 pub fn schedule_events(params: &CkksParams, op: FheOp, level: usize) -> Vec<KernelEvent> {
-    match op {
-        FheOp::HAdd => schedule::hadd_schedule(params, level),
-        FheOp::HMult => schedule::hmult_schedule(params, level),
-        FheOp::CMult => schedule::cmult_schedule(params, level),
-        FheOp::HRotate => schedule::hrotate_schedule(params, level),
-        FheOp::Rescale => schedule::rescale_schedule(params, level),
-        FheOp::Conjugate => schedule::conjugate_schedule(params, level),
+    let stream = match op {
+        FheOp::HAdd => OpStream::HAdd,
+        FheOp::HMult => OpStream::HMult,
+        FheOp::CMult => OpStream::CMult,
+        FheOp::HRotate => OpStream::Rotate,
+        FheOp::Rescale => OpStream::Rescale,
+        FheOp::Conjugate => OpStream::Conjugate,
         FheOp::Bootstrap {
             taylor_degree,
             double_angles,
-        } => schedule::bootstrap_schedule(params, taylor_degree, double_angles),
-    }
+        } => return schedule::bootstrap_schedule(params, taylor_degree, double_angles),
+    };
+    stream.events(params, level)
 }
 
 /// Result of executing one batched operation.
@@ -161,14 +165,13 @@ impl OpReport {
 }
 
 /// Configures a [`TensorFhe`] handle or an [`FheService`]: parameters,
-/// device model, NTT variant, data layout, execution mode and device count.
+/// device model, NTT variant, device count and the scheduler and service
+/// policies. Engines it builds use the `(L, B, N)` layout.
 #[derive(Debug, Clone)]
 pub struct TensorFheBuilder {
     pub(crate) params: CkksParams,
     pub(crate) device: DeviceConfig,
     pub(crate) variant: Variant,
-    pub(crate) layout: Layout,
-    pub(crate) exec_mode: ExecMode,
     pub(crate) devices: usize,
     pub(crate) sched: SchedPolicy,
     pub(crate) backend: Option<ExecBackend>,
@@ -181,15 +184,13 @@ pub struct TensorFheBuilder {
 
 impl TensorFheBuilder {
     /// Starts from the paper's defaults: one simulated A100 running the
-    /// full tensor-core variant in the `(L, B, N)` layout, TimingOnly.
+    /// full tensor-core variant in the `(L, B, N)` layout.
     #[must_use]
     pub fn new(params: &CkksParams) -> Self {
         Self {
             params: params.clone(),
             device: DeviceConfig::a100(),
             variant: Variant::TensorCore,
-            layout: Layout::Lbn,
-            exec_mode: ExecMode::TimingOnly,
             devices: 1,
             sched: SchedPolicy::default(),
             backend: None,
@@ -220,24 +221,6 @@ impl TensorFheBuilder {
     #[must_use]
     pub fn variant(mut self, variant: Variant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Batched-ciphertext layout (Fig. 9).
-    #[must_use]
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Execution mode. [`ExecMode::Full`] is for driving the engine with
-    /// [`Engine::make_tracer`] attached to a `tensorfhe_ckks::Evaluator`
-    /// (real arithmetic, every kernel costed); the costing paths —
-    /// [`crate::engine::Engine::run_schedule`] and the request service —
-    /// are schedule-only, so [`TensorFheBuilder::service`] rejects `Full`.
-    #[must_use]
-    pub fn exec_mode(mut self, exec_mode: ExecMode) -> Self {
-        self.exec_mode = exec_mode;
         self
     }
 
@@ -388,8 +371,7 @@ impl TensorFheBuilder {
         EngineConfig {
             device: self.device.clone(),
             variant: self.variant,
-            layout: self.layout,
-            exec_mode: self.exec_mode,
+            layout: Layout::Lbn,
         }
     }
 
@@ -497,7 +479,6 @@ mod tests {
         let cfg = api.engine().config();
         assert_eq!(cfg.variant, Variant::TensorCore);
         assert_eq!(cfg.layout, Layout::Lbn);
-        assert_eq!(cfg.exec_mode, ExecMode::TimingOnly);
         assert_eq!(cfg.device.name, DeviceConfig::a100().name);
     }
 

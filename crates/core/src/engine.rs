@@ -19,15 +19,6 @@ pub enum Layout {
     Bln,
 }
 
-/// Whether operations execute their arithmetic or only their schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Functional math plus cost model (tests, small parameters).
-    Full,
-    /// Cost model only — lets paper-scale workloads run in seconds.
-    TimingOnly,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -37,8 +28,6 @@ pub struct EngineConfig {
     pub variant: Variant,
     /// Batched data layout.
     pub layout: Layout,
-    /// Whether operations execute their arithmetic or only their schedules.
-    pub exec_mode: ExecMode,
 }
 
 impl EngineConfig {
@@ -49,7 +38,6 @@ impl EngineConfig {
             device: DeviceConfig::a100(),
             variant,
             layout: Layout::Lbn,
-            exec_mode: ExecMode::TimingOnly,
         }
     }
 
@@ -60,7 +48,6 @@ impl EngineConfig {
             device: DeviceConfig::v100(),
             variant,
             layout: Layout::Lbn,
-            exec_mode: ExecMode::TimingOnly,
         }
     }
 
@@ -68,13 +55,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_layout(mut self, layout: Layout) -> Self {
         self.layout = layout;
-        self
-    }
-
-    /// Overrides the execution mode (Full-mode arithmetic vs cost model).
-    #[must_use]
-    pub fn with_exec_mode(mut self, exec_mode: ExecMode) -> Self {
-        self.exec_mode = exec_mode;
         self
     }
 }
@@ -143,7 +123,7 @@ impl Engine {
     }
 
     /// Creates a kernel tracer for `batch`-wide operations; attach it to a
-    /// `tensorfhe_ckks::Evaluator` for Full-mode execution.
+    /// `tensorfhe_ckks::Evaluator` to cost its real arithmetic.
     #[must_use]
     pub fn make_tracer(&self, batch: usize) -> GpuTracer {
         GpuTracer::new(
@@ -155,7 +135,7 @@ impl Engine {
     }
 
     /// Builds a CKKS context whose arithmetic runs the engine's NTT
-    /// [`Variant`] — pair it with [`Engine::make_tracer`] so Full-mode
+    /// [`Variant`] — pair it with [`Engine::make_tracer`] so traced
     /// execution both *computes* and *costs* the selected formulation
     /// (butterfly stages vs batched wide GEMMs) end to end.
     ///
@@ -171,7 +151,7 @@ impl Engine {
             .map_err(|e| CoreError::InvalidConfig(format!("context construction failed: {e}")))
     }
 
-    /// Executes a synthetic kernel schedule (TimingOnly mode) under the
+    /// Costs a kernel schedule, without its arithmetic, under the
     /// given operation tag and batch, returning the window statistics.
     ///
     /// The window runs on a *fresh, zero-based* device clock: the result is
@@ -180,7 +160,7 @@ impl Engine {
     /// rely on this — identical batches must cost bit-identically even when
     /// an out-of-order scoreboard dispatches them in a different order, and
     /// `span_us` over a persistent clock would leak the absolute offset
-    /// into the last ulp of the window span. Full-mode tracing through
+    /// into the last ulp of the window span. Evaluator tracing through
     /// [`Engine::make_tracer`] keeps the engine's persistent sim and
     /// profiler; only synthetic costing windows are isolated.
     ///
@@ -296,7 +276,7 @@ pub fn key_upload_us(bytes: u64, device: &DeviceConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{hadd_schedule, hmult_schedule};
+    use crate::api::{schedule_events, FheOp};
 
     fn small() -> CkksParams {
         CkksParams::test_small()
@@ -306,7 +286,7 @@ mod tests {
     fn run_schedule_produces_time() {
         let params = small();
         let mut e = Engine::new(EngineConfig::a100(Variant::TensorCore));
-        let s = e.run_schedule("HADD", &hadd_schedule(&params, 7), 8);
+        let s = e.run_schedule("HADD", &schedule_events(&params, FheOp::HAdd, 7), 8);
         assert!(s.time_us > 0.0);
         assert!(s.launches >= 1);
     }
@@ -328,7 +308,7 @@ mod tests {
     #[test]
     fn warm_memo_changes_no_bit_and_costs_nothing_twice() {
         let params = small();
-        let sched = hmult_schedule(&params, 7);
+        let sched = schedule_events(&params, FheOp::HMult, 7);
         for variant in [Variant::Butterfly, Variant::FourStep, Variant::TensorCore] {
             let fresh = |batch| {
                 Engine::new(EngineConfig::a100(variant)).run_schedule("HMULT", &sched, batch)
@@ -360,8 +340,8 @@ mod tests {
     fn hmult_much_more_expensive_than_hadd() {
         let params = small();
         let mut e = Engine::new(EngineConfig::a100(Variant::TensorCore));
-        let add = e.run_schedule("HADD", &hadd_schedule(&params, 7), 8);
-        let mult = e.run_schedule("HMULT", &hmult_schedule(&params, 7), 8);
+        let add = e.run_schedule("HADD", &schedule_events(&params, FheOp::HAdd, 7), 8);
+        let mult = e.run_schedule("HMULT", &schedule_events(&params, FheOp::HMult, 7), 8);
         assert!(
             mult.time_us > add.time_us * 5.0,
             "HMULT {} vs HADD {}",
@@ -375,7 +355,7 @@ mod tests {
         // The paper's headline: TensorFHE > TensorFHE-CO > TensorFHE-NT for
         // NTT-heavy operations at the default parameters.
         let params = CkksParams::table_v_default();
-        let sched = hmult_schedule(&params, params.max_level());
+        let sched = schedule_events(&params, FheOp::HMult, params.max_level());
         let mut times = Vec::new();
         for v in [Variant::Butterfly, Variant::FourStep, Variant::TensorCore] {
             let mut e = Engine::new(EngineConfig::a100(v));
@@ -389,7 +369,7 @@ mod tests {
     #[test]
     fn lbn_layout_beats_bln_for_batched_ops() {
         let params = small();
-        let sched = hadd_schedule(&params, 7);
+        let sched = schedule_events(&params, FheOp::HAdd, 7);
         let mut fast = Engine::new(EngineConfig::a100(Variant::TensorCore));
         let mut slow =
             Engine::new(EngineConfig::a100(Variant::TensorCore).with_layout(Layout::Bln));
@@ -494,7 +474,7 @@ mod tests {
     #[test]
     fn occupancy_grows_with_batch() {
         let params = small();
-        let sched = hmult_schedule(&params, 7);
+        let sched = schedule_events(&params, FheOp::HMult, 7);
         let mut e = Engine::new(EngineConfig::a100(Variant::Butterfly));
         let small_b = e.run_schedule("HMULT", &sched, 1);
         let big_b = e.run_schedule("HMULT", &sched, 128);

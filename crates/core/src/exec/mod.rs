@@ -642,8 +642,8 @@ impl Pending {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{schedule_events, FheOp};
     use crate::engine::Variant;
-    use crate::schedule::hmult_schedule;
     use std::collections::BTreeMap;
     use tensorfhe_ckks::CkksParams;
 
@@ -655,7 +655,7 @@ mod tests {
         let params = CkksParams::test_small();
         ExecBatch {
             tag: "HMULT".into(),
-            events: hmult_schedule(&params, params.max_level()).into(),
+            events: schedule_events(&params, FheOp::HMult, params.max_level()).into(),
             width,
         }
     }

@@ -12,18 +12,16 @@
 //!   twiddle Hadamard (TensorFHE-CO), or the five-stage segmented
 //!   tensor-core pipeline with 16 plane GEMMs across 16 streams
 //!   (full TensorFHE, Fig. 8).
-//! * **Schedule generator** ([`schedule`]) — a parameter-level mirror of the
-//!   evaluator's kernel emission (Algorithms 1–6), validated against real
-//!   execution traces; it lets paper-scale workloads (N = 2^16, L = 44,
-//!   batch 128) be *costed* without executing the arithmetic
-//!   (`ExecMode::TimingOnly`).
-//! * **API layer** ([`api`]) — [`TensorFhe::builder`] configures params,
-//!   device model, NTT variant, layout, execution mode, device count and
-//!   the scheduler policy ([`TensorFheBuilder::sched`] takes a typed
-//!   [`SchedPolicy`]); [`api::TensorFhe`] remains as the single-caller
-//!   handle for costing one schedule at a time
-//!   ([`api::TensorFhe::schedule_of`] → `run_schedule` →
-//!   [`OpReport::from_stats`]).
+//! * **API layer** ([`api`]) — [`api::schedule_events`] is the one costing
+//!   entry: an operation's schedule is the `tensorfhe_ckks` kernel-stream
+//!   generator the evaluator emits (Algorithms 1–6), so paper-scale
+//!   workloads (N = 2^16, L = 44, batch 128) are *costed* without executing
+//!   the arithmetic. [`TensorFhe::builder`] configures params, device
+//!   model, NTT variant, device count and the scheduler policy
+//!   ([`TensorFheBuilder::sched`] takes a typed [`SchedPolicy`]);
+//!   [`api::TensorFhe`] remains as the single-caller handle for costing one
+//!   schedule at a time ([`api::TensorFhe::schedule_of`] → `run_schedule`
+//!   → [`OpReport::from_stats`]).
 //! * **Request service** ([`service`]) — the batching front end:
 //!   [`service::FheService`] enqueues [`service::FheRequest`]s from many
 //!   clients, coalesces compatible ones (same op, same level) into
@@ -386,13 +384,13 @@ mod env;
 pub mod error;
 pub mod exec;
 pub mod sched;
-pub mod schedule;
+mod schedule;
 pub mod service;
 pub mod session;
 pub mod tracer;
 
 pub use api::{FheOp, OpReport, TensorFhe, TensorFheBuilder};
-pub use engine::{Engine, EngineConfig, ExecMode, Layout, Variant};
+pub use engine::{Engine, EngineConfig, Layout, Variant};
 pub use error::{CoreError, CoreResult};
 pub use exec::{BatchResult, ExecBackend, ExecBatch, ExecHandle, Executor, HostWorkStats, Pool};
 pub use sched::{AdmissionMode, SchedPolicy};

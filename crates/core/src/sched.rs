@@ -703,18 +703,6 @@ impl Scheduler {
         self.head_blocked_us
     }
 
-    /// Batches currently submitted but not yet joined.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Plans currently frozen in the scoreboard but not yet admitted.
-    #[must_use]
-    pub fn pending_plans(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Whether another batch may be admitted.
     #[must_use]
     pub fn has_room(&self) -> bool {
@@ -750,16 +738,6 @@ impl Scheduler {
     #[must_use]
     pub fn serial_us(&self) -> f64 {
         self.serial_us
-    }
-
-    /// Operation instances currently inside in-flight batches, frozen
-    /// pending plans, or joined-but-unsettled batches — everything the
-    /// service has reserved out of the queue but not yet attributed.
-    #[must_use]
-    pub fn in_flight_ops(&self) -> usize {
-        self.window.iter().map(|f| f.plan.width).sum::<usize>()
-            + self.pending.iter().map(|p| p.plan.width).sum::<usize>()
-            + self.rob.values().map(|f| f.plan.width).sum::<usize>()
     }
 
     /// The serial coalescing walk shared by every admission mode: the
@@ -1327,9 +1305,10 @@ mod tests {
             s.admit(p, Work::Cached(result(vec![1.0])));
         }
         assert!(!s.has_room());
-        assert_eq!(s.in_flight(), 2);
+        assert_eq!(s.window.len(), 2);
         assert_eq!(s.inflight_hwm(), 2);
-        assert_eq!(s.in_flight_ops(), 2);
+        let ops: usize = s.window.iter().map(|f| f.plan.width).sum();
+        assert_eq!(ops, 2);
     }
 
     #[test]
@@ -1393,7 +1372,7 @@ mod tests {
         assert_eq!(s.reorder_distance(), 1, "tenant overtook one plan");
         // The blocked chain link never aged: it was key-blocked, not
         // bypassed while eligible.
-        assert_eq!(s.pending_plans(), 1);
+        assert_eq!(s.pending.len(), 1);
         assert!(
             s.peek_admissible().is_none(),
             "chain link still key-blocked"
@@ -1438,7 +1417,7 @@ mod tests {
         let (op, level, _) = s.peek_admissible().expect("admissible");
         assert_eq!((op, level), (FheOp::Rescale, 4), "aging gate wins");
         s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
-        assert_eq!(s.pending_plans(), 1, "only the last greedy match waits");
+        assert_eq!(s.pending.len(), 1, "only the last greedy match waits");
     }
 
     #[test]

@@ -1,122 +1,29 @@
-//! Parameter-level kernel schedules for every CKKS operation.
+//! The slim-bootstrap costing (Fig. 6), composed from the per-operation
+//! kernel streams.
 //!
-//! These functions reproduce, from `(N, L, dnum, K)` alone, exactly the
-//! [`KernelEvent`] sequence the real evaluator emits (Algorithms 1–6 of the
-//! paper). The equivalence is enforced by tests that diff these schedules
-//! against `RecordingTracer` captures of genuine homomorphic executions —
-//! which is what justifies costing paper-scale workloads without running
-//! the arithmetic.
-//!
-//! The key switch (Algorithm 1) inside HMULT, HROTATE and HCONJ is not
-//! described here a second time: its stream is
-//! [`tensorfhe_ckks::keyswitch::key_switch_events`], generated from the
-//! same `KeySwitchShape` the evaluator's arithmetic iterates over — the
-//! NTT-lean form that transforms `D·E + 2K + 2m` rows per switch (see
-//! `tensorfhe_ckks::keyswitch`). Everything costed from these schedules
-//! (the gpu lowering, `boot`'s BSGS stages, `workloads`) follows it.
+//! Every CKKS operation's stream has one generator,
+//! [`tensorfhe_ckks::keyswitch::OpStream`], which the evaluator emits and
+//! [`crate::api::schedule_events`] costs. This module builds what has no
+//! single evaluator op — the BSGS linear transforms, the factorized DFT,
+//! the sine evaluation and the bootstrap around them — from `(N, L, dnum,
+//! K)` alone, calling the generators wherever a step is one of those
+//! operations. The key switch inside every rotation and multiplication is
+//! the NTT-lean form of `tensorfhe_ckks::keyswitch` (`D·E + 2K + 2m` rows
+//! per switch).
 
-use tensorfhe_ckks::keyswitch::key_switch_events;
+use tensorfhe_ckks::keyswitch::OpStream;
 use tensorfhe_ckks::{CkksParams, KernelEvent};
-
-/// HMULT schedule (Algorithm 2).
-#[must_use]
-pub fn hmult_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
-    let n = params.n();
-    let limbs = level + 1;
-    let mut ev = vec![
-        KernelEvent::HadaMult {
-            n,
-            limbs: 4 * limbs,
-        },
-        KernelEvent::EleAdd { n, limbs },
-    ];
-    ev.extend(key_switch_events(params, level));
-    ev.push(KernelEvent::EleAdd {
-        n,
-        limbs: 2 * limbs,
-    });
-    ev
-}
-
-/// CMULT schedule (Algorithm 3).
-#[must_use]
-pub fn cmult_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
-    vec![KernelEvent::HadaMult {
-        n: params.n(),
-        limbs: 2 * (level + 1),
-    }]
-}
-
-/// HADD schedule (Algorithm 5).
-#[must_use]
-pub fn hadd_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
-    vec![KernelEvent::EleAdd {
-        n: params.n(),
-        limbs: 2 * (level + 1),
-    }]
-}
-
-/// RESCALE schedule (Algorithm 6).
-#[must_use]
-pub fn rescale_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
-    let n = params.n();
-    vec![
-        KernelEvent::Ntt {
-            n,
-            limbs: 2,
-            inverse: true,
-        },
-        KernelEvent::Ntt {
-            n,
-            limbs: 2 * level,
-            inverse: false,
-        },
-        KernelEvent::EleSub {
-            n,
-            limbs: 2 * level,
-        },
-    ]
-}
-
-/// HROTATE schedule (Algorithm 4).
-#[must_use]
-pub fn hrotate_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
-    let n = params.n();
-    let limbs = level + 1;
-    let mut ev = vec![KernelEvent::FrobeniusMap {
-        n,
-        limbs: 2 * limbs,
-    }];
-    ev.extend(key_switch_events(params, level));
-    ev.push(KernelEvent::EleAdd { n, limbs });
-    ev
-}
-
-/// Conjugation schedule (HCONJ; same shape as HROTATE).
-#[must_use]
-pub fn conjugate_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
-    let n = params.n();
-    let limbs = level + 1;
-    let mut ev = vec![KernelEvent::Conjugate {
-        n,
-        limbs: 2 * limbs,
-    }];
-    ev.extend(key_switch_events(params, level));
-    ev.push(KernelEvent::EleAdd { n, limbs });
-    ev
-}
 
 /// One BSGS linear-transform stage over `diags` generalized diagonals at
 /// `level` (Fig. 6's "BSGS" boxes): baby rotations, per-diagonal CMULTs and
 /// additions, giant rotations, and the final rescale.
-#[must_use]
-pub fn bsgs_stage_schedule(params: &CkksParams, level: usize, diags: usize) -> Vec<KernelEvent> {
+fn bsgs_stage_schedule(params: &CkksParams, level: usize, diags: usize) -> Vec<KernelEvent> {
     let n1 = (diags as f64).sqrt().ceil() as usize;
     let n2 = diags.div_ceil(n1);
     let mut ev = Vec::new();
     // Baby rotations (j = 1..n1).
     for _ in 1..n1 {
-        ev.extend(hrotate_schedule(params, level));
+        ev.extend(OpStream::Rotate.events(params, level));
     }
     // Per-diagonal multiply-accumulate.
     ev.push(KernelEvent::HadaMult {
@@ -129,15 +36,14 @@ pub fn bsgs_stage_schedule(params: &CkksParams, level: usize, diags: usize) -> V
     });
     // Giant rotations (i = 1..n2).
     for _ in 1..n2 {
-        ev.extend(hrotate_schedule(params, level));
+        ev.extend(OpStream::Rotate.events(params, level));
     }
-    ev.extend(rescale_schedule(params, level));
+    ev.extend(OpStream::Rescale.events(params, level));
     ev
 }
 
 /// A full dense transform over all `N/2` slots, as a single BSGS stage.
-#[must_use]
-pub fn bsgs_transform_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
+fn bsgs_transform_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
     bsgs_stage_schedule(params, level, params.slots())
 }
 
@@ -146,12 +52,11 @@ pub fn bsgs_transform_schedule(params: &CkksParams, level: usize) -> Vec<KernelE
 /// into `⌈log_r(N/2)⌉` sparse stages of `2r−1` diagonals each, cutting
 /// rotations from `O(√(N/2))` to `O(log N · √r)` at the cost of one level
 /// per stage.
-pub const DFT_RADIX: usize = 32;
+const DFT_RADIX: usize = 32;
 
 /// A factorized DFT transform; returns the events and the number of levels
 /// it consumes (`stages`).
-#[must_use]
-pub fn faster_dft_schedule(params: &CkksParams, level: usize) -> (Vec<KernelEvent>, usize) {
+fn faster_dft_schedule(params: &CkksParams, level: usize) -> (Vec<KernelEvent>, usize) {
     let slots = params.slots();
     if slots <= DFT_RADIX * 2 {
         return (bsgs_transform_schedule(params, level), 1);
@@ -169,7 +74,7 @@ pub fn faster_dft_schedule(params: &CkksParams, level: usize) -> (Vec<KernelEven
 /// The slim-bootstrap schedule (Fig. 6): CoeffToSlot (4 BSGS transforms +
 /// conjugation), two sine evaluations, SlotToCoeff (2 BSGS transforms).
 #[must_use]
-pub fn bootstrap_schedule(
+pub(crate) fn bootstrap_schedule(
     params: &CkksParams,
     taylor_degree: usize,
     double_angles: usize,
@@ -199,7 +104,7 @@ pub fn bootstrap_schedule(
     });
 
     // CoeffToSlot: conjugation + 4 factorized transforms + 2 additions.
-    ev.extend(conjugate_schedule(params, level));
+    ev.extend(OpStream::Conjugate.events(params, level));
     let mut stages = 1;
     for _ in 0..4 {
         let (t, st) = faster_dft_schedule(params, level);
@@ -240,61 +145,50 @@ fn sine_schedule(
     double_angles: usize,
     ev: &mut Vec<KernelEvent>,
 ) -> usize {
-    let n = params.n();
     let mut level = start_level;
     // Fold constant.
-    ev.push(KernelEvent::HadaMult {
-        n,
-        limbs: 2 * (level + 1),
-    });
-    ev.extend(rescale_schedule(params, level));
+    ev.extend(OpStream::CMult.events(params, level));
+    ev.extend(OpStream::Rescale.events(params, level));
     level -= 1;
-    // Initial Taylor constant multiply.
-    ev.extend(cmult_schedule(params, level));
-    ev.extend(rescale_schedule(params, level));
+    // Initial Taylor constant multiply, then the constant term.
+    ev.extend(OpStream::CMult.events(params, level));
+    ev.extend(OpStream::Rescale.events(params, level));
     level -= 1;
-    ev.push(KernelEvent::EleAdd {
-        n,
-        limbs: level + 1,
-    });
-    // Horner multiplications.
+    ev.extend(OpStream::AddPlain.events(params, level));
+    // Horner multiplications, each followed by its constant term.
     for _ in 0..taylor_degree.saturating_sub(1) {
-        ev.extend(hmult_schedule(params, level));
-        ev.extend(rescale_schedule(params, level));
+        ev.extend(OpStream::HMult.events(params, level));
+        ev.extend(OpStream::Rescale.events(params, level));
         level -= 1;
-        ev.push(KernelEvent::EleAdd {
-            n,
-            limbs: level + 1,
-        });
+        ev.extend(OpStream::AddPlain.events(params, level));
     }
     // Double-angle squarings.
     for _ in 0..double_angles {
-        ev.extend(hmult_schedule(params, level));
-        ev.extend(rescale_schedule(params, level));
+        ev.extend(OpStream::HMult.events(params, level));
+        ev.extend(OpStream::Rescale.events(params, level));
         level -= 1;
     }
     // Conjugate, subtract, final complex constant multiply.
-    ev.extend(conjugate_schedule(params, level));
-    ev.push(KernelEvent::EleSub {
-        n,
-        limbs: 2 * (level + 1),
-    });
-    ev.extend(cmult_schedule(params, level));
-    ev.extend(rescale_schedule(params, level));
+    ev.extend(OpStream::Conjugate.events(params, level));
+    ev.extend(OpStream::HSub.events(params, level));
+    ev.extend(OpStream::CMult.events(params, level));
+    ev.extend(OpStream::Rescale.events(params, level));
     level - 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{schedule_events, FheOp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tensorfhe_ckks::keyswitch::key_switch_events;
     use tensorfhe_ckks::trace::RecordingTracer;
     use tensorfhe_ckks::{CkksContext, Evaluator, KeyChain};
     use tensorfhe_math::Complex64;
 
     /// Capture the real kernel trace of an operation at toy parameters.
-    fn capture(op: &str) -> (CkksParams, Vec<KernelEvent>) {
+    fn capture(op: FheOp) -> (CkksParams, Vec<KernelEvent>) {
         let params = CkksParams::toy();
         let ctx = CkksContext::new(&params).expect("ctx");
         let mut rng = StdRng::seed_from_u64(3);
@@ -309,23 +203,23 @@ mod tests {
         {
             let mut eval = Evaluator::with_tracer(&ctx, Box::new(&mut rec));
             match op {
-                "hmult" => {
+                FheOp::HMult => {
                     let _ = eval.hmult(&ct, &ct, &keys).expect("hmult");
                 }
-                "hadd" => {
+                FheOp::HAdd => {
                     let _ = eval.hadd(&ct, &ct).expect("hadd");
                 }
-                "cmult" => {
+                FheOp::CMult => {
                     let _ = eval.cmult(&ct, &pt).expect("cmult");
                 }
-                "rescale" => {
+                FheOp::Rescale => {
                     let prod = eval.hmult(&ct, &ct, &keys).expect("hmult");
                     let _ = eval.rescale(&prod).expect("rescale");
                 }
-                "hrotate" => {
+                FheOp::HRotate => {
                     let _ = eval.hrotate(&ct, 1, &keys).expect("rotate");
                 }
-                other => panic!("unknown op {other}"),
+                other => panic!("no capture for {other:?}"),
             }
         }
         (params, rec.events)
@@ -333,36 +227,48 @@ mod tests {
 
     #[test]
     fn hmult_schedule_matches_real_trace() {
-        let (params, real) = capture("hmult");
-        let synth = hmult_schedule(&params, params.max_level());
+        let (params, real) = capture(FheOp::HMult);
+        let synth = schedule_events(&params, FheOp::HMult, params.max_level());
         assert_eq!(synth, real);
     }
 
     #[test]
     fn hadd_schedule_matches_real_trace() {
-        let (params, real) = capture("hadd");
-        assert_eq!(hadd_schedule(&params, params.max_level()), real);
+        let (params, real) = capture(FheOp::HAdd);
+        assert_eq!(
+            schedule_events(&params, FheOp::HAdd, params.max_level()),
+            real
+        );
     }
 
     #[test]
     fn cmult_schedule_matches_real_trace() {
-        let (params, real) = capture("cmult");
-        assert_eq!(cmult_schedule(&params, params.max_level()), real);
+        let (params, real) = capture(FheOp::CMult);
+        assert_eq!(
+            schedule_events(&params, FheOp::CMult, params.max_level()),
+            real
+        );
     }
 
     #[test]
     fn hrotate_schedule_matches_real_trace() {
-        let (params, real) = capture("hrotate");
-        assert_eq!(hrotate_schedule(&params, params.max_level()), real);
+        let (params, real) = capture(FheOp::HRotate);
+        assert_eq!(
+            schedule_events(&params, FheOp::HRotate, params.max_level()),
+            real
+        );
     }
 
     #[test]
     fn rescale_schedule_matches_real_trace() {
         // The capture records the setup HMULT first; slice its events off.
-        let (params, real) = capture("rescale");
-        let hmult_len = hmult_schedule(&params, params.max_level()).len();
+        let (params, real) = capture(FheOp::Rescale);
+        let hmult_len = schedule_events(&params, FheOp::HMult, params.max_level()).len();
         let real_rescale = &real[hmult_len..];
-        assert_eq!(rescale_schedule(&params, params.max_level()), real_rescale);
+        assert_eq!(
+            schedule_events(&params, FheOp::Rescale, params.max_level()),
+            real_rescale
+        );
     }
 
     #[test]
@@ -408,17 +314,15 @@ mod tests {
             for level in [0, params.max_level() / 2, params.max_level()] {
                 let (m, k) = (level + 1, params.special_primes());
                 let lean = m.div_ceil(params.alpha()) * (m + k) + 2 * k + 2 * m;
-                for ev in [
-                    hmult_schedule(&params, level),
-                    hrotate_schedule(&params, level),
-                    conjugate_schedule(&params, level),
-                ] {
+                for op in [FheOp::HMult, FheOp::HRotate, FheOp::Conjugate] {
+                    let ev = schedule_events(&params, op, level);
                     assert_eq!(ntt_rows(&ev), lean, "{} level {level}", params.name());
                 }
             }
         }
         let set_b = CkksParams::heax_set_b();
-        assert_eq!(ntt_rows(&hmult_schedule(&set_b, set_b.max_level())), 48);
+        let hmult = schedule_events(&set_b, FheOp::HMult, set_b.max_level());
+        assert_eq!(ntt_rows(&hmult), 48);
     }
 
     fn boot_capable_params() -> CkksParams {

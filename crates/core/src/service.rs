@@ -49,14 +49,13 @@
 //! each dispatched batch, so queue latency measures exactly the time a
 //! request waited behind earlier batches.
 //!
-//! Identical batches — same `(op, level, width)` in TimingOnly mode — cost
-//! the same by construction, so dispatch results are cached. This is the
+//! Identical batches — same `(op, level, width)`, costed from their
+//! schedules alone — cost the same by construction, so dispatch results are cached. This is the
 //! same device-time-preserving shortcut the workload runner has always used,
 //! and it keeps paper-scale streams (tens of thousands of operations)
 //! tractable.
 
 use crate::api::{schedule_events, FheOp, OpReport, TensorFheBuilder};
-use crate::engine::ExecMode;
 use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::exec::{BatchResult, ExecBackend, ExecBatch, Executor, Pool};
@@ -454,13 +453,6 @@ impl FheService {
     pub(crate) fn from_builder(b: TensorFheBuilder, env: &EnvConfig) -> CoreResult<Self> {
         if b.devices == 0 {
             return Err(CoreError::InvalidConfig("need at least one device".into()));
-        }
-        if b.exec_mode == ExecMode::Full {
-            return Err(CoreError::InvalidConfig(
-                "the request service is schedule-only (TimingOnly); Full-mode \
-                 arithmetic runs through Engine::make_tracer + an Evaluator"
-                    .into(),
-            ));
         }
         let cfg = b.engine_config();
         // Each knob: builder, then its `TENSORFHE_*` variable, then default.
@@ -1714,15 +1706,6 @@ mod tests {
         assert_eq!(svc.status(id).expect("known"), RequestStatus::Completed);
         let bogus = svc.status(RequestId(999)).expect_err("never issued");
         assert!(matches!(bogus, CoreError::UnknownRequest(_)));
-    }
-
-    #[test]
-    fn full_exec_mode_is_rejected_for_services() {
-        let err = TensorFhe::builder(&CkksParams::test_small())
-            .exec_mode(crate::engine::ExecMode::Full)
-            .service()
-            .expect_err("service is schedule-only");
-        assert!(matches!(err, CoreError::InvalidConfig(_)));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The kernel layer: translating CKKS kernel events into GPU launches.
 //!
 //! [`GpuTracer`] implements [`KernelTracer`]; attach it to a
-//! `tensorfhe_ckks::Evaluator` (Full mode) or feed it a synthetic schedule
-//! (TimingOnly mode) and every kernel of every operation becomes a launch on
-//! the simulated device. The NTT lowering depends on the engine variant:
+//! `tensorfhe_ckks::Evaluator` (real arithmetic) or feed it a schedule
+//! from [`crate::api::schedule_events`] (costing only) and every kernel of
+//! every operation becomes a launch on the simulated device. The NTT lowering depends on the engine variant:
 //!
 //! * `Butterfly` — one monolithic butterfly kernel per launch
 //!   (TensorFHE-NT).
@@ -155,7 +155,7 @@ impl GpuTracer {
     }
 
     /// Stages a client key-set upload on the main stream (the session
-    /// tier's residency model in a Full-mode trace): one
+    /// tier's residency model in a traced execution): one
     /// [`KernelClass::KeyUpload`] DMA, costed by the copy-engine model
     /// rather than the warp simulator. A zero-byte upload is a no-op.
     pub fn upload_keys(&self, bytes: u64) {
@@ -534,7 +534,7 @@ mod tests {
         let s = sim();
         let mut t = GpuTracer::new(Rc::clone(&s), variant, Layout::Lbn, 1);
         t.op_begin("HMULT");
-        for e in crate::schedule::hmult_schedule(&params, params.max_level()) {
+        for e in crate::api::schedule_events(&params, crate::FheOp::HMult, params.max_level()) {
             t.kernel(e);
         }
         let mut sim = s.borrow_mut();

@@ -171,7 +171,7 @@ fn traced_launch_streams_are_fifo_clean_per_stream() {
     let params = CkksParams::test_small();
     let engine = Engine::new(EngineConfig::a100(Variant::TensorCore));
     let level = params.max_level();
-    // Trace through the engine's persistent sim (the Full-mode path);
+    // Trace through the engine's persistent sim (the evaluator path);
     // `run_schedule` costing windows run on an isolated zero-based clock
     // and leave no launches behind.
     for op in [FheOp::HMult, FheOp::HRotate, FheOp::Rescale] {

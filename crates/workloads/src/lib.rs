@@ -5,7 +5,7 @@
 //!
 //! * a **schedule** ([`WorkloadSpec`]) — the sequence of batched CKKS
 //!   operations the workload executes at its Table V parameters, runnable
-//!   through the TensorFHE engine in TimingOnly mode to regenerate
+//!   through the TensorFHE engine's schedule costing to regenerate
 //!   Tables X/XI and Figs. 12/13;
 //! * a **functional kernel** ([`helr`], [`conv`], [`lstm_cell`]) — a real
 //!   encrypted computation at reduced parameters, validated against its

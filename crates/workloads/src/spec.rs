@@ -80,7 +80,7 @@ pub struct WorkloadReport {
     pub occupancy: f64,
 }
 
-/// Executes a workload schedule in TimingOnly mode on a simulated A100
+/// Costs a workload schedule, without its arithmetic, on a simulated A100
 /// running the given NTT variant.
 ///
 /// Thin wrapper over [`run_workload_on`] for the common bench-harness

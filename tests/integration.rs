@@ -17,7 +17,7 @@ fn cost(api: &mut TensorFhe, op: FheOp, level: usize, batch: usize) -> tensorfhe
     tensorfhe::core::OpReport::from_stats(op, batch, power, stats)
 }
 
-/// Full-mode execution: real homomorphic math with every kernel costed on
+/// Traced execution: real homomorphic math with every kernel costed on
 /// the simulated device, then decrypt and check both the value and the
 /// profile.
 #[test]
@@ -56,8 +56,8 @@ fn traced_full_mode_pipeline() {
     assert!((dec[1].re - 0.25).abs() < 1e-2);
 }
 
-/// TimingOnly mode and Full mode charge consistent kernel schedules: the
-/// synthetic schedule executed by the API layer matches what a real traced
+/// Schedule-only costing and traced execution charge consistent kernel
+/// schedules: the schedule the API layer costs matches what a real traced
 /// execution produces (same launches ⇒ same simulated time).
 #[test]
 fn timing_only_matches_traced_execution() {
@@ -67,7 +67,7 @@ fn timing_only_matches_traced_execution() {
     let mut rng = StdRng::seed_from_u64(13);
     let keys = KeyChain::generate(&ctx, &mut rng);
 
-    // Full-mode trace of one HMULT.
+    // Traced execution of one HMULT.
     let mark = engine.mark();
     {
         let tracer = engine.make_tracer(1);
@@ -79,7 +79,7 @@ fn timing_only_matches_traced_execution() {
     engine.device().borrow_mut().synchronize();
     let full_stats = engine.window_stats(mark);
 
-    // TimingOnly execution of the same op.
+    // Schedule-only costing of the same op.
     let mut api = TensorFhe::builder(&params)
         .build()
         .expect("single-device build");
