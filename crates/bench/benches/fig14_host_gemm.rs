@@ -43,9 +43,7 @@ use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::{CkksParams, KernelEvent};
 use tensorfhe_core::api::{schedule_events, FheOp, TensorFhe};
 use tensorfhe_core::service::FheRequest;
-use tensorfhe_core::{
-    EngineConfig, ExecBackend, ExecBatch, Executor, HostWorkStats, Pool, Variant,
-};
+use tensorfhe_core::{EngineConfig, ExecBackend, ExecBatch, HostWorkStats, Pool, Variant};
 
 const DEVICES: usize = 2;
 

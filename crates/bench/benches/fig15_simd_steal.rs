@@ -30,7 +30,7 @@ use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::{CkksParams, KernelEvent};
 use tensorfhe_core::api::{schedule_events, FheOp};
 use tensorfhe_core::exec::StealStats;
-use tensorfhe_core::{EngineConfig, ExecBackend, ExecBatch, Executor, Pool, Variant};
+use tensorfhe_core::{EngineConfig, ExecBackend, ExecBatch, Pool, Variant};
 use tensorfhe_math::gemm_fast::{gemm_rm_with, MontOperand};
 use tensorfhe_math::prime::generate_ntt_primes;
 use tensorfhe_math::simd::{scalar_tile, simd4, MicroKernel};

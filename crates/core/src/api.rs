@@ -231,9 +231,9 @@ impl TensorFheBuilder {
         self
     }
 
-    /// The scheduler policy: worker threads, pipeline depth, admission
-    /// mode, scoreboard lookahead and aging bound, as one typed
-    /// [`SchedPolicy`] value — the only way to set them on the builder.
+    /// The scheduler policy: worker threads, pipeline depth and admission
+    /// mode, as one typed [`SchedPolicy`] value — the only way to set
+    /// them on the builder.
     /// Replaces the whole policy (unset fields resolve through their env
     /// var, then their default).
     ///
@@ -246,8 +246,10 @@ impl TensorFheBuilder {
     /// | `workers` | `TENSORFHE_WORKERS` | 1 (runs on the calling thread) |
     /// | `pipeline_depth` | `TENSORFHE_PIPELINE` | 1 (synchronous) |
     /// | `admission` | `TENSORFHE_ADMISSION` (`inorder`/`ooo`) | in-order |
-    /// | `lookahead` | — | [`crate::sched::DEFAULT_LOOKAHEAD`] |
-    /// | `aging_bound` | — | [`crate::sched::DEFAULT_AGING_BOUND`] |
+    ///
+    /// Out-of-order admission runs its scoreboard with
+    /// [`crate::sched::DEFAULT_LOOKAHEAD`] and
+    /// [`crate::sched::DEFAULT_AGING_BOUND`].
     ///
     /// `workers` is the [`crate::exec::Pool`]'s thread count (clamped to
     /// the device count on the simulated backend). The execution backend

@@ -464,7 +464,7 @@ impl RealWork {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{cfg, drain, pool};
-    use super::super::{Executor, Pool};
+    use super::super::Pool;
     use super::*;
 
     #[test]

@@ -1,9 +1,8 @@
-//! The executor seam — "run a scheduled batch on the device(s)" as a
-//! pluggable contract — and the one executor behind it.
+//! The executor — "run a scheduled batch on the device(s)".
 //!
 //! The service layer coalesces requests into batches; *how* a batch turns
-//! into device work is this module's job, behind the [`Executor`] trait.
-//! [`Pool`] implements it: `threads` workers own the per-device simulated
+//! into device work is this module's job, and [`Pool`] does it: `threads`
+//! workers own the per-device simulated
 //! [`Engine`]s — device `d` belongs to worker `d % threads` — and the
 //! [`ExecBackend`] only chooses what else a batch runs:
 //!
@@ -25,14 +24,11 @@
 //! and the merge folds floats in the same order. Threads and host
 //! arithmetic buy wall-clock, never result drift.
 //!
-//! A real CUDA/CUTLASS (or wgpu) backend slots in by implementing
-//! [`Executor`] over real streams (see the crate docs, step 7).
-//!
-//! Determinism contract: for a fixed executor configuration, `submit`ting
+//! Determinism contract: for a fixed pool configuration, `submit`ting
 //! the same sequence of batches must yield the same [`BatchResult`]s. The
 //! service's dispatch cache and the CI `TENSORFHE_WORKERS` matrix both rely
 //! on it. Results are furthermore *history-free*: a batch's statistics are
-//! a pure function of `(tag, events, width)` and the executor
+//! a pure function of `(tag, events, width)` and the pool
 //! configuration, never of what ran before it — the pipelined scheduler
 //! ([`crate::sched`]) depends on this when a batch that the serial path
 //! would have served from the dispatch cache executes for real.
@@ -41,7 +37,7 @@
 //! before any is joined. Every backend queues work FIFO *per device*, so
 //! outstanding batches resolve to exactly the results a
 //! submit-join-submit-join sequence would produce; handles may be joined in
-//! any order. [`Executor::try_join`] is the non-blocking form — it returns
+//! any order. [`Pool::try_join`] is the non-blocking form — it returns
 //! `None` while the batch is still executing on the host workers, which
 //! lets a scheduler keep a window of in-flight batches and harvest whichever
 //! are already complete without stalling the planning loop.
@@ -58,7 +54,7 @@ pub mod host;
 
 pub use host::{HostWorkStats, StealStats};
 
-/// Which execution backend serves the batches behind the seam.
+/// Which execution backend the pool's workers run.
 ///
 /// Selected on the builder (`TensorFheBuilder::backend`) or via the
 /// `TENSORFHE_BACKEND` environment variable (`sim`, `host-parallel`,
@@ -115,7 +111,7 @@ pub struct ExecBatch {
     pub width: usize,
 }
 
-/// Opaque handle to a submitted batch, redeemed with [`Executor::join`].
+/// Opaque handle to a submitted batch, redeemed with [`Pool::join`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecHandle(u64);
 
@@ -141,7 +137,7 @@ impl BatchResult {
 /// Static capabilities of an execution backend.
 #[derive(Debug, Clone)]
 pub struct ExecCaps {
-    /// Device count behind the seam.
+    /// Device count the pool drives.
     pub devices: usize,
     /// Host worker threads driving those devices (1 = serial).
     pub workers: usize,
@@ -153,53 +149,6 @@ pub struct ExecCaps {
     pub device_name: String,
     /// Stable backend name (`sim`, `host-parallel`, `host-scalar`).
     pub backend: &'static str,
-}
-
-/// The "run a scheduled batch on a device" contract.
-///
-/// `submit` hands a batch to the backend; `join` blocks until it completes
-/// and returns the merged result. Implementations must be deterministic:
-/// the same submission sequence yields the same results, so every thread
-/// count and backend of a [`Pool`] is interchangeable bit-for-bit.
-pub trait Executor: std::fmt::Debug {
-    /// Schedules a batch; the returned handle is redeemed exactly once.
-    fn submit(&mut self, batch: ExecBatch) -> ExecHandle;
-
-    /// Waits for a submitted batch and returns its merged statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a handle this executor never issued (or already joined).
-    fn join(&mut self, handle: ExecHandle) -> BatchResult;
-
-    /// Non-blocking [`Executor::join`]: returns the merged result if the
-    /// batch has already completed, `None` if it is still executing. A
-    /// `Some` consumes the handle exactly like `join`; after `None` the
-    /// handle stays live and may be polled again or joined blockingly.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a handle this executor never issued (or already joined).
-    fn try_join(&mut self, handle: ExecHandle) -> Option<BatchResult>;
-
-    /// Backend capabilities (device count, workers, VRAM, power).
-    fn caps(&self) -> ExecCaps;
-
-    /// Accumulated real-arithmetic work counters, for backends that
-    /// execute kernels on the host (a [`Pool`] on a host backend).
-    /// Simulation-only backends return `None`.
-    fn host_work(&self) -> Option<HostWorkStats> {
-        None
-    }
-
-    /// Work-stealing scheduler counters, for backends that execute real
-    /// arithmetic through stealable chunks. Simulation-only backends
-    /// return `None`. The counters are scheduling telemetry, **not** part
-    /// of the determinism contract (except `planned_rows ==
-    /// executed_rows`, work conservation).
-    fn steal_stats(&self) -> Option<StealStats> {
-        None
-    }
 }
 
 /// Splits a batch of `width` operations across `devices` following the
@@ -411,10 +360,9 @@ impl Pool {
         batch.shards.sort_by_key(|&(d, _)| d);
         merge_shards(batch.shards, self.caps.devices)
     }
-}
 
-impl Executor for Pool {
-    fn submit(&mut self, batch: ExecBatch) -> ExecHandle {
+    /// Schedules a batch; the returned handle is redeemed exactly once.
+    pub fn submit(&mut self, batch: ExecBatch) -> ExecHandle {
         let devices = self.caps.devices;
         let widths = shard_widths(batch.width, devices);
         let shards = widths
@@ -492,7 +440,12 @@ impl Executor for Pool {
         ExecHandle(id)
     }
 
-    fn join(&mut self, handle: ExecHandle) -> BatchResult {
+    /// Waits for a submitted batch and returns its merged statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a handle this pool never issued (or already joined).
+    pub fn join(&mut self, handle: ExecHandle) -> BatchResult {
         let mut pending = self
             .pending
             .remove(&handle.0)
@@ -501,7 +454,15 @@ impl Executor for Pool {
         self.settle(pending)
     }
 
-    fn try_join(&mut self, handle: ExecHandle) -> Option<BatchResult> {
+    /// Non-blocking [`Pool::join`]: returns the merged result if the
+    /// batch has already completed, `None` if it is still executing. A
+    /// `Some` consumes the handle exactly like `join`; after `None` the
+    /// handle stays live and may be polled again or joined blockingly.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a handle this pool never issued (or already joined).
+    pub fn try_join(&mut self, handle: ExecHandle) -> Option<BatchResult> {
         let pending = self
             .pending
             .get_mut(&handle.0)
@@ -513,15 +474,25 @@ impl Executor for Pool {
         Some(self.settle(pending))
     }
 
-    fn caps(&self) -> ExecCaps {
+    /// Backend capabilities (device count, workers, VRAM, power).
+    #[must_use]
+    pub fn caps(&self) -> ExecCaps {
         self.caps.clone()
     }
 
-    fn host_work(&self) -> Option<HostWorkStats> {
+    /// Accumulated real-arithmetic work counters on a host backend;
+    /// `None` under [`ExecBackend::Sim`].
+    #[must_use]
+    pub fn host_work(&self) -> Option<HostWorkStats> {
         (self.backend != ExecBackend::Sim).then_some(self.work)
     }
 
-    fn steal_stats(&self) -> Option<StealStats> {
+    /// Work-stealing scheduler counters on a host backend; `None` under
+    /// [`ExecBackend::Sim`]. The counters are scheduling telemetry,
+    /// **not** part of the determinism contract (except `planned_rows ==
+    /// executed_rows`, work conservation).
+    #[must_use]
+    pub fn steal_stats(&self) -> Option<StealStats> {
         (self.backend != ExecBackend::Sim).then(|| self.shared.stats())
     }
 }
@@ -605,7 +576,7 @@ struct Job {
 /// A submitted, not yet joined batch: its reply channel (none if it ran
 /// at submit), how many replies — one per job, one for all chunks — are
 /// outstanding, and what the harvested ones said, so a non-blocking
-/// [`Executor::try_join`] keeps partial progress.
+/// [`Pool::try_join`] keeps partial progress.
 #[derive(Debug)]
 struct Pending {
     rx: Option<mpsc::Receiver<Reply>>,
@@ -665,13 +636,13 @@ mod tests {
     }
 
     /// Submits a batch per width before joining any, then joins in order.
-    pub(super) fn drain(exec: &mut dyn Executor, widths: &[usize]) -> Vec<BatchResult> {
+    pub(super) fn drain(exec: &mut Pool, widths: &[usize]) -> Vec<BatchResult> {
         let handles: Vec<ExecHandle> = widths.iter().map(|&w| exec.submit(batch(w))).collect();
         handles.into_iter().map(|h| exec.join(h)).collect()
     }
 
     /// Polls a handle with `try_join` until it resolves.
-    fn poll(exec: &mut dyn Executor, h: ExecHandle) -> BatchResult {
+    fn poll(exec: &mut Pool, h: ExecHandle) -> BatchResult {
         loop {
             if let Some(r) = exec.try_join(h) {
                 return r;

@@ -25,7 +25,7 @@
 //! * **Request service** ([`service`]) — the batching front end:
 //!   [`service::FheService`] enqueues [`service::FheRequest`]s from many
 //!   clients, coalesces compatible ones (same op, same level) into
-//!   VRAM-feasible batches, dispatches them through the executor seam, and
+//!   VRAM-feasible batches, dispatches them to the executor pool, and
 //!   reports per-request cost plus service-level stats (queue latency,
 //!   batch-fill efficiency, per-device utilization, aggregate ops/s and
 //!   ops/W, pipeline overlap).
@@ -36,8 +36,8 @@
 //!   admission mode ([`sched::AdmissionMode::OutOfOrder`]) adds a
 //!   scoreboard that admits past a key-blocked head; see the
 //!   architecture section below.
-//! * **Executor seam** ([`exec`]) — the pluggable "run a scheduled batch on
-//!   a device" contract; see the architecture section below.
+//! * **Executor** ([`exec`]) — the one [`exec::Pool`] that runs a
+//!   scheduled batch on the devices; see the architecture section below.
 //! * **Operation-level batching** ([`engine`]) — the `(L, B, N)` vs
 //!   `(B, L, N)` layout switch of Fig. 9 and the batch-size machinery of
 //!   Fig. 14; sharding a batch across devices (§VII) is
@@ -56,7 +56,7 @@
 //!
 //! ```text
 //! clients ──submit──▶ admission ──▶ FheService queue ──fair pick──▶ coalesce
-//!  (session or anon)  (queue caps:    (FIFO slots)     (DRR quanta,  (policy-ordered,
+//!  (session or anon)  (queue caps:    (by RequestId)   (DRR quanta,  (policy-ordered,
 //!                      Rejected)                        urgent EDF,   key-affine)
 //!                                                       shedding)        │
 //!                                                        ┌──────────────┘
@@ -67,7 +67,7 @@
 //!                                          │  in-flight window (depth)  │
 //!                                          │  independent batches only  │
 //!                                          └─────────────┬──────────────┘
-//!                                                        │ Executor::submit / try_join
+//!                                                        │ Pool::submit / try_join
 //!                                                        ▼
 //!                                          Pool: workers own devices d % threads
 //!                                    (one thread: inline on the calling thread;
@@ -122,7 +122,7 @@
 //!    / `TENSORFHE_ADMISSION=ooo`): when the *next serial* plan is
 //!    key-blocked, the serial planning walk keeps running speculatively —
 //!    each planned batch is *frozen* into a bounded pending scoreboard
-//!    ([`SchedPolicy::lookahead`] deep) with its reservations, key
+//!    ([`sched::DEFAULT_LOOKAHEAD`] deep) with its reservations, key
 //!    placements and DRR charges already applied, so batch composition is
 //!    identical to in-order mode. Admission then picks from the
 //!    scoreboard under a fixed **greedy-then-oldest** rule: prefer a
@@ -133,9 +133,9 @@
 //!    *and* every older pending plan (program order within a client
 //!    stream is never reordered). Every admission bumps a `bypassed`
 //!    counter on each older plan that was eligible at that instant; once
-//!    any counter reaches [`SchedPolicy::aging_bound`], only plans at or
-//!    before the starving one may admit, so no plan is bypassed more
-//!    than `aging_bound` times. Joins still pop the window in admission
+//!    any counter reaches [`sched::DEFAULT_AGING_BOUND`], only plans at
+//!    or before the starving one may admit, so no plan is bypassed more
+//!    often than that. Joins still pop the window in admission
 //!    order, but results park in a reorder buffer and **settle in serial
 //!    plan order** — the float folds that produce reports and stats run
 //!    in exactly the in-order sequence, which is why out-of-order drains
@@ -147,10 +147,10 @@
 //!    service with deadline sessions registered falls back to in-order
 //!    admission. Both modes run the same planning walk and settle through
 //!    the same reorder buffer; in-order, a joined batch leaves it at once.
-//! 6. **Executor**: every batch crosses the [`exec::Executor`] seam —
+//! 6. **Executor**: every batch goes to the one [`exec::Pool`] —
 //!    `submit(batch) → ExecHandle`, `join`/`try_join``(handle) →
 //!    BatchResult`, any number of batches outstanding, FIFO per device —
-//!    into the one [`exec::Pool`], which owns sharding
+//!    which owns sharding
 //!    ([`exec::shard_widths`]) and the deterministic device-order merge
 //!    ([`exec::merge_shards`]). Its workers ([`SchedPolicy::workers`] /
 //!    `TENSORFHE_WORKERS`) own the per-device engines, device `d` on worker
@@ -200,14 +200,13 @@
 //!    work-conservation ledger (`planned_rows == executed_rows`).
 //! 7. **Device**: each shard becomes kernel launches on a per-device
 //!    [`Engine`]/`DeviceSim` pair. A real CUDA/CUTLASS or wgpu backend
-//!    slots in *here*: implement [`exec::Executor`] over real device
-//!    queues (the batched `B×L` GEMM shapes map 1:1 onto grouped-GEMM
-//!    calls, and the multi-outstanding `submit`/`try_join` contract maps
-//!    onto stream events) and hand it the same `ExecBatch`es —
-//!    coalescing, scheduling, attribution and reporting above the seam
-//!    are backend-agnostic. A host-backend [`exec::Pool`] is the working
-//!    template: it already runs real GEMM arithmetic behind the seam with
-//!    bit-identical reports. Contexts, NTT and basis-conversion plans, and
+//!    would take the pool's place here: the batched `B×L` GEMM shapes map
+//!    1:1 onto grouped-GEMM calls, and the multi-outstanding
+//!    `submit`/`try_join` contract maps onto stream events, so it would
+//!    take the same `ExecBatch`es — coalescing, scheduling, attribution
+//!    and reporting above the pool are backend-agnostic. A host-backend
+//!    [`exec::Pool`] is the working template: it already runs real GEMM
+//!    arithmetic with bit-identical reports. Contexts, NTT and basis-conversion plans, and
 //!    DFT matrices are shared across workers through the `Send + Sync`
 //!    process-wide `PlanCache` / DFT caches.
 //!
@@ -392,7 +391,7 @@ pub mod tracer;
 pub use api::{FheOp, OpReport, TensorFhe, TensorFheBuilder};
 pub use engine::{Engine, EngineConfig, Layout, Variant};
 pub use error::{CoreError, CoreResult};
-pub use exec::{BatchResult, ExecBackend, ExecBatch, ExecHandle, Executor, HostWorkStats, Pool};
+pub use exec::{BatchResult, ExecBackend, ExecBatch, ExecHandle, HostWorkStats, Pool};
 pub use sched::{AdmissionMode, SchedPolicy};
 pub use service::{FheRequest, FheService, RequestId, RequestReport, RequestStatus, ServiceStats};
 pub use session::{

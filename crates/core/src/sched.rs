@@ -5,7 +5,7 @@
 //! rounds — coalesce one batch, `submit`, immediately `join` — so devices
 //! idled whenever the queue held several *independent* but mutually
 //! incompatible `(op, level)` groups. This module owns everything between
-//! the request queue and the [`crate::exec::Executor`] seam:
+//! the request table and the [`crate::exec::Pool`]:
 //!
 //! * **Planning** ([`Scheduler::plan`]) — the coalescing walk: the first
 //!   slot the service offers defines the batch's `(op, level)` group, and
@@ -137,7 +137,8 @@
 //! [`ServiceStats`]: crate::service::ServiceStats
 
 use crate::api::FheOp;
-use crate::exec::{BatchResult, ExecHandle, Executor};
+use crate::exec::{BatchResult, ExecHandle, Pool};
+use crate::service::RequestId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -175,7 +176,8 @@ pub enum AdmissionMode {
 }
 
 /// The unified scheduler-policy surface: every knob that shapes how work
-/// moves from the queue onto devices, in one typed value.
+/// moves from the queue onto devices, in one typed value. The scoreboard
+/// runs with [`DEFAULT_LOOKAHEAD`] and [`DEFAULT_AGING_BOUND`].
 ///
 /// Unset fields resolve through the documented chain *builder → env var →
 /// default* (see [`crate::api::TensorFheBuilder::sched`]); zero or
@@ -186,8 +188,6 @@ pub struct SchedPolicy {
     pub(crate) workers: Option<usize>,
     pub(crate) pipeline: Option<usize>,
     pub(crate) admission: Option<AdmissionMode>,
-    pub(crate) lookahead: Option<usize>,
-    pub(crate) aging_bound: Option<usize>,
 }
 
 impl SchedPolicy {
@@ -217,27 +217,10 @@ impl SchedPolicy {
         self.admission = Some(mode);
         self
     }
-
-    /// Scoreboard lookahead (pending plans) for out-of-order mode;
-    /// defaults to [`DEFAULT_LOOKAHEAD`]. Zero is a configuration error.
-    #[must_use]
-    pub fn lookahead(mut self, n: usize) -> Self {
-        self.lookahead = Some(n);
-        self
-    }
-
-    /// Aging bound (eligible bypasses before a plan must be admitted
-    /// next) for out-of-order mode; defaults to [`DEFAULT_AGING_BOUND`].
-    /// Zero is a configuration error.
-    #[must_use]
-    pub fn aging_bound(mut self, n: usize) -> Self {
-        self.aging_bound = Some(n);
-        self
-    }
 }
 
-/// Planning view of one queue slot: what the scheduler needs to know about
-/// a pending request.
+/// Planning view of one unfinished request: what the scheduler needs to
+/// know about it.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotView<'a> {
     /// The requested operation.
@@ -261,11 +244,9 @@ pub struct BatchPlan {
     pub level: usize,
     /// Total instances coalesced.
     pub width: usize,
-    /// `(queue index, instances)` per contributing request, in submission
-    /// order. Queue indices stay valid for the plan's lifetime because the
-    /// service rebases them ([`Scheduler::rebase`]) whenever it pops
-    /// leading tombstones off the queue.
-    pub takes: Vec<(usize, usize)>,
+    /// `(request, instances)` per contributing request, in id
+    /// (= submission) order.
+    pub takes: Vec<(RequestId, usize)>,
     /// Key-staging cost charged to this batch's critical path: the time
     /// the copy engine spends uploading non-resident switch keys before
     /// the gang can start (0.0 when every contributing session's key set
@@ -462,7 +443,7 @@ pub struct Finished {
 struct InFlight {
     plan: BatchPlan,
     work: Work,
-    /// Result harvested early by a non-blocking [`Executor::try_join`];
+    /// Result harvested early by a non-blocking [`Pool::try_join`];
     /// consumed (in admission order) by [`Scheduler::join_next`].
     ready: Option<BatchResult>,
     /// The join frontier at admission: completion time of the newest batch
@@ -569,8 +550,9 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics on a zero depth, device count, lookahead or aging bound
-    /// (the service builder validates all four and returns a typed error
-    /// first).
+    /// (the service builder rejects a zero depth or device count with a
+    /// typed error first, and passes [`DEFAULT_LOOKAHEAD`] and
+    /// [`DEFAULT_AGING_BOUND`]).
     #[must_use]
     pub fn with_policy(
         depth: usize,
@@ -741,24 +723,24 @@ impl Scheduler {
     }
 
     /// The serial coalescing walk shared by every admission mode: the
-    /// first slot with instances left defines the `(op, level)` group,
-    /// then every matching slot contributes, in the order `slots` yields
-    /// them, up to `cap` instances. `slots` yields `(queue index, slot)`
-    /// pairs; fully-reserved slots (`remaining == 0`) are skipped. `None`
-    /// when no slot has instances left.
+    /// first request with instances left defines the `(op, level)` group,
+    /// then every matching request contributes, in the order `slots`
+    /// yields them, up to `cap` instances. `slots` yields `(request id,
+    /// view)` pairs; fully-reserved requests (`remaining == 0`) are
+    /// skipped. `None` when no request has instances left.
     ///
     /// Planning never mutates and never looks at the window: the service
     /// applies the reservation itself, and asks [`Scheduler::blocks`]
     /// before an in-order admission.
     pub fn plan<'a, I>(cap: usize, slots: I) -> Option<BatchPlan>
     where
-        I: IntoIterator<Item = (usize, SlotView<'a>)>,
+        I: IntoIterator<Item = (RequestId, SlotView<'a>)>,
     {
         let mut group: Option<(FheOp, usize)> = None;
         let mut width = 0usize;
-        let mut takes: Vec<(usize, usize)> = Vec::new();
+        let mut takes: Vec<(RequestId, usize)> = Vec::new();
         let mut keys: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
-        for (i, s) in slots {
+        for (id, s) in slots {
             if s.remaining == 0 {
                 continue;
             }
@@ -768,7 +750,7 @@ impl Scheduler {
             }
             let take = s.remaining.min(cap - width);
             if take > 0 {
-                takes.push((i, take));
+                takes.push((id, take));
                 width += take;
                 keys.insert((Arc::clone(s.client), s.level));
             }
@@ -1001,45 +983,12 @@ impl Scheduler {
         self.inflight_hwm = self.inflight_hwm.max(self.window.len());
     }
 
-    /// Shifts every live plan's take indices down by `popped` after the
-    /// caller removed that many leading (dead) queue slots — in-flight
-    /// window batches, frozen pending plans, and joined-but-unsettled
-    /// batches alike. Keeping indices rebasable lets the service compact
-    /// tombstones *while* batches are in flight, so a pump-driven service
-    /// under sustained load reclaims its queue instead of growing a dead
-    /// prefix forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if any live take still points into the removed
-    /// prefix — the caller may only pop slots no plan references.
-    pub fn rebase(&mut self, popped: usize) {
-        if popped == 0 {
-            return;
-        }
-        let shift = |takes: &mut Vec<(usize, usize)>| {
-            for (i, _) in takes {
-                debug_assert!(*i >= popped, "popped a slot a live plan references");
-                *i -= popped;
-            }
-        };
-        for f in &mut self.window {
-            shift(&mut f.plan.takes);
-        }
-        for p in &mut self.pending {
-            shift(&mut p.plan.takes);
-        }
-        for f in self.rob.values_mut() {
-            shift(&mut f.plan.takes);
-        }
-    }
-
     /// Opportunistically harvests already-completed submissions into the
-    /// window buffer via the non-blocking [`Executor::try_join`]. Purely a
+    /// window buffer via the non-blocking [`Pool::try_join`]. Purely a
     /// latency courtesy to the backend (worker reply channels drain
     /// early); consumption order — and therefore every result and stat —
     /// is fixed by the settle path.
-    pub fn harvest(&mut self, exec: &mut dyn Executor) {
+    pub fn harvest(&mut self, exec: &mut Pool) {
         for f in &mut self.window {
             if f.ready.is_none() {
                 if let Work::Submitted(h) = f.work {
@@ -1056,7 +1005,7 @@ impl Scheduler {
     /// batches are then drained in serial order by
     /// [`Scheduler::drain_settleable`]; under in-order admission the
     /// joined batch is always the next one.
-    pub fn join_next(&mut self, exec: &mut dyn Executor) -> bool {
+    pub fn join_next(&mut self, exec: &mut Pool) -> bool {
         let Some(mut inflight) = self.window.pop_front() else {
             return false;
         };
@@ -1224,18 +1173,18 @@ mod tests {
         Scheduler::with_policy(depth, devices, AdmissionMode::OutOfOrder, lookahead, aging)
     }
 
-    /// Plans the single-slot batch `(op, level, 1, client)` at queue index
-    /// `i`, asserting it is independent of everything in flight.
-    fn plan_one(s: &Scheduler, i: usize, op: FheOp, level: usize, client: &str) -> BatchPlan {
-        let p = Scheduler::plan(4, [(i, view(op, level, 1, client))]).expect("planned");
+    /// Plans the single-request batch `(op, level, 1, client)` for request
+    /// `id`, asserting it is independent of everything in flight.
+    fn plan_one(s: &Scheduler, id: RequestId, op: FheOp, level: usize, client: &str) -> BatchPlan {
+        let p = Scheduler::plan(4, [(id, view(op, level, 1, client))]).expect("planned");
         assert!(!s.blocks(&p), "expected an independent batch");
         p
     }
 
-    /// Plans the single-slot batch `(op, level, 1, client)` without the
-    /// in-flight key check and freezes it.
-    fn freeze_one(s: &mut Scheduler, i: usize, op: FheOp, level: usize, client: &str) {
-        let p = Scheduler::plan(4, [(i, view(op, level, 1, client))]).expect("planned");
+    /// Plans the single-request batch `(op, level, 1, client)` for request
+    /// `id` without the in-flight key check and freezes it.
+    fn freeze_one(s: &mut Scheduler, id: RequestId, op: FheOp, level: usize, client: &str) {
+        let p = Scheduler::plan(4, [(id, view(op, level, 1, client))]).expect("planned");
         s.freeze(p);
     }
 
@@ -1251,38 +1200,43 @@ mod tests {
     #[test]
     fn plan_coalesces_the_head_group_fifo() {
         let slots = vec![
-            (1usize, view(FheOp::HMult, 3, 5, "a")),
-            (2, view(FheOp::Rescale, 3, 9, "b")),
-            (3, view(FheOp::HMult, 3, 4, "c")),
-            (4, view(FheOp::HMult, 2, 8, "a")),
+            (RequestId(1), view(FheOp::HMult, 3, 5, "a")),
+            (RequestId(2), view(FheOp::Rescale, 3, 9, "b")),
+            (RequestId(3), view(FheOp::HMult, 3, 4, "c")),
+            (RequestId(4), view(FheOp::HMult, 2, 8, "a")),
         ];
         let p = Scheduler::plan(8, slots).expect("a batch");
         assert_eq!(p.op, FheOp::HMult);
         assert_eq!(p.level, 3);
         assert_eq!(p.width, 8);
-        assert_eq!(p.takes, vec![(1, 5), (3, 3)], "cap-bounded FIFO takes");
+        assert_eq!(
+            p.takes,
+            vec![(RequestId(1), 5), (RequestId(3), 3)],
+            "cap-bounded FIFO takes"
+        );
     }
 
     #[test]
     fn plan_skips_fully_reserved_slots_and_reports_empty() {
-        let slots = [(0usize, view(FheOp::HAdd, 1, 0, "a"))];
+        let slots = [(RequestId(0), view(FheOp::HAdd, 1, 0, "a"))];
         assert!(Scheduler::plan(4, slots).is_none());
     }
 
     #[test]
     fn dependent_plans_block_until_keys_release() {
         let mut s = sched(4, 2);
-        let first = Scheduler::plan(4, [(0usize, view(FheOp::HMult, 3, 4, "a"))]).expect("a batch");
+        let first =
+            Scheduler::plan(4, [(RequestId(0), view(FheOp::HMult, 3, 4, "a"))]).expect("a batch");
         s.admit(first, Work::Cached(result(vec![1.0, 1.0])));
 
         // Same client, same level, different op: program order applies.
-        let chained = [(1usize, view(FheOp::HAdd, 3, 2, "a"))];
+        let chained = [(RequestId(1), view(FheOp::HAdd, 3, 2, "a"))];
         assert!(s.blocks(&Scheduler::plan(4, chained).expect("a batch")));
         // Same client at another level, or another client at the same
         // level: independent.
         for slots in [
-            [(1usize, view(FheOp::HAdd, 2, 2, "a"))],
-            [(1usize, view(FheOp::HAdd, 3, 2, "b"))],
+            [(RequestId(1), view(FheOp::HAdd, 2, 2, "a"))],
+            [(RequestId(1), view(FheOp::HAdd, 3, 2, "b"))],
         ] {
             assert!(
                 !s.blocks(&Scheduler::plan(4, slots).expect("a batch")),
@@ -1301,7 +1255,7 @@ mod tests {
     fn window_depth_is_enforced() {
         let mut s = sched(2, 1);
         for i in 0..2 {
-            let p = plan_one(&s, i, FheOp::HMult, i, "x");
+            let p = plan_one(&s, RequestId(i as u64), FheOp::HMult, i, "x");
             s.admit(p, Work::Cached(result(vec![1.0])));
         }
         assert!(!s.has_room());
@@ -1320,7 +1274,7 @@ mod tests {
         let walls = [3.5f64, 1.25, 7.0];
         let mut serial = 0.0f64;
         for (i, &w) in walls.iter().enumerate() {
-            let p = plan_one(&s, i, FheOp::HMult, 3, "c");
+            let p = plan_one(&s, RequestId(i as u64), FheOp::HMult, 3, "c");
             // Ragged shards: the batch still gang-starts after the
             // previous completion because the window is one deep.
             s.admit(p, Work::Cached(result(vec![w, w / 2.0, 0.0, 0.0])));
@@ -1337,7 +1291,7 @@ mod tests {
         let mut exec = sim_pool(4);
         let mut s = sched(4, 4);
         for i in 0..4usize {
-            let p = plan_one(&s, i, FheOp::HMult, i, "c");
+            let p = plan_one(&s, RequestId(i as u64), FheOp::HMult, i, "c");
             s.admit(p, Work::Cached(result(vec![10.0, 0.0, 0.0, 0.0])));
         }
         for _ in 0..4 {
@@ -1348,7 +1302,7 @@ mod tests {
 
         // A fifth batch admitted after one join stacks behind the window
         // frontier, not at zero.
-        let p = plan_one(&s, 9, FheOp::HMult, 9, "c");
+        let p = plan_one(&s, RequestId(9), FheOp::HMult, 9, "c");
         s.admit(p, Work::Cached(result(vec![10.0, 0.0, 0.0, 0.0])));
         settle_next(&mut s, &mut exec);
         assert_eq!(s.elapsed_us(), 20.0, "fifth batch queues behind the window");
@@ -1360,10 +1314,10 @@ mod tests {
         // key-blocked behind the first in flight. An independent tenant
         // frozen behind them admits past the blocked head.
         let mut s = ooo(4, 2, 8, 4);
-        freeze_one(&mut s, 0, FheOp::HMult, 3, "chain");
+        freeze_one(&mut s, RequestId(0), FheOp::HMult, 3, "chain");
         s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
-        freeze_one(&mut s, 1, FheOp::Rescale, 3, "chain");
-        freeze_one(&mut s, 2, FheOp::HMult, 5, "tenant");
+        freeze_one(&mut s, RequestId(1), FheOp::Rescale, 3, "chain");
+        freeze_one(&mut s, RequestId(2), FheOp::HMult, 5, "tenant");
         // The chain link is key-blocked (in-flight key); the tenant is
         // eligible and admits past it.
         let (op, level, _) = s.peek_admissible().expect("tenant admissible");
@@ -1382,9 +1336,9 @@ mod tests {
     #[test]
     fn greedy_prefers_the_last_admitted_group() {
         let mut s = ooo(8, 2, 8, 16);
-        freeze_one(&mut s, 0, FheOp::HMult, 3, "a");
-        freeze_one(&mut s, 1, FheOp::Rescale, 4, "b");
-        freeze_one(&mut s, 2, FheOp::HMult, 3, "c");
+        freeze_one(&mut s, RequestId(0), FheOp::HMult, 3, "a");
+        freeze_one(&mut s, RequestId(1), FheOp::Rescale, 4, "b");
+        freeze_one(&mut s, RequestId(2), FheOp::HMult, 3, "c");
         // Nothing in flight, no last group: oldest eligible wins.
         let (op, level, _) = s.peek_admissible().expect("admissible");
         assert_eq!((op, level), (FheOp::HMult, 3));
@@ -1404,16 +1358,16 @@ mod tests {
         // Aging bound 1: one eligible bypass and the gate closes around
         // the starving plan.
         let mut s = ooo(8, 2, 8, 1);
-        freeze_one(&mut s, 0, FheOp::HMult, 3, "a");
+        freeze_one(&mut s, RequestId(0), FheOp::HMult, 3, "a");
         s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
-        freeze_one(&mut s, 1, FheOp::Rescale, 4, "b");
-        freeze_one(&mut s, 2, FheOp::HMult, 3, "c");
+        freeze_one(&mut s, RequestId(1), FheOp::Rescale, 4, "b");
+        freeze_one(&mut s, RequestId(2), FheOp::HMult, 3, "c");
         // Greedy admits the (HMult, 3) group match, bypassing the
         // eligible Rescale.
         s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
         // The Rescale plan hit the bound: even after freezing another
         // greedy match, the gate forces the starving plan through.
-        freeze_one(&mut s, 3, FheOp::HMult, 3, "d");
+        freeze_one(&mut s, RequestId(3), FheOp::HMult, 3, "d");
         let (op, level, _) = s.peek_admissible().expect("admissible");
         assert_eq!((op, level), (FheOp::Rescale, 4), "aging gate wins");
         s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
@@ -1427,10 +1381,10 @@ mod tests {
         // Chain blocks serial 1 behind serial 0; tenant (serial 2)
         // admits second. Joins pop admission order (0 then 2), but
         // settles must come out 0, then — only after 1 settles — 2.
-        freeze_one(&mut s, 0, FheOp::HMult, 3, "chain");
+        freeze_one(&mut s, RequestId(0), FheOp::HMult, 3, "chain");
         s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
-        freeze_one(&mut s, 1, FheOp::Rescale, 3, "chain");
-        freeze_one(&mut s, 2, FheOp::HMult, 5, "tenant");
+        freeze_one(&mut s, RequestId(1), FheOp::Rescale, 3, "chain");
+        freeze_one(&mut s, RequestId(2), FheOp::HMult, 5, "tenant");
         s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
 
         assert!(s.join_next(&mut exec), "serial 0 joins");
@@ -1472,7 +1426,8 @@ mod tests {
         let mut folds = Vec::new(); // batches joined when `dropped` moved
         for pair in 0..TRACE_WINDOW + 8 {
             for half in 0..2usize {
-                let p = plan_one(&s, 2 * pair + half, FheOp::HMult, half, "c");
+                let id = RequestId((2 * pair + half) as u64);
+                let p = plan_one(&s, id, FheOp::HMult, half, "c");
                 s.admit(p, Work::Cached(result(vec![1.5, 0.0])));
             }
             settle_next(&mut s, &mut exec);
@@ -1516,8 +1471,8 @@ mod tests {
         // is never eligible while the older is pending, even though the
         // in-flight key set is empty.
         let mut s = ooo(4, 2, 8, 4);
-        freeze_one(&mut s, 0, FheOp::HMult, 3, "a");
-        freeze_one(&mut s, 1, FheOp::Rescale, 3, "a");
+        freeze_one(&mut s, RequestId(0), FheOp::HMult, 3, "a");
+        freeze_one(&mut s, RequestId(1), FheOp::Rescale, 3, "a");
         let (op, _, _) = s.peek_admissible().expect("oldest admissible");
         assert_eq!(op, FheOp::HMult, "program order picks the older plan");
         s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));

@@ -19,9 +19,8 @@
 //!    rule and the in-flight window live in the
 //!    [`crate::sched::Scheduler`]; `drain` is a thin loop that fills the
 //!    window and settles completed batches.
-//! 3. Each batch is dispatched through the pluggable
-//!    [`crate::exec::Executor`] seam into the one [`crate::exec::Pool`]:
-//!    its workers ([`crate::sched::SchedPolicy::workers`] or the
+//! 3. Each batch is dispatched into the one [`crate::exec::Pool`]: its
+//!    workers ([`crate::sched::SchedPolicy::workers`] or the
 //!    `TENSORFHE_WORKERS` environment variable) own the per-device
 //!    engines, and a one-worker pool runs every batch on the calling
 //!    thread. With a pipeline depth above one
@@ -39,8 +38,8 @@
 //!    ([`ServiceStats::elapsed_us`], [`ServiceStats::overlap_fraction`],
 //!    [`ServiceStats::pipelined_ops_per_second`]). Every scheduler knob —
 //!    workers, depth, and the opt-in out-of-order admission mode
-//!    ([`crate::sched::AdmissionMode`], `TENSORFHE_ADMISSION`) with its
-//!    lookahead and aging bound — is configured through one typed
+//!    ([`crate::sched::AdmissionMode`], `TENSORFHE_ADMISSION`) — is
+//!    configured through one typed
 //!    [`crate::sched::SchedPolicy`] on the builder
 //!    ([`TensorFheBuilder::sched`]).
 //!
@@ -58,7 +57,7 @@
 use crate::api::{schedule_events, FheOp, OpReport, TensorFheBuilder};
 use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::exec::{BatchResult, ExecBackend, ExecBatch, Executor, Pool};
+use crate::exec::{BatchResult, ExecBackend, ExecBatch, Pool};
 use crate::sched::{
     AdmissionMode, BatchPlan, Finished, Scheduler, SettledTotals, SlotView, Work,
     DEFAULT_AGING_BOUND, DEFAULT_LOOKAHEAD,
@@ -79,7 +78,7 @@ const URGENCY_FRACTION: f64 = 0.25;
 
 /// Typed handle to a submitted request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RequestId(u64);
+pub struct RequestId(pub(crate) u64);
 
 impl RequestId {
     /// The raw numeric id (monotonically increasing per service).
@@ -227,11 +226,13 @@ pub struct ServiceStats {
     /// reports and request-accounting stats; out-of-order admission moves
     /// only the overlap clock (and the two reorder stats below).
     pub admission: AdmissionMode,
-    /// Configured scoreboard lookahead (pending plans); only consulted
-    /// under out-of-order admission.
+    /// Scoreboard lookahead (pending plans),
+    /// [`crate::sched::DEFAULT_LOOKAHEAD`]; only consulted under
+    /// out-of-order admission.
     pub lookahead: usize,
-    /// Configured aging bound (eligible bypasses before forced
-    /// admission); only consulted under out-of-order admission.
+    /// Aging bound (eligible bypasses before forced admission),
+    /// [`crate::sched::DEFAULT_AGING_BOUND`]; only consulted under
+    /// out-of-order admission.
     pub aging_bound: usize,
     /// Max `|admission index − serial plan index|` the scoreboard
     /// actually reordered by. Always 0 under in-order admission.
@@ -371,34 +372,29 @@ impl Pending {
 
 /// The batching FHE service front end.
 ///
-/// The queue holds `Option<Pending>` slots: a completed mid-queue request is
-/// finalized in place and leaves a tombstone (`None`). Leading tombstones
-/// are compacted away after every settled batch — in-flight take indices
-/// are rebased in step ([`crate::sched::Scheduler::rebase`]) — and the
-/// `head` cursor keeps planning walks from rescanning dead prefixes, so
-/// the per-batch work stays linear in the requests a batch actually
-/// touched (a `VecDeque::remove`-based sweep restarting from index 0 made
-/// paper-scale streams O(Q²)) and the queue stays bounded by live
-/// requests even under sustained pump-driven load.
+/// Unfinished requests live in one table sorted by [`RequestId`]: ids are
+/// issued in increasing order, so [`FheService::submit`] appends, and a
+/// request leaves the table when it completes or is shed. Batch plans,
+/// their takes and [`FheService::status`] all name requests by id and
+/// find them by binary search, so the table holds exactly the requests
+/// that are queued or in flight.
 #[derive(Debug)]
 pub struct FheService {
     params: CkksParams,
-    executor: Box<dyn Executor>,
-    /// Executor capabilities, snapshotted at construction (static for the
+    pool: Pool,
+    /// Pool capabilities, snapshotted at construction (static for the
     /// service's lifetime; avoids re-querying `caps()` on every stats
     /// call).
     caps: crate::exec::ExecCaps,
     /// Resolved execution backend. Gates the dispatch cache: only the
-    /// simulated backend replays costs without touching the executor —
+    /// simulated backend replays costs without touching the pool —
     /// the host backends must execute real arithmetic on every dispatch,
     /// or benches and `host_work` counters would measure cache hits.
     backend: ExecBackend,
     batch_cap: usize,
     power_watts: f64,
-    queue: VecDeque<Option<Pending>>,
-    /// First queue index that may still need planning (everything before
-    /// it is a tombstone or fully reserved).
-    head: usize,
+    /// Unfinished requests, sorted by id.
+    queue: VecDeque<Pending>,
     /// The in-flight window + overlap clock.
     sched: Scheduler,
     next_id: u64,
@@ -464,25 +460,13 @@ impl FheService {
             ));
         }
         let admission = env.admission(b.sched.admission)?;
-        let lookahead = b.sched.lookahead.unwrap_or(DEFAULT_LOOKAHEAD);
-        if lookahead == 0 {
-            return Err(CoreError::InvalidConfig(
-                "scoreboard lookahead must be non-zero".into(),
-            ));
-        }
-        let aging_bound = b.sched.aging_bound.unwrap_or(DEFAULT_AGING_BOUND);
-        if aging_bound == 0 {
-            return Err(CoreError::InvalidConfig(
-                "scoreboard aging bound must be non-zero".into(),
-            ));
-        }
         let backend = env.backend(b.backend)?;
         let rows_cap = env.rows_cap(b.rows_cap)?;
-        let executor = Box::new(Pool::new(&cfg, b.devices, workers, backend, rows_cap)?);
-        // The executor owns the capability queries: a backend with
-        // different board power or VRAM reports it through `caps()`, and
-        // the batch policy / ops/W follow automatically.
-        let caps = executor.caps();
+        let pool = Pool::new(&cfg, b.devices, workers, backend, rows_cap)?;
+        // The pool owns the capability queries: a backend with different
+        // board power or VRAM reports it through `caps()`, and the batch
+        // policy / ops/W follow automatically.
+        let caps = pool.caps();
         let power_watts = caps.power_watts;
         // §IV-E: the batch size is chosen by the API layer, bounded by VRAM
         // (and the parameter preset's configured batch), scaled across the
@@ -522,14 +506,19 @@ impl FheService {
         drr.grow();
         Ok(Self {
             params: b.params,
-            executor,
+            pool,
             caps,
             backend,
             batch_cap,
             power_watts,
             queue: VecDeque::new(),
-            head: 0,
-            sched: Scheduler::with_policy(depth, b.devices, admission, lookahead, aging_bound),
+            sched: Scheduler::with_policy(
+                depth,
+                b.devices,
+                admission,
+                DEFAULT_LOOKAHEAD,
+                DEFAULT_AGING_BOUND,
+            ),
             next_id: 0,
             clock_us: 0.0,
             requests_completed: 0,
@@ -578,25 +567,25 @@ impl FheService {
         self.caps.workers
     }
 
-    /// Real-arithmetic counters from the executor on a host backend;
+    /// Real-arithmetic counters from the pool on a host backend;
     /// `None` under the simulated backend. The checksum is bit-identical
     /// across worker counts and across the fast/scalar kernel flavours.
     #[must_use]
     pub fn host_work(&self) -> Option<crate::exec::HostWorkStats> {
-        self.executor.host_work()
+        self.pool.host_work()
     }
 
-    /// Work-stealing scheduler counters from the executor, when the
+    /// Work-stealing scheduler counters from the pool, when the
     /// service runs on a host backend; `None` under the simulated
     /// backend. `steals`/`stolen_rows` are thread-timing telemetry;
     /// `planned_rows == executed_rows` (work conservation) holds whenever
     /// every submitted batch has been drained.
     #[must_use]
     pub fn steal_stats(&self) -> Option<crate::exec::StealStats> {
-        self.executor.steal_stats()
+        self.pool.steal_stats()
     }
 
-    /// Device model name behind the executor, as reports print it.
+    /// Device model name behind the pool, as reports print it.
     #[must_use]
     pub fn device_name(&self) -> &str {
         &self.caps.device_name
@@ -755,29 +744,18 @@ impl FheService {
     /// Operation instances not yet completed (queued or in flight).
     #[must_use]
     pub fn pending_ops(&self) -> usize {
-        self.queue
-            .iter()
-            .flatten()
-            .map(|p| p.remaining + p.executing)
-            .sum()
+        self.queue.iter().map(|p| p.remaining + p.executing).sum()
     }
 
-    /// Requests currently queued.
+    /// Requests not yet completed (queued or in flight).
     #[must_use]
     pub fn pending_requests(&self) -> usize {
-        self.queue.iter().flatten().count()
-    }
-
-    /// Queue slots currently held, including mid-queue tombstones awaiting
-    /// their turn at the front. Leading tombstones are reclaimed after
-    /// every settled batch, so under sustained FIFO load this tracks the
-    /// live request count instead of the total ever served.
-    #[must_use]
-    pub fn queue_slots(&self) -> usize {
         self.queue.len()
     }
 
-    /// Queue state of a request handle.
+    /// Queue state of a request handle: one lookup in the request table,
+    /// after the rejected and shed sets. An issued id that is in none of
+    /// them has completed.
     ///
     /// # Errors
     ///
@@ -793,7 +771,7 @@ impl FheService {
         if self.shed.contains(&id) {
             return Ok(RequestStatus::Shed);
         }
-        Ok(match self.queue.iter().flatten().find(|p| p.id == id) {
+        Ok(match self.slot(id).map(|i| &self.queue[i]) {
             Some(p) if p.executing > 0 => RequestStatus::InFlight {
                 executing: p.executing,
                 remaining: p.remaining,
@@ -862,7 +840,7 @@ impl FheService {
         }
         let remaining = req.count;
         let client_key: std::sync::Arc<str> = req.client.as_str().into();
-        self.queue.push_back(Some(Pending {
+        self.queue.push_back(Pending {
             id,
             req,
             client_key,
@@ -875,7 +853,7 @@ impl FheService {
             launches: 0,
             by_kernel: Default::default(),
             batches: 0,
-        }));
+        });
         Ok(id)
     }
 
@@ -900,9 +878,7 @@ impl FheService {
     /// Draining an empty queue is a no-op returning no reports.
     pub fn drain(&mut self) -> Vec<RequestReport> {
         let mut done = Vec::new();
-        while self.pump_into(&mut done) {
-            self.compact();
-        }
+        while self.pump_into(&mut done) {}
         self.fold_trace();
         done
     }
@@ -917,7 +893,6 @@ impl FheService {
     pub fn pump(&mut self) -> Vec<RequestReport> {
         let mut done = Vec::new();
         self.pump_into(&mut done);
-        self.compact();
         self.fold_trace();
         done
     }
@@ -947,7 +922,7 @@ impl FheService {
     /// predecessor joins) or several.
     fn pump_into(&mut self, done: &mut Vec<RequestReport>) -> bool {
         self.fill_window();
-        if !self.sched.join_next(self.executor.as_mut()) {
+        if !self.sched.join_next(&mut self.pool) {
             return false;
         }
         for fin in self.sched.drain_settleable() {
@@ -979,7 +954,7 @@ impl FheService {
         }
         // Harvest whatever already finished on the host workers; purely a
         // channel-draining courtesy, never reordering settlement.
-        self.sched.harvest(self.executor.as_mut());
+        self.sched.harvest(&mut self.pool);
     }
 
     /// The out-of-order fill: run the *serial* planning walk speculatively
@@ -1027,65 +1002,63 @@ impl FheService {
         let blind = !alone && self.policy == CoalescePolicy::Blind;
         // `Blind` leads with the bucket's oldest slot only; a batch that
         // ships alone gets no top-up.
-        let own = self
-            .live()
-            .filter(|(_, p)| p.bucket() == bucket)
-            .take(if blind { 1 } else { usize::MAX });
+        let own =
+            self.live()
+                .filter(|p| p.bucket() == bucket)
+                .take(if blind { 1 } else { usize::MAX });
         let top_up = self
             .live()
             .take(if alone { 0 } else { usize::MAX })
-            .filter(|&(i, p)| {
+            .filter(|p| {
                 if blind {
-                    i != lead
+                    p.id != lead
                 } else {
                     p.bucket() != bucket
                 }
             });
-        let slots = own.chain(top_up).map(|(i, p)| {
+        let slots = own.chain(top_up).map(|p| {
             let view = SlotView {
                 op: p.req.op,
                 level: p.req.level,
                 remaining: p.remaining,
                 client: &p.client_key,
             };
-            (i, view)
+            (p.id, view)
         });
         Scheduler::plan(self.batch_cap, slots).map(|plan| (plan, bucket, alone))
     }
 
-    /// `(queue index, request)` of every slot from the planning cursor on
-    /// with instances left to plan, in queue order.
-    fn live(&self) -> impl Iterator<Item = (usize, &Pending)> + '_ {
-        self.queue
-            .iter()
-            .enumerate()
-            .skip(self.head)
-            .filter_map(|(i, slot)| Some((i, slot.as_ref().filter(|p| p.remaining > 0)?)))
+    /// Every request with instances left to plan, in id (= submission)
+    /// order.
+    fn live(&self) -> impl Iterator<Item = &Pending> + '_ {
+        self.queue.iter().filter(|p| p.remaining > 0)
+    }
+
+    /// The table index of an unfinished request.
+    fn slot(&self, id: RequestId) -> Option<usize> {
+        self.queue.binary_search_by_key(&id, |p| p.id).ok()
     }
 
     /// Picks who goes next: shed expired deadline work, then take an
     /// urgent deadline session (earliest slack first) or else the deficit
     /// round robin's pick. Returns `(bucket, ships alone, the bucket's
-    /// oldest live slot)`, or `None` when no bucket has plannable work.
-    fn session_pick(&mut self) -> Option<(usize, bool, usize)> {
-        self.advance_head();
+    /// oldest live request)`, or `None` when no bucket has plannable work.
+    fn session_pick(&mut self) -> Option<(usize, bool, RequestId)> {
         if self.sessions.is_empty() {
             // Bucket 0 is the only bucket: nothing to shed, no share to
             // charge and nobody to top up from, so it ships alone.
-            return (self.head < self.queue.len()).then_some((0, true, self.head));
+            return Some((0, true, self.live().next()?.id));
         }
         self.shed_expired();
-        // Per-bucket backlog: bucket 0 is anonymous, session `s` is
-        // bucket `s + 1`.
+        // Per-bucket backlog and oldest live request: bucket 0 is
+        // anonymous, session `s` is bucket `s + 1`.
         let buckets = self.sessions.len() + 1;
         let mut pending = vec![0usize; buckets];
-        let mut first_slot = vec![usize::MAX; buckets];
-        for (i, p) in self.live() {
+        let mut oldest: Vec<Option<(RequestId, f64)>> = vec![None; buckets];
+        for p in self.live() {
             let b = p.bucket();
             pending[b] += p.remaining;
-            if first_slot[b] == usize::MAX {
-                first_slot[b] = i;
-            }
+            oldest[b].get_or_insert((p.id, p.submitted_us));
         }
         // Urgent pass: a deadline session whose oldest pending
         // request's slack dips below URGENCY_FRACTION of its budget
@@ -1094,13 +1067,10 @@ impl FheService {
         let mut urgent: Option<(f64, usize)> = None;
         for s in &self.sessions {
             let b = s.id.0 as usize + 1;
-            let (Some(deadline), true) = (s.deadline_us, pending[b] > 0) else {
+            let (Some(deadline), Some((_, submitted_us))) = (s.deadline_us, oldest[b]) else {
                 continue;
             };
-            let oldest = self.queue[first_slot[b]]
-                .as_ref()
-                .expect("first slot is live");
-            let slack = deadline - (self.clock_us - oldest.submitted_us);
+            let slack = deadline - (self.clock_us - submitted_us);
             if slack <= deadline * URGENCY_FRACTION {
                 let better = match urgent {
                     Some((best, _)) => slack < best,
@@ -1122,7 +1092,8 @@ impl FheService {
                 self.drr.select(&want, &quantum).map(|b| (b, false))?
             }
         };
-        Some((bucket, alone, first_slot[bucket]))
+        let (lead, _) = oldest[bucket].expect("a picked bucket has live work");
+        Some((bucket, alone, lead))
     }
 
     /// Applies a planned batch's plan-time side effects exactly once —
@@ -1133,19 +1104,17 @@ impl FheService {
     /// freeze time, so the serial walk's inputs evolve identically in both
     /// modes.
     fn apply_plan(&mut self, plan: &mut BatchPlan, bucket: usize, alone: bool) {
-        for &(i, take) in &plan.takes {
-            let p = self.queue[i].as_mut().expect("take targets a live slot");
-            p.remaining -= take;
-            p.executing += take;
-        }
         // Residency: the distinct session key sets riding
         // this batch (id order) are placed on the shard
         // devices; non-resident sets pay the upload on the
         // batch's critical path.
         let mut keys: Vec<(SessionId, u64)> = Vec::new();
         let mut charged = 0usize;
-        for &(i, take) in &plan.takes {
-            let p = self.queue[i].as_ref().expect("take targets a live slot");
+        for &(id, take) in &plan.takes {
+            let i = self.slot(id).expect("take names an unfinished request");
+            let p = &mut self.queue[i];
+            p.remaining -= take;
+            p.executing += take;
             if p.bucket() == bucket {
                 charged += take;
             }
@@ -1179,30 +1148,32 @@ impl FheService {
     }
 
     /// Sheds session requests whose deadline budget expired before any
-    /// instance ran: they leave the queue as tombstones (safe — nothing
-    /// in flight references an unplanned slot) and surface as
-    /// [`RequestStatus::Shed`]. Partially-served requests are never shed;
-    /// their eventual completion counts as a deadline miss instead.
+    /// instance ran: they leave the table (no plan names an unplanned
+    /// request) and surface as [`RequestStatus::Shed`]. Partially-served
+    /// requests are never shed; their eventual completion counts as a
+    /// deadline miss instead.
     fn shed_expired(&mut self) {
-        for i in self.head..self.queue.len() {
-            let Some(p) = &self.queue[i] else { continue };
-            let Some(sid) = p.req.session else { continue };
-            let Some(deadline) = self.sessions[sid.0 as usize].deadline_us else {
-                continue;
+        self.queue.retain(|p| {
+            let Some(sid) = p.req.session else {
+                return true;
             };
-            if p.executing == 0 && p.batches == 0 && self.clock_us - p.submitted_us > deadline {
-                let p = self.queue[i].take().expect("checked live");
+            let s = &mut self.sessions[sid.0 as usize];
+            let expired = s.deadline_us.is_some_and(|deadline| {
+                p.executing == 0 && p.batches == 0 && self.clock_us - p.submitted_us > deadline
+            });
+            if expired {
                 self.shed.insert(p.id);
                 self.ops_shed += p.remaining;
-                self.sessions[sid.0 as usize].queued_ops -= p.remaining;
+                s.queued_ops -= p.remaining;
                 self.queued_session_ops -= p.remaining;
             }
-        }
+            !expired
+        });
     }
 
     /// Attributes one completed batch to the requests that rode in it and
-    /// finalizes any that are now fully served. `takes` is in queue
-    /// (= submission) order and batches settle in submission order, so
+    /// finalizes any that are now fully served. `takes` is in id
+    /// (= submission) order and batches settle in serial plan order, so
     /// report order is FIFO exactly as the synchronous drain produced.
     fn settle(&mut self, fin: Finished, done: &mut Vec<RequestReport>) {
         let Finished {
@@ -1234,9 +1205,10 @@ impl FheService {
         self.ops_completed += width;
 
         let launch_shares = Self::apportion(stats.launches as u64, takes, width);
-        for (&(i, take), &launches) in takes.iter().zip(&launch_shares) {
+        for (&(id, take), &launches) in takes.iter().zip(&launch_shares) {
             let share = take as f64 / width as f64;
-            let p = self.queue[i].as_mut().expect("take targets a live slot");
+            let i = self.slot(id).expect("take names an unfinished request");
+            let p = &mut self.queue[i];
             p.executing -= take;
             p.batches += 1;
             p.time_us += stats.time_us * share;
@@ -1252,50 +1224,11 @@ impl FheService {
                 s.queued_ops -= take;
                 self.queued_session_ops -= take;
             }
-        }
-
-        // Completion sweep: only requests the batch touched can have
-        // completed. Completed entries leave tombstones in place —
-        // compaction waits until the window is empty so in-flight take
-        // indices stay valid.
-        for &(i, _) in takes {
-            if self.queue[i]
-                .as_ref()
-                .is_some_and(|p| p.remaining == 0 && p.executing == 0)
-            {
-                let p = self.queue[i].take().expect("checked live");
+            // Only requests the batch touched can have completed.
+            if p.remaining == 0 && p.executing == 0 {
+                let p = self.queue.remove(i).expect("looked up");
                 done.push(self.finalize(p));
             }
-        }
-    }
-
-    /// Advances the planning cursor past tombstones and fully-reserved
-    /// slots so repeated planning walks stay linear over a drain.
-    fn advance_head(&mut self) {
-        while let Some(slot) = self.queue.get(self.head) {
-            match slot {
-                None => self.head += 1,
-                Some(p) if p.remaining == 0 => self.head += 1,
-                Some(_) => break,
-            }
-        }
-    }
-
-    /// Pops leading tombstones and rebases the planning cursor plus every
-    /// in-flight plan's take indices. A finalized slot is by definition
-    /// referenced by no in-flight plan, so popping the dead prefix is
-    /// always safe — this runs after every settle, keeping the queue
-    /// bounded by *live* requests even for a pump-driven service under
-    /// sustained load (where the window never empties).
-    fn compact(&mut self) {
-        let mut popped = 0usize;
-        while matches!(self.queue.front(), Some(None)) {
-            self.queue.pop_front();
-            popped += 1;
-        }
-        if popped > 0 {
-            self.head = self.head.saturating_sub(popped);
-            self.sched.rebase(popped);
         }
     }
 
@@ -1394,8 +1327,8 @@ impl FheService {
             deadline_misses: self.deadline_misses,
             shed_count: self.shed.len(),
             rejected_count: self.rejected.len(),
-            steals: self.executor.steal_stats().map_or(0, |s| s.steals),
-            stolen_rows: self.executor.steal_stats().map_or(0, |s| s.stolen_rows),
+            steals: self.pool.steal_stats().map_or(0, |s| s.steals),
+            stolen_rows: self.pool.steal_stats().map_or(0, |s| s.stolen_rows),
             simd_lanes: match self.backend {
                 ExecBackend::Sim => 0,
                 ExecBackend::HostScalar => 1,
@@ -1409,7 +1342,7 @@ impl FheService {
     /// (largest-remainder apportionment, FIFO tie-break). `round()`-ing each
     /// share independently let per-request launch totals drift from the
     /// batch totals.
-    fn apportion(total: u64, takes: &[(usize, usize)], width: usize) -> Vec<u64> {
+    fn apportion(total: u64, takes: &[(RequestId, usize)], width: usize) -> Vec<u64> {
         let width = width as u64;
         let mut shares: Vec<u64> = takes
             .iter()
@@ -1430,14 +1363,14 @@ impl FheService {
     }
 
     /// Sources the work for one coalesced batch: a dispatch-cache replay
-    /// when an identical batch already ran (executors are deterministic
+    /// when an identical batch already ran (the pool is deterministic
     /// *and* history-free, so identical batches cost the same by
-    /// contract), otherwise a live executor submission joined later in
+    /// contract), otherwise a live pool submission joined later in
     /// submission order.
     fn dispatch(&mut self, op: FheOp, level: usize, width: usize) -> Work {
         // Only the simulated backend replays from the dispatch cache: the
         // host backends exist to *execute* the batch, so every dispatch
-        // must reach the executor (reports are identical either way — the
+        // must reach the pool (reports are identical either way — the
         // cache is purely a simulation shortcut).
         if self.backend == ExecBackend::Sim {
             if let Some(hit) = self.cost_cache.get(&(op, level, width)) {
@@ -1445,7 +1378,7 @@ impl FheService {
             }
         }
         let events = schedule_events(&self.params, op, level);
-        let handle = self.executor.submit(ExecBatch {
+        let handle = self.pool.submit(ExecBatch {
             tag: op.name().into(),
             events: events.into(),
             width,
@@ -1641,9 +1574,9 @@ mod tests {
 
     #[test]
     fn paper_scale_stream_drains_fifo_with_linear_sweep() {
-        // A thousand single-op requests: the tombstone sweep must complete
-        // them all in submission order (the old remove-and-rescan sweep made
-        // this quadratic; the cost cache keeps dispatch O(1) per batch).
+        // A thousand single-op requests complete in submission order; each
+        // leaves the front of the request table, and the cost cache keeps
+        // dispatch O(1) per batch.
         let mut svc = service();
         let level = svc.params().max_level();
         let mut expected = Vec::new();

@@ -70,7 +70,6 @@ struct Names {
     conv: KernelName,
     conv_y: KernelName,
     conv_gemm: KernelName,
-    key_upload: KernelName,
 }
 
 impl Names {
@@ -86,7 +85,6 @@ impl Names {
             conv: "conv".into(),
             conv_y: "conv-y".into(),
             conv_gemm: "conv-gemm".into(),
-            key_upload: "key-upload".into(),
         }
     }
 }
@@ -152,23 +150,6 @@ impl GpuTracer {
     #[must_use]
     pub fn device(&self) -> Rc<RefCell<DeviceSim>> {
         Rc::clone(&self.sim)
-    }
-
-    /// Stages a client key-set upload on the main stream (the session
-    /// tier's residency model in a traced execution): one
-    /// [`KernelClass::KeyUpload`] DMA, costed by the copy-engine model
-    /// rather than the warp simulator. A zero-byte upload is a no-op.
-    pub fn upload_keys(&self, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        self.sim.borrow_mut().launch(
-            self.main,
-            KernelDesc::new(
-                KernelClass::KeyUpload { bytes },
-                self.names.key_upload.clone(),
-            ),
-        );
     }
 
     fn coalesced(&self) -> bool {

@@ -198,7 +198,7 @@ fn device_utilizations_sum_match_attributed_launch_time() {
     // that device's share of the service's busy window (≤ 1).
     use std::sync::Arc;
     use tensorfhe_core::api::schedule_events;
-    use tensorfhe_core::exec::{ExecBackend, ExecBatch, Executor, Pool};
+    use tensorfhe_core::exec::{ExecBackend, ExecBatch, Pool};
     use tensorfhe_core::EngineConfig;
 
     let mut svc = service(4, 4);

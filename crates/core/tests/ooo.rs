@@ -3,7 +3,9 @@
 //! the mode's determinism pin — reports and result-bearing stats must be
 //! **bit-identical** to in-order admission at every workers × depth
 //! corner, because frozen plans replay the exact serial coalescing walk
-//! and the reorder buffer settles in serial plan order.
+//! and the reorder buffer settles in serial plan order. Golden digests of
+//! two pump-interleaved sessioned streams pin both modes absolutely, so a
+//! defect shared by the two cannot hide behind their agreement.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -11,7 +13,9 @@ use rand::{Rng, SeedableRng};
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
 use tensorfhe_core::sched::{AdmissionMode, SchedPolicy};
-use tensorfhe_core::service::{FheRequest, FheService, RequestReport, ServiceStats};
+use tensorfhe_core::service::{
+    FheRequest, FheService, RequestId, RequestReport, RequestStatus, ServiceStats,
+};
 use tensorfhe_core::{CoreError, SessionConfig};
 
 const OPS: [FheOp; 5] = [
@@ -291,11 +295,10 @@ fn deadline_sessions_are_refused_while_ooo_work_is_in_flight() {
 
 #[test]
 fn sustained_ooo_pump_load_keeps_the_queue_compacted() {
-    // The out-of-order sibling of the in-order compaction test: frozen
-    // pending plans keep their queue slots live (their take indices
-    // rebase mid-flight like window batches), so the steady-state bound
-    // grows by the lookahead — but the queue must still never accumulate
-    // a dead prefix.
+    // The out-of-order sibling of the in-order sustained-load test: the
+    // requests of frozen pending plans stay in the request table like
+    // those of window batches, so the steady-state bound grows by the
+    // lookahead — but completed requests must still leave the table.
     let mut svc = service(AdmissionMode::OutOfOrder, 4, 1, 4);
     let max_level = svc.params().max_level();
     for round in 0..200usize {
@@ -308,34 +311,20 @@ fn sustained_ooo_pump_load_keeps_the_queue_compacted() {
         svc.pump();
         svc.pump();
         assert!(
-            svc.queue_slots() <= 32,
-            "queue grew a dead prefix under sustained ooo load: {} slots at round {round}",
-            svc.queue_slots()
+            svc.pending_requests() <= 32,
+            "request table grew under sustained ooo load: {} requests at round {round}",
+            svc.pending_requests()
         );
     }
     while !svc.pump().is_empty() {}
     let s = svc.stats();
     assert_eq!(s.requests_completed, 400);
     assert_eq!(
-        svc.queue_slots(),
+        svc.pending_requests(),
         0,
         "drained queue must be fully reclaimed"
     );
     assert!(s.inflight_hwm >= 2, "sustained load should really pipeline");
-}
-
-#[test]
-fn zero_lookahead_or_aging_bound_is_a_hard_error() {
-    for policy in [
-        SchedPolicy::new().lookahead(0),
-        SchedPolicy::new().aging_bound(0),
-    ] {
-        let err = TensorFhe::builder(&CkksParams::test_small())
-            .sched(policy)
-            .service()
-            .expect_err("zero scoreboard bounds must be rejected");
-        assert!(matches!(err, CoreError::InvalidConfig(_)), "got {err:?}");
-    }
 }
 
 proptest! {
@@ -352,5 +341,212 @@ proptest! {
             let mut ooo = service(AdmissionMode::OutOfOrder, 2, 1, depth);
             assert_identical(&mut inorder, &mut ooo, seed);
         }
+    }
+}
+
+/// FNV-1a (64-bit) over little-endian words.
+fn fnv64(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A request status as three words: the variant, then its counts.
+fn status_bits(s: RequestStatus) -> [u64; 3] {
+    match s {
+        RequestStatus::Queued { remaining } => [0, remaining as u64, 0],
+        RequestStatus::InFlight {
+            executing,
+            remaining,
+        } => [1, executing as u64, remaining as u64],
+        RequestStatus::Completed => [2, 0, 0],
+        RequestStatus::Rejected => [3, 0, 0],
+        RequestStatus::Shed => [4, 0, 0],
+    }
+}
+
+/// Every numeric stats field as raw bits, schedule-shape fields included.
+/// `workers`, `backend` and `simd_lanes` name the executor, and `steals`
+/// and `stolen_rows` depend on thread timing, so the five are left out:
+/// nothing else may move when the executor changes.
+fn all_stats_bits(s: &ServiceStats) -> Vec<u64> {
+    let mut v = vec![
+        s.requests_completed as u64,
+        s.ops_submitted as u64,
+        s.ops_completed as u64,
+        s.ops_shed as u64,
+        s.ops_rejected as u64,
+        s.batches_dispatched as u64,
+        s.launches as u64,
+        s.batch_cap as u64,
+        s.devices as u64,
+        s.pipeline_depth as u64,
+        u64::from(s.admission == AdmissionMode::OutOfOrder),
+        s.lookahead as u64,
+        s.aging_bound as u64,
+        s.reorder_distance as u64,
+        s.head_blocked_us.to_bits(),
+        s.inflight_hwm as u64,
+        s.batch_fill.to_bits(),
+        s.busy_us.to_bits(),
+        s.elapsed_us.to_bits(),
+        s.overlap_fraction.to_bits(),
+        s.energy_j.to_bits(),
+        s.mean_queue_us.to_bits(),
+        s.ops_per_second.to_bits(),
+        s.pipelined_ops_per_second.to_bits(),
+        s.ops_per_watt.to_bits(),
+        s.key_cache_hit_rate.to_bits(),
+        s.key_cache_hits,
+        s.key_cache_misses,
+        s.key_cache_evictions,
+        s.key_uploads as u64,
+        s.key_upload_us.to_bits(),
+        s.fairness_index.to_bits(),
+        s.deadline_misses as u64,
+        s.shed_count as u64,
+        s.rejected_count as u64,
+    ];
+    v.extend(s.device_busy_us.iter().map(|t| t.to_bits()));
+    v.extend(s.device_utilization.iter().map(|u| u.to_bits()));
+    for (name, ops) in &s.per_session_ops {
+        v.extend(name.bytes().map(u64::from));
+        v.push(*ops as u64);
+    }
+    v
+}
+
+/// Drives `steps` rounds of seeded arrivals through `svc`, pumping once
+/// after each round, then drains. Returns the digest over every report,
+/// the status of every issued id after each pump, and the final stats.
+fn pumped_digest(
+    svc: &mut FheService,
+    steps: usize,
+    mut arrivals: impl FnMut(&mut FheService, usize) -> Vec<RequestId>,
+) -> u64 {
+    let mut ids = Vec::new();
+    let mut words = Vec::new();
+    for step in 0..steps {
+        ids.extend(arrivals(svc, step));
+        words.extend(svc.pump().iter().flat_map(report_bits));
+        for &id in &ids {
+            words.extend(status_bits(svc.status(id).expect("issued id")));
+        }
+    }
+    words.extend(svc.drain().iter().flat_map(report_bits));
+    for &id in &ids {
+        words.extend(status_bits(svc.status(id).expect("issued id")));
+    }
+    words.extend(all_stats_bits(&svc.stats()));
+    fnv64(words)
+}
+
+#[test]
+fn sessioned_pump_streams_match_their_golden_digests() {
+    // Two pump-interleaved sessioned streams pinned by golden digests, so
+    // a change to how the service stores, plans or settles requests shows
+    // even when it would move both admission modes alike.
+
+    // A: out-of-order admission over three weighted sessions, one of them
+    // queue-capped, under a global queue cap: some arrivals are rejected.
+    let mut svc = TensorFhe::builder(&CkksParams::test_small())
+        .devices(4)
+        .global_queue_cap(48)
+        .sched(
+            SchedPolicy::new()
+                .pipeline_depth(4)
+                .admission(AdmissionMode::OutOfOrder),
+        )
+        .service()
+        .expect("valid service config");
+    let sessions = [
+        svc.register_session(SessionConfig::new("a"))
+            .expect("valid session"),
+        svc.register_session(SessionConfig::new("b").weight(2.0))
+            .expect("valid session"),
+        svc.register_session(SessionConfig::new("c").queue_cap(6))
+            .expect("valid session"),
+    ];
+    let max_level = svc.params().max_level();
+    let mut rng = StdRng::seed_from_u64(41);
+    let digest_a = pumped_digest(&mut svc, 40, |svc, _| {
+        (0..rng.gen_range(0..4))
+            .map(|_| {
+                let op = OPS[rng.gen_range(0..OPS.len())];
+                let level = rng.gen_range(1..=max_level);
+                let count = rng.gen_range(1..=5);
+                let session = sessions[rng.gen_range(0..sessions.len())];
+                svc.submit(FheRequest::in_session(op, level, count, session))
+                    .expect("valid request")
+            })
+            .collect()
+    });
+    let s = svc.stats();
+    assert!(s.rejected_count > 0, "scenario A must reject: {s:?}");
+    assert!(s.reorder_distance > 0, "scenario A must reorder: {s:?}");
+
+    // B: in-order admission, one deadline session next to anonymous
+    // traffic: some deadline work is shed and some completes late.
+    let mut svc = TensorFhe::builder(&CkksParams::test_small())
+        .devices(2)
+        .sched(
+            SchedPolicy::new()
+                .pipeline_depth(2)
+                .admission(AdmissionMode::InOrder),
+        )
+        .service()
+        .expect("valid service config");
+    let level = svc.params().max_level();
+    let cap = svc.batch_cap();
+    let mut probe = TensorFhe::builder(&CkksParams::test_small())
+        .devices(2)
+        .service()
+        .expect("valid service config");
+    probe
+        .submit(FheRequest::new(FheOp::HMult, level, cap, "probe"))
+        .expect("valid request");
+    probe.drain();
+    let batch_us = probe.stats().busy_us;
+    let rt = svc
+        .register_session(SessionConfig::new("rt").deadline_us(batch_us * 1.5))
+        .expect("valid session");
+    let mut rng = StdRng::seed_from_u64(43);
+    let digest_b = pumped_digest(&mut svc, 30, |svc, step| {
+        let mut ids = Vec::new();
+        for _ in 0..rng.gen_range(0..3) {
+            let op = OPS[rng.gen_range(0..OPS.len())];
+            let count = rng.gen_range(1..=cap);
+            let client = format!("anon{}", step % 3);
+            ids.push(
+                svc.submit(FheRequest::new(op, rng.gen_range(1..=level), count, client))
+                    .expect("valid request"),
+            );
+        }
+        if rng.gen_bool(0.5) {
+            let count = rng.gen_range(1..=cap / 2);
+            ids.push(
+                svc.submit(FheRequest::in_session(FheOp::HMult, level, count, rt))
+                    .expect("valid request"),
+            );
+        }
+        ids
+    });
+    let s = svc.stats();
+    assert!(s.shed_count > 0, "scenario B must shed: {s:?}");
+    assert!(s.deadline_misses > 0, "scenario B must miss: {s:?}");
+
+    for (name, digest, golden) in [
+        ("A", digest_a, 0x79d4_5064_48fd_7423u64),
+        ("B", digest_b, 0x55bb_c074_b8f3_6425u64),
+    ] {
+        assert_eq!(
+            digest, golden,
+            "scenario {name}: digest {digest:#018x} moved from {golden:#018x}"
+        );
     }
 }

@@ -359,10 +359,10 @@ fn pump_exposes_in_flight_status_mid_drain() {
 fn sustained_pump_load_keeps_the_queue_compacted() {
     // A pump-driven service whose window never empties: one independent
     // request arrives before every pump, so at depth 4 there is always
-    // work in flight. Leading tombstones must be reclaimed anyway (take
-    // indices rebase mid-flight) — the queue tracks the live requests,
-    // not the total ever served. Admission mode is pinned: the in-flight
-    // bound below assumes the in-order window shape.
+    // work in flight. Completed requests leave the request table while
+    // other batches are still in flight, so it holds the unfinished
+    // requests, not the total ever served. Admission mode is pinned: the
+    // in-flight bound below assumes the in-order window shape.
     let mut svc = TensorFhe::builder(&CkksParams::test_small())
         .devices(4)
         .sched(
@@ -378,7 +378,8 @@ fn sustained_pump_load_keeps_the_queue_compacted() {
     for round in 0..200usize {
         // Two independent arrivals, two settles: the window stays loaded
         // (several batches in flight across pumps) while in-rate matches
-        // out-rate, so the only way the queue stays small is compaction.
+        // out-rate, so the table stays small only if every completed
+        // request leaves it.
         for k in 0..2 {
             let op = OPS[(2 * round + k) % OPS.len()];
             let level = 1 + (2 * round + k) % max_level;
@@ -388,9 +389,9 @@ fn sustained_pump_load_keeps_the_queue_compacted() {
         completed += svc.pump().len();
         completed += svc.pump().len();
         assert!(
-            svc.queue_slots() <= 16,
-            "queue grew a dead prefix under sustained load: {} slots at round {round}",
-            svc.queue_slots()
+            svc.pending_requests() <= 16,
+            "request table grew under sustained load: {} requests at round {round}",
+            svc.pending_requests()
         );
     }
     while !svc.pump().is_empty() {}
@@ -401,7 +402,7 @@ fn sustained_pump_load_keeps_the_queue_compacted() {
         "steady-state serving should complete most requests inside the rounds: {completed}"
     );
     assert_eq!(
-        svc.queue_slots(),
+        svc.pending_requests(),
         0,
         "drained queue must be fully reclaimed"
     );
