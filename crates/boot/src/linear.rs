@@ -6,13 +6,10 @@
 //! of `D` — this is the structure the paper's Fig. 6 labels "BSGS", composed
 //! of `HROTATE`, `CMULT` and `HADD` operations.
 //!
-//! Both rotation families stream through batched key switches: the baby
-//! steps rotate *one* ciphertext by every `j` at once
-//! (`Evaluator::hrotate_many`), and the giant steps rotate every group's
-//! *distinct* accumulator by its own `i·n1` in one batch
-//! (`Evaluator::hrotate_pairs`), so each per-modulus NTT of either stage is
-//! a single wide GEMM block. Results and emitted kernel events are
-//! identical to rotating one at a time.
+//! Every rotation is one `Evaluator::hrotate`, one key switch: the baby
+//! steps rotate the input once per `j` (`Evaluator::hrotate_many`, which
+//! finds every key before rotating), and each giant group's inner sum is
+//! rotated by its own `i·n1` as soon as it is complete.
 
 use std::collections::BTreeMap;
 use tensorfhe_ckks::{Ciphertext, CkksError, Evaluator, KeyChain};
@@ -124,12 +121,8 @@ impl LinearTransform {
             by_giant.entry(d - d % n1).or_default().push(d);
         }
 
-        // Baby rotations, computed once and reused by every giant step.
-        // All ≈√D rotations of the same ciphertext run as ONE batched key
-        // switch (`Evaluator::hrotate_many`): the C2S/S2C streaming path,
-        // where every per-modulus NTT is a wide `steps × dnum`-row block
-        // instead of one polynomial at a time. Events and results are
-        // identical to rotating one step at a time.
+        // Baby rotations of the input, computed once and reused by every
+        // giant group.
         let baby_steps: Vec<i64> = (1..n1)
             .filter(|&j| self.diags.keys().any(|&d| d % n1 == j))
             .map(|j| j as i64)
@@ -143,11 +136,11 @@ impl LinearTransform {
             rotated.insert(j as usize, rot);
         }
 
-        // Inner (baby) accumulation per giant group: CMULTs against the
-        // pre-rotated diagonals and HADDs, exactly as before — but every
-        // group's accumulator is finished *before* any giant rotation, so
-        // the giant steps can batch.
-        let mut inners: Vec<(usize, Ciphertext)> = Vec::with_capacity(by_giant.len());
+        // Per giant group, in giant order: the CMULTs against the
+        // pre-rotated diagonals summed in diagonal order, the giant
+        // rotation of that sum (giant 0 passes through unrotated), and its
+        // HADD onto the running total.
+        let mut acc: Option<Ciphertext> = None;
         for (&giant, ds) in &by_giant {
             let mut inner: Option<Ciphertext> = None;
             for &d in ds {
@@ -164,32 +157,12 @@ impl LinearTransform {
                     Some(acc) => eval.hadd(&acc, &term)?,
                 });
             }
-            inners.push((giant, inner.expect("giant group non-empty")));
-        }
-
-        // Giant rotations: distinct accumulators, each by its own step,
-        // all through ONE batched key switch (`Evaluator::hrotate_pairs`)
-        // — the multi-ciphertext counterpart of the baby-step batching
-        // above. Events and results are identical to rotating one
-        // accumulator at a time, in giant order.
-        let rotated_giants = {
-            let pairs: Vec<(&Ciphertext, i64)> = inners
-                .iter()
-                .filter(|&&(giant, _)| giant != 0)
-                .map(|(giant, inner)| (inner, *giant as i64))
-                .collect();
-            eval.hrotate_pairs(&pairs, keys)?
-        };
-
-        // Fold the contributions in giant order, giant 0 passing through
-        // unrotated — the same HADD association as the serial loop.
-        let mut acc: Option<Ciphertext> = None;
-        let mut rotations = rotated_giants.into_iter();
-        for (giant, inner) in inners {
+            // An empty group contributes nothing.
+            let Some(inner) = inner else { continue };
             let contribution = if giant == 0 {
                 inner
             } else {
-                rotations.next().expect("one rotation per non-zero giant")
+                eval.hrotate(&inner, giant as i64, keys)?
             };
             acc = Some(match acc {
                 None => contribution,
@@ -220,7 +193,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tensorfhe_ckks::{CkksContext, CkksParams};
+    use tensorfhe_ckks::trace::RecordingTracer;
+    use tensorfhe_ckks::{CkksContext, CkksParams, KernelEvent};
 
     fn random_matrix(rng: &mut StdRng, n: usize) -> Vec<Vec<Complex64>> {
         (0..n)
@@ -266,124 +240,6 @@ mod tests {
         }
     }
 
-    /// Reference `apply`: the same phase order (inner sums, then giant
-    /// rotations, then folds) with every rotation issued one at a time
-    /// through `Evaluator::hrotate`. The public `apply` routes babies
-    /// through `hrotate_many` and giants through `hrotate_pairs`; both
-    /// promise results *and* kernel streams identical to this loop.
-    fn apply_sequential(
-        lt: &LinearTransform,
-        eval: &mut Evaluator<'_>,
-        keys: &KeyChain<'_>,
-        ct: &Ciphertext,
-    ) -> Ciphertext {
-        let ctx = eval.context();
-        let n1 = lt.baby_width();
-        let level = ct.level();
-        let scale = ctx.params().scale();
-        let mut by_giant: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &d in lt.diags.keys() {
-            by_giant.entry(d - d % n1).or_default().push(d);
-        }
-        let mut rotated: BTreeMap<usize, Ciphertext> = BTreeMap::new();
-        rotated.insert(0, ct.clone());
-        for j in (1..n1).filter(|&j| lt.diags.keys().any(|&d| d % n1 == j)) {
-            let rot = eval.hrotate(ct, j as i64, keys).expect("baby rotate");
-            rotated.insert(j, rot);
-        }
-        let mut inners: Vec<(usize, Ciphertext)> = Vec::new();
-        for (&giant, ds) in &by_giant {
-            let mut inner: Option<Ciphertext> = None;
-            for &d in ds {
-                let j = d % n1;
-                let diag = &lt.diags[&d];
-                let shifted: Vec<Complex64> = (0..lt.slots)
-                    .map(|t| diag[(t + lt.slots - giant % lt.slots) % lt.slots])
-                    .collect();
-                let pt = ctx.encode_at(&shifted, scale, level).expect("encode");
-                let term = eval.cmult(&rotated[&j], &pt).expect("cmult");
-                inner = Some(match inner {
-                    None => term,
-                    Some(acc) => eval.hadd(&acc, &term).expect("hadd"),
-                });
-            }
-            inners.push((giant, inner.expect("giant group non-empty")));
-        }
-        let rotated_giants: Vec<Ciphertext> = inners
-            .iter()
-            .filter(|&&(giant, _)| giant != 0)
-            .map(|(giant, inner)| eval.hrotate(inner, *giant as i64, keys).expect("giant"))
-            .collect();
-        let mut acc: Option<Ciphertext> = None;
-        let mut rotations = rotated_giants.into_iter();
-        for (giant, inner) in inners {
-            let contribution = if giant == 0 {
-                inner
-            } else {
-                rotations.next().expect("one per giant")
-            };
-            acc = Some(match acc {
-                None => contribution,
-                Some(a) => eval.hadd(&a, &contribution).expect("hadd"),
-            });
-        }
-        eval.rescale(&acc.expect("non-empty")).expect("rescale")
-    }
-
-    #[test]
-    fn batched_giant_steps_match_sequential_rotations() {
-        // The giant-step batching promise: `apply` (babies through
-        // `hrotate_many`, giants through `hrotate_pairs`, one batched key
-        // switch each) is bit-identical to one-rotation-at-a-time
-        // execution AND emits the exact same kernel-event stream.
-        use tensorfhe_ckks::trace::RecordingTracer;
-
-        let params = CkksParams::test_small();
-        let ctx = CkksContext::new(&params).expect("ctx");
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut keys = KeyChain::generate(&ctx, &mut rng);
-        let slots = params.slots();
-
-        // Several giant groups with ragged baby membership: diagonals
-        // spread across giants 0, n1 and 2·n1 with gaps.
-        let mut diags = BTreeMap::new();
-        for d in [0usize, 1, 3, 6, 7, 13] {
-            let diag: Vec<Complex64> = (0..slots)
-                .map(|t| Complex64::new(((t * d + 1) as f64 * 0.02).sin() * 0.3, 0.0))
-                .collect();
-            diags.insert(d, diag);
-        }
-        let lt = LinearTransform::from_diagonals(slots, diags);
-        assert!(
-            lt.required_rotations().len() >= 4,
-            "test needs several baby AND giant rotations"
-        );
-        keys.gen_rotation_keys(&lt.required_rotations(), &mut rng);
-
-        let v: Vec<Complex64> = (0..slots)
-            .map(|i| Complex64::new((i as f64 * 0.09).cos() * 0.4, (i as f64 * 0.05).sin() * 0.2))
-            .collect();
-        let pt = ctx.encode(&v, params.scale()).expect("encode");
-        let ct = keys.encrypt(&pt, &mut rng);
-
-        let mut batch_rec = RecordingTracer::new();
-        let batched = {
-            let mut eval = Evaluator::with_tracer(&ctx, Box::new(&mut batch_rec));
-            lt.apply(&mut eval, &keys, &ct).expect("apply")
-        };
-        let mut seq_rec = RecordingTracer::new();
-        let sequential = {
-            let mut eval = Evaluator::with_tracer(&ctx, Box::new(&mut seq_rec));
-            apply_sequential(&lt, &mut eval, &keys, &ct)
-        };
-
-        assert_eq!(batched.c0, sequential.c0, "c0 diverged");
-        assert_eq!(batched.c1, sequential.c1, "c1 diverged");
-        assert!((batched.scale - sequential.scale).abs() < 1e-12);
-        assert_eq!(batch_rec.events, seq_rec.events, "kernel streams differ");
-        assert_eq!(batch_rec.ops, seq_rec.ops, "operation markers differ");
-    }
-
     #[test]
     fn homomorphic_apply_matches_clear() {
         let params = CkksParams::test_small();
@@ -421,5 +277,87 @@ mod tests {
                 want[t]
             );
         }
+    }
+
+    /// FNV-1a (64-bit) over little-endian words.
+    fn fnv64(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// One kernel event as four words: a kernel tag and its shape fields.
+    fn event_words(e: &KernelEvent) -> [u64; 4] {
+        let w = |x: usize| x as u64;
+        match *e {
+            KernelEvent::Ntt { n, limbs, inverse } => [0, w(n), w(limbs), u64::from(inverse)],
+            KernelEvent::HadaMult { n, limbs } => [1, w(n), w(limbs), 0],
+            KernelEvent::EleAdd { n, limbs } => [2, w(n), w(limbs), 0],
+            KernelEvent::EleSub { n, limbs } => [3, w(n), w(limbs), 0],
+            KernelEvent::FrobeniusMap { n, limbs } => [4, w(n), w(limbs), 0],
+            KernelEvent::Conjugate { n, limbs } => [5, w(n), w(limbs), 0],
+            KernelEvent::Conv { n, l_src, l_dst } => [6, w(n), w(l_src), w(l_dst)],
+        }
+    }
+
+    /// `apply` over several giant groups with ragged baby membership
+    /// (diagonals spread across giants 0, `n1` and `2·n1` with gaps) at
+    /// `test_small`, seed 11, pinned by two golden digests: FNV-64 of the
+    /// output ciphertext (scale bits, then every residue word of `c0` and
+    /// `c1`) and FNV-64 of its kernel events as a sorted multiset. Both
+    /// were recorded by running this test at commit 0801db6, where the baby
+    /// rotations ran as one multi-input key switch and the giant rotations
+    /// as another; rotating one ciphertext per key switch, with the giant
+    /// rotations interleaved with the inner sums, must reproduce them.
+    #[test]
+    fn apply_matches_its_golden_digests() {
+        const CIPHERTEXT_GOLDEN: u64 = 0x79f4_f0bb_6d6e_9b14;
+        const EVENTS_GOLDEN: u64 = 0xe682_152a_3e6b_86c7;
+
+        let params = CkksParams::test_small();
+        let ctx = CkksContext::new(&params).expect("ctx");
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut keys = KeyChain::generate(&ctx, &mut rng);
+        let slots = params.slots();
+        let mut diags = BTreeMap::new();
+        for d in [0usize, 1, 3, 6, 7, 13] {
+            let diag: Vec<Complex64> = (0..slots)
+                .map(|t| Complex64::new(((t * d + 1) as f64 * 0.02).sin() * 0.3, 0.0))
+                .collect();
+            diags.insert(d, diag);
+        }
+        let lt = LinearTransform::from_diagonals(slots, diags);
+        assert!(
+            lt.required_rotations().len() >= 4,
+            "test needs several baby AND giant rotations"
+        );
+        keys.gen_rotation_keys(&lt.required_rotations(), &mut rng);
+        let v: Vec<Complex64> = (0..slots)
+            .map(|i| Complex64::new((i as f64 * 0.09).cos() * 0.4, (i as f64 * 0.05).sin() * 0.2))
+            .collect();
+        let pt = ctx.encode(&v, params.scale()).expect("encode");
+        let ct = keys.encrypt(&pt, &mut rng);
+
+        let mut rec = RecordingTracer::new();
+        let out = {
+            let mut eval = Evaluator::with_tracer(&ctx, Box::new(&mut rec));
+            lt.apply(&mut eval, &keys, &ct).expect("apply")
+        };
+        let residues = [&out.c0, &out.c1]
+            .into_iter()
+            .flat_map(|poly| poly.limbs().iter().flatten().copied());
+        let got = fnv64(std::iter::once(out.scale.to_bits()).chain(residues));
+        let mut events: Vec<[u64; 4]> = rec.events.iter().map(event_words).collect();
+        events.sort_unstable();
+        let got_events = fnv64(events.into_iter().flatten());
+        assert_eq!(
+            (got, got_events),
+            (CIPHERTEXT_GOLDEN, EVENTS_GOLDEN),
+            "ciphertext {got:#018x}, events {got_events:#018x}"
+        );
     }
 }

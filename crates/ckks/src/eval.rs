@@ -9,7 +9,7 @@
 use crate::context::CkksContext;
 use crate::error::CkksError;
 use crate::keys::KeyChain;
-use crate::keyswitch::{batch_chunk_inputs, key_switch, key_switch_batch, KsKey, OpStream};
+use crate::keyswitch::{key_switch, OpStream};
 use crate::poly::{Ciphertext, Domain, Plaintext, RnsPoly};
 use crate::trace::{KernelTracer, Tracing};
 use tensorfhe_math::scratch;
@@ -445,9 +445,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// `HROTATE` (Algorithm 4): rotates slots by `r` via the Galois
-    /// automorphism `X → X^{5^r}` plus a key switch — the one-pair case of
-    /// [`Evaluator::hrotate_pairs`]. A step whose element is 1 returns a
-    /// clone and reports nothing.
+    /// automorphism `X → X^{5^r}` plus a key switch. A step whose element is
+    /// 1 returns a clone and reports nothing.
     ///
     /// # Errors
     ///
@@ -459,14 +458,12 @@ impl<'a> Evaluator<'a> {
         r: i64,
         keys: &KeyChain<'_>,
     ) -> Result<Ciphertext, CkksError> {
-        self.hrotate_pairs(&[(ct, r)], keys)
-            .map(|mut out| out.pop().expect("one pair"))
+        let g = self.ctx.galois_element(r);
+        self.automorphism(ct, g, keys)
     }
 
-    /// Batched `HROTATE`: rotates one ciphertext by several steps at once —
-    /// [`Evaluator::hrotate_pairs`] with every pair naming `ct`. Results and
-    /// emitted kernel events equal one [`Evaluator::hrotate`] per step, in
-    /// order.
+    /// Rotates one ciphertext by several steps: one [`Evaluator::hrotate`]
+    /// per step, in order, once every step's key has been found.
     ///
     /// # Errors
     ///
@@ -478,40 +475,13 @@ impl<'a> Evaluator<'a> {
         steps: &[i64],
         keys: &KeyChain<'_>,
     ) -> Result<Vec<Ciphertext>, CkksError> {
-        let pairs: Vec<(&Ciphertext, i64)> = steps.iter().map(|&r| (ct, r)).collect();
-        self.hrotate_pairs(&pairs, keys)
-    }
-
-    /// Batched `HROTATE` over `(ciphertext, step)` pairs, all through one
-    /// batched key switch ([`crate::keyswitch::key_switch_batch`]): one
-    /// batched INTT across every live pair, per extended limb one NTT of up
-    /// to `pairs × dnum` ModUp rows, and a single ModDown over all
-    /// `2·pairs` accumulators. A BSGS stage's ≈√D baby rotations of one
-    /// ciphertext ([`Evaluator::hrotate_many`]) and its giant rotations of
-    /// distinct accumulators both run here; [`Evaluator::hrotate`] is the
-    /// one-pair case.
-    ///
-    /// Results and emitted kernel events equal one [`Evaluator::hrotate`]
-    /// per pair, in order: pairs with `g = 1` return clones and report
-    /// nothing. Live rotations are processed in bounded chunks under the
-    /// key switch's own residency cap; chunking never changes results or
-    /// events.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::MissingRotationKey`] if any step has no
-    /// generated key, or [`CkksError::Mismatch`] if the ciphertexts do
-    /// not share one level; no work is done in either case.
-    pub fn hrotate_pairs(
-        &mut self,
-        pairs: &[(&Ciphertext, i64)],
-        keys: &KeyChain<'_>,
-    ) -> Result<Vec<Ciphertext>, CkksError> {
-        let pairs: Vec<(&Ciphertext, u64)> = pairs
-            .iter()
-            .map(|&(ct, r)| (ct, self.ctx.galois_element(r)))
-            .collect();
-        self.automorphisms(&pairs, keys)
+        for &r in steps {
+            let g = self.ctx.galois_element(r);
+            if g != 1 {
+                keys.galois_key(g)?;
+            }
+        }
+        steps.iter().map(|&r| self.hrotate(ct, r, keys)).collect()
     }
 
     /// Complex conjugation of every slot (HCONJ in the bootstrap pipeline):
@@ -527,95 +497,42 @@ impl<'a> Evaluator<'a> {
         keys: &KeyChain<'_>,
     ) -> Result<Ciphertext, CkksError> {
         let g = self.ctx.conjugation_element();
-        self.automorphisms(&[(ct, g)], keys)
-            .map(|mut out| out.pop().expect("one pair"))
+        self.automorphism(ct, g, keys)
     }
 
-    /// The one Galois path: applies each pair's automorphism `X → X^g`
-    /// (the NTT-domain permutation of both components), switches every
-    /// permuted `c1` back to `s` in one batched key switch, and adds the
-    /// switched `c0` parts. Each live pair is reported as one `HROTATE`
-    /// scope carrying its [`OpStream::Rotate`] or [`OpStream::Conjugate`]
-    /// stream.
-    fn automorphisms(
+    /// The one Galois path: applies the automorphism `X → X^g` (the
+    /// NTT-domain permutation of both components), switches the permuted
+    /// `c1` from `σ(s)` back to `s`, and adds the switched `c0` part —
+    /// reported as one `HROTATE` scope carrying its [`OpStream::Rotate`] or
+    /// [`OpStream::Conjugate`] stream. `g = 1` returns a clone and reports
+    /// nothing.
+    fn automorphism(
         &mut self,
-        pairs: &[(&Ciphertext, u64)],
+        ct: &Ciphertext,
+        g: u64,
         keys: &KeyChain<'_>,
-    ) -> Result<Vec<Ciphertext>, CkksError> {
+    ) -> Result<Ciphertext, CkksError> {
+        if g == 1 {
+            return Ok(ct.clone());
+        }
+        let ksk = keys.galois_key(g)?;
         let ctx = self.ctx;
-        let Some(&(first, _)) = pairs.first() else {
-            return Ok(Vec::new());
+        let tables = ctx.galois_tables(g);
+        let mut c0 = ct.c0.automorphism_ntt(&tables);
+        let c1 = ct.c1.automorphism_ntt(&tables);
+        let (k0, k1) = key_switch(ctx, &mut Tracing::new(None), &c1, ksk);
+        c0.add_assign(ctx, &k0);
+        let stream = if g == ctx.conjugation_element() {
+            OpStream::Conjugate
+        } else {
+            OpStream::Rotate
         };
-        let level = first.level();
-        if pairs.iter().any(|(ct, _)| ct.level() != level) {
-            return Err(CkksError::Mismatch(
-                "hrotate_pairs ciphertexts must share one level (the batched \
-                 key switch packs same-level ModUp rows)"
-                    .into(),
-            ));
-        }
-        // Resolve every key up front so a missing one aborts cleanly.
-        for &(_, g) in pairs.iter().filter(|&&(_, g)| g != 1) {
-            keys.galois_key(g)?;
-        }
-
-        // Process live rotations in bounded chunks so the staged operands
-        // (permuted components, switched pairs) obey the same residency
-        // cap as the key switch's own ModUp rows — a paper-scale BSGS stage
-        // must not hold ≈√D rotations' polynomials at once. Chunking never
-        // changes results or events: batched transforms are bit-exact at
-        // any width and reporting stays strictly per pair, in order.
-        let chunk = batch_chunk_inputs(ctx, level);
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut i = 0usize;
-        while i < pairs.len() {
-            // Gather the next segment: up to `chunk` live pairs, with any
-            // interleaved no-op (g = 1) pairs carried along so they never
-            // fragment the key-switch batch.
-            let seg_start = i;
-            let mut live = 0usize;
-            while i < pairs.len() && live < chunk {
-                live += usize::from(pairs[i].1 != 1);
-                i += 1;
-            }
-            let segment = &pairs[seg_start..i];
-            let mut c0_rots = Vec::with_capacity(live);
-            let mut c1_rots = Vec::with_capacity(live);
-            let mut ksks: Vec<&KsKey> = Vec::with_capacity(live);
-            for &(ct, g) in segment.iter().filter(|&&(_, g)| g != 1) {
-                let tables = ctx.galois_tables(g);
-                c0_rots.push(ct.c0.automorphism_ntt(&tables));
-                c1_rots.push(ct.c1.automorphism_ntt(&tables));
-                ksks.push(keys.galois_key(g)?);
-            }
-            // Switch every σ(c1) from σ(s) back to s at once.
-            let ds: Vec<&RnsPoly> = c1_rots.iter().collect();
-            let switched = key_switch_batch(ctx, &mut Tracing::new(None), &ds, &ksks);
-
-            // Assemble in segment order: no-op pairs clone, live pairs
-            // consume the next switched pair and report their stream.
-            let mut rotated = c0_rots.into_iter().zip(switched);
-            for &(ct, g) in segment {
-                if g == 1 {
-                    out.push(ct.clone());
-                    continue;
-                }
-                let (mut c0, (k0, k1)) = rotated.next().expect("one switch per live pair");
-                c0.add_assign(ctx, &k0);
-                let stream = if g == ctx.conjugation_element() {
-                    OpStream::Conjugate
-                } else {
-                    OpStream::Rotate
-                };
-                self.trace("HROTATE", stream, level);
-                out.push(Ciphertext {
-                    c0,
-                    c1: k1,
-                    scale: ct.scale,
-                });
-            }
-        }
-        Ok(out)
+        self.trace("HROTATE", stream, ct.level());
+        Ok(Ciphertext {
+            c0,
+            c1: k1,
+            scale: ct.scale,
+        })
     }
 }
 
@@ -787,143 +704,6 @@ mod tests {
         }
         assert_eq!(batch_rec.events, seq_rec.events, "kernel streams differ");
         assert_eq!(batch_rec.ops, seq_rec.ops, "operation markers differ");
-    }
-
-    #[test]
-    fn hrotate_many_chunks_across_the_residency_cap() {
-        // More live rotations than one key_switch_batch chunk admits
-        // (toy params: 2 digits → 8 inputs per chunk): results must still
-        // be bit-identical to sequential rotation, across the chunk seam.
-        let (ctx, mut rng) = setup();
-        let steps: Vec<i64> = (1..=10).collect();
-        assert!(
-            steps.len() > crate::keyswitch::batch_chunk_inputs(&ctx, ctx.params().max_level()),
-            "test must cross a chunk boundary"
-        );
-        let mut keys = KeyChain::generate(&ctx, &mut rng);
-        keys.gen_rotation_keys(&steps, &mut rng);
-        let slots = ctx.params().slots();
-        let vals: Vec<Complex64> = (0..slots)
-            .map(|i| Complex64::new((i as f64 * 0.41).cos(), (i as f64 * 0.09).sin()))
-            .collect();
-        let pt = ctx.encode(&vals, ctx.params().scale()).expect("encode");
-        let ct = keys.encrypt(&pt, &mut rng);
-
-        let mut eval = Evaluator::new(&ctx);
-        let batched = eval.hrotate_many(&ct, &steps, &keys).expect("batch rotate");
-        for (&r, b) in steps.iter().zip(&batched) {
-            let s = eval.hrotate(&ct, r, &keys).expect("rotate");
-            assert_eq!(b.c0, s.c0, "c0 diverged at step {r}");
-            assert_eq!(b.c1, s.c1, "c1 diverged at step {r}");
-        }
-    }
-
-    #[test]
-    fn hrotate_pairs_matches_sequential_rotations() {
-        // The giant-step path: distinct accumulators, each rotated by its
-        // own step through one batched key switch, must be bit-identical
-        // to one-at-a-time rotations AND emit the exact same kernel-event
-        // stream (the costing reads it).
-        let (ctx, mut rng) = setup();
-        let mut keys = KeyChain::generate(&ctx, &mut rng);
-        keys.gen_rotation_keys(&[1, 2, 4], &mut rng);
-        let slots = ctx.params().slots();
-        let cts: Vec<Ciphertext> = (0..4)
-            .map(|k| {
-                let vals: Vec<Complex64> = (0..slots)
-                    .map(|i| {
-                        Complex64::new(
-                            ((i + k) as f64 * 0.17).sin(),
-                            ((i * (k + 1)) as f64 * 0.11).cos(),
-                        )
-                    })
-                    .collect();
-                let pt = ctx.encode(&vals, ctx.params().scale()).expect("encode");
-                keys.encrypt(&pt, &mut rng)
-            })
-            .collect();
-        let steps = [1i64, 4, 0, 2]; // includes a g = 1 no-op pair
-
-        let mut seq_rec = RecordingTracer::new();
-        let sequential: Vec<Ciphertext> = {
-            let mut eval = Evaluator::with_tracer(&ctx, Box::new(&mut seq_rec));
-            cts.iter()
-                .zip(&steps)
-                .map(|(ct, &r)| eval.hrotate(ct, r, &keys).expect("rotate"))
-                .collect()
-        };
-        let mut batch_rec = RecordingTracer::new();
-        let batched = {
-            let mut eval = Evaluator::with_tracer(&ctx, Box::new(&mut batch_rec));
-            let pairs: Vec<(&Ciphertext, i64)> =
-                cts.iter().zip(&steps).map(|(ct, &r)| (ct, r)).collect();
-            eval.hrotate_pairs(&pairs, &keys).expect("batch rotate")
-        };
-
-        assert_eq!(batched.len(), sequential.len());
-        for (r, (b, s)) in batched.iter().zip(&sequential).enumerate() {
-            assert_eq!(b.c0, s.c0, "c0 diverged at pair index {r}");
-            assert_eq!(b.c1, s.c1, "c1 diverged at pair index {r}");
-            assert!((b.scale - s.scale).abs() < 1e-12);
-        }
-        assert_eq!(batch_rec.events, seq_rec.events, "kernel streams differ");
-        assert_eq!(batch_rec.ops, seq_rec.ops, "operation markers differ");
-    }
-
-    #[test]
-    fn hrotate_pairs_chunks_across_the_residency_cap() {
-        // More live pairs than one key_switch_batch chunk admits: results
-        // must still be bit-identical to sequential rotation, across the
-        // chunk seam, with every pair rotating its own ciphertext.
-        let (ctx, mut rng) = setup();
-        let steps: Vec<i64> = (1..=10).collect();
-        assert!(
-            steps.len() > crate::keyswitch::batch_chunk_inputs(&ctx, ctx.params().max_level()),
-            "test must cross a chunk boundary"
-        );
-        let mut keys = KeyChain::generate(&ctx, &mut rng);
-        keys.gen_rotation_keys(&steps, &mut rng);
-        let slots = ctx.params().slots();
-        let cts: Vec<Ciphertext> = (0..steps.len())
-            .map(|k| {
-                let vals: Vec<Complex64> = (0..slots)
-                    .map(|i| Complex64::new(((i * k + 3) as f64 * 0.07).cos(), 0.0))
-                    .collect();
-                let pt = ctx.encode(&vals, ctx.params().scale()).expect("encode");
-                keys.encrypt(&pt, &mut rng)
-            })
-            .collect();
-
-        let mut eval = Evaluator::new(&ctx);
-        let pairs: Vec<(&Ciphertext, i64)> =
-            cts.iter().zip(&steps).map(|(ct, &r)| (ct, r)).collect();
-        let batched = eval.hrotate_pairs(&pairs, &keys).expect("batch rotate");
-        for ((ct, &r), b) in cts.iter().zip(&steps).zip(&batched) {
-            let s = eval.hrotate(ct, r, &keys).expect("rotate");
-            assert_eq!(b.c0, s.c0, "c0 diverged at step {r}");
-            assert_eq!(b.c1, s.c1, "c1 diverged at step {r}");
-        }
-    }
-
-    #[test]
-    fn hrotate_pairs_rejects_mixed_levels_and_missing_keys() {
-        let (ctx, mut rng) = setup();
-        let mut keys = KeyChain::generate(&ctx, &mut rng);
-        keys.gen_rotation_keys(&[1], &mut rng);
-        let mut eval = Evaluator::new(&ctx);
-        let ct = encode_encrypt(&ctx, &keys, &mut rng, &[Complex64::one()]);
-        let dropped = eval
-            .mod_switch_to(&ct, ct.level() - 1)
-            .expect("drop a level");
-        assert!(matches!(
-            eval.hrotate_pairs(&[(&ct, 1), (&dropped, 1)], &keys),
-            Err(CkksError::Mismatch(_))
-        ));
-        assert!(matches!(
-            eval.hrotate_pairs(&[(&ct, 1), (&ct, 2)], &keys),
-            Err(CkksError::MissingRotationKey(_))
-        ));
-        assert!(eval.hrotate_pairs(&[], &keys).expect("empty").is_empty());
     }
 
     #[test]

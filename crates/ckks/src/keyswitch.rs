@@ -19,9 +19,9 @@
 //!
 //! # Algorithm 1 as executed
 //!
-//! [`key_switch_batch`] computes exactly the values above, bit for bit, but
-//! runs only the transforms its data flow needs. Write `m = l+1`,
-//! `E = m + K` and `D` for the digit count ([`KeySwitchShape`] holds them).
+//! [`key_switch`] computes exactly the values above, bit for bit, but runs
+//! only the transforms its data flow needs. Write `m = l+1`, `E = m + K` and
+//! `D` for the digit count ([`KeySwitchShape`] holds them).
 //!
 //! * **Own limbs are borrowed.** A digit's own limbs of `ModUp(d_j)` are
 //!   `d`'s limbs, and `d` arrives in the NTT domain: `NTT(INTT(x)) = x` on
@@ -54,25 +54,24 @@
 //! kernel-event stream that carries it to the cost model.
 //!
 //! **The limb-major loop.** The work is ordered by extended limb, not by
-//! digit. After one batched INTT of the inputs into pooled rows and the
-//! in-place `y`-stage of every digit, each extended limb `e` (a `q_i` or a
-//! `p_k`) is finished before the next is touched: the complement rows of
-//! all `inputs × D` digits at `e` are converted into one pooled buffer, run
-//! through `e`'s plan as **one** `forward_batch`, and multiplied into both
-//! accumulators' limb `e` while they are hot (first digit writes, the rest
-//! multiply-accumulate). The live set is `inputs·D` rows plus two
-//! accumulator limbs per input — a few hundred KiB at HEAX set B, inside
-//! L2 — and each key limb is streamed exactly once, in order; the
-//! `D × E`-limb heap block of raised digits the literal algorithm builds
-//! (2 MB per HMULT at set B) never exists. ModDown then walks the `q` limbs
-//! the same way: convert row `i` of every accumulator, one `forward_batch`,
-//! subtract-and-scale.
+//! digit. After the INTT of the input into pooled rows and the in-place
+//! `y`-stage of every digit, each extended limb `e` (a `q_i` or a `p_k`) is
+//! finished before the next is touched: the complement rows of the `D`
+//! digits at `e` are converted into one pooled buffer, run through `e`'s
+//! plan as **one** `forward_batch`, and multiplied into both accumulators'
+//! limb `e` while they are hot (first digit writes, the rest
+//! multiply-accumulate). The live set is `D` rows plus two accumulator
+//! limbs — inside L2 at HEAX set B — and each key limb is streamed exactly
+//! once, in order; the `D × E`-limb heap block of raised digits the literal
+//! algorithm builds (2 MB per HMULT at set B) never exists. ModDown then
+//! walks the `q` limbs the same way: convert row `i` of both accumulators,
+//! one `forward_batch`, subtract-and-scale.
 //!
 //! The public helpers [`mod_up`], [`ExtPoly::ntt_forward_batch`],
 //! [`ExtPoly::mul_acc`] and [`mod_down_batch`] are the same steps one whole
 //! polynomial at a time; composed in that order ([`key_switch_literal`])
-//! they are the reference the differential tests hold [`key_switch_batch`]
-//! to. That composition is literal up to the accumulators — it raises,
+//! they are the reference the differential tests hold [`key_switch`] to.
+//! That composition is literal up to the accumulators — it raises,
 //! transforms and multiplies all `D·E` limbs — but its ModDown is
 //! [`mod_down_batch`], i.e. already the NTT-domain one: it transforms
 //! `m + D·E + 2K + 2m` rows, not Algorithm 1's `m + D·E + 2E + 2m`. The
@@ -155,37 +154,20 @@ impl ExtPoly {
     /// Forward NTT of a block of extended polynomials sharing one basis
     /// layout, batched per modulus (`B` = block size rows per wide GEMM):
     /// every limb of every polynomial, own and complement alike — the
-    /// whole-polynomial form of the per-limb transforms
-    /// [`key_switch_batch`] runs on complement rows only.
+    /// whole-polynomial form of the per-limb transforms [`key_switch`] runs
+    /// on complement rows only.
     ///
     /// # Panics
     ///
     /// Panics if the polynomials disagree on basis shape or any is already
     /// in NTT domain.
     pub fn ntt_forward_batch(ctx: &CkksContext, exts: &mut [ExtPoly]) {
-        Self::transform_batch(ctx, exts, Domain::Coeff);
-    }
-
-    /// Inverse NTT of a block of extended polynomials, batched per modulus
-    /// (counterpart of [`ExtPoly::ntt_forward_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polynomials disagree on basis shape or any is already
-    /// in coefficient domain.
-    pub fn ntt_inverse_batch(ctx: &CkksContext, exts: &mut [ExtPoly]) {
-        Self::transform_batch(ctx, exts, Domain::Ntt);
-    }
-
-    /// Moves every polynomial of the block out of domain `from`, one
-    /// batched transform per modulus.
-    fn transform_batch(ctx: &CkksContext, exts: &mut [ExtPoly], from: Domain) {
         let Some(first) = exts.first() else { return };
         let (nq, np) = (first.q_limbs.len(), first.p_limbs.len());
         for e in exts.iter() {
             assert_eq!(e.q_limbs.len(), nq, "basis mismatch in batch");
             assert_eq!(e.p_limbs.len(), np, "basis mismatch in batch");
-            assert_eq!(e.domain, from);
+            assert_eq!(e.domain, Domain::Coeff);
         }
         for e in 0..nq + np {
             let mut rows: Vec<&mut [u64]> = exts
@@ -196,16 +178,9 @@ impl ExtPoly {
                 })
                 .collect();
             let (_, plan) = ext_prime(ctx, nq, e);
-            match from {
-                Domain::Coeff => plan.forward_batch(&mut rows),
-                Domain::Ntt => plan.inverse_batch(&mut rows),
-            }
+            plan.forward_batch(&mut rows);
         }
-        let to = match from {
-            Domain::Coeff => Domain::Ntt,
-            Domain::Ntt => Domain::Coeff,
-        };
-        exts.iter_mut().for_each(|e| e.domain = to);
+        exts.iter_mut().for_each(|e| e.domain = Domain::Ntt);
     }
 
     /// `self += ext ⊙ key`, limb-wise over the shared basis prefix.
@@ -246,8 +221,8 @@ fn ext_prime(ctx: &CkksContext, limbs: usize, e: usize) -> (&Modulus, &BatchedGe
 
 /// The shape of one hybrid key switch at one level: everything the
 /// arithmetic loops and the costed kernel-event stream both depend on, in
-/// one place. [`key_switch_batch`] iterates over it; [`key_switch_events`]
-/// is generated from it.
+/// one place. [`key_switch`] iterates over it; [`key_switch_events`] is
+/// generated from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeySwitchShape {
     n: usize,
@@ -382,9 +357,8 @@ impl KeySwitchShape {
     }
 }
 
-/// The kernel-event stream of one [`key_switch`] at `level`: what
-/// [`key_switch_batch`] emits per input, and the middle of every
-/// [`OpStream`] that switches keys.
+/// The kernel-event stream of one [`key_switch`] at `level`: what it
+/// emits, and the middle of every [`OpStream`] that switches keys.
 #[must_use]
 pub fn key_switch_events(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
     KeySwitchShape::new(params, level).events()
@@ -488,22 +462,6 @@ impl OpStream {
             }
         }
     }
-}
-
-/// Most `N`-element rows a single [`key_switch_batch`] call keeps in its
-/// per-limb ModUp buffer (`inputs × digits`); wider rotation batches are
-/// chunked. The same count bounds the call's other pooled blocks to a few
-/// rows per input limb, so a paper-scale √D-rotation batch stays within
-/// tens of MB of transient instead of scaling with the batch.
-pub const MAX_MODUP_BLOCK: usize = 16;
-
-/// Inputs per [`key_switch_batch`] chunk at `level`: as many as keep the
-/// ModUp buffer within [`MAX_MODUP_BLOCK`] rows. Callers that stage
-/// per-input operands around the switch (e.g. batched rotations) chunk at
-/// the same width so their own transients obey the same residency bound.
-pub(crate) fn batch_chunk_inputs(ctx: &CkksContext, level: usize) -> usize {
-    let digits = KeySwitchShape::new(ctx.params(), level).digits();
-    (MAX_MODUP_BLOCK / digits).max(1)
 }
 
 /// One digit of a key-switching key: an RLWE pair over the extended basis.
@@ -622,14 +580,17 @@ pub fn mod_down_batch(
             row.copy_from_slice(limb);
         }
     }
-    let q_parts = accs.iter().map(|acc| acc.q_limbs.clone()).collect();
+    let mut q_parts: Vec<_> = accs.iter().map(|acc| acc.q_limbs.clone()).collect();
     let table = ctx.moddown_table(l);
-    let (outs, _) = mod_down_rows(ctx, &table, q_parts, &mut p_rows);
+    mod_down_rows(ctx, &table, &mut q_parts, &mut p_rows);
     scratch::give_u64(p_rows);
     KeySwitchShape::new(ctx.params(), l)
         .mod_down_events(accs.len())
         .for_each(|e| tracing.emit(e));
-    outs
+    q_parts
+        .into_iter()
+        .map(|limbs| RnsPoly::from_limbs(limbs, Domain::Ntt))
+        .collect()
 }
 
 /// Rows the arithmetic really pushed through each kernel, counted where
@@ -651,22 +612,16 @@ struct RowTally {
 }
 
 impl RowTally {
-    /// Field-wise `self + other·times`.
-    fn plus(self, other: RowTally, times: usize) -> RowTally {
+    /// Field-wise `self + other`.
+    fn plus(self, other: RowTally) -> RowTally {
         RowTally {
-            intt: self.intt + other.intt * times,
-            ntt: self.ntt + other.ntt * times,
-            conv: self.conv + other.conv * times,
-            mac: self.mac + other.mac * times,
-            sub: self.sub + other.sub * times,
+            intt: self.intt + other.intt,
+            ntt: self.ntt + other.ntt,
+            conv: self.conv + other.conv,
+            mac: self.mac + other.mac,
+            sub: self.sub + other.sub,
         }
     }
-}
-
-/// Every `step`-th `n`-element row of a flat pooled block, from row
-/// `first`: the rows of one limb across the block's polynomials.
-fn strided_rows(block: &mut [u64], n: usize, first: usize, step: usize) -> Vec<&mut [u64]> {
-    block.chunks_mut(n).skip(first).step_by(step).collect()
 }
 
 /// The ModDown routine. `q_parts[a]` are accumulator `a`'s `q` limbs (NTT
@@ -676,9 +631,9 @@ fn strided_rows(block: &mut [u64], n: usize, first: usize, step: usize) -> Vec<&
 fn mod_down_rows(
     ctx: &CkksContext,
     table: &ModDownTable,
-    mut q_parts: Vec<Vec<Vec<u64>>>,
+    q_parts: &mut [Vec<Vec<u64>>],
     p_rows: &mut [u64],
-) -> (Vec<RnsPoly>, RowTally) {
+) -> RowTally {
     let n = ctx.params().n();
     let k = ctx.params().special_primes();
     let accs = q_parts.len();
@@ -690,7 +645,7 @@ fn mod_down_rows(
     // the coefficient domain, one batch per prime, then through the
     // y-stage once per accumulator.
     for kk in 0..k {
-        let mut rows = strided_rows(p_rows, n, kk, k);
+        let mut rows: Vec<&mut [u64]> = p_rows.chunks_mut(n).skip(kk).step_by(k).collect();
         ctx.ntt_p(kk).inverse_batch(&mut rows);
         tally.intt += rows.len();
     }
@@ -715,17 +670,18 @@ fn mod_down_rows(
         tally.sub += accs;
     }
     scratch::give_u64(conv);
-    let outs = q_parts
-        .into_iter()
-        .map(|limbs| RnsPoly::from_limbs(limbs, Domain::Ntt))
-        .collect();
-    (outs, tally)
+    tally
 }
 
-/// Full key switch (Algorithm 1): `d` must be in NTT domain.
+/// Full key switch (Algorithm 1) as the limb-major loop of the module docs:
+/// `d` must be in NTT domain. Emits [`key_switch_events`].
 ///
 /// Returns `(c0', c1')` such that `c0' + c1'·s ≈ d·s'` where `s'` is the key
 /// the `ksk` was generated for.
+///
+/// # Panics
+///
+/// Panics if `d` is not in NTT domain or the key has too few digits.
 #[must_use]
 pub fn key_switch(
     ctx: &CkksContext,
@@ -733,9 +689,16 @@ pub fn key_switch(
     d: &RnsPoly,
     ksk: &KsKey,
 ) -> (RnsPoly, RnsPoly) {
-    key_switch_batch(ctx, tracing, &[d], &[ksk])
-        .pop()
-        .expect("one input")
+    assert_eq!(
+        d.domain(),
+        Domain::Ntt,
+        "key switch input must be in NTT domain"
+    );
+    let shape = KeySwitchShape::new(ctx.params(), d.level());
+    assert!(shape.digits() <= ksk.digits.len(), "key has too few digits");
+    let (pair, _) = key_switch_rows(ctx, &shape, d, ksk);
+    shape.events().into_iter().for_each(|e| tracing.emit(e));
+    pair
 }
 
 /// The key switch composed from the whole-polynomial helpers: INTT, every
@@ -770,82 +733,14 @@ pub fn key_switch_literal(ctx: &CkksContext, d: &RnsPoly, ksk: &KsKey) -> (RnsPo
     (outs.pop().expect("two accumulators"), c1)
 }
 
-/// Batched key switch of several same-level polynomials, each under its own
-/// key (the streaming-bootstrap hot path: a BSGS stage key-switches ≈√D
-/// rotations of one ciphertext at once).
-///
-/// The arithmetic is the limb-major loop of the module docs and packs
-/// across inputs: one batched INTT per input limb, one `forward_batch` of
-/// up to `inputs × dnum` complement rows per extended limb, and one ModDown
-/// over all `2·inputs` accumulators — so each per-modulus transform is a
-/// single wide GEMM under the GEMM formulations. The emitted kernel events
-/// are [`key_switch_events`] once per input, in input order: batching
-/// changes the arithmetic packing, not the costed schedule.
-///
-/// Peak host memory is bounded: batches whose ModUp buffer would exceed
-/// [`MAX_MODUP_BLOCK`] rows are processed in fixed-size input chunks
-/// (results and events are identical — batched transforms are bit-exact at
-/// any width — only the row count per call changes).
-///
-/// # Panics
-///
-/// Panics if `ds` and `ksks` disagree in length, any input is not in NTT
-/// domain, levels differ across inputs, or a key has too few digits.
-#[must_use]
-pub fn key_switch_batch(
-    ctx: &CkksContext,
-    tracing: &mut Tracing<'_>,
-    ds: &[&RnsPoly],
-    ksks: &[&KsKey],
-) -> Vec<(RnsPoly, RnsPoly)> {
-    assert_eq!(ds.len(), ksks.len(), "one key per input");
-    let Some(first) = ds.first() else {
-        return Vec::new();
-    };
-    let shape = KeySwitchShape::new(ctx.params(), first.level());
-    // Validate the WHOLE batch before chunking: the documented contract
-    // violations must fire even when each individual chunk would happen to
-    // be internally consistent.
-    for d in ds {
-        assert_eq!(
-            d.domain(),
-            Domain::Ntt,
-            "key switch input must be in NTT domain"
-        );
-        assert_eq!(
-            d.level(),
-            first.level(),
-            "level mismatch in key-switch batch"
-        );
-    }
-    for ksk in ksks {
-        assert!(shape.digits() <= ksk.digits.len(), "key has too few digits");
-    }
-
-    // Residency cap: a BSGS stage can hand over ≈√D rotations; chunking
-    // keeps the pooled blocks O(chunk × digits) rows — still far wider
-    // than any single key switch — instead of scaling with the batch.
-    let chunk = batch_chunk_inputs(ctx, first.level());
-    let mut pairs = Vec::with_capacity(ds.len());
-    for (dc, kc) in ds.chunks(chunk).zip(ksks.chunks(chunk)) {
-        pairs.extend(key_switch_rows(ctx, &shape, dc, kc).0);
-    }
-
-    // The costed schedule: one sequential event group per input.
-    let events = shape.events();
-    for _ in ds {
-        events.iter().for_each(|&e| tracing.emit(e));
-    }
-    pairs
-}
-
-/// One residency chunk of [`key_switch_batch`]: the limb-major loop.
+/// The limb-major loop of [`key_switch`], returning the switched pair and
+/// the rows it pushed through each kernel.
 fn key_switch_rows(
     ctx: &CkksContext,
     shape: &KeySwitchShape,
-    ds: &[&RnsPoly],
-    ksks: &[&KsKey],
-) -> (Vec<(RnsPoly, RnsPoly)>, RowTally) {
+    d: &RnsPoly,
+    ksk: &KsKey,
+) -> ((RnsPoly, RnsPoly), RowTally) {
     let n = ctx.params().n();
     let (m, k, digits) = (shape.limbs(), shape.special(), shape.digits());
     let level = m - 1;
@@ -855,50 +750,37 @@ fn key_switch_rows(
     let moddown = ctx.moddown_table(level);
     let mut tally = RowTally::default();
 
-    // Dcomp: every input's coefficient form, in pooled rows (input-major),
-    // one batched INTT per limb; then each digit's y-stage, once, in place
-    // on the rows it owns.
-    let mut coeff = scratch::take_dirty_u64(ds.len() * m * n);
-    for (d, block) in ds.iter().zip(coeff.chunks_mut(m * n)) {
-        for (limb, row) in d.limbs().iter().zip(block.chunks_mut(n)) {
-            row.copy_from_slice(limb);
-        }
+    // Dcomp: the input's coefficient form in pooled rows, one INTT per
+    // limb; then each digit's y-stage, once, in place on the rows it owns.
+    let mut coeff = scratch::take_dirty_u64(m * n);
+    for (i, (limb, row)) in d.limbs().iter().zip(coeff.chunks_mut(n)).enumerate() {
+        row.copy_from_slice(limb);
+        ctx.ntt_q(i).inverse_batch(&mut [row]);
+        tally.intt += 1;
     }
-    for i in 0..m {
-        let mut rows = strided_rows(&mut coeff, n, i, m);
-        ctx.ntt_q(i).inverse_batch(&mut rows);
-        tally.intt += rows.len();
-    }
-    for block in coeff.chunks_mut(m * n) {
-        for t in &modup {
-            t.conv
-                .y_stage(&mut block[t.src_start * n..t.src_end * n], n);
-        }
+    for t in &modup {
+        t.conv
+            .y_stage(&mut coeff[t.src_start * n..t.src_end * n], n);
     }
 
     // Accumulators: the `q` limbs are the result's own allocations, pushed
     // limb by limb; the special limbs live in a pooled block ModDown
-    // consumes (per input: K rows of c0's, then K rows of c1's).
-    let mut acc_q: Vec<[Vec<Vec<u64>>; 2]> = ds
-        .iter()
-        .map(|_| [Vec::with_capacity(m), Vec::with_capacity(m)])
-        .collect();
-    let mut acc_p = scratch::take_dirty_u64(ds.len() * 2 * k * n);
-    let mut raised = scratch::take_dirty_u64(ds.len() * digits * n);
+    // consumes (K rows of c0's, then K rows of c1's).
+    let mut acc_q = [Vec::with_capacity(m), Vec::with_capacity(m)];
+    let mut acc_p = scratch::take_dirty_u64(2 * k * n);
+    let mut raised = scratch::take_dirty_u64(digits * n);
 
     for e in 0..m + k {
         let (modulus, plan) = ext_prime(ctx, m, e);
-        // ModUp at limb e: the complement row of every (input, digit) that
-        // does not own e, then all of them through e's plan at once.
+        // ModUp at limb e: the complement row of every digit that does not
+        // own e, then all of them through e's plan at once.
         let mut filled = 0;
-        for block in coeff.chunks(m * n) {
-            for t in &modup {
-                if let Some(j) = t.target_index(e) {
-                    let y = &block[t.src_start * n..t.src_end * n];
-                    t.conv
-                        .convert_row(j, y, &mut raised[filled * n..(filled + 1) * n]);
-                    filled += 1;
-                }
+        for t in &modup {
+            if let Some(j) = t.target_index(e) {
+                let y = &coeff[t.src_start * n..t.src_end * n];
+                t.conv
+                    .convert_row(j, y, &mut raised[filled * n..(filled + 1) * n]);
+                filled += 1;
             }
         }
         {
@@ -908,58 +790,54 @@ fn key_switch_rows(
         tally.conv += filled;
         tally.ntt += filled;
 
-        // Inner product at limb e while the rows are hot. A digit's own
-        // limb is the input's NTT-domain limb itself.
-        let mut converted = raised.chunks(n);
-        let per_input = ds.iter().zip(ksks).zip(&mut acc_q);
-        for (((d, ksk), acc_q), acc_p) in per_input.zip(acc_p.chunks_mut(2 * k * n)) {
-            let mut terms = modup.iter().zip(&ksk.digits).map(|(t, key)| {
-                let x = match t.target_index(e) {
-                    None => d.limb(e),
-                    Some(_) => converted.next().expect("one row per complement digit"),
-                };
-                (x, ext_limb(&key.b, m, e), ext_limb(&key.a, m, e))
-            });
-            // The first digit writes the accumulators, the rest add to them.
-            let (x, kb, ka) = terms.next().expect("at least one digit");
-            let (a0, a1): (&mut [u64], &mut [u64]) = match e.checked_sub(m) {
-                None => {
-                    let [q0, q1] = acc_q;
-                    q0.push(modulus.mul_to_vec(x, kb));
-                    q1.push(modulus.mul_to_vec(x, ka));
-                    (q0[e].as_mut_slice(), q1[e].as_mut_slice())
+        // Inner product at limb e while the rows are hot: a digit that owns
+        // e reads the input's NTT-domain limb itself, the others their
+        // converted rows in digit order. The first digit writes the
+        // accumulators, the rest add to them.
+        let mut converted = 0;
+        for (j, (t, key)) in modup.iter().zip(&ksk.digits).enumerate() {
+            let x = match t.target_index(e) {
+                None => d.limb(e),
+                Some(_) => {
+                    converted += 1;
+                    &raised[(converted - 1) * n..converted * n]
                 }
+            };
+            let (kb, ka) = (ext_limb(&key.b, m, e), ext_limb(&key.a, m, e));
+            let [q0, q1] = &mut acc_q;
+            if j == 0 && e < m {
+                q0.push(modulus.mul_to_vec(x, kb));
+                q1.push(modulus.mul_to_vec(x, ka));
+                continue;
+            }
+            let (a0, a1): (&mut [u64], &mut [u64]) = match e.checked_sub(m) {
+                None => (&mut q0[e], &mut q1[e]),
                 Some(kk) => {
                     let (p0, p1) = acc_p.split_at_mut(k * n);
                     let row = kk * n..(kk + 1) * n;
-                    let (a0, a1) = (&mut p0[row.clone()], &mut p1[row]);
-                    for (a, key) in [(&mut *a0, kb), (&mut *a1, ka)] {
-                        a.copy_from_slice(x);
-                        modulus.mul_slice(a, key);
-                    }
-                    (a0, a1)
+                    (&mut p0[row.clone()], &mut p1[row])
                 }
             };
-            for (x, kb, ka) in terms {
+            if j == 0 {
+                for (a, key) in [(a0, kb), (a1, ka)] {
+                    a.copy_from_slice(x);
+                    modulus.mul_slice(a, key);
+                }
+            } else {
                 modulus.mul_acc_slice(a0, x, kb);
                 modulus.mul_acc_slice(a1, x, ka);
             }
-            tally.mac += 2 * digits;
         }
+        tally.mac += 2 * digits;
     }
     scratch::give_u64(raised);
     scratch::give_u64(coeff);
 
-    // All accumulators ModDown together (2·inputs rows per modulus).
-    let q_parts = acc_q.into_iter().flatten().collect();
-    let (outs, down) = mod_down_rows(ctx, &moddown, q_parts, &mut acc_p);
+    // Both accumulators ModDown together (two rows per modulus).
+    let down = mod_down_rows(ctx, &moddown, &mut acc_q, &mut acc_p);
     scratch::give_u64(acc_p);
-    let mut outs = outs.into_iter();
-    let mut pairs = Vec::with_capacity(ds.len());
-    while let (Some(c0), Some(c1)) = (outs.next(), outs.next()) {
-        pairs.push((c0, c1));
-    }
-    (pairs, tally.plus(down, 1))
+    let [c0, c1] = acc_q.map(|limbs| RnsPoly::from_limbs(limbs, Domain::Ntt));
+    ((c0, c1), tally.plus(down))
 }
 
 #[cfg(test)]
@@ -1057,11 +935,11 @@ mod tests {
 
     #[test]
     fn emitted_stream_matches_real_arithmetic_emission() {
-        // `key_switch_batch` emits `key_switch_events` once per input; this
-        // test ties that stream to the rows the limb-major arithmetic
-        // really transformed, converted, multiplied and subtracted (its
-        // `RowTally`), so a change to what the loops touch cannot silently
-        // desynchronize the costed schedule from the executed kernels.
+        // `key_switch` emits `key_switch_events`; this test ties that stream
+        // to the rows the limb-major arithmetic really transformed,
+        // converted, multiplied and subtracted (its `RowTally`), so a
+        // change to what the loops touch cannot silently desynchronize the
+        // costed schedule from the executed kernels.
         use crate::keys::KeyChain;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -1075,24 +953,19 @@ mod tests {
             let shape = KeySwitchShape::new(c.params(), level);
             let mut d = RnsPoly::from_i128_coeffs(&c, &vec![1i128; n], level);
             d.ntt_forward(&c);
-            for inputs in [1usize, 3] {
-                let ds = vec![&d; inputs];
-                let ksks = vec![keys.relin_key(); inputs];
-                let (_, real) = key_switch_rows(&c, &shape, &ds, &ksks);
-                let costed = costed_rows(&shape.events());
-                let scaled = RowTally::default().plus(costed, inputs);
-                assert_eq!(real, scaled, "level {level}, {inputs} input(s)");
-                assert_eq!(costed.intt + costed.ntt, shape.ntt_rows());
+            let (_, real) = key_switch_rows(&c, &shape, &d, keys.relin_key());
+            let costed = costed_rows(&shape.events());
+            assert_eq!(real, costed, "level {level}");
+            assert_eq!(costed.intt + costed.ntt, shape.ntt_rows());
 
-                // The public ModDown probe runs the same routine and emits
-                // the same ModDown events.
-                let accs = vec![ExtPoly::zero(&c, level, Domain::Ntt); 2 * inputs];
-                let views: Vec<&ExtPoly> = accs.iter().collect();
-                let mut rec = crate::trace::RecordingTracer::new();
-                let _ = mod_down_batch(&c, &mut Tracing::new(Some(&mut rec)), &views);
-                let costed: Vec<_> = shape.mod_down_events(2 * inputs).collect();
-                assert_eq!(rec.events, costed);
-            }
+            // The public ModDown probe runs the same routine and emits the
+            // same ModDown events.
+            let accs = vec![ExtPoly::zero(&c, level, Domain::Ntt); 2];
+            let views: Vec<&ExtPoly> = accs.iter().collect();
+            let mut rec = crate::trace::RecordingTracer::new();
+            let _ = mod_down_batch(&c, &mut Tracing::new(Some(&mut rec)), &views);
+            let costed: Vec<_> = shape.mod_down_events(2).collect();
+            assert_eq!(rec.events, costed);
         }
     }
 

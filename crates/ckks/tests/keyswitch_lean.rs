@@ -1,86 +1,29 @@
 //! The NTT-lean, limb-major key switch against the literal Algorithm 1.
 //!
-//! `key_switch_batch` borrows own limbs from its NTT-domain input, reduces
+//! `key_switch` borrows own limbs from its NTT-domain input, reduces
 //! single-limb digits, transforms limb by limb and subtracts in the NTT
 //! domain; the reference, `key_switch_literal`, is the composition of the
 //! public whole-polynomial helpers — `mod_up` →
 //! `ExtPoly::ntt_forward_batch` → `ExtPoly::mul_acc` → `mod_down_batch` —
 //! which raises, transforms and multiplies every limb of every digit. Both
-//! must produce the same bits at every digit width the paper's presets use,
-//! at every level, for one input and for batches that cross the residency
-//! chunk boundary. That reference ends in `mod_down_batch`, which already
-//! subtracts in the NTT domain, so the ModDown is held separately to
-//! [`mod_down_coeff`], the coefficient-domain ModDown of Algorithm 1 kept
-//! here as a test-only reference. The pooled scratch a switch works in must
-//! stop growing after the first call.
+//! must produce the same bits at every digit width the paper's presets use
+//! and at every level. That reference ends in `mod_down_batch`, which
+//! already subtracts in the NTT domain, so the ModDown is held separately
+//! to [`mod_down_coeff`], the coefficient-domain ModDown of Algorithm 1
+//! kept here as a test-only reference. The pooled scratch a switch works in
+//! must stop growing after the first call.
 
+mod common;
+
+use common::{preset_shapes, random_ext, random_poly};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use tensorfhe_ckks::keyswitch::{
-    key_switch, key_switch_batch, key_switch_literal, mod_down_batch, mod_up, ExtPoly,
-    KeySwitchShape, KsDigit, KsKey, MAX_MODUP_BLOCK,
+    key_switch, key_switch_literal, mod_down_batch, mod_up, ExtPoly, KeySwitchShape, KsDigit, KsKey,
 };
 use tensorfhe_ckks::trace::Tracing;
 use tensorfhe_ckks::{CkksContext, CkksParams, Domain, RnsPoly};
 use tensorfhe_math::scratch;
-
-/// The shape of every paper preset — `(L, K, dnum)` and the prime width —
-/// at a degree small enough to run every level in a debug build. The key
-/// switch's control flow depends on the shape, not on `N`.
-fn preset_shapes() -> Vec<CkksParams> {
-    [
-        CkksParams::table_v_default(),     // α = 1, 29-bit
-        CkksParams::table_v_resnet20(),    // α = 3
-        CkksParams::table_v_lr(),          // α = 3
-        CkksParams::table_v_lstm(),        // α = 2
-        CkksParams::table_v_packed_boot(), // α = 2
-        CkksParams::table_vii_bootstrap(), // α = 7
-        CkksParams::heax_set_a(),          // α = 1, K = 2
-        CkksParams::heax_set_b(),          // α = 1, K = 4
-        CkksParams::heax_set_c(),          // α = 1, K = 8
-    ]
-    .iter()
-    .map(|p| {
-        CkksParams::new(
-            format!("{}@64", p.name()),
-            64,
-            p.max_level(),
-            p.special_primes(),
-            p.dnum(),
-            p.prime_bits(),
-            p.scale_bits(),
-            p.batch_size(),
-        )
-        .expect("a paper preset's shape is valid at any degree")
-    })
-    .collect()
-}
-
-/// A uniformly random NTT-domain polynomial at `level`.
-fn random_poly(ctx: &CkksContext, rng: &mut StdRng, level: usize) -> RnsPoly {
-    let n = ctx.params().n();
-    let limbs = (0..=level)
-        .map(|i| {
-            let q = ctx.q_mod(i).value();
-            (0..n).map(|_| rng.gen_range(0..q)).collect()
-        })
-        .collect();
-    RnsPoly::from_limbs(limbs, Domain::Ntt)
-}
-
-/// A uniformly random NTT-domain extended polynomial at `level`.
-fn random_ext(ctx: &CkksContext, rng: &mut StdRng, level: usize) -> ExtPoly {
-    let mut e = ExtPoly::zero(ctx, level, Domain::Ntt);
-    for (i, limb) in e.q_limbs.iter_mut().enumerate() {
-        let q = ctx.q_mod(i).value();
-        limb.iter_mut().for_each(|x| *x = rng.gen_range(0..q));
-    }
-    for (k, limb) in e.p_limbs.iter_mut().enumerate() {
-        let p = ctx.p_mod(k).value();
-        limb.iter_mut().for_each(|x| *x = rng.gen_range(0..p));
-    }
-    e
-}
 
 /// A key of uniformly random digits over the full basis: the switch is an
 /// arithmetic identity in the key, so no key generation is needed.
@@ -123,30 +66,14 @@ fn mod_down_coeff(ctx: &CkksContext, acc: &ExtPoly) -> RnsPoly {
     out
 }
 
-/// `inputs` random polynomials at `level`, each under its own key, through
-/// `key_switch_batch` and one at a time through the reference.
-fn assert_batch_matches_reference(
-    ctx: &CkksContext,
-    keys: &[KsKey],
-    rng: &mut StdRng,
-    level: usize,
-    inputs: usize,
-) {
-    let ds: Vec<RnsPoly> = (0..inputs).map(|_| random_poly(ctx, rng, level)).collect();
-    let views: Vec<&RnsPoly> = ds.iter().collect();
-    let ksks: Vec<&KsKey> = (0..inputs).map(|i| &keys[i % keys.len()]).collect();
-    let got = key_switch_batch(ctx, &mut Tracing::new(None), &views, &ksks);
-    assert_eq!(got.len(), inputs);
-    for (i, ((d, ksk), got)) in views.iter().zip(&ksks).zip(&got).enumerate() {
-        let want = key_switch_literal(ctx, d, ksk);
-        assert_eq!(
-            *got,
-            want,
-            "{} level {level}, input {i} of {inputs}",
-            ctx.params().name()
-        );
-        assert_eq!(got.0.domain(), Domain::Ntt);
-    }
+/// A random polynomial at `level` under `key`, through `key_switch` and
+/// through the reference.
+fn assert_matches_reference(ctx: &CkksContext, key: &KsKey, rng: &mut StdRng, level: usize) {
+    let d = random_poly(ctx, rng, level, Domain::Ntt);
+    let got = key_switch(ctx, &mut Tracing::new(None), &d, key);
+    let want = key_switch_literal(ctx, &d, key);
+    assert_eq!(got, want, "{} level {level}", ctx.params().name());
+    assert_eq!(got.0.domain(), Domain::Ntt);
 }
 
 #[test]
@@ -159,22 +86,17 @@ fn lean_key_switch_matches_reference_at_every_preset_shape_and_level() {
     {
         alphas.insert(params.alpha());
         let ctx = CkksContext::new(&params).expect("ctx");
-        let keys = [random_key(&ctx, &mut rng), random_key(&ctx, &mut rng)];
+        let key = random_key(&ctx, &mut rng);
         let mut partial_digit = false;
         for level in 0..=params.max_level() {
             partial_digit |= !(level + 1).is_multiple_of(params.alpha());
-            assert_batch_matches_reference(&ctx, &keys, &mut rng, level, 1);
+            assert_matches_reference(&ctx, &key, &mut rng, level);
         }
         assert_eq!(
             partial_digit,
             params.alpha() > 1,
             "levels 0..=L cover a partial last digit whenever α > 1"
         );
-        // Several inputs under different keys, at a full and a partial
-        // last digit.
-        for level in [params.max_level(), params.max_level().saturating_sub(1)] {
-            assert_batch_matches_reference(&ctx, &keys, &mut rng, level, 3);
-        }
     }
     assert!(
         [1, 2, 3, 7].iter().all(|a| alphas.contains(a)),
@@ -221,7 +143,7 @@ fn lean_key_switch_matches_algorithm_1_with_the_coefficient_domain_mod_down() {
         let ctx = CkksContext::new(&params).expect("ctx");
         let key = random_key(&ctx, &mut rng);
         for level in [params.max_level(), params.max_level().saturating_sub(1), 0] {
-            let d = random_poly(&ctx, &mut rng, level);
+            let d = random_poly(&ctx, &mut rng, level, Domain::Ntt);
             let mut silent = Tracing::new(None);
             let mut d_coeff = d.clone();
             d_coeff.ntt_inverse(&ctx);
@@ -244,37 +166,15 @@ fn lean_key_switch_matches_algorithm_1_with_the_coefficient_domain_mod_down() {
 }
 
 #[test]
-fn lean_key_switch_matches_reference_across_the_chunk_boundary() {
-    let mut rng = StdRng::seed_from_u64(0xc0de);
-    for params in [CkksParams::toy(), CkksParams::test_small()] {
-        let ctx = CkksContext::new(&params).expect("ctx");
-        let keys = [
-            random_key(&ctx, &mut rng),
-            random_key(&ctx, &mut rng),
-            random_key(&ctx, &mut rng),
-        ];
-        for level in [params.max_level(), 2] {
-            let digits = KeySwitchShape::new(&params, level).digits();
-            let chunk = (MAX_MODUP_BLOCK / digits).max(1);
-            // One short of a chunk, exactly one, one over, and two chunks
-            // plus a ragged tail.
-            for inputs in [chunk - 1, chunk, chunk + 1, 2 * chunk + 1] {
-                assert_batch_matches_reference(&ctx, &keys, &mut rng, level, inputs.max(1));
-            }
-        }
-    }
-}
-
-#[test]
 fn lean_key_switch_matches_reference_at_the_benchmark_parameters() {
     // The real HEAX sets that fit a debug-build CI run, on both NTT
     // formulations' shared arithmetic (the butterfly context).
     let mut rng = StdRng::seed_from_u64(0xb);
     for params in [CkksParams::heax_set_a(), CkksParams::heax_set_b()] {
         let ctx = CkksContext::new(&params).expect("ctx");
-        let keys = [random_key(&ctx, &mut rng)];
+        let key = random_key(&ctx, &mut rng);
         for level in [params.max_level(), 0] {
-            assert_batch_matches_reference(&ctx, &keys, &mut rng, level, 2);
+            assert_matches_reference(&ctx, &key, &mut rng, level);
         }
     }
 }
@@ -290,7 +190,7 @@ fn repeated_key_switch_drains_do_not_grow_scratch_state() {
         let ctx = CkksContext::new(&params).expect("ctx");
         let level = params.max_level();
         let key = random_key(&ctx, &mut rng);
-        let d = random_poly(&ctx, &mut rng, level);
+        let d = random_poly(&ctx, &mut rng, level, Domain::Ntt);
         let drain = || {
             let _ = key_switch(&ctx, &mut Tracing::new(None), &d, &key);
         };

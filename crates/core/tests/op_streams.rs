@@ -125,7 +125,7 @@ type OpCase = (
     fn(&mut Evaluator<'_>, &Setup<'_>, &Ciphertext, &Ciphertext),
 );
 
-const EVALUATOR_OPS: [OpCase; 18] = [
+const EVALUATOR_OPS: [OpCase; 17] = [
     ("hadd", &[FheOp::HAdd], |e, _, a, b| {
         e.hadd(a, b).expect("hadd");
     }),
@@ -192,14 +192,6 @@ const EVALUATOR_OPS: [OpCase; 18] = [
                 .expect("hrotate_many");
         },
     ),
-    (
-        "hrotate_pairs",
-        &[FheOp::HRotate, FheOp::HRotate],
-        |e, s, a, b| {
-            e.hrotate_pairs(&[(a, 1), (b, 0), (b, 3)], &s.keys)
-                .expect("hrotate_pairs");
-        },
-    ),
     ("conjugate", &[FheOp::Conjugate], |e, s, a, _| {
         e.conjugate(a, &s.keys).expect("conjugate");
     }),
@@ -208,7 +200,7 @@ const EVALUATOR_OPS: [OpCase; 18] = [
 /// Golden digests of the evaluator captures, one per op in
 /// `EVALUATOR_OPS` order, each folded over `toy` and `test_small` at the
 /// top level and level 1.
-const EVALUATOR_GOLDENS: [(&str, u64); 18] = [
+const EVALUATOR_GOLDENS: [(&str, u64); 17] = [
     ("hadd", 0xc36f_2ac9_f663_2c5d),
     ("hsub", 0x4c1b_2fb5_2373_5ef5),
     ("hadd_lenient", 0xc36f_2ac9_f663_2c5d),
@@ -225,7 +217,6 @@ const EVALUATOR_GOLDENS: [(&str, u64); 18] = [
     ("hrotate", 0xf360_f24b_8458_cccd),
     ("hrotate_identity", 0xb9b2_3f3a_46fd_0825),
     ("hrotate_many", 0xe702_638f_8f0a_8f15),
-    ("hrotate_pairs", 0xe702_638f_8f0a_8f15),
     ("conjugate", 0xf148_8f6b_1291_5825),
 ];
 
