@@ -15,11 +15,13 @@
 //! list, three GEMMs from `N = 2^9`) beside Eq. 9's two-stage pass built
 //! through `FourStepNtt::with_radices`, at `N = 2^12 … 2^16` (outputs
 //! asserted bit-equal), and emits `kernels/host_fourstep_staged_vs_eq9`.
-//! A fourth sets the NTT-lean, limb-major `ckks::key_switch` beside the
-//! composition of the public whole-polynomial helpers (`key_switch_literal`:
-//! Algorithm 1 as written through the inner product — every limb of every
-//! digit raised, transformed and multiplied — ending in the same NTT-domain
-//! ModDown; outputs asserted bit-equal) and emits
+//! A fourth sets the NTT-lean, limb-major `ckks::key_switch` — its limb
+//! jobs split across the cores `KeySwitchShape::threads` names, which the
+//! table prints — beside the serial composition of the public
+//! whole-polynomial helpers (`key_switch_literal`: Algorithm 1 as written
+//! through the inner product — every limb of every digit raised,
+//! transformed and multiplied — ending in the same NTT-domain ModDown;
+//! outputs asserted bit-equal) and emits
 //! `kernels/host_keyswitch_lean_vs_reference`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -27,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use tensorfhe_bench::{print_table, report};
-use tensorfhe_ckks::keyswitch::{key_switch, key_switch_literal};
+use tensorfhe_ckks::keyswitch::{key_switch, key_switch_literal, KeySwitchShape};
 use tensorfhe_ckks::trace::Tracing;
 use tensorfhe_ckks::{CkksContext, CkksParams, Domain, KeyChain, RnsPoly};
 use tensorfhe_math::crt::{BasisConvGemm, BasisConvTable, RnsBasis};
@@ -385,8 +387,8 @@ fn staged_rows() {
 }
 
 /// HMULT's key switch at HEAX set B (`N = 2^13`, 4 + 4 primes, `α = 1`,
-/// butterfly NTT): the lean, limb-major `key_switch` beside the reference
-/// composition.
+/// butterfly NTT): the lean, limb-major `key_switch` on its threads beside
+/// the serial reference composition.
 fn keyswitch_rows() {
     let (trials, reps) = if report::smoke() { (5, 4) } else { (9, 20) };
     let ctx = CkksContext::new(&CkksParams::heax_set_b()).expect("preset is valid");
@@ -413,10 +415,12 @@ fn keyswitch_rows() {
         std::hint::black_box(key_switch_literal(&ctx, &d, relin));
     });
     let spread = lean.1.max(reference.1);
+    let threads = KeySwitchShape::new(ctx.params(), level).threads();
     print_table(
         &format!("Key switch, HEAX set B level {level} (median of {trials})"),
-        &["lean", "reference", "speedup", "spread"],
+        &["threads", "lean", "reference", "speedup", "spread"],
         &[vec![
+            format!("{threads}"),
             format!("{:.3} ms", lean.0 * 1e3),
             format!("{:.3} ms", reference.0 * 1e3),
             format!("{:.2}×", reference.0 / lean.0),

@@ -56,16 +56,39 @@
 //! **The limb-major loop.** The work is ordered by extended limb, not by
 //! digit. After the INTT of the input into pooled rows and the in-place
 //! `y`-stage of every digit, each extended limb `e` (a `q_i` or a `p_k`) is
-//! finished before the next is touched: the complement rows of the `D`
-//! digits at `e` are converted into one pooled buffer, run through `e`'s
-//! plan as **one** `forward_batch`, and multiplied into both accumulators'
-//! limb `e` while they are hot (first digit writes, the rest
-//! multiply-accumulate). The live set is `D` rows plus two accumulator
-//! limbs — inside L2 at HEAX set B — and each key limb is streamed exactly
-//! once, in order; the `D × E`-limb heap block of raised digits the literal
-//! algorithm builds (2 MB per HMULT at set B) never exists. ModDown then
-//! walks the `q` limbs the same way: convert row `i` of both accumulators,
-//! one `forward_batch`, subtract-and-scale.
+//! finished on its own: digit by digit, the complement row at `e` is
+//! converted into one pooled row, transformed with `e`'s plan and
+//! multiplied into both accumulators' limb `e` while it is hot (first digit
+//! writes, the rest multiply-accumulate; a digit that owns `e` multiplies
+//! the input's limb). A special limb `p_k` then goes straight on into
+//! ModDown — its two accumulator rows back to the coefficient domain and
+//! through row `k` of ModDown's `y`-stage. The live set is one row plus two
+//! accumulator limbs, each key limb is streamed exactly once, and the
+//! `D × E`-limb heap block of raised digits the literal algorithm builds
+//! (2 MB per HMULT at set B) never exists. ModDown then walks the `q`
+//! limbs the same way: convert row `i` of each accumulator, transform it,
+//! subtract-and-scale.
+//!
+//! **Limb jobs across cores.** Both walks — the `E` extended limbs and
+//! ModDown's `m` `q` limbs — are loops of independent jobs: job `e` reads
+//! only shared inputs (the input, its `y`-staged coefficients, the key, the
+//! ModDown block the first walk has finished) and writes only its own
+//! limb's rows. Each walk runs under one `std::thread::scope`: the caller
+//! and up to `min(cores, jobs) − 1` helpers claim job indices from a shared
+//! counter, and every result is stored at its limb index, so the output
+//! is the same at any thread count and in any claim order — the integer
+//! arithmetic of a job does not know which thread runs it, and no value
+//! is ever combined across jobs. (The in-crate test runs every preset
+//! shape at every level on 1, 2, 3 and `E` threads against the inline run
+//! and [`key_switch_literal`].) A helper that never gets a core before the
+//! jobs run out costs only its spawn. Splitting pays only above a size
+//! gate: a scoped spawn plus join costs 22–60 µs on a 2-vCPU VM, so a
+//! switch splits once it transforms `2^17` words (16 rows at `N = 2^13`,
+//! about 0.7 ms of butterflies) and runs inline below that
+//! ([`KeySwitchShape::threads`]). Finer jobs lose: a runner per
+//! `forward_batch` call (3–4 rows, about 150 µs) pays a spawn per call.
+//! [`mod_down_batch`], the public whole-polynomial helper, runs its `q`
+//! limbs on the calling thread.
 //!
 //! The public helpers [`mod_up`], [`ExtPoly::ntt_forward_batch`],
 //! [`ExtPoly::mul_acc`] and [`mod_down_batch`] are the same steps one whole
@@ -83,8 +106,11 @@ use crate::context::{CkksContext, ModDownTable, ModUpTable};
 use crate::params::CkksParams;
 use crate::poly::{Domain, RnsPoly};
 use crate::trace::{KernelEvent, Tracing};
+use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread;
 use tensorfhe_math::crt::BasisConvGemm;
 use tensorfhe_math::{scratch, Modulus};
 use tensorfhe_ntt::{BatchedGemmNtt, NttBatchOps, NttOps};
@@ -288,6 +314,18 @@ impl KeySwitchShape {
     #[must_use]
     pub fn ntt_rows(&self) -> usize {
         self.digits() * self.ext_limbs() + 2 * self.special + 2 * self.limbs
+    }
+
+    /// Threads [`key_switch`] runs its two limb loops on: every core (each
+    /// loop capped at its job count) once the switch transforms at least
+    /// `2^17` words, one below that (module docs).
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        if self.ntt_rows() * self.n >= SPLIT_MIN_WORDS {
+            cores()
+        } else {
+            1
+        }
     }
 
     /// The kernel-event stream of one key switch: the input INTT, every
@@ -545,10 +583,10 @@ pub fn mod_down(ctx: &CkksContext, tracing: &mut Tracing<'_>, acc: &ExtPoly) -> 
 }
 
 /// Batched `ModDown` of several same-level NTT-domain accumulators, through
-/// the routine the key switch itself runs (module docs): the special limbs
-/// are inverse-transformed in one batch per prime, then each `q` limb's
-/// converted rows take one batched forward transform and the scaled
-/// subtraction happens in the NTT domain.
+/// the `q`-limb loop the key switch itself runs (module docs), on the
+/// calling thread: the special limbs are inverse-transformed in one batch
+/// per prime, then each `q` limb's converted rows are forward-transformed
+/// and the scaled subtraction happens in the NTT domain.
 ///
 /// Emits the ModDown part of [`key_switch_events`] for `accs.len()`
 /// accumulators, grouped by stage.
@@ -627,7 +665,7 @@ impl RowTally {
 /// The ModDown routine. `q_parts[a]` are accumulator `a`'s `q` limbs (NTT
 /// domain; they become the result in place), `p_rows` its special limbs as
 /// a flat accumulator-major block of `K` rows each (NTT domain on entry,
-/// consumed as working space).
+/// consumed as working space). Runs on the calling thread.
 fn mod_down_rows(
     ctx: &CkksContext,
     table: &ModDownTable,
@@ -652,25 +690,118 @@ fn mod_down_rows(
     for y in p_rows.chunks_mut(k * n) {
         table.conv.y_stage(y, n);
     }
+    tally.plus(mod_down_q_limbs(ctx, table, q_parts, p_rows, 1))
+}
 
-    // Limb by limb: the converted rows of every accumulator, one batched
-    // NTT, then (acc_i − NTT(conv_i))·P^{-1} where acc_i already lives.
-    let mut conv = scratch::take_dirty_u64(accs * n);
-    for (i, &p_inv) in table.p_inv_mod_q.iter().enumerate() {
-        for (row, y) in conv.chunks_mut(n).zip(p_rows.chunks(k * n)) {
-            table.conv.convert_row(i, y, row);
+/// ModDown's `q`-limb loop, one job per limb on `threads` threads: per
+/// accumulator, the row converted from its y-staged special block in
+/// `p_rows`, its NTT, then `(acc_i − NTT(conv_i))·P^{-1}` where `acc_i`
+/// already lives.
+fn mod_down_q_limbs(
+    ctx: &CkksContext,
+    table: &ModDownTable,
+    q_parts: &mut [Vec<Vec<u64>>],
+    p_rows: &[u64],
+    threads: usize,
+) -> RowTally {
+    let n = ctx.params().n();
+    let k = ctx.params().special_primes();
+    let accs = q_parts.len();
+    // Job i owns limb i of every accumulator.
+    let mut limbs: Vec<Vec<&mut Vec<u64>>> = table
+        .p_inv_mod_q
+        .iter()
+        .map(|_| Vec::with_capacity(accs))
+        .collect();
+    for part in q_parts.iter_mut() {
+        for (job, limb) in limbs.iter_mut().zip(part.iter_mut()) {
+            job.push(limb);
         }
-        let mut rows: Vec<&mut [u64]> = conv.chunks_mut(n).collect();
-        ctx.ntt_q(i).forward_batch(&mut rows);
-        for (acc, row) in q_parts.iter_mut().zip(conv.chunks(n)) {
-            ctx.q_mod(i).sub_scale_slice(&mut acc[i], row, p_inv);
-        }
-        tally.conv += accs;
-        tally.ntt += accs;
-        tally.sub += accs;
     }
-    scratch::give_u64(conv);
-    tally
+    let tallies = run_jobs(threads, limbs, |i, mut acc| {
+        let mut row = scratch::take_dirty_u64(n);
+        for (acc, y) in acc.iter_mut().zip(p_rows.chunks(k * n)) {
+            table.conv.convert_row(i, y, &mut row);
+            ctx.ntt_q(i).forward_batch(&mut [&mut row[..]]);
+            ctx.q_mod(i)
+                .sub_scale_slice(acc, &row, table.p_inv_mod_q[i]);
+        }
+        scratch::give_u64(row);
+        RowTally {
+            conv: accs,
+            ntt: accs,
+            sub: accs,
+            ..RowTally::default()
+        }
+    });
+    tallies
+        .into_iter()
+        .fold(RowTally::default(), RowTally::plus)
+}
+
+/// Fewest words a key switch transforms before its limb loops split across
+/// threads. A scoped spawn plus join costs 22–60 µs on a 2-vCPU VM, and a
+/// lazy butterfly row about 5.5 ns a word, so at `2^17` words (16 rows at
+/// `N = 2^13`, ≈ 0.7 ms of transforms) a helper's share of the two loops
+/// outweighs its two spawns several times over.
+const SPLIT_MIN_WORDS: usize = 1 << 17;
+
+/// The machine's cores, read once per process.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Runs `job(i, slot_i)` once for every slot and returns the results in
+/// slot order. `threads` counts the caller: above one, `threads − 1` scoped
+/// helpers (never more than there are jobs) and the caller claim indices
+/// from one shared counter, each slot moving to the thread that claims it.
+/// A result depends on its index and slot alone, so the output is the same
+/// at any thread count and in any claim order, and a helper that gets no
+/// core before the jobs run out costs only its spawn.
+fn run_jobs<S: Send, T: Send>(
+    threads: usize,
+    slots: Vec<S>,
+    job: impl Fn(usize, S) -> T + Sync,
+) -> Vec<T> {
+    let jobs = slots.len();
+    if threads.min(jobs) <= 1 {
+        return slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| job(i, slot))
+            .collect();
+    }
+    let slots: Vec<Mutex<Option<S>>> = slots.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // The counter publishes no data: a slot moves through its
+            // mutex and a result through `join`.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else {
+                return done;
+            };
+            let slot = slot.lock().expect("no job runs under a slot's lock").take();
+            done.push((i, job(i, slot.expect("each slot is claimed once"))));
+        }
+    };
+    let mut results: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
+    thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(jobs)).map(|_| scope.spawn(work)).collect();
+        let mine = work();
+        for done in helpers.into_iter().map(|h| h.join()).chain([Ok(mine)]) {
+            let done = done.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                results[i] = Some(result);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every job ran"))
+        .collect()
 }
 
 /// Full key switch (Algorithm 1) as the limb-major loop of the module docs:
@@ -734,12 +865,25 @@ pub fn key_switch_literal(ctx: &CkksContext, d: &RnsPoly, ksk: &KsKey) -> (RnsPo
 }
 
 /// The limb-major loop of [`key_switch`], returning the switched pair and
-/// the rows it pushed through each kernel.
+/// the rows it pushed through each kernel, on [`KeySwitchShape::threads`].
 fn key_switch_rows(
     ctx: &CkksContext,
     shape: &KeySwitchShape,
     d: &RnsPoly,
     ksk: &KsKey,
+) -> ((RnsPoly, RnsPoly), RowTally) {
+    key_switch_on(ctx, shape, d, ksk, shape.threads())
+}
+
+/// [`key_switch_rows`] on `threads` threads (the caller counted): the
+/// extended-limb loop and ModDown's `q`-limb loop run as jobs through
+/// [`run_jobs`], the rest on the calling thread.
+fn key_switch_on(
+    ctx: &CkksContext,
+    shape: &KeySwitchShape,
+    d: &RnsPoly,
+    ksk: &KsKey,
+    threads: usize,
 ) -> ((RnsPoly, RnsPoly), RowTally) {
     let n = ctx.params().n();
     let (m, k, digits) = (shape.limbs(), shape.special(), shape.digits());
@@ -763,78 +907,83 @@ fn key_switch_rows(
             .y_stage(&mut coeff[t.src_start * n..t.src_end * n], n);
     }
 
-    // Accumulators: the `q` limbs are the result's own allocations, pushed
-    // limb by limb; the special limbs live in a pooled block ModDown
-    // consumes (K rows of c0's, then K rows of c1's).
-    let mut acc_q = [Vec::with_capacity(m), Vec::with_capacity(m)];
+    // The special limbs of both accumulators live in a pooled block ModDown
+    // reads (K rows of c0's, then K rows of c1's); job `m + kk` owns row kk
+    // of each. A `q` limb's job returns its two rows, which become the
+    // result's own allocations.
     let mut acc_p = scratch::take_dirty_u64(2 * k * n);
-    let mut raised = scratch::take_dirty_u64(digits * n);
-
-    for e in 0..m + k {
+    let (p0, p1) = acc_p.split_at_mut(k * n);
+    let slots = (0..m)
+        .map(|_| None)
+        .chain(p0.chunks_mut(n).zip(p1.chunks_mut(n)).map(Some))
+        .collect();
+    let ext_job = |e: usize, p_rows: Option<(&mut [u64], &mut [u64])>| {
         let (modulus, plan) = ext_prime(ctx, m, e);
-        // ModUp at limb e: the complement row of every digit that does not
-        // own e, then all of them through e's plan at once.
-        let mut filled = 0;
-        for t in &modup {
-            if let Some(j) = t.target_index(e) {
-                let y = &coeff[t.src_start * n..t.src_end * n];
-                t.conv
-                    .convert_row(j, y, &mut raised[filled * n..(filled + 1) * n]);
-                filled += 1;
-            }
-        }
-        {
-            let mut rows: Vec<&mut [u64]> = raised[..filled * n].chunks_mut(n).collect();
-            plan.forward_batch(&mut rows);
-        }
-        tally.conv += filled;
-        tally.ntt += filled;
-
-        // Inner product at limb e while the rows are hot: a digit that owns
-        // e reads the input's NTT-domain limb itself, the others their
-        // converted rows in digit order. The first digit writes the
-        // accumulators, the rest add to them.
-        let mut converted = 0;
+        let mut tally = RowTally::default();
+        // Digit by digit at limb e: a digit that owns e reads the input's
+        // NTT-domain limb itself; any other converts its complement row
+        // into `row` and transforms it with e's plan. Both accumulators
+        // take the product while the row is hot: the first digit writes
+        // them, the rest add to them.
+        let mut row = scratch::take_dirty_u64(n);
+        let (mut own, mut acc) = (None, p_rows);
         for (j, (t, key)) in modup.iter().zip(&ksk.digits).enumerate() {
             let x = match t.target_index(e) {
                 None => d.limb(e),
-                Some(_) => {
-                    converted += 1;
-                    &raised[(converted - 1) * n..converted * n]
+                Some(target) => {
+                    let y = &coeff[t.src_start * n..t.src_end * n];
+                    t.conv.convert_row(target, y, &mut row);
+                    plan.forward_batch(&mut [&mut row[..]]);
+                    tally.conv += 1;
+                    tally.ntt += 1;
+                    &row[..]
                 }
             };
             let (kb, ka) = (ext_limb(&key.b, m, e), ext_limb(&key.a, m, e));
-            let [q0, q1] = &mut acc_q;
-            if j == 0 && e < m {
-                q0.push(modulus.mul_to_vec(x, kb));
-                q1.push(modulus.mul_to_vec(x, ka));
-                continue;
-            }
-            let (a0, a1): (&mut [u64], &mut [u64]) = match e.checked_sub(m) {
-                None => (&mut q0[e], &mut q1[e]),
-                Some(kk) => {
-                    let (p0, p1) = acc_p.split_at_mut(k * n);
-                    let row = kk * n..(kk + 1) * n;
-                    (&mut p0[row.clone()], &mut p1[row])
+            match &mut acc {
+                None => {
+                    let (c0, c1) =
+                        own.insert((modulus.mul_to_vec(x, kb), modulus.mul_to_vec(x, ka)));
+                    acc = Some((c0, c1));
                 }
-            };
-            if j == 0 {
-                for (a, key) in [(a0, kb), (a1, ka)] {
-                    a.copy_from_slice(x);
-                    modulus.mul_slice(a, key);
+                Some((a0, a1)) if j == 0 => {
+                    for (a, key) in [(&mut **a0, kb), (&mut **a1, ka)] {
+                        a.copy_from_slice(x);
+                        modulus.mul_slice(a, key);
+                    }
                 }
-            } else {
-                modulus.mul_acc_slice(a0, x, kb);
-                modulus.mul_acc_slice(a1, x, ka);
+                Some((a0, a1)) => {
+                    modulus.mul_acc_slice(a0, x, kb);
+                    modulus.mul_acc_slice(a1, x, ka);
+                }
             }
         }
         tally.mac += 2 * digits;
-    }
-    scratch::give_u64(raised);
+        scratch::give_u64(row);
+
+        // A special limb goes on into ModDown while it is hot: back to the
+        // coefficient domain, then its row of the y-stage.
+        if let (Some(kk), Some((a0, a1))) = (e.checked_sub(m), acc) {
+            plan.inverse_batch(&mut [&mut *a0, &mut *a1]);
+            tally.intt += 2;
+            moddown.conv.y_stage_row(kk, a0);
+            moddown.conv.y_stage_row(kk, a1);
+        }
+        (own, tally)
+    };
+    let limbs = run_jobs(threads, slots, ext_job);
     scratch::give_u64(coeff);
 
+    let mut acc_q = [Vec::with_capacity(m), Vec::with_capacity(m)];
+    for (own, limb) in limbs {
+        tally = tally.plus(limb);
+        if let Some((c0, c1)) = own {
+            acc_q[0].push(c0);
+            acc_q[1].push(c1);
+        }
+    }
     // Both accumulators ModDown together (two rows per modulus).
-    let down = mod_down_rows(ctx, &moddown, &mut acc_q, &mut acc_p);
+    let down = mod_down_q_limbs(ctx, &moddown, &mut acc_q, &acc_p, threads);
     scratch::give_u64(acc_p);
     let [c0, c1] = acc_q.map(|limbs| RnsPoly::from_limbs(limbs, Domain::Ntt));
     ((c0, c1), tally.plus(down))
@@ -1005,6 +1154,83 @@ mod tests {
         }
         let set_b = CkksParams::heax_set_b();
         assert_eq!(KeySwitchShape::new(&set_b, 3).ntt_rows(), 48);
+    }
+
+    /// A uniformly random NTT-domain extended polynomial at `level`.
+    fn random_ext(c: &CkksContext, rng: &mut impl rand::Rng, level: usize) -> ExtPoly {
+        let mut e = ExtPoly::zero(c, level, Domain::Ntt);
+        let moduli = (0..=level)
+            .map(|i| c.q_mod(i))
+            .chain((0..c.params().special_primes()).map(|k| c.p_mod(k)));
+        for (limb, m) in e.q_limbs.iter_mut().chain(&mut e.p_limbs).zip(moduli) {
+            limb.iter_mut()
+                .for_each(|x| *x = rng.gen_range(0..m.value()));
+        }
+        e
+    }
+
+    #[test]
+    fn limb_jobs_give_the_same_bits_at_every_thread_count() {
+        // The thread count is forced, whatever the size gate would pick:
+        // 1 is the inline run, then 2, 3 and one thread per extended limb.
+        // Pair and tally must equal the inline run, and the inline run the
+        // reference composition.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(37);
+        let presets = [
+            CkksParams::table_v_default(),
+            CkksParams::table_v_resnet20(),
+            CkksParams::table_v_lr(),
+            CkksParams::table_v_lstm(),
+            CkksParams::table_v_packed_boot(),
+            CkksParams::table_vii_bootstrap(),
+            CkksParams::heax_set_a(),
+            CkksParams::heax_set_b(),
+            CkksParams::heax_set_c(),
+        ];
+        // The paper presets' shapes at N = 64 (the switch's control flow
+        // depends on the shape, not on N), then toy and test_small as
+        // they are.
+        let shapes = presets.iter().map(|p| {
+            CkksParams::new(
+                format!("{}@64", p.name()),
+                64,
+                p.max_level(),
+                p.special_primes(),
+                p.dnum(),
+                p.prime_bits(),
+                p.scale_bits(),
+                p.batch_size(),
+            )
+            .expect("a paper preset's shape is valid at any degree")
+        });
+        for params in shapes.chain([CkksParams::toy(), CkksParams::test_small()]) {
+            let c = CkksContext::new(&params).expect("valid");
+            let top = params.max_level();
+            let key = KsKey {
+                digits: (0..params.dnum())
+                    .map(|_| KsDigit {
+                        b: random_ext(&c, &mut rng, top),
+                        a: random_ext(&c, &mut rng, top),
+                    })
+                    .collect(),
+            };
+            for level in 0..=top {
+                let shape = KeySwitchShape::new(&params, level);
+                let d = RnsPoly::from_limbs(random_ext(&c, &mut rng, level).q_limbs, Domain::Ntt);
+                let inline = key_switch_on(&c, &shape, &d, &key, 1);
+                assert_eq!(inline.0, key_switch_literal(&c, &d, &key));
+                for threads in [2, 3, shape.ext_limbs()] {
+                    assert_eq!(
+                        key_switch_on(&c, &shape, &d, &key, threads),
+                        inline,
+                        "{} level {level} on {threads} threads",
+                        params.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

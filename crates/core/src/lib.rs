@@ -264,6 +264,15 @@
 //!   admission mode (`TENSORFHE_ADMISSION`) change wall-clock overlap,
 //!   never result bits — enforced by the determinism/pipeline/ooo test
 //!   suites over the workers × depth × admission grid.
+//! * **Bit-identity across host threads in the key switch.** Above its
+//!   size gate, `tensorfhe_ckks::keyswitch::key_switch` splits its
+//!   extended-limb loop and ModDown's `q`-limb loop across every core
+//!   under `std::thread::scope`. Each job writes only its own limb and
+//!   every result is stored by limb index, so ciphertext bits do not
+//!   depend on the core count or the claim order — enforced by the
+//!   `ckks` key-switch test that runs every preset shape at every level on
+//!   1, 2, 3 and one-per-limb threads, and by the `ct_digest` the e2e
+//!   harness prints for both `eval_*` workloads, which CI greps.
 //! * **Schedule structure.** The [`sched::Scheduler`] records a
 //!   [`sched::BatchRecord`] trace (admission/join ticks, window
 //!   membership, gang placements, upload charges) that

@@ -652,11 +652,25 @@ impl BasisConvGemm {
         if self.l_src() == 1 {
             return;
         }
-        let consts = self.table.src_moduli.iter().zip(&self.table.src_qhat_inv);
-        for (row, (m, &inv)) in y.chunks_mut(stride.max(1)).zip(consts) {
+        for (i, row) in y.chunks_mut(stride.max(1)).enumerate() {
             let (y_row, pad) = row.split_at_mut(width);
-            m.scale_slice(y_row, inv);
+            self.y_stage_row(i, y_row);
             pad.fill(0);
+        }
+    }
+
+    /// Row `i` of [`BasisConvGemm::y_stage`] on its own — `[x_c ·
+    /// q̂_i^{-1}]_{q_i}` in place over the `width` residues of `row` — for a
+    /// caller that finishes its source rows one at a time. Padding, if the
+    /// row has any, is the caller's; a single-limb plan touches nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a source limb.
+    pub fn y_stage_row(&self, i: usize, row: &mut [u64]) {
+        assert!(i < self.l_src(), "source limb out of range");
+        if self.l_src() > 1 {
+            self.table.src_moduli[i].scale_slice(row, self.table.src_qhat_inv[i]);
         }
     }
 

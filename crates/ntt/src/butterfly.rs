@@ -19,13 +19,19 @@
 //!   `(w, ⌊w·2^32/q⌋)` packed into one `u64` (8 bytes a twiddle), and the
 //!   butterflies are Harvey's lazy ones on values in `[0, 2q) < 2^32` held
 //!   in `u64` lanes: three 32×32→64 multiplies, a shift and two
-//!   `min`-style conditional subtractions each, no `u128`. Stages whose
-//!   half-blocks have four or more elements run as `split_at_mut` + `zip`
-//!   loops over four-lane groups of the two contiguous halves — each group
-//!   is loaded, transformed and stored as a unit, so the loop compiles to
-//!   packed code with no run-time aliasing check to fail; the two stages
-//!   where the twiddle changes with every pair (`t = 2, 1`) share one
-//!   register-blocked kernel over four elements.
+//!   `min`-style conditional subtractions each, no `u128`. The stages whose
+//!   half-blocks have four or more elements run **two at a time**, as
+//!   radix-4 sweeps: a block of `4h` elements is split (`split_at_mut`)
+//!   into four quarters, and one four-lane group of all four quarters is
+//!   loaded, put through both stages' butterflies (the outer stage pairs
+//!   quarters `(a, c)` and `(b, d)`, the inner one `(a, b)` and `(c, d)`)
+//!   and stored as a unit. Each element is therefore loaded and stored once
+//!   per two stages instead of once per stage, the loop compiles to packed
+//!   code with no run-time aliasing check to fail, and the arithmetic is
+//!   the radix-2 stages' own, butterfly for butterfly. When `log N` is odd
+//!   one such stage is left over and runs alone (the first one in both
+//!   directions); the two stages where the twiddle changes with every pair
+//!   (`t = 2, 1`) share one register-blocked kernel over four elements.
 //! * **wide** — any other modulus up to `2^62`: 64-bit Shoup twiddles
 //!   ([`ShoupMul`]) and fully reduced `u128` butterflies. It is the only
 //!   kernel for those inputs and the differential reference for the
@@ -52,9 +58,19 @@
 //!   prime `4q` exceeds `2^32` — outside the lazy product's domain — so it
 //!   is brought back to `[0, 2q)` *before* the multiplication, whose result
 //!   is again in `[0, 2q)`. (For `q < 2^30` the pre-subtraction could be
-//!   skipped; one code path serves every admitted width.) The closing
-//!   `N^{-1}` scaling is one more lazy product followed by the subtraction
-//!   of `q`, which is the inverse transform's only correction pass.
+//!   skipped; one code path serves every admitted width.)
+//! * **The last GS stage, with `N^{-1}` folded in.** The inverse's last
+//!   stage is one block under one twiddle `w`, so it computes
+//!   `((X + Y)·n⁻¹, (X − Y)·(w·n⁻¹))` and there is no separate scaling
+//!   sweep. Sum and difference are brought back to `[0, 2q)` exactly as
+//!   in GS (so both are below `2^32`, the lazy product's domain), the
+//!   product by `n⁻¹` or by `w·n⁻¹` (a Shoup pair derived from the
+//!   table's `n⁻¹` and `w` once per call) lands in `[0, 2q)`, and one
+//!   subtraction of `q` gives `[0, q)`. Both are the canonical residues
+//!   the separate sweep produced, since `((X − Y)·w)·n⁻¹ ≡ (X −
+//!   Y)·(w·n⁻¹)`: the bits do not change. The fold sits wherever the last
+//!   stage runs — the second stage of the last radix-4 sweep, the leftover
+//!   single stage at `N = 8`, or the register tail at `N = 4`.
 //!
 //! No lazy value ever reaches [`Modulus::add`]/[`Modulus::sub`], whose
 //! reduced-operand contract (`debug_assert!`) only the wide kernel uses.
@@ -260,6 +276,10 @@ impl NttTable {
 /// Lanes per register group of the vectorised stages.
 const LANES: usize = 4;
 
+/// One lane group of a radix-4 sweep: the same `LANES` positions of the
+/// block's four quarters `[a, b, c, d]`, held in registers.
+type Quad = [[u64; LANES]; 4];
+
 /// One butterfly stage with half-block length `t ≥ LANES`: block `i` of
 /// `2t` elements pairs its halves under twiddle `tw[i]`.
 #[inline(always)]
@@ -284,15 +304,91 @@ fn lazy_stage(
     }
 }
 
+/// Two stages in one sweep: every block `i` of `4h` elements (`h ≥ LANES`)
+/// splits into four quarters, and `quad` runs both stages on one lane group
+/// of all four — loaded, transformed and stored as a unit — under the
+/// block's outer twiddle `outer[i]` (the stage with half-blocks of `2h`)
+/// and its inner pair `inner[2i], inner[2i + 1]` (half-blocks of `h`).
+#[inline(always)]
+fn radix4_sweep(
+    a: &mut [u64],
+    h: usize,
+    outer: &[Shoup32],
+    inner: &[Shoup32],
+    quad: impl Fn(&mut Quad, Shoup32, [Shoup32; 2]),
+) {
+    let twiddles = outer.iter().zip(inner.chunks_exact(2));
+    for (block, (&w, v)) in a.chunks_exact_mut(4 * h).zip(twiddles) {
+        let v = [v[0], v[1]];
+        let (ab, cd) = block.split_at_mut(2 * h);
+        let (qa, qb) = ab.split_at_mut(h);
+        let (qc, qd) = cd.split_at_mut(h);
+        let groups = qa
+            .chunks_exact_mut(LANES)
+            .zip(qb.chunks_exact_mut(LANES))
+            .zip(qc.chunks_exact_mut(LANES).zip(qd.chunks_exact_mut(LANES)));
+        for ((ga, gb), (gc, gd)) in groups {
+            let load = |g: &[u64]| -> [u64; LANES] { g.try_into().expect("lane group") };
+            let mut x = [load(ga), load(gb), load(gc), load(gd)];
+            quad(&mut x, w, v);
+            ga.copy_from_slice(&x[0]);
+            gb.copy_from_slice(&x[1]);
+            gc.copy_from_slice(&x[2]);
+            gd.copy_from_slice(&x[3]);
+        }
+    }
+}
+
+/// CT radix-4 on one lane group: the outer stage pairs `(a, c)` and
+/// `(b, d)` under `w`, then the inner one `(a, b)` under `v[0]` and
+/// `(c, d)` under `v[1]`.
+#[inline(always)]
+fn ct_quad([a, b, c, d]: &mut Quad, w: Shoup32, v: [Shoup32; 2], m: &Modulus) {
+    for l in 0..LANES {
+        ct_lazy(&mut a[l], &mut c[l], w, m);
+        ct_lazy(&mut b[l], &mut d[l], w, m);
+        ct_lazy(&mut a[l], &mut b[l], v[0], m);
+        ct_lazy(&mut c[l], &mut d[l], v[1], m);
+    }
+}
+
+/// GS radix-4 on one lane group, mirrored: the inner stage `(a, b)` under
+/// `v[0]` and `(c, d)` under `v[1]`, then the outer one `(a, c)` and
+/// `(b, d)` under `w` through `outer` ([`gs_lazy`], or the folded last
+/// stage).
+#[inline(always)]
+fn gs_quad(
+    [a, b, c, d]: &mut Quad,
+    w: Shoup32,
+    v: [Shoup32; 2],
+    m: &Modulus,
+    outer: impl Fn(&mut u64, &mut u64, Shoup32, &Modulus),
+) {
+    for l in 0..LANES {
+        gs_lazy(&mut a[l], &mut b[l], v[0], m);
+        gs_lazy(&mut c[l], &mut d[l], v[1], m);
+        outer(&mut a[l], &mut c[l], w, m);
+        outer(&mut b[l], &mut d[l], w, m);
+    }
+}
+
 /// Word-size CT forward pass: reduced natural-order input → reduced
 /// bit-reversed output (`N ≥ 4`).
 fn forward_word(a: &mut [u64], tw: &[Shoup32], m: &Modulus) {
     let n = a.len();
+    // The stages t = N/2 … LANES two at a time; an odd count (odd log N)
+    // runs its first stage alone.
     let (mut t, mut groups) = (n / 2, 1usize);
-    while t >= LANES {
+    if t >= LANES && n.trailing_zeros() % 2 == 1 {
         lazy_stage(a, t, &tw[groups..2 * groups], m, ct_lazy);
         groups <<= 1;
         t >>= 1;
+    }
+    while t > LANES {
+        let (outer, inner) = (&tw[groups..2 * groups], &tw[2 * groups..4 * groups]);
+        radix4_sweep(a, t / 2, outer, inner, |x, w, v| ct_quad(x, w, v, m));
+        groups <<= 2;
+        t >>= 2;
     }
     // Stages t = 2 and t = 1 on four elements in registers: one twiddle
     // for the first, two for the second, then the fix to [0, q).
@@ -309,30 +405,75 @@ fn forward_word(a: &mut [u64], tw: &[Shoup32], m: &Modulus) {
     }
 }
 
-/// Word-size GS inverse pass: reduced bit-reversed input → reduced
-/// natural-order output, `N^{-1}` included (`N ≥ 4`).
-fn inverse_word(a: &mut [u64], tw: &[Shoup32], n_inv: Shoup32, m: &Modulus) {
+/// The inverse's last GS butterfly with `N^{-1}` folded in:
+/// `(x, y) → ((x + y)·n⁻¹, (x − y)·(w·n⁻¹))`, `[0, 2q)` in, `[0, q)` out.
+#[inline(always)]
+fn gs_last(x: &mut u64, y: &mut u64, n_inv: Shoup32, w_n_inv: Shoup32, m: &Modulus) {
+    let (q, two_q) = (m.value(), 2 * m.value());
+    debug_assert!(*x < two_q && *y < two_q, "lazy range is [0, 2q)");
+    let (u, v) = (*x, *y);
+    *x = csub(n_inv.mul_lazy(csub(u + v, two_q), m), q);
+    *y = csub(w_n_inv.mul_lazy(csub(u + two_q - v, two_q), m), q);
+}
+
+/// Stages t = 1 and t = 2 of the GS inverse on four elements in registers,
+/// the second through `outer`.
+#[inline(always)]
+fn inverse_tail(
+    a: &mut [u64],
+    tw: &[Shoup32],
+    m: &Modulus,
+    outer: impl Fn(&mut u64, &mut u64, Shoup32, &Modulus),
+) {
     let n = a.len();
-    // Stages t = 1 and t = 2 on four elements in registers.
     let quads = a.chunks_exact_mut(4);
     let twiddles = tw[n / 2..].chunks_exact(2).zip(&tw[n / 4..n / 2]);
     for (quad, (w1, &w2)) in quads.zip(twiddles) {
         let [mut a0, mut a1, mut a2, mut a3] = [quad[0], quad[1], quad[2], quad[3]];
         gs_lazy(&mut a0, &mut a1, w1[0], m);
         gs_lazy(&mut a2, &mut a3, w1[1], m);
-        gs_lazy(&mut a0, &mut a2, w2, m);
-        gs_lazy(&mut a1, &mut a3, w2, m);
+        outer(&mut a0, &mut a2, w2, m);
+        outer(&mut a1, &mut a3, w2, m);
         quad.copy_from_slice(&[a0, a1, a2, a3]);
     }
-    let (mut t, mut groups) = (4usize, n / 8);
-    while groups >= 1 {
-        lazy_stage(a, t, &tw[groups..2 * groups], m, gs_lazy);
+}
+
+/// Word-size GS inverse pass: reduced bit-reversed input → reduced
+/// natural-order output, `N^{-1}` folded into the last stage (`N ≥ 4`).
+fn inverse_word(a: &mut [u64], tw: &[Shoup32], n_inv: Shoup32, m: &Modulus) {
+    let n = a.len();
+    // The last stage is one block under `tw[1]`: its butterfly scales the
+    // sum by n⁻¹ and the difference by w·n⁻¹ (module docs), and ignores
+    // the twiddle the stage hands it.
+    let w_n_inv = Shoup32::new(m.mul(tw[1].0 & LO32, n_inv.0 & LO32), m);
+    let last = |x: &mut u64, y: &mut u64, _: Shoup32, m: &Modulus| gs_last(x, y, n_inv, w_n_inv, m);
+    if n == 4 {
+        inverse_tail(a, tw, m, last);
+        return;
+    }
+    inverse_tail(a, tw, m, gs_lazy);
+    // The stages t = LANES … N/2 two at a time; an odd count runs its
+    // first stage alone. `groups` counts the blocks of the next stage.
+    let (mut t, mut groups) = (LANES, n / (2 * LANES));
+    if n.trailing_zeros() % 2 == 1 {
+        let tw = &tw[groups..2 * groups];
+        if groups == 1 {
+            lazy_stage(a, t, tw, m, last);
+        } else {
+            lazy_stage(a, t, tw, m, gs_lazy);
+        }
         groups >>= 1;
         t <<= 1;
     }
-    let q = m.value();
-    for x in a.iter_mut() {
-        *x = csub(n_inv.mul_lazy(*x, m), q);
+    while groups > 1 {
+        let (outer, inner) = (&tw[groups / 2..groups], &tw[groups..2 * groups]);
+        if groups == 2 {
+            radix4_sweep(a, t, outer, inner, |x, w, v| gs_quad(x, w, v, m, last));
+        } else {
+            radix4_sweep(a, t, outer, inner, |x, w, v| gs_quad(x, w, v, m, gs_lazy));
+        }
+        groups >>= 2;
+        t <<= 2;
     }
 }
 
@@ -420,7 +561,7 @@ mod tests {
     #[test]
     fn roundtrip_various_sizes() {
         let mut rng = StdRng::seed_from_u64(7);
-        for log_n in [2u32, 4, 6, 8, 10, 12] {
+        for log_n in 2u32..=13 {
             let n = 1usize << log_n;
             let q = generate_ntt_primes(1, 30, n as u64)[0];
             let t = NttTable::new(n, q);
@@ -436,16 +577,17 @@ mod tests {
     #[test]
     fn matches_naive_reference() {
         let mut rng = StdRng::seed_from_u64(8);
-        for n in [8usize, 32, 128] {
+        for n in (3..=9).map(|log_n| 1usize << log_n) {
             let q = generate_ntt_primes(1, 28, n as u64)[0];
             let t = NttTable::new(n, q);
             let naive = NaiveNtt::with_root(n, q, t.psi());
-            let a = random_poly(&mut rng, n, q);
-            let mut fast = a.clone();
-            t.forward(&mut fast);
-            let mut reference = a.clone();
-            naive.forward(&mut reference);
-            assert_eq!(fast, reference, "butterfly != naive at N={n}");
+            for a in probe_inputs(&mut rng, n, q) {
+                let mut fast = a.clone();
+                t.forward(&mut fast);
+                let mut reference = a.clone();
+                naive.forward(&mut reference);
+                assert_eq!(fast, reference, "butterfly != naive at N={n}");
+            }
         }
     }
 
@@ -507,15 +649,21 @@ mod tests {
     fn word_kernel_matches_wide_and_naive_at_every_admitted_width() {
         let mut rng = StdRng::seed_from_u64(31);
         // Every CKKS width, 31 included (the largest NTT prime below 2^31:
-        // 4q exceeds 2^32 there, the GS pre-subtraction's case).
+        // 4q exceeds 2^32 there, the GS pre-subtraction's case), at odd and
+        // even stage counts: the leftover single stage and the radix-4
+        // sweeps both run, and so does the folded last stage in each of its
+        // three places (register tail at N = 4, single stage at N = 8,
+        // radix-4 sweep from N = 16).
         for bits in 20..=31 {
-            for log_n in [2u32, 3, 4, 5, 8, 10] {
+            for log_n in 2u32..=10 {
                 check_word_against_wide(1 << log_n, bits, true, &mut rng);
             }
-            check_word_against_wide(1 << 12, bits, false, &mut rng);
+            for log_n in [11u32, 12] {
+                check_word_against_wide(1 << log_n, bits, false, &mut rng);
+            }
         }
         for bits in [24, 28, 31] {
-            for log_n in [13u32, 14, 16] {
+            for log_n in 13u32..=16 {
                 check_word_against_wide(1 << log_n, bits, false, &mut rng);
             }
         }
