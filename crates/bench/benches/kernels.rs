@@ -388,7 +388,10 @@ fn staged_rows() {
 
 /// HMULT's key switch at HEAX set B (`N = 2^13`, 4 + 4 primes, `α = 1`,
 /// butterfly NTT): the lean, limb-major `key_switch` on its threads beside
-/// the serial reference composition.
+/// the serial reference composition. On a multi-core machine the ratio
+/// includes the split's gain, so a one-core slowdown of the lean algorithm
+/// can hide behind it; `taskset -c 0` (which `available_parallelism`
+/// honours) measures the lean algorithm alone.
 fn keyswitch_rows() {
     let (trials, reps) = if report::smoke() { (5, 4) } else { (9, 20) };
     let ctx = CkksContext::new(&CkksParams::heax_set_b()).expect("preset is valid");

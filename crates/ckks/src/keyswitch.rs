@@ -74,19 +74,20 @@
 //! only shared inputs (the input, its `y`-staged coefficients, the key, the
 //! ModDown block the first walk has finished) and writes only its own
 //! limb's rows. Each walk runs under one `std::thread::scope`: the caller
-//! and up to `min(cores, jobs) − 1` helpers claim job indices from a shared
-//! counter, and every result is stored at its limb index, so the output
-//! is the same at any thread count and in any claim order — the integer
+//! and up to `min(cores, jobs) − 1` helpers take jobs from one shared
+//! queue, and every result is stored at its limb index, so the output is
+//! the same at any thread count and in any claim order — the integer
 //! arithmetic of a job does not know which thread runs it, and no value
 //! is ever combined across jobs. (The in-crate test runs every preset
 //! shape at every level on 1, 2, 3 and `E` threads against the inline run
 //! and [`key_switch_literal`].) A helper that never gets a core before the
 //! jobs run out costs only its spawn. Splitting pays only above a size
-//! gate: a scoped spawn plus join costs 22–60 µs on a 2-vCPU VM, so a
-//! switch splits once it transforms `2^17` words (16 rows at `N = 2^13`,
-//! about 0.7 ms of butterflies) and runs inline below that
-//! ([`KeySwitchShape::threads`]). Finer jobs lose: a runner per
-//! `forward_batch` call (3–4 rows, about 150 µs) pays a spawn per call.
+//! gate, measured on a 2-vCPU VM: a switch splits once it transforms
+//! `2^16` words (HEAX set A's top level, set B and set C at every level)
+//! and runs inline below that ([`KeySwitchShape::threads`];
+//! `SPLIT_MIN_WORDS` cites the numbers). Finer jobs lose: a runner per
+//! `forward_batch` call (3–4 rows, about 150 µs) pays a 22–60 µs scoped
+//! spawn per call.
 //! [`mod_down_batch`], the public whole-polynomial helper, runs its `q`
 //! limbs on the calling thread.
 //!
@@ -108,8 +109,7 @@ use crate::poly::{Domain, RnsPoly};
 use crate::trace::{KernelEvent, Tracing};
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread;
 use tensorfhe_math::crt::BasisConvGemm;
 use tensorfhe_math::{scratch, Modulus};
@@ -318,7 +318,7 @@ impl KeySwitchShape {
 
     /// Threads [`key_switch`] runs its two limb loops on: every core (each
     /// loop capped at its job count) once the switch transforms at least
-    /// `2^17` words, one below that (module docs).
+    /// `2^16` words, one below that (module docs).
     #[must_use]
     pub fn threads(&self) -> usize {
         if self.ntt_rows() * self.n >= SPLIT_MIN_WORDS {
@@ -620,7 +620,18 @@ pub fn mod_down_batch(
     }
     let mut q_parts: Vec<_> = accs.iter().map(|acc| acc.q_limbs.clone()).collect();
     let table = ctx.moddown_table(l);
-    mod_down_rows(ctx, &table, &mut q_parts, &mut p_rows);
+    assert_eq!(BasisConvGemm::y_stride(n), n, "N is whole column blocks");
+    // The special limbs are all the conversion reads: only they go back to
+    // the coefficient domain, one batch per prime, then through the
+    // y-stage once per accumulator.
+    for kk in 0..k {
+        let mut rows: Vec<&mut [u64]> = p_rows.chunks_mut(n).skip(kk).step_by(k).collect();
+        ctx.ntt_p(kk).inverse_batch(&mut rows);
+    }
+    for y in p_rows.chunks_mut(k * n) {
+        table.conv.y_stage(y, n);
+    }
+    mod_down_q_limbs(ctx, &table, &mut q_parts, &p_rows, 1);
     scratch::give_u64(p_rows);
     KeySwitchShape::new(ctx.params(), l)
         .mod_down_events(accs.len())
@@ -660,37 +671,6 @@ impl RowTally {
             sub: self.sub + other.sub,
         }
     }
-}
-
-/// The ModDown routine. `q_parts[a]` are accumulator `a`'s `q` limbs (NTT
-/// domain; they become the result in place), `p_rows` its special limbs as
-/// a flat accumulator-major block of `K` rows each (NTT domain on entry,
-/// consumed as working space). Runs on the calling thread.
-fn mod_down_rows(
-    ctx: &CkksContext,
-    table: &ModDownTable,
-    q_parts: &mut [Vec<Vec<u64>>],
-    p_rows: &mut [u64],
-) -> RowTally {
-    let n = ctx.params().n();
-    let k = ctx.params().special_primes();
-    let accs = q_parts.len();
-    assert_eq!(p_rows.len(), accs * k * n, "special-limb block shape");
-    assert_eq!(BasisConvGemm::y_stride(n), n, "N is whole column blocks");
-    let mut tally = RowTally::default();
-
-    // The special limbs are all the conversion reads: only they go back to
-    // the coefficient domain, one batch per prime, then through the
-    // y-stage once per accumulator.
-    for kk in 0..k {
-        let mut rows: Vec<&mut [u64]> = p_rows.chunks_mut(n).skip(kk).step_by(k).collect();
-        ctx.ntt_p(kk).inverse_batch(&mut rows);
-        tally.intt += rows.len();
-    }
-    for y in p_rows.chunks_mut(k * n) {
-        table.conv.y_stage(y, n);
-    }
-    tally.plus(mod_down_q_limbs(ctx, table, q_parts, p_rows, 1))
 }
 
 /// ModDown's `q`-limb loop, one job per limb on `threads` threads: per
@@ -740,11 +720,23 @@ fn mod_down_q_limbs(
 }
 
 /// Fewest words a key switch transforms before its limb loops split across
-/// threads. A scoped spawn plus join costs 22–60 µs on a 2-vCPU VM, and a
-/// lazy butterfly row about 5.5 ns a word, so at `2^17` words (16 rows at
-/// `N = 2^13`, ≈ 0.7 ms of transforms) a helper's share of the two loops
-/// outweighs its two spawns several times over.
-const SPLIT_MIN_WORDS: usize = 1 << 17;
+/// threads, set from `split_gate_timing` (an ignored in-crate test) on a
+/// 2-vCPU VM: one- against two-thread switches alternated round by round,
+/// the rounds grouped by whether a two-thread probe found the second vCPU
+/// free (133 rounds) or taken (145 rounds).
+///
+/// * Free: two threads lose below `2^15` words (0.62–0.91× at 9–25 K;
+///   one outlier, set B's shape at `N = 2^11` level 0, 31 K: 1.16×), break
+///   even near 36 K (1.02–1.08×), win 1.08–1.20× from 41 K to 66 K (HEAX
+///   set A's top level, `2^16` words: 1.15×, 105 of 133 rounds) and
+///   1.36–1.57× at set B (level 0, 123 K words: 133 of 133).
+/// * Taken: 0.68–0.95× below `2^15`, 0.91–0.96× from 36 K to 98 K,
+///   0.95–0.98× at set B (two level-0 shapes of 31 K and 37 K: 1.04–1.06×).
+///
+/// The gate is the round size past that crossover band: from `2^16` up
+/// every measured shape won at least 1.15× with the core free and lost at
+/// most 6 % with it taken.
+const SPLIT_MIN_WORDS: usize = 1 << 16;
 
 /// The machine's cores, read once per process.
 fn cores() -> usize {
@@ -754,54 +746,50 @@ fn cores() -> usize {
 
 /// Runs `job(i, slot_i)` once for every slot and returns the results in
 /// slot order. `threads` counts the caller: above one, `threads − 1` scoped
-/// helpers (never more than there are jobs) and the caller claim indices
-/// from one shared counter, each slot moving to the thread that claims it.
-/// A result depends on its index and slot alone, so the output is the same
-/// at any thread count and in any claim order, and a helper that gets no
-/// core before the jobs run out costs only its spawn.
+/// helpers (never more than there are jobs) and the caller take `(i, slot)`
+/// pairs from one shared queue. A result depends on its index and slot
+/// alone, so the output is the same at any thread count and in any claim
+/// order, and a helper that gets no core before the jobs run out costs only
+/// its spawn.
 fn run_jobs<S: Send, T: Send>(
     threads: usize,
     slots: Vec<S>,
     job: impl Fn(usize, S) -> T + Sync,
 ) -> Vec<T> {
-    let jobs = slots.len();
-    if threads.min(jobs) <= 1 {
+    let workers = threads.min(slots.len());
+    if workers <= 1 {
         return slots
             .into_iter()
             .enumerate()
             .map(|(i, slot)| job(i, slot))
             .collect();
     }
-    let slots: Vec<Mutex<Option<S>>> = slots.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let next = AtomicUsize::new(0);
+    let queue = Mutex::new(slots.into_iter().enumerate());
     let work = || {
         let mut done = Vec::new();
         loop {
-            // The counter publishes no data: a slot moves through its
-            // mutex and a result through `join`.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = slots.get(i) else {
+            // The guard drops at the end of this statement, before the job
+            // runs, so a job's panic cannot poison the queue.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, slot)) = next else {
                 return done;
             };
-            let slot = slot.lock().expect("no job runs under a slot's lock").take();
-            done.push((i, job(i, slot.expect("each slot is claimed once"))));
+            done.push((i, job(i, slot)));
         }
     };
-    let mut results: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-    thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads.min(jobs)).map(|_| scope.spawn(work)).collect();
-        let mine = work();
-        for done in helpers.into_iter().map(|h| h.join()).chain([Ok(mine)]) {
-            let done = done.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (i, result) in done {
-                results[i] = Some(result);
+    let mut done = thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
+        done
     });
-    results
-        .into_iter()
-        .map(|r| r.expect("every job ran"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Full key switch (Algorithm 1) as the limb-major loop of the module docs:
@@ -827,7 +815,7 @@ pub fn key_switch(
     );
     let shape = KeySwitchShape::new(ctx.params(), d.level());
     assert!(shape.digits() <= ksk.digits.len(), "key has too few digits");
-    let (pair, _) = key_switch_rows(ctx, &shape, d, ksk);
+    let (pair, _) = key_switch_rows(ctx, &shape, d, ksk, shape.threads());
     shape.events().into_iter().for_each(|e| tracing.emit(e));
     pair
 }
@@ -864,21 +852,11 @@ pub fn key_switch_literal(ctx: &CkksContext, d: &RnsPoly, ksk: &KsKey) -> (RnsPo
     (outs.pop().expect("two accumulators"), c1)
 }
 
-/// The limb-major loop of [`key_switch`], returning the switched pair and
-/// the rows it pushed through each kernel, on [`KeySwitchShape::threads`].
+/// The limb-major loop of [`key_switch`] on `threads` threads (the caller
+/// counted), returning the switched pair and the rows it pushed through
+/// each kernel: the extended-limb loop and ModDown's `q`-limb loop run as
+/// jobs through [`run_jobs`], the rest on the calling thread.
 fn key_switch_rows(
-    ctx: &CkksContext,
-    shape: &KeySwitchShape,
-    d: &RnsPoly,
-    ksk: &KsKey,
-) -> ((RnsPoly, RnsPoly), RowTally) {
-    key_switch_on(ctx, shape, d, ksk, shape.threads())
-}
-
-/// [`key_switch_rows`] on `threads` threads (the caller counted): the
-/// extended-limb loop and ModDown's `q`-limb loop run as jobs through
-/// [`run_jobs`], the rest on the calling thread.
-fn key_switch_on(
     ctx: &CkksContext,
     shape: &KeySwitchShape,
     d: &RnsPoly,
@@ -1102,13 +1080,12 @@ mod tests {
             let shape = KeySwitchShape::new(c.params(), level);
             let mut d = RnsPoly::from_i128_coeffs(&c, &vec![1i128; n], level);
             d.ntt_forward(&c);
-            let (_, real) = key_switch_rows(&c, &shape, &d, keys.relin_key());
+            let (_, real) = key_switch_rows(&c, &shape, &d, keys.relin_key(), shape.threads());
             let costed = costed_rows(&shape.events());
             assert_eq!(real, costed, "level {level}");
             assert_eq!(costed.intt + costed.ntt, shape.ntt_rows());
 
-            // The public ModDown probe runs the same routine and emits the
-            // same ModDown events.
+            // The public ModDown helper emits the same ModDown events.
             let accs = vec![ExtPoly::zero(&c, level, Domain::Ntt); 2];
             let views: Vec<&ExtPoly> = accs.iter().collect();
             let mut rec = crate::trace::RecordingTracer::new();
@@ -1219,16 +1196,143 @@ mod tests {
             for level in 0..=top {
                 let shape = KeySwitchShape::new(&params, level);
                 let d = RnsPoly::from_limbs(random_ext(&c, &mut rng, level).q_limbs, Domain::Ntt);
-                let inline = key_switch_on(&c, &shape, &d, &key, 1);
+                let inline = key_switch_rows(&c, &shape, &d, &key, 1);
                 assert_eq!(inline.0, key_switch_literal(&c, &d, &key));
                 for threads in [2, 3, shape.ext_limbs()] {
                     assert_eq!(
-                        key_switch_on(&c, &shape, &d, &key, threads),
+                        key_switch_rows(&c, &shape, &d, &key, threads),
                         inline,
                         "{} level {level} on {threads} threads",
                         params.name()
                     );
                 }
+            }
+        }
+    }
+
+    /// Two threads' throughput on an ALU loop over one thread's: 2.0 when a
+    /// second core is free, 1.0 when it is taken.
+    fn two_thread_scaling() -> f64 {
+        use std::time::Instant;
+        let spin = || {
+            let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+            for i in 0..2_000_000 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i) ^ (x >> 29);
+            }
+            std::hint::black_box(x)
+        };
+        let t = Instant::now();
+        spin();
+        let one = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        thread::scope(|s| {
+            s.spawn(spin);
+            spin();
+        });
+        2.0 * one / t.elapsed().as_secs_f64()
+    }
+
+    #[test]
+    #[ignore = "timing probe: cargo test --release -p tensorfhe-ckks --lib split_gate -- --ignored --nocapture"]
+    fn split_gate_timing() {
+        // The measurement behind SPLIT_MIN_WORDS. Each round times every
+        // shape once on one thread and once on two, after a two-thread
+        // scaling probe; rounds are grouped by the probe (second core free
+        // at >= 1.8, taken at <= 1.2), and each group reports per shape the
+        // median one- and two-thread times and how often two threads won.
+        // HEAX set B's shape also runs at N = 2^10 and 2^11 to fill in the
+        // small sizes.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::time::Instant;
+        let mut rng = StdRng::seed_from_u64(41);
+        let scaled_b = [10, 11].map(|log_n| {
+            CkksParams::new(
+                format!("HEAX-B@2^{log_n}"),
+                1 << log_n,
+                3,
+                4,
+                4,
+                28,
+                26,
+                128,
+            )
+            .expect("set B's shape is valid at this degree")
+        });
+        let setups: Vec<_> = scaled_b
+            .into_iter()
+            .chain([
+                CkksParams::test_small(),
+                CkksParams::heax_set_a(),
+                CkksParams::heax_set_b(),
+            ])
+            .map(|params| {
+                let c = CkksContext::new(&params).expect("valid");
+                let top = params.max_level();
+                let key = KsKey {
+                    digits: (0..params.dnum())
+                        .map(|_| KsDigit {
+                            b: random_ext(&c, &mut rng, top),
+                            a: random_ext(&c, &mut rng, top),
+                        })
+                        .collect(),
+                };
+                (params, c, key)
+            })
+            .collect();
+        let cases: Vec<_> = setups
+            .iter()
+            .flat_map(|(params, c, key)| {
+                (0..=params.max_level()).map(move |level| (params, c, key, level))
+            })
+            .map(|(params, c, key, level)| {
+                let d = RnsPoly::from_limbs(random_ext(c, &mut rng, level).q_limbs, Domain::Ntt);
+                (params, c, key, KeySwitchShape::new(params, level), d)
+            })
+            .collect();
+        let time = |(_, c, key, shape, d): &(_, &CkksContext, &KsKey, KeySwitchShape, RnsPoly),
+                    threads| {
+            let t = Instant::now();
+            std::hint::black_box(key_switch_rows(c, shape, d, key, threads));
+            t.elapsed().as_secs_f64() * 1e6
+        };
+        // Per round: the probe, then per case (one-thread, two-thread) µs.
+        let rounds: Vec<(f64, Vec<(f64, f64)>)> = (0..150)
+            .map(|_| {
+                let probe = two_thread_scaling();
+                (
+                    probe,
+                    cases
+                        .iter()
+                        .map(|case| (time(case, 1), time(case, 2)))
+                        .collect(),
+                )
+            })
+            .skip(5)
+            .collect();
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        for (group, keep) in [("free", 1.8..9.0), ("taken", 0.0..1.2)] {
+            let kept: Vec<_> = rounds.iter().filter(|r| keep.contains(&r.0)).collect();
+            println!("second core {group}: {} rounds", kept.len());
+            if kept.is_empty() {
+                continue;
+            }
+            println!("shape level words t1_us t2_us t1/t2 t2_wins");
+            for (i, (params, _, _, shape, _)) in cases.iter().enumerate() {
+                let t1 = median(kept.iter().map(|r| r.1[i].0).collect());
+                let t2 = median(kept.iter().map(|r| r.1[i].1).collect());
+                let wins = kept.iter().filter(|r| r.1[i].1 < r.1[i].0).count();
+                println!(
+                    "{} {} {} {t1:.0} {t2:.0} {:.2} {wins}/{}",
+                    params.name(),
+                    shape.limbs() - 1,
+                    shape.ntt_rows() * shape.n,
+                    t1 / t2,
+                    kept.len()
+                );
             }
         }
     }
