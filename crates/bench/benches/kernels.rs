@@ -8,7 +8,9 @@
 //! kernel) beside the wide bodies they replace on the evaluator's hot path.
 //! Its butterfly ratio is emitted as `kernels/host_butterfly_word_vs_wide`
 //! (a guarded wall-clock median, gated in `check_regression`'s `host_`
-//! tolerance class). A second table sets the narrow single-accumulator
+//! tolerance class). Every table times its two sides back to back in each
+//! trial and guards the spread of the per-trial ratios, which a change of
+//! the machine's clock state moves on both sides alike. A second table sets the narrow single-accumulator
 //! GEMM tile beside the limb-split one at the two products of Eq. 9 at
 //! HEAX set B and emits `kernels/host_tile_narrow_vs_split` the same way.
 //! A third sets the four-step NTT's staged host pass (the radix rule's
@@ -22,16 +24,20 @@
 //! through the inner product — every limb of every digit raised,
 //! transformed and multiplied — ending in the same NTT-domain ModDown;
 //! outputs asserted bit-equal) and emits
-//! `kernels/host_keyswitch_lean_vs_reference`.
+//! `kernels/host_keyswitch_lean_vs_reference`. A fifth, printed and not
+//! pinned, sets `Evaluator::rescale` — split across the cores from `2^16`
+//! transformed words — beside `rescale_on_one_thread` at every level of
+//! HEAX set B.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use tensorfhe_bench::{print_table, report};
+use tensorfhe_ckks::eval::rescale_on_one_thread;
 use tensorfhe_ckks::keyswitch::{key_switch, key_switch_literal, KeySwitchShape};
 use tensorfhe_ckks::trace::Tracing;
-use tensorfhe_ckks::{CkksContext, CkksParams, Domain, KeyChain, RnsPoly};
+use tensorfhe_ckks::{Ciphertext, CkksContext, CkksParams, Domain, Evaluator, KeyChain, RnsPoly};
 use tensorfhe_math::crt::{BasisConvGemm, BasisConvTable, RnsBasis};
 use tensorfhe_math::gemm_fast::{gemm_rm, gemm_rm_with, MontOperand};
 use tensorfhe_math::prime::generate_ntt_primes;
@@ -129,10 +135,23 @@ fn median_spread(mut samples: Vec<f64>) -> (f64, f64) {
     (median, (samples[samples.len() - 1] - samples[0]) / median)
 }
 
-/// Median seconds per call of `f` over `trials` samples of `reps` calls
-/// each, and the samples' relative spread.
-fn median_secs(trials: usize, reps: usize, mut f: impl FnMut()) -> (f64, f64) {
-    median_spread((0..trials).map(|_| sample_secs(reps, &mut f)).collect())
+/// Seconds per call of `a` and of `b`, timed back to back in each of
+/// `trials` trials (`reps.0` calls of `a`, then `reps.1` of `b`): the median
+/// of each side, and the relative spread of the per-trial `b / a` ratios,
+/// which a change of the machine's clock state moves on both sides alike.
+fn paired_secs(
+    trials: usize,
+    reps: (usize, usize),
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64, f64) {
+    let samples: Vec<(f64, f64)> = (0..trials)
+        .map(|_| (sample_secs(reps.0, &mut a), sample_secs(reps.1, &mut b)))
+        .collect();
+    let (_, spread) = median_spread(samples.iter().map(|&(a, b)| b / a).collect());
+    let (a, _) = median_spread(samples.iter().map(|s| s.0).collect());
+    let (b, _) = median_spread(samples.iter().map(|s| s.1).collect());
+    (a, b, spread)
 }
 
 /// Word-size kernels beside the wide bodies, at the HEAX set B shapes
@@ -142,48 +161,64 @@ fn word_size_rows() {
     let (trials, reps) = if report::smoke() { (5, 20) } else { (9, 100) };
     let mut rng = StdRng::seed_from_u64(4);
     let mut rows = Vec::new();
-    let mut row = |name: &str, unit: &str, per: f64, word: (f64, f64), wide: (f64, f64)| {
+    // One row from `paired_secs`' (word, wide, ratio spread).
+    let mut row = |name: &str, unit: &str, per: f64, (word, wide, spread): (f64, f64, f64)| {
         rows.push(vec![
             name.to_string(),
-            format!("{:.2} {unit}", word.0 * per),
-            format!("{:.2} {unit}", wide.0 * per),
-            format!("{:.2}×", wide.0 / word.0),
-            format!("{:.0}%", word.1.max(wide.1) * 100.0),
+            format!("{:.2} {unit}", word * per),
+            format!("{:.2} {unit}", wide * per),
+            format!("{:.2}×", wide / word),
+            format!("{:.0}%", spread * 100.0),
         ]);
-        (wide.0 / word.0, word.1.max(wide.1) <= MAX_SPREAD)
+        (wide / word, spread <= MAX_SPREAD)
     };
 
     // butterfly-2^13: the largest NTT prime below 2^31 runs the word-size
     // kernel, the largest below 2^32 the wide one; same N, same stages.
-    let time_ntt = |bits: u32, rng: &mut StdRng| {
+    let mut ntt = |bits: u32| {
         let q = generate_ntt_primes(1, bits, n as u64)[0];
-        let table = NttTable::new(n, q);
-        let mut a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-        median_secs(trials, reps, || {
-            table.forward(&mut a);
-            table.inverse(&mut a);
-        })
+        let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+        (NttTable::new(n, q), a)
     };
-    let (word, wide) = (time_ntt(31, &mut rng), time_ntt(32, &mut rng));
-    let (ratio, quiet) = row("butterfly-2^13 (fwd+inv)", "µs", 1e6, word, wide);
+    let ((word, mut a), (wide, mut b)) = (ntt(31), ntt(32));
+    let (ratio, quiet) = row(
+        "butterfly-2^13 (fwd+inv)",
+        "µs",
+        1e6,
+        paired_secs(
+            trials,
+            (reps, reps),
+            || {
+                word.forward(&mut a);
+                word.inverse(&mut a);
+            },
+            || {
+                wide.forward(&mut b);
+                wide.inverse(&mut b);
+            },
+        ),
+    );
 
     // mul-acc-slice: the key-switch inner product over one limb.
     let q = generate_ntt_primes(1, 28, n as u64)[0];
     let m = Modulus::new(q);
     let vec = |rng: &mut StdRng| -> Vec<u64> { (0..n).map(|_| rng.gen_range(0..q)).collect() };
-    let (x, y, mut acc) = (vec(&mut rng), vec(&mut rng), vec(&mut rng));
-    let word = median_secs(trials, reps, || m.mul_acc_slice(&mut acc, &x, &y));
-    let wide = median_secs(trials, reps, || {
-        for ((a, &xv), &yv) in acc.iter_mut().zip(&x).zip(&y) {
-            *a = m.add(*a, m.mul(xv, yv));
-        }
-    });
+    let (x, y) = (vec(&mut rng), vec(&mut rng));
+    let (mut acc, mut acc_wide) = (vec(&mut rng), vec(&mut rng));
     row(
         "mul-acc-slice (per element)",
         "ns",
         1e9 / n as f64,
-        word,
-        wide,
+        paired_secs(
+            trials,
+            (reps, reps),
+            || m.mul_acc_slice(&mut acc, &x, &y),
+            || {
+                for ((a, &xv), &yv) in acc_wide.iter_mut().zip(&x).zip(&y) {
+                    *a = m.add(*a, m.mul(xv, yv));
+                }
+            },
+        ),
     );
 
     // basis-conv: ModDown's K = 4 → 4 conversion of two polynomials, the
@@ -197,21 +232,32 @@ fn word_size_rows() {
         .collect();
     let src_rows: Vec<&[u64]> = src.iter().map(Vec::as_slice).collect();
     let mut out = vec![vec![0u64; width]; 4];
-    let word = median_secs(trials, reps.div_ceil(4), || {
-        let mut out_rows: Vec<&mut [u64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
-        conv.convert_block_into(&src_rows, &mut out_rows);
-    });
-    let wide = median_secs(trials, reps.div_ceil(20), || {
-        for c in 0..width {
-            let residues: Vec<u64> = src.iter().map(|r| r[c]).collect();
-            std::hint::black_box(conv.table().convert_coeff(&residues));
-        }
-    });
     let per_out = 1e9 / (4 * width) as f64;
-    row("basis-conv 4→4 (per output)", "ns", per_out, word, wide);
+    row(
+        "basis-conv 4→4 (per output)",
+        "ns",
+        per_out,
+        paired_secs(
+            trials,
+            (reps.div_ceil(4), reps.div_ceil(20)),
+            || {
+                let mut out_rows: Vec<&mut [u64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+                conv.convert_block_into(&src_rows, &mut out_rows);
+            },
+            || {
+                for c in 0..width {
+                    let residues: Vec<u64> = src.iter().map(|r| r[c]).collect();
+                    std::hint::black_box(conv.table().convert_coeff(&residues));
+                }
+            },
+        ),
+    );
 
     print_table(
-        &format!("Word-size kernels vs wide bodies (N = 2^13, median of {trials})"),
+        &format!(
+            "Word-size kernels vs wide bodies (N = 2^13, median of {trials} back-to-back trials, \
+             spread of the per-trial speedup)"
+        ),
         &["kernel", "word", "wide", "speedup", "spread"],
         &rows,
     );
@@ -237,25 +283,30 @@ fn tile_rows() {
         let mut fill = |len: usize| -> Vec<u64> { (0..len).map(|_| rng.gen_range(0..q)).collect() };
         let (a, w) = (fill(m * k), MontOperand::new(q, &fill(k * k), k, k));
         assert_eq!(w.kernel().label(), "narrow", "28-bit operand");
-        let mut c = vec![0u64; m * k];
-        let narrow = median_secs(trials, reps, || gemm_rm(&a, m, &w, &mut c));
-        let split = median_secs(trials, reps, || {
-            gemm_rm_with(&a, m, &w, simd::simd4(), &mut c);
-        });
+        let (mut c, mut c_split) = (vec![0u64; m * k], vec![0u64; m * k]);
+        let (narrow, split, spread) = paired_secs(
+            trials,
+            (reps, reps),
+            || gemm_rm(&a, m, &w, &mut c),
+            || gemm_rm_with(&a, m, &w, simd::simd4(), &mut c_split),
+        );
         let mmacs = (m * k * k) as f64 / 1e6;
         rows.push(vec![
             format!("{m}×{k}×{k}"),
-            format!("{:.0} Mmac/s", mmacs / narrow.0),
-            format!("{:.0} Mmac/s", mmacs / split.0),
-            format!("{:.2}×", split.0 / narrow.0),
-            format!("{:.0}%", narrow.1.max(split.1) * 100.0),
+            format!("{:.0} Mmac/s", mmacs / narrow),
+            format!("{:.0} Mmac/s", mmacs / split),
+            format!("{:.2}×", split / narrow),
+            format!("{:.0}%", spread * 100.0),
         ]);
-        secs[0] += narrow.0;
-        secs[1] += split.0;
-        quiet &= narrow.1.max(split.1) <= MAX_SPREAD;
+        secs[0] += narrow;
+        secs[1] += split;
+        quiet &= spread <= MAX_SPREAD;
     }
     print_table(
-        &format!("GEMM register tile, 28-bit prime (HEAX-B four-step shapes, median of {trials})"),
+        &format!(
+            "GEMM register tile, 28-bit prime (HEAX-B four-step shapes, median of {trials} \
+             back-to-back trials, spread of the per-trial speedup)"
+        ),
         &["m×k×n", "narrow", "limb-split", "speedup", "spread"],
         &rows,
     );
@@ -411,35 +462,111 @@ fn keyswitch_rows() {
         key_switch_literal(&ctx, &d, relin),
         "the lean key switch must be bit-equal to the reference composition"
     );
-    let lean = median_secs(trials, reps, || {
-        std::hint::black_box(key_switch(&ctx, &mut Tracing::new(None), &d, relin));
-    });
-    let reference = median_secs(trials, reps, || {
-        std::hint::black_box(key_switch_literal(&ctx, &d, relin));
-    });
-    let spread = lean.1.max(reference.1);
+    let (lean, reference, spread) = paired_secs(
+        trials,
+        (reps, reps),
+        || {
+            std::hint::black_box(key_switch(&ctx, &mut Tracing::new(None), &d, relin));
+        },
+        || {
+            std::hint::black_box(key_switch_literal(&ctx, &d, relin));
+        },
+    );
     let threads = KeySwitchShape::new(ctx.params(), level).threads();
     print_table(
-        &format!("Key switch, HEAX set B level {level} (median of {trials})"),
+        &format!(
+            "Key switch, HEAX set B level {level} (median of {trials} back-to-back trials, \
+             spread of the per-trial speedup)"
+        ),
         &["threads", "lean", "reference", "speedup", "spread"],
         &[vec![
             format!("{threads}"),
-            format!("{:.3} ms", lean.0 * 1e3),
-            format!("{:.3} ms", reference.0 * 1e3),
-            format!("{:.2}×", reference.0 / lean.0),
+            format!("{:.3} ms", lean * 1e3),
+            format!("{:.3} ms", reference * 1e3),
+            format!("{:.2}×", reference / lean),
             format!("{:.0}%", spread * 100.0),
         ]],
     );
     if spread <= MAX_SPREAD {
         report::emit(
             "kernels",
-            &[("host_keyswitch_lean_vs_reference", reference.0 / lean.0)],
+            &[("host_keyswitch_lean_vs_reference", reference / lean)],
         );
     } else {
         println!(
             "[kernels] host_keyswitch_lean_vs_reference not emitted: spread exceeded {MAX_SPREAD}"
         );
     }
+}
+
+/// RESCALE at HEAX set B (butterfly NTT), every level: `Evaluator::rescale`,
+/// which splits across every core from `2^16` transformed words (the top
+/// level) and runs on one thread below, beside `rescale_on_one_thread`.
+/// Printed only; nothing is pinned.
+fn rescale_split_rows() {
+    let (trials, reps) = if report::smoke() { (5, 10) } else { (9, 100) };
+    let ctx = CkksContext::new(&CkksParams::heax_set_b()).expect("preset is valid");
+    let mut rng = StdRng::seed_from_u64(8);
+    let n = ctx.params().n();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let rows: Vec<Vec<String>> = (1..=ctx.params().max_level())
+        .map(|level| {
+            let [c0, c1] = [0, 1].map(|_| {
+                let limbs = (0..=level)
+                    .map(|i| {
+                        let q = ctx.q_mod(i).value();
+                        (0..n).map(|_| rng.gen_range(0..q)).collect()
+                    })
+                    .collect();
+                RnsPoly::from_limbs(limbs, Domain::Ntt)
+            });
+            let ct = Ciphertext {
+                c0: c0.clone(),
+                c1: c1.clone(),
+                scale: ctx.params().scale(),
+            };
+            let mut eval = Evaluator::new(&ctx);
+            let split = eval.rescale(&ct).expect("level ≥ 1");
+            assert_eq!(
+                (split.c0, split.c1),
+                rescale_on_one_thread(&ctx, &c0, &c1),
+                "RESCALE's bits must not depend on its thread count"
+            );
+            let (one, split, spread) = paired_secs(
+                trials,
+                (reps, reps),
+                || {
+                    std::hint::black_box(rescale_on_one_thread(&ctx, &c0, &c1));
+                },
+                || {
+                    std::hint::black_box(eval.rescale(&ct).expect("level ≥ 1"));
+                },
+            );
+            vec![
+                format!("{level}"),
+                format!("{}", (2 + 2 * level) * n),
+                format!("{:.0} µs", one * 1e6),
+                format!("{:.0} µs", split * 1e6),
+                format!("{:.2}×", one / split),
+                format!("{:.0}%", spread * 100.0),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!(
+            "RESCALE, HEAX set B, one thread vs Evaluator::rescale ({cores} cores from 2^16 words; \
+             median of {trials} back-to-back trials)"
+        ),
+        &[
+            "level",
+            "words",
+            "one thread",
+            "rescale",
+            "speedup",
+            "spread",
+        ],
+        &rows,
+    );
 }
 
 criterion_group! {
@@ -454,4 +581,5 @@ fn main() {
     tile_rows();
     staged_rows();
     keyswitch_rows();
+    rescale_split_rows();
 }

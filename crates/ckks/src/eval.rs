@@ -10,9 +10,11 @@ use crate::context::CkksContext;
 use crate::error::CkksError;
 use crate::keys::KeyChain;
 use crate::keyswitch::{key_switch, OpStream};
+use crate::par::{run_phases, split_threads, Slots, Stock};
 use crate::poly::{Ciphertext, Domain, Plaintext, RnsPoly};
 use crate::trace::{KernelTracer, Tracing};
 use tensorfhe_math::scratch;
+use tensorfhe_ntt::NttBatchOps;
 
 /// Relative scale mismatch tolerated by additive operations.
 const SCALE_TOLERANCE: f64 = 1e-9;
@@ -336,7 +338,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// `RESCALE` (Algorithm 6): divides by the top prime `q_l`, dropping one
-    /// level and dividing the scale by `q_l`.
+    /// level and dividing the scale by `q_l`. Both components' limbs are
+    /// jobs of one thread scope across every core once the rescale
+    /// transforms `2^16` words, and run on the calling thread below that
+    /// (`rescale_rows`); the bits are the same either way.
     ///
     /// # Errors
     ///
@@ -347,72 +352,14 @@ impl<'a> Evaluator<'a> {
             return Err(CkksError::LevelExhausted);
         }
         let q_l = self.ctx.q_primes()[l];
-        let (c0, c1) = self.rescale_pair(&ct.c0, &ct.c1);
+        let threads = split_threads((2 + 2 * l) * self.ctx.params().n());
+        let (c0, c1) = rescale_rows(self.ctx, &ct.c0, &ct.c1, threads);
         self.trace("RESCALE", OpStream::Rescale, l);
         Ok(Ciphertext {
             c0,
             c1,
             scale: ct.scale / q_l as f64,
         })
-    }
-
-    /// Rescales both ciphertext components together so each modulus's NTT
-    /// sandwich runs as one two-row batched transform (`c0` and `c1` share
-    /// every `q_j`) — the batched execution layer applied to the RESCALE
-    /// hot loop.
-    fn rescale_pair(&self, p0: &RnsPoly, p1: &RnsPoly) -> (RnsPoly, RnsPoly) {
-        use tensorfhe_ntt::NttBatchOps;
-        let ctx = self.ctx;
-        let l = p0.level();
-        let q_l = ctx.q_mod(l).value();
-        let half = q_l / 2;
-        let polys = [p0, p1];
-
-        // INTT the two top limbs in one batched call, in pooled rows.
-        let n = p0.n();
-        let mut tops = scratch::take_dirty_u64(2 * n);
-        for (row, p) in tops.chunks_mut(n).zip(polys) {
-            row.copy_from_slice(p.limb(l));
-        }
-        {
-            let mut rows: Vec<&mut [u64]> = tops.chunks_mut(n).collect();
-            ctx.ntt_q(l).inverse_batch(&mut rows);
-        }
-
-        let mut limbs0 = Vec::with_capacity(l);
-        let mut limbs1 = Vec::with_capacity(l);
-        for j in 0..l {
-            let m_j = ctx.q_mod(j);
-            let q_j = m_j.value();
-            // The centred representative v of [c]_{q_l}, mod q_j: the
-            // context guarantees q_l < 2·q_j, so |v| ≤ q_l/2 < q_j and a
-            // sign-select add (v < 0 ⇒ v + q_j = x + q_j − q_l) replaces
-            // a division per coefficient.
-            let mut ts: Vec<Vec<u64>> = tops
-                .chunks(n)
-                .map(|top| {
-                    top.iter()
-                        .map(|&x| if x > half { x + q_j - q_l } else { x })
-                        .collect()
-                })
-                .collect();
-            {
-                let mut rows: Vec<&mut [u64]> = ts.iter_mut().map(Vec::as_mut_slice).collect();
-                ctx.ntt_q(j).forward_batch(&mut rows);
-            }
-            // (c_j − t)·q_l^{-1} with t = NTT([c_l] mod q_j), computed in place
-            // on the lifted limb as (t − c_j)·(−q_l^{-1}).
-            let neg_inv = m_j.neg(ctx.rescale_inv(l, j));
-            for ((poly, mut t), limbs) in polys.iter().zip(ts).zip([&mut limbs0, &mut limbs1]) {
-                m_j.sub_scale_slice(&mut t, poly.limb(j), neg_inv);
-                limbs.push(t);
-            }
-        }
-        scratch::give_u64(tops);
-        (
-            RnsPoly::from_limbs(limbs0, Domain::Ntt),
-            RnsPoly::from_limbs(limbs1, Domain::Ntt),
-        )
     }
 
     /// Drops limbs without rescaling (level alignment; exact in RNS).
@@ -536,13 +483,100 @@ impl<'a> Evaluator<'a> {
     }
 }
 
+/// RESCALE of a ciphertext's two components on the calling thread alone:
+/// the bits [`Evaluator::rescale`] returns at any core count, without its
+/// split — the one-thread side the `kernels` bench times it against.
+///
+/// Both components must be at the same level.
+///
+/// # Panics
+///
+/// Panics if `c0` is at level 0.
+#[must_use]
+pub fn rescale_on_one_thread(ctx: &CkksContext, c0: &RnsPoly, c1: &RnsPoly) -> (RnsPoly, RnsPoly) {
+    rescale_rows(ctx, c0, c1, 1)
+}
+
+/// RESCALE's arithmetic on both components of a ciphertext at level
+/// `l ≥ 1`, on `threads` threads (the caller counted): two phases of limb
+/// jobs under one [`run_phases`] scope. Phase 0 takes each component's top
+/// limb back to the coefficient domain (two jobs); phase 1 runs one job per
+/// `(j, component)` for `j < l` — the top limb lifted to `q_j`, its NTT,
+/// and the scaled subtraction `(c_j − t)·q_l^{-1}` — `2l` jobs. Every job
+/// writes only its own row, so the result is the same at any thread count.
+/// [`Evaluator::rescale`] runs it on every core from `2^16` transformed
+/// words (`(2 + 2l)·N`: HEAX set B's top level) and on one thread below.
+pub(crate) fn rescale_rows(
+    ctx: &CkksContext,
+    p0: &RnsPoly,
+    p1: &RnsPoly,
+    threads: usize,
+) -> (RnsPoly, RnsPoly) {
+    let l = p0.level();
+    let q_l = ctx.q_mod(l).value();
+    let half = q_l / 2;
+    let polys = [p0, p1];
+    let n = p0.n();
+    // The two top limbs in a pooled block; the lifted rows in rows
+    // allocated here, which become the result's own.
+    let mut block = scratch::take_dirty_u64(2 * n);
+    let lifted = {
+        let block_rows = Stock::new(block.chunks_mut(n).collect());
+        let own_rows = Stock::new((0..2 * l).map(|_| Vec::with_capacity(n)).collect());
+        let tops: Slots<&[u64]> = Slots::new(2);
+        let lifted: Slots<Vec<u64>> = Slots::new(2 * l);
+        run_phases(threads, &[2, 2 * l], |phase, i| {
+            if phase == 0 {
+                let top = block_rows.take();
+                top.copy_from_slice(polys[i].limb(l));
+                ctx.ntt_q(l).inverse_batch(&mut [&mut *top]);
+                tops.put(i, top);
+                return;
+            }
+            let (j, c) = (i / 2, i % 2);
+            let m_j = ctx.q_mod(j);
+            let q_j = m_j.value();
+            // The centred representative v of [c]_{q_l}, mod q_j: the
+            // context guarantees q_l < 2·q_j, so |v| ≤ q_l/2 < q_j and a
+            // sign-select add (v < 0 ⇒ v + q_j = x + q_j − q_l) replaces a
+            // division per coefficient.
+            let mut t: Vec<u64> = own_rows.take();
+            t.extend(
+                tops.get(c)
+                    .iter()
+                    .map(|&x| if x > half { x + q_j - q_l } else { x }),
+            );
+            ctx.ntt_q(j).forward_batch(&mut [&mut t[..]]);
+            // (c_j − t)·q_l^{-1} with t = NTT([c_l] mod q_j), computed in
+            // place on the lifted limb as (t − c_j)·(−q_l^{-1}).
+            let neg_inv = m_j.neg(ctx.rescale_inv(l, j));
+            m_j.sub_scale_slice(&mut t, polys[c].limb(j), neg_inv);
+            lifted.put(i, t);
+        });
+        lifted.into_vec()
+    };
+    scratch::give_u64(block);
+    let (mut limbs0, mut limbs1) = (Vec::with_capacity(l), Vec::with_capacity(l));
+    for (i, limb) in lifted.into_iter().enumerate() {
+        if i % 2 == 0 {
+            limbs0.push(limb);
+        } else {
+            limbs1.push(limb);
+        }
+    }
+    (
+        RnsPoly::from_limbs(limbs0, Domain::Ntt),
+        RnsPoly::from_limbs(limbs1, Domain::Ntt),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::CkksParams;
     use crate::trace::{KernelEvent, RecordingTracer};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use tensorfhe_math::Complex64;
 
     fn setup() -> (CkksContext, StdRng) {
@@ -623,6 +657,111 @@ mod tests {
             dec[0],
             a[0] * b[0]
         );
+    }
+
+    /// RESCALE by the book on one component: every limb back to the
+    /// coefficient domain, each coefficient `x` divided exactly by `q_l`
+    /// as `(x − v)/q_l` with `v` the centred residue of `x` mod `q_l` (in
+    /// `u128` arithmetic, `q_l^{-1}` by Fermat), then every limb forward.
+    fn rescale_by_the_book(ctx: &CkksContext, p: &RnsPoly) -> RnsPoly {
+        let mut x = p.clone();
+        x.ntt_inverse(ctx);
+        let l = x.level();
+        let q_l = i128::from(ctx.q_mod(l).value());
+        let limbs = (0..l)
+            .map(|j| {
+                let q_j = u128::from(ctx.q_mod(j).value());
+                let mut inv = 1u128;
+                let (mut base, mut e) = (q_l as u128 % q_j, q_j - 2);
+                while e > 0 {
+                    if e & 1 == 1 {
+                        inv = inv * base % q_j;
+                    }
+                    base = base * base % q_j;
+                    e >>= 1;
+                }
+                x.limb(j)
+                    .iter()
+                    .zip(x.limb(l))
+                    .map(|(&c_j, &c_l)| {
+                        let c_l = i128::from(c_l);
+                        let v = if 2 * c_l > q_l { c_l - q_l } else { c_l };
+                        let diff = (i128::from(c_j) - v).rem_euclid(q_j as i128) as u128;
+                        (diff * inv % q_j) as u64
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut out = RnsPoly::from_limbs(limbs, Domain::Coeff);
+        out.ntt_forward(ctx);
+        out
+    }
+
+    #[test]
+    fn rescale_jobs_give_the_same_bits_at_every_thread_count() {
+        // The thread count is forced, whatever the size gate would pick:
+        // 1 is the inline run, then 2, 3 and one thread per job of the
+        // wider phase and one more. Both components must equal the inline
+        // run, and the inline run the coefficient-domain reference.
+        let mut rng = StdRng::seed_from_u64(43);
+        let presets = [
+            CkksParams::table_v_default(),
+            CkksParams::table_v_resnet20(),
+            CkksParams::table_v_lr(),
+            CkksParams::table_v_lstm(),
+            CkksParams::table_v_packed_boot(),
+            CkksParams::table_vii_bootstrap(),
+            CkksParams::heax_set_a(),
+            CkksParams::heax_set_b(),
+            CkksParams::heax_set_c(),
+        ];
+        // The paper presets' shapes at N = 64, then toy and test_small as
+        // they are.
+        let shapes = presets.iter().map(|p| {
+            CkksParams::new(
+                format!("{}@64", p.name()),
+                64,
+                p.max_level(),
+                p.special_primes(),
+                p.dnum(),
+                p.prime_bits(),
+                p.scale_bits(),
+                p.batch_size(),
+            )
+            .expect("a paper preset's shape is valid at any degree")
+        });
+        for params in shapes.chain([CkksParams::toy(), CkksParams::test_small()]) {
+            let ctx = CkksContext::new(&params).expect("valid");
+            for level in 1..=params.max_level() {
+                let [p0, p1] = [0, 1].map(|_| {
+                    let limbs = (0..=level)
+                        .map(|i| {
+                            let q = ctx.q_mod(i).value();
+                            (0..params.n()).map(|_| rng.gen_range(0..q)).collect()
+                        })
+                        .collect();
+                    RnsPoly::from_limbs(limbs, Domain::Ntt)
+                });
+                let inline = rescale_rows(&ctx, &p0, &p1, 1);
+                assert_eq!(
+                    inline,
+                    (
+                        rescale_by_the_book(&ctx, &p0),
+                        rescale_by_the_book(&ctx, &p1)
+                    ),
+                    "{} level {level}: inline run against the reference",
+                    params.name()
+                );
+                for threads in [2, 3, 2 * level + 2] {
+                    assert_eq!(
+                        rescale_rows(&ctx, &p0, &p1, threads),
+                        inline,
+                        "{} level {level} on {threads} threads",
+                        params.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,40 +54,46 @@
 //! kernel-event stream that carries it to the cost model.
 //!
 //! **The limb-major loop.** The work is ordered by extended limb, not by
-//! digit. After the INTT of the input into pooled rows and the in-place
-//! `y`-stage of every digit, each extended limb `e` (a `q_i` or a `p_k`) is
-//! finished on its own: digit by digit, the complement row at `e` is
-//! converted into one pooled row, transformed with `e`'s plan and
-//! multiplied into both accumulators' limb `e` while it is hot (first digit
-//! writes, the rest multiply-accumulate; a digit that owns `e` multiplies
-//! the input's limb). A special limb `p_k` then goes straight on into
-//! ModDown — its two accumulator rows back to the coefficient domain and
-//! through row `k` of ModDown's `y`-stage. The live set is one row plus two
-//! accumulator limbs, each key limb is streamed exactly once, and the
-//! `D × E`-limb heap block of raised digits the literal algorithm builds
-//! (2 MB per HMULT at set B) never exists. ModDown then walks the `q`
-//! limbs the same way: convert row `i` of each accumulator, transform it,
-//! subtract-and-scale.
+//! digit. After the INTT of each input limb and its row of its digit's
+//! `y`-stage, each extended limb `e` (a `q_i` or a `p_k`) is finished on its
+//! own: digit by digit, the complement row at `e` is converted into one
+//! working row, transformed with `e`'s plan and multiplied into both
+//! accumulators' limb `e` while it is hot (first digit writes, the rest
+//! multiply-accumulate; a digit that owns `e` multiplies the input's limb).
+//! A special limb `p_k` then goes straight on into ModDown — its two
+//! accumulator rows back to the coefficient domain and through row `k` of
+//! ModDown's `y`-stage. The live set is one row plus two accumulator limbs,
+//! each key limb is streamed exactly once, and the `D × E`-limb heap block
+//! of raised digits the literal algorithm builds (2 MB per HMULT at set B)
+//! never exists. ModDown then walks the `q` limbs the same way: convert
+//! row `i` of each accumulator, transform it, subtract-and-scale.
 //!
-//! **Limb jobs across cores.** Both walks — the `E` extended limbs and
-//! ModDown's `m` `q` limbs — are loops of independent jobs: job `e` reads
-//! only shared inputs (the input, its `y`-staged coefficients, the key, the
-//! ModDown block the first walk has finished) and writes only its own
-//! limb's rows. Each walk runs under one `std::thread::scope`: the caller
-//! and up to `min(cores, jobs) − 1` helpers take jobs from one shared
-//! queue, and every result is stored at its limb index, so the output is
-//! the same at any thread count and in any claim order — the integer
-//! arithmetic of a job does not know which thread runs it, and no value
-//! is ever combined across jobs. (The in-crate test runs every preset
-//! shape at every level on 1, 2, 3 and `E` threads against the inline run
-//! and [`key_switch_literal`].) A helper that never gets a core before the
-//! jobs run out costs only its spawn. Splitting pays only above a size
-//! gate, measured on a 2-vCPU VM: a switch splits once it transforms
+//! **Three phases in one scope.** The switch is three loops of independent
+//! limb jobs, run as the phases of one `par::run_phases` call —
+//! one `std::thread::scope` per switch:
+//!
+//! 1. the `m` input limbs: copy, INTT, `y`-stage row;
+//! 2. the `E` extended limbs, as above;
+//! 3. ModDown's `m` `q` limbs of both accumulators, one job per limb and
+//!    accumulator.
+//!
+//! A job reads only shared inputs (the input, the key, the tables) and the
+//! rows earlier phases finished, and writes only its own limb's rows, into
+//! a per-limb slot the next phase reads; a phase starts once the one before
+//! it has finished. The caller and up to `min(cores, E) − 1` helpers claim
+//! the jobs in order from one counter, and every row lands at its limb's
+//! index, so the output is the same at any thread count and in any claim
+//! order — the integer arithmetic of a job does not know which thread runs
+//! it, and no value is ever combined across jobs. (The in-crate test runs
+//! every preset shape at every level on 1, 2, 3 and `E` threads against the
+//! inline run and [`key_switch_literal`].) A helper that never gets a core
+//! before the jobs run out costs only its spawn. Splitting pays only above
+//! a size gate, measured on a 2-vCPU VM: a switch splits once it transforms
 //! `2^16` words (HEAX set A's top level, set B and set C at every level)
 //! and runs inline below that ([`KeySwitchShape::threads`];
-//! `SPLIT_MIN_WORDS` cites the numbers). Finer jobs lose: a runner per
-//! `forward_batch` call (3–4 rows, about 150 µs) pays a 22–60 µs scoped
-//! spawn per call.
+//! `SPLIT_MIN_WORDS` in `par.rs` cites the numbers). Finer jobs lose: a
+//! runner per `forward_batch` call (3–4 rows, about 150 µs) pays a 22–60 µs
+//! scoped spawn per call, and so would a scope per phase.
 //! [`mod_down_batch`], the public whole-polynomial helper, runs its `q`
 //! limbs on the calling thread.
 //!
@@ -104,13 +110,12 @@
 //! to it bit for bit on random accumulators.
 
 use crate::context::{CkksContext, ModDownTable, ModUpTable};
+use crate::par::{run_phases, split_threads, Slots, Stock};
 use crate::params::CkksParams;
 use crate::poly::{Domain, RnsPoly};
 use crate::trace::{KernelEvent, Tracing};
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::thread;
+use std::sync::{Arc, Mutex, PoisonError};
 use tensorfhe_math::crt::BasisConvGemm;
 use tensorfhe_math::{scratch, Modulus};
 use tensorfhe_ntt::{BatchedGemmNtt, NttBatchOps, NttOps};
@@ -316,16 +321,12 @@ impl KeySwitchShape {
         self.digits() * self.ext_limbs() + 2 * self.special + 2 * self.limbs
     }
 
-    /// Threads [`key_switch`] runs its two limb loops on: every core (each
-    /// loop capped at its job count) once the switch transforms at least
+    /// Threads [`key_switch`] runs its three phases on: every core (capped
+    /// at the widest phase's job count) once the switch transforms at least
     /// `2^16` words, one below that (module docs).
     #[must_use]
     pub fn threads(&self) -> usize {
-        if self.ntt_rows() * self.n >= SPLIT_MIN_WORDS {
-            cores()
-        } else {
-            1
-        }
+        split_threads(self.ntt_rows() * self.n)
     }
 
     /// The kernel-event stream of one key switch: the input INTT, every
@@ -583,10 +584,11 @@ pub fn mod_down(ctx: &CkksContext, tracing: &mut Tracing<'_>, acc: &ExtPoly) -> 
 }
 
 /// Batched `ModDown` of several same-level NTT-domain accumulators, through
-/// the `q`-limb loop the key switch itself runs (module docs), on the
-/// calling thread: the special limbs are inverse-transformed in one batch
-/// per prime, then each `q` limb's converted rows are forward-transformed
-/// and the scaled subtraction happens in the NTT domain.
+/// the per-limb step the key switch's ModDown phase runs (module docs), on
+/// the calling thread: the special limbs are inverse-transformed in one
+/// batch per prime, then each `q` limb's converted rows are
+/// forward-transformed and the scaled subtraction happens in the NTT
+/// domain.
 ///
 /// Emits the ModDown part of [`key_switch_events`] for `accs.len()`
 /// accumulators, grouped by stage.
@@ -631,7 +633,17 @@ pub fn mod_down_batch(
     for y in p_rows.chunks_mut(k * n) {
         table.conv.y_stage(y, n);
     }
-    mod_down_q_limbs(ctx, &table, &mut q_parts, &p_rows, 1);
+    let ys: Vec<Vec<&[u64]>> = p_rows
+        .chunks(k * n)
+        .map(|y| y.chunks(n).collect())
+        .collect();
+    let mut row = scratch::take_dirty_u64(n);
+    for i in 0..=l {
+        for (part, y) in q_parts.iter_mut().zip(&ys) {
+            mod_down_limb(ctx, &table, i, y, &mut part[i], &mut row);
+        }
+    }
+    scratch::give_u64(row);
     scratch::give_u64(p_rows);
     KeySwitchShape::new(ctx.params(), l)
         .mod_down_events(accs.len())
@@ -642,8 +654,10 @@ pub fn mod_down_batch(
         .collect()
 }
 
-/// Rows the arithmetic really pushed through each kernel, counted where
-/// the loops run and returned by the two private routines. The unit tests
+/// Rows the arithmetic really pushed through each kernel: each
+/// extended-limb job counts its own, and the input and ModDown phases add a
+/// fixed count per job (one INTT; two conversions, NTTs and subtractions).
+/// The unit tests
 /// tie [`key_switch_events`] to it, so the costed stream cannot drift from
 /// the executed work.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -673,123 +687,20 @@ impl RowTally {
     }
 }
 
-/// ModDown's `q`-limb loop, one job per limb on `threads` threads: per
-/// accumulator, the row converted from its y-staged special block in
-/// `p_rows`, its NTT, then `(acc_i − NTT(conv_i))·P^{-1}` where `acc_i`
-/// already lives.
-fn mod_down_q_limbs(
+/// ModDown at `q` limb `i` of one accumulator: the row converted from the
+/// accumulator's y-staged special rows `y` into `row`, its NTT, then
+/// `acc ← (acc − NTT(conv))·P^{-1}`.
+fn mod_down_limb(
     ctx: &CkksContext,
     table: &ModDownTable,
-    q_parts: &mut [Vec<Vec<u64>>],
-    p_rows: &[u64],
-    threads: usize,
-) -> RowTally {
-    let n = ctx.params().n();
-    let k = ctx.params().special_primes();
-    let accs = q_parts.len();
-    // Job i owns limb i of every accumulator.
-    let mut limbs: Vec<Vec<&mut Vec<u64>>> = table
-        .p_inv_mod_q
-        .iter()
-        .map(|_| Vec::with_capacity(accs))
-        .collect();
-    for part in q_parts.iter_mut() {
-        for (job, limb) in limbs.iter_mut().zip(part.iter_mut()) {
-            job.push(limb);
-        }
-    }
-    let tallies = run_jobs(threads, limbs, |i, mut acc| {
-        let mut row = scratch::take_dirty_u64(n);
-        for (acc, y) in acc.iter_mut().zip(p_rows.chunks(k * n)) {
-            table.conv.convert_row(i, y, &mut row);
-            ctx.ntt_q(i).forward_batch(&mut [&mut row[..]]);
-            ctx.q_mod(i)
-                .sub_scale_slice(acc, &row, table.p_inv_mod_q[i]);
-        }
-        scratch::give_u64(row);
-        RowTally {
-            conv: accs,
-            ntt: accs,
-            sub: accs,
-            ..RowTally::default()
-        }
-    });
-    tallies
-        .into_iter()
-        .fold(RowTally::default(), RowTally::plus)
-}
-
-/// Fewest words a key switch transforms before its limb loops split across
-/// threads, set from `split_gate_timing` (an ignored in-crate test) on a
-/// 2-vCPU VM: one- against two-thread switches alternated round by round,
-/// the rounds grouped by whether a two-thread probe found the second vCPU
-/// free (133 rounds) or taken (145 rounds).
-///
-/// * Free: two threads lose below `2^15` words (0.62–0.91× at 9–25 K;
-///   one outlier, set B's shape at `N = 2^11` level 0, 31 K: 1.16×), break
-///   even near 36 K (1.02–1.08×), win 1.08–1.20× from 41 K to 66 K (HEAX
-///   set A's top level, `2^16` words: 1.15×, 105 of 133 rounds) and
-///   1.36–1.57× at set B (level 0, 123 K words: 133 of 133).
-/// * Taken: 0.68–0.95× below `2^15`, 0.91–0.96× from 36 K to 98 K,
-///   0.95–0.98× at set B (two level-0 shapes of 31 K and 37 K: 1.04–1.06×).
-///
-/// The gate is the round size past that crossover band: from `2^16` up
-/// every measured shape won at least 1.15× with the core free and lost at
-/// most 6 % with it taken.
-const SPLIT_MIN_WORDS: usize = 1 << 16;
-
-/// The machine's cores, read once per process.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
-/// Runs `job(i, slot_i)` once for every slot and returns the results in
-/// slot order. `threads` counts the caller: above one, `threads − 1` scoped
-/// helpers (never more than there are jobs) and the caller take `(i, slot)`
-/// pairs from one shared queue. A result depends on its index and slot
-/// alone, so the output is the same at any thread count and in any claim
-/// order, and a helper that gets no core before the jobs run out costs only
-/// its spawn.
-fn run_jobs<S: Send, T: Send>(
-    threads: usize,
-    slots: Vec<S>,
-    job: impl Fn(usize, S) -> T + Sync,
-) -> Vec<T> {
-    let workers = threads.min(slots.len());
-    if workers <= 1 {
-        return slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| job(i, slot))
-            .collect();
-    }
-    let queue = Mutex::new(slots.into_iter().enumerate());
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            // The guard drops at the end of this statement, before the job
-            // runs, so a job's panic cannot poison the queue.
-            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-            let Some((i, slot)) = next else {
-                return done;
-            };
-            done.push((i, job(i, slot)));
-        }
-    };
-    let mut done = thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let mut done = work();
-        for helper in helpers {
-            match helper.join() {
-                Ok(theirs) => done.extend(theirs),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, result)| result).collect()
+    i: usize,
+    y: &[&[u64]],
+    acc: &mut [u64],
+    row: &mut [u64],
+) {
+    table.conv.convert_row(i, y, row);
+    ctx.ntt_q(i).forward_batch(&mut [&mut *row]);
+    ctx.q_mod(i).sub_scale_slice(acc, row, table.p_inv_mod_q[i]);
 }
 
 /// Full key switch (Algorithm 1) as the limb-major loop of the module docs:
@@ -854,8 +765,9 @@ pub fn key_switch_literal(ctx: &CkksContext, d: &RnsPoly, ksk: &KsKey) -> (RnsPo
 
 /// The limb-major loop of [`key_switch`] on `threads` threads (the caller
 /// counted), returning the switched pair and the rows it pushed through
-/// each kernel: the extended-limb loop and ModDown's `q`-limb loop run as
-/// jobs through [`run_jobs`], the rest on the calling thread.
+/// each kernel: three phases of limb jobs under one [`run_phases`] scope —
+/// the input's limbs, the extended limbs, ModDown's `q` limbs — each job
+/// handing its rows to the next phase through [`Slots`].
 fn key_switch_rows(
     ctx: &CkksContext,
     shape: &KeySwitchShape,
@@ -864,113 +776,145 @@ fn key_switch_rows(
     threads: usize,
 ) -> ((RnsPoly, RnsPoly), RowTally) {
     let n = ctx.params().n();
-    let (m, k, digits) = (shape.limbs(), shape.special(), shape.digits());
+    let (m, ext, digits) = (shape.limbs(), shape.ext_limbs(), shape.digits());
     let level = m - 1;
     assert_eq!(BasisConvGemm::y_stride(n), n, "N is whole column blocks");
     // One cache lookup per table per switch, not per digit use.
     let modup: Vec<Arc<ModUpTable>> = (0..digits).map(|j| ctx.modup_table(j, level)).collect();
     let moddown = ctx.moddown_table(level);
-    let mut tally = RowTally::default();
+    let k = shape.special();
+    // The input's y-staged coefficients and the special limbs of both
+    // accumulators live in one pooled block (m rows, then 2K); the `q`
+    // limbs of both accumulators in rows allocated here, which become the
+    // switched pair's own.
+    let mut block = scratch::take_dirty_u64((m + 2 * k) * n);
+    let (pair, tally) = {
+        let block_rows = Stock::new(block.chunks_mut(n).collect());
+        let own_rows = Stock::new((0..2 * m).map(|_| Vec::with_capacity(n)).collect());
+        // Per input limb its coefficients; per special limb both
+        // accumulators' rows, back in the coefficient domain and through
+        // ModDown's y-stage; per `q` limb both accumulators' rows, which
+        // ModDown rewrites in place. Each with the rows its job pushed
+        // through each kernel.
+        let coeff: Slots<&[u64]> = Slots::new(m);
+        let special: Slots<([&[u64]; 2], RowTally)> = Slots::new(k);
+        let own: Slots<([Mutex<Vec<u64>>; 2], RowTally)> = Slots::new(m);
 
-    // Dcomp: the input's coefficient form in pooled rows, one INTT per
-    // limb; then each digit's y-stage, once, in place on the rows it owns.
-    let mut coeff = scratch::take_dirty_u64(m * n);
-    for (i, (limb, row)) in d.limbs().iter().zip(coeff.chunks_mut(n)).enumerate() {
-        row.copy_from_slice(limb);
-        ctx.ntt_q(i).inverse_batch(&mut [row]);
-        tally.intt += 1;
-    }
-    for t in &modup {
-        t.conv
-            .y_stage(&mut coeff[t.src_start * n..t.src_end * n], n);
-    }
-
-    // The special limbs of both accumulators live in a pooled block ModDown
-    // reads (K rows of c0's, then K rows of c1's); job `m + kk` owns row kk
-    // of each. A `q` limb's job returns its two rows, which become the
-    // result's own allocations.
-    let mut acc_p = scratch::take_dirty_u64(2 * k * n);
-    let (p0, p1) = acc_p.split_at_mut(k * n);
-    let slots = (0..m)
-        .map(|_| None)
-        .chain(p0.chunks_mut(n).zip(p1.chunks_mut(n)).map(Some))
-        .collect();
-    let ext_job = |e: usize, p_rows: Option<(&mut [u64], &mut [u64])>| {
-        let (modulus, plan) = ext_prime(ctx, m, e);
-        let mut tally = RowTally::default();
-        // Digit by digit at limb e: a digit that owns e reads the input's
-        // NTT-domain limb itself; any other converts its complement row
-        // into `row` and transforms it with e's plan. Both accumulators
+        // Dcomp: input limb i back to the coefficient domain, then through
+        // row `i − src_start` of its digit's y-stage.
+        let input_job = |i: usize| {
+            let t = &modup[i / shape.alpha];
+            let row = block_rows.take();
+            row.copy_from_slice(d.limb(i));
+            ctx.ntt_q(i).inverse_batch(&mut [&mut *row]);
+            t.conv.y_stage_row(i - t.src_start, row);
+            coeff.put(i, row);
+        };
+        // Digit by digit at extended limb e: a digit that owns e reads the
+        // input's NTT-domain limb itself; any other converts its complement
+        // row into `row` and transforms it with e's plan. Both accumulators
         // take the product while the row is hot: the first digit writes
-        // them, the rest add to them.
-        let mut row = scratch::take_dirty_u64(n);
-        let (mut own, mut acc) = (None, p_rows);
-        for (j, (t, key)) in modup.iter().zip(&ksk.digits).enumerate() {
-            let x = match t.target_index(e) {
-                None => d.limb(e),
-                Some(target) => {
-                    let y = &coeff[t.src_start * n..t.src_end * n];
-                    t.conv.convert_row(target, y, &mut row);
-                    plan.forward_batch(&mut [&mut row[..]]);
-                    tally.conv += 1;
-                    tally.ntt += 1;
-                    &row[..]
-                }
-            };
-            let (kb, ka) = (ext_limb(&key.b, m, e), ext_limb(&key.a, m, e));
-            match &mut acc {
-                None => {
-                    let (c0, c1) =
-                        own.insert((modulus.mul_to_vec(x, kb), modulus.mul_to_vec(x, ka)));
-                    acc = Some((c0, c1));
-                }
-                Some((a0, a1)) if j == 0 => {
-                    for (a, key) in [(&mut **a0, kb), (&mut **a1, ka)] {
-                        a.copy_from_slice(x);
-                        modulus.mul_slice(a, key);
+        // them, the rest add to them. A special limb then goes on into
+        // ModDown while it is hot: back to the coefficient domain, then its
+        // row of the y-stage.
+        let ext_job = |e: usize| {
+            let (modulus, plan) = ext_prime(ctx, m, e);
+            let mut tally = RowTally::default();
+            let mut row = scratch::take_dirty_u64(n);
+            let mut q_accs: [Vec<u64>; 2] = Default::default();
+            let mut p_accs: [&mut [u64]; 2] = Default::default();
+            for (j, (t, key)) in modup.iter().zip(&ksk.digits).enumerate() {
+                let x = match t.target_index(e) {
+                    None => d.limb(e),
+                    Some(target) => {
+                        let y: Vec<&[u64]> =
+                            (t.src_start..t.src_end).map(|i| *coeff.get(i)).collect();
+                        t.conv.convert_row(target, &y, &mut row);
+                        plan.forward_batch(&mut [&mut row[..]]);
+                        tally.conv += 1;
+                        tally.ntt += 1;
+                        &row[..]
+                    }
+                };
+                let keys = [ext_limb(&key.b, m, e), ext_limb(&key.a, m, e)];
+                for (c, key) in keys.into_iter().enumerate() {
+                    match (j, e < m) {
+                        (0, true) => {
+                            q_accs[c] = own_rows.take();
+                            modulus.mul_extend(&mut q_accs[c], x, key);
+                        }
+                        (0, false) => {
+                            p_accs[c] = block_rows.take();
+                            p_accs[c].copy_from_slice(x);
+                            modulus.mul_slice(p_accs[c], key);
+                        }
+                        (_, true) => modulus.mul_acc_slice(&mut q_accs[c], x, key),
+                        (_, false) => modulus.mul_acc_slice(p_accs[c], x, key),
                     }
                 }
-                Some((a0, a1)) => {
-                    modulus.mul_acc_slice(a0, x, kb);
-                    modulus.mul_acc_slice(a1, x, ka);
+            }
+            tally.mac += 2 * digits;
+            scratch::give_u64(row);
+            match e.checked_sub(m) {
+                None => own.put(e, (q_accs.map(Mutex::new), tally)),
+                Some(kk) => {
+                    plan.inverse_batch(&mut p_accs);
+                    tally.intt += 2;
+                    for a in &mut p_accs {
+                        moddown.conv.y_stage_row(kk, a);
+                    }
+                    special.put(kk, (p_accs.map(|a| &*a), tally));
                 }
             }
-        }
-        tally.mac += 2 * digits;
-        scratch::give_u64(row);
+        };
+        // ModDown at `q` limb i / 2 of accumulator i % 2, in place, from its
+        // y-staged special rows.
+        let down_job = |i: usize| {
+            let y: Vec<&[u64]> = (0..k).map(|kk| special.get(kk).0[i % 2]).collect();
+            let mut row = scratch::take_dirty_u64(n);
+            let mut acc = own.get(i / 2).0[i % 2]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            mod_down_limb(ctx, &moddown, i / 2, &y, &mut acc, &mut row);
+            scratch::give_u64(row);
+        };
+        run_phases(threads, &[m, ext, 2 * m], |phase, i| match phase {
+            0 => input_job(i),
+            1 => ext_job(i),
+            _ => down_job(i),
+        });
 
-        // A special limb goes on into ModDown while it is hot: back to the
-        // coefficient domain, then its row of the y-stage.
-        if let (Some(kk), Some((a0, a1))) = (e.checked_sub(m), acc) {
-            plan.inverse_batch(&mut [&mut *a0, &mut *a1]);
-            tally.intt += 2;
-            moddown.conv.y_stage_row(kk, a0);
-            moddown.conv.y_stage_row(kk, a1);
+        let mut tally = RowTally {
+            intt: m,
+            conv: 2 * m,
+            ntt: 2 * m,
+            sub: 2 * m,
+            ..RowTally::default()
+        };
+        for (_, job) in special.into_vec() {
+            tally = tally.plus(job);
         }
-        (own, tally)
+        let (mut c0, mut c1) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        for ([a0, a1], job) in own.into_vec() {
+            tally = tally.plus(job);
+            c0.push(a0.into_inner().unwrap_or_else(PoisonError::into_inner));
+            c1.push(a1.into_inner().unwrap_or_else(PoisonError::into_inner));
+        }
+        let pair = (
+            RnsPoly::from_limbs(c0, Domain::Ntt),
+            RnsPoly::from_limbs(c1, Domain::Ntt),
+        );
+        (pair, tally)
     };
-    let limbs = run_jobs(threads, slots, ext_job);
-    scratch::give_u64(coeff);
-
-    let mut acc_q = [Vec::with_capacity(m), Vec::with_capacity(m)];
-    for (own, limb) in limbs {
-        tally = tally.plus(limb);
-        if let Some((c0, c1)) = own {
-            acc_q[0].push(c0);
-            acc_q[1].push(c1);
-        }
-    }
-    // Both accumulators ModDown together (two rows per modulus).
-    let down = mod_down_q_limbs(ctx, &moddown, &mut acc_q, &acc_p, threads);
-    scratch::give_u64(acc_p);
-    let [c0, c1] = acc_q.map(|limbs| RnsPoly::from_limbs(limbs, Domain::Ntt));
-    ((c0, c1), tally.plus(down))
+    scratch::give_u64(block);
+    (pair, tally)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::CkksParams;
+    use std::thread;
     use tensorfhe_math::crt::RnsBasis;
 
     fn ctx() -> CkksContext {
@@ -1213,6 +1157,7 @@ mod tests {
     /// Two threads' throughput on an ALU loop over one thread's: 2.0 when a
     /// second core is free, 1.0 when it is taken.
     fn two_thread_scaling() -> f64 {
+        // lint: time-ok (a timing probe in a test, never on a result path)
         use std::time::Instant;
         let spin = || {
             let mut x = 0x9e37_79b9_7f4a_7c15_u64;
@@ -1221,9 +1166,11 @@ mod tests {
             }
             std::hint::black_box(x)
         };
+        // lint: time-ok (a timing probe in a test, never on a result path)
         let t = Instant::now();
         spin();
         let one = t.elapsed().as_secs_f64();
+        // lint: time-ok (a timing probe in a test, never on a result path)
         let t = Instant::now();
         thread::scope(|s| {
             s.spawn(spin);
@@ -1236,14 +1183,17 @@ mod tests {
     #[ignore = "timing probe: cargo test --release -p tensorfhe-ckks --lib split_gate -- --ignored --nocapture"]
     fn split_gate_timing() {
         // The measurement behind SPLIT_MIN_WORDS. Each round times every
-        // shape once on one thread and once on two, after a two-thread
+        // case once on one thread and once on two, after a two-thread
         // scaling probe; rounds are grouped by the probe (second core free
-        // at >= 1.8, taken at <= 1.2), and each group reports per shape the
+        // at >= 1.8, taken at <= 1.2), and each group reports per case the
         // median one- and two-thread times and how often two threads won.
-        // HEAX set B's shape also runs at N = 2^10 and 2^11 to fill in the
-        // small sizes.
+        // The cases are the key switch at HEAX sets A and B and
+        // `test_small`, and RESCALE at sets A and B, every level; set B's
+        // shape also runs at N = 2^10 and 2^11 to fill in the small sizes.
+        use crate::eval::rescale_rows;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        // lint: time-ok (a timing probe in a test, never on a result path)
         use std::time::Instant;
         let mut rng = StdRng::seed_from_u64(41);
         let scaled_b = [10, 11].map(|log_n| {
@@ -1280,20 +1230,39 @@ mod tests {
                 (params, c, key)
             })
             .collect();
-        let cases: Vec<_> = setups
-            .iter()
-            .flat_map(|(params, c, key)| {
-                (0..=params.max_level()).map(move |level| (params, c, key, level))
-            })
-            .map(|(params, c, key, level)| {
-                let d = RnsPoly::from_limbs(random_ext(c, &mut rng, level).q_limbs, Domain::Ntt);
-                (params, c, key, KeySwitchShape::new(params, level), d)
-            })
-            .collect();
-        let time = |(_, c, key, shape, d): &(_, &CkksContext, &KsKey, KeySwitchShape, RnsPoly),
-                    threads| {
+        // Per case: its label, the words it transforms, and the operation
+        // on a given thread count.
+        type Case<'a> = (String, usize, Box<dyn Fn(usize) + 'a>);
+        let mut cases: Vec<Case<'_>> = Vec::new();
+        for (params, c, key) in &setups {
+            for level in 0..=params.max_level() {
+                let mut poly =
+                    || RnsPoly::from_limbs(random_ext(c, &mut rng, level).q_limbs, Domain::Ntt);
+                let shape = KeySwitchShape::new(params, level);
+                let d = poly();
+                cases.push((
+                    format!("{} keyswitch {level}", params.name()),
+                    shape.ntt_rows() * shape.n,
+                    Box::new(move |threads| {
+                        std::hint::black_box(key_switch_rows(c, &shape, &d, key, threads));
+                    }),
+                ));
+                if level > 0 && params.name() != CkksParams::test_small().name() {
+                    let (p0, p1) = (poly(), poly());
+                    cases.push((
+                        format!("{} rescale {level}", params.name()),
+                        (2 + 2 * level) * params.n(),
+                        Box::new(move |threads| {
+                            std::hint::black_box(rescale_rows(c, &p0, &p1, threads));
+                        }),
+                    ));
+                }
+            }
+        }
+        let time = |case: &Case<'_>, threads| {
+            // lint: time-ok (a timing probe in a test, never on a result path)
             let t = Instant::now();
-            std::hint::black_box(key_switch_rows(c, shape, d, key, threads));
+            (case.2)(threads);
             t.elapsed().as_secs_f64() * 1e6
         };
         // Per round: the probe, then per case (one-thread, two-thread) µs.
@@ -1320,16 +1289,13 @@ mod tests {
             if kept.is_empty() {
                 continue;
             }
-            println!("shape level words t1_us t2_us t1/t2 t2_wins");
-            for (i, (params, _, _, shape, _)) in cases.iter().enumerate() {
+            println!("shape op level words t1_us t2_us t1/t2 t2_wins");
+            for (i, (label, words, _)) in cases.iter().enumerate() {
                 let t1 = median(kept.iter().map(|r| r.1[i].0).collect());
                 let t2 = median(kept.iter().map(|r| r.1[i].1).collect());
                 let wins = kept.iter().filter(|r| r.1[i].1 < r.1[i].0).count();
                 println!(
-                    "{} {} {} {t1:.0} {t2:.0} {:.2} {wins}/{}",
-                    params.name(),
-                    shape.limbs() - 1,
-                    shape.ntt_rows() * shape.n,
+                    "{label} {words} {t1:.0} {t2:.0} {:.2} {wins}/{}",
                     t1 / t2,
                     kept.len()
                 );

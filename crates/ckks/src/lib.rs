@@ -60,6 +60,7 @@ pub mod error;
 pub mod eval;
 pub mod keys;
 pub mod keyswitch;
+mod par;
 pub mod params;
 pub mod poly;
 pub mod trace;

@@ -85,9 +85,10 @@ fn gemm_matches_scalar_for_all_paper_conversion_shapes() {
             y_row[..width].copy_from_slice(row);
         }
         gemm.y_stage(&mut y, width);
+        let y_rows: Vec<&[u64]> = y.chunks(stride).collect();
         for (j, want) in block.iter().enumerate().rev() {
             let mut got = vec![0u64; width];
-            gemm.convert_row(j, &y, &mut got);
+            gemm.convert_row(j, &y_rows, &mut got);
             assert_eq!(&got, want, "shape ({l_src} → {l_dst}), row {j}");
         }
     }

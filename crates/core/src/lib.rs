@@ -264,15 +264,20 @@
 //!   admission mode (`TENSORFHE_ADMISSION`) change wall-clock overlap,
 //!   never result bits — enforced by the determinism/pipeline/ooo test
 //!   suites over the workers × depth × admission grid.
-//! * **Bit-identity across host threads in the key switch.** Above its
-//!   size gate, `tensorfhe_ckks::keyswitch::key_switch` splits its
-//!   extended-limb loop and ModDown's `q`-limb loop across every core
-//!   under `std::thread::scope`. Each job writes only its own limb and
-//!   every result is stored by limb index, so ciphertext bits do not
-//!   depend on the core count or the claim order — enforced by the
-//!   `ckks` key-switch test that runs every preset shape at every level on
-//!   1, 2, 3 and one-per-limb threads, and by the `ct_digest` the e2e
-//!   harness prints for both `eval_*` workloads, which CI greps.
+//! * **Bit-identity across host threads in the key switch and RESCALE.**
+//!   Above one size gate (`2^16` transformed words),
+//!   `tensorfhe_ckks::keyswitch::key_switch` runs its three limb loops
+//!   (the input's INTT, the extended limbs, ModDown's `q` limbs) and
+//!   `Evaluator::rescale` its two (the top limbs' INTT, the lifted rows)
+//!   as phases of one `std::thread::scope` across every core. Each job
+//!   writes only its own limb's rows and every row is stored by limb
+//!   index, so ciphertext bits do not depend on the core count or the
+//!   claim order — enforced by the `ckks` tests that run every preset
+//!   shape at every level on 1, 2, 3 and one-per-job threads (the key
+//!   switch against the reference composition, RESCALE against a
+//!   coefficient-domain division), and by the `ct_digest` the e2e harness
+//!   prints for both `eval_*` workloads, which CI greps on all cores and
+//!   under `taskset -c 0`.
 //! * **Schedule structure.** The [`sched::Scheduler`] records a
 //!   [`sched::BatchRecord`] trace (admission/join ticks, window
 //!   membership, gang placements, upload charges) that

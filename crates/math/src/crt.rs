@@ -674,50 +674,53 @@ impl BasisConvGemm {
         }
     }
 
-    /// Target limb `j` of the conversion from a block that has been through
-    /// [`BasisConvGemm::y_stage`]: `out[c] = Σ_i y[i][c]·(q̂_i mod p_j)
-    /// mod p_j`, canonical, for `c < out.len()` (see the type docs for the
-    /// kernel and the single-limb bodies).
+    /// Target limb `j` of the conversion from source rows that have been
+    /// through [`BasisConvGemm::y_stage`] (or [`BasisConvGemm::y_stage_row`]
+    /// one by one): `out[c] = Σ_i y[i][c]·(q̂_i mod p_j) mod p_j`,
+    /// canonical, for `c < out.len()` (see the type docs for the kernel and
+    /// the single-limb bodies). The rows need not be contiguous.
     ///
     /// # Panics
     ///
     /// Panics if `j` is not a target limb or `y` is not `L_src` rows of
-    /// `y_stride(out.len())`.
-    pub fn convert_row(&self, j: usize, y: &[u64], out: &mut [u64]) {
-        let width = out.len();
-        let stride = Self::y_stride(width);
-        assert_eq!(y.len(), self.l_src() * stride, "y block shape mismatch");
+    /// `y_stride(out.len())` words each.
+    pub fn convert_row(&self, j: usize, y: &[&[u64]], out: &mut [u64]) {
+        let stride = Self::y_stride(out.len());
+        assert_eq!(y.len(), self.l_src(), "source limb count mismatch");
+        for y_row in y {
+            assert_eq!(y_row.len(), stride, "y row length mismatch");
+        }
         let row = &self.rows[j];
         match row.body {
             RowBody::Csub => {
-                for (o, &x) in out.iter_mut().zip(y) {
+                for (o, &x) in out.iter_mut().zip(y[0]) {
                     debug_assert!(x < 2 * row.p, "source residue not reduced");
                     *o = csub(x, row.p);
                 }
             }
             RowBody::Reduce => {
                 let p = &self.table.dst_moduli[j];
-                for (o, &x) in out.iter_mut().zip(y) {
+                for (o, &x) in out.iter_mut().zip(y[0]) {
                     *o = p.reduce(x);
                 }
             }
-            RowBody::Fold => self.fold_row(row, y, stride, out),
+            RowBody::Fold => self.fold_row(row, y, out),
         }
     }
 
     /// The fold-and-reduce kernel over one target row (type docs).
-    fn fold_row(&self, row: &ConvRow, y: &[u64], stride: usize, out: &mut [u64]) {
+    fn fold_row(&self, row: &ConvRow, y: &[&[u64]], out: &mut [u64]) {
         let width = out.len();
         let two_p = 2 * row.p;
         // The accumulators of a column block never leave registers.
         for start in (0..width).step_by(CONV_LANES) {
             let mut acc = [0u64; CONV_LANES];
-            for (chunk, consts) in row.consts.chunks(self.fold).enumerate() {
+            for (consts, rows) in row.consts.chunks(self.fold).zip(y.chunks(self.fold)) {
                 let mut t = [0u64; CONV_LANES];
-                for (i, &m) in consts.iter().enumerate() {
-                    let at = (chunk * self.fold + i) * stride + start;
-                    let yi: &[u64; CONV_LANES] =
-                        y[at..at + CONV_LANES].try_into().expect("padded block");
+                for (&m, y_row) in consts.iter().zip(rows) {
+                    let yi: &[u64; CONV_LANES] = y_row[start..start + CONV_LANES]
+                        .try_into()
+                        .expect("padded block");
                     for (t, &yv) in t.iter_mut().zip(yi) {
                         *t += (m & LO32) * (yv & LO32);
                     }
@@ -756,10 +759,10 @@ impl BasisConvGemm {
             assert_eq!(out.len(), width, "ragged target block");
         }
         let stride = Self::y_stride(width);
-        if let ([x], true) = (src_rows, stride == width) {
+        if let ([_], true) = (src_rows, stride == width) {
             // Single-limb plan, whole column blocks: y is x where it lies.
             for (j, out) in out_rows.iter_mut().enumerate() {
-                self.convert_row(j, x, out);
+                self.convert_row(j, src_rows, out);
             }
             return;
         }
@@ -772,8 +775,11 @@ impl BasisConvGemm {
             y_row[..width].copy_from_slice(row);
         }
         self.y_stage(&mut y, width);
+        let y_rows: Vec<&[u64]> = (0..self.l_src())
+            .map(|i| &y[i * stride..(i + 1) * stride])
+            .collect();
         for (j, out) in out_rows.iter_mut().enumerate() {
-            self.convert_row(j, &y, out);
+            self.convert_row(j, &y_rows, out);
         }
         scratch::give_u64(y);
     }
@@ -994,16 +1000,19 @@ mod tests {
             gemm.convert_block(&views),
             "{what}: the two entry points"
         );
-        // The row entry point on a caller-owned y block.
+        // The row entry point on caller-owned y rows, each its own
+        // allocation.
         let stride = BasisConvGemm::y_stride(width);
         let mut y = vec![u64::MAX; gemm.l_src() * stride];
         for (row, y_row) in src_rows.iter().zip(y.chunks_mut(stride)) {
             y_row[..width].copy_from_slice(row);
         }
         gemm.y_stage(&mut y, width);
+        let y_rows: Vec<Vec<u64>> = y.chunks(stride).map(<[u64]>::to_vec).collect();
+        let y_rows: Vec<&[u64]> = y_rows.iter().map(Vec::as_slice).collect();
         for (j, want) in block.iter().enumerate() {
             let mut got = vec![0u64; width];
-            gemm.convert_row(j, &y, &mut got);
+            gemm.convert_row(j, &y_rows, &mut got);
             assert_eq!(&got, want, "{what}: row entry point, target limb {j}");
         }
         for c in 0..width {

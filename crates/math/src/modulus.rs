@@ -347,17 +347,27 @@ impl Modulus {
     /// Panics if the slices differ in length.
     #[must_use]
     pub fn mul_to_vec(&self, x: &[u64], y: &[u64]) -> Vec<u64> {
+        let mut out = Vec::with_capacity(x.len());
+        self.mul_extend(&mut out, x, y);
+        out
+    }
+
+    /// Appends `x[i]·y[i] mod q` to `out` — [`Modulus::mul_to_vec`] into a
+    /// vector the caller already holds. Operands must be reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn mul_extend(&self, out: &mut Vec<u64>, x: &[u64], y: &[u64]) {
         assert_eq!(x.len(), y.len(), "slice length mismatch");
         let pairs = x.iter().zip(y);
         if self.is_word_size() {
-            pairs
-                .map(|(&xv, &yv)| {
-                    debug_assert!(xv < self.q && yv < self.q);
-                    self.reduce_word((xv & LO32) * (yv & LO32))
-                })
-                .collect()
+            out.extend(pairs.map(|(&xv, &yv)| {
+                debug_assert!(xv < self.q && yv < self.q);
+                self.reduce_word((xv & LO32) * (yv & LO32))
+            }));
         } else {
-            pairs.map(|(&xv, &yv)| self.mul(xv, yv)).collect()
+            out.extend(pairs.map(|(&xv, &yv)| self.mul(xv, yv)));
         }
     }
 
