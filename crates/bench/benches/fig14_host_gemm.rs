@@ -1,67 +1,98 @@
-//! Figure 14 (host GEMM) — the cache-blocked Montgomery fast kernels vs
-//! the Barrett scalar reference, behind the executor seam.
+//! Figure 14 (host GEMM) — the fused Montgomery NTT against the Barrett
+//! reference NTT, timed where the two kernels meet.
 //!
-//! Drives a host-backend [`Pool`] directly with a repeated `HMult`
-//! batch stream at the paper-scale HEAX set-A preset (`N = 2^12`), with
-//! the real-row cap raised so the batched-NTT and basis-conversion GEMMs
-//! dominate wall-clock, and compares:
+//! The rows are the NTT events of one HMULT at the paper-scale HEAX set-A
+//! preset (`N = 2^12`) at its top level, as [`schedule_events`] lists
+//! them: `limbs × WIDTH` rows per event, at the 28-bit prime the host
+//! executor transforms, forward or inverse as the event says. The same
+//! rows run through the four-step plan's own batch path
+//! (`forward_batch`/`inverse_batch`, the fused Montgomery GEMMs on SIMD
+//! register tiles) and through `BatchedGemmNtt::reference_batch` (the
+//! five-stage Barrett wide pipeline), on one thread, back to back in each
+//! trial ([`paired_secs`]). Two properties are pinned:
 //!
-//! * **host-scalar, 1 worker** — the Barrett schoolbook baseline, and
-//! * **host-parallel, all workers** — register-tiled lazy-reduction
-//!   Montgomery kernels sharded across the device worker threads.
+//! * **Bit-identity** — both kernels give the same output on every
+//!   event's rows.
+//! * **Speedup** — the fused kernel must beat the Barrett reference by
+//!   ≥ 2×. The ratio is emitted as `host_fast_vs_scalar` whenever the
+//!   per-trial ratios' spread stays within [`MAX_SPREAD`]; that key is
+//!   pinned in `BENCH_baseline.json` and gated under `check_regression`'s
+//!   `host_` tolerance class (missing = skipped, so a noisy run never
+//!   fails the gate). A one-thread ratio needs no second core.
 //!
-//! Three properties are pinned:
-//!
-//! * **Bit-identity of the real arithmetic** — the two flavours' real-work
-//!   checksums must match exactly (the Montgomery kernels are bit-identical
-//!   to Barrett; the cross-backend suite proves it per kernel, this bench
-//!   re-proves it end-to-end at paper scale).
-//! * **Bit-identity of the reports** — a service drain on either host
-//!   backend must reproduce the simulated backend's reports bit-for-bit.
-//! * **Speedup** — fast × parallel must beat the scalar baseline by ≥ 2×
-//!   on a multi-core runner (skipped on single-core CI boxes, where only
-//!   the kernel-level win is available; the measured ratio is emitted
-//!   either way).
-//!
-//! # Wall-clock trajectory and the variance guard
-//!
-//! Host wall-clock points are noisy, so each flavour is timed as a
-//! **median of N trials** (N = 5 full, 3 smoke) with a relative-spread
-//! guard: `(max − min) / median` must stay ≤ [`MAX_SPREAD`] for the run
-//! to count as quiet. Raw medians (`host_scalar_ms`, `host_fast_ms`,
-//! `host_speedup`, `host_fast_ntt_rows_per_s`) are always emitted for the
-//! trajectory but never pinned. The *ratio* `host_fast_vs_scalar` is
-//! emitted **only** when both flavours pass the variance guard on a
-//! multi-core host — that is the one host wall-clock key pinned in
-//! `BENCH_baseline.json`, and `check_regression` gates it under the
-//! looser `host_` tolerance class (missing = skipped, so quiet-guard
-//! trips and single-core boxes never fail the gate).
+//! A trajectory point rides along, never pinned: a repeated HMULT batch
+//! stream through a host-parallel [`Pool`] with one worker per device and
+//! the real-row cap raised so the GEMMs dominate (`host_fast_ms`,
+//! `host_fast_ntt_rows_per_s`, median of the trials). A service drain on
+//! that backend must also reproduce the simulated backend's reports
+//! bit-for-bit.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
+use tensorfhe_bench::timing::{median_spread, paired_secs, MAX_SPREAD};
 use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::{CkksParams, KernelEvent};
 use tensorfhe_core::api::{schedule_events, FheOp, TensorFhe};
 use tensorfhe_core::service::FheRequest;
 use tensorfhe_core::{EngineConfig, ExecBackend, ExecBatch, HostWorkStats, Pool, Variant};
+use tensorfhe_math::prime::generate_ntt_primes;
+use tensorfhe_ntt::{BatchedGemmNtt, NttAlgorithm, NttBatchOps, PlanCache};
 
 const DEVICES: usize = 2;
 
-/// Maximum relative spread `(max − min) / median` across timing trials for
-/// a run to count as quiet enough to gate on.
-const MAX_SPREAD: f64 = 0.3;
+/// HMULT instances whose NTT rows the kernel comparison transforms.
+const WIDTH: usize = 2;
 
-/// Drives `iters` paper-scale HMult batches through a host executor and
-/// returns (wall ms, real-work counters).
-fn run(
-    params: &CkksParams,
-    backend: ExecBackend,
-    workers: usize,
-    rows_cap: usize,
-    iters: usize,
-) -> (f64, HostWorkStats) {
+/// One NTT event's rows: its plan, direction and `limbs × WIDTH` rows.
+struct EventRows {
+    plan: Arc<BatchedGemmNtt>,
+    inverse: bool,
+    rows: Vec<Vec<u64>>,
+}
+
+impl EventRows {
+    /// Transforms the rows once, through the fused kernel or the reference.
+    fn run(&mut self, reference: bool) {
+        let mut views: Vec<&mut [u64]> = self.rows.iter_mut().map(Vec::as_mut_slice).collect();
+        match (reference, self.inverse) {
+            (true, inverse) => self.plan.reference_batch(&mut views, inverse),
+            (false, false) => self.plan.forward_batch(&mut views),
+            (false, true) => self.plan.inverse_batch(&mut views),
+        }
+    }
+}
+
+/// The NTT events of one HMULT at the top level, as seeded rows.
+fn hmult_ntt_rows(params: &CkksParams) -> Vec<EventRows> {
+    let mut rng = StdRng::seed_from_u64(14);
+    schedule_events(params, FheOp::HMult, params.max_level())
+        .into_iter()
+        .filter_map(|ev| match ev {
+            KernelEvent::Ntt { n, limbs, inverse } => {
+                let q = generate_ntt_primes(1, 28, n as u64)[0];
+                let rows = (0..limbs * WIDTH)
+                    .map(|_| (0..n).map(|_| rng.gen_range(0..q)).collect())
+                    .collect();
+                let plan = PlanCache::global().get(n, q, NttAlgorithm::FourStep);
+                Some(EventRows {
+                    plan,
+                    inverse,
+                    rows,
+                })
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Drives `iters` paper-scale HMult batches through a host-parallel pool
+/// and returns (wall ms, real-work counters).
+fn pool_run(params: &CkksParams, rows_cap: usize, iters: usize) -> (f64, HostWorkStats) {
     let cfg = EngineConfig::a100(Variant::TensorCore);
-    let mut ex = Pool::new(&cfg, DEVICES, workers, backend, rows_cap).expect("valid pool");
+    let backend = ExecBackend::HostParallel;
+    let mut ex = Pool::new(&cfg, DEVICES, DEVICES, backend, rows_cap).expect("valid pool");
     let events: Arc<[KernelEvent]> =
         schedule_events(params, FheOp::HMult, params.max_level()).into();
     let t0 = Instant::now();
@@ -77,38 +108,7 @@ fn run(
     (ms, ex.host_work().expect("host backend"))
 }
 
-/// Repeats a timed run `trials` times; returns the median wall-clock, the
-/// relative spread `(max − min) / median`, and the (trial-invariant)
-/// real-work counters.
-fn median_run(
-    trials: usize,
-    params: &CkksParams,
-    backend: ExecBackend,
-    workers: usize,
-    rows_cap: usize,
-    iters: usize,
-) -> (f64, f64, HostWorkStats) {
-    let mut samples = Vec::with_capacity(trials);
-    let mut work = None;
-    for _ in 0..trials {
-        let (ms, w) = run(params, backend, workers, rows_cap, iters);
-        if let Some(prev) = work {
-            assert_eq!(
-                prev, w,
-                "real-work counters must be identical across timing trials"
-            );
-        }
-        work = Some(w);
-        samples.push(ms);
-    }
-    samples.sort_by(f64::total_cmp);
-    let median = samples[samples.len() / 2];
-    let spread = (samples[samples.len() - 1] - samples[0]) / median;
-    (median, spread, work.expect("at least one trial"))
-}
-
-/// Service-level drain: reports on a host backend must be bit-identical
-/// to the simulated backend.
+/// Service-level drain: reports on `backend` as raw bits.
 fn drain_bits(params: &CkksParams, backend: ExecBackend) -> Vec<u64> {
     let mut svc = TensorFhe::builder(params)
         .devices(DEVICES)
@@ -141,94 +141,90 @@ fn drain_bits(params: &CkksParams, backend: ExecBackend) -> Vec<u64> {
 
 fn main() {
     let params = CkksParams::heax_set_a();
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let (rows_cap, iters, trials) = if report::smoke() {
-        (16, 2, 3)
+    let (trials, reps, rows_cap, iters) = if report::smoke() {
+        (5, (40, 4), 16, 2)
     } else {
-        (64, 4, 5)
+        (9, (80, 8), 64, 4)
     };
 
-    // End-to-end report bit-identity across the backend seam.
-    let want = drain_bits(&params, ExecBackend::Sim);
-    for backend in [ExecBackend::HostParallel, ExecBackend::HostScalar] {
-        assert_eq!(
-            drain_bits(&params, backend),
-            want,
-            "{backend:?} drain must be bit-identical to the simulated backend"
-        );
-    }
-
-    let (scalar_ms, scalar_spread, scalar_work) =
-        median_run(trials, &params, ExecBackend::HostScalar, 1, rows_cap, iters);
-    let (fast_ms, fast_spread, fast_work) = median_run(
-        trials,
-        &params,
-        ExecBackend::HostParallel,
-        DEVICES,
-        rows_cap,
-        iters,
-    );
     assert_eq!(
-        fast_work, scalar_work,
-        "fast and scalar kernels must execute identical work with \
-         bit-identical residues"
+        drain_bits(&params, ExecBackend::HostParallel),
+        drain_bits(&params, ExecBackend::Sim),
+        "the host-parallel drain must be bit-identical to the simulated backend"
     );
-    let speedup = scalar_ms / fast_ms;
-    let quiet = scalar_spread <= MAX_SPREAD && fast_spread <= MAX_SPREAD;
-    let ntt_rows_per_s = |work: HostWorkStats, ms: f64| work.ntt_rows as f64 / (ms * 1e-3);
 
-    // The acceptance claim needs real parallel hardware; single-core CI
-    // boxes still exercise everything above and emit the measured ratio.
-    if cores >= 2 {
-        assert!(
-            speedup >= 2.0,
-            "fast Montgomery kernels across {DEVICES} workers must be ≥2× the \
-             scalar single-worker baseline on a {cores}-core host, got {speedup:.2}×"
+    // The kernel pair: bit-equal on every event's rows, then timed back to
+    // back in each trial.
+    let mut fused = hmult_ntt_rows(&params);
+    let mut barrett = hmult_ntt_rows(&params);
+    for (f, b) in fused.iter_mut().zip(&mut barrett) {
+        f.run(false);
+        b.run(true);
+        assert_eq!(
+            f.rows, b.rows,
+            "the fused NTT must be bit-equal to the Barrett reference (inverse = {})",
+            f.inverse
         );
     }
+    let rows: usize = fused.iter().map(|e| e.rows.len()).sum();
+    let (fast, reference, spread) = paired_secs(
+        trials,
+        reps,
+        || fused.iter_mut().for_each(|e| e.run(false)),
+        || barrett.iter_mut().for_each(|e| e.run(true)),
+    );
+    let ratio = reference / fast;
+    assert!(
+        ratio >= 2.0,
+        "the fused NTT must be ≥2× the Barrett reference on one thread, got {ratio:.2}×"
+    );
+
+    // The pool trajectory point; its real work must not depend on the trial.
+    let runs: Vec<(f64, HostWorkStats)> = (0..trials)
+        .map(|_| pool_run(&params, rows_cap, iters))
+        .collect();
+    let work = runs[0].1;
+    assert!(
+        runs.iter().all(|r| r.1 == work),
+        "real-work counters must be identical across timing trials"
+    );
+    let (pool_ms, pool_spread) = median_spread(runs.iter().map(|r| r.0).collect());
+    let pool_rows_per_s = work.ntt_rows as f64 / (pool_ms * 1e-3);
 
     print_table(
         &format!(
-            "Figure 14 (host GEMM) — Montgomery fast kernels vs Barrett scalar \
-             (HEAX set A, N=2^12, {DEVICES} devices, rows cap {rows_cap}, \
-             median of {trials}, {cores}-core host)"
+            "Figure 14 (host GEMM) — fused Montgomery NTT vs Barrett reference \
+             (HEAX set A, N=2^12, one HMULT's NTT events × {WIDTH}, median of {trials})"
         ),
-        &[
-            "flavour",
-            "workers",
-            "ms (median)",
-            "spread",
-            "NTT rows/s",
-            "checksum",
-        ],
+        &["kernel", "threads", "ms", "spread", "NTT rows/s"],
         &[
             vec![
-                "scalar".into(),
+                "Barrett reference".into(),
                 "1".into(),
-                format!("{scalar_ms:.1}"),
-                format!("{:.0}%", scalar_spread * 100.0),
-                format!("{:.0}", ntt_rows_per_s(scalar_work, scalar_ms)),
-                format!("{:#018x}", scalar_work.checksum),
+                format!("{:.3}", reference * 1e3),
+                "".into(),
+                format!("{:.0}", rows as f64 / reference),
             ],
             vec![
-                "fast".into(),
-                format!("{DEVICES}"),
-                format!("{fast_ms:.1}"),
-                format!("{:.0}%", fast_spread * 100.0),
-                format!("{:.0}", ntt_rows_per_s(fast_work, fast_ms)),
-                format!("{:#018x}", fast_work.checksum),
+                "fused Montgomery".into(),
+                "1".into(),
+                format!("{:.3}", fast * 1e3),
+                "".into(),
+                format!("{:.0}", rows as f64 / fast),
             ],
             vec![
                 "speedup".into(),
                 "".into(),
-                format!("{speedup:.2}×"),
-                if quiet {
-                    "quiet".into()
-                } else {
-                    "noisy".into()
-                },
+                format!("{ratio:.2}×"),
+                format!("{:.0}%", spread * 100.0),
                 "".into(),
-                "".into(),
+            ],
+            vec![
+                format!("host-parallel pool, {iters} batches"),
+                format!("{DEVICES}"),
+                format!("{pool_ms:.1}"),
+                format!("{:.0}%", pool_spread * 100.0),
+                format!("{pool_rows_per_s:.0}"),
             ],
         ],
     );
@@ -237,26 +233,15 @@ fn main() {
     report::emit(
         "fig14_host_gemm",
         &[
-            ("host_scalar_ms", scalar_ms),
-            ("host_fast_ms", fast_ms),
-            ("host_speedup", speedup),
-            (
-                "host_fast_ntt_rows_per_s",
-                ntt_rows_per_s(fast_work, fast_ms),
-            ),
+            ("host_fast_ms", pool_ms),
+            ("host_fast_ntt_rows_per_s", pool_rows_per_s),
         ],
     );
-
-    // The pinned ratio: only a quiet multi-core run may stand behind the
-    // baseline key; everyone else skips (missing host keys are non-fatal
-    // in `check_regression`).
-    if quiet && cores >= 2 {
-        report::emit("fig14_host_gemm", &[("host_fast_vs_scalar", speedup)]);
+    // The pinned ratio stands behind the baseline key only on a quiet run;
+    // missing host keys are skipped in `check_regression`.
+    if spread <= MAX_SPREAD {
+        report::emit("fig14_host_gemm", &[("host_fast_vs_scalar", ratio)]);
     } else {
-        println!(
-            "[fig14_host_gemm] host_fast_vs_scalar not emitted \
-             (quiet={quiet}, cores={cores}): variance guard requires \
-             spread ≤ {MAX_SPREAD} on ≥2 cores"
-        );
+        println!("[fig14_host_gemm] host_fast_vs_scalar not emitted: spread exceeded {MAX_SPREAD}");
     }
 }

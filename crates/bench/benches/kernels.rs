@@ -32,7 +32,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use tensorfhe_bench::timing::{median_spread, paired_secs, sample_secs, MAX_SPREAD};
 use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::eval::rescale_on_one_thread;
 use tensorfhe_ckks::keyswitch::{key_switch, key_switch_literal, KeySwitchShape};
@@ -114,44 +114,6 @@ fn bench_basis_conversion(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         });
     });
-}
-
-/// Maximum relative spread `(max − min) / median` for a quiet run.
-const MAX_SPREAD: f64 = 0.3;
-
-/// Seconds per call of `f` over one sample of `reps` calls.
-fn sample_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
-
-/// The median of `samples` and their relative spread `(max − min) / median`.
-fn median_spread(mut samples: Vec<f64>) -> (f64, f64) {
-    samples.sort_by(f64::total_cmp);
-    let median = samples[samples.len() / 2];
-    (median, (samples[samples.len() - 1] - samples[0]) / median)
-}
-
-/// Seconds per call of `a` and of `b`, timed back to back in each of
-/// `trials` trials (`reps.0` calls of `a`, then `reps.1` of `b`): the median
-/// of each side, and the relative spread of the per-trial `b / a` ratios,
-/// which a change of the machine's clock state moves on both sides alike.
-fn paired_secs(
-    trials: usize,
-    reps: (usize, usize),
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> (f64, f64, f64) {
-    let samples: Vec<(f64, f64)> = (0..trials)
-        .map(|_| (sample_secs(reps.0, &mut a), sample_secs(reps.1, &mut b)))
-        .collect();
-    let (_, spread) = median_spread(samples.iter().map(|&(a, b)| b / a).collect());
-    let (a, _) = median_spread(samples.iter().map(|s| s.0).collect());
-    let (b, _) = median_spread(samples.iter().map(|s| s.1).collect());
-    (a, b, spread)
 }
 
 /// Word-size kernels beside the wide bodies, at the HEAX set B shapes

@@ -12,6 +12,7 @@
 
 pub mod baselines;
 pub mod report;
+pub mod timing;
 
 use tensorfhe_core::api::{FheOp, OpReport, TensorFhe};
 

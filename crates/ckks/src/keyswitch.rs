@@ -574,15 +574,6 @@ pub fn mod_up(
     ext
 }
 
-/// `ModDown`: divides an extended accumulator by `P`, returning a normal
-/// RNS polynomial at the same level (NTT domain).
-#[must_use]
-pub fn mod_down(ctx: &CkksContext, tracing: &mut Tracing<'_>, acc: &ExtPoly) -> RnsPoly {
-    mod_down_batch(ctx, tracing, &[acc])
-        .pop()
-        .expect("one input")
-}
-
 /// Batched `ModDown` of several same-level NTT-domain accumulators, through
 /// the per-limb step the key switch's ModDown phase runs (module docs), on
 /// the calling thread: the special limbs are inverse-transformed in one
@@ -973,7 +964,9 @@ mod tests {
         ext.ntt_forward(&c);
 
         let mut tr = Tracing::new(None);
-        let mut out = mod_down(&c, &mut tr, &ext);
+        let mut out = mod_down_batch(&c, &mut tr, &[&ext])
+            .pop()
+            .expect("one input");
         out.ntt_inverse(&c);
         for i in 0..=level {
             let m = c.q_mod(i);

@@ -283,14 +283,12 @@ impl TensorFheBuilder {
     /// [`ExecBackend::HostParallel`] makes the pool's workers also execute
     /// every batch's batched-NTT and basis-conversion GEMMs with real
     /// cache-blocked Montgomery arithmetic on the host, split into
-    /// work-stealing chunks; [`ExecBackend::HostScalar`] runs the same
-    /// chunks on the Barrett scalar reference kernels (the fast kernels'
-    /// baseline). Reports and [`crate::service::ServiceStats`] stay
-    /// bit-identical across all three — the host backends add only
+    /// work-stealing chunks. Reports and [`crate::service::ServiceStats`]
+    /// stay bit-identical across the two — the host backend adds only
     /// wall-clock and the [`crate::exec::HostWorkStats`] counters.
     ///
     /// The `TENSORFHE_BACKEND` environment variable (`sim`,
-    /// `host-parallel`, `host-scalar`) overrides the default but not this
+    /// `host-parallel`) overrides the default but not this
     /// builder call; malformed spellings are a hard
     /// [`CoreError::InvalidConfig`] at [`TensorFheBuilder::service`] time.
     #[must_use]
@@ -299,8 +297,8 @@ impl TensorFheBuilder {
         self
     }
 
-    /// Cap on real rows (NTT) / width factor (Conv) the host backends
-    /// execute per kernel-event shard. `0` (the default) is uncapped:
+    /// Cap on real rows (NTT) / width factor (Conv) the host backend
+    /// executes per kernel-event shard. `0` (the default) is uncapped:
     /// every row of every batch runs through the pool's work-stealing
     /// chunks at full width. A positive cap bounds the real arithmetic
     /// so paper-scale widths stay tractable on slow (e.g. debug-build)

@@ -13,7 +13,7 @@
 //! | `TENSORFHE_WORKERS` | host worker threads | 1 |
 //! | `TENSORFHE_PIPELINE` | in-flight window depth | 1 |
 //! | `TENSORFHE_ADMISSION` | `inorder` / `ooo` | in-order |
-//! | `TENSORFHE_BACKEND` | `sim` / `host-parallel` / `host-scalar` | `sim` |
+//! | `TENSORFHE_BACKEND` | `sim` / `host-parallel` | `sim` |
 //! | `TENSORFHE_ROWS_CAP` | real rows per event shard, `0` = uncapped | 0 |
 //! | `TENSORFHE_KEY_CACHE_MB` | per-device key cache, non-zero MiB | VRAM slice |
 
@@ -88,7 +88,7 @@ impl EnvConfig {
     }
 
     pub(crate) fn backend(&self, set: Option<ExecBackend>) -> CoreResult<ExecBackend> {
-        let expect = "\"sim\", \"host-parallel\" or \"host-scalar\"";
+        let expect = "\"sim\" or \"host-parallel\"";
         Ok(self
             .resolve(set, "TENSORFHE_BACKEND", expect, ExecBackend::parse)?
             .unwrap_or_default())
@@ -162,7 +162,7 @@ mod tests {
                 SchedPolicy::new()
                     .admission([AdmissionMode::InOrder, AdmissionMode::OutOfOrder][v]),
             ),
-            "TENSORFHE_BACKEND" => b.backend([ExecBackend::Sim, ExecBackend::HostScalar][v]),
+            "TENSORFHE_BACKEND" => b.backend([ExecBackend::Sim, ExecBackend::HostParallel][v]),
             "TENSORFHE_ROWS_CAP" => b.rows_cap(v),
             _ => b.key_cache_mb(v as u64),
         }
@@ -171,7 +171,9 @@ mod tests {
     /// Every variable × {valid, malformed, zero}, each against the
     /// builder call it stands for, plus "builder wins" per variable and
     /// the all-unset defaults. The host backend is in the base
-    /// environment so the row cap shows in the drained work.
+    /// environment so the row cap shows in the drained work. The
+    /// backend's malformed value is a name that no longer parses, so a
+    /// stale setting fails loudly instead of falling back.
     #[test]
     fn every_variable_resolves_builder_then_env_then_default() {
         let base = [("TENSORFHE_BACKEND", "host-parallel")];
@@ -181,7 +183,7 @@ mod tests {
             ("TENSORFHE_WORKERS", "3", 3, 2, "three", false),
             ("TENSORFHE_PIPELINE", "4", 4, 2, "deep", false),
             ("TENSORFHE_ADMISSION", "ooo", 1, 0, "fifo", false),
-            ("TENSORFHE_BACKEND", "host-scalar", 1, 0, "cuda", false),
+            ("TENSORFHE_BACKEND", "sim", 0, 1, "host-scalar", false),
             ("TENSORFHE_ROWS_CAP", "2", 2, 1, "all", true),
             ("TENSORFHE_KEY_CACHE_MB", "64", 64, 7, "lots", false),
         ];

@@ -1,23 +1,21 @@
-//! Host arithmetic for the [`super::Pool`]: the stealable chunks a host
+//! Host arithmetic for the [`super::Pool`]: the stealable chunks the host
 //! backend splits every GEMM-shaped kernel event into, the kernels they
 //! run, and the deques they are stolen from.
 //!
-//! On a host backend, `submit` splits every GEMM-shaped kernel event
-//! shard into row-range **chunks** besides handing the engine shards to
-//! their owners; workers execute chunks between (and after) their engine
-//! shards, and any idle worker **steals** chunks from busy ones:
+//! On [`ExecBackend::HostParallel`](super::ExecBackend::HostParallel),
+//! `submit` splits every GEMM-shaped kernel event shard into row-range
+//! **chunks** besides handing the engine shards to their owners; workers
+//! execute chunks between (and after) their engine shards, and any idle
+//! worker **steals** chunks from busy ones:
 //!
 //! * `NTT`/`INTT` events run the batched four-step pipeline
-//!   (`tensorfhe_ntt::BatchedGemmNtt`) over the chunk's row range —
-//!   through the plan's own batch path, the fused Montgomery GEMMs on
-//!   SIMD register tiles ([`ExecBackend::HostParallel`]), or through the
-//!   explicitly named Barrett reference pipeline
-//!   ([`ExecBackend::HostScalar`], the baseline `fig14_host_gemm`
-//!   measures against). Chunks are whole rows.
+//!   (`tensorfhe_ntt::BatchedGemmNtt`) over the chunk's row range through
+//!   the plan's own batch path, the fused Montgomery GEMMs on SIMD
+//!   register tiles. Chunks are whole rows.
 //! * `Conv` events run the wide basis-conversion GEMM (`BasisConvGemm`,
-//!   one word-size kernel under both host backends); chunks are column
-//!   ranges of the `(L_dst × L_src) × (L_src × W)` product, generated and
-//!   folded independently per column.
+//!   its word-size kernel); chunks are column ranges of the
+//!   `(L_dst × L_src) × (L_src × W)` product, generated and folded
+//!   independently per column.
 //! * Element-wise events are counted but not executed: the two GEMM
 //!   families dominate the arithmetic.
 //!
@@ -50,14 +48,12 @@
 //! and per column for `Conv` — from splitmix64, and checksums are folded
 //! with each residue's *global* position in its event block, so
 //! [`HostWorkStats`] is a pure function of the submitted batch sequence:
-//! independent of worker count, chunk boundaries, steal pattern, join
-//! order, and kernel flavour (fast and scalar kernels are bit-identical,
-//! a property the cross-backend suite pins). By default every row runs
-//! (`rows_cap = 0`, uncapped); a positive cap bounds real rows per event
-//! shard for hosts where paper widths are intractable
-//! (`TENSORFHE_ROWS_CAP`, CI's bounded corners).
+//! independent of worker count, chunk boundaries, steal pattern and join
+//! order. By default every row runs (`rows_cap = 0`, uncapped); a positive
+//! cap bounds real rows per event shard for hosts where paper widths are
+//! intractable (`TENSORFHE_ROWS_CAP`, CI's bounded corners).
 
-use super::{ExecBackend, Reply};
+use super::Reply;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,14 +85,13 @@ fn capped(units: usize, cap: usize) -> usize {
     }
 }
 
-/// Counters for the real arithmetic a host backend executed, plus a
+/// Counters for the real arithmetic the host backend executed, plus a
 /// fold of every output residue produced.
 ///
 /// All fields merge by wrapping addition, so totals are independent of
 /// shard merge order and join order; the checksum salts each residue with
 /// its global position in its event block, so it is bit-identical across
-/// worker counts, chunk boundaries, steal patterns, and the fast/scalar
-/// kernel flavours.
+/// worker counts, chunk boundaries and steal patterns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostWorkStats {
     /// Polynomial rows transformed through the batched NTT pipeline.
@@ -362,13 +357,12 @@ impl StealShared {
     }
 }
 
-/// Per-worker real-arithmetic state: the kernel flavour and caches of the
-/// deterministic primes backing the work (the plans themselves are shared
-/// through [`PlanCache::global`], and every thread's cache regenerates
-/// identical primes).
-#[derive(Debug)]
+/// Per-worker real-arithmetic state: caches of the deterministic primes
+/// backing the work (the plans themselves are shared through
+/// [`PlanCache::global`], and every thread's cache regenerates identical
+/// primes).
+#[derive(Debug, Default)]
 pub(super) struct RealWork {
-    backend: ExecBackend,
     // lint: ordered-ok (keyed entry by degree only; never iterated)
     ntt_primes: HashMap<usize, u64>,
     // lint: ordered-ok (keyed entry by shape only; never iterated)
@@ -376,14 +370,6 @@ pub(super) struct RealWork {
 }
 
 impl RealWork {
-    pub(super) fn new(backend: ExecBackend) -> Self {
-        Self {
-            backend,
-            ntt_primes: HashMap::new(),
-            conv_primes: HashMap::new(),
-        }
-    }
-
     fn ntt_prime(&mut self, n: usize) -> u64 {
         *self
             .ntt_primes
@@ -393,7 +379,6 @@ impl RealWork {
 
     /// Executes one chunk's real arithmetic and returns its fold.
     pub(super) fn run_chunk(&mut self, events: &[KernelEvent], chunk: &ChunkSpec) -> HostWorkStats {
-        let fast = self.backend == ExecBackend::HostParallel;
         let mut work = HostWorkStats::default();
         match events[chunk.event_idx] {
             KernelEvent::Ntt { n, inverse, .. } => {
@@ -410,12 +395,9 @@ impl RealWork {
                 }
                 {
                     let mut views: Vec<&mut [u64]> = block.chunks_mut(n).collect();
-                    // The plan's own batch path is the fast one; the
-                    // scalar backend asks for the Barrett reference by name.
-                    match (fast, inverse) {
-                        (true, false) => plan.forward_batch(&mut views),
-                        (true, true) => plan.inverse_batch(&mut views),
-                        (false, _) => plan.reference_batch(&mut views, inverse),
+                    match inverse {
+                        false => plan.forward_batch(&mut views),
+                        true => plan.inverse_batch(&mut views),
                     }
                 }
                 for (r, row) in block.chunks(n).enumerate() {
@@ -445,7 +427,6 @@ impl RealWork {
                 {
                     let src_rows: Vec<&[u64]> = src_flat.chunks(cols).collect();
                     let mut out_rows: Vec<&mut [u64]> = out_flat.chunks_mut(cols).collect();
-                    // One conversion kernel serves both host backends.
                     plan.convert_block_into(&src_rows, &mut out_rows);
                 }
                 for (i, orow) in out_flat.chunks(cols).enumerate() {
@@ -464,7 +445,7 @@ impl RealWork {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{cfg, drain, pool};
-    use super::super::Pool;
+    use super::super::{ExecBackend, Pool};
     use super::*;
 
     #[test]
@@ -519,10 +500,8 @@ mod tests {
 
     #[test]
     fn caps_name_the_backend() {
-        for backend in [ExecBackend::HostParallel, ExecBackend::HostScalar] {
-            let caps = pool(2, 2, backend).caps();
-            assert_eq!((caps.backend, caps.devices), (backend.label(), 2));
-        }
+        let caps = pool(2, 2, ExecBackend::HostParallel).caps();
+        assert_eq!((caps.backend, caps.devices), ("host-parallel", 2));
         assert_eq!(DEFAULT_ROWS_CAP, 0, "default is uncapped full width");
     }
 

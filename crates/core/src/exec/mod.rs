@@ -9,11 +9,10 @@
 //! * [`ExecBackend::Sim`] — simulated launches only. A worker beyond the
 //!   device count would own no engine and find nothing to steal, so the
 //!   pool clamps `threads` to the device count.
-//! * [`ExecBackend::HostParallel`] / [`ExecBackend::HostScalar`] — the
-//!   same engines, plus real host arithmetic: every batched-NTT and
-//!   basis-conversion GEMM is split into work-stealing row chunks
-//!   ([`host`]) and run on the Montgomery fast kernels or the Barrett
-//!   scalar reference. Surplus workers are kept: they own no engine and
+//! * [`ExecBackend::HostParallel`] — the same engines, plus real host
+//!   arithmetic: every batched-NTT and basis-conversion GEMM is split
+//!   into work-stealing row chunks ([`host`]) and run on the fused
+//!   Montgomery kernels. Surplus workers are kept: they own no engine and
 //!   only steal chunks.
 //!
 //! A one-thread pool spawns nothing: `submit` runs the engine shards and
@@ -57,10 +56,10 @@ pub use host::{HostWorkStats, StealStats};
 /// Which execution backend the pool's workers run.
 ///
 /// Selected on the builder (`TensorFheBuilder::backend`) or via the
-/// `TENSORFHE_BACKEND` environment variable (`sim`, `host-parallel`,
-/// `host-scalar`). Every backend produces bit-identical reports — the
-/// host backends additionally *execute* the GEMM kernel families with real
-/// arithmetic on the worker threads.
+/// `TENSORFHE_BACKEND` environment variable (`sim`, `host-parallel`).
+/// Both produce bit-identical reports — the host backend additionally
+/// *executes* the GEMM kernel families with real arithmetic on the worker
+/// threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecBackend {
     /// Simulated launches only (serial or thread-pooled): the default.
@@ -70,9 +69,6 @@ pub enum ExecBackend {
     /// kernels (`tensorfhe_math::gemm_fast`) — for the NTT, the plan's
     /// ordinary batch path.
     HostParallel,
-    /// Real host arithmetic through the Barrett scalar reference kernels,
-    /// requested by name — the baseline the fast path is measured against.
-    HostScalar,
 }
 
 impl ExecBackend {
@@ -83,7 +79,6 @@ impl ExecBackend {
         match self {
             ExecBackend::Sim => "sim",
             ExecBackend::HostParallel => "host-parallel",
-            ExecBackend::HostScalar => "host-scalar",
         }
     }
 
@@ -93,7 +88,6 @@ impl ExecBackend {
         match s {
             "sim" => Some(ExecBackend::Sim),
             "host-parallel" => Some(ExecBackend::HostParallel),
-            "host-scalar" => Some(ExecBackend::HostScalar),
             _ => None,
         }
     }
@@ -147,7 +141,7 @@ pub struct ExecCaps {
     pub power_watts: f64,
     /// Device model name, as reports print it.
     pub device_name: String,
-    /// Stable backend name (`sim`, `host-parallel`, `host-scalar`).
+    /// Stable backend name (`sim`, `host-parallel`).
     pub backend: &'static str,
 }
 
@@ -249,7 +243,7 @@ pub fn merge_shards(per_device: Vec<(usize, OpStats)>, devices: usize) -> BatchR
 }
 
 /// The one executor: `threads` workers own the per-device engines — device
-/// `d` belongs to worker `d % threads` — and, on a host backend, run the
+/// `d` belongs to worker `d % threads` — and, on the host backend, run the
 /// batches' GEMM chunks, stealing from each other when idle (see the
 /// module docs and [`host`]).
 #[derive(Debug)]
@@ -275,9 +269,9 @@ pub struct Pool {
 impl Pool {
     /// Builds the pool a configuration describes: `devices` engines driven
     /// by `workers` threads — clamped to `devices` under
-    /// [`ExecBackend::Sim`], kept whole on a host backend, whose surplus
+    /// [`ExecBackend::Sim`], kept whole on the host backend, whose surplus
     /// workers steal chunks — with `rows_cap` real rows per kernel-event
-    /// shard on a host backend (`0` = uncapped; ignored by the simulated
+    /// shard on the host backend (`0` = uncapped; ignored by the simulated
     /// backend). One thread spawns nothing: batches run at `submit`.
     ///
     /// # Errors
@@ -301,7 +295,7 @@ impl Pool {
         }
         let threads = match backend {
             ExecBackend::Sim => workers.min(devices),
-            ExecBackend::HostParallel | ExecBackend::HostScalar => workers,
+            ExecBackend::HostParallel => workers,
         };
         let mut pool = Self {
             caps: ExecCaps {
@@ -323,7 +317,7 @@ impl Pool {
             work: HostWorkStats::default(),
         };
         if threads == 1 {
-            pool.inline = Some(Worker::new(cfg, devices, 1, backend));
+            pool.inline = Some(Worker::new(cfg, devices, 1));
             return Ok(pool);
         }
         for w in 0..threads {
@@ -344,7 +338,7 @@ impl Pool {
             // crosses thread boundaries, only plain results.
             let handle = std::thread::Builder::new()
                 .name(name)
-                .spawn(move || Worker::new(&cfg, owned, threads, backend).serve(w, &rx, &shared))
+                .spawn(move || Worker::new(&cfg, owned, threads).serve(w, &rx, &shared))
                 .map_err(|e| CoreError::InvalidConfig(format!("cannot spawn a worker: {e}")))?;
             pool.senders.push(tx);
             pool.handles.push(handle);
@@ -376,9 +370,7 @@ impl Pool {
         // what.
         let (chunks, upfront) = match self.backend {
             ExecBackend::Sim => (Vec::new(), HostWorkStats::default()),
-            ExecBackend::HostParallel | ExecBackend::HostScalar => {
-                plan_chunks(&batch.events, &widths, self.rows_cap)
-            }
+            ExecBackend::HostParallel => plan_chunks(&batch.events, &widths, self.rows_cap),
         };
         let units: u64 = chunks.iter().map(|c| c.units.len() as u64).sum();
         self.shared.planned_rows.fetch_add(units, Ordering::Relaxed);
@@ -480,14 +472,14 @@ impl Pool {
         self.caps.clone()
     }
 
-    /// Accumulated real-arithmetic work counters on a host backend;
+    /// Accumulated real-arithmetic work counters on the host backend;
     /// `None` under [`ExecBackend::Sim`].
     #[must_use]
     pub fn host_work(&self) -> Option<HostWorkStats> {
         (self.backend != ExecBackend::Sim).then_some(self.work)
     }
 
-    /// Work-stealing scheduler counters on a host backend; `None` under
+    /// Work-stealing scheduler counters on the host backend; `None` under
     /// [`ExecBackend::Sim`]. The counters are scheduling telemetry,
     /// **not** part of the determinism contract (except `planned_rows ==
     /// executed_rows`, work conservation).
@@ -517,9 +509,9 @@ struct Worker {
 
 impl Worker {
     /// A worker owning `owned` devices, every `stride`-th one.
-    fn new(cfg: &EngineConfig, owned: usize, stride: usize, backend: ExecBackend) -> Self {
+    fn new(cfg: &EngineConfig, owned: usize, stride: usize) -> Self {
         let engines = (0..owned).map(|_| Engine::new(cfg.clone())).collect();
-        let real = RealWork::new(backend);
+        let real = RealWork::default();
         Self {
             stride,
             engines,
@@ -685,11 +677,7 @@ mod tests {
     fn every_backend_and_thread_count_is_bit_identical() {
         let widths = [1usize, 7, 16, 256, 5];
         let (mut want, mut host_work) = (BTreeMap::new(), BTreeMap::new());
-        for backend in [
-            ExecBackend::Sim,
-            ExecBackend::HostParallel,
-            ExecBackend::HostScalar,
-        ] {
+        for backend in [ExecBackend::Sim, ExecBackend::HostParallel] {
             for (devices, workers) in [(1usize, 1usize), (2, 2), (4, 2), (4, 4), (2, 5)] {
                 let point = format!("{backend:?} devices={devices} workers={workers}");
                 let want = want.entry(devices).or_insert_with(|| {
@@ -709,7 +697,7 @@ mod tests {
                 let mut pool = pool(devices, workers, backend);
                 let threads = match backend {
                     ExecBackend::Sim => workers.min(devices),
-                    _ => workers,
+                    ExecBackend::HostParallel => workers,
                 };
                 assert_eq!(pool.caps().workers, threads, "{point}: caps().workers");
                 assert_eq!(pool.inline.is_some(), threads == 1, "{point}: inline");
@@ -723,10 +711,10 @@ mod tests {
                         assert!(work.is_none() && pool.steal_stats().is_none(), "{point}");
                     }
                     (_, work) => {
-                        let work = work.expect("host backends report work");
+                        let work = work.expect("the host backend reports work");
                         assert!(work.ntt_rows > 0 && work.conv_cols > 0, "{point}");
                         assert_eq!(*host_work.entry(devices).or_insert(work), work, "{point}");
-                        let s = pool.steal_stats().expect("host backends steal");
+                        let s = pool.steal_stats().expect("the host backend steals");
                         assert_eq!(s.planned_rows, s.executed_rows, "{point}: conserved");
                     }
                 }
@@ -844,11 +832,7 @@ mod tests {
 
     #[test]
     fn backend_labels_round_trip() {
-        for b in [
-            ExecBackend::Sim,
-            ExecBackend::HostParallel,
-            ExecBackend::HostScalar,
-        ] {
+        for b in [ExecBackend::Sim, ExecBackend::HostParallel] {
             assert_eq!(ExecBackend::parse(b.label()), Some(b));
         }
         assert_eq!(ExecBackend::parse("cuda"), None);

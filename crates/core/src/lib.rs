@@ -71,7 +71,7 @@
 //!                                                        ▼
 //!                                          Pool: workers own devices d % threads
 //!                                    (one thread: inline on the calling thread;
-//!                                     host backends: + stealable GEMM chunks)
+//!                                     host backend: + stealable GEMM chunks)
 //!                                                        │
 //!                                          per-device Engine → DeviceSim
 //! ```
@@ -178,19 +178,12 @@
 //!    re-transformed and ModDown round-trips only the `K` special limbs;
 //!    48 rows at HEAX set B where the literal Algorithm 1 is 60 — plus
 //!    `D + 2` basis conversions, each single-limb one (`α = 1`) a plain
-//!    reduction chosen when its plan is built.
-//!    [`exec::ExecBackend::HostScalar`] pins the NTT to the Barrett scalar
-//!    reference pipeline, which it asks for by name
-//!    (`BatchedGemmNtt::reference_batch`): the baseline the
-//!    `fig14_host_gemm` bench measures the fast kernels against (the
-//!    basis conversion has one kernel, shared by both). Reports
-//!    and stats stay bit-identical across all three backends — the host
-//!    backends add only wall-clock and the [`exec::HostWorkStats`]
-//!    counters, whose checksum is itself invariant across worker counts
-//!    and kernel flavours (the Montgomery kernels are proven
-//!    bit-identical to Barrett).
+//!    reduction chosen when its plan is built. Reports and stats stay
+//!    bit-identical across the two backends — the host backend adds only
+//!    wall-clock and the [`exec::HostWorkStats`] counters, whose checksum
+//!    is itself invariant across worker counts.
 //!
-//!    The host backends run **full-width by default**
+//!    The host backend runs **full-width by default**
 //!    ([`TensorFheBuilder::rows_cap`] / `TENSORFHE_ROWS_CAP`, `0` =
 //!    uncapped) through **work-stealing row chunks**. Stealing moves only
 //!    the real arithmetic, never an engine, so who computed which rows

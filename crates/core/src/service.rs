@@ -216,8 +216,8 @@ pub struct ServiceStats {
     /// Host worker threads driving the devices (1 = the calling thread).
     pub workers: usize,
     /// Execution backend label ([`crate::exec::ExecBackend::label`]):
-    /// `"sim"`, `"host-parallel"` or `"host-scalar"`. Every other field
-    /// in this struct is bit-identical across all three.
+    /// `"sim"` or `"host-parallel"`. Every other field in this struct is
+    /// bit-identical across the two.
     pub backend: &'static str,
     /// Configured in-flight window depth (1 = strictly synchronous
     /// rounds, the pre-scheduler behaviour).
@@ -332,9 +332,9 @@ pub struct ServiceStats {
     /// [`ServiceStats::steals`].
     pub stolen_rows: u64,
     /// Lanes of the register tile the backend's GEMMs run on: 0 for the
-    /// simulated backend (no host arithmetic), 1 for `host-scalar`
-    /// (Barrett reference), [`tensorfhe_math::simd::active_lanes`] for
-    /// `host-parallel`. Names the kernel, never changes results.
+    /// simulated backend (no host arithmetic),
+    /// [`tensorfhe_math::simd::active_lanes`] for `host-parallel`. Names
+    /// the kernel, never changes results.
     pub simd_lanes: usize,
 }
 
@@ -388,7 +388,7 @@ pub struct FheService {
     caps: crate::exec::ExecCaps,
     /// Resolved execution backend. Gates the dispatch cache: only the
     /// simulated backend replays costs without touching the pool —
-    /// the host backends must execute real arithmetic on every dispatch,
+    /// the host backend must execute real arithmetic on every dispatch,
     /// or benches and `host_work` counters would measure cache hits.
     backend: ExecBackend,
     batch_cap: usize,
@@ -567,9 +567,9 @@ impl FheService {
         self.caps.workers
     }
 
-    /// Real-arithmetic counters from the pool on a host backend;
+    /// Real-arithmetic counters from the pool on the host backend;
     /// `None` under the simulated backend. The checksum is bit-identical
-    /// across worker counts and across the fast/scalar kernel flavours.
+    /// across worker counts.
     #[must_use]
     pub fn host_work(&self) -> Option<crate::exec::HostWorkStats> {
         self.pool.host_work()
@@ -1331,7 +1331,6 @@ impl FheService {
             stolen_rows: self.pool.steal_stats().map_or(0, |s| s.stolen_rows),
             simd_lanes: match self.backend {
                 ExecBackend::Sim => 0,
-                ExecBackend::HostScalar => 1,
                 ExecBackend::HostParallel => tensorfhe_math::simd::active_lanes(),
             },
         }
@@ -1369,7 +1368,7 @@ impl FheService {
     /// submission order.
     fn dispatch(&mut self, op: FheOp, level: usize, width: usize) -> Work {
         // Only the simulated backend replays from the dispatch cache: the
-        // host backends exist to *execute* the batch, so every dispatch
+        // host backend exists to *execute* the batch, so every dispatch
         // must reach the pool (reports are identical either way — the
         // cache is purely a simulation shortcut).
         if self.backend == ExecBackend::Sim {

@@ -262,7 +262,7 @@ fn service_picks_up_every_env_var() {
         ("TENSORFHE_WORKERS", "2"),
         ("TENSORFHE_PIPELINE", "3"),
         ("TENSORFHE_ADMISSION", "ooo"),
-        ("TENSORFHE_BACKEND", "host-scalar"),
+        ("TENSORFHE_BACKEND", "host-parallel"),
         ("TENSORFHE_ROWS_CAP", "2"),
         ("TENSORFHE_KEY_CACHE_MB", "64"),
     ];
@@ -280,12 +280,12 @@ fn service_picks_up_every_env_var() {
         assert_eq!(from_env.workers(), 2);
         assert_eq!(from_env.pipeline_depth(), 3);
         assert_eq!(from_env.admission(), AdmissionMode::OutOfOrder);
-        assert_eq!(from_env.stats().backend, "host-scalar");
+        assert_eq!(from_env.stats().backend, "host-parallel");
         assert_eq!(from_env.key_cache().capacity_bytes(), 64 << 20);
         // The row cap shows only in the real work done.
         let explicit = drained(
             TensorFhe::builder(&params)
-                .backend(ExecBackend::HostScalar)
+                .backend(ExecBackend::HostParallel)
                 .rows_cap(2),
         );
         assert_eq!(from_env.host_work(), explicit.host_work());

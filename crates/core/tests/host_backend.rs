@@ -1,14 +1,13 @@
-//! Cross-backend bit-identity: the real-arithmetic host backends vs the
+//! Cross-backend bit-identity: the real-arithmetic host backend vs the
 //! simulated executor, across the full scheduler matrix.
 //!
 //! The backend seam promises that [`ExecBackend`] changes host wall-clock
 //! (and the [`HostWorkStats`] counters) only: a `drain` served by a
-//! host-backend [`tensorfhe_core::exec::Pool`] — fast Montgomery or
-//! Barrett scalar kernels — must produce **bit-identical**
-//! `RequestReport`s and `ServiceStats` to the simulated path at every
-//! workers × pipeline-depth × admission point. These tests pin that
-//! contract over seeded pseudo-random streams, plus the worker-count and
-//! kernel-flavour independence of the real-work checksum.
+//! host-backend [`tensorfhe_core::exec::Pool`] must produce
+//! **bit-identical** `RequestReport`s and `ServiceStats` to the simulated
+//! path at every workers × pipeline-depth × admission point. These tests
+//! pin that contract over seeded pseudo-random streams, plus the
+//! worker-count independence of the real-work checksum.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,7 +124,7 @@ fn stats_bits(s: &ServiceStats) -> Vec<u64> {
     // Per-device accounting must agree too. `workers`/`backend` are
     // allowed to differ — they name the executor, not the results — and
     // so are `steals`/`stolen_rows`/`simd_lanes`: steal counts depend on
-    // thread timing and the lane count names the kernel flavour.
+    // thread timing and the lane count names the register tile.
     v.extend(s.device_busy_us.iter().map(|t| t.to_bits()));
     v.extend(s.device_utilization.iter().map(|u| u.to_bits()));
     v
@@ -153,7 +152,7 @@ fn run_stream(svc: &mut FheService, seed: u64) -> (Vec<RequestReport>, ServiceSt
 }
 
 /// The full drain matrix: for each workers × depth × admission point,
-/// both host backends must reproduce the simulated backend's reports and
+/// the host backend must reproduce the simulated backend's reports and
 /// stats bit-for-bit (only the `backend` label and `workers` knob may
 /// differ), while actually executing real arithmetic.
 #[test]
@@ -166,31 +165,28 @@ fn host_backends_match_sim_across_sched_matrix() {
                 assert!(sim.host_work().is_none(), "sim backend does no host work");
                 assert_eq!(want_stats.backend, "sim");
 
-                for backend in [ExecBackend::HostParallel, ExecBackend::HostScalar] {
-                    let mut host = service(backend, workers, depth, admission);
-                    let (got_reports, got_stats) = run_stream(&mut host, 0xF1C0 + depth as u64);
-                    let point =
-                        format!("{backend:?} workers={workers} depth={depth} {admission:?}");
-                    assert_eq!(
-                        got_reports.len(),
-                        want_reports.len(),
-                        "{point}: report count"
-                    );
-                    for (g, w) in got_reports.iter().zip(&want_reports) {
-                        assert_eq!(report_bits(g), report_bits(w), "{point}: report bits");
-                    }
-                    assert_eq!(
-                        stats_bits(&got_stats),
-                        stats_bits(&want_stats),
-                        "{point}: stats bits"
-                    );
-                    assert_eq!(got_stats.backend, backend.label(), "{point}: stats label");
-                    let work = host.host_work().expect("host backends report work");
-                    assert!(
-                        work.ntt_rows > 0 && work.conv_cols > 0,
-                        "{point}: must execute real GEMM arithmetic"
-                    );
+                let mut host = service(ExecBackend::HostParallel, workers, depth, admission);
+                let (got_reports, got_stats) = run_stream(&mut host, 0xF1C0 + depth as u64);
+                let point = format!("workers={workers} depth={depth} {admission:?}");
+                assert_eq!(
+                    got_reports.len(),
+                    want_reports.len(),
+                    "{point}: report count"
+                );
+                for (g, w) in got_reports.iter().zip(&want_reports) {
+                    assert_eq!(report_bits(g), report_bits(w), "{point}: report bits");
                 }
+                assert_eq!(
+                    stats_bits(&got_stats),
+                    stats_bits(&want_stats),
+                    "{point}: stats bits"
+                );
+                assert_eq!(got_stats.backend, "host-parallel", "{point}: stats label");
+                let work = host.host_work().expect("the host backend reports work");
+                assert!(
+                    work.ntt_rows > 0 && work.conv_cols > 0,
+                    "{point}: must execute real GEMM arithmetic"
+                );
             }
         }
     }
@@ -267,29 +263,28 @@ fn full_width_checksum_is_worker_invariant() {
 
 /// The real-work checksum is a pure function of the submitted stream:
 /// identical across worker counts (shards are per-device, not
-/// per-worker) and across the fast/scalar kernel flavours (the
-/// Montgomery kernels are bit-identical to Barrett).
+/// per-worker).
 #[test]
-fn host_work_checksum_is_worker_and_kernel_invariant() {
+fn host_work_checksum_is_worker_invariant() {
     let mut reference = None;
-    for backend in [ExecBackend::HostParallel, ExecBackend::HostScalar] {
-        for workers in [1usize, 4] {
-            let mut svc = service(backend, workers, 1, AdmissionMode::InOrder);
-            let _ = run_stream(&mut svc, 0xBEEF);
-            let work = svc.host_work().expect("host backend");
-            assert!(work.did_work());
-            match &reference {
-                None => reference = Some(work),
-                Some(want) => assert_eq!(
-                    &work, want,
-                    "{backend:?} workers={workers}: host work diverged"
-                ),
-            }
+    for workers in [1usize, 4] {
+        let mut svc = service(
+            ExecBackend::HostParallel,
+            workers,
+            1,
+            AdmissionMode::InOrder,
+        );
+        let _ = run_stream(&mut svc, 0xBEEF);
+        let work = svc.host_work().expect("host backend");
+        assert!(work.did_work());
+        match &reference {
+            None => reference = Some(work),
+            Some(want) => assert_eq!(&work, want, "workers={workers}: host work diverged"),
         }
     }
 }
 
-/// The dispatch cache must stay disabled on host backends: every repeat
+/// The dispatch cache must stay disabled on the host backend: every repeat
 /// of an identical batch re-executes, so the work counters keep growing.
 #[test]
 fn host_backend_executes_every_repeated_dispatch() {
@@ -304,7 +299,7 @@ fn host_backend_executes_every_repeated_dispatch() {
     let second = submit_drain(&mut svc);
     assert!(
         second.ntt_rows > first.ntt_rows,
-        "identical batches must re-execute on host backends \
+        "identical batches must re-execute on the host backend \
          (first {first:?}, second {second:?})"
     );
 }

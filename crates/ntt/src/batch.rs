@@ -49,11 +49,11 @@
 //! twiddle repack → `gemm_mod_into` → scatter, `u128` accumulators and one
 //! Barrett reduction per output) is the *reference*: it keeps Eq. 9's
 //! two-factor form, so it shares no stage constant or index map with the
-//! staged host pass, and it is reachable only through
-//! [`BatchedGemmNtt::reference_batch`], for the `host-scalar`
-//! backend and the equivalence tests, and it shares its block plumbing
-//! with [`TensorCoreNtt`], whose segmented u8 GEMMs plug into the same
-//! stages. All of them are bit-identical to the butterfly.
+//! staged host pass. It is reachable only through
+//! [`BatchedGemmNtt::reference_batch`] — the equivalence tests' Barrett
+//! reference and `fig14_host_gemm`'s denominator — and it shares its
+//! block plumbing with [`TensorCoreNtt`], whose segmented u8 GEMMs plug
+//! into the same stages. All of them are bit-identical to the butterfly.
 //!
 //! Three pieces live here:
 //!
@@ -453,9 +453,9 @@ impl BatchedGemmNtt {
     /// the five-stage Barrett wide pipeline over the plan's canonical
     /// matrices (see the module docs) instead of the fused Montgomery
     /// one; the other formulations have a single batch path, which this
-    /// calls. Bit-identical to [`NttBatchOps`] in every case — it exists
-    /// so the `host-scalar` backend and the equivalence tests have a
-    /// second, independent kernel to compare against.
+    /// calls. Bit-identical to [`NttBatchOps`] in every case — it is the
+    /// equivalence tests' Barrett reference and `fig14_host_gemm`'s
+    /// denominator: a second, independent kernel to compare against.
     pub fn reference_batch(&self, rows: &mut [&mut [u64]], inverse: bool) {
         match &self.kernel {
             Kernel::FourStep(_) if rows.is_empty() => {}

@@ -30,7 +30,8 @@
 //! [`FourStepNtt::split`], the Barrett reference pipeline
 //! (`BatchedGemmNtt::reference_batch`), [`crate::TensorCoreNtt`] and the
 //! simulated GPU lowering all use it, so the modelled A100 runs the paper's
-//! two-GEMM kernel and the host-scalar reference stays a structurally
+//! two-GEMM kernel and the Barrett reference — the equivalence tests'
+//! reference and `fig14_host_gemm`'s denominator — stays a structurally
 //! independent check of the host pass below.
 //!
 //! # The host pass: Eq. 9 applied to its own outer DFT

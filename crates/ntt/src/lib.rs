@@ -24,8 +24,8 @@
 //! executor all run the fused Montgomery/SIMD GEMMs of
 //! [`tensorfhe_math::gemm_fast`]. The scalar Barrett wide pipeline
 //! survives only as [`batch::BatchedGemmNtt::reference_batch`] — the
-//! independent kernel the `host-scalar` backend and the equivalence tests
-//! compare against (its block plumbing also carries the tensor-core
+//! equivalence tests' Barrett reference and `fig14_host_gemm`'s
+//! denominator (its block plumbing also carries the tensor-core
 //! formulation).
 //!
 //! The same cache also hands out [`batch::BasisConvGemm`] plans (keyed on
