@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
-use tensorfhe_core::exec::ExecBackend;
+use tensorfhe_core::exec::{ExecBackend, HostWorkStats};
 use tensorfhe_core::sched::{AdmissionMode, SchedPolicy};
 use tensorfhe_core::service::{FheRequest, FheService, RequestReport, ServiceStats};
 
@@ -302,4 +302,22 @@ fn host_backend_executes_every_repeated_dispatch() {
         "identical batches must re-execute on the host backend \
          (first {first:?}, second {second:?})"
     );
+}
+
+/// The full-width fold of one fixed stream, pinned: the tests above
+/// compare checksums only across worker counts, so a change to the host
+/// arithmetic's answer (not just its speed) shows only here. Every NTT
+/// formulation is bit-identical, so swapping the plan the executor runs
+/// leaves this golden as it is.
+#[test]
+fn full_width_host_work_matches_its_golden() {
+    let mut svc = full_width_service(ExecBackend::HostParallel, 1, 1, AdmissionMode::InOrder);
+    let _ = run_stream(&mut svc, 0xC0FFEE);
+    let want = HostWorkStats {
+        ntt_rows: 582,
+        conv_cols: 67_584,
+        elems: 2_037_760,
+        checksum: 9_243_985_122_782_100_294,
+    };
+    assert_eq!(svc.host_work().expect("host backend"), want);
 }
