@@ -22,10 +22,14 @@
 //!
 //! A trajectory point rides along, never pinned: a repeated HMULT batch
 //! stream through a host-parallel [`Pool`] with one worker per device and
-//! the real-row cap raised so the GEMMs dominate (`host_fast_ms`,
-//! `host_fast_ntt_rows_per_s`, median of the trials). A service drain on
-//! that backend must also reproduce the simulated backend's reports
-//! bit-for-bit.
+//! the real-row cap raised so the transforms dominate (`host_fast_ms`,
+//! `host_fast_ntt_rows_per_s`, median of the trials). Despite the keys'
+//! names, that pool's NTT chunks run the butterfly plan, not the fused
+//! GEMMs timed above: the `kernels` bench's "host NTT by algorithm" table
+//! measures the butterfly winning the executor's chunk at every degree,
+//! so these two keys trace the executor, not this figure's kernel. A
+//! service drain on that backend must also reproduce the simulated
+//! backend's reports bit-for-bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -220,7 +224,7 @@ fn main() {
                 "".into(),
             ],
             vec![
-                format!("host-parallel pool, {iters} batches"),
+                format!("host-parallel pool (butterfly NTT), {iters} batches"),
                 format!("{DEVICES}"),
                 format!("{pool_ms:.1}"),
                 format!("{:.0}%", pool_spread * 100.0),

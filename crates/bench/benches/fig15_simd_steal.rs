@@ -19,13 +19,14 @@
 //!    count), and on a multi-core quiet run emits the 1→2 worker
 //!    `host_steal_speedup` wall-clock point for the trajectory.
 //!
-//! Wall-clock numbers use the same median-of-N + relative-spread guard as
-//! `fig14_host_gemm`; host keys are gated under `check_regression`'s
-//! looser `host_` tolerance class, where a missing key (noisy or
-//! single-core run) skips rather than fails.
+//! Wall-clock numbers use the median-of-N + relative-spread guard of
+//! `tensorfhe_bench::timing`, like `fig14_host_gemm`; host keys are gated
+//! under `check_regression`'s looser `host_` tolerance class, where a
+//! missing key (noisy or single-core run) skips rather than fails.
 
 use std::sync::Arc;
 use std::time::Instant;
+use tensorfhe_bench::timing::{median_spread, sample_secs, MAX_SPREAD};
 use tensorfhe_bench::{print_table, report};
 use tensorfhe_ckks::{CkksParams, KernelEvent};
 use tensorfhe_core::api::{schedule_events, FheOp};
@@ -34,9 +35,6 @@ use tensorfhe_core::{EngineConfig, ExecBackend, ExecBatch, Pool, Variant};
 use tensorfhe_math::gemm_fast::{gemm_rm_with, MontOperand};
 use tensorfhe_math::prime::generate_ntt_primes;
 use tensorfhe_math::simd::{scalar_tile, simd4, MicroKernel};
-
-/// Maximum relative spread `(max − min) / median` for a quiet run.
-const MAX_SPREAD: f64 = 0.3;
 
 /// Deterministic operand fill (splitmix64), reduced mod `q`.
 fn fill(seed: u64, len: usize, q: u64) -> Vec<u64> {
@@ -52,29 +50,21 @@ fn fill(seed: u64, len: usize, q: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Medians `trials` samples of `f`; returns (median, relative spread).
-fn median_of(trials: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
-    let mut samples: Vec<f64> = (0..trials).map(|_| f()).collect();
-    samples.sort_by(f64::total_cmp);
-    let median = samples[samples.len() / 2];
-    let spread = (samples[samples.len() - 1] - samples[0]) / median;
-    (median, spread)
-}
-
-/// Times `reps` whole-GEMM calls through one register tile; returns ms.
+/// Median ms per whole-GEMM call through one register tile over `trials`
+/// samples of `reps` calls, and the samples' relative spread.
 fn time_tile(
+    trials: usize,
+    reps: usize,
     a: &[u64],
     m: usize,
     b: &MontOperand,
     kernel: &'static dyn MicroKernel,
     out: &mut [u64],
-    reps: usize,
-) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        gemm_rm_with(a, m, b, kernel, out);
-    }
-    t0.elapsed().as_secs_f64() * 1e3
+) -> (f64, f64) {
+    let samples = (0..trials)
+        .map(|_| sample_secs(reps, || gemm_rm_with(a, m, b, kernel, out)) * 1e3)
+        .collect();
+    median_spread(samples)
 }
 
 /// Part 1: single-thread SIMD-vs-scalar register-tile ratio at the HEAX
@@ -93,12 +83,9 @@ fn simd_tile_ratio(trials: usize, reps: usize) -> (f64, bool) {
     let mut out_simd = vec![0u64; m * n];
     // Same shapes through both tiles ⇒ identical m·k·n MAC counts by
     // construction; bit-identity of the outputs is asserted below.
-    let (scalar_ms, scalar_spread) = median_of(trials, || {
-        time_tile(&a, m, &b, scalar_tile(), &mut out_scalar, reps)
-    });
-    let (simd_ms, simd_spread) = median_of(trials, || {
-        time_tile(&a, m, &b, simd4(), &mut out_simd, reps)
-    });
+    let (scalar_ms, scalar_spread) =
+        time_tile(trials, reps, &a, m, &b, scalar_tile(), &mut out_scalar);
+    let (simd_ms, simd_spread) = time_tile(trials, reps, &a, m, &b, simd4(), &mut out_simd);
     assert_eq!(
         out_scalar, out_simd,
         "SIMD and scalar register tiles must produce bit-identical residues"
@@ -106,13 +93,13 @@ fn simd_tile_ratio(trials: usize, reps: usize) -> (f64, bool) {
 
     let speedup = scalar_ms / simd_ms;
     let quiet = scalar_spread <= MAX_SPREAD && simd_spread <= MAX_SPREAD;
-    let macs = (m * k * n * reps) as f64;
+    let macs = (m * k * n) as f64;
     print_table(
         &format!(
             "Figure 15a — register-tile kernels at HEAX set-A shapes \
              ({m}×{k} × {k}×{n}, q={q}, {reps} reps, median of {trials})"
         ),
-        &["tile", "lanes", "ms (median)", "spread", "Mmac/s"],
+        &["tile", "lanes", "ms per GEMM", "spread", "Mmac/s"],
         &[
             vec![
                 scalar_tile().label().into(),
@@ -180,11 +167,14 @@ fn steal_point(trials: usize, iters: usize, cores: usize) -> Option<f64> {
     // trial can finish before it wakes).
     let mut stats: [Vec<StealStats>; 2] = Default::default();
     let mut timed = |workers: usize| {
-        median_of(trials, || {
-            let (ms, s) = run_stream(&params, workers, iters);
-            stats[workers - 1].push(s);
-            ms
-        })
+        let samples = (0..trials)
+            .map(|_| {
+                let (ms, s) = run_stream(&params, workers, iters);
+                stats[workers - 1].push(s);
+                ms
+            })
+            .collect();
+        median_spread(samples)
     };
     let (ms1, spread1) = timed(1);
     let (ms2, spread2) = timed(2);

@@ -17,14 +17,18 @@
 //! list, three GEMMs from `N = 2^9`) beside Eq. 9's two-stage pass built
 //! through `FourStepNtt::with_radices`, at `N = 2^12 … 2^16` (outputs
 //! asserted bit-equal), and emits `kernels/host_fourstep_staged_vs_eq9`.
-//! A fourth sets the NTT-lean, limb-major `ckks::key_switch` — its limb
+//! A fourth sets the butterfly NTT plan beside the four-step GEMM plan on
+//! the host executor's chunk shape at the same degrees — µs and MACs per
+//! row, and the winner, which is the plan `exec::host` runs — and emits
+//! the `N = 2^13` ratio as `kernels/host_butterfly_vs_fourstep`.
+//! A fifth sets the NTT-lean, limb-major `ckks::key_switch` — its limb
 //! jobs split across the cores `KeySwitchShape::threads` names, which the
 //! table prints — beside the serial composition of the public
 //! whole-polynomial helpers (`key_switch_literal`: Algorithm 1 as written
 //! through the inner product — every limb of every digit raised,
 //! transformed and multiplied — ending in the same NTT-domain ModDown;
 //! outputs asserted bit-equal) and emits
-//! `kernels/host_keyswitch_lean_vs_reference`. A fifth, printed and not
+//! `kernels/host_keyswitch_lean_vs_reference`. A sixth, printed and not
 //! pinned, sets `Evaluator::rescale` — split across the cores from `2^16`
 //! transformed words — beside `rescale_on_one_thread` at every level of
 //! HEAX set B.
@@ -43,7 +47,9 @@ use tensorfhe_math::gemm_fast::{gemm_rm, gemm_rm_with, MontOperand};
 use tensorfhe_math::prime::generate_ntt_primes;
 use tensorfhe_math::simd;
 use tensorfhe_math::Modulus;
-use tensorfhe_ntt::{FourStepNtt, NttOps, NttTable, TensorCoreNtt};
+use tensorfhe_ntt::{
+    BatchedGemmNtt, FourStepNtt, NttAlgorithm, NttBatchOps, NttOps, NttTable, TensorCoreNtt,
+};
 
 fn bench_ntt_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("ntt-forward");
@@ -399,6 +405,111 @@ fn staged_rows() {
     }
 }
 
+/// The host executor's NTT chunk under each algorithm: the butterfly
+/// plan's `forward_batch` + `inverse_batch` beside the four-step GEMM
+/// plan's, at a 28-bit prime, `N = 2^12 … 2^16`, each batch the chunk
+/// shape `exec::host` plans (`max(1, 2^14 / N)` rows; outputs asserted
+/// bit-equal). The butterfly must win at every degree; the `N = 2^13`
+/// ratio (HEAX set B) is emitted as `kernels/host_butterfly_vs_fourstep`.
+fn host_ntt_rows() {
+    let (trials, reps) = if report::smoke() { (5, 10) } else { (9, 40) };
+    let mut rng = StdRng::seed_from_u64(8);
+    let (mut rows, mut pinned, mut losses) = (Vec::new(), None, Vec::new());
+    for log_n in 12..=16u32 {
+        let n = 1usize << log_n;
+        let q = generate_ntt_primes(1, 28, n as u64)[0];
+        let butterfly = BatchedGemmNtt::new(n, q, NttAlgorithm::Butterfly);
+        let four_step = BatchedGemmNtt::new(n, q, NttAlgorithm::FourStep);
+        let batch = ((1usize << 14) / n).max(1);
+        let a: Vec<u64> = (0..batch * n).map(|_| rng.gen_range(0..q)).collect();
+        let (mut x, mut y) = (a.clone(), a.clone());
+        let run = |plan: &BatchedGemmNtt, block: &mut [u64], inverse: bool| {
+            let mut views: Vec<&mut [u64]> = block.chunks_mut(n).collect();
+            if inverse {
+                plan.inverse_batch(&mut views);
+            } else {
+                plan.forward_batch(&mut views);
+            }
+        };
+        run(&butterfly, &mut x, false);
+        run(&four_step, &mut y, false);
+        assert_eq!(x, y, "butterfly vs four-step forward at N = 2^{log_n}");
+        run(&butterfly, &mut x, true);
+        run(&four_step, &mut y, true);
+        assert_eq!((&x, &y), (&a, &a), "round trip at N = 2^{log_n}");
+        // About the same work per sample at every degree.
+        let reps = ((reps * batch * n) >> 14).max(1);
+        let (bfly, gemm, spread) = paired_secs(
+            trials,
+            (reps, reps),
+            || {
+                run(&butterfly, &mut x, false);
+                run(&butterfly, &mut x, true);
+            },
+            || {
+                run(&four_step, &mut y, false);
+                run(&four_step, &mut y, true);
+            },
+        );
+        let ratio = gemm / bfly;
+        if ratio <= 1.0 {
+            losses.push(format!("2^{log_n}: {ratio:.2}×"));
+        }
+        if log_n == 13 {
+            pinned = Some((ratio, spread));
+        }
+        let per_row = 1e6 / batch as f64;
+        rows.push(vec![
+            format!("2^{log_n}"),
+            format!("{batch}"),
+            format!("{:.1} µs", bfly * per_row),
+            format!("{:.1} µs", gemm * per_row),
+            format!("{ratio:.2}×"),
+            format!(
+                "{} / {}",
+                n / 2 * log_n as usize,
+                FourStepNtt::new(n, q).macs_per_row()
+            ),
+            if ratio > 1.0 {
+                "butterfly"
+            } else {
+                "four-step"
+            }
+            .into(),
+            format!("{:.0}%", spread * 100.0),
+        ]);
+    }
+    print_table(
+        &format!(
+            "Host NTT by algorithm: the executor's chunk, fwd + inv per row, 28-bit prime \
+             (median of {trials} back-to-back trials, spread of the per-trial speedup)"
+        ),
+        &[
+            "N",
+            "rows/chunk",
+            "butterfly",
+            "four-step",
+            "speedup",
+            "MACs/row bfly / 4-step",
+            "winner",
+            "spread",
+        ],
+        &rows,
+    );
+    assert!(
+        losses.is_empty(),
+        "the butterfly must win the executor's chunk at every N: {losses:?}"
+    );
+    match pinned {
+        Some((ratio, spread)) if spread <= MAX_SPREAD => {
+            report::emit("kernels", &[("host_butterfly_vs_fourstep", ratio)]);
+        }
+        _ => println!(
+            "[kernels] host_butterfly_vs_fourstep not emitted: spread exceeded {MAX_SPREAD}"
+        ),
+    }
+}
+
 /// HMULT's key switch at HEAX set B (`N = 2^13`, 4 + 4 primes, `α = 1`,
 /// butterfly NTT): the lean, limb-major `key_switch` on its threads beside
 /// the serial reference composition. On a multi-core machine the ratio
@@ -542,6 +653,7 @@ fn main() {
     word_size_rows();
     tile_rows();
     staged_rows();
+    host_ntt_rows();
     keyswitch_rows();
     rescale_split_rows();
 }

@@ -8,10 +8,18 @@
 //! execute chunks between (and after) their engine shards, and any idle
 //! worker **steals** chunks from busy ones:
 //!
-//! * `NTT`/`INTT` events run the batched four-step pipeline
-//!   (`tensorfhe_ntt::BatchedGemmNtt`) over the chunk's row range through
-//!   the plan's own batch path, the fused Montgomery GEMMs on SIMD
-//!   register tiles. Chunks are whole rows.
+//! * `NTT`/`INTT` events run the butterfly plan
+//!   (`tensorfhe_ntt::BatchedGemmNtt` with `NttAlgorithm::Butterfly`, the
+//!   NTT `ckks::Evaluator` runs) over the chunk's row range, one row after
+//!   another. Chunks are whole rows. The four-step GEMM plan is
+//!   bit-identical but slower here: a CPU has no tensor core to make its
+//!   MACs cheap, and at `2^13` it does 524 288 MACs per row against
+//!   53 248 butterflies. The `kernels` bench's "host NTT by algorithm"
+//!   table times both on the executor's chunk shape at `N = 2^12 … 2^16`;
+//!   the butterfly wins at every degree
+//!   (`kernels/host_butterfly_vs_fourstep` pins the `2^13` ratio). The
+//!   GEMM NTT keeps its other jobs: the simulated A100's costed algorithm
+//!   and `eval_gemm`.
 //! * `Conv` events run the wide basis-conversion GEMM (`BasisConvGemm`,
 //!   its word-size kernel); chunks are column ranges of the
 //!   `(L_dst × L_src) × (L_src × W)` product, generated and folded
@@ -383,7 +391,7 @@ impl RealWork {
         match events[chunk.event_idx] {
             KernelEvent::Ntt { n, inverse, .. } => {
                 let q = self.ntt_prime(n);
-                let plan = PlanCache::global().get(n, q, NttAlgorithm::FourStep);
+                let plan = PlanCache::global().get(n, q, NttAlgorithm::Butterfly);
                 let rows = chunk.units.len();
                 let mut block = vec![0u64; rows * n];
                 for (r, row) in block.chunks_mut(n).enumerate() {
@@ -447,6 +455,7 @@ mod tests {
     use super::super::tests::{cfg, drain, pool};
     use super::super::{ExecBackend, Pool};
     use super::*;
+    use tensorfhe_ntt::BatchedGemmNtt;
 
     #[test]
     fn full_width_checksum_is_chunk_and_worker_invariant() {
@@ -464,6 +473,63 @@ mod tests {
             );
             let work = pool.host_work().expect("host backend");
             assert_eq!(*reference.get_or_insert(work), work, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn ntt_chunk_fold_matches_the_four_step_plan() {
+        // The executor runs the butterfly; the four-step GEMM plan must
+        // give the same fold on the same generated rows, so swapping
+        // the plan moves no checksum. Chunks start mid-event, on a
+        // non-zero device and event index, so the row seeds and the fold
+        // positions are both offset.
+        let mut real = RealWork::default();
+        for log_n in 2..=13u32 {
+            let n = 1usize << log_n;
+            for inverse in [false, true] {
+                let events = [
+                    KernelEvent::HadaMult { n, limbs: 1 },
+                    KernelEvent::Ntt {
+                        n,
+                        limbs: 4,
+                        inverse,
+                    },
+                ];
+                let spec = ChunkSpec {
+                    device: 1,
+                    event_idx: 1,
+                    units: 3..6,
+                    total_units: 8,
+                };
+                let got = real.run_chunk(&events, &spec);
+
+                let q = generate_ntt_primes(1, 28, n as u64)[0];
+                let mut rows: Vec<Vec<u64>> = spec
+                    .units
+                    .clone()
+                    .map(|r| {
+                        let mut row = vec![0u64; n];
+                        fill_row(&mut row, q, row_seed(1, 1, r));
+                        row
+                    })
+                    .collect();
+                let four_step = BatchedGemmNtt::new(n, q, NttAlgorithm::FourStep);
+                let mut views: Vec<&mut [u64]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
+                match inverse {
+                    false => four_step.forward_batch(&mut views),
+                    true => four_step.inverse_batch(&mut views),
+                }
+                let mut checksum = 0;
+                for (r, row) in spec.units.clone().zip(&rows) {
+                    fold_checksum_at(&mut checksum, (r * n) as u64, row);
+                }
+                let want = HostWorkStats {
+                    ntt_rows: 3,
+                    checksum,
+                    ..HostWorkStats::default()
+                };
+                assert_eq!(got, want, "N = 2^{log_n}, inverse = {inverse}");
+            }
         }
     }
 

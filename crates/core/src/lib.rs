@@ -164,14 +164,15 @@
 //!    besides the simulated launches. [`exec::ExecBackend::Sim`] (the
 //!    default) runs nothing else, so workers beyond the device count are
 //!    clamped. [`exec::ExecBackend::HostParallel`] makes the workers also
-//!    *execute* the batch's batched-NTT and basis-conversion GEMMs with
-//!    real cache-blocked, register-tiled Montgomery `u64` arithmetic
-//!    (`tensorfhe_math::gemm_fast`), staged through thread-local scratch
-//!    arenas (`tensorfhe_math::scratch`). Its NTT is the four-step plan's
-//!    ordinary batch path — the fused Montgomery GEMM pipeline that
-//!    `ckks::Evaluator` and every other caller of
-//!    `tensorfhe_ntt::NttBatchOps` also runs; there is no separate
-//!    "fast" entry point to opt into. What it executes per operation is
+//!    *execute* the batch's NTTs and basis conversions with real `u64`
+//!    arithmetic. Its NTT is the butterfly plan, the one `ckks::Evaluator`
+//!    runs, at every degree: on a CPU, with no tensor core to make the
+//!    GEMM's MACs cheap, the four-step plan does ≈ 10× the multiplies
+//!    (524 288 per row at `2^13` against 53 248 butterflies) and loses
+//!    the executor's chunk at every `N` from `2^12` to `2^16` (the
+//!    `kernels` bench's "host NTT by algorithm" table). The two plans are
+//!    bit-identical, so the choice moves no checksum. Its conversions are
+//!    the basis-conversion GEMM. What it executes per operation is
 //!    what the schedule lists, so it follows the evaluator's NTT-lean key
 //!    switch (`tensorfhe_ckks::keyswitch::key_switch_events`): per HMULT
 //!    `D·E + 2K + 2m` NTT rows — own limbs of a digit are never

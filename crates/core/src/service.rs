@@ -331,10 +331,13 @@ pub struct ServiceStats {
     /// Always 0 on simulated backends; telemetry like
     /// [`ServiceStats::steals`].
     pub stolen_rows: u64,
-    /// Lanes of the register tile the backend's GEMMs run on: 0 for the
-    /// simulated backend (no host arithmetic),
-    /// [`tensorfhe_math::simd::active_lanes`] for `host-parallel`. Names
-    /// the kernel, never changes results.
+    /// Lanes of the Montgomery GEMM register tile
+    /// (`tensorfhe_math::gemm_fast`): 0 for the simulated backend (no host
+    /// arithmetic), [`tensorfhe_math::simd::active_lanes`] for
+    /// `host-parallel`. A label of that tile only: the host executor's
+    /// NTT chunks run the butterfly plan, so no host NTT runs on it (its
+    /// conversion chunks run `BasisConvGemm`'s own block kernel). Never
+    /// changes results.
     pub simd_lanes: usize,
 }
 
