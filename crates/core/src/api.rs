@@ -251,8 +251,9 @@ impl TensorFheBuilder {
     /// [`crate::sched::DEFAULT_LOOKAHEAD`] and
     /// [`crate::sched::DEFAULT_AGING_BOUND`].
     ///
-    /// `workers` is the [`crate::exec::Pool`]'s thread count (clamped to
-    /// the device count on the simulated backend). The execution backend
+    /// `workers` is the [`crate::exec::Pool`]'s chunk-thread count on the
+    /// host backend; it has no effect on the simulated backend, whose
+    /// engines run on the calling thread. The execution backend
     /// resolves the same way (builder → `TENSORFHE_BACKEND` → simulated
     /// default) but lives outside [`SchedPolicy`]; see
     /// [`TensorFheBuilder::backend`]. So does the host real-row cap
@@ -280,10 +281,10 @@ impl TensorFheBuilder {
     /// simulated launches.
     ///
     /// [`ExecBackend::Sim`] (the default) is the pure timing model.
-    /// [`ExecBackend::HostParallel`] makes the pool's workers also execute
+    /// [`ExecBackend::HostParallel`] makes the pool also execute
     /// every batch's batched-NTT and basis-conversion GEMMs with real
     /// cache-blocked Montgomery arithmetic on the host, split into
-    /// work-stealing chunks. Reports and [`crate::service::ServiceStats`]
+    /// work-stealing chunks that its worker threads run. Reports and [`crate::service::ServiceStats`]
     /// stay bit-identical across the two — the host backend adds only
     /// wall-clock and the [`crate::exec::HostWorkStats`] counters.
     ///

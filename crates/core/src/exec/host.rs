@@ -4,9 +4,9 @@
 //!
 //! On [`ExecBackend::HostParallel`](super::ExecBackend::HostParallel),
 //! `submit` splits every GEMM-shaped kernel event shard into row-range
-//! **chunks** besides handing the engine shards to their owners; workers
-//! execute chunks between (and after) their engine shards, and any idle
-//! worker **steals** chunks from busy ones:
+//! **chunks** and queues them before it runs the engine shards on the
+//! calling thread; the worker threads run chunks and nothing else, and any
+//! idle worker **steals** chunks from busy ones:
 //!
 //! * `NTT`/`INTT` events run the butterfly plan
 //!   (`tensorfhe_ntt::BatchedGemmNtt` with `NttAlgorithm::Butterfly`, the
@@ -32,25 +32,20 @@
 //! Chunk planning is a pure function of `(events, shard widths,
 //! rows_cap)` — no engine or worker state — sizing each chunk to roughly
 //! `CHUNK_ELEMS` (16 Ki) elements. A chunk for device `d` lands at the
-//! back of the deque of worker `d % threads` (the worker that owns the
-//! device's engine). Owners pop their own deque from the **back** (LIFO:
+//! back of the deque of worker `d % threads`, its home worker. Owners pop
+//! their own deque from the **back** (LIFO:
 //! the freshest chunk is the cache-warmest); thieves scan the other deques
 //! and pop from the **front** (FIFO: the oldest chunk is the largest
 //! remaining tranche of a stranger's work, and the ends never contend) —
 //! the chase-lev discipline, here with a plain mutex per deque. A
 //! one-thread pool has no deques: it runs its chunks at `submit`.
 //!
-//! Stealing crosses devices freely, but **engines never migrate**: the
-//! simulated `Engine` is stateful (its launch history *is* the
-//! deterministic report stream) and must see every batch of its device
-//! in submission order on one thread. Chunks carry no engine state at
-//! all — inputs are regenerated from the seed, outputs are folded into
-//! an order-insensitive checksum — so executing one on a foreign worker
-//! is indistinguishable from executing it at home. That asymmetry is the
-//! whole design: determinism lives with the device-owned engines,
-//! parallelism lives with the ownerless chunks. It also means workers in
-//! excess of devices are pure thieves: they own no engine, receive no
-//! engine shards, and still earn real speedup on the arithmetic.
+//! Chunks carry no engine state at all — inputs are regenerated from the
+//! seed, outputs are folded into an order-insensitive checksum — so
+//! executing one on a foreign worker is indistinguishable from executing
+//! it at home, and stealing crosses devices freely. Workers in excess of
+//! devices have no home chunks: they are pure thieves, and still earn
+//! real speedup on the arithmetic.
 //!
 //! Inputs are generated deterministically per `(device, event, row)` —
 //! and per column for `Conv` — from splitmix64, and checksums are folded
@@ -61,7 +56,6 @@
 //! cap bounds real rows per event shard for hosts where paper widths are
 //! intractable (`TENSORFHE_ROWS_CAP`, CI's bounded corners).
 
-use super::Reply;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -266,16 +260,16 @@ pub(super) struct Chunk {
 }
 
 /// A batch's chunks still running and their fold so far. The last chunk
-/// to finish sends the fold as one reply, so a joiner wakes once per
-/// batch, not once per chunk.
+/// to finish sends the fold as the batch's one reply, so a joiner wakes
+/// once per batch, not once per chunk.
 #[derive(Debug)]
 pub(super) struct ChunkTally {
     left: Mutex<(usize, HostWorkStats)>,
-    reply: mpsc::Sender<Reply>,
+    reply: mpsc::Sender<HostWorkStats>,
 }
 
 impl ChunkTally {
-    pub(super) fn new(chunks: usize, reply: mpsc::Sender<Reply>) -> Self {
+    pub(super) fn new(chunks: usize, reply: mpsc::Sender<HostWorkStats>) -> Self {
         let left = Mutex::new((chunks, HostWorkStats::default()));
         Self { left, reply }
     }
@@ -286,7 +280,7 @@ impl ChunkTally {
         left.1.absorb(local);
         if left.0 == 0 {
             // A dropped receiver means the pool abandoned the batch.
-            let _ = self.reply.send((Vec::new(), left.1));
+            let _ = self.reply.send(left.1);
         }
     }
 }
@@ -315,7 +309,7 @@ impl StealShared {
         }
     }
 
-    /// Queues a chunk on its device owner's deque.
+    /// Queues a chunk on its home worker's deque (device `d` → `d % threads`).
     pub(super) fn push(&self, chunk: Chunk) {
         let owner = chunk.spec.device % self.queues.len();
         self.queues[owner]
@@ -340,9 +334,19 @@ impl StealShared {
         None
     }
 
+    /// A worker thread's loop until the pool hangs up: on each wake-up
+    /// (several queued count as one), run chunks until none is left.
+    pub(super) fn serve(&self, me: usize, wake: &mpsc::Receiver<()>) {
+        let mut real = RealWork::default();
+        while wake.recv().is_ok() {
+            wake.try_iter().for_each(drop);
+            self.drain(me, &mut real);
+        }
+    }
+
     /// Runs chunks as worker `me` — own deque first, then stolen ones —
     /// until none is left anywhere.
-    pub(super) fn drain(&self, me: usize, real: &mut RealWork) {
+    fn drain(&self, me: usize, real: &mut RealWork) {
         while let Some((chunk, stolen)) = self.next_chunk(me) {
             let units = chunk.spec.units.len() as u64;
             if stolen {
@@ -365,7 +369,7 @@ impl StealShared {
     }
 }
 
-/// Per-worker real-arithmetic state: caches of the deterministic primes
+/// Per-thread real-arithmetic state: caches of the deterministic primes
 /// backing the work (the plans themselves are shared through
 /// [`PlanCache::global`], and every thread's cache regenerates identical
 /// primes).

@@ -1,27 +1,28 @@
 //! The executor — "run a scheduled batch on the device(s)".
 //!
 //! The service layer coalesces requests into batches; *how* a batch turns
-//! into device work is this module's job, and [`Pool`] does it: `threads`
-//! workers own the per-device simulated
-//! [`Engine`]s — device `d` belongs to worker `d % threads` — and the
-//! [`ExecBackend`] only chooses what else a batch runs:
+//! into device work is this module's job, and [`Pool`] does it. The pool
+//! owns one simulated [`Engine`] per device and runs a batch's engine
+//! shards in [`Pool::submit`], on the calling thread, in device order —
+//! the paper's API layer likewise batches operations and then invokes the
+//! workflow's kernels in sequence (§IV-E). The [`ExecBackend`] only
+//! chooses what else a batch runs:
 //!
-//! * [`ExecBackend::Sim`] — simulated launches only. A worker beyond the
-//!   device count would own no engine and find nothing to steal, so the
-//!   pool clamps `threads` to the device count.
-//! * [`ExecBackend::HostParallel`] — the same engines, plus real host
+//! * [`ExecBackend::Sim`] — simulated launches only. The pool spawns no
+//!   thread, whatever `workers` asks for, and reports one worker.
+//! * [`ExecBackend::HostParallel`] — the same launches, plus real host
 //!   arithmetic: every batched-NTT and basis-conversion GEMM is split
-//!   into work-stealing row chunks ([`host`]) and run on the fused
-//!   Montgomery kernels. Surplus workers are kept: they own no engine and
-//!   only steal chunks.
+//!   into work-stealing row chunks ([`host`]). With `workers > 1` the
+//!   pool spawns exactly `workers` threads, which run chunks and nothing
+//!   else; `submit` queues the batch's chunks and wakes them before it
+//!   runs the engines. One worker spawns nothing and runs the chunks at
+//!   `submit` too.
 //!
-//! A one-thread pool spawns nothing: `submit` runs the engine shards and
-//! any chunks eagerly on the calling thread. With more threads each worker
-//! runs its devices' shards in submission order, and results are merged in
-//! device-index order, so every thread count is **bit-identical**: each
-//! device's simulator sees exactly the same launch sequence either way,
-//! and the merge folds floats in the same order. Threads and host
-//! arithmetic buy wall-clock, never result drift.
+//! Results are **bit-identical** at every worker count and on both
+//! backends: each device's simulator sees the same launch sequence on the
+//! same thread, the merge folds floats in device order, and the chunks'
+//! fold is order-insensitive. Threads and host arithmetic buy wall-clock,
+//! never result drift.
 //!
 //! Determinism contract: for a fixed pool configuration, `submit`ting
 //! the same sequence of batches must yield the same [`BatchResult`]s. The
@@ -33,13 +34,13 @@
 //! would have served from the dispatch cache executes for real.
 //!
 //! Multi-outstanding contract: any number of batches may be submitted
-//! before any is joined. Every backend queues work FIFO *per device*, so
-//! outstanding batches resolve to exactly the results a
-//! submit-join-submit-join sequence would produce; handles may be joined in
-//! any order. [`Pool::try_join`] is the non-blocking form — it returns
-//! `None` while the batch is still executing on the host workers, which
-//! lets a scheduler keep a window of in-flight batches and harvest whichever
-//! are already complete without stalling the planning loop.
+//! before any is joined, and handles may be joined in any order; each
+//! resolves to exactly the result a submit-join-submit-join sequence
+//! would produce. [`Pool::try_join`] is the non-blocking form — it returns
+//! `None` while the batch's chunks are still running on the host workers
+//! (never on a pool without worker threads), which lets a scheduler keep
+//! a window of in-flight batches and harvest whichever are already
+//! complete without stalling the planning loop.
 
 use crate::engine::{Engine, EngineConfig, OpStats};
 use crate::error::{CoreError, CoreResult};
@@ -53,16 +54,17 @@ pub mod host;
 
 pub use host::{HostWorkStats, StealStats};
 
-/// Which execution backend the pool's workers run.
+/// What the pool runs besides the simulated launches.
 ///
 /// Selected on the builder (`TensorFheBuilder::backend`) or via the
 /// `TENSORFHE_BACKEND` environment variable (`sim`, `host-parallel`).
 /// Both produce bit-identical reports — the host backend additionally
-/// *executes* the GEMM kernel families with real arithmetic on the worker
-/// threads.
+/// *executes* the GEMM kernel families with real arithmetic, on the
+/// pool's worker threads when it has more than one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecBackend {
-    /// Simulated launches only (serial or thread-pooled): the default.
+    /// Simulated launches only, on the calling thread: the default.
+    /// `workers` has no effect; the pool spawns no thread.
     #[default]
     Sim,
     /// Real host arithmetic through the cache-blocked Montgomery fast
@@ -133,7 +135,10 @@ impl BatchResult {
 pub struct ExecCaps {
     /// Device count the pool drives.
     pub devices: usize,
-    /// Host worker threads driving those devices (1 = serial).
+    /// Host threads running the batches' real-arithmetic chunks: the
+    /// configured `workers` on the host backend (1 = the calling thread,
+    /// nothing spawned), always 1 under [`ExecBackend::Sim`]. The engine
+    /// shards run on the calling thread either way.
     pub workers: usize,
     /// VRAM per device, bytes (bounds the feasible shard width).
     pub vram_bytes_per_device: u64,
@@ -242,20 +247,22 @@ pub fn merge_shards(per_device: Vec<(usize, OpStats)>, devices: usize) -> BatchR
     }
 }
 
-/// The one executor: `threads` workers own the per-device engines — device
-/// `d` belongs to worker `d % threads` — and, on the host backend, run the
-/// batches' GEMM chunks, stealing from each other when idle (see the
+/// The one executor: one simulated engine per device, run on the calling
+/// thread at `submit`, and on the host backend the batches' GEMM chunks,
+/// run by worker threads that steal from each other when idle (see the
 /// module docs and [`host`]).
 #[derive(Debug)]
 pub struct Pool {
     caps: ExecCaps,
     backend: ExecBackend,
     rows_cap: usize,
-    /// A one-thread pool's only worker, run on the calling thread.
-    inline: Option<Worker>,
-    /// Per worker thread: engine shards (`Some`) or a wake-up for new
-    /// chunks (`None`).
-    senders: Vec<mpsc::Sender<Option<Job>>>,
+    /// Device `d`'s simulator at index `d`.
+    engines: Vec<Engine>,
+    /// The calling thread's chunk caches, for a pool without worker
+    /// threads.
+    real: RealWork,
+    /// Per worker thread, a wake-up for newly queued chunks.
+    senders: Vec<mpsc::Sender<()>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     shared: Arc<StealShared>,
     next: u64,
@@ -267,12 +274,11 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Builds the pool a configuration describes: `devices` engines driven
-    /// by `workers` threads — clamped to `devices` under
-    /// [`ExecBackend::Sim`], kept whole on the host backend, whose surplus
-    /// workers steal chunks — with `rows_cap` real rows per kernel-event
-    /// shard on the host backend (`0` = uncapped; ignored by the simulated
-    /// backend). One thread spawns nothing: batches run at `submit`.
+    /// Builds the pool a configuration describes: `devices` engines, and
+    /// on [`ExecBackend::HostParallel`] `workers` chunk threads (none at
+    /// one worker: chunks then run at `submit`) with `rows_cap` real rows
+    /// per kernel-event shard (`0` = uncapped). [`ExecBackend::Sim`]
+    /// ignores `workers` and `rows_cap` and spawns nothing.
     ///
     /// # Errors
     ///
@@ -294,9 +300,10 @@ impl Pool {
             ));
         }
         let threads = match backend {
-            ExecBackend::Sim => workers.min(devices),
+            ExecBackend::Sim => 1,
             ExecBackend::HostParallel => workers,
         };
+        let spawned = if threads == 1 { 0 } else { threads };
         let mut pool = Self {
             caps: ExecCaps {
                 devices,
@@ -308,23 +315,20 @@ impl Pool {
             },
             backend,
             rows_cap,
-            inline: None,
+            engines: (0..devices).map(|_| Engine::new(cfg.clone())).collect(),
+            real: RealWork::default(),
             senders: Vec::new(),
             handles: Vec::new(),
-            shared: Arc::new(StealShared::new(if threads == 1 { 0 } else { threads })),
+            shared: Arc::new(StealShared::new(spawned)),
             next: 0,
             pending: HashMap::new(),
             work: HostWorkStats::default(),
         };
-        if threads == 1 {
-            pool.inline = Some(Worker::new(cfg, devices, 1));
-            return Ok(pool);
-        }
-        for w in 0..threads {
+        for w in 0..spawned {
             let (tx, rx) = mpsc::channel();
-            // Named after the owned devices, so host profiles and stack
-            // dumps attribute time to them; a pure thief, owning none, by
-            // its index.
+            // Named after the devices whose chunks land on its deque, so
+            // host profiles and stack dumps attribute time to them; a pure
+            // thief, with none, by its index.
             let ids: Vec<String> = (w..devices)
                 .step_by(threads)
                 .map(|d| d.to_string())
@@ -333,12 +337,10 @@ impl Pool {
                 true => format!("tfhe-worker-s{w}"),
                 false => format!("tfhe-worker-{}", ids.join("+")),
             };
-            let (cfg, shared, owned) = (cfg.clone(), Arc::clone(&pool.shared), ids.len());
-            // Engines live inside the thread: the simulator state never
-            // crosses thread boundaries, only plain results.
+            let shared = Arc::clone(&pool.shared);
             let handle = std::thread::Builder::new()
                 .name(name)
-                .spawn(move || Worker::new(&cfg, owned, threads).serve(w, &rx, &shared))
+                .spawn(move || shared.serve(w, &rx))
                 .map_err(|e| CoreError::InvalidConfig(format!("cannot spawn a worker: {e}")))?;
             pool.senders.push(tx);
             pool.handles.push(handle);
@@ -347,56 +349,40 @@ impl Pool {
     }
 
     /// Folds a finished batch's real work in and returns its result.
-    fn settle(&mut self, mut batch: Pending) -> BatchResult {
+    fn settle(&mut self, batch: Pending) -> BatchResult {
         self.work.absorb(batch.work);
-        // Workers answer in completion order; the merge is defined in
-        // device order, so results ignore thread scheduling.
-        batch.shards.sort_by_key(|&(d, _)| d);
-        merge_shards(batch.shards, self.caps.devices)
+        batch.result
     }
 
     /// Schedules a batch; the returned handle is redeemed exactly once.
     pub fn submit(&mut self, batch: ExecBatch) -> ExecHandle {
         let devices = self.caps.devices;
         let widths = shard_widths(batch.width, devices);
-        let shards = widths
-            .iter()
-            .enumerate()
-            .filter(|&(_, &w)| w > 0)
-            .map(|(d, &w)| (d, w));
         // Real-arithmetic chunks: planned purely from (events, widths,
         // rows_cap), so the plan — and through the position-salted
         // checksum, the folded result — is independent of who executes
         // what.
-        let (chunks, upfront) = match self.backend {
+        let (chunks, mut work) = match self.backend {
             ExecBackend::Sim => (Vec::new(), HostWorkStats::default()),
             ExecBackend::HostParallel => plan_chunks(&batch.events, &widths, self.rows_cap),
         };
         let units: u64 = chunks.iter().map(|c| c.units.len() as u64).sum();
         self.shared.planned_rows.fetch_add(units, Ordering::Relaxed);
-        let pending = if let Some(worker) = &mut self.inline {
-            let per_device = worker.run_shards(&batch.tag, &batch.events, shards);
-            let mut work = upfront;
+        // Chunks first, so the workers run them while this thread runs
+        // the engines; without workers, they run here.
+        let rx = if self.senders.is_empty() {
             for chunk in &chunks {
-                work.absorb(worker.real.run_chunk(&batch.events, chunk));
+                work.absorb(self.real.run_chunk(&batch.events, chunk));
             }
             self.shared
                 .executed_rows
                 .fetch_add(units, Ordering::Relaxed);
-            Pending {
-                rx: None,
-                awaited: 0,
-                shards: per_device,
-                work,
-            }
+            None
+        } else if chunks.is_empty() {
+            None
         } else {
-            // Chunks go on their devices' owners' deques, then every worker
-            // hears of the batch: owners get their engine shards, which
-            // they run in submission order, the rest a wake-up to steal.
             let (reply, rx) = mpsc::channel();
-            let wake = !chunks.is_empty();
-            let mut awaited = usize::from(wake);
-            let tally = Arc::new(ChunkTally::new(chunks.len(), reply.clone()));
+            let tally = Arc::new(ChunkTally::new(chunks.len(), reply));
             for spec in chunks {
                 let (events, tally) = (Arc::clone(&batch.events), Arc::clone(&tally));
                 self.shared.push(Chunk {
@@ -405,26 +391,26 @@ impl Pool {
                     tally,
                 });
             }
-            let threads = self.senders.len();
-            for (w, tx) in self.senders.iter().enumerate() {
-                let mine: Vec<_> = shards.clone().filter(|&(d, _)| d % threads == w).collect();
-                let job = (!mine.is_empty()).then(|| Job {
-                    tag: Arc::clone(&batch.tag),
-                    events: Arc::clone(&batch.events),
-                    shards: mine,
-                    reply: reply.clone(),
-                });
-                awaited += usize::from(job.is_some());
-                if job.is_some() || wake {
-                    tx.send(job).expect("worker thread alive");
-                }
+            for tx in &self.senders {
+                tx.send(()).expect("worker thread alive");
             }
-            Pending {
-                rx: Some(rx),
-                awaited,
-                shards: Vec::new(),
-                work: upfront,
-            }
+            Some(rx)
+        };
+        let shards = widths
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w > 0)
+            .map(|(d, &w)| {
+                (
+                    d,
+                    self.engines[d].run_schedule(&batch.tag, &batch.events, w),
+                )
+            })
+            .collect();
+        let pending = Pending {
+            rx,
+            result: merge_shards(shards, devices),
+            work,
         };
         let id = self.next;
         self.next += 1;
@@ -447,9 +433,10 @@ impl Pool {
     }
 
     /// Non-blocking [`Pool::join`]: returns the merged result if the
-    /// batch has already completed, `None` if it is still executing. A
-    /// `Some` consumes the handle exactly like `join`; after `None` the
-    /// handle stays live and may be polled again or joined blockingly.
+    /// batch has already completed, `None` if its chunks are still
+    /// running. A `Some` consumes the handle exactly like `join`; after
+    /// `None` the handle stays live and may be polled again or joined
+    /// blockingly.
     ///
     /// # Panics
     ///
@@ -498,106 +485,34 @@ impl Drop for Pool {
     }
 }
 
-/// What one worker owns: the engines of its devices — device `d` at index
-/// `d / stride` — and the caches its chunks run on.
-#[derive(Debug)]
-struct Worker {
-    stride: usize,
-    engines: Vec<Engine>,
-    real: RealWork,
-}
-
-impl Worker {
-    /// A worker owning `owned` devices, every `stride`-th one.
-    fn new(cfg: &EngineConfig, owned: usize, stride: usize) -> Self {
-        let engines = (0..owned).map(|_| Engine::new(cfg.clone())).collect();
-        let real = RealWork::default();
-        Self {
-            stride,
-            engines,
-            real,
-        }
-    }
-
-    /// Runs `(device, width)` shards on their engines, in order.
-    fn run_shards(
-        &mut self,
-        tag: &str,
-        events: &[KernelEvent],
-        shards: impl Iterator<Item = (usize, usize)>,
-    ) -> Vec<(usize, OpStats)> {
-        shards
-            .map(|(d, width)| {
-                let engine = &mut self.engines[d / self.stride];
-                (d, engine.run_schedule(tag, events, width))
-            })
-            .collect()
-    }
-
-    /// A worker thread's loop until the pool hangs up: block for a
-    /// message, run the engine shards of every queued one — they are cheap
-    /// and strictly ordered per device — then chunks, own or stolen, the
-    /// heavy tail, until none is left anywhere.
-    fn serve(mut self, me: usize, inbox: &mpsc::Receiver<Option<Job>>, shared: &StealShared) {
-        while let Ok(first) = inbox.recv() {
-            let queued = std::iter::once(first).chain(inbox.try_iter());
-            for job in queued.flatten() {
-                let out = self.run_shards(&job.tag, &job.events, job.shards.into_iter());
-                // A dropped receiver means the pool abandoned the batch;
-                // nothing to do but keep serving.
-                let _ = job.reply.send((out, HostWorkStats::default()));
-            }
-            shared.drain(me, &mut self.real);
-        }
-    }
-}
-
-/// What a worker sends back for a batch: engine-shard statistics (from a
-/// job) or real work (from a batch's last chunk).
-type Reply = (Vec<(usize, OpStats)>, HostWorkStats);
-
-/// A worker thread's share of a batch's engine shards: `(global device
-/// index, shard width)` pairs, all owned by that worker, in device order.
-struct Job {
-    tag: Arc<str>,
-    events: Arc<[KernelEvent]>,
-    shards: Vec<(usize, usize)>,
-    reply: mpsc::Sender<Reply>,
-}
-
-/// A submitted, not yet joined batch: its reply channel (none if it ran
-/// at submit), how many replies — one per job, one for all chunks — are
-/// outstanding, and what the harvested ones said, so a non-blocking
-/// [`Pool::try_join`] keeps partial progress.
+/// A submitted, not yet joined batch: its merged engine result, the real
+/// work done so far, and — while worker threads still run its chunks —
+/// the channel on which the chunk tally sends the rest, once.
 #[derive(Debug)]
 struct Pending {
-    rx: Option<mpsc::Receiver<Reply>>,
-    awaited: usize,
-    shards: Vec<(usize, OpStats)>,
+    rx: Option<mpsc::Receiver<HostWorkStats>>,
+    result: BatchResult,
     work: HostWorkStats,
 }
 
 impl Pending {
-    /// Folds replies in until none is outstanding (`true`), or — not
-    /// blocking — until the channel is momentarily empty (`false`).
+    /// Folds the chunk tally's reply in, if one is outstanding: `true`
+    /// once the batch is complete, `false` if — not blocking — the
+    /// reply has not arrived yet.
     fn harvest(&mut self, block: bool) -> bool {
-        while self.awaited > 0 {
-            let rx = self
-                .rx
-                .as_ref()
-                .expect("outstanding replies have a channel");
-            let reply = match block {
-                true => rx.recv().ok(),
-                false => match rx.try_recv() {
-                    Err(mpsc::TryRecvError::Empty) => return false,
-                    reply => reply.ok(),
-                },
-            };
-            let (shards, work) = reply.expect("worker thread died mid-batch");
-            self.shards.extend(shards);
-            self.work.absorb(work);
-            self.awaited -= 1;
-        }
+        let Some(rx) = &self.rx else {
+            return true;
+        };
+        let reply = match block {
+            true => rx.recv().ok(),
+            false => match rx.try_recv() {
+                Err(mpsc::TryRecvError::Empty) => return false,
+                reply => reply.ok(),
+            },
+        };
+        self.work
+            .absorb(reply.expect("worker thread died mid-batch"));
+        self.rx = None;
         true
     }
 }
@@ -670,9 +585,9 @@ mod tests {
     /// The executor equivalence table: at every backend × `(devices,
     /// workers)` point, a batch sequence submitted all at once drains to
     /// the raw bits of a one-thread simulated pool; every host point of a
-    /// device count folds one `HostWorkStats`; the thread count follows
-    /// the `caps().workers` rule; and sharding sums energy and divides
-    /// wall time.
+    /// device count folds one `HostWorkStats`; a simulated pool spawns no
+    /// thread, a host pool exactly `workers` beyond one; and sharding
+    /// sums energy and divides wall time.
     #[test]
     fn every_backend_and_thread_count_is_bit_identical() {
         let widths = [1usize, 7, 16, 256, 5];
@@ -696,11 +611,10 @@ mod tests {
                 });
                 let mut pool = pool(devices, workers, backend);
                 let threads = match backend {
-                    ExecBackend::Sim => workers.min(devices),
+                    ExecBackend::Sim => 1,
                     ExecBackend::HostParallel => workers,
                 };
                 assert_eq!(pool.caps().workers, threads, "{point}: caps().workers");
-                assert_eq!(pool.inline.is_some(), threads == 1, "{point}: inline");
                 let spawned = if threads == 1 { 0 } else { threads };
                 assert_eq!(pool.handles.len(), spawned, "{point}: threads spawned");
                 for (got, want) in drain(&mut pool, &widths).iter().zip(want.iter()) {
@@ -751,9 +665,9 @@ mod tests {
     #[test]
     fn pool_pipelines_independent_batches() {
         // Submitting several batches before joining any must still resolve
-        // each handle to its own result (FIFO per worker), joined in any
-        // order.
-        let mut threaded = pool(2, 2, ExecBackend::Sim);
+        // each handle to its own result, joined in any order, while worker
+        // threads run their chunks.
+        let mut threaded = pool(2, 2, ExecBackend::HostParallel);
         let h1 = threaded.submit(batch(4));
         let h2 = threaded.submit(batch(32));
         let r2 = threaded.join(h2);
@@ -765,17 +679,26 @@ mod tests {
 
     #[test]
     fn try_join_is_nonblocking_and_consumes_on_success() {
-        // One thread: submission runs eagerly, so try_join always resolves
+        // No worker thread — one worker, or any count on the simulated
+        // backend: submission runs eagerly, so try_join always resolves
         // immediately and matches the blocking path bit-for-bit.
         let want = &drain(&mut pool(2, 1, ExecBackend::Sim), &[8])[0];
-        let mut inline = pool(2, 1, ExecBackend::Sim);
-        let h = inline.submit(batch(8));
-        let r = inline.try_join(h).expect("an inline pool is always ready");
-        assert_eq!(bits(&r), bits(want));
+        for (workers, backend) in [
+            (1, ExecBackend::Sim),
+            (4, ExecBackend::Sim),
+            (1, ExecBackend::HostParallel),
+        ] {
+            let mut inline = pool(2, workers, backend);
+            let h = inline.submit(batch(8));
+            let r = inline
+                .try_join(h)
+                .expect("a pool without threads is always ready");
+            assert_eq!(bits(&r), bits(want), "{backend:?} workers={workers}");
+        }
 
         // Worker threads: poll until they finish; the harvested result
         // must equal the blocking join of an identical submission.
-        let mut threaded = pool(2, 2, ExecBackend::Sim);
+        let mut threaded = pool(2, 2, ExecBackend::HostParallel);
         let h = threaded.submit(batch(8));
         assert_eq!(
             bits(&poll(&mut threaded, h)),
@@ -791,7 +714,7 @@ mod tests {
         // must match a serial submit-join-submit-join sequence exactly.
         let widths = [3usize, 16, 7, 1];
         let wants = drain(&mut pool(2, 1, ExecBackend::Sim), &widths);
-        let mut threaded = pool(2, 2, ExecBackend::Sim);
+        let mut threaded = pool(2, 2, ExecBackend::HostParallel);
         let handles: Vec<ExecHandle> = widths.iter().map(|&w| threaded.submit(batch(w))).collect();
         // Poll the third handle to completion, join the rest blockingly in
         // reverse submission order.
@@ -815,9 +738,11 @@ mod tests {
 
     #[test]
     fn caps_report_the_cluster() {
+        // A simulated pool runs everything on the calling thread, so it
+        // reports one worker whatever it was asked for.
         let caps = pool(4, 4, ExecBackend::Sim).caps();
         assert_eq!(caps.devices, 4);
-        assert_eq!(caps.workers, 4);
+        assert_eq!(caps.workers, 1);
         assert!((caps.power_watts - 4.0 * cfg().device.power_watts).abs() < 1e-9);
         assert_eq!(caps.vram_bytes_per_device, cfg().device.vram_bytes());
     }
@@ -841,11 +766,12 @@ mod tests {
 
     #[test]
     fn worker_threads_are_named_after_their_devices() {
-        // Owned devices joined by `+` (observable via the panic path and
-        // profilers), and a device-less thief by its index.
+        // The devices whose chunks land on the thread's deque, joined by
+        // `+` (observable via the panic path and profilers), and a thief
+        // with no home chunks by its index.
         for (pool, want) in [
             (
-                pool(4, 2, ExecBackend::Sim),
+                pool(4, 2, ExecBackend::HostParallel),
                 ["tfhe-worker-0+2", "tfhe-worker-1+3"],
             ),
             (

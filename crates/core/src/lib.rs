@@ -69,9 +69,9 @@
 //!                                          └─────────────┬──────────────┘
 //!                                                        │ Pool::submit / try_join
 //!                                                        ▼
-//!                                          Pool: workers own devices d % threads
-//!                                    (one thread: inline on the calling thread;
-//!                                     host backend: + stealable GEMM chunks)
+//!                                 Pool: engines run on the calling thread
+//!                                 (host backend: + stealable GEMM chunks
+//!                                  on the workers, or inline at one)
 //!                                                        │
 //!                                          per-device Engine → DeviceSim
 //! ```
@@ -152,19 +152,20 @@
 //!    BatchResult`, any number of batches outstanding, FIFO per device —
 //!    which owns sharding
 //!    ([`exec::shard_widths`]) and the deterministic device-order merge
-//!    ([`exec::merge_shards`]). Its workers ([`SchedPolicy::workers`] /
-//!    `TENSORFHE_WORKERS`) own the per-device engines, device `d` on worker
-//!    `d % threads`; one thread spawns nothing and runs every batch at
-//!    `submit` on the calling thread. Every thread count is bit-identical,
-//!    because each device's simulator sees the same launch sequence and
-//!    the merge folds in the same order.
+//!    ([`exec::merge_shards`]). It runs every batch's per-device engine
+//!    shards at `submit`, on the calling thread, in device order. Its
+//!    workers ([`SchedPolicy::workers`] / `TENSORFHE_WORKERS`) run only
+//!    the host backend's real-arithmetic chunks; one worker spawns
+//!    nothing. Every thread count is bit-identical, because each device's
+//!    simulator sees the same launch sequence and the merge folds in the
+//!    same order.
 //!
 //!    6a. **Backend selection** ([`TensorFheBuilder::backend`] /
-//!    `TENSORFHE_BACKEND`) only chooses what the pool's workers run
-//!    besides the simulated launches. [`exec::ExecBackend::Sim`] (the
-//!    default) runs nothing else, so workers beyond the device count are
-//!    clamped. [`exec::ExecBackend::HostParallel`] makes the workers also
-//!    *execute* the batch's NTTs and basis conversions with real `u64`
+//!    `TENSORFHE_BACKEND`) only chooses what the pool runs besides the
+//!    simulated launches. [`exec::ExecBackend::Sim`] (the default) runs
+//!    nothing else, so it spawns no thread and `workers` has no effect.
+//!    [`exec::ExecBackend::HostParallel`] makes the pool also *execute*
+//!    the batch's NTTs and basis conversions, on its workers, with real `u64`
 //!    arithmetic. Its NTT is the butterfly plan, the one `ckks::Evaluator`
 //!    runs, at every degree: on a CPU, with no tensor core to make the
 //!    GEMM's MACs cheap, the four-step plan does ≈ 10× the multiplies
@@ -186,9 +187,9 @@
 //!
 //!    The host backend runs **full-width by default**
 //!    ([`TensorFheBuilder::rows_cap`] / `TENSORFHE_ROWS_CAP`, `0` =
-//!    uncapped) through **work-stealing row chunks**. Stealing moves only
-//!    the real arithmetic, never an engine, so who computed which rows
-//!    touches no report; [`exec::host`] describes the chunk/steal
+//!    uncapped) through **work-stealing row chunks**. The workers run
+//!    only chunks, never an engine, so who computed which rows touches no
+//!    report; [`exec::host`] describes the chunk/steal
 //!    lifecycle and why the [`exec::HostWorkStats`] checksum is invariant
 //!    to it, and [`exec::StealStats`] carries the telemetry plus the
 //!    work-conservation ledger (`planned_rows == executed_rows`).
@@ -257,7 +258,9 @@
 //!   (`TENSORFHE_WORKERS`), pipeline depth (`TENSORFHE_PIPELINE`) and
 //!   admission mode (`TENSORFHE_ADMISSION`) change wall-clock overlap,
 //!   never result bits — enforced by the determinism/pipeline/ooo test
-//!   suites over the workers × depth × admission grid.
+//!   suites over the workers × depth × admission grid (worker threads
+//!   exist on the host backend only, so its corners carry the threaded
+//!   half of the promise).
 //! * **Bit-identity across host threads in the key switch and RESCALE.**
 //!   Above one size gate (`2^16` transformed words),
 //!   `tensorfhe_ckks::keyswitch::key_switch` runs its three limb loops

@@ -197,7 +197,10 @@ impl SchedPolicy {
         Self::default()
     }
 
-    /// Worker threads (devices) — overrides `TENSORFHE_WORKERS`.
+    /// Host threads for the host backend's real-arithmetic chunks —
+    /// overrides `TENSORFHE_WORKERS`. The simulated engines always run on
+    /// the calling thread, so under the simulated backend this has no
+    /// effect.
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = Some(n);

@@ -19,11 +19,11 @@
 //!    rule and the in-flight window live in the
 //!    [`crate::sched::Scheduler`]; `drain` is a thin loop that fills the
 //!    window and settles completed batches.
-//! 3. Each batch is dispatched into the one [`crate::exec::Pool`]: its
+//! 3. Each batch is dispatched into the one [`crate::exec::Pool`], which
+//!    runs its per-device engine shards on the calling thread; its
 //!    workers ([`crate::sched::SchedPolicy::workers`] or the
-//!    `TENSORFHE_WORKERS` environment variable) own the per-device
-//!    engines, and a one-worker pool runs every batch on the calling
-//!    thread. With a pipeline depth above one
+//!    `TENSORFHE_WORKERS` environment variable) run only the host
+//!    backend's real-arithmetic chunks. With a pipeline depth above one
 //!    ([`crate::sched::SchedPolicy::pipeline_depth`] /
 //!    `TENSORFHE_PIPELINE`), up to
 //!    `depth` *independent* batches stay submitted-but-unjoined at once —
@@ -213,7 +213,8 @@ pub struct ServiceStats {
     pub batch_cap: usize,
     /// Devices serving the queue.
     pub devices: usize,
-    /// Host worker threads driving the devices (1 = the calling thread).
+    /// Host threads running the host backend's real-arithmetic chunks
+    /// (1 = the calling thread; always 1 on the simulated backend).
     pub workers: usize,
     /// Execution backend label ([`crate::exec::ExecBackend::label`]):
     /// `"sim"` or `"host-parallel"`. Every other field in this struct is
@@ -250,8 +251,7 @@ pub struct ServiceStats {
     /// every shard that device executed under the canonical device-order
     /// shard layout. Sums across devices to the total attributed device
     /// time of all dispatched batches, and is depth-invariant (per
-    /// *device slot*, not per worker thread — with fewer workers than
-    /// devices each worker drives several devices; and with a pipeline
+    /// *device slot*, not per worker thread — and with a pipeline
     /// depth above one the overlap clock may re-place shards onto idle
     /// device queues without moving this attribution).
     pub device_busy_us: Vec<f64>,

@@ -4,7 +4,10 @@
 //! wall-clock only: a `drain` served by a multi-threaded `Pool` must
 //! produce **bit-identical** `RequestReport`s and `ServiceStats` to the
 //! one-thread pool — ids, completion order, float stats down to the last
-//! bit, launch counts, per-kernel tables. These tests pin that contract
+//! bit, launch counts, per-kernel tables. Only the host backend spawns
+//! worker threads (they run its real-arithmetic chunks; the simulated
+//! engines always run on the calling thread), so the threaded side of
+//! every comparison here is a host-parallel service. These tests pin that contract
 //! across seeded pseudo-random streams and a ragged-queue property suite,
 //! plus the per-device utilization invariants and the pickup of the
 //! `TENSORFHE_*` variables that drive the CI matrix.
@@ -14,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::{FheOp, TensorFhe};
+use tensorfhe_core::exec::ExecBackend;
 use tensorfhe_core::sched::SchedPolicy;
 use tensorfhe_core::service::{FheRequest, FheService, RequestReport, ServiceStats};
 
@@ -29,6 +33,19 @@ const OPS: [FheOp; 6] = [
 fn service(devices: usize, workers: usize) -> FheService {
     TensorFhe::builder(&CkksParams::test_small())
         .devices(devices)
+        .sched(SchedPolicy::new().workers(workers))
+        .service()
+        .expect("valid service config")
+}
+
+/// A service whose pool really runs `workers` threads: the host backend,
+/// with a small real-row cap to keep debug builds fast (the cap moves
+/// only host wall-clock and the work counters).
+fn threaded(devices: usize, workers: usize) -> FheService {
+    TensorFhe::builder(&CkksParams::test_small())
+        .devices(devices)
+        .backend(ExecBackend::HostParallel)
+        .rows_cap(4)
         .sched(SchedPolicy::new().workers(workers))
         .service()
         .expect("valid service config")
@@ -125,7 +142,7 @@ fn assert_identical(serial: &mut FheService, threaded: &mut FheService, seed: u6
 fn threaded_drain_is_bit_identical_to_serial_across_seeds() {
     for seed in [0u64, 1, 7, 42, 1234, 0xDEAD_BEEF] {
         let mut serial = service(4, 1);
-        let mut threaded = service(4, 4);
+        let mut threaded = threaded(4, 4);
         assert_eq!(serial.workers(), 1);
         assert_eq!(threaded.workers(), 4);
         assert_identical(&mut serial, &mut threaded, seed);
@@ -134,9 +151,10 @@ fn threaded_drain_is_bit_identical_to_serial_across_seeds() {
 
 #[test]
 fn two_worker_pool_over_four_devices_is_identical_too() {
-    // Workers need not equal devices: two threads each own two simulators.
+    // Workers need not equal devices: each of two threads is home to the
+    // chunks of two devices.
     let mut serial = service(4, 1);
-    let mut pool = service(4, 2);
+    let mut pool = threaded(4, 2);
     assert_eq!(pool.workers(), 2);
     assert_identical(&mut serial, &mut pool, 99);
 }
@@ -198,10 +216,10 @@ fn device_utilizations_sum_match_attributed_launch_time() {
     // that device's share of the service's busy window (≤ 1).
     use std::sync::Arc;
     use tensorfhe_core::api::schedule_events;
-    use tensorfhe_core::exec::{ExecBackend, ExecBatch, Pool};
+    use tensorfhe_core::exec::{ExecBatch, Pool};
     use tensorfhe_core::EngineConfig;
 
-    let mut svc = service(4, 4);
+    let mut svc = threaded(4, 4);
     let level = svc.params().max_level();
     let cap = svc.batch_cap();
     // Two distinct batch shapes: one full, one ragged.
@@ -256,7 +274,6 @@ fn service_picks_up_every_env_var() {
     // concurrently, so the checks run in a child process — a re-exec of
     // this binary with all six fixed at spawn — and this process never
     // mutates its own environment.
-    use tensorfhe_core::exec::ExecBackend;
     use tensorfhe_core::sched::AdmissionMode;
     const VARS: [(&str, &str); 6] = [
         ("TENSORFHE_WORKERS", "2"),
@@ -318,7 +335,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let mut serial = service(4, 1);
-        let mut threaded = service(4, 4);
+        let mut threaded = threaded(4, 4);
         let max_level = serial.params().max_level();
         let cap = serial.batch_cap();
         let mut rng = StdRng::seed_from_u64(seed);

@@ -165,12 +165,19 @@ fn pipelined_drain_is_bit_identical_to_depth_one_across_seeds() {
 
 #[test]
 fn pipelined_drain_is_bit_identical_across_both_executors() {
-    // Depth × thread-count cross: a depth-4 window over a 4-thread pool
-    // must still settle to the depth-1 one-thread bits —
-    // pipelining and host threading compose without touching results.
+    // Depth × thread-count cross: a depth-4 window over a 4-thread
+    // host-parallel pool must still settle to the depth-1 one-thread
+    // simulated bits — pipelining and host threading compose without
+    // touching results.
     for seed in [3u64, 99, 0xBEEF] {
         let mut reference = service(4, 1, 1);
-        let mut pipelined = service(4, 4, 4);
+        let mut pipelined = TensorFhe::builder(&CkksParams::test_small())
+            .devices(4)
+            .backend(tensorfhe_core::exec::ExecBackend::HostParallel)
+            .rows_cap(4)
+            .sched(SchedPolicy::new().workers(4).pipeline_depth(4))
+            .service()
+            .expect("valid service config");
         assert_eq!(pipelined.workers(), 4);
         assert_identical(&mut reference, &mut pipelined, seed);
     }

@@ -13,7 +13,7 @@
 use tensorfhe::ckks::CkksParams;
 use tensorfhe::core::api::{FheOp, TensorFhe};
 use tensorfhe::core::service::FheRequest;
-use tensorfhe::core::{ResidencyEvent, SchedPolicy, SessionConfig};
+use tensorfhe::core::{ResidencyEvent, SessionConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // N = 2^14 (the HEAX Set-C scale): single operations underfill the
@@ -69,20 +69,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.ops_per_watt,
     );
 
-    // The same stream on a 4-device cluster behind a 4-thread pool:
-    // one worker thread per device. Coalesced batches grow 4× and shard,
-    // so simulated throughput scales — and because executors are
-    // deterministic, a one-worker drain of this stream would be
-    // bit-identical.
-    let mut cluster = TensorFhe::builder(&params)
-        .devices(4)
-        .sched(SchedPolicy::new().workers(4))
-        .service()?;
+    // The same stream on a 4-device cluster. Coalesced batches grow 4×
+    // and shard, so simulated throughput scales; the pool runs the four
+    // simulated engines in device order on this thread.
+    let mut cluster = TensorFhe::builder(&params).devices(4).service()?;
     cluster.submit_stream(stream.clone())?;
     cluster.drain();
     let cstats = cluster.stats();
     println!(
-        "\n4-device / 4-worker service: batch cap {}, {:7.0} ops/s ({:4.2}× the single \
+        "\n4-device service: batch cap {}, {:7.0} ops/s ({:4.2}× the single \
          device), per-device utilization {:?}",
         cstats.batch_cap,
         cstats.ops_per_second,
