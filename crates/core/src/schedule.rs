@@ -61,7 +61,7 @@ fn faster_dft_schedule(params: &CkksParams, level: usize) -> (Vec<KernelEvent>, 
     if slots <= DFT_RADIX * 2 {
         return (bsgs_transform_schedule(params, level), 1);
     }
-    let stages = (slots as f64).log2().ceil() as usize / (DFT_RADIX as f64).log2() as usize + 1;
+    let stages = slots.ilog2().div_ceil(DFT_RADIX.ilog2()) as usize;
     let mut ev = Vec::new();
     let mut l = level;
     for _ in 0..stages {
@@ -323,6 +323,18 @@ mod tests {
         let set_b = CkksParams::heax_set_b();
         let hmult = schedule_events(&set_b, FheOp::HMult, set_b.max_level());
         assert_eq!(ntt_rows(&hmult), 48);
+    }
+
+    #[test]
+    fn factorized_dft_takes_ceil_log_r_stages() {
+        // `⌈log2 slots / log2 r⌉` sparse stages of radix r = 32: one more
+        // stage only when `log2 slots` is not a multiple of 5.
+        for log_slots in 7..=15usize {
+            let params = CkksParams::new("dft", 2 << log_slots, 9, 2, 5, 28, 26, 8).expect("valid");
+            assert_eq!(params.slots(), 1 << log_slots);
+            let (_, stages) = faster_dft_schedule(&params, params.max_level());
+            assert_eq!(stages, log_slots.div_ceil(5), "slots 2^{log_slots}");
+        }
     }
 
     fn boot_capable_params() -> CkksParams {

@@ -277,7 +277,7 @@ const COSTING_GOLDENS: [(FheOp, u64); 6] = [
 
 /// Golden digest of `Bootstrap { 7, 6 }` at `table_vii_bootstrap` then
 /// `table_v_packed_boot`.
-const BOOTSTRAP_GOLDEN: u64 = 0x609f_066b_cf16_8a53;
+const BOOTSTRAP_GOLDEN: u64 = 0xb54c_5a07_2c52_67af;
 
 #[test]
 fn schedule_events_match_their_goldens() {
