@@ -1,18 +1,23 @@
-//! ModUp and ModDown against an integer oracle.
+//! ModUp, ModDown and RESCALE against an integer oracle.
 //!
-//! The oracle recomputes both conversions coefficient by coefficient from
-//! their CRT definitions with `u128` arithmetic on the raw primes only — no
-//! `Modulus`, no `BasisConvGemm`, no `ModUpTable`/`ModDownTable` constants:
+//! The oracle recomputes each operation coefficient by coefficient from its
+//! CRT definition with `u128` arithmetic on the raw primes only — no
+//! `Modulus`, no `BasisConvGemm`, no `ModUpTable`/`ModDownTable` constants,
+//! no rescale constants:
 //!
 //! * ModUp of digit `j` (own primes `q_i`, `Q_j = Π q_i`,
 //!   `q̂_i = Q_j / q_i`) keeps its own limbs and fills every complement limb
 //!   `p` with `(Σ_i [x_i·q̂_i⁻¹]_{q_i}·q̂_i) mod p`;
 //! * ModDown (special primes `p_k`, `P = Π p_k`, `p̂_k = P / p_k`) outputs
-//!   `(a_i − [Σ_k [a_k·p̂_k⁻¹]_{p_k}·p̂_k]_{q_i})·P⁻¹ mod q_i`.
+//!   `(a_i − [Σ_k [a_k·p̂_k⁻¹]_{p_k}·p̂_k]_{q_i})·P⁻¹ mod q_i`;
+//! * RESCALE at level `l` CRT-composes each limb pair `(c_j, c_l)` to
+//!   `c mod q_j·q_l`, subtracts the centred residue of `c mod q_l`,
+//!   divides exactly by `q_l` and reduces mod `q_j`.
 //!
 //! The context's NTT plans are used only to move operands between domains.
-//! `mod_up` and `mod_down_batch` must match the oracle bit for bit for every
-//! paper preset shape plus `toy` and `test_small`, at every level and, for
+//! `mod_up`, `mod_down_batch` and `Evaluator::rescale` must match the
+//! oracle bit for bit for every paper preset shape plus `toy` and
+//! `test_small`, at every level (every level ≥ 1 for RESCALE) and, for
 //! ModUp, every digit.
 
 mod common;
@@ -22,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensorfhe_ckks::keyswitch::{mod_down_batch, mod_up, ExtPoly};
 use tensorfhe_ckks::trace::Tracing;
-use tensorfhe_ckks::{CkksContext, CkksParams, Domain, RnsPoly};
+use tensorfhe_ckks::{Ciphertext, CkksContext, CkksParams, Domain, Evaluator, RnsPoly};
 
 /// `a·b mod m`.
 fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
@@ -121,6 +126,42 @@ fn mod_down_oracle(ctx: &CkksContext, acc: &ExtPoly) -> RnsPoly {
     out
 }
 
+/// The oracle RESCALE of the NTT-domain `poly` at level `l ≥ 1`, in NTT
+/// domain at level `l − 1`.
+fn rescale_oracle(ctx: &CkksContext, poly: &RnsPoly) -> RnsPoly {
+    let q = ctx.q_primes();
+    let l = poly.level();
+    let mut poly = poly.clone();
+    poly.ntt_inverse(ctx);
+    let q_l = u128::from(q[l]);
+    let limbs = (0..l)
+        .map(|j| {
+            let q_j = u128::from(q[j]);
+            let q_j_inv = u128::from(inv_mod(q[j], q[l]));
+            poly.limb(j)
+                .iter()
+                .zip(poly.limb(l))
+                .map(|(&c_j, &c_l)| {
+                    let (c_j, c_l) = (u128::from(c_j), u128::from(c_l));
+                    // c ≡ c_j (mod q_j), c ≡ c_l (mod q_l), 0 ≤ c < q_j·q_l.
+                    let k = (c_l + q_l - c_j % q_l) % q_l * q_j_inv % q_l;
+                    let c = c_j + q_j * k;
+                    // c − v for the centred v ≡ c (mod q_l), |v| ≤ q_l/2:
+                    // non-negative and divisible by q_l.
+                    let shifted = match c_l > q_l / 2 {
+                        true => c + (q_l - c_l),
+                        false => c - c_l,
+                    };
+                    (shifted / q_l % q_j) as u64
+                })
+                .collect()
+        })
+        .collect();
+    let mut out = RnsPoly::from_limbs(limbs, Domain::Coeff);
+    out.ntt_forward(ctx);
+    out
+}
+
 fn shapes() -> Vec<CkksParams> {
     let mut shapes = preset_shapes();
     shapes.extend([CkksParams::toy(), CkksParams::test_small()]);
@@ -156,6 +197,26 @@ fn mod_down_matches_the_integer_oracle_at_every_shape_and_level() {
             let got = mod_down_batch(&ctx, &mut Tracing::new(None), &[&accs[0], &accs[1]]);
             let want: Vec<RnsPoly> = accs.iter().map(|a| mod_down_oracle(&ctx, a)).collect();
             assert_eq!(got, want, "{} level {level}", params.name());
+        }
+    }
+}
+
+#[test]
+fn rescale_matches_the_integer_oracle_at_every_shape_and_level() {
+    let mut rng = StdRng::seed_from_u64(0x5ca1e);
+    for params in shapes() {
+        let ctx = CkksContext::new(&params).expect("ctx");
+        let mut eval = Evaluator::new(&ctx);
+        for level in 1..=params.max_level() {
+            let ct = Ciphertext {
+                c0: random_poly(&ctx, &mut rng, level, Domain::Ntt),
+                c1: random_poly(&ctx, &mut rng, level, Domain::Ntt),
+                scale: params.scale(),
+            };
+            let got = eval.rescale(&ct).expect("level ≥ 1");
+            let point = format!("{} level {level}", params.name());
+            assert_eq!(got.c0, rescale_oracle(&ctx, &ct.c0), "{point}: c0");
+            assert_eq!(got.c1, rescale_oracle(&ctx, &ct.c1), "{point}: c1");
         }
     }
 }
