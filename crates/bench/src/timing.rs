@@ -8,8 +8,8 @@
 
 use std::time::Instant;
 
-/// Maximum relative spread `(max − min) / median` for a run to count as
-/// quiet enough to emit a pinned host key.
+/// Maximum relative interquartile spread `(Q3 − Q1) / median` for a run
+/// to count as quiet enough to emit a pinned host key.
 pub const MAX_SPREAD: f64 = 0.3;
 
 /// Seconds per call of `f` over one sample of `reps` calls.
@@ -21,7 +21,10 @@ pub fn sample_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
-/// The median of `samples` and their relative spread `(max − min) / median`.
+/// The median of `samples` and their relative interquartile spread
+/// `(Q3 − Q1) / median`, the quartiles interpolated between order
+/// statistics. Unlike the full range, one preempted trial does not move
+/// it, and more trials make it steadier rather than wider.
 ///
 /// # Panics
 ///
@@ -29,8 +32,13 @@ pub fn sample_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 #[must_use]
 pub fn median_spread(mut samples: Vec<f64>) -> (f64, f64) {
     samples.sort_by(f64::total_cmp);
+    let quantile = |p: f64| {
+        let h = p * (samples.len() - 1) as f64;
+        let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+        samples[lo] + (h - lo as f64) * (samples[hi] - samples[lo])
+    };
     let median = samples[samples.len() / 2];
-    (median, (samples[samples.len() - 1] - samples[0]) / median)
+    (median, (quantile(0.75) - quantile(0.25)) / median)
 }
 
 /// Seconds per call of `a` and of `b`, timed back to back in each of
@@ -53,4 +61,21 @@ pub fn paired_secs(
     let (a, _) = median_spread(samples.iter().map(|s| s.0).collect());
     let (b, _) = median_spread(samples.iter().map(|s| s.1).collect());
     (a, b, spread)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::median_spread;
+
+    #[test]
+    fn spread_is_interquartile() {
+        // Quartiles 2 and 5 around a median of 3: the outlier 100 does
+        // not count.
+        assert_eq!(median_spread(vec![5.0, 1.0, 100.0, 3.0, 2.0]), (3.0, 1.0));
+        assert_eq!(
+            median_spread(vec![4.0, 2.0, 3.0, 5.0, 1.0]),
+            (3.0, 2.0 / 3.0)
+        );
+        assert_eq!(median_spread(vec![7.0]), (7.0, 0.0));
+    }
 }
