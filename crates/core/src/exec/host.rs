@@ -334,28 +334,23 @@ impl StealShared {
         None
     }
 
-    /// A worker thread's loop until the pool hangs up: on each wake-up
-    /// (several queued count as one), run chunks until none is left.
+    /// Worker thread `me`'s loop until the pool hangs up: on each wake-up
+    /// (several queued count as one), run chunks — own deque first, then
+    /// stolen ones — until none is left anywhere.
     pub(super) fn serve(&self, me: usize, wake: &mpsc::Receiver<()>) {
         let mut real = RealWork::default();
         while wake.recv().is_ok() {
             wake.try_iter().for_each(drop);
-            self.drain(me, &mut real);
-        }
-    }
-
-    /// Runs chunks as worker `me` — own deque first, then stolen ones —
-    /// until none is left anywhere.
-    fn drain(&self, me: usize, real: &mut RealWork) {
-        while let Some((chunk, stolen)) = self.next_chunk(me) {
-            let units = chunk.spec.units.len() as u64;
-            if stolen {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                self.stolen_rows.fetch_add(units, Ordering::Relaxed);
+            while let Some((chunk, stolen)) = self.next_chunk(me) {
+                let units = chunk.spec.units.len() as u64;
+                if stolen {
+                    self.steals.fetch_add(1, Ordering::Relaxed);
+                    self.stolen_rows.fetch_add(units, Ordering::Relaxed);
+                }
+                let local = real.run_chunk(&chunk.events, &chunk.spec);
+                self.executed_rows.fetch_add(units, Ordering::Relaxed);
+                chunk.tally.complete_one(local);
             }
-            let local = real.run_chunk(&chunk.events, &chunk.spec);
-            self.executed_rows.fetch_add(units, Ordering::Relaxed);
-            chunk.tally.complete_one(local);
         }
     }
 

@@ -370,15 +370,13 @@ impl Pool {
         self.shared.planned_rows.fetch_add(units, Ordering::Relaxed);
         // Chunks first, so the workers run them while this thread runs
         // the engines; without workers, they run here.
-        let rx = if self.senders.is_empty() {
+        let rx = if self.senders.is_empty() || chunks.is_empty() {
             for chunk in &chunks {
                 work.absorb(self.real.run_chunk(&batch.events, chunk));
             }
             self.shared
                 .executed_rows
                 .fetch_add(units, Ordering::Relaxed);
-            None
-        } else if chunks.is_empty() {
             None
         } else {
             let (reply, rx) = mpsc::channel();
@@ -396,16 +394,9 @@ impl Pool {
             }
             Some(rx)
         };
-        let shards = widths
-            .iter()
-            .enumerate()
-            .filter(|&(_, &w)| w > 0)
-            .map(|(d, &w)| {
-                (
-                    d,
-                    self.engines[d].run_schedule(&batch.tag, &batch.events, w),
-                )
-            })
+        let shards = (self.engines.iter_mut().zip(&widths).enumerate())
+            .filter(|&(_, (_, &w))| w > 0)
+            .map(|(d, (engine, &w))| (d, engine.run_schedule(&batch.tag, &batch.events, w)))
             .collect();
         let pending = Pending {
             rx,
