@@ -654,8 +654,9 @@ mod tests {
 
     #[test]
     fn context_is_send_and_sync() {
-        // The executor seam shares one context across per-device worker
-        // threads; a reintroduced `Rc`/`RefCell` must fail to compile here.
+        // The key switch's and RESCALE's limb jobs share one context
+        // across threads; a reintroduced `Rc`/`RefCell` must fail to
+        // compile here.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CkksContext>();
         assert_send_sync::<ModUpTable>();

@@ -281,10 +281,10 @@ impl TensorFheBuilder {
     /// simulated launches.
     ///
     /// [`ExecBackend::Sim`] (the default) is the pure timing model.
-    /// [`ExecBackend::HostParallel`] makes the pool also execute
-    /// every batch's batched-NTT and basis-conversion GEMMs with real
-    /// cache-blocked Montgomery arithmetic on the host, split into
-    /// work-stealing chunks that its worker threads run. Reports and [`crate::service::ServiceStats`]
+    /// [`ExecBackend::HostParallel`] makes the pool also execute every
+    /// batch's batched NTTs and basis-conversion GEMMs with real host
+    /// arithmetic, split into work-stealing chunks that its worker
+    /// threads run. Reports and [`crate::service::ServiceStats`]
     /// stay bit-identical across the two — the host backend adds only
     /// wall-clock and the [`crate::exec::HostWorkStats`] counters.
     ///

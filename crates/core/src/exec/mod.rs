@@ -67,9 +67,9 @@ pub enum ExecBackend {
     /// `workers` has no effect; the pool spawns no thread.
     #[default]
     Sim,
-    /// Real host arithmetic through the cache-blocked Montgomery fast
-    /// kernels (`tensorfhe_math::gemm_fast`) — for the NTT, the plan's
-    /// ordinary batch path.
+    /// Real host arithmetic besides the launches: the butterfly NTT and
+    /// the basis-conversion GEMM, in chunks that the pool's worker
+    /// threads run (or the calling thread, at one worker).
     HostParallel,
 }
 
