@@ -167,8 +167,10 @@ impl Engine {
     /// The one thing a window inherits is the engine's launch-cost memo
     /// ([`tensorfhe_gpu::CostMemo`]): a launch's standalone cost is a pure
     /// function of `(device config, launch shape)`, so lending it changes
-    /// no bit of any result and the warp simulator runs once per kernel
-    /// shape per engine instead of once per shape per window.
+    /// no bit of any result. The cost model runs once per kernel shape per
+    /// engine instead of once per shape per window, and the warp simulator
+    /// once per distinct scheduler problem per engine, which many shapes
+    /// share.
     pub fn run_schedule(&mut self, tag: &str, events: &[KernelEvent], batch: usize) -> OpStats {
         let memo = std::mem::take(&mut self.memo);
         let sim = Rc::new(RefCell::new(DeviceSim::with_memo(

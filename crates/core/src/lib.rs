@@ -301,9 +301,12 @@
 //!   never depends on what ran before it. The one thing an engine carries
 //!   from window to window is its launch-cost memo
 //!   (`tensorfhe_gpu::CostMemo`): the standalone cost of a launch is a
-//!   pure function of `(device config, launch shape)`, so a warm engine
-//!   and a fresh one return the same bits (tested per variant), and the
-//!   memo refuses a simulator of any other device.
+//!   pure function of `(device config, launch shape)`, and the warp
+//!   simulator's result a pure function of its own inputs, which the memo
+//!   keeps too; so a warm engine and a fresh one return the same bits
+//!   (tested per variant), and the memo refuses a simulator of any other
+//!   device. The memo lives and dies with its engine: nothing is cached
+//!   process-wide.
 //! * **Reorder invariants.** Under out-of-order admission the trace
 //!   additionally proves: program order within a client stream is never
 //!   violated (same-key batches admit in serial plan order), no plan is

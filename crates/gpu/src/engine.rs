@@ -18,7 +18,7 @@
 use crate::device::DeviceConfig;
 use crate::kernel::{KernelClass, KernelDesc, KernelName};
 use crate::stall::{StallBreakdown, StallKind};
-use crate::warp_sim::simulate_scheduler;
+use crate::warp_sim::{simulate_scheduler, Instr, SimResult};
 use std::collections::{HashMap, VecDeque};
 
 /// Handle to a CUDA stream created by [`DeviceSim::create_stream`].
@@ -128,7 +128,22 @@ fn class_key(c: &KernelClass) -> ClassKey {
     }
 }
 
-/// Memoised standalone launch costs.
+/// The exact inputs of one [`simulate_scheduler`] call but the device,
+/// which a [`CostMemo`] is bound to: the template's fields (the footprint
+/// by its bits), the resident warps, the simulated iterations and the
+/// warps per block.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct SimKey {
+    body: Vec<Instr>,
+    code_footprint: u64,
+    loop_redirect_cycles: u32,
+    warps: usize,
+    iters: u64,
+    warps_per_block: usize,
+}
+
+/// Memoised standalone launch costs, and the warp-simulator results they
+/// were computed from.
 ///
 /// A launch's standalone cost is a pure function of the device description
 /// and the launch shape (class, geometry, layout) — never of clocks,
@@ -136,19 +151,26 @@ fn class_key(c: &KernelClass) -> ClassKey {
 /// filled it: [`DeviceSim::take_memo`] hands it out and
 /// [`DeviceSim::with_memo`] starts a fresh, zero-based simulator on it.
 /// That is how an engine runs every costing window history-free and still
-/// pays for the warp simulation once per kernel shape. A memo remembers
-/// the device it was filled for and refuses any other.
+/// costs each kernel shape once. Many shapes pose the same warp-scheduler
+/// problem (resident warps and simulated iterations sit at their caps), so
+/// the memo also keeps each [`simulate_scheduler`] result under the
+/// simulator's own inputs and runs the (deterministic) simulator once per
+/// distinct problem. A memo remembers the device it was filled for and
+/// refuses any other.
 #[derive(Debug, Default)]
 pub struct CostMemo {
     /// The device the entries were computed for (`None` while empty).
     device: Option<DeviceConfig>,
     // lint: ordered-ok (keyed get/insert only; never iterated)
     costs: HashMap<CostKey, CostProfile>,
+    // lint: ordered-ok (keyed entry only; never iterated)
+    sims: HashMap<SimKey, SimResult>,
 }
 
 impl CostMemo {
     /// Distinct launch shapes costed so far — each one is exactly one run
-    /// of the cost model (for CUDA-core kernels, of the warp simulator).
+    /// of the cost model. A CUDA-core shape runs the warp simulator only if
+    /// no earlier shape posed the same scheduler problem.
     #[must_use]
     pub fn len(&self) -> usize {
         self.costs.len()
@@ -527,7 +549,7 @@ impl DeviceSim {
         cost
     }
 
-    fn compute_cost(&self, desc: &KernelDesc) -> CostProfile {
+    fn compute_cost(&mut self, desc: &KernelDesc) -> CostProfile {
         let d = &self.config;
         let mem_eff = mem_efficiency(desc);
         let mem_us = desc.bytes_moved() as f64 / (d.mem_bandwidth_gbps * 1e3 * mem_eff);
@@ -580,13 +602,20 @@ impl DeviceSim {
         let resident = (warps_total.div_ceil(sched_total)).clamp(1, warps_per_sched_cap);
         let iters = desc.iters_per_thread();
         let sim_iters = iters.min(self.sim_iter_cap).max(1);
-        let sim = simulate_scheduler(
-            d,
-            &template,
-            resident as usize,
-            sim_iters,
-            (warps_per_block as usize).min(resident as usize),
-        );
+        let warps = resident as usize;
+        let warps_per_block = (warps_per_block as usize).min(warps);
+        let key = SimKey {
+            body: template.body.clone(),
+            code_footprint: template.code_footprint.to_bits(),
+            loop_redirect_cycles: template.loop_redirect_cycles,
+            warps,
+            iters: sim_iters,
+            warps_per_block,
+        };
+        let sim =
+            *self.memo.sims.entry(key).or_insert_with(|| {
+                simulate_scheduler(d, &template, warps, sim_iters, warps_per_block)
+            });
         let cycles = sim.cycles as f64 * iters as f64 / sim_iters as f64;
         let waves = (warps_total as f64 / (sched_total * resident) as f64).max(1.0);
         let compute_us = waves * cycles / (d.clock_ghz * 1e3);
@@ -644,9 +673,8 @@ impl DeviceSim {
 mod tests {
     use super::*;
 
-    /// Per-device simulators are owned by executor worker threads, so the
-    /// simulator state must be `Send` (plain data, no shared interior
-    /// mutability).
+    /// The simulator, its memo included, stays plain data — no shared
+    /// interior mutability — so it can move between threads.
     #[test]
     fn device_sim_is_send() {
         fn assert_send<T: Send>() {}
@@ -720,6 +748,8 @@ mod tests {
             .collect();
         let memo = first.take_memo();
         assert_eq!(memo.len(), 2, "one entry per launch shape");
+        // Both shapes run four iterations on the capped 16 resident warps.
+        assert_eq!(memo.sims.len(), 1, "one scheduler problem");
 
         // A fresh simulator on the warm memo: zero-based clocks, same
         // bits, and not one new cost computed.
@@ -733,12 +763,64 @@ mod tests {
             .map(|k| k.duration_us.to_bits())
             .collect();
         assert_eq!(cold, warm);
+        // A new shape posing the same problem is costed from the lent
+        // simulator result: the shape is new, the simulation is not.
+        second.launch(st, ew(1 << 23));
+        second.synchronize();
         let memo = second.take_memo();
-        assert_eq!(memo.len(), 2, "the warm run hit the memo every time");
+        assert_eq!(memo.len(), 3, "the warm run hit the memo every time");
+        assert_eq!(memo.sims.len(), 1, "the lent memo carried the simulation");
 
         // Costs are per device: the memo refuses another machine.
         let lent = std::panic::catch_unwind(|| DeviceSim::with_memo(DeviceConfig::v100(), memo));
         assert!(lent.is_err(), "an A100 memo must not cost V100 launches");
+    }
+
+    #[test]
+    fn shapes_sharing_a_scheduler_problem_simulate_it_once() {
+        // The first three saturate both caps (16 resident warps, 48
+        // simulated iterations); the next two run four iterations on 16
+        // warps, and the last four iterations on 10 warps.
+        let shapes = [
+            ew(1 << 24).with_threads(1 << 18),
+            ew(1 << 25).with_threads(1 << 18),
+            ew(1 << 26).with_threads(1 << 19),
+            ew(1 << 20),
+            ew(1 << 22),
+            ew(1 << 19),
+        ];
+        let mut shared = sim();
+        let st = shared.create_stream();
+        for d in &shapes {
+            shared.launch(st, d.clone());
+        }
+        let launched = shared.synchronize().to_vec();
+        assert_eq!(shared.memo.len(), shapes.len(), "every shape is costed");
+        assert_eq!(shared.memo.sims.len(), 3, "one run per distinct problem");
+
+        // Every launch costs the bits it costs on a simulator of its own.
+        let bits = |s: &mut DeviceSim, d: &KernelDesc| {
+            let c = s.cost_of(d);
+            (
+                c.standalone_us.to_bits(),
+                c.parallel_fraction.to_bits(),
+                c.occupancy.to_bits(),
+                c.breakdown,
+            )
+        };
+        for (d, k) in shapes.iter().zip(&launched) {
+            let mut own = sim();
+            let alone = bits(&mut own, d);
+            assert_eq!(bits(&mut shared, d), alone);
+            assert_eq!(
+                (
+                    k.standalone_us.to_bits(),
+                    k.occupancy.to_bits(),
+                    k.breakdown
+                ),
+                (alone.0, alone.2, alone.3)
+            );
+        }
     }
 
     #[test]

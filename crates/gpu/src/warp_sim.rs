@@ -21,7 +21,7 @@ use crate::stall::{StallBreakdown, StallKind};
 pub const MAX_REGS: usize = 16;
 
 /// One per-thread (per-warp, since warps run in lockstep) instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// Integer ALU op (add/sub/compare), 4-cycle latency.
     Alu {
