@@ -6,8 +6,7 @@
 //!
 //! * **Simulated ops/s** — deterministic cluster scaling *through the
 //!   executor path*: more devices coalesce wider batches and shard them.
-//!   The pinned `speedup_{2,4}workers` ratios (named for the one device
-//!   per worker the figure used to configure) guard the sharded dispatch
+//!   The pinned `speedup_{2,4}devices` ratios guard the sharded dispatch
 //!   end to end. Pinned in `BENCH_baseline.json`, gated by
 //!   `check_regression`.
 //! * **Host drain wall-clock** — what the calling thread spends running
@@ -135,8 +134,8 @@ fn main() {
     report::emit(
         "fig10_service_scaling",
         &[
-            ("speedup_2workers", speedup_2),
-            ("speedup_4workers", speedup_4),
+            ("speedup_2devices", speedup_2),
+            ("speedup_4devices", speedup_4),
         ],
     );
 }
