@@ -132,7 +132,7 @@ fn class_key(c: &KernelClass) -> ClassKey {
 /// which a [`CostMemo`] is bound to: the template's fields (the footprint
 /// by its bits), the resident warps, the simulated iterations and the
 /// warps per block.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 struct SimKey {
     body: Vec<Instr>,
     code_footprint: u64,
@@ -768,7 +768,7 @@ mod tests {
         second.launch(st, ew(1 << 23));
         second.synchronize();
         let memo = second.take_memo();
-        assert_eq!(memo.len(), 3, "the warm run hit the memo every time");
+        assert_eq!(memo.len(), 3, "the two known shapes hit the memo");
         assert_eq!(memo.sims.len(), 1, "the lent memo carried the simulation");
 
         // Costs are per device: the memo refuses another machine.
