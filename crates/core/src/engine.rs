@@ -1,11 +1,9 @@
-//! The TensorFHE engine: device ownership, configuration, batching.
+//! The TensorFHE engine: device configuration, costing windows, batching.
 
-use crate::error::{CoreError, CoreResult};
 use crate::tracer::GpuTracer;
-use std::cell::RefCell;
-use std::rc::Rc;
-use tensorfhe_ckks::{CkksContext, CkksParams, KernelEvent, KernelTracer};
-use tensorfhe_gpu::{CostMemo, DeviceConfig, DeviceSim, KernelName, KernelStats, Profiler};
+use std::collections::BTreeMap;
+use tensorfhe_ckks::{CkksParams, KernelEvent, KernelTracer};
+use tensorfhe_gpu::{CostMemo, DeviceConfig, DeviceSim, KernelName, KernelStats};
 
 /// The NTT lowering variant — Table IV's three TensorFHE configurations.
 pub type Variant = tensorfhe_ntt::NttAlgorithm;
@@ -76,26 +74,49 @@ pub struct OpStats {
 }
 
 impl OpStats {
-    /// Folds a window of the launch log, borrowed where it lies.
+    /// Folds a window of the launch log, borrowed where it lies, in one
+    /// pass: the span from the earliest start to the latest end (the
+    /// "execution time" of Tables VI/VII/X), the occupancy weighted by
+    /// device time (Table IX), the energy (Table XI) and the device time
+    /// per kernel name, descending (Figs. 11–13). The sums start at
+    /// `-0.0`, the neutral of `f64`'s `Sum`, and add in launch order.
     fn of_window(window: &[KernelStats]) -> Self {
-        let p = Profiler::new(window);
+        let (mut start, mut end) = (f64::INFINITY, 0.0f64);
+        let (mut busy, mut weighted, mut energy_j) = (-0.0f64, -0.0f64, -0.0f64);
+        // Keyed as `str`, each distinct name cloned once: the order and
+        // the sums of a `String`-keyed fold without a per-launch allocation.
+        let mut by_name: BTreeMap<&str, (&KernelName, f64)> = BTreeMap::new();
+        for s in window {
+            start = start.min(s.start_us);
+            end = end.max(s.end_us);
+            busy += s.duration_us;
+            weighted += s.occupancy * s.duration_us;
+            energy_j += s.energy_j;
+            by_name.entry(&s.name).or_insert((&s.name, 0.0)).1 += s.duration_us;
+        }
+        let mut by_kernel: Vec<_> = by_name.into_values().map(|(k, t)| (k.clone(), t)).collect();
+        by_kernel.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
         Self {
-            time_us: p.span_us(),
-            occupancy: p.occupancy(),
-            energy_j: p.energy_j(),
+            time_us: if start.is_finite() && end > start {
+                end - start
+            } else {
+                0.0
+            },
+            occupancy: if busy > 0.0 { weighted / busy } else { 0.0 },
+            energy_j,
             launches: window.len(),
-            by_kernel: p.time_by_kernel(),
+            by_kernel,
         }
     }
 }
 
-/// Owner of the simulated device plus the engine configuration.
+/// The engine configuration plus the launch-cost memo every costing
+/// window of the engine shares.
 #[derive(Debug)]
 pub struct Engine {
-    sim: Rc<RefCell<DeviceSim>>,
     cfg: EngineConfig,
-    /// The engine's one launch-cost memo, lent to the fresh simulator of
-    /// every [`Engine::run_schedule`] window and taken back afterwards.
+    /// The engine's one launch-cost memo, lent to the simulator of every
+    /// [`Engine::tracer`] and taken back by [`Engine::finish`].
     memo: CostMemo,
 }
 
@@ -104,7 +125,6 @@ impl Engine {
     #[must_use]
     pub fn new(cfg: EngineConfig) -> Self {
         Self {
-            sim: Rc::new(RefCell::new(DeviceSim::new(cfg.device.clone()))),
             cfg,
             memo: CostMemo::default(),
         }
@@ -116,53 +136,42 @@ impl Engine {
         &self.cfg
     }
 
-    /// Shared handle to the simulated device.
+    /// Opens a costing window: a tracer for `batch`-wide operations that
+    /// owns a *fresh, zero-based* simulator of the engine's device, lent
+    /// the engine's launch-cost memo. Feed it a schedule or attach it to a
+    /// `tensorfhe_ckks::Evaluator` (`Box::new(&mut tracer)`) whose context
+    /// runs the engine's [`Variant`], then close the window with
+    /// [`Engine::finish`]. The memo stays with the tracer until then, so
+    /// keep one window open at a time.
     #[must_use]
-    pub fn device(&self) -> Rc<RefCell<DeviceSim>> {
-        Rc::clone(&self.sim)
+    pub fn tracer(&mut self, batch: usize) -> GpuTracer {
+        let memo = std::mem::take(&mut self.memo);
+        let sim = DeviceSim::with_memo(self.cfg.device.clone(), memo);
+        GpuTracer::new(sim, self.cfg.variant, self.cfg.layout, batch)
     }
 
-    /// Creates a kernel tracer for `batch`-wide operations; attach it to a
-    /// `tensorfhe_ckks::Evaluator` to cost its real arithmetic.
-    #[must_use]
-    pub fn make_tracer(&self, batch: usize) -> GpuTracer {
-        GpuTracer::new(
-            Rc::clone(&self.sim),
-            self.cfg.variant,
-            self.cfg.layout,
-            batch,
-        )
-    }
-
-    /// Builds a CKKS context whose arithmetic runs the engine's NTT
-    /// [`Variant`] — pair it with [`Engine::make_tracer`] so traced
-    /// execution both *computes* and *costs* the selected formulation
-    /// (butterfly stages vs batched wide GEMMs) end to end.
-    ///
-    /// Twiddle plans come from the process-wide plan cache, shared across
-    /// engines and contexts with the same `(N, q, variant)` keys.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the parameter set cannot
-    /// produce a context (not enough NTT-friendly primes).
-    pub fn make_context(&self, params: &CkksParams) -> CoreResult<CkksContext> {
-        CkksContext::with_algorithm(params, self.cfg.variant)
-            .map_err(|e| CoreError::InvalidConfig(format!("context construction failed: {e}")))
+    /// Closes a costing window: drains the tracer's simulator, takes the
+    /// launch-cost memo back and folds the window's launch log, which
+    /// stays readable through [`GpuTracer::sim`].
+    pub fn finish(&mut self, tracer: &mut GpuTracer) -> OpStats {
+        let sim = &mut tracer.sim;
+        sim.synchronize();
+        self.memo = sim.take_memo();
+        OpStats::of_window(sim.stats())
     }
 
     /// Costs a kernel schedule, without its arithmetic, under the
     /// given operation tag and batch, returning the window statistics.
     ///
-    /// The window runs on a *fresh, zero-based* device clock: the result is
-    /// a pure function of `(device config, events, batch)`, never of what
-    /// the engine ran before. Executors and the service's dispatch cache
-    /// rely on this — identical batches must cost bit-identically even when
-    /// an out-of-order scoreboard dispatches them in a different order, and
-    /// `span_us` over a persistent clock would leak the absolute offset
-    /// into the last ulp of the window span. Evaluator tracing through
-    /// [`Engine::make_tracer`] keeps the engine's persistent sim and
-    /// profiler; only synthetic costing windows are isolated.
+    /// Like every window ([`Engine::tracer`]), it runs on a *fresh,
+    /// zero-based* device clock: the result is a pure function of
+    /// `(device config, events, batch)`, never of what the engine ran
+    /// before. Executors and the service's dispatch cache rely on this —
+    /// identical batches must cost bit-identically even when an
+    /// out-of-order scoreboard dispatches them in a different order, and
+    /// the span over a persistent clock would leak the absolute offset
+    /// into the last ulp of the window span. A traced evaluator run is
+    /// costed the same way, so the two agree bit for bit.
     ///
     /// The one thing a window inherits is the engine's launch-cost memo
     /// ([`tensorfhe_gpu::CostMemo`]): a launch's standalone cost is a pure
@@ -172,74 +181,24 @@ impl Engine {
     /// once per distinct scheduler problem per engine, which many shapes
     /// share.
     pub fn run_schedule(&mut self, tag: &str, events: &[KernelEvent], batch: usize) -> OpStats {
-        let memo = std::mem::take(&mut self.memo);
-        let sim = Rc::new(RefCell::new(DeviceSim::with_memo(
-            self.cfg.device.clone(),
-            memo,
-        )));
-        let mut tracer = GpuTracer::new(Rc::clone(&sim), self.cfg.variant, self.cfg.layout, batch);
+        let mut tracer = self.tracer(batch);
         tracer.op_begin(tag);
         for &e in events {
             tracer.kernel(e);
         }
-        let mut sim = sim.borrow_mut();
-        sim.synchronize();
-        self.memo = sim.take_memo();
-        OpStats::of_window(sim.stats())
+        self.finish(&mut tracer)
     }
 
-    /// Launch shapes costed so far by [`Engine::run_schedule`] windows —
-    /// the size of the engine's launch-cost memo. It stops growing once
-    /// every kernel shape of the traffic has been seen.
+    /// Launch shapes costed so far by the engine's windows — the size of
+    /// its launch-cost memo. It stops growing once every kernel shape of
+    /// the traffic has been seen.
     #[must_use]
     pub fn costed_shapes(&self) -> usize {
         self.memo.len()
     }
 
-    /// Statistics over launches recorded since index `first`.
-    #[must_use]
-    pub fn window_stats(&self, first: usize) -> OpStats {
-        OpStats::of_window(&self.sim.borrow().stats()[first..])
-    }
-
-    /// Number of launches recorded so far (window bookmarking).
-    #[must_use]
-    pub fn mark(&self) -> usize {
-        self.sim.borrow().stats().len()
-    }
-
-    /// Runs `f` on a profiler over everything recorded so far — a view
-    /// of the persistent simulator's launch log, valid for the call.
-    pub fn profiler<R>(&self, f: impl FnOnce(&Profiler<'_>) -> R) -> R {
-        f(&Profiler::new(self.sim.borrow().stats()))
-    }
-
-    /// Total virtual time elapsed (µs).
-    #[must_use]
-    pub fn elapsed_us(&self) -> f64 {
-        self.sim.borrow().elapsed_us()
-    }
-
-    /// Clears recorded statistics (cost caches are kept).
-    pub fn reset(&mut self) {
-        self.sim.borrow_mut().reset();
-    }
-
-    /// The largest operation batch that fits in VRAM (§IV-E: "the batch
-    /// size of TensorFHE is mainly determined by the VRAM capacity").
-    ///
-    /// Uses a working-set factor of 6 ciphertexts per batched operation
-    /// (operands, extended key-switch accumulators, output).
-    #[must_use]
-    pub fn max_batch(&self, params: &CkksParams) -> usize {
-        let per_op = params.ciphertext_bytes() * 6;
-        let budget = (self.cfg.device.vram_bytes() as f64 * 0.85) as u64;
-        ((budget / per_op.max(1)) as usize).max(1)
-    }
-
-    /// The batch size the API layer auto-selects: VRAM-bounded
-    /// ([`Engine::max_batch`]), capped at the parameter preset's
-    /// configured batch. Single source of the policy for both
+    /// The batch size the API layer auto-selects: [`auto_batch_for_vram`]
+    /// on the engine's device. Single source of the policy for both
     /// `TensorFhe::auto_batch` and the request service's default cap (the
     /// service reads the VRAM figure through its executor's `caps()`).
     #[must_use]
@@ -387,14 +346,111 @@ mod tests {
 
     #[test]
     fn max_batch_tracks_vram() {
-        let e = Engine::new(EngineConfig::a100(Variant::TensorCore));
-        let b_default = e.max_batch(&CkksParams::table_v_default());
+        // §IV-E: VRAM bounds the batch (6 ciphertexts a batched operation
+        // in 85 % of the card), and the preset's batch caps it.
+        let params = CkksParams::table_v_default();
+        let per_op = params.ciphertext_bytes() * 6;
+        assert_eq!(auto_batch_for_vram(per_op * 10, &params), 8);
+        assert_eq!(auto_batch_for_vram(0, &params), 1, "never below one");
+        let a100 = DeviceConfig::a100().vram_bytes();
+        assert_eq!(auto_batch_for_vram(a100, &params), params.batch_size());
         assert!(
-            (64..=512).contains(&b_default),
-            "A100 default-params batch {b_default} out of plausible range"
+            auto_batch_for_vram(per_op * 2, &small()) > auto_batch_for_vram(per_op * 2, &params),
+            "smaller ciphertexts → bigger batches"
         );
-        let b_small = e.max_batch(&small());
-        assert!(b_small > b_default, "smaller ciphertexts → bigger batches");
+    }
+
+    /// An addition, then a butterfly NTT and a Hadamard product, on one
+    /// stream.
+    fn two_op_window() -> Vec<KernelStats> {
+        use tensorfhe_gpu::{KernelClass, KernelDesc};
+        let ew = |ops_per_elem| KernelClass::Elementwise {
+            elems: 1 << 20,
+            ops_per_elem,
+            bytes_per_elem: 12,
+        };
+        let mut sim = DeviceSim::new(DeviceConfig::a100());
+        let st = sim.create_stream();
+        sim.launch(st, KernelDesc::new(ew(1), "ele-add"));
+        let ntt = KernelClass::ButterflyNtt {
+            n: 1 << 14,
+            batch: 16,
+        };
+        sim.launch(st, KernelDesc::new(ntt, "ntt"));
+        sim.launch(st, KernelDesc::new(ew(2), "hada-mult"));
+        sim.synchronize().to_vec()
+    }
+
+    #[test]
+    fn empty_window_is_zero() {
+        let s = OpStats::of_window(&[]);
+        assert_eq!((s.time_us, s.occupancy, s.launches), (0.0, 0.0, 0));
+        assert!(s.by_kernel.is_empty());
+    }
+
+    #[test]
+    fn window_span_covers_its_launches() {
+        let w = two_op_window();
+        let s = OpStats::of_window(&w);
+        assert_eq!(s.launches, 3);
+        assert!(s.time_us > 0.0);
+        // One stream: the launches tile the span, nothing overlaps.
+        let busy: f64 = w.iter().map(|k| k.duration_us).sum();
+        assert!(busy <= s.time_us * 1.001);
+    }
+
+    #[test]
+    fn window_energy_and_occupancy_are_launch_folds() {
+        let w = two_op_window();
+        let s = OpStats::of_window(&w);
+        assert!(s.energy_j > 0.0);
+        let energy: f64 = w.iter().map(|k| k.energy_j).sum();
+        assert_eq!(s.energy_j.to_bits(), energy.to_bits());
+        let busy: f64 = w.iter().map(|k| k.duration_us).sum();
+        let weighted: f64 = w.iter().map(|k| k.occupancy * k.duration_us).sum();
+        assert_eq!(s.occupancy.to_bits(), (weighted / busy).to_bits());
+        assert!((0.0..=1.0).contains(&s.occupancy));
+    }
+
+    #[test]
+    fn kernel_table_sums_to_busy_time() {
+        let w = two_op_window();
+        let s = OpStats::of_window(&w);
+        let busy: f64 = w.iter().map(|k| k.duration_us).sum();
+        let table: f64 = s.by_kernel.iter().map(|(_, t)| t).sum();
+        assert!((table - busy).abs() <= busy * 1e-12);
+        assert_eq!(s.by_kernel.len(), 3, "one row per kernel name");
+    }
+
+    #[test]
+    fn ntt_dominates_its_window() {
+        let s = OpStats::of_window(&two_op_window());
+        assert_eq!(
+            &*s.by_kernel[0].0, "ntt",
+            "NTT must dominate: {:?}",
+            s.by_kernel
+        );
+        assert!(s.by_kernel.windows(2).all(|p| p[0].1 >= p[1].1));
+    }
+
+    #[test]
+    fn a_traced_window_returns_the_memo_and_costs_like_a_schedule() {
+        let params = small();
+        let sched = schedule_events(&params, FheOp::HMult, 7);
+        let mut e = Engine::new(EngineConfig::a100(Variant::TensorCore));
+        let mut tracer = e.tracer(8);
+        assert_eq!(e.costed_shapes(), 0, "the open window holds the memo");
+        tracer.op_begin("HMULT");
+        for &ev in &sched {
+            tracer.kernel(ev);
+        }
+        let traced = e.finish(&mut tracer);
+        let shapes = e.costed_shapes();
+        assert!(shapes > 0, "finish hands the filled memo back");
+        assert_eq!(traced.launches, tracer.sim().stats().len());
+        let costed = e.run_schedule("HMULT", &sched, 8);
+        assert_eq!(e.costed_shapes(), shapes, "every launch hit the memo");
+        assert_eq!(bits(&traced), bits(&costed));
     }
 
     #[test]

@@ -41,6 +41,16 @@
 //! (never on a pool without worker threads), which lets a scheduler keep
 //! a window of in-flight batches and harvest whichever are already
 //! complete without stalling the planning loop.
+//!
+//! That asynchrony is measured, not inherited. At pipeline depth 2 batch
+//! k's host chunks run while batch k+1 is planned and costed, and that
+//! overlap is worth 3–4 % of `svc_host`'s `ops_per_s` on a 2-vCPU host.
+//! Four synchronous `submit` prototypes (scoped per-batch threads twice,
+//! scoped threads on one-row chunks, persistent workers behind a blocking
+//! `submit`) kept every digest and lost 3–4 %, winning 2–3 of 8–10
+//! alternating pairs; none recovers the overlap. The scoped variants did
+//! cut `peak_rss_mb` from 5.82 to 5.25 MiB, a saving a persistent
+//! runtime should keep.
 
 use crate::engine::{Engine, EngineConfig, OpStats};
 use crate::error::{CoreError, CoreResult};
@@ -99,7 +109,8 @@ impl ExecBackend {
 /// independent instances of one operation's kernel workflow.
 #[derive(Debug, Clone)]
 pub struct ExecBatch {
-    /// Operation tag (scopes the launches in profiler output).
+    /// Operation tag, recorded on every launch as
+    /// [`tensorfhe_gpu::KernelStats::op_tag`].
     pub tag: Arc<str>,
     /// The kernel workflow of one instance (shared with worker threads).
     pub events: Arc<[KernelEvent]>,
@@ -187,11 +198,11 @@ pub(crate) fn add_kernel_time(
 /// device-index order so every thread count agrees bit-for-bit.
 ///
 /// On a one-device backend the single shard passes through untouched (the
-/// old single-engine service numbers, with `Profiler`'s kernel-table
-/// ordering); a multi-device backend always runs the cluster merge — even
-/// for batches narrow enough to land on one device — so `by_kernel`
-/// ordering and float rounding are consistent across batch widths within
-/// one configuration.
+/// old single-engine service numbers, with [`OpStats`]' kernel table in
+/// descending time order); a multi-device backend always runs the cluster
+/// merge — even for batches narrow enough to land on one device — so
+/// `by_kernel` ordering and float rounding are consistent across batch
+/// widths within one configuration.
 #[must_use]
 pub fn merge_shards(per_device: Vec<(usize, OpStats)>, devices: usize) -> BatchResult {
     let devices = per_device

@@ -193,9 +193,15 @@
 //!    lifecycle and why the [`exec::HostWorkStats`] checksum is invariant
 //!    to it, and [`exec::StealStats`] carries the telemetry plus the
 //!    work-conservation ledger (`planned_rows == executed_rows`).
-//! 7. **Device**: each shard becomes kernel launches on a per-device
-//!    [`Engine`]/`DeviceSim` pair. A real CUDA/CUTLASS or wgpu backend
-//!    would take the pool's place here: the batched `B×L` GEMM shapes map
+//! 7. **Device**: each shard is one costing window of its device's
+//!    [`Engine`]: [`Engine::tracer`] lends the engine's launch-cost memo to
+//!    a [`tracer::GpuTracer`] that owns a fresh, zero-based `DeviceSim`,
+//!    the shard's kernels become launches on it, and [`Engine::finish`]
+//!    takes the memo back and folds the window into [`engine::OpStats`].
+//!    A traced `ckks::Evaluator` run is costed through the same two
+//!    calls, so there is one owner per simulated device and one costing
+//!    path. A real CUDA/CUTLASS or wgpu backend would take the pool's
+//!    place here: the batched `B×L` GEMM shapes map
 //!    1:1 onto grouped-GEMM calls, and the multi-outstanding
 //!    `submit`/`try_join` contract maps onto stream events, so it would
 //!    take the same `ExecBatch`es — coalescing, scheduling, attribution
@@ -296,9 +302,11 @@
 //!   [`service::FheService::schedule_trace_base`] instead of from zero;
 //!   recording, folding and verifying never touch a report or a stat.
 //! * **Costing windows are history-free; only a pure memo persists.**
-//!   [`Engine::run_schedule`] runs every window on a fresh, zero-based
-//!   `DeviceSim` — new clocks, queues and launch log — so a batch's cost
-//!   never depends on what ran before it. The one thing an engine carries
+//!   Every window ([`Engine::tracer`] → [`Engine::finish`], which
+//!   [`Engine::run_schedule`] and traced evaluator runs both take) runs
+//!   on a fresh, zero-based `DeviceSim` owned by its tracer — new clocks,
+//!   queues and launch log — so a batch's cost never depends on what ran
+//!   before it. The one thing an engine carries
 //!   from window to window is its launch-cost memo
 //!   (`tensorfhe_gpu::CostMemo`): the standalone cost of a launch is a
 //!   pure function of `(device config, launch shape)`, and the warp

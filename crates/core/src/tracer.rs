@@ -1,9 +1,11 @@
 //! The kernel layer: translating CKKS kernel events into GPU launches.
 //!
-//! [`GpuTracer`] implements [`KernelTracer`]; attach it to a
+//! [`GpuTracer`] implements [`KernelTracer`] and owns the simulated device
+//! it lowers onto. Open one with [`crate::Engine::tracer`], attach it to a
 //! `tensorfhe_ckks::Evaluator` (real arithmetic) or feed it a schedule
-//! from [`crate::api::schedule_events`] (costing only) and every kernel of
-//! every operation becomes a launch on the simulated device. The NTT lowering depends on the engine variant:
+//! from [`crate::api::schedule_events`] (costing only), and every kernel of
+//! every operation becomes a launch on that device; [`crate::Engine::finish`]
+//! folds the window. The NTT lowering depends on the engine variant:
 //!
 //! * `Butterfly` — one monolithic butterfly kernel per launch
 //!   (TensorFHE-NT).
@@ -20,8 +22,6 @@
 //! lowering `tensorfhe_ckks::keyswitch` executes on the host.
 
 use crate::engine::{Layout, Variant};
-use std::cell::RefCell;
-use std::rc::Rc;
 use tensorfhe_ckks::{KernelEvent, KernelTracer};
 use tensorfhe_gpu::{DeviceSim, KernelClass, KernelDesc, KernelName, StreamId};
 
@@ -87,11 +87,21 @@ impl Names {
             conv_gemm: "conv-gemm".into(),
         }
     }
+
+    /// The names of one NTT direction.
+    fn ntt(&self, inverse: bool) -> &NttNames {
+        if inverse {
+            &self.intt
+        } else {
+            &self.ntt
+        }
+    }
 }
 
-/// A [`KernelTracer`] that lowers kernel events onto a [`DeviceSim`].
+/// A [`KernelTracer`] that lowers kernel events onto the [`DeviceSim`] it
+/// owns.
 pub struct GpuTracer {
-    sim: Rc<RefCell<DeviceSim>>,
+    pub(crate) sim: DeviceSim,
     variant: Variant,
     layout: Layout,
     /// Operation-level batch: every event's limb count is multiplied by
@@ -112,20 +122,11 @@ impl std::fmt::Debug for GpuTracer {
 }
 
 impl GpuTracer {
-    /// Creates a tracer for the shared device.
+    /// Creates a tracer that lowers onto `sim`, on streams of its own.
     #[must_use]
-    pub fn new(
-        sim: Rc<RefCell<DeviceSim>>,
-        variant: Variant,
-        layout: Layout,
-        batch: usize,
-    ) -> Self {
-        let (main, tcu) = {
-            let mut s = sim.borrow_mut();
-            let main = s.create_stream();
-            let tcu = (0..TCU_STREAMS).map(|_| s.create_stream()).collect();
-            (main, tcu)
-        };
+    pub fn new(mut sim: DeviceSim, variant: Variant, layout: Layout, batch: usize) -> Self {
+        let main = sim.create_stream();
+        let tcu = (0..TCU_STREAMS).map(|_| sim.create_stream()).collect();
         Self {
             sim,
             variant,
@@ -137,19 +138,13 @@ impl GpuTracer {
         }
     }
 
-    /// The operation batch width.
+    /// The device simulator this tracer lowers onto. After
+    /// [`crate::Engine::finish`] its launch log holds the whole window, so
+    /// the schedule verifier can replay [`DeviceSim::intervals`] and hold
+    /// the launch streams to the per-stream structural invariants.
     #[must_use]
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// The shared device simulator this tracer lowers onto. Exposed so
-    /// the schedule verifier can replay [`DeviceSim::intervals`] after a
-    /// traced run and hold the launch streams to the per-stream
-    /// structural invariants.
-    #[must_use]
-    pub fn device(&self) -> Rc<RefCell<DeviceSim>> {
-        Rc::clone(&self.sim)
+    pub fn sim(&self) -> &DeviceSim {
+        &self.sim
     }
 
     fn coalesced(&self) -> bool {
@@ -158,7 +153,7 @@ impl GpuTracer {
         self.batch == 1 || self.layout == Layout::Lbn
     }
 
-    fn launch_main(&self, desc: KernelDesc) {
+    fn launch_main(&mut self, desc: KernelDesc) {
         let desc = if self.coalesced() {
             desc
         } else {
@@ -174,33 +169,28 @@ impl GpuTracer {
         } else {
             desc
         };
-        self.sim.borrow_mut().launch(self.main, desc);
+        self.sim.launch(self.main, desc);
     }
 
-    fn elementwise(&self, name: &KernelName, elems: u64, ops: u32, bytes: u32) {
+    fn elementwise(&mut self, name: KernelName, elems: u64, ops: u32, bytes: u32) {
         self.launch_main(KernelDesc::new(
             KernelClass::Elementwise {
                 elems,
                 ops_per_elem: ops,
                 bytes_per_elem: bytes,
             },
-            name.clone(),
+            name,
         ));
     }
 
-    fn launch_ntt(&self, n: usize, limbs: usize, inverse: bool) {
+    fn launch_ntt(&mut self, n: usize, limbs: usize, inverse: bool) {
         let batch = limbs * self.batch;
-        let names = if inverse {
-            &self.names.intt
-        } else {
-            &self.names.ntt
-        };
-        let name = &names.kernel;
+        let name = self.names.ntt(inverse).kernel.clone();
         match self.variant {
             Variant::Butterfly => {
                 self.launch_main(KernelDesc::new(
                     KernelClass::ButterflyNtt { n, batch },
-                    name.clone(),
+                    name,
                 ));
             }
             Variant::FourStep => {
@@ -214,7 +204,7 @@ impl GpuTracer {
                     },
                     name.clone(),
                 ));
-                self.elementwise(name, (n * batch) as u64, 2, 12);
+                self.elementwise(name.clone(), (n * batch) as u64, 2, 12);
                 self.launch_main(KernelDesc::new(
                     KernelClass::GemmCuda {
                         m: n1,
@@ -222,34 +212,35 @@ impl GpuTracer {
                         cols: n2,
                         batch,
                     },
-                    name.clone(),
+                    name,
                 ));
             }
             Variant::TensorCore => {
                 let (n1, n2) = split(n);
                 // Stage 1: input segmentation (u32 → 4×u8 planes).
-                self.elementwise(name, (n * batch) as u64, 1, 8);
+                self.elementwise(name.clone(), (n * batch) as u64, 1, 8);
                 // Stage 2: 16 plane GEMMs across dedicated streams.
-                self.plane_gemms(names, n1, n2, n2, batch);
+                self.plane_gemms(inverse, n1, n2, n2, batch);
                 // Stage 3: Booth fusion + twiddle Hadamard + re-segmentation
                 // run as one fused epilogue kernel (partials stay L2
                 // resident; see the GemmTcu traffic model).
-                self.elementwise(name, (n * batch) as u64, 6, 8);
+                self.elementwise(name.clone(), (n * batch) as u64, 6, 8);
                 // Stage 4: 16 plane GEMMs with the outer DFT matrix.
-                self.plane_gemms(names, n1, n1, n2, batch);
+                self.plane_gemms(inverse, n1, n1, n2, batch);
                 // Stage 5: fusion + final modulo (+ N^{-1} fold for INTT).
                 self.elementwise(name, (n * batch) as u64, 4, 8);
             }
         }
     }
 
-    fn plane_gemms(&self, names: &NttNames, m: usize, k: usize, cols: usize, batch: usize) {
+    fn plane_gemms(&mut self, inverse: bool, m: usize, k: usize, cols: usize, batch: usize) {
+        let names = self.names.ntt(inverse);
         // At saturating batch the 16 plane GEMMs each fill the device on
         // their own, so the streams no longer overlap anything; issue them
         // as one fat launch (fewer host round trips — what a production
         // CUTLASS grouped-GEMM call does).
         if batch >= 64 {
-            self.sim.borrow_mut().launch(
+            self.sim.launch(
                 self.main,
                 KernelDesc::new(
                     KernelClass::GemmTcu {
@@ -263,17 +254,14 @@ impl GpuTracer {
             );
             return;
         }
-        {
-            let mut sim = self.sim.borrow_mut();
-            for (stream, name) in self.tcu.iter().zip(&names.plane) {
-                sim.launch(
-                    *stream,
-                    KernelDesc::new(KernelClass::GemmTcu { m, k, cols, batch }, name.clone()),
-                );
-            }
+        for (stream, name) in self.tcu.iter().zip(&names.plane) {
+            self.sim.launch(
+                *stream,
+                KernelDesc::new(KernelClass::GemmTcu { m, k, cols, batch }, name.clone()),
+            );
         }
         // Stage barrier: fusion depends on all 16 plane products.
-        self.sim.borrow_mut().synchronize();
+        self.sim.synchronize();
     }
 }
 
@@ -296,13 +284,13 @@ impl KernelTracer for GpuTracer {
         match event {
             KernelEvent::Ntt { n, limbs, inverse } => self.launch_ntt(n, limbs, inverse),
             KernelEvent::HadaMult { n, limbs } => {
-                self.elementwise(&self.names.hada_mult, (n * limbs) as u64 * b, 2, 12);
+                self.elementwise(self.names.hada_mult.clone(), (n * limbs) as u64 * b, 2, 12);
             }
             KernelEvent::EleAdd { n, limbs } => {
-                self.elementwise(&self.names.ele_add, (n * limbs) as u64 * b, 1, 12);
+                self.elementwise(self.names.ele_add.clone(), (n * limbs) as u64 * b, 1, 12);
             }
             KernelEvent::EleSub { n, limbs } => {
-                self.elementwise(&self.names.ele_sub, (n * limbs) as u64 * b, 1, 12);
+                self.elementwise(self.names.ele_sub.clone(), (n * limbs) as u64 * b, 1, 12);
             }
             KernelEvent::FrobeniusMap { n, limbs } => {
                 self.launch_main(KernelDesc::new(
@@ -339,7 +327,7 @@ impl KernelTracer for GpuTracer {
                 // padding to 16×8×32 tiles would waste an order of
                 // magnitude more MACs than the product contains.
                 Variant::FourStep | Variant::TensorCore => {
-                    self.elementwise(&self.names.conv_y, (n * l_src) as u64 * b, 2, 12);
+                    self.elementwise(self.names.conv_y.clone(), (n * l_src) as u64 * b, 2, 12);
                     self.launch_main(KernelDesc::new(
                         KernelClass::GemmCuda {
                             m: l_dst,
@@ -355,7 +343,7 @@ impl KernelTracer for GpuTracer {
     }
 
     fn op_begin(&mut self, name: &str) {
-        self.sim.borrow_mut().set_scope(name);
+        self.sim.set_scope(name);
     }
 
     fn op_end(&mut self, _name: &str) {}
@@ -364,10 +352,23 @@ impl KernelTracer for GpuTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tensorfhe_gpu::DeviceConfig;
+    use tensorfhe_gpu::{DeviceConfig, KernelStats};
 
-    fn sim() -> Rc<RefCell<DeviceSim>> {
-        Rc::new(RefCell::new(DeviceSim::new(DeviceConfig::a100())))
+    fn tracer(variant: Variant, layout: Layout, batch: usize) -> GpuTracer {
+        GpuTracer::new(DeviceSim::new(DeviceConfig::a100()), variant, layout, batch)
+    }
+
+    /// Lowers `event` on a fresh tracer and returns the launches it made.
+    fn launched(
+        variant: Variant,
+        layout: Layout,
+        batch: usize,
+        event: KernelEvent,
+    ) -> Vec<KernelStats> {
+        let mut t = tracer(variant, layout, batch);
+        t.kernel(event);
+        t.sim.synchronize();
+        t.sim.stats().to_vec()
     }
 
     #[test]
@@ -379,29 +380,24 @@ mod tests {
 
     #[test]
     fn butterfly_variant_launches_one_kernel_per_ntt() {
-        let s = sim();
-        let mut t = GpuTracer::new(Rc::clone(&s), Variant::Butterfly, Layout::Lbn, 1);
-        t.kernel(KernelEvent::Ntt {
+        let ntt = KernelEvent::Ntt {
             n: 1 << 12,
             limbs: 4,
             inverse: false,
-        });
-        s.borrow_mut().synchronize();
-        assert_eq!(s.borrow().stats().len(), 1);
-        assert_eq!(s.borrow().stats()[0].class_tag, "butterfly-ntt");
+        };
+        let stats = launched(Variant::Butterfly, Layout::Lbn, 1, ntt);
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].class_tag, "butterfly-ntt");
     }
 
     #[test]
     fn tensor_core_variant_launches_fig8_pipeline() {
-        let s = sim();
-        let mut t = GpuTracer::new(Rc::clone(&s), Variant::TensorCore, Layout::Lbn, 1);
-        t.kernel(KernelEvent::Ntt {
+        let ntt = KernelEvent::Ntt {
             n: 1 << 12,
             limbs: 4,
             inverse: false,
-        });
-        s.borrow_mut().synchronize();
-        let stats = s.borrow().stats().to_vec();
+        };
+        let stats = launched(Variant::TensorCore, Layout::Lbn, 1, ntt);
         let tcu = stats.iter().filter(|k| k.class_tag == "gemm-tcu").count();
         assert_eq!(tcu, 32, "two stages of 16 plane GEMMs");
         let ew = stats
@@ -413,41 +409,28 @@ mod tests {
 
     #[test]
     fn plane_gemms_use_distinct_streams() {
-        let s = sim();
-        let mut t = GpuTracer::new(Rc::clone(&s), Variant::TensorCore, Layout::Lbn, 1);
-        t.kernel(KernelEvent::Ntt {
+        let ntt = KernelEvent::Ntt {
             n: 1 << 12,
             limbs: 1,
             inverse: false,
-        });
-        s.borrow_mut().synchronize();
-        let streams: std::collections::HashSet<usize> = s
-            .borrow()
-            .stats()
-            .iter()
-            .filter(|k| k.class_tag == "gemm-tcu")
-            .map(|k| k.stream)
-            .collect();
+        };
+        let streams: std::collections::HashSet<usize> =
+            launched(Variant::TensorCore, Layout::Lbn, 1, ntt)
+                .iter()
+                .filter(|k| k.class_tag == "gemm-tcu")
+                .map(|k| k.stream)
+                .collect();
         assert_eq!(streams.len(), TCU_STREAMS);
     }
 
     #[test]
     fn bln_layout_marks_batched_kernels_strided() {
-        let s = sim();
-        let mut t = GpuTracer::new(Rc::clone(&s), Variant::Butterfly, Layout::Bln, 8);
-        t.kernel(KernelEvent::EleAdd {
+        let add = KernelEvent::EleAdd {
             n: 1 << 12,
             limbs: 2,
-        });
-        let mut t2 = GpuTracer::new(Rc::clone(&s), Variant::Butterfly, Layout::Lbn, 8);
-        t2.kernel(KernelEvent::EleAdd {
-            n: 1 << 12,
-            limbs: 2,
-        });
-        s.borrow_mut().synchronize();
-        let stats = s.borrow().stats().to_vec();
-        let strided = &stats[0];
-        let packed = &stats[1];
+        };
+        let strided = &launched(Variant::Butterfly, Layout::Bln, 8, add)[0];
+        let packed = &launched(Variant::Butterfly, Layout::Lbn, 8, add)[0];
         assert!(
             strided.standalone_us > packed.standalone_us * 1.3,
             "(B,L,N) layout must be slower: {} vs {}",
@@ -463,64 +446,43 @@ mod tests {
             l_src: 3,
             l_dst: 12,
         };
-        let s = sim();
-        let mut nt = GpuTracer::new(Rc::clone(&s), Variant::Butterfly, Layout::Lbn, 4);
-        nt.kernel(ev);
-        let mut co = GpuTracer::new(Rc::clone(&s), Variant::FourStep, Layout::Lbn, 4);
-        co.kernel(ev);
-        let mut tc = GpuTracer::new(Rc::clone(&s), Variant::TensorCore, Layout::Lbn, 4);
-        tc.kernel(ev);
-        s.borrow_mut().synchronize();
-        let tags: Vec<&str> = s
-            .borrow()
-            .stats()
-            .iter()
-            .map(|k| k.class_tag)
-            .collect::<Vec<_>>();
-        assert_eq!(
-            tags,
-            vec![
-                "basis-conv",  // NT: one scalar kernel
-                "elementwise", // CO: batched y stage…
-                "gemm-cuda",   // …plus the wide GEMM
-                "elementwise", // TC rides the same dense-GEMM lowering
-                "gemm-cuda",
-            ],
-        );
+        let tags = |variant| -> Vec<&'static str> {
+            launched(variant, Layout::Lbn, 4, ev)
+                .iter()
+                .map(|k| k.class_tag)
+                .collect()
+        };
+        // NT: one scalar kernel.
+        assert_eq!(tags(Variant::Butterfly), ["basis-conv"]);
+        // CO: a batched y stage plus the wide GEMM; TC rides the same
+        // dense-GEMM lowering.
+        assert_eq!(tags(Variant::FourStep), ["elementwise", "gemm-cuda"]);
+        assert_eq!(tags(Variant::TensorCore), ["elementwise", "gemm-cuda"]);
     }
 
     #[test]
     fn batch_multiplies_work() {
-        let s = sim();
-        let mut t1 = GpuTracer::new(Rc::clone(&s), Variant::Butterfly, Layout::Lbn, 1);
-        t1.kernel(KernelEvent::HadaMult {
+        let hada = KernelEvent::HadaMult {
             n: 1 << 12,
             limbs: 4,
-        });
-        let mut t64 = GpuTracer::new(Rc::clone(&s), Variant::Butterfly, Layout::Lbn, 64);
-        t64.kernel(KernelEvent::HadaMult {
-            n: 1 << 12,
-            limbs: 4,
-        });
-        s.borrow_mut().synchronize();
-        let stats = s.borrow().stats().to_vec();
-        assert!(stats[1].bytes > stats[0].bytes * 32);
+        };
+        let one = &launched(Variant::Butterfly, Layout::Lbn, 1, hada)[0];
+        let wide = &launched(Variant::Butterfly, Layout::Lbn, 64, hada)[0];
+        assert!(wide.bytes > one.bytes * 32);
     }
 
-    /// Every launch of one costing window, as [`Engine::run_schedule`]
+    /// Every launch of one costing window, as [`crate::Engine::run_schedule`]
     /// makes them: an HMULT at the CI-sized preset, unbatched, so the
     /// tensor-core lowering spreads its plane GEMMs over the streams.
-    fn hmult_window(variant: Variant) -> Vec<tensorfhe_gpu::KernelStats> {
+    fn hmult_window(variant: Variant) -> Vec<KernelStats> {
         let params = tensorfhe_ckks::CkksParams::test_small();
-        let s = sim();
-        let mut t = GpuTracer::new(Rc::clone(&s), variant, Layout::Lbn, 1);
+        let mut t = tracer(variant, Layout::Lbn, 1);
         t.op_begin("HMULT");
         for e in crate::api::schedule_events(&params, crate::FheOp::HMult, params.max_level()) {
             t.kernel(e);
         }
-        let mut sim = s.borrow_mut();
-        sim.synchronize();
-        sim.stats().to_vec()
+        t.sim.synchronize();
+        t.sim.stats().to_vec()
     }
 
     #[test]
@@ -560,28 +522,30 @@ mod tests {
             assert_eq!(got, want, "one name per plane stream, in stream order");
         }
         // At a saturating batch the planes fuse into one fat launch.
-        let s = sim();
-        let mut t = GpuTracer::new(Rc::clone(&s), Variant::TensorCore, Layout::Lbn, 64);
-        t.kernel(KernelEvent::Ntt {
+        let intt = KernelEvent::Ntt {
             n: 1 << 12,
             limbs: 1,
             inverse: true,
-        });
-        s.borrow_mut().synchronize();
-        assert!(s.borrow().stats().iter().any(|k| &*k.name == "intt-planes"));
+        };
+        assert!(launched(Variant::TensorCore, Layout::Lbn, 64, intt)
+            .iter()
+            .any(|k| &*k.name == "intt-planes"));
     }
 
     #[test]
     fn kernel_table_equals_a_string_keyed_fold() {
         use std::collections::BTreeMap;
-        let stats = hmult_window(Variant::TensorCore);
+        let params = tensorfhe_ckks::CkksParams::test_small();
+        let events = crate::api::schedule_events(&params, crate::FheOp::HMult, params.max_level());
+        let got = crate::Engine::new(crate::EngineConfig::a100(Variant::TensorCore))
+            .run_schedule("HMULT", &events, 1)
+            .by_kernel;
         let mut m: BTreeMap<String, f64> = BTreeMap::new();
-        for k in &stats {
+        for k in &hmult_window(Variant::TensorCore) {
             *m.entry(k.name.to_string()).or_insert(0.0) += k.duration_us;
         }
         let mut want: Vec<(String, f64)> = m.into_iter().collect();
         want.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        let got = tensorfhe_gpu::Profiler::new(&stats[..]).time_by_kernel();
         assert_eq!(got.len(), want.len());
         for ((gk, gt), (wk, wt)) in got.iter().zip(&want) {
             assert_eq!((&**gk, gt.to_bits()), (wk.as_str(), wt.to_bits()));
@@ -590,11 +554,9 @@ mod tests {
 
     #[test]
     fn op_scope_propagates() {
-        let s = sim();
-        let mut t = GpuTracer::new(Rc::clone(&s), Variant::Butterfly, Layout::Lbn, 1);
+        let mut t = tracer(Variant::Butterfly, Layout::Lbn, 1);
         t.op_begin("HMULT");
         t.kernel(KernelEvent::EleAdd { n: 64, limbs: 1 });
-        s.borrow_mut().synchronize();
-        assert_eq!(&*s.borrow().stats()[0].op_tag, "HMULT");
+        assert_eq!(&*t.sim.synchronize()[0].op_tag, "HMULT");
     }
 }

@@ -187,22 +187,19 @@ fn traced_launch_streams_are_fifo_clean_per_stream() {
     use tensorfhe_core::{Engine, EngineConfig, Variant};
 
     let params = CkksParams::test_small();
-    let engine = Engine::new(EngineConfig::a100(Variant::TensorCore));
+    let mut engine = Engine::new(EngineConfig::a100(Variant::TensorCore));
     let level = params.max_level();
-    // Trace through the engine's persistent sim (the evaluator path);
-    // `run_schedule` costing windows run on an isolated zero-based clock
-    // and leave no launches behind.
+    // One costing window, the path both the evaluator and `run_schedule`
+    // take, with three operations traced into it.
+    let mut tracer = engine.tracer(4);
     for op in [FheOp::HMult, FheOp::HRotate, FheOp::Rescale] {
-        let events = schedule_events(&params, op, level);
-        let mut tracer = engine.make_tracer(4);
         tracer.op_begin(op.name());
-        for &e in &events {
+        for &e in &schedule_events(&params, op, level) {
             tracer.kernel(e);
         }
     }
-    let dev = engine.device();
-    dev.borrow_mut().synchronize();
-    let intervals: Vec<_> = dev.borrow().intervals().collect();
+    engine.finish(&mut tracer);
+    let intervals: Vec<_> = tracer.sim().intervals().collect();
     assert!(!intervals.is_empty(), "the traced run must launch kernels");
     let report = tensorfhe_analyze::verify_launch_intervals(intervals);
     assert!(report.is_clean(), "launch-stream violations:\n{report}");

@@ -21,6 +21,9 @@ use crate::stall::{StallBreakdown, StallKind};
 use crate::warp_sim::{simulate_scheduler, Instr, SimResult};
 use std::collections::{HashMap, VecDeque};
 
+/// Maximum warp-sim iterations before linear extrapolation.
+const SIM_ITER_CAP: u64 = 48;
+
 /// Handle to a CUDA stream created by [`DeviceSim::create_stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamId(usize);
@@ -230,10 +233,6 @@ pub struct DeviceSim {
     /// in `synchronize` and leak a per-process-random tiebreak into
     /// completion order (exactly the bug the L003 lint exists to catch).
     alloc: Vec<Option<f64>>,
-    seq: usize,
-    vram_used: u64,
-    /// Maximum warp-sim iterations before linear extrapolation.
-    sim_iter_cap: u64,
 }
 
 impl DeviceSim {
@@ -269,9 +268,6 @@ impl DeviceSim {
             active: Vec::new(),
             caps: Vec::new(),
             alloc: Vec::new(),
-            seq: 0,
-            vram_used: 0,
-            sim_iter_cap: 48,
         }
     }
 
@@ -285,12 +281,6 @@ impl DeviceSim {
         memo
     }
 
-    /// The device description.
-    #[must_use]
-    pub fn config(&self) -> &DeviceConfig {
-        &self.config
-    }
-
     /// Creates a new stream and returns its handle.
     pub fn create_stream(&mut self) -> StreamId {
         let id = StreamId(self.streams);
@@ -301,42 +291,9 @@ impl DeviceSim {
     }
 
     /// Tags subsequent launches with an operation scope (e.g. `"HMULT"`),
-    /// used by the profiler's per-operation breakdowns.
+    /// recorded as [`KernelStats::op_tag`].
     pub fn set_scope(&mut self, tag: impl Into<KernelName>) {
         self.op_tag = tag.into();
-    }
-
-    /// Current operation scope.
-    #[must_use]
-    pub fn scope(&self) -> &str {
-        &self.op_tag
-    }
-
-    /// Reserves device memory; returns `false` (and reserves nothing) if the
-    /// allocation would exceed VRAM. Batch-size selection queries this.
-    pub fn try_alloc(&mut self, bytes: u64) -> bool {
-        if self.vram_used + bytes > self.config.vram_bytes() {
-            false
-        } else {
-            self.vram_used += bytes;
-            true
-        }
-    }
-
-    /// Releases device memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more bytes are freed than are allocated.
-    pub fn free(&mut self, bytes: u64) {
-        assert!(bytes <= self.vram_used, "freeing unallocated VRAM");
-        self.vram_used -= bytes;
-    }
-
-    /// Bytes of VRAM currently reserved.
-    #[must_use]
-    pub fn vram_used(&self) -> u64 {
-        self.vram_used
     }
 
     /// Enqueues a kernel on a stream. Returns immediately (asynchronous
@@ -370,7 +327,6 @@ impl DeviceSim {
             desc,
         });
         self.pending_count += 1;
-        self.seq += 1;
     }
 
     /// Runs the event loop until every pending kernel has completed, and
@@ -396,7 +352,7 @@ impl DeviceSim {
         self.device_clock_us
     }
 
-    /// All stats recorded since construction (or the last [`Self::reset`]).
+    /// All stats recorded since construction.
     #[must_use]
     pub fn stats(&self) -> &[KernelStats] {
         &self.completed
@@ -410,15 +366,6 @@ impl DeviceSim {
         self.completed
             .iter()
             .map(|k| (k.stream, k.start_us, k.end_us))
-    }
-
-    /// Clears recorded stats and clocks, keeping the cost cache.
-    pub fn reset(&mut self) {
-        assert!(self.pending_count == 0, "reset with kernels in flight");
-        self.completed.clear();
-        self.host_clock_us = 0.0;
-        self.device_clock_us = 0.0;
-        self.op_tag = KernelName::default();
     }
 
     /// One event-loop step: advance to the next arrival or completion.
@@ -601,7 +548,7 @@ impl DeviceSim {
             .max(warps_per_block.min(8));
         let resident = (warps_total.div_ceil(sched_total)).clamp(1, warps_per_sched_cap);
         let iters = desc.iters_per_thread();
-        let sim_iters = iters.min(self.sim_iter_cap).max(1);
+        let sim_iters = iters.clamp(1, SIM_ITER_CAP);
         let warps = resident as usize;
         let warps_per_block = (warps_per_block as usize).min(warps);
         let key = SimKey {
@@ -983,15 +930,6 @@ mod tests {
             (0.30..0.60).contains(&f),
             "NTT stall fraction {f} out of band"
         );
-    }
-
-    #[test]
-    fn vram_accounting() {
-        let mut s = sim();
-        assert!(s.try_alloc(10 << 30));
-        assert!(!s.try_alloc(31 << 30), "40 GiB card cannot hold 41 GiB");
-        s.free(10 << 30);
-        assert_eq!(s.vram_used(), 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::Arc;
 ///
 /// A name is allocated once — by whoever builds the descriptor, e.g. the
 /// kernel layer's per-tracer name table — and from there on every copy
-/// (the launch queue, [`crate::KernelStats`], profiler tables, per-request
+/// (the launch queue, [`crate::KernelStats`], per-kernel tables, per-request
 /// reports) is a reference-count bump, never a heap `String`. It orders,
 /// hashes and derefs as `str`, so tables keyed by it sort exactly as the
 /// `String`-keyed tables they replaced.

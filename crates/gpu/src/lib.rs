@@ -17,10 +17,10 @@
 //!   conversion, plus the FFT/DWT reference kernels of Fig. 4).
 //! * [`engine`] — a discrete-event device engine with CUDA-stream semantics
 //!   (concurrent kernels water-fill the SM pool, which is how the 16
-//!   segmented GEMMs of Fig. 8 overlap), per-launch statistics, occupancy
-//!   and an energy model.
-//! * [`profiler`] — aggregation of per-launch stats into the per-kernel and
-//!   per-operation breakdowns reported in Figs. 10–13 and Tables IX/XI.
+//!   segmented GEMMs of Fig. 8 overlap), and a launch log of per-launch
+//!   [`KernelStats`]: timing, stall breakdown, occupancy and energy. The
+//!   log's owner folds it (`tensorfhe-core`'s `OpStats` is the fold the
+//!   paper's tables report).
 //!
 //! Nothing in this crate knows about FHE; it executes abstract kernel
 //! descriptions. The kernel layer of `tensorfhe-core` translates CKKS
@@ -56,12 +56,10 @@
 pub mod device;
 pub mod engine;
 pub mod kernel;
-pub mod profiler;
 pub mod stall;
 pub mod warp_sim;
 
 pub use device::DeviceConfig;
 pub use engine::{CostMemo, DeviceSim, KernelStats, StreamId};
 pub use kernel::{KernelClass, KernelDesc, KernelName, H2D_BANDWIDTH_GBPS};
-pub use profiler::Profiler;
 pub use stall::{StallBreakdown, StallKind};

@@ -50,6 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|(a, b)| (*a - *b).norm())
         .fold(0.0f64, f64::max);
     println!("max slot error after refresh: {max_err:.2e}");
+    // The bound `boot/tests/bootstrap.rs` holds the slim bootstrap to.
+    assert!(max_err < 0.02, "bootstrap error {max_err} too large");
 
     // Prove the refreshed ciphertext is computable: square it.
     let sq = eval.square(&refreshed, &keys)?;

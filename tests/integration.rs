@@ -3,9 +3,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tensorfhe::ckks::{CkksParams, Evaluator, KeyChain};
-use tensorfhe::core::api::{FheOp, TensorFhe};
-use tensorfhe::core::engine::{Engine, EngineConfig, Variant};
+use tensorfhe::ckks::{CkksContext, CkksParams, Evaluator, KeyChain};
+use tensorfhe::core::api::{schedule_events, FheOp, TensorFhe};
+use tensorfhe::core::engine::{Engine, EngineConfig, OpStats, Variant};
 use tensorfhe::math::Complex64;
 
 /// Engine-level costing of one fixed-width schedule run — what the
@@ -23,32 +23,30 @@ fn cost(api: &mut TensorFhe, op: FheOp, level: usize, batch: usize) -> tensorfhe
 #[test]
 fn traced_full_mode_pipeline() {
     let params = CkksParams::toy();
-    let engine = Engine::new(EngineConfig::a100(Variant::TensorCore));
-    // The engine hands out a context running its own variant: the tensor-core
+    let mut engine = Engine::new(EngineConfig::a100(Variant::TensorCore));
+    // A context running the engine's own variant: the tensor-core
     // formulation both computes the arithmetic and prices the launches.
-    let ctx = engine.make_context(&params).expect("ctx");
+    let ctx = CkksContext::with_algorithm(&params, engine.config().variant).expect("ctx");
     assert_eq!(ctx.ntt_algorithm(), Variant::TensorCore);
     let mut rng = StdRng::seed_from_u64(11);
     let keys = KeyChain::generate(&ctx, &mut rng);
 
-    let tracer = engine.make_tracer(1);
-    let mut eval = Evaluator::with_tracer(&ctx, Box::new(tracer));
-
     let xs = vec![Complex64::new(1.25, 0.0), Complex64::new(-0.5, 0.0)];
     let ct = keys.encrypt(&ctx.encode(&xs, params.scale()).expect("enc"), &mut rng);
-    let sq = eval.hmult(&ct, &ct, &keys).expect("hmult");
-    let sq = eval.rescale(&sq).expect("rescale");
+    let mut tracer = engine.tracer(1);
+    let sq = {
+        let mut eval = Evaluator::with_tracer(&ctx, Box::new(&mut tracer));
+        let sq = eval.hmult(&ct, &ct, &keys).expect("hmult");
+        eval.rescale(&sq).expect("rescale")
+    };
 
-    // Drain the simulated device and inspect the profile.
-    engine.device().borrow_mut().synchronize();
-    engine.profiler(|profiler| {
-        assert!(profiler.span_us() > 0.0, "GPU time must have been charged");
-        let ops = profiler.time_by_op();
-        assert!(
-            ops.iter().any(|(o, _)| &**o == "HMULT"),
-            "HMULT scope missing from {ops:?}"
-        );
-    });
+    // Close the window and inspect its launch log.
+    let stats = engine.finish(&mut tracer);
+    assert!(stats.time_us > 0.0, "GPU time must have been charged");
+    assert_eq!(stats.launches, tracer.sim().stats().len());
+    let ops: std::collections::BTreeSet<&str> =
+        tracer.sim().stats().iter().map(|k| &*k.op_tag).collect();
+    assert!(ops.contains("HMULT"), "HMULT scope missing from {ops:?}");
 
     // The math still decrypts correctly with tracing attached.
     let dec = ctx.decode(&keys.decrypt(&sq)).expect("decode");
@@ -56,52 +54,70 @@ fn traced_full_mode_pipeline() {
     assert!((dec[1].re - 0.25).abs() < 1e-2);
 }
 
-/// Schedule-only costing and traced execution charge consistent kernel
-/// schedules: the schedule the API layer costs matches what a real traced
-/// execution produces (same launches ⇒ same simulated time).
+/// Every result bit of a window: the fold, then its per-kernel table.
+fn bits(s: &OpStats) -> Vec<u64> {
+    let mut v = vec![
+        s.launches as u64,
+        s.time_us.to_bits(),
+        s.occupancy.to_bits(),
+        s.energy_j.to_bits(),
+    ];
+    for (k, t) in &s.by_kernel {
+        v.extend(k.bytes().map(u64::from));
+        v.push(t.to_bits());
+    }
+    v
+}
+
+/// Schedule-only costing and traced execution are one costing path: the
+/// schedule the API layer costs is exactly what a real traced execution
+/// launches, so the two windows agree bit for bit.
 #[test]
 fn timing_only_matches_traced_execution() {
-    let params = CkksParams::toy();
-    let engine = Engine::new(EngineConfig::a100(Variant::TensorCore));
-    let ctx = engine.make_context(&params).expect("ctx");
-    let mut rng = StdRng::seed_from_u64(13);
-    let keys = KeyChain::generate(&ctx, &mut rng);
-
-    // Traced execution of one HMULT.
-    let mark = engine.mark();
-    {
-        let tracer = engine.make_tracer(1);
-        let mut eval = Evaluator::with_tracer(&ctx, Box::new(tracer));
-        let xs = vec![Complex64::new(0.5, 0.0)];
-        let ct = keys.encrypt(&ctx.encode(&xs, params.scale()).expect("enc"), &mut rng);
-        let _ = eval.hmult(&ct, &ct, &keys).expect("hmult");
+    for params in [CkksParams::toy(), CkksParams::test_small()] {
+        let level = params.max_level();
+        for variant in [Variant::Butterfly, Variant::FourStep, Variant::TensorCore] {
+            let ctx = CkksContext::with_algorithm(&params, variant).expect("ctx");
+            let mut rng = StdRng::seed_from_u64(13);
+            let mut keys = KeyChain::generate(&ctx, &mut rng);
+            keys.gen_rotation_keys(&[1], &mut rng);
+            let pt = ctx
+                .encode(&[Complex64::new(0.5, 0.0)], params.scale())
+                .expect("enc");
+            let ct = keys.encrypt(&pt, &mut rng);
+            let mut engine = Engine::new(EngineConfig::a100(variant));
+            for batch in [1, 64] {
+                for op in [FheOp::HMult, FheOp::Rescale, FheOp::HRotate, FheOp::CMult] {
+                    let mut tracer = engine.tracer(batch);
+                    let mut eval = Evaluator::with_tracer(&ctx, Box::new(&mut tracer));
+                    match op {
+                        FheOp::HMult => eval.hmult(&ct, &ct, &keys),
+                        FheOp::Rescale => eval.rescale(&ct),
+                        FheOp::HRotate => eval.hrotate(&ct, 1, &keys),
+                        _ => eval.cmult(&ct, &pt),
+                    }
+                    .unwrap_or_else(|e| panic!("{}: {e}", op.name()));
+                    drop(eval);
+                    let traced = engine.finish(&mut tracer);
+                    let events = schedule_events(&params, op, level);
+                    let costed = engine.run_schedule(op.name(), &events, batch);
+                    assert_eq!(
+                        bits(&traced),
+                        bits(&costed),
+                        "{} {} {variant:?} batch {batch}: traced {traced:?} vs schedule {costed:?}",
+                        params.name(),
+                        op.name()
+                    );
+                }
+            }
+        }
     }
-    engine.device().borrow_mut().synchronize();
-    let full_stats = engine.window_stats(mark);
-
-    // Schedule-only costing of the same op.
-    let mut api = TensorFhe::builder(&params)
-        .build()
-        .expect("single-device build");
-    let report = cost(&mut api, FheOp::HMult, params.max_level(), 1);
-
-    assert_eq!(
-        full_stats.launches, report.launches,
-        "synthetic schedule must launch exactly the kernels the real op does"
-    );
-    let rel = (full_stats.time_us - report.time_us).abs() / report.time_us;
-    assert!(
-        rel < 0.2,
-        "timing-only ({}) vs traced ({}) drifted {rel}",
-        report.time_us,
-        full_stats.time_us
-    );
 }
 
 /// The three engine variants produce the paper's performance ordering on a
-/// real traced workload — and since each engine's context now *computes*
-/// with its own formulation, the decrypted results must also agree
-/// bit-for-bit across variants (the transforms are bit-identical).
+/// real traced workload — and since each engine's context *computes* with
+/// its own formulation, the decrypted results must also agree bit-for-bit
+/// across variants (the transforms are bit-identical).
 #[test]
 fn variant_ordering_holds_for_traced_math() {
     let params = CkksParams::test_small();
@@ -110,22 +126,19 @@ fn variant_ordering_holds_for_traced_math() {
     let mut times = Vec::new();
     let mut decoded = Vec::new();
     for variant in [Variant::Butterfly, Variant::FourStep, Variant::TensorCore] {
-        let engine = Engine::new(EngineConfig::a100(variant));
-        let ctx = engine.make_context(&params).expect("ctx");
+        let mut engine = Engine::new(EngineConfig::a100(variant));
+        let ctx = CkksContext::with_algorithm(&params, variant).expect("ctx");
         assert_eq!(ctx.ntt_algorithm(), variant);
         // Same seed per variant: identical keys and ciphertexts, so any
         // divergence below would be the NTT formulation's fault.
         let mut rng = StdRng::seed_from_u64(17);
         let keys = KeyChain::generate(&ctx, &mut rng);
         let ct = keys.encrypt(&ctx.encode(&xs, params.scale()).expect("enc"), &mut rng);
-        let mark = engine.mark();
-        let sq = {
-            let tracer = engine.make_tracer(64);
-            let mut eval = Evaluator::with_tracer(&ctx, Box::new(tracer));
-            eval.hmult(&ct, &ct, &keys).expect("hmult")
-        };
-        engine.device().borrow_mut().synchronize();
-        times.push(engine.window_stats(mark).time_us);
+        let mut tracer = engine.tracer(64);
+        let sq = Evaluator::with_tracer(&ctx, Box::new(&mut tracer))
+            .hmult(&ct, &ct, &keys)
+            .expect("hmult");
+        times.push(engine.finish(&mut tracer).time_us);
         decoded.push(ctx.decode(&keys.decrypt(&sq)).expect("decode")[0]);
     }
     assert!(times[0] > times[1], "NT {} ≤ CO {}", times[0], times[1]);
