@@ -96,16 +96,15 @@ fn hmult_ntt_rows(params: &CkksParams) -> Vec<EventRows> {
 fn pool_run(params: &CkksParams, rows_cap: usize, iters: usize) -> (f64, HostWorkStats) {
     let cfg = EngineConfig::a100(Variant::TensorCore);
     let backend = ExecBackend::HostParallel;
-    let mut ex = Pool::new(&cfg, DEVICES, DEVICES, backend, rows_cap).expect("valid pool");
-    let events: Arc<[KernelEvent]> =
-        schedule_events(params, FheOp::HMult, params.max_level()).into();
+    let mut ex = Pool::new(&cfg, params, DEVICES, DEVICES, backend, rows_cap).expect("valid pool");
+    let batch = ExecBatch {
+        op: FheOp::HMult,
+        level: params.max_level(),
+        width: DEVICES,
+    };
     let t0 = Instant::now();
     for _ in 0..iters {
-        let h = ex.submit(ExecBatch {
-            tag: "HMULT".into(),
-            events: Arc::clone(&events),
-            width: DEVICES,
-        });
+        let h = ex.submit(batch);
         let _ = ex.join(h);
     }
     let ms = t0.elapsed().as_secs_f64() * 1e3;

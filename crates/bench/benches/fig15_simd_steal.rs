@@ -24,12 +24,11 @@
 //! under `check_regression`'s looser `host_` tolerance class, where a
 //! missing key (noisy or single-core run) skips rather than fails.
 
-use std::sync::Arc;
 use std::time::Instant;
 use tensorfhe_bench::timing::{median_spread, sample_secs, MAX_SPREAD};
 use tensorfhe_bench::{print_table, report};
-use tensorfhe_ckks::{CkksParams, KernelEvent};
-use tensorfhe_core::api::{schedule_events, FheOp};
+use tensorfhe_ckks::CkksParams;
+use tensorfhe_core::api::FheOp;
 use tensorfhe_core::exec::StealStats;
 use tensorfhe_core::{EngineConfig, ExecBackend, ExecBatch, Pool, Variant};
 use tensorfhe_math::gemm_fast::{gemm_rm_with, MontOperand};
@@ -142,16 +141,16 @@ fn run_stream(params: &CkksParams, workers: usize, iters: usize) -> (f64, StealS
     let cfg = EngineConfig::a100(Variant::TensorCore);
     // 2 devices so a surplus worker exists even at `workers = 2`; width 1
     // keeps every chunk on device 0's queue.
-    let mut ex = Pool::new(&cfg, 2, workers, ExecBackend::HostParallel, 8).expect("valid pool");
-    let events: Arc<[KernelEvent]> =
-        schedule_events(params, FheOp::HMult, params.max_level()).into();
+    let backend = ExecBackend::HostParallel;
+    let mut ex = Pool::new(&cfg, params, 2, workers, backend, 8).expect("valid pool");
+    let batch = ExecBatch {
+        op: FheOp::HMult,
+        level: params.max_level(),
+        width: 1,
+    };
     let t0 = Instant::now();
     for _ in 0..iters {
-        let h = ex.submit(ExecBatch {
-            tag: "HMULT".into(),
-            events: Arc::clone(&events),
-            width: 1,
-        });
+        let h = ex.submit(batch);
         let _ = ex.join(h);
     }
     let ms = t0.elapsed().as_secs_f64() * 1e3;

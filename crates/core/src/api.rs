@@ -336,9 +336,7 @@ impl TensorFheBuilder {
     /// [`crate::session::KEY_CACHE_VRAM_FRACTION`] of each device's VRAM
     /// — the complement of the 85% working-set budget
     /// [`crate::engine::auto_batch_for_vram`] reserves for ciphertexts.
-    /// The `TENSORFHE_KEY_CACHE_MB` environment variable overrides the
-    /// default but not this builder call. A zero capacity is rejected at
-    /// [`TensorFheBuilder::service`] time.
+    /// A zero capacity is rejected at [`TensorFheBuilder::service`] time.
     #[must_use]
     pub fn key_cache_mb(mut self, mb: u64) -> Self {
         self.key_cache_mb = Some(mb);

@@ -69,7 +69,7 @@ pub struct OpStats {
     /// Kernel launches in the window.
     pub launches: usize,
     /// Per-kernel time shares (name → µs), names interned: cloning the
-    /// stats (a dispatch-cache replay) bumps reference counts.
+    /// stats (a replay from the pool's batch memo) bumps reference counts.
     pub by_kernel: Vec<(KernelName, f64)>,
 }
 
@@ -166,11 +166,11 @@ impl Engine {
     /// Like every window ([`Engine::tracer`]), it runs on a *fresh,
     /// zero-based* device clock: the result is a pure function of
     /// `(device config, events, batch)`, never of what the engine ran
-    /// before. Executors and the service's dispatch cache rely on this —
-    /// identical batches must cost bit-identically even when an
-    /// out-of-order scoreboard dispatches them in a different order, and
-    /// the span over a persistent clock would leak the absolute offset
-    /// into the last ulp of the window span. A traced evaluator run is
+    /// before. The pool relies on this: one engine costs every device's
+    /// shard, and its batch memo replays identical batches even when an
+    /// out-of-order scoreboard dispatches them in a different order. The
+    /// span over a persistent clock would leak the absolute offset into
+    /// the last ulp of the window span. A traced evaluator run is
     /// costed the same way, so the two agree bit for bit.
     ///
     /// The one thing a window inherits is the engine's launch-cost memo

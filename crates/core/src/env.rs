@@ -1,4 +1,4 @@
-//! The six `TENSORFHE_*` environment variables, read in one place.
+//! The five `TENSORFHE_*` environment variables, read in one place.
 //!
 //! Every knob resolves *builder → environment → default*: a variable only
 //! supplies what the builder left unset, so it is parsed — and rejected
@@ -15,7 +15,6 @@
 //! | `TENSORFHE_ADMISSION` | `inorder` / `ooo` | in-order |
 //! | `TENSORFHE_BACKEND` | `sim` / `host-parallel` | `sim` |
 //! | `TENSORFHE_ROWS_CAP` | real rows per event shard, `0` = uncapped | 0 |
-//! | `TENSORFHE_KEY_CACHE_MB` | per-device key cache, non-zero MiB | VRAM slice |
 
 use crate::error::{CoreError, CoreResult};
 use crate::exec::{host::DEFAULT_ROWS_CAP, ExecBackend};
@@ -100,13 +99,6 @@ impl EnvConfig {
             .resolve(set, "TENSORFHE_ROWS_CAP", expect, parse)?
             .unwrap_or(DEFAULT_ROWS_CAP))
     }
-
-    /// `None` leaves the VRAM-derived default to the caller.
-    pub(crate) fn key_cache_mb(&self, set: Option<u64>) -> CoreResult<Option<u64>> {
-        let parse = |s: &str| s.parse().ok().filter(|&mb| mb > 0);
-        let expect = "a non-zero capacity in MiB";
-        self.resolve(set, "TENSORFHE_KEY_CACHE_MB", expect, parse)
-    }
 }
 
 #[cfg(test)]
@@ -163,8 +155,7 @@ mod tests {
                     .admission([AdmissionMode::InOrder, AdmissionMode::OutOfOrder][v]),
             ),
             "TENSORFHE_BACKEND" => b.backend([ExecBackend::Sim, ExecBackend::HostParallel][v]),
-            "TENSORFHE_ROWS_CAP" => b.rows_cap(v),
-            _ => b.key_cache_mb(v as u64),
+            _ => b.rows_cap(v),
         }
     }
 
@@ -185,7 +176,6 @@ mod tests {
             ("TENSORFHE_ADMISSION", "ooo", 1, 0, "fifo", false),
             ("TENSORFHE_BACKEND", "sim", 0, 1, "host-scalar", false),
             ("TENSORFHE_ROWS_CAP", "2", 2, 1, "all", true),
-            ("TENSORFHE_KEY_CACHE_MB", "64", 64, 7, "lots", false),
         ];
         for (var, valid, as_set, other, malformed, zero_ok) in table {
             // The row's variable overrides the base's (later entries win).

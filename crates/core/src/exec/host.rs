@@ -4,7 +4,7 @@
 //!
 //! On [`ExecBackend::HostParallel`](super::ExecBackend::HostParallel),
 //! `submit` splits every GEMM-shaped kernel event shard into row-range
-//! **chunks** and queues them before it runs the engine shards on the
+//! **chunks** and queues them before it costs the engine shards on the
 //! calling thread; the worker threads run chunks and nothing else, and any
 //! idle worker **steals** chunks from busy ones:
 //!
@@ -451,7 +451,7 @@ impl RealWork {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{cfg, drain, pool};
+    use super::super::tests::{cfg, drain, params, pool};
     use super::super::{ExecBackend, Pool};
     use super::*;
     use tensorfhe_ntt::BatchedGemmNtt;
@@ -463,7 +463,8 @@ mod tests {
         let mut reference = None;
         for workers in [1usize, 2, 3] {
             let backend = ExecBackend::HostParallel;
-            let mut pool = Pool::new(&cfg(), 2, workers, backend, DEFAULT_ROWS_CAP).expect("valid");
+            let mut pool =
+                Pool::new(&cfg(), &params(), 2, workers, backend, DEFAULT_ROWS_CAP).expect("valid");
             drain(&mut pool, &[5, 3]);
             let s = pool.steal_stats().expect("host backend");
             assert_eq!(

@@ -1,12 +1,15 @@
 //! The executor — "run a scheduled batch on the device(s)".
 //!
 //! The service layer coalesces requests into batches; *how* a batch turns
-//! into device work is this module's job, and [`Pool`] does it. The pool
-//! owns one simulated [`Engine`] per device and runs a batch's engine
-//! shards in [`Pool::submit`], on the calling thread, in device order —
-//! the paper's API layer likewise batches operations and then invokes the
-//! workflow's kernels in sequence (§IV-E). The [`ExecBackend`] only
-//! chooses what else a batch runs:
+//! into device work is this module's job, and [`Pool`] does it. A batch
+//! is an operation, a level and a width ([`ExecBatch`]), and the pool is
+//! the one place that turns it into device work: it derives the
+//! operation's kernel stream ([`crate::api::schedule_events`]) and costs
+//! the batch's per-device shards on its one simulated [`Engine`] in
+//! [`Pool::submit`], on the calling thread, in device order — the paper's
+//! API layer likewise takes an operation and a batch size and then
+//! invokes the workflow's kernels in sequence (§IV-E). The
+//! [`ExecBackend`] only chooses what else a batch runs:
 //!
 //! * [`ExecBackend::Sim`] — simulated launches only. The pool spawns no
 //!   thread, whatever `workers` asks for, and reports one worker.
@@ -15,32 +18,40 @@
 //!   into work-stealing row chunks ([`host`]). With `workers > 1` the
 //!   pool spawns exactly `workers` threads, which run chunks and nothing
 //!   else; `submit` queues the batch's chunks and wakes them before it
-//!   runs the engines. One worker spawns nothing and runs the chunks at
+//!   costs the shards. One worker spawns nothing and runs the chunks at
 //!   `submit` too.
 //!
 //! Results are **bit-identical** at every worker count and on both
-//! backends: each device's simulator sees the same launch sequence on the
-//! same thread, the merge folds floats in device order, and the chunks'
-//! fold is order-insensitive. Threads and host arithmetic buy wall-clock,
+//! backends: every shard is costed on a fresh, zero-based simulator
+//! window, the merge folds floats in device order, and the chunks' fold
+//! is order-insensitive. Threads and host arithmetic buy wall-clock,
 //! never result drift.
 //!
 //! Determinism contract: for a fixed pool configuration, `submit`ting
 //! the same sequence of batches must yield the same [`BatchResult`]s. The
-//! service's dispatch cache and the CI `TENSORFHE_WORKERS` matrix both rely
-//! on it. Results are furthermore *history-free*: a batch's statistics are
-//! a pure function of `(tag, events, width)` and the pool
-//! configuration, never of what ran before it — the pipelined scheduler
-//! ([`crate::sched`]) depends on this when a batch that the serial path
-//! would have served from the dispatch cache executes for real.
+//! CI `TENSORFHE_WORKERS` matrix relies on it. Results are furthermore
+//! *history-free*: a batch's statistics are a pure function of `(op,
+//! level, width)` and the pool configuration, never of what ran before
+//! it — the out-of-order scheduler ([`crate::sched`]) depends on this
+//! when it submits batches in another order than the serial plan.
+//!
+//! That is also why the pool keeps a **batch memo** from `(op, level,
+//! width)` to its [`BatchResult`], filled at `submit`: an identical batch
+//! costs the same by contract, so a repeat is not costed again, even
+//! while the first is still in flight. On the simulated backend a hit
+//! costs nothing — the memo holds results, never kernel streams. On the
+//! host backend a hit still derives the stream and plans and runs every
+//! real-arithmetic chunk (the backend exists to execute them, and
+//! `host_work` counts them); it only skips the simulated costing. This
+//! keeps paper-scale streams (tens of thousands of operations) tractable.
 //!
 //! Multi-outstanding contract: any number of batches may be submitted
 //! before any is joined, and handles may be joined in any order; each
 //! resolves to exactly the result a submit-join-submit-join sequence
-//! would produce. [`Pool::try_join`] is the non-blocking form — it returns
-//! `None` while the batch's chunks are still running on the host workers
-//! (never on a pool without worker threads), which lets a scheduler keep
-//! a window of in-flight batches and harvest whichever are already
-//! complete without stalling the planning loop.
+//! would produce. [`Pool::join`] blocks only while the batch's chunks are
+//! still running on the host workers. There is no polling form: the
+//! scheduler joins in admission order, and a poll could only move a reply
+//! out of its channel just before that join would take it.
 //!
 //! That asynchrony is measured, not inherited. At pipeline depth 2 batch
 //! k's host chunks run while batch k+1 is planned and costed, and that
@@ -52,13 +63,14 @@
 //! cut `peak_rss_mb` from 5.82 to 5.25 MiB, a saving a persistent
 //! runtime should keep.
 
+use crate::api::{schedule_events, FheOp};
 use crate::engine::{Engine, EngineConfig, OpStats};
 use crate::error::{CoreError, CoreResult};
 use host::{plan_chunks, Chunk, ChunkTally, RealWork, StealShared};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
-use tensorfhe_ckks::KernelEvent;
+use tensorfhe_ckks::{CkksParams, KernelEvent};
 
 pub mod host;
 
@@ -106,14 +118,16 @@ impl ExecBackend {
 }
 
 /// A coalesced batch scheduled onto an execution backend: `width`
-/// independent instances of one operation's kernel workflow.
-#[derive(Debug, Clone)]
+/// independent instances of `op` at ciphertext `level`. The pool derives
+/// the kernel workflow and the launches' operation tag
+/// ([`tensorfhe_gpu::KernelStats::op_tag`], the op's name) itself, and
+/// the batch is its memo key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecBatch {
-    /// Operation tag, recorded on every launch as
-    /// [`tensorfhe_gpu::KernelStats::op_tag`].
-    pub tag: Arc<str>,
-    /// The kernel workflow of one instance (shared with worker threads).
-    pub events: Arc<[KernelEvent]>,
+    /// The operation every instance runs.
+    pub op: FheOp,
+    /// Ciphertext level the operation runs at.
+    pub level: usize,
     /// Operation-level batch width.
     pub width: usize,
 }
@@ -258,17 +272,19 @@ pub fn merge_shards(per_device: Vec<(usize, OpStats)>, devices: usize) -> BatchR
     }
 }
 
-/// The one executor: one simulated engine per device, run on the calling
-/// thread at `submit`, and on the host backend the batches' GEMM chunks,
-/// run by worker threads that steal from each other when idle (see the
-/// module docs and [`host`]).
+/// The one executor: one simulated engine that costs every device's
+/// shard on the calling thread at `submit`, the batch memo, and on the
+/// host backend the batches' GEMM chunks, run by worker threads that
+/// steal from each other when idle (see the module docs and [`host`]).
 #[derive(Debug)]
 pub struct Pool {
     caps: ExecCaps,
     backend: ExecBackend,
     rows_cap: usize,
-    /// Device `d`'s simulator at index `d`.
-    engines: Vec<Engine>,
+    params: CkksParams,
+    engine: Engine,
+    // lint: ordered-ok (keyed get/insert by batch only; never iterated)
+    memo: HashMap<ExecBatch, BatchResult>,
     /// The calling thread's chunk caches, for a pool without worker
     /// threads.
     real: RealWork,
@@ -285,11 +301,12 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Builds the pool a configuration describes: `devices` engines, and
-    /// on [`ExecBackend::HostParallel`] `workers` chunk threads (none at
-    /// one worker: chunks then run at `submit`) with `rows_cap` real rows
-    /// per kernel-event shard (`0` = uncapped). [`ExecBackend::Sim`]
-    /// ignores `workers` and `rows_cap` and spawns nothing.
+    /// Builds the pool a configuration describes: `devices` devices of
+    /// `cfg`, running operations of the `params` scheme, and on
+    /// [`ExecBackend::HostParallel`] `workers` chunk threads (none at one
+    /// worker: chunks then run at `submit`) with `rows_cap` real rows per
+    /// kernel-event shard (`0` = uncapped). [`ExecBackend::Sim`] ignores
+    /// `workers` and `rows_cap` and spawns nothing.
     ///
     /// # Errors
     ///
@@ -297,6 +314,7 @@ impl Pool {
     /// workers, or when the host refuses a worker thread.
     pub fn new(
         cfg: &EngineConfig,
+        params: &CkksParams,
         devices: usize,
         workers: usize,
         backend: ExecBackend,
@@ -326,7 +344,9 @@ impl Pool {
             },
             backend,
             rows_cap,
-            engines: (0..devices).map(|_| Engine::new(cfg.clone())).collect(),
+            params: params.clone(),
+            engine: Engine::new(cfg.clone()),
+            memo: HashMap::new(),
             real: RealWork::default(),
             senders: Vec::new(),
             handles: Vec::new(),
@@ -359,60 +379,28 @@ impl Pool {
         Ok(pool)
     }
 
-    /// Folds a finished batch's real work in and returns its result.
-    fn settle(&mut self, batch: Pending) -> BatchResult {
-        self.work.absorb(batch.work);
-        batch.result
-    }
-
     /// Schedules a batch; the returned handle is redeemed exactly once.
+    /// A batch the memo knows is not costed again; on the host backend
+    /// its chunks run all the same.
     pub fn submit(&mut self, batch: ExecBatch) -> ExecHandle {
-        let devices = self.caps.devices;
-        let widths = shard_widths(batch.width, devices);
-        // Real-arithmetic chunks: planned purely from (events, widths,
-        // rows_cap), so the plan — and through the position-salted
-        // checksum, the folded result — is independent of who executes
-        // what.
-        let (chunks, mut work) = match self.backend {
-            ExecBackend::Sim => (Vec::new(), HostWorkStats::default()),
-            ExecBackend::HostParallel => plan_chunks(&batch.events, &widths, self.rows_cap),
-        };
-        let units: u64 = chunks.iter().map(|c| c.units.len() as u64).sum();
-        self.shared.planned_rows.fetch_add(units, Ordering::Relaxed);
-        // Chunks first, so the workers run them while this thread runs
-        // the engines; without workers, they run here.
-        let rx = if self.senders.is_empty() || chunks.is_empty() {
-            for chunk in &chunks {
-                work.absorb(self.real.run_chunk(&batch.events, chunk));
+        let known = self.memo.get(&batch).cloned();
+        let pending = match (known, self.backend) {
+            (Some(result), ExecBackend::Sim) => Pending {
+                rx: None,
+                result,
+                work: HostWorkStats::default(),
+            },
+            (known, backend) => {
+                let events: Arc<[KernelEvent]> =
+                    schedule_events(&self.params, batch.op, batch.level).into();
+                let widths = shard_widths(batch.width, self.caps.devices);
+                let (rx, work) = match backend {
+                    ExecBackend::Sim => (None, HostWorkStats::default()),
+                    ExecBackend::HostParallel => self.start_chunks(&events, &widths),
+                };
+                let result = known.unwrap_or_else(|| self.cost(batch, &events, &widths));
+                Pending { rx, result, work }
             }
-            self.shared
-                .executed_rows
-                .fetch_add(units, Ordering::Relaxed);
-            None
-        } else {
-            let (reply, rx) = mpsc::channel();
-            let tally = Arc::new(ChunkTally::new(chunks.len(), reply));
-            for spec in chunks {
-                let (events, tally) = (Arc::clone(&batch.events), Arc::clone(&tally));
-                self.shared.push(Chunk {
-                    spec,
-                    events,
-                    tally,
-                });
-            }
-            for tx in &self.senders {
-                tx.send(()).expect("worker thread alive");
-            }
-            Some(rx)
-        };
-        let shards = (self.engines.iter_mut().zip(&widths).enumerate())
-            .filter(|&(_, (_, &w))| w > 0)
-            .map(|(d, (engine, &w))| (d, engine.run_schedule(&batch.tag, &batch.events, w)))
-            .collect();
-        let pending = Pending {
-            rx,
-            result: merge_shards(shards, devices),
-            work,
         };
         let id = self.next;
         self.next += 1;
@@ -420,7 +408,60 @@ impl Pool {
         ExecHandle(id)
     }
 
-    /// Waits for a submitted batch and returns its merged statistics.
+    /// Costs a new batch: its non-empty shards on the engine, in device
+    /// order, merged and memoised.
+    fn cost(&mut self, batch: ExecBatch, events: &[KernelEvent], widths: &[usize]) -> BatchResult {
+        let shards = (widths.iter().enumerate())
+            .filter(|&(_, &w)| w > 0)
+            .map(|(d, &w)| (d, self.engine.run_schedule(batch.op.name(), events, w)))
+            .collect();
+        let result = merge_shards(shards, self.caps.devices);
+        self.memo.insert(batch, result.clone());
+        result
+    }
+
+    /// Plans a batch's real-arithmetic chunks and starts them: queued for
+    /// the workers, which run them while this thread costs the shards, or
+    /// run here on a pool without workers. The plan is a pure function of
+    /// `(events, widths, rows_cap)`, so the plan — and through the
+    /// position-salted checksum, the folded result — is independent of
+    /// who executes what. Returns the channel the workers' tally replies
+    /// on (if they got any chunk) and the work done here.
+    fn start_chunks(
+        &mut self,
+        events: &Arc<[KernelEvent]>,
+        widths: &[usize],
+    ) -> (Option<mpsc::Receiver<HostWorkStats>>, HostWorkStats) {
+        let (chunks, mut work) = plan_chunks(events, widths, self.rows_cap);
+        let units: u64 = chunks.iter().map(|c| c.units.len() as u64).sum();
+        self.shared.planned_rows.fetch_add(units, Ordering::Relaxed);
+        if self.senders.is_empty() || chunks.is_empty() {
+            for chunk in &chunks {
+                work.absorb(self.real.run_chunk(events, chunk));
+            }
+            self.shared
+                .executed_rows
+                .fetch_add(units, Ordering::Relaxed);
+            return (None, work);
+        }
+        let (reply, rx) = mpsc::channel();
+        let tally = Arc::new(ChunkTally::new(chunks.len(), reply));
+        for spec in chunks {
+            let (events, tally) = (Arc::clone(events), Arc::clone(&tally));
+            self.shared.push(Chunk {
+                spec,
+                events,
+                tally,
+            });
+        }
+        for tx in &self.senders {
+            tx.send(()).expect("worker thread alive");
+        }
+        (Some(rx), work)
+    }
+
+    /// Waits for a submitted batch's chunks, folds its real work in and
+    /// returns its merged statistics.
     ///
     /// # Panics
     ///
@@ -430,29 +471,12 @@ impl Pool {
             .pending
             .remove(&handle.0)
             .expect("join of an unknown or already-joined handle");
-        pending.harvest(true);
-        self.settle(pending)
-    }
-
-    /// Non-blocking [`Pool::join`]: returns the merged result if the
-    /// batch has already completed, `None` if its chunks are still
-    /// running. A `Some` consumes the handle exactly like `join`; after
-    /// `None` the handle stays live and may be polled again or joined
-    /// blockingly.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a handle this pool never issued (or already joined).
-    pub fn try_join(&mut self, handle: ExecHandle) -> Option<BatchResult> {
-        let pending = self
-            .pending
-            .get_mut(&handle.0)
-            .expect("try_join of an unknown or already-joined handle");
-        if !pending.harvest(false) {
-            return None;
+        if let Some(rx) = pending.rx {
+            let reply = rx.recv().expect("worker thread died mid-batch");
+            pending.work.absorb(reply);
         }
-        let pending = self.pending.remove(&handle.0).expect("present");
-        Some(self.settle(pending))
+        self.work.absorb(pending.work);
+        pending.result
     }
 
     /// Backend capabilities (device count, workers, VRAM, power).
@@ -487,9 +511,9 @@ impl Drop for Pool {
     }
 }
 
-/// A submitted, not yet joined batch: its merged engine result, the real
-/// work done so far, and — while worker threads still run its chunks —
-/// the channel on which the chunk tally sends the rest, once.
+/// A submitted, not yet joined batch: its merged result, the real work
+/// done at `submit`, and — while worker threads run its chunks — the
+/// channel on which the chunk tally sends the rest, once.
 #[derive(Debug)]
 struct Pending {
     rx: Option<mpsc::Receiver<HostWorkStats>>,
@@ -497,67 +521,41 @@ struct Pending {
     work: HostWorkStats,
 }
 
-impl Pending {
-    /// Folds the chunk tally's reply in, if one is outstanding: `true`
-    /// once the batch is complete, `false` if — not blocking — the
-    /// reply has not arrived yet.
-    fn harvest(&mut self, block: bool) -> bool {
-        let Some(rx) = &self.rx else {
-            return true;
-        };
-        let reply = match block {
-            true => rx.recv().ok(),
-            false => match rx.try_recv() {
-                Err(mpsc::TryRecvError::Empty) => return false,
-                reply => reply.ok(),
-            },
-        };
-        self.work
-            .absorb(reply.expect("worker thread died mid-batch"));
-        self.rx = None;
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{schedule_events, FheOp};
     use crate::engine::Variant;
     use std::collections::BTreeMap;
-    use tensorfhe_ckks::CkksParams;
 
     pub(super) fn cfg() -> EngineConfig {
         EngineConfig::a100(Variant::TensorCore)
     }
 
+    pub(super) fn params() -> CkksParams {
+        CkksParams::test_small()
+    }
+
     fn batch(width: usize) -> ExecBatch {
-        let params = CkksParams::test_small();
         ExecBatch {
-            tag: "HMULT".into(),
-            events: schedule_events(&params, FheOp::HMult, params.max_level()).into(),
+            op: FheOp::HMult,
+            level: params().max_level(),
             width,
         }
     }
 
+    /// The kernel stream the pool derives for [`batch`].
+    fn events() -> Vec<KernelEvent> {
+        schedule_events(&params(), FheOp::HMult, params().max_level())
+    }
+
     pub(super) fn pool(devices: usize, workers: usize, backend: ExecBackend) -> Pool {
-        Pool::new(&cfg(), devices, workers, backend, 4).expect("valid pool")
+        Pool::new(&cfg(), &params(), devices, workers, backend, 4).expect("valid pool")
     }
 
     /// Submits a batch per width before joining any, then joins in order.
     pub(super) fn drain(exec: &mut Pool, widths: &[usize]) -> Vec<BatchResult> {
         let handles: Vec<ExecHandle> = widths.iter().map(|&w| exec.submit(batch(w))).collect();
         handles.into_iter().map(|h| exec.join(h)).collect()
-    }
-
-    /// Polls a handle with `try_join` until it resolves.
-    fn poll(exec: &mut Pool, h: ExecHandle) -> BatchResult {
-        loop {
-            if let Some(r) = exec.try_join(h) {
-                return r;
-            }
-            std::thread::yield_now();
-        }
     }
 
     fn bits(r: &BatchResult) -> Vec<u64> {
@@ -605,7 +603,7 @@ mod tests {
                     for (r, &w) in results.iter().zip(&widths) {
                         let shards = shard_widths(w, devices).into_iter().filter(|&s| s > 0);
                         let energy: f64 = shards
-                            .map(|s| engine.run_schedule("HMULT", &batch(s).events, s).energy_j)
+                            .map(|s| engine.run_schedule("HMULT", &events(), s).energy_j)
                             .sum();
                         assert_eq!(r.stats.energy_j.to_bits(), energy.to_bits());
                     }
@@ -644,7 +642,7 @@ mod tests {
 
     #[test]
     fn merge_passthrough_keeps_single_shard_stats() {
-        let want = Engine::new(cfg()).run_schedule("HMULT", &batch(8).events, 8);
+        let want = Engine::new(cfg()).run_schedule("HMULT", &events(), 8);
         let got = &drain(&mut pool(1, 1, ExecBackend::Sim), &[8])[0];
         assert_eq!(got.stats.time_us.to_bits(), want.time_us.to_bits());
         assert_eq!(got.stats.occupancy.to_bits(), want.occupancy.to_bits());
@@ -680,62 +678,71 @@ mod tests {
     }
 
     #[test]
-    fn try_join_is_nonblocking_and_consumes_on_success() {
-        // No worker thread — one worker, or any count on the simulated
-        // backend: submission runs eagerly, so try_join always resolves
-        // immediately and matches the blocking path bit-for-bit.
-        let want = &drain(&mut pool(2, 1, ExecBackend::Sim), &[8])[0];
-        for (workers, backend) in [
-            (1, ExecBackend::Sim),
-            (4, ExecBackend::Sim),
-            (1, ExecBackend::HostParallel),
-        ] {
-            let mut inline = pool(2, workers, backend);
-            let h = inline.submit(batch(8));
-            let r = inline
-                .try_join(h)
-                .expect("a pool without threads is always ready");
-            assert_eq!(bits(&r), bits(want), "{backend:?} workers={workers}");
-        }
-
-        // Worker threads: poll until they finish; the harvested result
-        // must equal the blocking join of an identical submission.
-        let mut threaded = pool(2, 2, ExecBackend::HostParallel);
-        let h = threaded.submit(batch(8));
-        assert_eq!(
-            bits(&poll(&mut threaded, h)),
-            bits(want),
-            "polled result diverged"
-        );
-    }
-
-    #[test]
-    fn try_join_interleaves_with_multi_outstanding_submissions() {
-        // The pipelined-scheduler usage pattern: several batches in flight,
-        // handles polled out of order, blocking joins mixed in. Results
-        // must match a serial submit-join-submit-join sequence exactly.
+    fn joins_in_any_order_with_multi_outstanding_submissions() {
+        // The pipelined-scheduler usage pattern: several batches in
+        // flight while worker threads run their chunks, joined in an order
+        // unlike submission. Results must match a serial
+        // submit-join-submit-join sequence exactly.
         let widths = [3usize, 16, 7, 1];
         let wants = drain(&mut pool(2, 1, ExecBackend::Sim), &widths);
         let mut threaded = pool(2, 2, ExecBackend::HostParallel);
         let handles: Vec<ExecHandle> = widths.iter().map(|&w| threaded.submit(batch(w))).collect();
-        // Poll the third handle to completion, join the rest blockingly in
-        // reverse submission order.
-        let r2 = poll(&mut threaded, handles[2]);
+        let r2 = threaded.join(handles[2]);
         let r3 = threaded.join(handles[3]);
         let r1 = threaded.join(handles[1]);
         let r0 = threaded.join(handles[0]);
         for (got, want) in [r0, r1, r2, r3].iter().zip(&wants) {
-            assert_eq!(bits(got), bits(want), "out-of-order harvest diverged");
+            assert_eq!(bits(got), bits(want), "out-of-order join diverged");
         }
     }
 
     #[test]
     #[should_panic(expected = "unknown or already-joined")]
-    fn try_join_rejects_consumed_handles() {
+    fn join_rejects_consumed_handles() {
         let mut exec = pool(1, 1, ExecBackend::Sim);
         let h = exec.submit(batch(2));
         let _ = exec.join(h);
-        let _ = exec.try_join(h);
+        let _ = exec.join(h);
+    }
+
+    #[test]
+    fn memo_hits_are_bit_equal_to_a_fresh_pool() {
+        // The second batch of every width is a memo hit, in flight beside
+        // the first; each must resolve to a fresh pool's result.
+        let widths = [1usize, 7, 16];
+        for backend in [ExecBackend::Sim, ExecBackend::HostParallel] {
+            for devices in 1..=4 {
+                let mut exec = pool(devices, 2, backend);
+                let repeated: Vec<usize> = widths.iter().chain(&widths).copied().collect();
+                let got = drain(&mut exec, &repeated);
+                assert_eq!(exec.memo.len(), widths.len());
+                for (i, &w) in repeated.iter().enumerate() {
+                    let fresh = &drain(&mut pool(devices, 1, backend), &[w])[0];
+                    let point = format!("{backend:?} devices={devices} width={w}");
+                    assert_eq!(bits(&got[i]), bits(fresh), "{point}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn host_memo_hits_still_run_their_chunks() {
+        // A hit skips the costing only: the chunks of every submit run,
+        // so the work counters double while the engine's launch-cost memo
+        // and the batch memo stay where the first submit left them.
+        let mut exec = pool(2, 1, ExecBackend::HostParallel);
+        let _ = drain(&mut exec, &[8]);
+        let once = exec.host_work().expect("host backend");
+        let shapes = exec.engine.costed_shapes();
+        let _ = drain(&mut exec, &[8]);
+        let twice = exec.host_work().expect("host backend");
+        assert!(once.ntt_rows > 0 && once.conv_cols > 0 && once.elems > 0);
+        assert_eq!(
+            [twice.ntt_rows, twice.conv_cols, twice.elems],
+            [once.ntt_rows, once.conv_cols, once.elems].map(|n| 2 * n)
+        );
+        assert_eq!(exec.engine.costed_shapes(), shapes);
+        assert_eq!(exec.memo.len(), 1);
     }
 
     #[test]
@@ -752,8 +759,8 @@ mod tests {
     #[test]
     fn pool_rejects_zero_configs() {
         for backend in [ExecBackend::Sim, ExecBackend::HostParallel] {
-            assert!(Pool::new(&cfg(), 0, 1, backend, 0).is_err());
-            assert!(Pool::new(&cfg(), 1, 0, backend, 0).is_err());
+            assert!(Pool::new(&cfg(), &params(), 0, 1, backend, 0).is_err());
+            assert!(Pool::new(&cfg(), &params(), 1, 0, backend, 0).is_err());
         }
     }
 

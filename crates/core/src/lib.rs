@@ -67,13 +67,14 @@
 //!                                          │  in-flight window (depth)  │
 //!                                          │  independent batches only  │
 //!                                          └─────────────┬──────────────┘
-//!                                                        │ Pool::submit / try_join
+//!                                                        │ Pool::submit / join
 //!                                                        ▼
-//!                                 Pool: engines run on the calling thread
-//!                                 (host backend: + stealable GEMM chunks
-//!                                  on the workers, or inline at one)
+//!                            Pool: (op, level, width) → kernel stream,
+//!                            costed on the calling thread or replayed
+//!                            from the batch memo (host backend: + stealable
+//!                            GEMM chunks on the workers, or inline at one)
 //!                                                        │
-//!                                          per-device Engine → DeviceSim
+//!                                       one Engine → DeviceSim per shard
 //! ```
 //!
 //! 1. **Request**: clients [`service::FheService::submit`] typed
@@ -148,17 +149,19 @@
 //!    admission. Both modes run the same planning walk and settle through
 //!    the same reorder buffer; in-order, a joined batch leaves it at once.
 //! 6. **Executor**: every batch goes to the one [`exec::Pool`] —
-//!    `submit(batch) → ExecHandle`, `join`/`try_join``(handle) →
-//!    BatchResult`, any number of batches outstanding, FIFO per device —
-//!    which owns sharding
+//!    `submit(ExecBatch { op, level, width }) → ExecHandle`,
+//!    `join(handle) → BatchResult`, any number of batches outstanding,
+//!    joined in any order — which is the one place an operation becomes
+//!    device work: it derives the kernel stream, owns sharding
 //!    ([`exec::shard_widths`]) and the deterministic device-order merge
-//!    ([`exec::merge_shards`]). It runs every batch's per-device engine
-//!    shards at `submit`, on the calling thread, in device order. Its
-//!    workers ([`SchedPolicy::workers`] / `TENSORFHE_WORKERS`) run only
-//!    the host backend's real-arithmetic chunks; one worker spawns
-//!    nothing. Every thread count is bit-identical, because each device's
-//!    simulator sees the same launch sequence and the merge folds in the
-//!    same order.
+//!    ([`exec::merge_shards`]), and keeps the batch memo, so an identical
+//!    `(op, level, width)` is costed once. It costs every new batch's
+//!    per-device shards on its one [`Engine`] at `submit`, on the calling
+//!    thread, in device order. Its workers ([`SchedPolicy::workers`] /
+//!    `TENSORFHE_WORKERS`) run only the host backend's real-arithmetic
+//!    chunks — on a memo hit too; one worker spawns nothing. Every thread
+//!    count is bit-identical, because every shard is costed in a fresh
+//!    window and the merge folds in the same order.
 //!
 //!    6a. **Backend selection** ([`TensorFheBuilder::backend`] /
 //!    `TENSORFHE_BACKEND`) only chooses what the pool runs besides the
@@ -193,17 +196,17 @@
 //!    lifecycle and why the [`exec::HostWorkStats`] checksum is invariant
 //!    to it, and [`exec::StealStats`] carries the telemetry plus the
 //!    work-conservation ledger (`planned_rows == executed_rows`).
-//! 7. **Device**: each shard is one costing window of its device's
+//! 7. **Device**: each shard is one costing window of the pool's
 //!    [`Engine`]: [`Engine::tracer`] lends the engine's launch-cost memo to
 //!    a [`tracer::GpuTracer`] that owns a fresh, zero-based `DeviceSim`,
 //!    the shard's kernels become launches on it, and [`Engine::finish`]
 //!    takes the memo back and folds the window into [`engine::OpStats`].
 //!    A traced `ckks::Evaluator` run is costed through the same two
-//!    calls, so there is one owner per simulated device and one costing
+//!    calls, so there is one owner per simulated window and one costing
 //!    path. A real CUDA/CUTLASS or wgpu backend would take the pool's
 //!    place here: the batched `B×L` GEMM shapes map
 //!    1:1 onto grouped-GEMM calls, and the multi-outstanding
-//!    `submit`/`try_join` contract maps onto stream events, so it would
+//!    `submit`/`join` contract maps onto stream events, so it would
 //!    take the same `ExecBatch`es — coalescing, scheduling, attribution
 //!    and reporting above the pool are backend-agnostic. A host-backend
 //!    [`exec::Pool`] is the working template: it already runs real GEMM
@@ -220,7 +223,7 @@
 //! `2·log2(N/2)` steps). Each simulated device holds an LRU
 //! [`session::KeyCache`] slice of VRAM
 //! ([`session::KEY_CACHE_VRAM_FRACTION`], overridable via
-//! [`TensorFheBuilder::key_cache_mb`] / `TENSORFHE_KEY_CACHE_MB`). At
+//! [`TensorFheBuilder::key_cache_mb`]). At
 //! plan time the cache *places* the batch's sessions on the devices the
 //! batch will shard across, preferring the devices already holding the
 //! most of those bytes; misses evict LRU sets and charge a PCIe DMA

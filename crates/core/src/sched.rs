@@ -26,9 +26,7 @@
 //!   order, so a joined batch leaves at once). Per-request attribution,
 //!   reports and [`ServiceStats`] are therefore **bit-identical at every
 //!   depth**: pipelining changes when device work overlaps, never what a
-//!   request is charged. (`try_join` harvesting via
-//!   [`Scheduler::harvest`] only moves completed results into the window
-//!   buffer early; consumption order is unchanged.)
+//!   request is charged.
 //! * **The overlap clock** — per-device virtual FIFO queues that account
 //!   for what pipelining actually buys. Each joined batch's shards are
 //!   placed on the least-loaded virtual devices (ties to the lowest
@@ -418,14 +416,15 @@ pub struct SettledTotals {
     pub ops_completed: usize,
 }
 
-/// How an admitted batch is backed: a deterministic result the dispatch
-/// cache already knew, or a live submission to the executor.
+/// How an admitted batch is backed: a submission to the executor, or a
+/// result handed in directly.
 #[derive(Debug)]
 pub enum Work {
-    /// Replayed from the dispatch cache (identical batches cost the same
-    /// by the executor's determinism contract).
+    /// A result handed in directly, never touching the executor: the
+    /// overlap-clock unit tests' seam for injecting per-device times. The
+    /// service always submits; the pool's memo replays identical batches.
     Cached(BatchResult),
-    /// Submitted for real; the handle is joined in submission order.
+    /// Submitted to the executor; the handle is joined in admission order.
     Submitted(ExecHandle),
 }
 
@@ -436,9 +435,6 @@ pub struct Finished {
     pub plan: BatchPlan,
     /// The merged executor result.
     pub result: BatchResult,
-    /// Whether the batch actually executed (`false` = cache replay); the
-    /// service refreshes its dispatch cache only for real executions.
-    pub executed: bool,
 }
 
 /// One submitted-but-unjoined batch in the window.
@@ -446,9 +442,6 @@ pub struct Finished {
 struct InFlight {
     plan: BatchPlan,
     work: Work,
-    /// Result harvested early by a non-blocking [`Pool::try_join`];
-    /// consumed (in admission order) by [`Scheduler::join_next`].
-    ready: Option<BatchResult>,
     /// The join frontier at admission: completion time of the newest batch
     /// joined before this one entered the window.
     frontier_us: f64,
@@ -979,26 +972,10 @@ impl Scheduler {
         self.window.push_back(InFlight {
             plan,
             work,
-            ready: None,
             frontier_us: self.joined_frontier,
             record,
         });
         self.inflight_hwm = self.inflight_hwm.max(self.window.len());
-    }
-
-    /// Opportunistically harvests already-completed submissions into the
-    /// window buffer via the non-blocking [`Pool::try_join`]. Purely a
-    /// latency courtesy to the backend (worker reply channels drain
-    /// early); consumption order — and therefore every result and stat —
-    /// is fixed by the settle path.
-    pub fn harvest(&mut self, exec: &mut Pool) {
-        for f in &mut self.window {
-            if f.ready.is_none() {
-                if let Work::Submitted(h) = f.work {
-                    f.ready = exec.try_join(h);
-                }
-            }
-        }
     }
 
     /// Joins the *oldest* in-flight batch (blocking if it is still
@@ -1009,13 +986,12 @@ impl Scheduler {
     /// [`Scheduler::drain_settleable`]; under in-order admission the
     /// joined batch is always the next one.
     pub fn join_next(&mut self, exec: &mut Pool) -> bool {
-        let Some(mut inflight) = self.window.pop_front() else {
+        let Some(inflight) = self.window.pop_front() else {
             return false;
         };
-        let (result, executed) = match (inflight.ready.take(), inflight.work) {
-            (Some(r), _) => (r, true),
-            (None, Work::Cached(r)) => (r, false),
-            (None, Work::Submitted(h)) => (exec.join(h), true),
+        let result = match inflight.work {
+            Work::Cached(r) => r,
+            Work::Submitted(h) => exec.join(h),
         };
         for k in &inflight.plan.keys {
             self.keys.remove(k);
@@ -1042,7 +1018,6 @@ impl Scheduler {
         let fin = Finished {
             plan: inflight.plan,
             result,
-            executed,
         };
         let prev = self.rob.insert(serial_seq, fin);
         debug_assert!(prev.is_none(), "duplicate serial index in reorder buffer");
@@ -1130,6 +1105,7 @@ mod tests {
     use super::*;
     use crate::engine::{EngineConfig, OpStats, Variant};
     use crate::exec::{ExecBackend, Pool};
+    use tensorfhe_ckks::CkksParams;
 
     /// Test shorthand: leaks a tiny `Arc<str>` per call so literals can be
     /// passed where production code hands out `&Pending.client_key`.
@@ -1159,7 +1135,8 @@ mod tests {
 
     fn sim_pool(devices: usize) -> Pool {
         let cfg = EngineConfig::a100(Variant::TensorCore);
-        Pool::new(&cfg, devices, 1, ExecBackend::Sim, 0).expect("valid pool")
+        let params = CkksParams::test_small();
+        Pool::new(&cfg, &params, devices, 1, ExecBackend::Sim, 0).expect("valid pool")
     }
 
     fn sched(depth: usize, devices: usize) -> Scheduler {
@@ -1249,8 +1226,7 @@ mod tests {
 
         // Joining the holder releases the key.
         let mut exec = sim_pool(2);
-        let fin = settle_next(&mut s, &mut exec);
-        assert!(!fin.executed, "cached work never touches the executor");
+        settle_next(&mut s, &mut exec);
         assert!(!s.blocks(&Scheduler::plan(4, chained).expect("a batch")));
     }
 

@@ -54,14 +54,23 @@ fn bsgs_transform_schedule(params: &CkksParams, level: usize) -> Vec<KernelEvent
 /// per stage.
 const DFT_RADIX: usize = 32;
 
+/// Levels one factorized DFT transform consumes: one per sparse stage, or
+/// one for the dense transform of a small slot count.
+fn dft_stages(params: &CkksParams) -> usize {
+    let slots = params.slots();
+    if slots <= DFT_RADIX * 2 {
+        return 1;
+    }
+    slots.ilog2().div_ceil(DFT_RADIX.ilog2()) as usize
+}
+
 /// A factorized DFT transform; returns the events and the number of levels
 /// it consumes (`stages`).
 fn faster_dft_schedule(params: &CkksParams, level: usize) -> (Vec<KernelEvent>, usize) {
-    let slots = params.slots();
-    if slots <= DFT_RADIX * 2 {
+    if params.slots() <= DFT_RADIX * 2 {
         return (bsgs_transform_schedule(params, level), 1);
     }
-    let stages = slots.ilog2().div_ceil(DFT_RADIX.ilog2()) as usize;
+    let stages = dft_stages(params);
     let mut ev = Vec::new();
     let mut l = level;
     for _ in 0..stages {
@@ -71,8 +80,25 @@ fn faster_dft_schedule(params: &CkksParams, level: usize) -> (Vec<KernelEvent>, 
     (ev, stages)
 }
 
+/// The chain depth `L` a bootstrap with these sine parameters needs:
+/// CoeffToSlot and SlotToCoeff consume one factorized DFT's levels each,
+/// the sine evaluation `taylor_degree + double_angles + 2`, and two more
+/// levels are spent around them.
+#[must_use]
+pub(crate) fn bootstrap_depth(
+    params: &CkksParams,
+    taylor_degree: usize,
+    double_angles: usize,
+) -> usize {
+    taylor_degree + double_angles + 2 + 2 * dft_stages(params) + 2
+}
+
 /// The slim-bootstrap schedule (Fig. 6): CoeffToSlot (4 BSGS transforms +
 /// conjugation), two sine evaluations, SlotToCoeff (2 BSGS transforms).
+///
+/// # Panics
+///
+/// Panics when the chain is shallower than [`bootstrap_depth`].
 #[must_use]
 pub(crate) fn bootstrap_schedule(
     params: &CkksParams,
@@ -80,13 +106,10 @@ pub(crate) fn bootstrap_schedule(
     double_angles: usize,
 ) -> Vec<KernelEvent> {
     let top = params.max_level();
-    let sine_depth = taylor_degree + double_angles + 2;
-    // Depth probe: factorized DFTs consume `stages` levels each.
-    let (_, dft_stages) = faster_dft_schedule(params, top);
+    let need = bootstrap_depth(params, taylor_degree, double_angles);
     assert!(
-        top >= sine_depth + 2 * dft_stages + 2,
-        "bootstrap needs L ≥ {} (CoeffToSlot + sine + SlotToCoeff), have {top}",
-        sine_depth + 2 * dft_stages + 2
+        top >= need,
+        "bootstrap needs L ≥ {need} (CoeffToSlot + sine + SlotToCoeff), have {top}"
     );
     let mut ev = Vec::new();
     let mut level = top;

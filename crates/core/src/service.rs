@@ -19,9 +19,10 @@
 //!    rule and the in-flight window live in the
 //!    [`crate::sched::Scheduler`]; `drain` is a thin loop that fills the
 //!    window and settles completed batches.
-//! 3. Each batch is dispatched into the one [`crate::exec::Pool`], which
-//!    runs its per-device engine shards on the calling thread; its
-//!    workers ([`crate::sched::SchedPolicy::workers`] or the
+//! 3. Each batch — an operation, a level and a width — is submitted to
+//!    the one [`crate::exec::Pool`], which derives its kernel stream and
+//!    costs its per-device shards on the calling thread, replaying the
+//!    result of an identical earlier batch from its memo; its workers ([`crate::sched::SchedPolicy::workers`] or the
 //!    `TENSORFHE_WORKERS` environment variable) run only the host
 //!    backend's real-arithmetic chunks. With a pipeline depth above one
 //!    ([`crate::sched::SchedPolicy::pipeline_depth`] /
@@ -47,17 +48,11 @@
 //! rest of the reproduction: the service clock advances by the wall time of
 //! each dispatched batch, so queue latency measures exactly the time a
 //! request waited behind earlier batches.
-//!
-//! Identical batches — same `(op, level, width)`, costed from their
-//! schedules alone — cost the same by construction, so dispatch results are cached. This is the
-//! same device-time-preserving shortcut the workload runner has always used,
-//! and it keeps paper-scale streams (tens of thousands of operations)
-//! tractable.
 
-use crate::api::{schedule_events, FheOp, OpReport, TensorFheBuilder};
+use crate::api::{FheOp, OpReport, TensorFheBuilder};
 use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::exec::{BatchResult, ExecBackend, ExecBatch, Pool};
+use crate::exec::{ExecBackend, ExecBatch, Pool};
 use crate::sched::{
     AdmissionMode, BatchPlan, Finished, Scheduler, SettledTotals, SlotView, Work,
     DEFAULT_AGING_BOUND, DEFAULT_LOOKAHEAD,
@@ -66,7 +61,7 @@ use crate::session::{
     default_galois_steps, jain_index, key_set_bytes, ClientSession, CoalescePolicy, DrrState,
     KeyCache, ResidencyEvent, SessionConfig, SessionId, KEY_CACHE_VRAM_FRACTION,
 };
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_gpu::DeviceConfig;
 
@@ -389,10 +384,7 @@ pub struct FheService {
     /// service's lifetime; avoids re-querying `caps()` on every stats
     /// call).
     caps: crate::exec::ExecCaps,
-    /// Resolved execution backend. Gates the dispatch cache: only the
-    /// simulated backend replays costs without touching the pool —
-    /// the host backend must execute real arithmetic on every dispatch,
-    /// or benches and `host_work` counters would measure cache hits.
+    /// Resolved execution backend (the stats' label and SIMD lanes).
     backend: ExecBackend,
     batch_cap: usize,
     power_watts: f64,
@@ -416,8 +408,6 @@ pub struct FheService {
     device_busy_us: Vec<f64>,
     energy_j: f64,
     queue_latency_sum_us: f64,
-    // lint: ordered-ok (keyed get/insert only; never iterated)
-    cost_cache: HashMap<(FheOp, usize, usize), BatchResult>,
     // --- Session tier (all inert while `sessions` is empty) ---
     /// Device model, kept for key-upload costing (launch overhead + DMA).
     device: DeviceConfig,
@@ -465,7 +455,7 @@ impl FheService {
         let admission = env.admission(b.sched.admission)?;
         let backend = env.backend(b.backend)?;
         let rows_cap = env.rows_cap(b.rows_cap)?;
-        let pool = Pool::new(&cfg, b.devices, workers, backend, rows_cap)?;
+        let pool = Pool::new(&cfg, &b.params, b.devices, workers, backend, rows_cap)?;
         // The pool owns the capability queries: a backend with different
         // board power or VRAM reports it through `caps()`, and the batch
         // policy / ops/W follow automatically.
@@ -495,7 +485,7 @@ impl FheService {
         }
         // Unset, the key cache gets the VRAM slice the ciphertext batch
         // policy leaves free.
-        let key_cache_bytes = match env.key_cache_mb(b.key_cache_mb)? {
+        let key_cache_bytes = match b.key_cache_mb {
             Some(mb) => mb.saturating_mul(1 << 20),
             None => (caps.vram_bytes_per_device as f64 * KEY_CACHE_VRAM_FRACTION) as u64,
         };
@@ -536,7 +526,6 @@ impl FheService {
             device_busy_us: vec![0.0; b.devices],
             energy_j: 0.0,
             queue_latency_sum_us: 0.0,
-            cost_cache: HashMap::new(),
             device: b.device,
             sessions: Vec::new(),
             key_cache: KeyCache::new(key_cache_bytes, b.devices),
@@ -797,8 +786,8 @@ impl FheService {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidRequest`] for a zero `count`, a level
-    /// above the parameter set's modulus chain, or an unregistered
-    /// session handle.
+    /// above the parameter set's modulus chain, a bootstrap on a chain
+    /// too shallow for it, or an unregistered session handle.
     pub fn submit(&mut self, req: FheRequest) -> CoreResult<RequestId> {
         if req.count == 0 {
             return Err(CoreError::InvalidRequest("count must be non-zero".into()));
@@ -809,6 +798,19 @@ impl FheService {
                 req.level,
                 self.params.max_level()
             )));
+        }
+        if let FheOp::Bootstrap {
+            taylor_degree,
+            double_angles,
+        } = req.op
+        {
+            let need = crate::schedule::bootstrap_depth(&self.params, taylor_degree, double_angles);
+            if self.params.max_level() < need {
+                return Err(CoreError::InvalidRequest(format!(
+                    "bootstrap needs L ≥ {need}, the chain has L = {}",
+                    self.params.max_level()
+                )));
+            }
         }
         let mut req = req;
         if let Some(sid) = req.session {
@@ -955,9 +957,6 @@ impl FheService {
                 self.sched.admit(plan, work);
             }
         }
-        // Harvest whatever already finished on the host workers; purely a
-        // channel-draining courtesy, never reordering settlement.
-        self.sched.harvest(&mut self.pool);
     }
 
     /// The out-of-order fill: run the *serial* planning walk speculatively
@@ -1179,21 +1178,10 @@ impl FheService {
     /// (= submission) order and batches settle in serial plan order, so
     /// report order is FIFO exactly as the synchronous drain produced.
     fn settle(&mut self, fin: Finished, done: &mut Vec<RequestReport>) {
-        let Finished {
-            plan,
-            result,
-            executed,
-        } = fin;
+        let Finished { plan, result } = fin;
         let BatchPlan {
-            op,
-            level,
-            width,
-            ref takes,
-            ..
+            width, ref takes, ..
         } = plan;
-        if executed && self.backend == ExecBackend::Sim {
-            self.cost_cache.insert((op, level, width), result.clone());
-        }
         let cap = self.batch_cap;
         for (dev, t) in result.per_device_us.iter().enumerate() {
             self.device_busy_us[dev] += t;
@@ -1364,28 +1352,10 @@ impl FheService {
         shares
     }
 
-    /// Sources the work for one coalesced batch: a dispatch-cache replay
-    /// when an identical batch already ran (the pool is deterministic
-    /// *and* history-free, so identical batches cost the same by
-    /// contract), otherwise a live pool submission joined later in
-    /// submission order.
+    /// Submits one coalesced batch to the pool, joined later in admission
+    /// order.
     fn dispatch(&mut self, op: FheOp, level: usize, width: usize) -> Work {
-        // Only the simulated backend replays from the dispatch cache: the
-        // host backend exists to *execute* the batch, so every dispatch
-        // must reach the pool (reports are identical either way — the
-        // cache is purely a simulation shortcut).
-        if self.backend == ExecBackend::Sim {
-            if let Some(hit) = self.cost_cache.get(&(op, level, width)) {
-                return Work::Cached(hit.clone());
-            }
-        }
-        let events = schedule_events(&self.params, op, level);
-        let handle = self.pool.submit(ExecBatch {
-            tag: op.name().into(),
-            events: events.into(),
-            width,
-        });
-        Work::Submitted(handle)
+        Work::Submitted(self.pool.submit(ExecBatch { op, level, width }))
     }
 
     fn finalize(&mut self, p: Pending) -> RequestReport {
@@ -1577,8 +1547,8 @@ mod tests {
     #[test]
     fn paper_scale_stream_drains_fifo_with_linear_sweep() {
         // A thousand single-op requests complete in submission order; each
-        // leaves the front of the request table, and the cost cache keeps
-        // dispatch O(1) per batch.
+        // leaves the front of the request table, and the pool's batch memo
+        // keeps dispatch O(1) per batch.
         let mut svc = service();
         let level = svc.params().max_level();
         let mut expected = Vec::new();
@@ -1656,6 +1626,31 @@ mod tests {
             .expect_err("level too deep");
         assert!(matches!(err, CoreError::InvalidRequest(_)));
         assert_eq!(svc.pending_requests(), 0);
+    }
+
+    #[test]
+    fn bootstrap_on_a_shallow_chain_is_rejected_at_submit() {
+        let boot = FheOp::Bootstrap {
+            taylor_degree: 7,
+            double_angles: 6,
+        };
+        // test_small (L = 7) cannot bootstrap: nothing is queued, no op
+        // is counted and a drain has nothing to run.
+        let mut svc = service();
+        let err = svc
+            .submit(FheRequest::new(boot, 7, 1, "a"))
+            .expect_err("chain too shallow");
+        assert!(matches!(err, CoreError::InvalidRequest(_)), "{err}");
+        assert_eq!(svc.pending_requests(), 0);
+        assert_eq!(svc.stats().ops_submitted, 0);
+        assert!(svc.drain().is_empty());
+        // A bootstrap-capable chain accepts the same request.
+        let mut deep = TensorFhe::builder(&CkksParams::table_vii_bootstrap())
+            .service()
+            .expect("valid service config");
+        deep.submit(FheRequest::new(boot, 7, 1, "a"))
+            .expect("a deep chain bootstraps");
+        assert_eq!(deep.pending_requests(), 1);
     }
 
     #[test]

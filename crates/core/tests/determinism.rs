@@ -211,8 +211,6 @@ fn device_utilizations_sum_match_attributed_launch_time() {
     // busy times sum exactly to the total device time the executor
     // attributed across every dispatched batch, and each utilization is
     // that device's share of the service's busy window (≤ 1).
-    use std::sync::Arc;
-    use tensorfhe_core::api::schedule_events;
     use tensorfhe_core::exec::{ExecBatch, Pool};
     use tensorfhe_core::EngineConfig;
 
@@ -231,15 +229,10 @@ fn device_utilizations_sum_match_attributed_launch_time() {
     // the same order must attribute the same per-device time.
     let params = svc.params().clone();
     let cfg = EngineConfig::a100(tensorfhe_core::Variant::TensorCore);
-    let mut replay = Pool::new(&cfg, 4, 1, ExecBackend::Sim, 0).expect("valid pool");
+    let mut replay = Pool::new(&cfg, &params, 4, 1, ExecBackend::Sim, 0).expect("valid pool");
     let mut expected = vec![0.0f64; 4];
     for (op, width) in [(FheOp::HMult, cap), (FheOp::HRotate, cap / 2 + 1)] {
-        let events: Arc<[_]> = schedule_events(&params, op, level).into();
-        let h = replay.submit(ExecBatch {
-            tag: op.name().into(),
-            events,
-            width,
-        });
+        let h = replay.submit(ExecBatch { op, level, width });
         for (d, t) in replay.join(h).per_device_us.iter().enumerate() {
             expected[d] += t;
         }
@@ -265,20 +258,19 @@ fn device_utilizations_sum_match_attributed_launch_time() {
 
 #[test]
 fn service_picks_up_every_env_var() {
-    // The six `TENSORFHE_*` variables supply what the builder leaves
+    // The five `TENSORFHE_*` variables supply what the builder leaves
     // unset (their parsing rules are tabled in-crate). Env is
     // process-global and other threads of this test binary read it
     // concurrently, so the checks run in a child process — a re-exec of
-    // this binary with all six fixed at spawn — and this process never
+    // this binary with all five fixed at spawn — and this process never
     // mutates its own environment.
     use tensorfhe_core::sched::AdmissionMode;
-    const VARS: [(&str, &str); 6] = [
+    const VARS: [(&str, &str); 5] = [
         ("TENSORFHE_WORKERS", "2"),
         ("TENSORFHE_PIPELINE", "3"),
         ("TENSORFHE_ADMISSION", "ooo"),
         ("TENSORFHE_BACKEND", "host-parallel"),
         ("TENSORFHE_ROWS_CAP", "2"),
-        ("TENSORFHE_KEY_CACHE_MB", "64"),
     ];
     if std::env::var_os("TENSORFHE_ENV_PROBE").is_some() {
         let drained = |builder: tensorfhe_core::TensorFheBuilder| {
@@ -295,7 +287,6 @@ fn service_picks_up_every_env_var() {
         assert_eq!(from_env.pipeline_depth(), 3);
         assert_eq!(from_env.admission(), AdmissionMode::OutOfOrder);
         assert_eq!(from_env.stats().backend, "host-parallel");
-        assert_eq!(from_env.key_cache().capacity_bytes(), 64 << 20);
         // The row cap shows only in the real work done.
         let explicit = drained(
             TensorFhe::builder(&params)

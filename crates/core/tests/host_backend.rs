@@ -284,8 +284,9 @@ fn host_work_checksum_is_worker_invariant() {
     }
 }
 
-/// The dispatch cache must stay disabled on the host backend: every repeat
-/// of an identical batch re-executes, so the work counters keep growing.
+/// The pool's batch memo spares a repeated batch only its simulated
+/// costing: on the host backend every repeat of an identical batch still
+/// executes its chunks, so the work counters keep growing.
 #[test]
 fn host_backend_executes_every_repeated_dispatch() {
     let mut svc = service(ExecBackend::HostParallel, 1, 1, AdmissionMode::InOrder);

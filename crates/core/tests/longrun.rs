@@ -4,7 +4,7 @@
 //! from that base — stays clean after every fold.
 //!
 //! The simulated backend is pinned (whatever `TENSORFHE_BACKEND` says): the
-//! dispatch-cost cache replays all but the first batch of each shape, which
+//! pool's batch memo replays all but the first batch of each shape, which
 //! is what makes tens of thousands of batches a sub-second run in release
 //! and a few seconds in a debug build.
 
