@@ -9,8 +9,8 @@
 //!   The pinned `speedup_{2,4}devices` ratios guard the sharded dispatch
 //!   end to end. Pinned in `BENCH_baseline.json`, gated by
 //!   `check_regression`.
-//! * **Host drain wall-clock** — what the calling thread spends running
-//!   the devices' simulated engines, which `exec::Pool` runs in device
+//! * **Host drain wall-clock** — what the calling thread spends costing
+//!   the devices' simulated shards, which `exec::Pool` costs in device
 //!   order on that thread (worker threads exist only to run the host
 //!   backend's real-arithmetic chunks). Machine-dependent, printed for
 //!   the trajectory but never gated.

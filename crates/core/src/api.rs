@@ -253,7 +253,7 @@ impl TensorFheBuilder {
     ///
     /// `workers` is the [`crate::exec::Pool`]'s chunk-thread count on the
     /// host backend; it has no effect on the simulated backend, whose
-    /// engines run on the calling thread. The execution backend
+    /// costing runs on the calling thread. The execution backend
     /// resolves the same way (builder → `TENSORFHE_BACKEND` → simulated
     /// default) but lives outside [`SchedPolicy`]; see
     /// [`TensorFheBuilder::backend`]. So does the host real-row cap

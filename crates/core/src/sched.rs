@@ -196,7 +196,7 @@ impl SchedPolicy {
     }
 
     /// Host threads for the host backend's real-arithmetic chunks —
-    /// overrides `TENSORFHE_WORKERS`. The simulated engines always run on
+    /// overrides `TENSORFHE_WORKERS`. The simulated costing always runs on
     /// the calling thread, so under the simulated backend this has no
     /// effect.
     #[must_use]

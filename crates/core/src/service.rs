@@ -22,9 +22,10 @@
 //! 3. Each batch — an operation, a level and a width — is submitted to
 //!    the one [`crate::exec::Pool`], which derives its kernel stream and
 //!    costs its per-device shards on the calling thread, replaying the
-//!    result of an identical earlier batch from its memo; its workers ([`crate::sched::SchedPolicy::workers`] or the
-//!    `TENSORFHE_WORKERS` environment variable) run only the host
-//!    backend's real-arithmetic chunks. With a pipeline depth above one
+//!    result of an identical earlier batch from its memo; its workers
+//!    ([`crate::sched::SchedPolicy::workers`] or the `TENSORFHE_WORKERS`
+//!    environment variable) run only the host backend's real-arithmetic
+//!    chunks. With a pipeline depth above one
 //!    ([`crate::sched::SchedPolicy::pipeline_depth`] /
 //!    `TENSORFHE_PIPELINE`), up to
 //!    `depth` *independent* batches stay submitted-but-unjoined at once —

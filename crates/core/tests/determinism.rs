@@ -6,7 +6,7 @@
 //! one-thread pool — ids, completion order, float stats down to the last
 //! bit, launch counts, per-kernel tables. Only the host backend spawns
 //! worker threads (they run its real-arithmetic chunks; the simulated
-//! engines always run on the calling thread), so the threaded side of
+//! costing always runs on the calling thread), so the threaded side of
 //! every comparison here is a host-parallel service. These tests pin that contract
 //! across seeded pseudo-random streams and a ragged-queue property suite,
 //! plus the per-device utilization invariants and the pickup of the

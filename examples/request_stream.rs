@@ -70,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The same stream on a 4-device cluster. Coalesced batches grow 4×
-    // and shard, so simulated throughput scales; the pool runs the four
-    // simulated engines in device order on this thread.
+    // and shard, so simulated throughput scales; the pool costs the four
+    // shards in device order on this thread.
     let mut cluster = TensorFhe::builder(&params).devices(4).service()?;
     cluster.submit_stream(stream.clone())?;
     cluster.drain();
