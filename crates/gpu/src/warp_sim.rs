@@ -110,16 +110,17 @@ const ALU_PORT_INTERVAL: u64 = 1;
 const MUL_PORT_INTERVAL: u64 = 1;
 const LSU_PORT_INTERVAL: u64 = 2;
 
+/// Why a warp cannot issue this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WarpBlock {
+    /// The warp can issue.
     Ready,
-    Raw,
-    LongLatency,
-    L1iMiss,
-    ControlHazard,
-    FuBusy,
-    Barrier,
+    /// The warp has run all its iterations.
     Done,
+    /// The warp stalls for this reason until (at least) the given cycle:
+    /// its classification cannot change before then unless some warp
+    /// issues.
+    Stalled(StallKind, u64),
 }
 
 #[derive(Debug, Clone)]
@@ -146,7 +147,11 @@ struct WarpState {
 /// warps of other blocks keep issuing across a barrier, exactly as
 /// `__syncthreads` behaves on hardware.
 ///
-/// Deterministic: same inputs always give the same cycle counts.
+/// Deterministic: same inputs always give the same cycle counts. The
+/// simulation allocates nothing per cycle and does not step through
+/// cycles on which nothing can change: a stretch of dead cycles (a frozen
+/// instruction cache, or every warp stalled) is attributed in one go,
+/// each cycle to the bucket the cycle-by-cycle rule would give it.
 ///
 /// # Panics
 ///
@@ -206,77 +211,113 @@ pub fn simulate_scheduler(
     let mut icache_frozen_until = 0u64;
     // Hard safety valve against accidental deadlock.
     let max_cycles = 10_000_000u64 + iters * warps as u64 * template.body.len() as u64 * 64;
+    // Warps that finished, and warps parked at a barrier.
+    let (mut done, mut waiting) = (0usize, 0usize);
+    // A dead cycle's blocked warps' reasons, in round-robin order.
+    let mut reasons: Vec<StallKind> = Vec::with_capacity(warps);
 
-    let all_done = |ws: &[WarpState]| ws.iter().all(|w| w.done);
-    while !all_done(&warps_state) {
+    while done < warps {
         assert!(cycle < max_cycles, "warp simulator failed to converge");
         if icache_frozen_until > cycle {
-            breakdown.record(StallKind::L1iMiss);
-            cycle += 1;
+            // Nothing issues and nothing changes until fetch resumes.
+            record_n(
+                &mut breakdown,
+                StallKind::L1iMiss,
+                icache_frozen_until - cycle,
+            );
+            cycle = icache_frozen_until;
             continue;
         }
         // Barrier release, per thread block: when every non-done warp of a
         // block is waiting, that block proceeds.
-        for block_start in (0..warps_state.len()).step_by(warps_per_block) {
-            let block_end = (block_start + warps_per_block).min(warps_state.len());
-            let block = &warps_state[block_start..block_end];
-            if block.iter().any(|w| w.waiting_barrier)
-                && block.iter().all(|w| w.done || w.waiting_barrier)
-            {
-                for w in &mut warps_state[block_start..block_end] {
-                    if w.waiting_barrier {
-                        w.waiting_barrier = false;
-                        w.pc += 1;
-                        advance_loop(w, template, iters, cycle);
+        if waiting > 0 {
+            for block_start in (0..warps).step_by(warps_per_block) {
+                let block_end = (block_start + warps_per_block).min(warps);
+                let block = &warps_state[block_start..block_end];
+                if block.iter().any(|w| w.waiting_barrier)
+                    && block.iter().all(|w| w.done || w.waiting_barrier)
+                {
+                    for w in &mut warps_state[block_start..block_end] {
+                        if w.waiting_barrier {
+                            w.waiting_barrier = false;
+                            waiting -= 1;
+                            w.pc += 1;
+                            advance_loop(w, template, iters, cycle);
+                            done += usize::from(w.done);
+                        }
                     }
                 }
             }
         }
 
-        // Find an issueable warp, round-robin from rr_next.
+        // Issue the first ready warp, round-robin from rr_next. The warps
+        // before it are never looked at again this cycle, so only a dead
+        // cycle needs every warp's reason.
+        reasons.clear();
+        let mut until = u64::MAX;
         let mut issued = false;
-        let mut blocks: Vec<WarpBlock> = Vec::with_capacity(warps);
         for off in 0..warps {
             let idx = (rr_next + off) % warps;
-            let (block, can_issue) = classify(
+            match classify(
                 &warps_state[idx],
                 template,
                 cycle,
                 alu_free,
                 mul_free,
                 lsu_free,
-            );
-            if can_issue && !issued {
-                issue(
-                    &mut warps_state[idx],
-                    template,
-                    device,
-                    cycle,
-                    iters,
-                    icache_window,
-                    &mut alu_free,
-                    &mut mul_free,
-                    &mut lsu_free,
-                    &mut icache_frozen_until,
-                );
-                instructions += 1;
-                issued = true;
-                rr_next = (idx + 1) % warps;
-            } else {
-                blocks.push(block);
+            ) {
+                WarpBlock::Ready => {
+                    let w = &mut warps_state[idx];
+                    issue(
+                        w,
+                        template,
+                        device,
+                        cycle,
+                        iters,
+                        icache_window,
+                        &mut alu_free,
+                        &mut mul_free,
+                        &mut lsu_free,
+                        &mut icache_frozen_until,
+                    );
+                    waiting += usize::from(w.waiting_barrier);
+                    done += usize::from(w.done);
+                    instructions += 1;
+                    issued = true;
+                    rr_next = (idx + 1) % warps;
+                    break;
+                }
+                WarpBlock::Done => {}
+                WarpBlock::Stalled(kind, at) => {
+                    reasons.push(kind);
+                    until = until.min(at);
+                }
             }
         }
 
         if issued {
             breakdown.issued_cycles += 1;
+            cycle += 1;
+        } else if reasons.is_empty() {
+            // Every warp done but loop not yet exited, or transient: call it FU.
+            breakdown.record(StallKind::FunctionUnitBusy);
+            cycle += 1;
         } else {
-            // Attribute the dead cycle proportionally over the blocked
-            // warps' reasons (deterministic round-robin), mirroring
-            // per-warp-slot accounting.
-            let kind = attribute(&blocks, cycle);
-            breakdown.record(kind);
+            // Nothing issues, so no warp, port or barrier changes until the
+            // earliest stalled warp's reason expires: every cycle up to then
+            // has this cycle's reasons. Each dead cycle is attributed over
+            // the blocked warps' reasons in turn (deterministic round-robin
+            // on the cycle number), mirroring per-warp-slot accounting.
+            let dead = until - cycle;
+            let len = reasons.len() as u64;
+            let (laps, rest) = (dead / len, dead % len);
+            let first = cycle % len;
+            for (i, &kind) in (0u64..).zip(&reasons) {
+                let turn = (i + len - first) % len;
+                record_n(&mut breakdown, kind, laps + u64::from(turn < rest));
+            }
+            cycle = until;
         }
-        cycle += 1;
     }
 
     SimResult {
@@ -286,6 +327,17 @@ pub fn simulate_scheduler(
     }
 }
 
+/// Records `cycles` stalled cycles of one kind.
+fn record_n(breakdown: &mut StallBreakdown, kind: StallKind, cycles: u64) {
+    let idx = StallKind::ALL
+        .iter()
+        .position(|k| *k == kind)
+        .expect("kind is in ALL");
+    breakdown.stalls[idx] += cycles;
+}
+
+/// Whether a warp can issue on `cycle` and, if not, why and until when.
+/// Pure: it reads the warp and the ports and changes nothing.
 fn classify(
     w: &WarpState,
     template: &InstrTemplate,
@@ -293,20 +345,20 @@ fn classify(
     alu_free: u64,
     mul_free: u64,
     lsu_free: u64,
-) -> (WarpBlock, bool) {
+) -> WarpBlock {
     if w.done {
-        return (WarpBlock::Done, false);
+        return WarpBlock::Done;
     }
     if w.waiting_barrier {
-        return (WarpBlock::Barrier, false);
+        // Only another warp's issue can release the block.
+        return WarpBlock::Stalled(StallKind::Barrier, u64::MAX);
     }
     if w.frozen_until > cycle {
-        let b = match w.frozen_reason {
-            Some(StallKind::L1iMiss) => WarpBlock::L1iMiss,
-            Some(StallKind::ControlHazard) => WarpBlock::ControlHazard,
-            _ => WarpBlock::ControlHazard,
+        let kind = match w.frozen_reason {
+            Some(StallKind::L1iMiss) => StallKind::L1iMiss,
+            _ => StallKind::ControlHazard,
         };
-        return (b, false);
+        return WarpBlock::Stalled(kind, w.frozen_until);
     }
     let instr = &template.body[w.pc];
     // Source readiness.
@@ -317,8 +369,12 @@ fn classify(
     };
     let mut blocked_mem = false;
     let mut blocked_raw = false;
+    // The first blocked source to become ready may change the reason.
+    let mut until = u64::MAX;
     for &s in srcs {
-        if w.reg_ready[s as usize] > cycle {
+        let ready = w.reg_ready[s as usize];
+        if ready > cycle {
+            until = until.min(ready);
             if w.reg_from_mem[s as usize] {
                 blocked_mem = true;
             } else {
@@ -327,10 +383,10 @@ fn classify(
         }
     }
     if blocked_mem {
-        return (WarpBlock::LongLatency, false);
+        return WarpBlock::Stalled(StallKind::LongLatency, until);
     }
     if blocked_raw {
-        return (WarpBlock::Raw, false);
+        return WarpBlock::Stalled(StallKind::Raw, until);
     }
     // Issue-port availability.
     let port_free = match instr {
@@ -340,9 +396,9 @@ fn classify(
         Instr::Bar => 0,
     };
     if port_free > cycle {
-        return (WarpBlock::FuBusy, false);
+        return WarpBlock::Stalled(StallKind::FunctionUnitBusy, port_free);
     }
-    (WarpBlock::Ready, true)
+    WarpBlock::Ready
 }
 
 // Issue threads the whole per-cycle pipeline state (warp, template,
@@ -426,27 +482,6 @@ fn advance_loop(w: &mut WarpState, template: &InstrTemplate, iters: u64, cycle: 
             }
         }
     }
-}
-
-fn attribute(blocks: &[WarpBlock], cycle: u64) -> StallKind {
-    let mut reasons: Vec<StallKind> = Vec::with_capacity(blocks.len());
-    for b in blocks {
-        let kind = match b {
-            WarpBlock::Raw => StallKind::Raw,
-            WarpBlock::LongLatency => StallKind::LongLatency,
-            WarpBlock::L1iMiss => StallKind::L1iMiss,
-            WarpBlock::ControlHazard => StallKind::ControlHazard,
-            WarpBlock::FuBusy => StallKind::FunctionUnitBusy,
-            WarpBlock::Barrier => StallKind::Barrier,
-            WarpBlock::Ready | WarpBlock::Done => continue,
-        };
-        reasons.push(kind);
-    }
-    if reasons.is_empty() {
-        // Every warp done but loop not yet exited, or transient: call it FU.
-        return StallKind::FunctionUnitBusy;
-    }
-    reasons[(cycle as usize) % reasons.len()]
 }
 
 #[cfg(test)]
