@@ -14,6 +14,7 @@ use tensorfhe_core::api::{FheOp, TensorFhe, TensorFheBuilder};
 use tensorfhe_core::engine::Variant;
 use tensorfhe_core::error::CoreResult;
 use tensorfhe_core::service::FheRequest;
+use tensorfhe_core::ExecBackend;
 use tensorfhe_gpu::KernelName;
 
 /// One batched operation step of a workload.
@@ -84,11 +85,15 @@ pub struct WorkloadReport {
 /// running the given NTT variant.
 ///
 /// Thin wrapper over [`run_workload_on`] for the common bench-harness
-/// configuration.
+/// configuration. The backend is pinned to [`ExecBackend::Sim`], so
+/// `TENSORFHE_BACKEND=host-parallel` cannot turn a costing into real
+/// arithmetic; pass a builder to [`run_workload_on`] to pick another.
 #[must_use]
 pub fn run_workload(spec: &WorkloadSpec, variant: Variant) -> WorkloadReport {
-    run_workload_on(spec, TensorFhe::builder(&spec.params).variant(variant))
-        .expect("default workload service configuration is valid")
+    let builder = TensorFhe::builder(&spec.params)
+        .variant(variant)
+        .backend(ExecBackend::Sim);
+    run_workload_on(spec, builder).expect("default workload service configuration is valid")
 }
 
 /// Executes a workload schedule through the request-stream service built
