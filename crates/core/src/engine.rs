@@ -1,9 +1,13 @@
 //! The TensorFHE engine: device configuration, costing windows, batching.
+//!
+//! A costing window is a [`GpuTracer`] on a fresh simulator. Its
+//! [`OpStats`] are read off the simulator's totals, which it folds as each
+//! launch retires; the window's compact launch log stays behind for the
+//! schedule verifier and the tests.
 
 use crate::tracer::GpuTracer;
-use std::collections::BTreeMap;
 use tensorfhe_ckks::{CkksParams, KernelEvent, KernelTracer};
-use tensorfhe_gpu::{CostMemo, DeviceConfig, DeviceSim, KernelName, KernelStats};
+use tensorfhe_gpu::{CostMemo, DeviceConfig, DeviceSim, KernelName};
 
 /// The NTT lowering variant — Table IV's three TensorFHE configurations.
 pub type Variant = tensorfhe_ntt::NttAlgorithm;
@@ -74,37 +78,33 @@ pub struct OpStats {
 }
 
 impl OpStats {
-    /// Folds a window of the launch log, borrowed where it lies, in one
-    /// pass: the span from the earliest start to the latest end (the
-    /// "execution time" of Tables VI/VII/X), the occupancy weighted by
-    /// device time (Table IX), the energy (Table XI) and the device time
-    /// per kernel name, descending (Figs. 11–13). The sums start at
-    /// `-0.0`, the neutral of `f64`'s `Sum`, and add in launch order.
-    fn of_window(window: &[KernelStats]) -> Self {
-        let (mut start, mut end) = (f64::INFINITY, 0.0f64);
-        let (mut busy, mut weighted, mut energy_j) = (-0.0f64, -0.0f64, -0.0f64);
-        // Keyed as `str`, each distinct name cloned once: the order and
-        // the sums of a `String`-keyed fold without a per-launch allocation.
-        let mut by_name: BTreeMap<&str, (&KernelName, f64)> = BTreeMap::new();
-        for s in window {
-            start = start.min(s.start_us);
-            end = end.max(s.end_us);
-            busy += s.duration_us;
-            weighted += s.occupancy * s.duration_us;
-            energy_j += s.energy_j;
-            by_name.entry(&s.name).or_insert((&s.name, 0.0)).1 += s.duration_us;
-        }
-        let mut by_kernel: Vec<_> = by_name.into_values().map(|(k, t)| (k.clone(), t)).collect();
+    /// Reads a closed window off its simulator: the span from the earliest
+    /// start to the latest end (the "execution time" of Tables VI/VII/X),
+    /// the occupancy weighted by device time (Table IX), the energy
+    /// (Table XI) and the device time per kernel name, descending (Figs.
+    /// 11–13). The simulator folded each launch into these sums as it
+    /// retired, in retire (end-time) order, and every kernel name into its
+    /// own accumulator, so nothing here walks the launch log.
+    fn of_window(sim: &DeviceSim) -> Self {
+        let r = sim.retired();
+        let mut by_kernel: Vec<_> = sim.busy_by_name().map(|(k, t)| (k.clone(), t)).collect();
+        // Names are distinct: by name, then stably by time, descending.
+        by_kernel.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         by_kernel.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        let (start, end) = (r.first_start_us, r.last_end_us);
         Self {
             time_us: if start.is_finite() && end > start {
                 end - start
             } else {
                 0.0
             },
-            occupancy: if busy > 0.0 { weighted / busy } else { 0.0 },
-            energy_j,
-            launches: window.len(),
+            occupancy: if r.busy_us > 0.0 {
+                r.occupancy_us / r.busy_us
+            } else {
+                0.0
+            },
+            energy_j: r.energy_j,
+            launches: r.launches,
             by_kernel,
         }
     }
@@ -151,13 +151,14 @@ impl Engine {
     }
 
     /// Closes a costing window: drains the tracer's simulator, takes the
-    /// launch-cost memo back and folds the window's launch log, which
+    /// launch-cost memo back and reads the window's totals, which the
+    /// simulator folded as its launches retired. The window's launch log
     /// stays readable through [`GpuTracer::sim`].
     pub fn finish(&mut self, tracer: &mut GpuTracer) -> OpStats {
         let sim = &mut tracer.sim;
         sim.synchronize();
         self.memo = sim.take_memo();
-        OpStats::of_window(sim.stats())
+        OpStats::of_window(sim)
     }
 
     /// Costs a kernel schedule, without its arithmetic, under the
@@ -361,8 +362,8 @@ mod tests {
     }
 
     /// An addition, then a butterfly NTT and a Hadamard product, on one
-    /// stream.
-    fn two_op_window() -> Vec<KernelStats> {
+    /// stream, drained.
+    fn two_op_window() -> DeviceSim {
         use tensorfhe_gpu::{KernelClass, KernelDesc};
         let ew = |ops_per_elem| KernelClass::Elementwise {
             elems: 1 << 20,
@@ -378,31 +379,33 @@ mod tests {
         };
         sim.launch(st, KernelDesc::new(ntt, "ntt"));
         sim.launch(st, KernelDesc::new(ew(2), "hada-mult"));
-        sim.synchronize().to_vec()
+        sim.synchronize();
+        sim
     }
 
     #[test]
     fn empty_window_is_zero() {
-        let s = OpStats::of_window(&[]);
+        let s = OpStats::of_window(&DeviceSim::new(DeviceConfig::a100()));
         assert_eq!((s.time_us, s.occupancy, s.launches), (0.0, 0.0, 0));
         assert!(s.by_kernel.is_empty());
     }
 
     #[test]
     fn window_span_covers_its_launches() {
-        let w = two_op_window();
-        let s = OpStats::of_window(&w);
+        let sim = two_op_window();
+        let s = OpStats::of_window(&sim);
         assert_eq!(s.launches, 3);
         assert!(s.time_us > 0.0);
         // One stream: the launches tile the span, nothing overlaps.
-        let busy: f64 = w.iter().map(|k| k.duration_us).sum();
+        let busy: f64 = sim.stats().iter().map(|k| k.duration_us).sum();
         assert!(busy <= s.time_us * 1.001);
     }
 
     #[test]
     fn window_energy_and_occupancy_are_launch_folds() {
-        let w = two_op_window();
-        let s = OpStats::of_window(&w);
+        let sim = two_op_window();
+        let s = OpStats::of_window(&sim);
+        let w = sim.stats();
         assert!(s.energy_j > 0.0);
         let energy: f64 = w.iter().map(|k| k.energy_j).sum();
         assert_eq!(s.energy_j.to_bits(), energy.to_bits());
@@ -414,12 +417,64 @@ mod tests {
 
     #[test]
     fn kernel_table_sums_to_busy_time() {
-        let w = two_op_window();
-        let s = OpStats::of_window(&w);
-        let busy: f64 = w.iter().map(|k| k.duration_us).sum();
+        let sim = two_op_window();
+        let s = OpStats::of_window(&sim);
+        let busy: f64 = sim.stats().iter().map(|k| k.duration_us).sum();
         let table: f64 = s.by_kernel.iter().map(|(_, t)| t).sum();
         assert!((table - busy).abs() <= busy * 1e-12);
         assert_eq!(s.by_kernel.len(), 3, "one row per kernel name");
+    }
+
+    /// The window fold as a pass over the launch log: sums in log order
+    /// from `-0.0`, per-name sums from `0.0` in a name-ordered map, rows
+    /// stably sorted by time, descending.
+    fn fold_of_log(log: &[tensorfhe_gpu::KernelStats]) -> OpStats {
+        let (mut start, mut end) = (f64::INFINITY, 0.0f64);
+        let mut by_name = std::collections::BTreeMap::<KernelName, f64>::new();
+        for k in log {
+            start = start.min(k.start_us);
+            end = end.max(k.end_us);
+            *by_name.entry(k.name.clone()).or_insert(0.0) += k.duration_us;
+        }
+        let busy: f64 = log.iter().map(|k| k.duration_us).sum();
+        let weighted: f64 = log.iter().map(|k| k.occupancy * k.duration_us).sum();
+        let mut by_kernel: Vec<_> = by_name.into_iter().collect();
+        by_kernel.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        OpStats {
+            time_us: if start.is_finite() && end > start {
+                end - start
+            } else {
+                0.0
+            },
+            occupancy: if busy > 0.0 { weighted / busy } else { 0.0 },
+            energy_j: log.iter().map(|k| k.energy_j).sum(),
+            launches: log.len(),
+            by_kernel,
+        }
+    }
+
+    #[test]
+    fn retire_time_fold_is_the_fold_of_the_log() {
+        // Overlapping streams (the tensor-core NTT's 16 plane GEMMs at
+        // batch 1) and one stream at a time (batch 64), traced and
+        // scheduled: the simulator's retire-time totals carry every bit
+        // of a fold over its launch log.
+        let params = small();
+        let sched = schedule_events(&params, FheOp::HMult, 7);
+        for variant in [Variant::Butterfly, Variant::FourStep, Variant::TensorCore] {
+            let mut e = Engine::new(EngineConfig::a100(variant));
+            for batch in [1, 64] {
+                let mut tracer = e.tracer(batch);
+                tracer.op_begin("HMULT");
+                for &ev in &sched {
+                    tracer.kernel(ev);
+                }
+                let folded = e.finish(&mut tracer);
+                let log = tracer.sim().stats();
+                assert_eq!(bits(&folded), bits(&fold_of_log(&log)));
+                assert_eq!(folded.launches, log.len());
+            }
+        }
     }
 
     #[test]

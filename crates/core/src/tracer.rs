@@ -368,7 +368,7 @@ mod tests {
         let mut t = tracer(variant, layout, batch);
         t.kernel(event);
         t.sim.synchronize();
-        t.sim.stats().to_vec()
+        t.sim.stats()
     }
 
     #[test]
@@ -482,7 +482,7 @@ mod tests {
             t.kernel(e);
         }
         t.sim.synchronize();
-        t.sim.stats().to_vec()
+        t.sim.stats()
     }
 
     #[test]
@@ -533,6 +533,30 @@ mod tests {
     }
 
     #[test]
+    fn fig8_plane_gemms_log_in_end_time_order() {
+        // At batch 1 the 16 plane GEMMs of each tensor-core NTT stage run
+        // on their own streams and overlap. The simulator logs launches as
+        // they retire, with no sort, and that is end-time order.
+        let mut t = tracer(Variant::TensorCore, Layout::Lbn, 1);
+        t.kernel(KernelEvent::Ntt {
+            n: 1 << 16,
+            limbs: 16,
+            inverse: false,
+        });
+        t.sim.synchronize();
+        let stats = t.sim.stats();
+        assert!(
+            stats.windows(2).any(|p| p[1].start_us < p[0].end_us),
+            "the plane GEMMs overlap"
+        );
+        assert!(stats.windows(2).all(|p| p[0].end_us <= p[1].end_us));
+        let intervals: Vec<_> = t.sim.intervals().collect();
+        assert!(intervals.windows(2).all(|p| p[0].2 <= p[1].2));
+        let window = hmult_window(Variant::TensorCore);
+        assert!(window.windows(2).all(|p| p[0].end_us <= p[1].end_us));
+    }
+
+    #[test]
     fn kernel_table_equals_a_string_keyed_fold() {
         use std::collections::BTreeMap;
         let params = tensorfhe_ckks::CkksParams::test_small();
@@ -557,6 +581,7 @@ mod tests {
         let mut t = tracer(Variant::Butterfly, Layout::Lbn, 1);
         t.op_begin("HMULT");
         t.kernel(KernelEvent::EleAdd { n: 64, limbs: 1 });
-        assert_eq!(&*t.sim.synchronize()[0].op_tag, "HMULT");
+        t.sim.synchronize();
+        assert_eq!(&*t.sim.stats()[0].op_tag, "HMULT");
     }
 }

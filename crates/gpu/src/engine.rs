@@ -14,12 +14,21 @@
 //! Host-side launch overhead is modelled as a serial CPU enqueue: every
 //! launch advances the host clock by `kernel_launch_us`, and a kernel can
 //! never start before its enqueue completes.
+//!
+//! A launch costs no allocation of its own. Its shape is costed once per
+//! [`CostMemo`] into a profile, and a queued launch is a profile index,
+//! interned name and operation-scope ids and its host-ready time. A retired
+//! launch is a 32-byte log record, `(stream, start, end, profile, name,
+//! scope)`, and is folded into the simulator's [`Retired`] totals as it
+//! retires. [`DeviceSim::stats`] builds full [`KernelStats`] from the log
+//! on demand.
 
 use crate::device::DeviceConfig;
 use crate::kernel::{KernelClass, KernelDesc, KernelName};
 use crate::stall::{StallBreakdown, StallKind};
 use crate::warp_sim::{simulate_scheduler, Instr, SimResult};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Maximum warp-sim iterations before linear extrapolation.
 const SIM_ITER_CAP: u64 = 48;
@@ -41,11 +50,13 @@ pub enum BoundBy {
     Launch,
 }
 
-/// Per-launch measurement record.
+/// Per-launch measurement record, built on demand from the launch log
+/// ([`DeviceSim::stats`]).
 #[derive(Debug, Clone)]
 pub struct KernelStats {
-    /// Kernel name from the descriptor (the descriptor's own interned
-    /// name: launches built from one name table share one allocation).
+    /// Kernel name from the descriptor (the first descriptor of that name
+    /// the simulator saw: launches built from one name table share one
+    /// allocation).
     pub name: KernelName,
     /// Class tag (`"butterfly-ntt"`, `"gemm-tcu"`, …).
     pub class_tag: &'static str,
@@ -75,6 +86,77 @@ pub struct KernelStats {
     pub bound: BoundBy,
 }
 
+/// Totals over every launch a simulator has retired, folded as each one
+/// retires, in retire order — which is end-time order, the launch log's
+/// order. The per-kernel-name device time is [`DeviceSim::busy_by_name`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Retired {
+    /// Launches retired.
+    pub launches: usize,
+    /// Earliest start (µs); `+∞` while nothing has retired.
+    pub first_start_us: f64,
+    /// Latest end (µs); `0` while nothing has retired.
+    pub last_end_us: f64,
+    /// Device time summed over launches (µs).
+    pub busy_us: f64,
+    /// Occupancy × device time summed over launches (µs).
+    pub occupancy_us: f64,
+    /// Energy summed over launches (J).
+    pub energy_j: f64,
+}
+
+impl Default for Retired {
+    /// Nothing retired. The sums start at `-0.0`, the neutral of `f64`'s
+    /// `Sum`, so a fold equals `Iterator::sum` over the log bit for bit.
+    fn default() -> Self {
+        Self {
+            launches: 0,
+            first_start_us: f64::INFINITY,
+            last_end_us: 0.0,
+            busy_us: -0.0,
+            occupancy_us: -0.0,
+            energy_j: -0.0,
+        }
+    }
+}
+
+/// A multiply-rotate hasher for the launch-shape map: a shape key is a
+/// handful of integers, hashed on every launch.
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl std::hash::Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u8(&mut self, word: u8) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_isize(&mut self, word: isize) {
+        self.write_u64(word as u64);
+    }
+}
+
 /// Pool a kernel executes in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pool {
@@ -90,6 +172,29 @@ struct CostProfile {
     occupancy: f64,
     bound: BoundBy,
     pool: Pool,
+}
+
+impl CostProfile {
+    /// Device-µs of work a launch of this shape carries through the event
+    /// loop (standalone × parallel fraction, never zero).
+    fn work_us(&self) -> f64 {
+        (self.standalone_us * self.parallel_fraction).max(1e-9)
+    }
+
+    /// Energy attributed to one launch of this shape (J).
+    fn energy_j(&self, power_watts: f64) -> f64 {
+        self.standalone_us * self.parallel_fraction * power_watts / 1e6
+    }
+}
+
+/// A costed launch shape: its cost and the constants its launches report
+/// when they retire.
+#[derive(Debug, Clone)]
+struct Profile {
+    cost: CostProfile,
+    class_tag: &'static str,
+    bytes: u64,
+    tcu_macs: u64,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -154,18 +259,23 @@ struct SimKey {
 /// filled it: [`DeviceSim::take_memo`] hands it out and
 /// [`DeviceSim::with_memo`] starts a fresh, zero-based simulator on it.
 /// That is how an engine runs every costing window history-free and still
-/// costs each kernel shape once. Many shapes pose the same warp-scheduler
-/// problem (resident warps and simulated iterations sit at their caps), so
-/// the memo also keeps each [`simulate_scheduler`] result under the
-/// simulator's own inputs and runs the (deterministic) simulator once per
-/// distinct problem. A memo remembers the device it was filled for and
-/// refuses any other.
+/// costs each kernel shape once. The costs live in an arena of profiles,
+/// one per shape, which also hold what a retiring launch of the shape
+/// reports (class tag, DRAM bytes, tensor-core MACs). Many shapes pose the
+/// same warp-scheduler problem (resident warps and simulated iterations
+/// sit at their caps), so the memo also keeps each [`simulate_scheduler`]
+/// result under the simulator's own inputs and runs the (deterministic)
+/// simulator once per distinct problem. A memo remembers the device it
+/// was filled for and refuses any other.
 #[derive(Debug, Default)]
 pub struct CostMemo {
     /// The device the entries were computed for (`None` while empty).
     device: Option<DeviceConfig>,
+    /// Index of each costed shape in `profiles`.
     // lint: ordered-ok (keyed get/insert only; never iterated)
-    costs: HashMap<CostKey, CostProfile>,
+    shapes: HashMap<CostKey, u32, std::hash::BuildHasherDefault<WordHasher>>,
+    /// The profile arena, in costing order.
+    profiles: Vec<Profile>,
     // lint: ordered-ok (keyed entry only; never iterated)
     sims: HashMap<SimKey, SimResult>,
 }
@@ -176,26 +286,52 @@ impl CostMemo {
     /// no earlier shape posed the same scheduler problem.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.costs.len()
+        self.profiles.len()
     }
 
     /// Whether no launch shape has been costed yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.costs.is_empty()
+        self.profiles.is_empty()
     }
 }
 
-#[derive(Debug)]
-struct Pending {
-    desc: KernelDesc,
-    op_tag: KernelName,
-    stream: usize,
+/// A queued launch: indices into the simulator's tables and the host time
+/// its enqueue completes. The stream is the queue it waits in.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    /// Index into [`DeviceSim::profiles`].
+    profile: u32,
+    /// Index into [`DeviceSim::names`].
+    name: u32,
+    /// Index into [`DeviceSim::scopes`].
+    scope: u32,
     host_ready_us: f64,
-    cost: CostProfile,
-    /// Device-µs of work remaining (standalone_us × parallel_fraction).
+}
+
+/// A retired launch, as the launch log keeps it.
+#[derive(Debug, Clone, Copy)]
+struct Launch {
+    stream: u32,
+    profile: u32,
+    name: u32,
+    scope: u32,
+    start_us: f64,
+    end_us: f64,
+}
+
+/// One FIFO stream: its queue and the progress of the launch at its head
+/// (only a head runs, so only a head has progress).
+#[derive(Debug, Default)]
+struct Stream {
+    queue: VecDeque<Queued>,
+    /// The head's device-µs of work remaining (standalone × parallel
+    /// fraction when it became the head).
     remaining_work: f64,
+    /// When the head started running.
     started_us: Option<f64>,
+    /// The head's share of its pool in the current event-loop step.
+    share: f64,
 }
 
 /// Effective DRAM efficiency for a launch.
@@ -208,31 +344,59 @@ fn mem_efficiency(desc: &KernelDesc) -> f64 {
     base * thin.sqrt()
 }
 
+/// The id of `name` in an interning table, appending it if new. Launch
+/// layers share one allocation per name, so a pointer match finds it
+/// first; a name spelled by another allocation still finds its entry.
+fn intern(table: &mut Vec<KernelName>, name: &str) -> (u32, bool) {
+    let found = table
+        .iter()
+        .position(|n| std::ptr::eq(Arc::as_ptr(n), name))
+        .or_else(|| table.iter().position(|n| **n == *name));
+    match found {
+        Some(i) => (i as u32, false),
+        None => {
+            table.push(name.into());
+            (table.len() as u32 - 1, true)
+        }
+    }
+}
+
 /// Simulated GPU device executing [`KernelDesc`] launches on streams.
 #[derive(Debug)]
 pub struct DeviceSim {
     config: DeviceConfig,
-    streams: usize,
     host_clock_us: f64,
     device_clock_us: f64,
-    /// FIFO launch queue per stream.
-    queues: Vec<VecDeque<Pending>>,
+    /// Indexed by stream, so walking it visits streams in index order.
+    /// That order is load-bearing: the retire loop logs simultaneous
+    /// completions in the order it walks the active streams, and a
+    /// hash-ordered table here would leak a per-process-random tiebreak
+    /// into completion order (exactly the bug the L003 lint exists to
+    /// catch).
+    streams: Vec<Stream>,
     pending_count: usize,
-    completed: Vec<KernelStats>,
     memo: CostMemo,
-    op_tag: KernelName,
-    /// Event-loop scratch, reused across [`DeviceSim::step`] calls (two
-    /// steps a launch): the streams whose head is runnable, one pool's
-    /// `(stream, cap)` list, and the water-fill share per stream.
+    /// Every launch shape this simulator launched, copied from the memo on
+    /// first use, so the log stays readable after the memo is taken.
+    profiles: Vec<Profile>,
+    /// The memo's profile index → index in `profiles` (`u32::MAX`: not
+    /// yet copied).
+    profile_of: Vec<u32>,
+    /// Interned kernel names, and the device time of each name's retired
+    /// launches.
+    names: Vec<KernelName>,
+    name_busy: Vec<f64>,
+    /// Interned operation scopes; `scope` is the current one.
+    scopes: Vec<KernelName>,
+    scope: u32,
+    /// The launch log, in retire order.
+    log: Vec<Launch>,
+    retired: Retired,
+    /// Event-loop scratch, reused across [`DeviceSim::step`] calls: the
+    /// streams whose head is runnable, in stream order, and one pool's
+    /// `(stream, cap)` list.
     active: Vec<usize>,
     caps: Vec<(usize, f64)>,
-    /// Indexed by stream, so walking it visits streams in index order.
-    /// That order is load-bearing: the retire loop pushes simultaneous
-    /// completions into `completed` in the order it walks this table, and
-    /// a hash-ordered table here would survive the stable end-time sort
-    /// in `synchronize` and leak a per-process-random tiebreak into
-    /// completion order (exactly the bug the L003 lint exists to catch).
-    alloc: Vec<Option<f64>>,
 }
 
 impl DeviceSim {
@@ -257,43 +421,47 @@ impl DeviceSim {
         );
         Self {
             config,
-            streams: 0,
             host_clock_us: 0.0,
             device_clock_us: 0.0,
-            queues: Vec::new(),
+            streams: Vec::new(),
             pending_count: 0,
-            completed: Vec::new(),
             memo,
-            op_tag: KernelName::default(),
+            profiles: Vec::new(),
+            profile_of: Vec::new(),
+            names: Vec::new(),
+            name_busy: Vec::new(),
+            scopes: vec![KernelName::default()],
+            scope: 0,
+            log: Vec::new(),
+            retired: Retired::default(),
             active: Vec::new(),
             caps: Vec::new(),
-            alloc: Vec::new(),
         }
     }
 
     /// Takes the launch-cost memo out of the simulator (which keeps
-    /// working on an empty one), stamped with this device.
+    /// working on an empty one), stamped with this device. The launch log
+    /// stays readable.
     pub fn take_memo(&mut self) -> CostMemo {
         let mut memo = std::mem::take(&mut self.memo);
         if memo.device.is_none() {
             memo.device = Some(self.config.clone());
         }
+        // The simulator's copies stay; the empty memo numbers anew.
+        self.profile_of.clear();
         memo
     }
 
     /// Creates a new stream and returns its handle.
     pub fn create_stream(&mut self) -> StreamId {
-        let id = StreamId(self.streams);
-        self.streams += 1;
-        self.queues.push(VecDeque::new());
-        self.alloc.push(None);
-        id
+        self.streams.push(Stream::default());
+        StreamId(self.streams.len() - 1)
     }
 
     /// Tags subsequent launches with an operation scope (e.g. `"HMULT"`),
     /// recorded as [`KernelStats::op_tag`].
-    pub fn set_scope(&mut self, tag: impl Into<KernelName>) {
-        self.op_tag = tag.into();
+    pub fn set_scope(&mut self, tag: &str) {
+        self.scope = intern(&mut self.scopes, tag).0;
     }
 
     /// Enqueues a kernel on a stream. Returns immediately (asynchronous
@@ -304,7 +472,7 @@ impl DeviceSim {
     /// Panics if the stream was not created by this simulator, or if a TCU
     /// kernel is launched on a device without tensor cores.
     pub fn launch(&mut self, stream: StreamId, desc: KernelDesc) {
-        assert!(stream.0 < self.streams, "unknown stream");
+        assert!(stream.0 < self.streams.len(), "unknown stream");
         if matches!(desc.class, KernelClass::GemmTcu { .. }) {
             assert!(
                 self.config.has_tensor_cores(),
@@ -315,35 +483,34 @@ impl DeviceSim {
         // Host enqueue cost.
         self.host_clock_us = self.host_clock_us.max(self.device_clock_us);
         self.host_clock_us += self.config.kernel_launch_us;
-        let cost = self.cost_of(&desc);
-        let work = cost.standalone_us * cost.parallel_fraction;
-        self.queues[stream.0].push_back(Pending {
-            op_tag: self.op_tag.clone(),
-            stream: stream.0,
+        let profile = self.window_profile(&desc);
+        let (name, new) = intern(&mut self.names, &desc.name);
+        if new {
+            self.name_busy.push(0.0);
+        }
+        let s = &mut self.streams[stream.0];
+        if s.queue.is_empty() {
+            s.remaining_work = self.profiles[profile as usize].cost.work_us();
+            s.started_us = None;
+        }
+        s.queue.push_back(Queued {
+            profile,
+            name,
+            scope: self.scope,
             host_ready_us: self.host_clock_us,
-            remaining_work: work.max(1e-9),
-            started_us: None,
-            cost,
-            desc,
         });
         self.pending_count += 1;
     }
 
-    /// Runs the event loop until every pending kernel has completed, and
-    /// returns the stats of kernels completed by *this* call in completion
-    /// order — a window borrowed from the launch log ([`DeviceSim::stats`]),
-    /// not a copy of it.
-    pub fn synchronize(&mut self) -> &[KernelStats] {
-        let first_new = self.completed.len();
+    /// Runs the event loop until every pending kernel has completed. The
+    /// retired launches append to the launch log ([`DeviceSim::stats`]) in
+    /// completion order: a step's clock never runs backwards and it retires
+    /// its finished heads in stream order.
+    pub fn synchronize(&mut self) {
         while self.pending_count > 0 {
             self.step();
         }
         self.device_clock_us = self.device_clock_us.max(self.host_clock_us);
-        // Completion order for the newly retired window (sorting once here
-        // instead of on every retire keeps long runs linear).
-        self.completed[first_new..]
-            .sort_by(|a, b| a.end_us.partial_cmp(&b.end_us).expect("finite times"));
-        &self.completed[first_new..]
     }
 
     /// Virtual time elapsed on the device so far (µs).
@@ -352,10 +519,45 @@ impl DeviceSim {
         self.device_clock_us
     }
 
-    /// All stats recorded since construction.
+    /// The totals of every launch retired since construction.
     #[must_use]
-    pub fn stats(&self) -> &[KernelStats] {
-        &self.completed
+    pub fn retired(&self) -> &Retired {
+        &self.retired
+    }
+
+    /// Device time (µs) of every kernel name's retired launches, summed in
+    /// retire order, one entry per distinct name in first-launch order.
+    pub fn busy_by_name(&self) -> impl Iterator<Item = (&KernelName, f64)> + '_ {
+        self.names.iter().zip(self.name_busy.iter().copied())
+    }
+
+    /// The stats of every launch retired since construction, in completion
+    /// order, built from the launch log.
+    #[must_use]
+    pub fn stats(&self) -> Vec<KernelStats> {
+        let power = self.config.power_watts;
+        self.log
+            .iter()
+            .map(|l| {
+                let p = &self.profiles[l.profile as usize];
+                KernelStats {
+                    name: self.names[l.name as usize].clone(),
+                    class_tag: p.class_tag,
+                    op_tag: self.scopes[l.scope as usize].clone(),
+                    stream: l.stream as usize,
+                    start_us: l.start_us,
+                    end_us: l.end_us,
+                    duration_us: l.end_us - l.start_us,
+                    standalone_us: p.cost.standalone_us,
+                    breakdown: p.cost.breakdown,
+                    occupancy: p.cost.occupancy,
+                    bytes: p.bytes,
+                    tcu_macs: p.tcu_macs,
+                    energy_j: p.cost.energy_j(power),
+                    bound: p.cost.bound,
+                }
+            })
+            .collect()
     }
 
     /// The launch-interval records of every retired kernel:
@@ -363,9 +565,9 @@ impl DeviceSim {
     /// material for the schedule verifier's per-stream structural checks
     /// (FIFO streams must produce non-overlapping, monotone intervals).
     pub fn intervals(&self) -> impl Iterator<Item = (usize, f64, f64)> + '_ {
-        self.completed
+        self.log
             .iter()
-            .map(|k| (k.stream, k.start_us, k.end_us))
+            .map(|l| (l.stream as usize, l.start_us, l.end_us))
     }
 
     /// One event-loop step: advance to the next arrival or completion.
@@ -374,21 +576,21 @@ impl DeviceSim {
     fn step(&mut self) {
         let t = self.device_clock_us;
         let Self {
-            queues,
+            streams,
             active,
             caps,
-            alloc,
+            profiles,
             ..
         } = self;
         // Head-of-line kernel per stream.
         active.clear();
         let mut next_arrival = f64::INFINITY;
-        for (sid, q) in queues.iter().enumerate() {
-            if let Some(p) = q.front() {
-                if p.host_ready_us <= t + 1e-12 {
+        for (sid, s) in streams.iter().enumerate() {
+            if let Some(q) = s.queue.front() {
+                if q.host_ready_us <= t + 1e-12 {
                     active.push(sid);
                 } else {
-                    next_arrival = next_arrival.min(p.host_ready_us);
+                    next_arrival = next_arrival.min(q.host_ready_us);
                 }
             }
         }
@@ -397,13 +599,15 @@ impl DeviceSim {
             self.device_clock_us = next_arrival;
             return;
         }
+        let head_cost =
+            |s: &Stream| &profiles[s.queue.front().expect("head").profile as usize].cost;
 
-        // Water-fill each pool independently over the active heads.
-        alloc.fill(None);
+        // Water-fill each pool independently over the active heads; every
+        // active head belongs to one pool, so every one gets a share.
         for pool in [Pool::Cuda, Pool::Tcu] {
             caps.clear();
             caps.extend(active.iter().filter_map(|&sid| {
-                let cost = &queues[sid].front().expect("head").cost;
+                let cost = head_cost(&streams[sid]);
                 (cost.pool == pool).then(|| (sid, cost.parallel_fraction.clamp(1e-6, 1.0)))
             }));
             if caps.is_empty() {
@@ -415,85 +619,108 @@ impl DeviceSim {
             for &(sid, cap) in caps.iter() {
                 let share = capacity / remaining as f64;
                 let a = cap.min(share);
-                alloc[sid] = Some(a);
+                streams[sid].share = a;
                 capacity -= a;
                 remaining -= 1;
             }
         }
-        // The streams holding a share, in stream order.
-        let shares = || {
-            alloc
-                .iter()
-                .enumerate()
-                .filter_map(|(sid, a)| a.map(|a| (sid, a)))
-        };
 
         // Next event: earliest completion or next arrival.
         let mut dt = next_arrival - t;
-        for (sid, a) in shares() {
-            if a > 0.0 {
-                dt = dt.min(queues[sid].front().expect("head").remaining_work / a);
+        for &sid in active.iter() {
+            let s = &streams[sid];
+            if s.share > 0.0 {
+                dt = dt.min(s.remaining_work / s.share);
             }
         }
         assert!(dt.is_finite(), "device engine stalled with work pending");
         let dt = dt.max(1e-9);
 
         // Progress the active heads.
-        for (sid, a) in shares() {
-            let p = queues[sid].front_mut().expect("head");
-            if p.started_us.is_none() {
-                p.started_us = Some(t);
-            }
-            p.remaining_work -= a * dt;
+        for &sid in active.iter() {
+            let s = &mut streams[sid];
+            s.started_us.get_or_insert(t);
+            s.remaining_work -= s.share * dt;
         }
         let now = t + dt;
         self.device_clock_us = now;
 
-        // Retire finished heads.
+        // Retire finished heads, in stream order, folding each as it goes.
         let power = self.config.power_watts;
-        for (sid, _) in shares() {
-            let done = queues[sid]
-                .front()
-                .is_some_and(|p| p.remaining_work <= 1e-9);
-            if done {
-                let p = queues[sid].pop_front().expect("head");
-                self.pending_count -= 1;
-                let start = p.started_us.unwrap_or(now);
-                let work = p.cost.standalone_us * p.cost.parallel_fraction;
-                self.completed.push(KernelStats {
-                    class_tag: p.desc.class.tag(),
-                    bytes: p.desc.bytes_moved(),
-                    tcu_macs: p.desc.tcu_macs(),
-                    name: p.desc.name,
-                    op_tag: p.op_tag,
-                    stream: p.stream,
-                    start_us: start,
-                    end_us: now,
-                    duration_us: now - start,
-                    standalone_us: p.cost.standalone_us,
-                    breakdown: p.cost.breakdown,
-                    occupancy: p.cost.occupancy,
-                    energy_j: work * power / 1e6,
-                    bound: p.cost.bound,
-                });
+        for &sid in active.iter() {
+            let s = &mut self.streams[sid];
+            if s.remaining_work > 1e-9 {
+                continue;
             }
+            let q = s.queue.pop_front().expect("head");
+            if let Some(next) = s.queue.front() {
+                s.remaining_work = self.profiles[next.profile as usize].cost.work_us();
+            }
+            let start = s.started_us.take().unwrap_or(now);
+            self.pending_count -= 1;
+            self.log.push(Launch {
+                stream: sid as u32,
+                profile: q.profile,
+                name: q.name,
+                scope: q.scope,
+                start_us: start,
+                end_us: now,
+            });
+            let cost = &self.profiles[q.profile as usize].cost;
+            let duration = now - start;
+            let r = &mut self.retired;
+            r.launches += 1;
+            r.first_start_us = r.first_start_us.min(start);
+            r.last_end_us = r.last_end_us.max(now);
+            r.busy_us += duration;
+            r.occupancy_us += cost.occupancy * duration;
+            r.energy_j += cost.energy_j(power);
+            self.name_busy[q.name as usize] += duration;
         }
     }
 
-    /// Standalone cost of a launch (memoised).
-    fn cost_of(&mut self, desc: &KernelDesc) -> CostProfile {
+    /// The simulator's own profile index of a launch's shape, copying the
+    /// profile out of the memo (and costing the shape there) on first use.
+    fn window_profile(&mut self, desc: &KernelDesc) -> u32 {
+        let shape = self.cost_index(desc);
+        if shape >= self.profile_of.len() {
+            self.profile_of.resize(shape + 1, u32::MAX);
+        }
+        if self.profile_of[shape] == u32::MAX {
+            self.profile_of[shape] = self.profiles.len() as u32;
+            self.profiles.push(self.memo.profiles[shape].clone());
+        }
+        self.profile_of[shape]
+    }
+
+    /// The memo's profile index of a launch's shape, costing it on first
+    /// sight.
+    fn cost_index(&mut self, desc: &KernelDesc) -> usize {
         let key = CostKey {
             class: class_key(&desc.class),
             block: desc.block_size,
             threads: desc.threads_override,
             coalesced: desc.coalesced,
         };
-        if let Some(c) = self.memo.costs.get(&key) {
-            return c.clone();
+        if let Some(&i) = self.memo.shapes.get(&key) {
+            return i as usize;
         }
         let cost = self.compute_cost(desc);
-        self.memo.costs.insert(key, cost.clone());
-        cost
+        let i = self.memo.profiles.len();
+        self.memo.profiles.push(Profile {
+            cost,
+            class_tag: desc.class.tag(),
+            bytes: desc.bytes_moved(),
+            tcu_macs: desc.tcu_macs(),
+        });
+        self.memo.shapes.insert(key, i as u32);
+        i
+    }
+
+    /// Standalone cost of a launch (memoised).
+    fn cost_of(&mut self, desc: &KernelDesc) -> &CostProfile {
+        let i = self.cost_index(desc);
+        &self.memo.profiles[i].cost
     }
 
     fn compute_cost(&mut self, desc: &KernelDesc) -> CostProfile {
@@ -650,7 +877,8 @@ mod tests {
         let st = s.create_stream();
         s.set_scope("HADD");
         s.launch(st, ew(1 << 20));
-        let done = s.synchronize();
+        s.synchronize();
+        let done = s.stats();
         assert_eq!(done.len(), 1);
         let k = &done[0];
         assert!(k.duration_us > 0.0);
@@ -667,7 +895,8 @@ mod tests {
         let desc = KernelDesc::new(KernelClass::KeyUpload { bytes }, "key-upload");
         let expect_us = desc.dma_us();
         s.launch(st, desc);
-        let done = s.synchronize();
+        s.synchronize();
+        let done = s.stats();
         assert_eq!(done.len(), 1);
         let k = &done[0];
         // PCIe-bound: the launch takes at least the DMA time, and nowhere
@@ -688,8 +917,9 @@ mod tests {
         let st = first.create_stream();
         first.launch(st, ew(1 << 20));
         first.launch(st, ew(1 << 22));
+        first.synchronize();
         let cold: Vec<u64> = first
-            .synchronize()
+            .stats()
             .iter()
             .map(|k| k.duration_us.to_bits())
             .collect();
@@ -704,8 +934,9 @@ mod tests {
         let st = second.create_stream();
         second.launch(st, ew(1 << 20));
         second.launch(st, ew(1 << 22));
+        second.synchronize();
         let warm: Vec<u64> = second
-            .synchronize()
+            .stats()
             .iter()
             .map(|k| k.duration_us.to_bits())
             .collect();
@@ -741,7 +972,8 @@ mod tests {
         for d in &shapes {
             shared.launch(st, d.clone());
         }
-        let launched = shared.synchronize().to_vec();
+        shared.synchronize();
+        let launched = shared.stats();
         assert_eq!(shared.memo.len(), shapes.len(), "every shape is costed");
         assert_eq!(shared.memo.sims.len(), 3, "one run per distinct problem");
 
@@ -776,7 +1008,8 @@ mod tests {
         let st = s.create_stream();
         s.launch(st, ew(1 << 22));
         s.launch(st, ew(1 << 22));
-        let done = s.synchronize();
+        s.synchronize();
+        let done = s.stats();
         assert_eq!(done.len(), 2);
         assert!(
             done[1].start_us >= done[0].end_us - 1e-6,
@@ -816,6 +1049,48 @@ mod tests {
             t_par < t_serial * 0.75,
             "stream overlap must help small GEMMs: serial {t_serial} vs parallel {t_par}"
         );
+    }
+
+    #[test]
+    fn a_key_upload_overlapping_compute_logs_in_end_time_order() {
+        // A key-set upload on one stream runs beside a train of compute
+        // kernels on another; the launches retire interleaved, and the
+        // log (which nothing sorts) comes out in end-time order.
+        let mut s = sim();
+        let (copy, compute) = (s.create_stream(), s.create_stream());
+        let upload = KernelDesc::new(
+            KernelClass::KeyUpload {
+                bytes: 64 * 1024 * 1024,
+            },
+            "key-upload",
+        );
+        s.launch(copy, upload);
+        for _ in 0..8 {
+            s.launch(compute, ew(1 << 22));
+        }
+        s.launch(copy, ew(1 << 20));
+        s.synchronize();
+        let log = s.stats();
+        let upload_at = log
+            .iter()
+            .position(|k| k.class_tag == "key-upload")
+            .expect("the upload retired");
+        assert!(
+            upload_at > 0 && upload_at < log.len() - 1,
+            "the upload overlaps the compute train"
+        );
+        assert!(log.windows(2).all(|p| p[0].end_us <= p[1].end_us));
+        let intervals: Vec<_> = s.intervals().collect();
+        assert!(intervals.windows(2).all(|p| p[0].2 <= p[1].2));
+        assert_eq!(intervals.len(), log.len());
+    }
+
+    #[test]
+    fn queued_and_logged_launches_stay_small() {
+        // Neither record holds an `Arc`, a `Vec` or a `String`: a
+        // launch is indices into the simulator's tables plus its clocks.
+        assert_eq!(std::mem::size_of::<Queued>(), 24);
+        assert_eq!(std::mem::size_of::<Launch>(), 32);
     }
 
     #[test]
@@ -938,7 +1213,8 @@ mod tests {
         let st = s.create_stream();
         s.launch(st, ew(1 << 20));
         s.launch(st, ew(1 << 24));
-        let done = s.synchronize();
+        s.synchronize();
+        let done = s.stats();
         assert!(done[1].energy_j > done[0].energy_j * 4.0);
     }
 

@@ -22,10 +22,11 @@ use std::sync::Arc;
 ///
 /// A name is allocated once — by whoever builds the descriptor, e.g. the
 /// kernel layer's per-tracer name table — and from there on every copy
-/// (the launch queue, [`crate::KernelStats`], per-kernel tables, per-request
-/// reports) is a reference-count bump, never a heap `String`. It orders,
-/// hashes and derefs as `str`, so tables keyed by it sort exactly as the
-/// `String`-keyed tables they replaced.
+/// (the simulator's name table, [`crate::KernelStats`], per-kernel tables,
+/// per-request reports) is a reference-count bump, never a heap `String`;
+/// queued and logged launches hold only the name's index in the
+/// simulator's table. It orders, hashes and derefs as `str`, so tables
+/// keyed by it sort exactly as the `String`-keyed tables they replaced.
 pub type KernelName = Arc<str>;
 
 /// Bytes per RNS residue on the device (the paper stores limbs as 32-bit

@@ -17,10 +17,15 @@
 //!   conversion, plus the FFT/DWT reference kernels of Fig. 4).
 //! * [`engine`] — a discrete-event device engine with CUDA-stream semantics
 //!   (concurrent kernels water-fill the SM pool, which is how the 16
-//!   segmented GEMMs of Fig. 8 overlap), and a launch log of per-launch
-//!   [`KernelStats`]: timing, stall breakdown, occupancy and energy. The
-//!   log's owner folds it (`tensorfhe-core`'s `OpStats` is the fold the
-//!   paper's tables report).
+//!   segmented GEMMs of Fig. 8 overlap). A launch allocates nothing of its
+//!   own: its shape is costed once into a profile of the [`CostMemo`],
+//!   and the launch log keeps one 32-byte record per retired launch —
+//!   stream, start, end and the ids of its profile, name and operation
+//!   scope. Each launch is folded into the simulator's [`Retired`] totals
+//!   as it retires (`tensorfhe-core`'s `OpStats`, the fold the paper's
+//!   tables report, reads them), and [`DeviceSim::stats`] builds full
+//!   per-launch [`KernelStats`] — timing, stall breakdown, occupancy and
+//!   energy — from the log on demand.
 //!
 //! Nothing in this crate knows about FHE; it executes abstract kernel
 //! descriptions. The kernel layer of `tensorfhe-core` translates CKKS
@@ -42,9 +47,11 @@
 //!     ops_per_elem: 2,
 //!     bytes_per_elem: 24,
 //! }, "ele-add"));
-//! // `synchronize` lends the window it just retired out of the launch
-//! // log; nothing is copied.
-//! let stats = sim.synchronize();
+//! sim.synchronize();
+//! // The totals fold as launches retire; per-launch stats are built from
+//! // the compact launch log on demand.
+//! assert_eq!(sim.retired().launches, 1);
+//! let stats = sim.stats();
 //! assert_eq!(stats.len(), 1);
 //! assert!(stats[0].duration_us > 0.0);
 //! assert_eq!(&*stats[0].name, "ele-add");
@@ -60,6 +67,6 @@ pub mod stall;
 pub mod warp_sim;
 
 pub use device::DeviceConfig;
-pub use engine::{CostMemo, DeviceSim, KernelStats, StreamId};
+pub use engine::{CostMemo, DeviceSim, KernelStats, Retired, StreamId};
 pub use kernel::{KernelClass, KernelDesc, KernelName, H2D_BANDWIDTH_GBPS};
 pub use stall::{StallBreakdown, StallKind};

@@ -43,9 +43,9 @@ fn traced_full_mode_pipeline() {
     // Close the window and inspect its launch log.
     let stats = engine.finish(&mut tracer);
     assert!(stats.time_us > 0.0, "GPU time must have been charged");
-    assert_eq!(stats.launches, tracer.sim().stats().len());
-    let ops: std::collections::BTreeSet<&str> =
-        tracer.sim().stats().iter().map(|k| &*k.op_tag).collect();
+    let log = tracer.sim().stats();
+    assert_eq!(stats.launches, log.len());
+    let ops: std::collections::BTreeSet<&str> = log.iter().map(|k| &*k.op_tag).collect();
     assert!(ops.contains("HMULT"), "HMULT scope missing from {ops:?}");
 
     // The math still decrypts correctly with tracing attached.
