@@ -94,6 +94,41 @@ pub fn schedule_events(params: &CkksParams, op: FheOp, level: usize) -> Vec<Kern
     stream.events(params, level)
 }
 
+/// The one set of checks on a request for `count` instances of `op` at
+/// `level` under `params`: what [`crate::service::FheService::submit`]
+/// refuses, and what a direct costing of a program checks each step
+/// against before [`schedule_events`] can reach an assertion.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidRequest`] for a zero `count`, a level
+/// above the parameter set's modulus chain, or a bootstrap on a chain
+/// too shallow for it.
+pub fn check_request(params: &CkksParams, op: FheOp, level: usize, count: usize) -> CoreResult<()> {
+    if count == 0 {
+        return Err(CoreError::InvalidRequest("count must be non-zero".into()));
+    }
+    let top = params.max_level();
+    if level > top {
+        return Err(CoreError::InvalidRequest(format!(
+            "level {level} exceeds max level {top}"
+        )));
+    }
+    if let FheOp::Bootstrap {
+        taylor_degree,
+        double_angles,
+    } = op
+    {
+        let need = schedule::bootstrap_depth(params, taylor_degree, double_angles);
+        if top < need {
+            return Err(CoreError::InvalidRequest(format!(
+                "bootstrap needs L ≥ {need}, the chain has L = {top}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Result of executing one batched operation.
 #[derive(Debug, Clone)]
 pub struct OpReport {

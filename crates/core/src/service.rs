@@ -50,7 +50,7 @@
 //! each dispatched batch, so queue latency measures exactly the time a
 //! request waited behind earlier batches.
 
-use crate::api::{FheOp, OpReport, TensorFheBuilder};
+use crate::api::{check_request, FheOp, OpReport, TensorFheBuilder};
 use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::exec::{ExecBackend, ExecBatch, Pool};
@@ -788,31 +788,10 @@ impl FheService {
     ///
     /// Returns [`CoreError::InvalidRequest`] for a zero `count`, a level
     /// above the parameter set's modulus chain, a bootstrap on a chain
-    /// too shallow for it, or an unregistered session handle.
+    /// too shallow for it (the checks of [`check_request`]), or an
+    /// unregistered session handle.
     pub fn submit(&mut self, req: FheRequest) -> CoreResult<RequestId> {
-        if req.count == 0 {
-            return Err(CoreError::InvalidRequest("count must be non-zero".into()));
-        }
-        if req.level > self.params.max_level() {
-            return Err(CoreError::InvalidRequest(format!(
-                "level {} exceeds max level {}",
-                req.level,
-                self.params.max_level()
-            )));
-        }
-        if let FheOp::Bootstrap {
-            taylor_degree,
-            double_angles,
-        } = req.op
-        {
-            let need = crate::schedule::bootstrap_depth(&self.params, taylor_degree, double_angles);
-            if self.params.max_level() < need {
-                return Err(CoreError::InvalidRequest(format!(
-                    "bootstrap needs L ≥ {need}, the chain has L = {}",
-                    self.params.max_level()
-                )));
-            }
-        }
+        check_request(&self.params, req.op, req.level, req.count)?;
         let mut req = req;
         if let Some(sid) = req.session {
             let Some(s) = self.sessions.get(sid.0 as usize) else {

@@ -1,20 +1,23 @@
-//! Workload specifications and the service-backed runner.
+//! Workload specifications and their costing.
 //!
-//! Workloads are executed through the request-stream service: every step
-//! becomes an [`FheRequest`] (`step.count × spec.batch` operation
-//! instances), the service coalesces them into `spec.batch`-wide device
-//! batches, and the report aggregates the per-request attributions. This
-//! preserves the seed runner's exact totals — each step still costs
-//! `count ×` the cost of one `spec.batch`-wide dispatch — while exercising
-//! the same code path a serving deployment uses.
+//! A workload is a straight-line program of [`Step`]s, each `count`
+//! repetitions of one operation at one level, run `spec.batch` instances
+//! wide. [`run_workload`] costs it as exactly that: every step costs
+//! `count ×` one `spec.batch`-wide batched dispatch. It runs each distinct
+//! `(op, level)` once on one simulated A100 engine and folds the memoised
+//! cost into the report `count` times per step, in step order.
+//!
+//! The fold adds in the order the request service attributes a drain of
+//! the same program (one request per step, coalesced into full
+//! `spec.batch`-wide batches), so its report is bit-equal to that drain's.
+//! The service is the checked path: `tests/service_matches_fold.rs`
+//! drains every Table X workload through it and holds every report field
+//! to the fold.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use tensorfhe_ckks::CkksParams;
-use tensorfhe_core::api::{FheOp, TensorFhe, TensorFheBuilder};
-use tensorfhe_core::engine::Variant;
-use tensorfhe_core::error::CoreResult;
-use tensorfhe_core::service::FheRequest;
-use tensorfhe_core::ExecBackend;
+use tensorfhe_core::api::{check_request, schedule_events, FheOp};
+use tensorfhe_core::engine::{Engine, EngineConfig, Variant};
 use tensorfhe_gpu::KernelName;
 
 /// One batched operation step of a workload.
@@ -81,75 +84,90 @@ pub struct WorkloadReport {
     pub occupancy: f64,
 }
 
+/// The cost of one `spec.batch`-wide dispatch of one `(op, level)`.
+struct Shape {
+    time_us: f64,
+    energy_j: f64,
+    /// `occupancy × time_us`, the batch's occupancy weight.
+    occ_us: f64,
+    /// `(base kernel name, µs)` in the order of the kernels' own names,
+    /// the order a service request's kernel table folds them in.
+    kernels: Vec<(KernelName, f64)>,
+}
+
 /// Costs a workload schedule, without its arithmetic, on a simulated A100
 /// running the given NTT variant.
 ///
-/// Thin wrapper over [`run_workload_on`] for the common bench-harness
-/// configuration. The backend is pinned to [`ExecBackend::Sim`], so
-/// `TENSORFHE_BACKEND=host-parallel` cannot turn a costing into real
-/// arithmetic; pass a builder to [`run_workload_on`] to pick another.
+/// Each distinct `(op, level)` is costed once at `spec.batch` on one
+/// fresh engine. Then, step by step, its cost is added `count` times: to
+/// the device time and energy, to the step's own time, occupancy weight
+/// and per-kernel times, and from those to the per-op, per-kernel and
+/// occupancy tables. Nothing is multiplied, so every sum rounds as a
+/// service drain of the same steps rounds it. No builder, option or
+/// environment variable reaches the costing.
+///
+/// # Panics
+///
+/// Panics with the [`tensorfhe_core::CoreError::InvalidRequest`] text of
+/// [`check_request`] on a step that the request service would refuse: a
+/// zero `count`, a level above the parameter set's chain, or a bootstrap
+/// deeper than the chain.
 #[must_use]
 pub fn run_workload(spec: &WorkloadSpec, variant: Variant) -> WorkloadReport {
-    let builder = TensorFhe::builder(&spec.params)
-        .variant(variant)
-        .backend(ExecBackend::Sim);
-    run_workload_on(spec, builder).expect("default workload service configuration is valid")
-}
+    let batch = spec.batch.max(1);
+    let mut engine = Engine::new(EngineConfig::a100(variant));
+    let mut bases: BTreeMap<KernelName, KernelName> = BTreeMap::new();
+    // lint: ordered-ok (keyed entry only; never iterated)
+    let mut shapes: HashMap<(FheOp, usize), Shape> = HashMap::new();
 
-/// Executes a workload schedule through the request-stream service built
-/// from `builder` (the builder's parameter set is overridden by the
-/// spec's).
-///
-/// Every step is submitted as one request of `count × spec.batch`
-/// operation instances; the service coalesces them into `spec.batch`-wide
-/// batches and caches the cost of repeated `(op, level, width)` shapes, so
-/// paper-scale workloads (tens of thousands of operations) stay tractable
-/// while totals remain exact.
-///
-/// # Errors
-///
-/// Returns [`tensorfhe_core::error::CoreError`] if the builder
-/// configuration is invalid or a step's level exceeds the parameter set's
-/// modulus chain.
-pub fn run_workload_on(
-    spec: &WorkloadSpec,
-    builder: TensorFheBuilder,
-) -> CoreResult<WorkloadReport> {
-    let mut svc = builder
-        .params(&spec.params)
-        .batch_cap(spec.batch.max(1))
-        .service()?;
-    for step in &spec.steps {
-        svc.submit(FheRequest::new(
-            step.op,
-            step.level,
-            step.count * spec.batch.max(1),
-            spec.name.clone(),
-        ))?;
-    }
-    let reports = svc.drain();
-
-    // Both folds run on interned names — a report's kernel names are
-    // `KernelName`s, an op's name is static — and become `String`s once
-    // per table row, not once per kernel per report.
+    let (mut busy_us, mut energy_j, mut occ_weighted) = (0.0f64, 0.0f64, 0.0f64);
+    // Both tables fold on interned names — an op's name is static, a
+    // kernel's is a `KernelName` — and become `String`s once per row.
     let mut by_op: BTreeMap<&'static str, f64> = BTreeMap::new();
     let mut by_kernel: BTreeMap<KernelName, f64> = BTreeMap::new();
-    let mut bases: BTreeMap<KernelName, KernelName> = BTreeMap::new();
-    let mut occ_weighted = 0.0f64;
-    for r in &reports {
-        *by_op.entry(r.report.op.name()).or_insert(0.0) += r.report.time_us;
-        occ_weighted += r.report.occupancy * r.report.time_us;
-        for (k, t) in &r.report.by_kernel {
-            *by_kernel
-                .entry(normalise_kernel(&mut bases, k))
-                .or_insert(0.0) += t;
+    let mut step_kernel_us: Vec<f64> = Vec::new();
+    for (i, step) in spec.steps.iter().enumerate() {
+        if let Err(e) = check_request(&spec.params, step.op, step.level, step.count * batch) {
+            panic!("{} step {i}: {e}", spec.name);
+        }
+        let shape = shapes.entry((step.op, step.level)).or_insert_with(|| {
+            let events = schedule_events(&spec.params, step.op, step.level);
+            let stats = engine.run_schedule(step.op.name(), &events, batch);
+            let mut kernels = stats.by_kernel;
+            kernels.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            for (name, _) in &mut kernels {
+                *name = normalise_kernel(&mut bases, name);
+            }
+            Shape {
+                time_us: stats.time_us,
+                energy_j: stats.energy_j,
+                occ_us: stats.occupancy * stats.time_us,
+                kernels,
+            }
+        });
+
+        let (mut time_us, mut occ_us) = (0.0f64, 0.0f64);
+        step_kernel_us.clear();
+        step_kernel_us.resize(shape.kernels.len(), 0.0);
+        for _ in 0..step.count {
+            busy_us += shape.time_us;
+            energy_j += shape.energy_j;
+            time_us += shape.time_us;
+            occ_us += shape.occ_us;
+            for (acc, (_, t)) in step_kernel_us.iter_mut().zip(&shape.kernels) {
+                *acc += t;
+            }
+        }
+        *by_op.entry(step.op.name()).or_insert(0.0) += time_us;
+        let occupancy = if time_us > 0.0 { occ_us / time_us } else { 0.0 };
+        occ_weighted += occupancy * time_us;
+        for ((base, _), &t) in shape.kernels.iter().zip(&step_kernel_us) {
+            *by_kernel.entry(base.clone()).or_insert(0.0) += t;
         }
     }
-    let stats = svc.stats();
-    let time_us = stats.busy_us;
 
     let descending = |mut rows: Vec<(String, f64)>| {
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1));
         rows
     };
     let per_op_us = descending(by_op.into_iter().map(|(k, t)| (k.into(), t)).collect());
@@ -160,19 +178,19 @@ pub fn run_workload_on(
             .collect(),
     );
 
-    Ok(WorkloadReport {
+    WorkloadReport {
         name: spec.name.clone(),
-        time_s: time_us * 1e-6,
-        energy_j: stats.energy_j,
-        energy_per_iter_j: stats.energy_j / spec.iterations.max(1) as f64,
+        time_s: busy_us * 1e-6,
+        energy_j,
+        energy_per_iter_j: energy_j / spec.iterations.max(1) as f64,
         per_op_us,
         per_kernel_us,
-        occupancy: if time_us > 0.0 {
-            occ_weighted / time_us
+        occupancy: if busy_us > 0.0 {
+            occ_weighted / busy_us
         } else {
             0.0
         },
-    })
+    }
 }
 
 /// Collapses per-stream plane-GEMM names into the parent kernel
@@ -233,6 +251,37 @@ mod tests {
         let hadd = r.per_op_us.iter().find(|(k, _)| k == "HADD").expect("hadd");
         assert!(hmult.1 > hadd.1, "3 HMULTs outweigh 5 HADDs");
         assert!((r.energy_per_iter_j - r.energy_j / 2.0).abs() < 1e-12);
+    }
+
+    /// A one-step workload on the small test chain (L = 7).
+    fn one_step(op: FheOp, level: usize) -> WorkloadSpec {
+        WorkloadSpec {
+            name: "bad".into(),
+            params: CkksParams::test_small(),
+            steps: vec![Step {
+                op,
+                level,
+                count: 1,
+            }],
+            batch: 2,
+            iterations: 1,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid request: level 8 exceeds max level 7")]
+    fn a_step_above_the_chain_is_refused() {
+        let _ = run_workload(&one_step(FheOp::HMult, 8), Variant::TensorCore);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid request: bootstrap needs L ≥")]
+    fn a_bootstrap_deeper_than_the_chain_is_refused() {
+        let op = FheOp::Bootstrap {
+            taylor_degree: 7,
+            double_angles: 6,
+        };
+        let _ = run_workload(&one_step(op, 7), Variant::TensorCore);
     }
 
     #[test]
