@@ -2,7 +2,7 @@
 //! 100x.
 //!
 //! A second, unpinned table gives the host wall-clock of each workload's
-//! costing on a fresh service (the median of [`TRIALS`] runs and their
+//! costing on a fresh engine (the median of [`TRIALS`] runs and their
 //! interquartile spread): what the cost model itself costs.
 
 use std::hint::black_box;
@@ -72,7 +72,7 @@ fn main() {
     );
     println!("paper shape: beats F1+ on LR; trails CraterLake/BTS/ARK by up to ~40x.");
     print_table(
-        "Host wall-clock of one workload costing on a fresh service (not pinned)",
+        "Host wall-clock of one workload costing on a fresh engine (not pinned)",
         &["workload", "host ms", "IQR spread"],
         &host_rows,
     );

@@ -14,7 +14,9 @@
 //!   compatible ones into VRAM-feasible batches (§IV-E) and dispatches to
 //!   one engine or a multi-GPU cluster.
 //! * [`workloads`] — ResNet-20, HELR logistic regression, LSTM and packed
-//!   bootstrapping evaluation workloads, executed through the service.
+//!   bootstrapping evaluation workloads, costed by folding each step's
+//!   memoised batch cost (a service drain of the same steps is held
+//!   bit-equal to the fold).
 //!
 //! # Quick start
 //!
