@@ -22,7 +22,11 @@
 //! `base.event_tick`, clocks start at the base's frontier and free-ats,
 //! and every cumulative fold continues from the base's partial, in the
 //! order the accumulator itself uses — so exact folds stay exact however
-//! often the trace was folded. With [`TraceBase::empty`]
+//! often the trace was folded. Every partial, the settle totals that
+//! [`ServiceStats`] reports (`busy_us`, `device_busy_us`, the upload
+//! count and time, `ops_completed`) included, is a field of the base
+//! itself: the scheduler keeps them all and the base is a copy of them
+//! taken at the cut. With [`TraceBase::empty`]
 //! ([`verify_schedule`]) the offsets are zero and the checks are the
 //! whole-trace checks. The base cannot be replayed (its records are gone),
 //! only held to what every quiescent snapshot satisfies
@@ -565,11 +569,11 @@ pub fn verify_schedule(
 /// whatever the records behind it were.
 fn check_base(base: &TraceBase, devices: usize, v: &mut Vec<Violation>) {
     let mut fail = |detail: String| v.push(Violation::BaseInconsistent { detail });
-    if base.free_at.len() != devices || base.settled.device_busy_us.len() != devices {
+    if base.free_at.len() != devices || base.device_busy_us.len() != devices {
         fail(format!(
             "carries {} free-at and {} busy entries for {devices} devices",
             base.free_at.len(),
-            base.settled.device_busy_us.len()
+            base.device_busy_us.len()
         ));
     }
     // One tick per admission and per join, one more per out-of-order
@@ -597,10 +601,10 @@ fn check_base(base: &TraceBase, devices: usize, v: &mut Vec<Violation>) {
             ));
         }
     }
-    if base.settled.key_uploads > base.dropped {
+    if base.key_uploads > base.dropped {
         fail(format!(
             "{} uploads charged to {} dropped batches",
-            base.settled.key_uploads, base.dropped
+            base.key_uploads, base.dropped
         ));
     }
 }
@@ -992,7 +996,7 @@ pub fn verify_schedule_from(
     settle_order.sort_by_key(|r| r.serial_seq);
     let busy: f64 = settle_order
         .iter()
-        .fold(base.settled.busy_us, |acc, r| acc + r.wall_us);
+        .fold(base.busy_us, |acc, r| acc + r.wall_us);
     if busy != stats.busy_us {
         v.push(Violation::AccountingMismatch {
             stat: "busy_us",
@@ -1038,7 +1042,7 @@ pub fn verify_schedule_from(
         .flat_map(|r| r.placements.iter())
         .map(|&(_, _, dur)| dur)
         .sum();
-    let attributed_before: f64 = base.settled.device_busy_us.iter().sum();
+    let attributed_before: f64 = base.device_busy_us.iter().sum();
     let attributed: f64 = stats.device_busy_us.iter().sum();
     if !close(attributed_before + interval_sum, attributed) {
         v.push(Violation::AccountingMismatch {
@@ -1047,7 +1051,7 @@ pub fn verify_schedule_from(
             got: attributed,
         });
     }
-    let uploads = base.settled.key_uploads + trace.iter().filter(|r| r.upload_us > 0.0).count();
+    let uploads = base.key_uploads + trace.iter().filter(|r| r.upload_us > 0.0).count();
     if uploads != stats.key_uploads {
         v.push(Violation::AccountingMismatch {
             stat: "key_uploads",
@@ -1059,7 +1063,7 @@ pub fn verify_schedule_from(
     // walk — fold in serial order for the same reason as `busy_us`.
     let upload_us: f64 = settle_order
         .iter()
-        .fold(base.settled.key_upload_us, |acc, r| acc + r.upload_us);
+        .fold(base.key_upload_us, |acc, r| acc + r.upload_us);
     if upload_us != stats.key_upload_us {
         v.push(Violation::AccountingMismatch {
             stat: "key_upload_us",
@@ -1067,7 +1071,7 @@ pub fn verify_schedule_from(
             got: stats.key_upload_us,
         });
     }
-    let widths: usize = base.settled.ops_completed + trace.iter().map(|r| r.width).sum::<usize>();
+    let widths: usize = base.ops_completed + trace.iter().map(|r| r.width).sum::<usize>();
     if widths != stats.ops_completed {
         v.push(Violation::AccountingMismatch {
             stat: "ops_completed",

@@ -108,7 +108,7 @@ fn a_folded_trace_without_its_base_does_not_verify() {
 #[test]
 fn wrong_busy_partial_trips_accounting_closure() {
     let (mut base, trace, stats) = folded_fixture();
-    base.settled.busy_us += 1.0;
+    base.busy_us += 1.0;
     let report = verify_schedule_from(&base, &trace, &stats, 0, DEVICES);
     assert!(
         report.violations.iter().any(|v| matches!(

@@ -218,12 +218,6 @@ impl<'a> KeyChain<'a> {
             scale: ct.scale,
         }
     }
-
-    /// Test/diagnostic access to the secret key.
-    #[must_use]
-    pub fn secret_key(&self) -> &SecretKey {
-        &self.sk
-    }
 }
 
 /// Generates a key-switching key from canonical secret `s` to target `s'`.

@@ -152,12 +152,6 @@ impl ExtPoly {
         self.q_limbs.len() - 1
     }
 
-    /// Total limb count (`q` + `p`).
-    #[must_use]
-    pub fn total_limbs(&self) -> usize {
-        self.q_limbs.len() + self.p_limbs.len()
-    }
-
     /// In-place forward NTT on every limb.
     pub fn ntt_forward(&mut self, ctx: &CkksContext) {
         assert_eq!(self.domain, Domain::Coeff);
@@ -869,6 +863,14 @@ fn key_switch_rows(
             mod_down_limb(ctx, &moddown, i / 2, &y, &mut acc, &mut row);
             scratch::give_u64(row);
         };
+        // Every extended-limb and ModDown job takes one working row from
+        // its thread's pool. The caller may claim none of them in one
+        // switch and some in the next, so it pools its row up front: its
+        // scratch then reaches its steady state with the first switch,
+        // whichever jobs it claims.
+        if threads > 1 {
+            scratch::give_u64(scratch::take_dirty_u64(n));
+        }
         run_phases(threads, &[m, ext, 2 * m], |phase, i| match phase {
             0 => input_job(i),
             1 => ext_job(i),

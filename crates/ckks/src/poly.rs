@@ -119,16 +119,6 @@ impl RnsPoly {
         &self.limbs
     }
 
-    /// Drops the highest limb (rescale / level switch helper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if only one limb remains.
-    pub fn drop_last_limb(&mut self) -> Vec<u64> {
-        assert!(self.limbs.len() > 1, "cannot drop the last limb");
-        self.limbs.pop().expect("non-empty")
-    }
-
     /// Truncates to `level + 1` limbs (plaintext/ciphertext alignment).
     pub fn truncate_level(&mut self, level: usize) {
         assert!(level < self.limbs.len(), "cannot raise level by truncation");

@@ -48,8 +48,12 @@
 //! Multi-outstanding contract: any number of batches may be submitted
 //! before any is joined, and handles may be joined in any order; each
 //! resolves to exactly the result a submit-join-submit-join sequence
-//! would produce. [`Pool::join`] blocks only while the batch's chunks are
-//! still running on the host workers. There is no polling form: the
+//! would produce. An [`ExecHandle`] is owned: it carries the result
+//! `submit` costed and, while host workers run the batch's chunks, the
+//! channel their tally replies on, so the pool keeps no table of
+//! outstanding batches and [`Pool::join`] consumes the handle — a second
+//! join of one handle does not compile. `join` blocks only while the
+//! batch's chunks are still running. There is no polling form: the
 //! scheduler joins in admission order, and a poll could only move a reply
 //! out of its channel just before that join would take it.
 //!
@@ -132,9 +136,17 @@ pub struct ExecBatch {
     pub width: usize,
 }
 
-/// Opaque handle to a submitted batch, redeemed with [`Pool::join`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ExecHandle(u64);
+/// A submitted batch, redeemed once with [`Pool::join`]: the merged
+/// result `submit` costed, the real work done at `submit`, and — while
+/// worker threads run its chunks — the channel on which the chunk tally
+/// sends the rest, once.
+#[derive(Debug)]
+#[must_use = "a submitted batch is redeemed with `Pool::join`"]
+pub struct ExecHandle {
+    result: BatchResult,
+    work: HostWorkStats,
+    rx: Option<mpsc::Receiver<HostWorkStats>>,
+}
 
 /// The merged outcome of one executed batch.
 #[derive(Debug, Clone)]
@@ -276,6 +288,8 @@ pub fn merge_shards(per_device: Vec<(usize, OpStats)>, devices: usize) -> BatchR
 /// shard on the calling thread at `submit`, the batch memo, and on the
 /// host backend the batches' GEMM chunks, run by worker threads that
 /// steal from each other when idle (see the module docs and [`host`]).
+/// What a submitted batch still owes travels in its [`ExecHandle`], so
+/// the pool holds nothing per outstanding batch.
 #[derive(Debug)]
 pub struct Pool {
     caps: ExecCaps,
@@ -292,9 +306,6 @@ pub struct Pool {
     senders: Vec<mpsc::Sender<()>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     shared: Arc<StealShared>,
-    next: u64,
-    // lint: ordered-ok (keyed insert/remove by handle only; never iterated)
-    pending: HashMap<u64, Pending>,
     /// Real work accumulated across joined batches (join-order
     /// insensitive: all fields merge by wrapping addition).
     work: HostWorkStats,
@@ -351,8 +362,6 @@ impl Pool {
             senders: Vec::new(),
             handles: Vec::new(),
             shared: Arc::new(StealShared::new(spawned)),
-            next: 0,
-            pending: HashMap::new(),
             work: HostWorkStats::default(),
         };
         for w in 0..spawned {
@@ -384,11 +393,11 @@ impl Pool {
     /// its chunks run all the same.
     pub fn submit(&mut self, batch: ExecBatch) -> ExecHandle {
         let known = self.memo.get(&batch).cloned();
-        let pending = match (known, self.backend) {
-            (Some(result), ExecBackend::Sim) => Pending {
-                rx: None,
+        match (known, self.backend) {
+            (Some(result), ExecBackend::Sim) => ExecHandle {
                 result,
                 work: HostWorkStats::default(),
+                rx: None,
             },
             (known, backend) => {
                 let events: Arc<[KernelEvent]> =
@@ -399,13 +408,9 @@ impl Pool {
                     ExecBackend::HostParallel => self.start_chunks(&events, &widths),
                 };
                 let result = known.unwrap_or_else(|| self.cost(batch, &events, &widths));
-                Pending { rx, result, work }
+                ExecHandle { result, work, rx }
             }
-        };
-        let id = self.next;
-        self.next += 1;
-        self.pending.insert(id, pending);
-        ExecHandle(id)
+        }
     }
 
     /// Costs a new batch: its non-empty shards on the engine, in device
@@ -461,22 +466,37 @@ impl Pool {
     }
 
     /// Waits for a submitted batch's chunks, folds its real work in and
-    /// returns its merged statistics.
+    /// returns its merged statistics. The handle is consumed, so a batch
+    /// is joined at most once:
+    ///
+    /// ```compile_fail
+    /// use tensorfhe_ckks::CkksParams;
+    /// use tensorfhe_core::exec::{ExecBackend, ExecBatch, Pool};
+    /// use tensorfhe_core::{EngineConfig, FheOp, Variant};
+    ///
+    /// let params = CkksParams::test_small();
+    /// let cfg = EngineConfig::a100(Variant::TensorCore);
+    /// let mut pool = Pool::new(&cfg, &params, 1, 1, ExecBackend::Sim, 0).unwrap();
+    /// let level = params.max_level();
+    /// let handle = pool.submit(ExecBatch { op: FheOp::HMult, level, width: 2 });
+    /// let _ = pool.join(handle);
+    /// let _ = pool.join(handle); // use of a moved handle
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics on a handle this pool never issued (or already joined).
+    /// Panics if a worker thread died while running the batch's chunks.
     pub fn join(&mut self, handle: ExecHandle) -> BatchResult {
-        let mut pending = self
-            .pending
-            .remove(&handle.0)
-            .expect("join of an unknown or already-joined handle");
-        if let Some(rx) = pending.rx {
-            let reply = rx.recv().expect("worker thread died mid-batch");
-            pending.work.absorb(reply);
+        let ExecHandle {
+            result,
+            mut work,
+            rx,
+        } = handle;
+        if let Some(rx) = rx {
+            work.absorb(rx.recv().expect("worker thread died mid-batch"));
         }
-        self.work.absorb(pending.work);
-        pending.result
+        self.work.absorb(work);
+        result
     }
 
     /// Backend capabilities (device count, workers, VRAM, power).
@@ -511,21 +531,23 @@ impl Drop for Pool {
     }
 }
 
-/// A submitted, not yet joined batch: its merged result, the real work
-/// done at `submit`, and — while worker threads run its chunks — the
-/// channel on which the chunk tally sends the rest, once.
-#[derive(Debug)]
-struct Pending {
-    rx: Option<mpsc::Receiver<HostWorkStats>>,
-    result: BatchResult,
-    work: HostWorkStats,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Variant;
     use std::collections::BTreeMap;
+
+    impl ExecHandle {
+        /// A handle to a result computed elsewhere, with no real work: the
+        /// scheduler tests' seam for injecting per-device times.
+        pub(crate) fn ready(result: BatchResult) -> Self {
+            Self {
+                result,
+                work: HostWorkStats::default(),
+                rx: None,
+            }
+        }
+    }
 
     pub(super) fn cfg() -> EngineConfig {
         EngineConfig::a100(Variant::TensorCore)
@@ -686,23 +708,14 @@ mod tests {
         let widths = [3usize, 16, 7, 1];
         let wants = drain(&mut pool(2, 1, ExecBackend::Sim), &widths);
         let mut threaded = pool(2, 2, ExecBackend::HostParallel);
-        let handles: Vec<ExecHandle> = widths.iter().map(|&w| threaded.submit(batch(w))).collect();
-        let r2 = threaded.join(handles[2]);
-        let r3 = threaded.join(handles[3]);
-        let r1 = threaded.join(handles[1]);
-        let r0 = threaded.join(handles[0]);
+        let [h0, h1, h2, h3] = widths.map(|w| threaded.submit(batch(w)));
+        let r2 = threaded.join(h2);
+        let r3 = threaded.join(h3);
+        let r1 = threaded.join(h1);
+        let r0 = threaded.join(h0);
         for (got, want) in [r0, r1, r2, r3].iter().zip(&wants) {
             assert_eq!(bits(got), bits(want), "out-of-order join diverged");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown or already-joined")]
-    fn join_rejects_consumed_handles() {
-        let mut exec = pool(1, 1, ExecBackend::Sim);
-        let h = exec.submit(batch(2));
-        let _ = exec.join(h);
-        let _ = exec.join(h);
     }
 
     #[test]

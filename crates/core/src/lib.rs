@@ -151,9 +151,12 @@
 //! 6. **Executor**: every batch goes to the one [`exec::Pool`] —
 //!    `submit(ExecBatch { op, level, width }) → ExecHandle`,
 //!    `join(handle) → BatchResult`, any number of batches outstanding,
-//!    joined in any order — which is the one place an operation becomes
-//!    device work: it derives the kernel stream, owns sharding
-//!    ([`exec::shard_widths`]) and the deterministic device-order merge
+//!    joined in any order. The handle is owned: it carries the result
+//!    `submit` costed and the reply channel of the batch's host chunks,
+//!    so the pool keeps no table of outstanding batches. The pool is the
+//!    one place an operation becomes device work: it derives the kernel
+//!    stream, owns sharding ([`exec::shard_widths`]) and the
+//!    deterministic device-order merge
 //!    ([`exec::merge_shards`]), and keeps the batch memo, so an identical
 //!    `(op, level, width)` is costed once. It costs every new batch's
 //!    per-device shards on its one [`Engine`] at `submit`, on the calling

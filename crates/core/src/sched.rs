@@ -11,22 +11,32 @@
 //!   slot the service offers defines the batch's `(op, level)` group, and
 //!   compatible instances are taken from every matching slot, in the order
 //!   offered, up to the cap.
+//! * **One entry per batch.** From the moment a plan enters the scheduler
+//!   until it is joined, a batch is one private entry: its [`BatchRecord`],
+//!   filled in place as the batch is planned, admitted and joined, and the
+//!   requests it serves. The record carries the batch's independence keys,
+//!   so the keys in flight are read from the window's records; at the join
+//!   the record moves into the trace.
 //! * **The in-flight window** ([`Scheduler::admit`]) — up to `depth`
-//!   submitted-but-unjoined batches. A planned batch is admitted only if it
-//!   is *independent* of every batch already in flight: no two in-flight
+//!   submitted-but-unjoined batches, each with the pool's owned
+//!   [`ExecHandle`]. A planned batch is admitted only if it is
+//!   *independent* of every batch already in flight: no two in-flight
 //!   batches may contain requests from the same client stream at the same
 //!   ciphertext level, so chained operations on one working set always
-//!   observe program order. [`Scheduler::blocks`] reports a dependent plan,
-//!   and the window drains until its keys are released.
+//!   observe program order. [`Scheduler::blocks`] reports a dependent plan;
+//!   its keys are free again once the batch holding them has joined and
+//!   left the window.
 //! * **Deterministic settles** ([`Scheduler::join_next`] /
-//!   [`Scheduler::drain_settleable`]) — handles are joined in admission
+//!   [`Scheduler::settle_next`]) — handles are joined in admission
 //!   order whatever order the backend finishes them in, and every joined
 //!   batch passes through a reorder buffer that releases batches in
 //!   *serial plan order* (under in-order admission that is admission
-//!   order, so a joined batch leaves at once). Per-request attribution,
-//!   reports and [`ServiceStats`] are therefore **bit-identical at every
-//!   depth**: pipelining changes when device work overlaps, never what a
-//!   request is charged.
+//!   order, so a joined batch leaves at once). Settling folds the batch
+//!   into the scheduler's own batch totals ([`Scheduler::totals`]: busy
+//!   time, per-device busy time, ops completed) before the service
+//!   attributes it. Per-request attribution, reports and [`ServiceStats`]
+//!   are therefore **bit-identical at every depth**: pipelining changes
+//!   when device work overlaps, never what a request is charged.
 //! * **The overlap clock** — per-device virtual FIFO queues that account
 //!   for what pipelining actually buys. Each joined batch's shards are
 //!   placed on the least-loaded virtual devices (ties to the lowest
@@ -51,11 +61,13 @@
 //!
 //! * **Freeze** ([`Scheduler::freeze`]) — the exact serial planning walk
 //!   runs speculatively ahead of admission, freezing up to `lookahead`
-//!   planned batches into a pending scoreboard. Reservations, key-cache
-//!   residency and fair-queue charges are applied at freeze time, so
-//!   *batch composition is identical to in-order mode*: the walk's inputs
-//!   mutate only when plans are made, never when batches complete.
-//! * **Admission** ([`Scheduler::admit_pending`]) — a pending plan is
+//!   planned batches into a pending scoreboard as their entries.
+//!   Reservations, key-cache residency and fair-queue charges are applied
+//!   at freeze time (and the scheduler counts the key upload then, as an
+//!   in-order admission would), so *batch composition is identical to
+//!   in-order mode*: the walk's inputs mutate only when plans are made,
+//!   never when batches complete.
+//! * **Admission** ([`Scheduler::admit_next`]) — a pending plan is
 //!   *key-eligible* when its `(client, level)` keys are disjoint from
 //!   every in-flight batch **and from every older pending plan** (the
 //!   program-order guard: a younger batch may never overtake an older one
@@ -64,7 +76,9 @@
 //!   level)` group matches the most recently admitted batch (oldest among
 //!   matches), else the oldest eligible plan. The greedy preference
 //!   resets whenever a join empties the window, which makes depth-1
-//!   out-of-order admission bitwise identical to in-order.
+//!   out-of-order admission bitwise identical to in-order. One call picks
+//!   the plan, hands its [`ExecBatch`] to the caller's `dispatch` and
+//!   admits it with the returned handle.
 //! * **Aging bound** — each admission bumps `bypassed` on every *older*
 //!   pending plan that was key-eligible at that instant. Once any plan's
 //!   `bypassed` reaches `aging_bound`, only plans at or before the oldest
@@ -128,16 +142,18 @@
 //!   Overlap clock: the join frontier and every device's free-at. Partial
 //!   folds, each in the order its accumulator uses: `elapsed_us` (max, join
 //!   order), `serial_us` (join order), `head_blocked_us` (admission order),
-//!   `reorder_max`, and — handed in by the service, which owns them —
-//!   `busy_us` and `device_busy_us[]` (settle = serial order), the upload
-//!   count and time (plan = serial order) and the completed-ops ledger.
+//!   `reorder_max`, and the batch totals the scheduler keeps as it plans
+//!   and settles: `busy_us` and `device_busy_us[]` (settle = serial
+//!   order), the upload count and time (plan = serial order) and the
+//!   completed-ops ledger. A base is a snapshot of [`Scheduler::totals`],
+//!   the live value of every one of these accumulators.
 //!
 //! [`ServiceStats`]: crate::service::ServiceStats
 
 use crate::api::FheOp;
-use crate::exec::{BatchResult, ExecHandle, Pool};
+use crate::exec::{BatchResult, ExecBatch, ExecHandle, Pool};
 use crate::service::RequestId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Default scoreboard lookahead (pending plans) for out-of-order mode.
@@ -261,8 +277,9 @@ pub struct BatchPlan {
     /// ([`crate::sched::BatchRecord::sessioned`]) holds it to that.
     pub sessioned: bool,
     /// Independence keys — the `(client, level)` pairs of every
-    /// contributing request.
-    keys: BTreeSet<(Arc<str>, usize)>,
+    /// contributing request, sorted and distinct. They move into the
+    /// batch's [`BatchRecord::keys`].
+    keys: Vec<(Arc<str>, usize)>,
 }
 
 /// The structural trace of one batch through the window and the overlap
@@ -346,12 +363,19 @@ pub struct BatchRecord {
 /// `serial_seq < dropped`. See the
 /// [module docs](self#the-trace-is-a-window).
 ///
+/// The scheduler keeps its live accumulators in this shape
+/// ([`Scheduler::totals`]), and a base is a copy of them taken at a
+/// quiescent point: every partial is read from the accumulator itself,
+/// never recomputed. The settle totals (`busy_us` … `ops_completed`) are
+/// what [`crate::service::ServiceStats`] reports under the same names.
+///
 /// Fields are public, like [`BatchRecord`]'s, so tests can doctor a base
 /// and watch the verifier object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceBase {
     /// Records folded away: the `seq`, the `serial_seq` and the
-    /// `joins_at_admit` the first kept record can have at the least.
+    /// `joins_at_admit` the first kept record can have at the least. In
+    /// the live totals: the batches joined so far.
     pub dropped: usize,
     /// The window-event tick at the cut: every dropped record's ticks lie
     /// below it, every kept record's at or above.
@@ -369,8 +393,16 @@ pub struct TraceBase {
     pub head_blocked_us: f64,
     /// Partial [`Scheduler::reorder_distance`].
     pub reorder_max: usize,
-    /// The service-side partials, as the service handed them over.
-    pub settled: SettledTotals,
+    /// `ServiceStats::busy_us`: Σ wall, settle (= serial) order.
+    pub busy_us: f64,
+    /// `ServiceStats::device_busy_us`, per device, settle order.
+    pub device_busy_us: Vec<f64>,
+    /// `ServiceStats::key_uploads`: batches that stalled on a key upload.
+    pub key_uploads: usize,
+    /// `ServiceStats::key_upload_us`, plan (= serial) order.
+    pub key_upload_us: f64,
+    /// `ServiceStats::ops_completed`: Σ width, settle order.
+    pub ops_completed: usize,
 }
 
 impl TraceBase {
@@ -387,84 +419,40 @@ impl TraceBase {
             serial_us: 0.0,
             head_blocked_us: 0.0,
             reorder_max: 0,
-            settled: SettledTotals {
-                busy_us: 0.0,
-                device_busy_us: vec![0.0; devices],
-                key_uploads: 0,
-                key_upload_us: 0.0,
-                ops_completed: 0,
-            },
+            busy_us: 0.0,
+            device_busy_us: vec![0.0; devices],
+            key_uploads: 0,
+            key_upload_us: 0.0,
+            ops_completed: 0,
         }
     }
 }
 
-/// The settle-side accumulators a [`TraceBase`] snapshots next to the
-/// scheduler's own: the service owns them (they fold in settle order, on
-/// its side of the seam) and hands them over at a fold, read as they
-/// stand. In a base they are the partial folds over the dropped records.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SettledTotals {
-    /// `ServiceStats::busy_us`: Σ wall, settle (= serial) order.
-    pub busy_us: f64,
-    /// `ServiceStats::device_busy_us`, per device, settle order.
-    pub device_busy_us: Vec<f64>,
-    /// `ServiceStats::key_uploads`: batches that stalled on a key upload.
-    pub key_uploads: usize,
-    /// `ServiceStats::key_upload_us`, plan (= serial) order.
-    pub key_upload_us: f64,
-    /// `ServiceStats::ops_completed`: Σ width.
-    pub ops_completed: usize,
-}
-
-/// How an admitted batch is backed: a submission to the executor, or a
-/// result handed in directly.
-#[derive(Debug)]
-pub enum Work {
-    /// A result handed in directly, never touching the executor: the
-    /// overlap-clock unit tests' seam for injecting per-device times. The
-    /// service always submits; the pool's memo replays identical batches.
-    Cached(BatchResult),
-    /// Submitted to the executor; the handle is joined in admission order.
-    Submitted(ExecHandle),
-}
-
-/// A completed batch handed back for attribution.
+/// A joined batch handed back, in serial plan order, for attribution.
 #[derive(Debug)]
 pub struct Finished {
-    /// The plan the batch was admitted under.
-    pub plan: BatchPlan,
+    /// `(request, instances)` per contributing request, in id
+    /// (= submission) order.
+    pub takes: Vec<(RequestId, usize)>,
+    /// Total instances coalesced.
+    pub width: usize,
     /// The merged executor result.
     pub result: BatchResult,
 }
 
-/// One submitted-but-unjoined batch in the window.
+/// One batch from plan to join: its trace record, filled in place as the
+/// batch is planned, admitted and joined, and the requests it serves.
+/// The record's keys are the batch's independence keys, so the
+/// scoreboard's and the window's key sets are read from their entries.
 #[derive(Debug)]
-struct InFlight {
-    plan: BatchPlan,
-    work: Work,
-    /// The join frontier at admission: completion time of the newest batch
-    /// joined before this one entered the window.
-    frontier_us: f64,
-    /// The partially-filled trace record (clock fields land at join).
+struct Entry {
     record: BatchRecord,
+    takes: Vec<(RequestId, usize)>,
 }
 
-/// A plan frozen by the serial walk but not yet admitted: the scoreboard's
-/// unit of lookahead. Reservations, residency and fair-queue charges were
-/// already applied when it was frozen, so the serial walk behind it sees
-/// exactly the queue state in-order admission would.
-#[derive(Debug)]
-struct PendingPlan {
-    plan: BatchPlan,
-    /// Serial plan order (monotone across freezes).
-    serial_seq: usize,
-    /// Event tick at freeze.
-    planned_at: u64,
-    /// Join frontier at freeze (µs).
-    planned_frontier_us: f64,
-    /// Times a younger plan was admitted past this one while it was
-    /// key-eligible.
-    bypassed: usize,
+/// Whether two sorted key lists share a key.
+fn overlap(a: &[(Arc<str>, usize)], b: &[(Arc<str>, usize)]) -> bool {
+    a.iter().any(|k| b.binary_search(k).is_ok())
 }
 
 /// The in-flight window, the overlap clock, the serial reorder buffer
@@ -478,38 +466,29 @@ struct PendingPlan {
 #[derive(Debug)]
 pub struct Scheduler {
     depth: usize,
-    window: VecDeque<InFlight>,
-    /// Union of in-flight independence keys (disjoint across batches by
-    /// construction — a conflicting plan is never admitted).
-    keys: BTreeSet<(Arc<str>, usize)>,
-    /// Virtual free time per device (µs): when each device's FIFO queue
-    /// runs dry under the overlap placement.
-    free_at: Vec<f64>,
-    /// Completion time of the newest joined batch (µs).
-    joined_frontier: f64,
-    /// Makespan of everything joined so far (µs): the virtual instant the
-    /// last device went idle. Equals `serial_us` at `depth = 1`.
-    elapsed_us: f64,
-    /// What the makespan would be had every joined batch run alone, one
-    /// after another: `Σ (key upload + wall)`, folded in join order with
-    /// the overlap clock's own float operations.
-    serial_us: f64,
+    /// Admitted, unjoined batches in admission order, each with its pool
+    /// handle. Their keys are disjoint by construction — a conflicting
+    /// plan is never admitted.
+    window: VecDeque<(Entry, ExecHandle)>,
+    /// The live accumulators: `now.dropped` batches joined, the window
+    /// event tick (one counter over freezes, admissions *and* joins, so
+    /// the trace can reconstruct exact scoreboard and window membership),
+    /// the overlap clock — join frontier, per-device virtual free times,
+    /// makespan, and `serial_us`, what the makespan would be had every
+    /// joined batch run alone (`Σ (key upload + wall)`, folded in join
+    /// order with the overlap clock's own float operations) — the reorder
+    /// stats and the batch totals.
+    now: TraceBase,
     /// Most batches ever simultaneously in flight.
     inflight_hwm: usize,
-    /// Window-event tick: one counter over freezes, admissions *and*
-    /// joins, so the trace can reconstruct exact scoreboard and window
-    /// membership.
-    event_tick: u64,
-    /// Batches joined so far.
-    joined_count: usize,
     /// Structural trace of the newest joined batches, in join
     /// (= admission) order; see [`BatchRecord`]. `base.dropped +
-    /// trace.len() == joined_count`.
+    /// trace.len() == now.dropped`.
     trace: Vec<BatchRecord>,
     /// What was folded out of `trace` so far.
     base: TraceBase,
     /// The next base: a snapshot taken at the quiescent point that ended
-    /// the old generation (`base.dropped ≤ mark.dropped ≤ joined_count`).
+    /// the old generation (`base.dropped ≤ mark.dropped ≤ now.dropped`).
     mark: TraceBase,
     /// Window-admission discipline.
     admission: AdmissionMode,
@@ -517,8 +496,11 @@ pub struct Scheduler {
     lookahead: usize,
     /// Aging bound: max eligible bypasses before forced admission.
     aging_bound: usize,
-    /// Frozen-but-unadmitted plans, in serial order.
-    pending: VecDeque<PendingPlan>,
+    /// Frozen-but-unadmitted plans, in serial order. Reservations,
+    /// residency and fair-queue charges were applied when each was
+    /// frozen, so the serial walk behind them sees exactly the queue
+    /// state in-order admission would.
+    pending: VecDeque<Entry>,
     /// Reorder buffer: joined batches keyed by `serial_seq`, waiting to
     /// settle in serial order.
     rob: BTreeMap<usize, Finished>,
@@ -531,12 +513,6 @@ pub struct Scheduler {
     /// an empty window always admits the oldest plan (this is what makes
     /// depth-1 out-of-order bitwise identical to in-order).
     last_group: Option<(FheOp, usize)>,
-    /// Max `|admission index − serial_seq|` over all admissions.
-    reorder_max: usize,
-    /// Σ over admitted batches of (admission frontier − freeze frontier):
-    /// total head-blocked time spent pending in the scoreboard (µs).
-    /// Exactly 0.0 under in-order admission.
-    head_blocked_us: f64,
 }
 
 impl Scheduler {
@@ -567,14 +543,8 @@ impl Scheduler {
         Self {
             depth,
             window: VecDeque::with_capacity(depth),
-            keys: BTreeSet::new(),
-            free_at: vec![0.0; devices],
-            joined_frontier: 0.0,
-            elapsed_us: 0.0,
-            serial_us: 0.0,
+            now: TraceBase::empty(devices),
             inflight_hwm: 0,
-            event_tick: 0,
-            joined_count: 0,
             trace: Vec::new(),
             base: TraceBase::empty(devices),
             mark: TraceBase::empty(devices),
@@ -586,8 +556,6 @@ impl Scheduler {
             serial_count: 0,
             settled_count: 0,
             last_group: None,
-            reorder_max: 0,
-            head_blocked_us: 0.0,
         }
     }
 
@@ -617,30 +585,34 @@ impl Scheduler {
     /// Rotates the trace generations if this is a quiescent point and at
     /// least [`TRACE_WINDOW`] batches joined since the mark: drops the
     /// records older than the mark, promotes the mark to base, and
-    /// snapshots the present — the scheduler's own accumulators plus the
-    /// service's `settled` totals, asked for only when a fold happens — as
-    /// the new mark. Anywhere else it does nothing.
-    pub fn fold_trace(&mut self, settled: impl FnOnce() -> SettledTotals) {
-        if !self.quiescent() || self.joined_count - self.mark.dropped < TRACE_WINDOW {
+    /// snapshots the live [`Scheduler::totals`] as the new mark. Anywhere
+    /// else it does nothing.
+    pub fn fold_trace(&mut self) {
+        let joined = self.now.dropped;
+        if !self.quiescent() || joined - self.mark.dropped < TRACE_WINDOW {
             return;
         }
         debug_assert!(
-            self.serial_count == self.joined_count && self.settled_count == self.joined_count,
+            self.serial_count == joined && self.settled_count == joined,
             "quiescent scheduler with unsettled batches"
         );
-        let now = TraceBase {
-            dropped: self.joined_count,
-            event_tick: self.event_tick,
-            frontier_us: self.joined_frontier,
-            free_at: self.free_at.clone(),
-            elapsed_us: self.elapsed_us,
-            serial_us: self.serial_us,
-            head_blocked_us: self.head_blocked_us,
-            reorder_max: self.reorder_max,
-            settled: settled(),
-        };
         self.trace.drain(..self.mark.dropped - self.base.dropped);
-        self.base = std::mem::replace(&mut self.mark, now);
+        self.base = std::mem::replace(&mut self.mark, self.now.clone());
+    }
+
+    /// The live accumulators, in the shape a fold snapshots: the overlap
+    /// clock, the reorder stats and the batch totals the service reports
+    /// ([`TraceBase::busy_us`] is also the service's request-accounting
+    /// clock). `dropped` here counts the batches joined so far.
+    #[must_use]
+    pub fn totals(&self) -> &TraceBase {
+        &self.now
+    }
+
+    /// Batches settled so far: the service's `batches_dispatched`.
+    #[must_use]
+    pub fn settled_count(&self) -> usize {
+        self.settled_count
     }
 
     /// Configured window depth.
@@ -671,14 +643,14 @@ impl Scheduler {
     /// far the scoreboard has actually reordered admissions.
     #[must_use]
     pub fn reorder_distance(&self) -> usize {
-        self.reorder_max
+        self.now.reorder_max
     }
 
     /// Total time admitted batches spent frozen in the scoreboard behind
     /// a blocked head (µs). Exactly 0.0 under in-order admission.
     #[must_use]
     pub fn head_blocked_us(&self) -> f64 {
-        self.head_blocked_us
+        self.now.head_blocked_us
     }
 
     /// Whether another batch may be admitted.
@@ -704,7 +676,7 @@ impl Scheduler {
     /// larger depths overlapped batches pull it below that sum.
     #[must_use]
     pub fn elapsed_us(&self) -> f64 {
-        self.elapsed_us
+        self.now.elapsed_us
     }
 
     /// The serial reference of the overlap clock (µs): the makespan of
@@ -715,7 +687,7 @@ impl Scheduler {
     /// batch wall time when no batch ever stalled on an upload.
     #[must_use]
     pub fn serial_us(&self) -> f64 {
-        self.serial_us
+        self.now.serial_us
     }
 
     /// The serial coalescing walk shared by every admission mode: the
@@ -735,7 +707,7 @@ impl Scheduler {
         let mut group: Option<(FheOp, usize)> = None;
         let mut width = 0usize;
         let mut takes: Vec<(RequestId, usize)> = Vec::new();
-        let mut keys: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
+        let mut keys: Vec<(Arc<str>, usize)> = Vec::new();
         for (id, s) in slots {
             if s.remaining == 0 {
                 continue;
@@ -748,13 +720,21 @@ impl Scheduler {
             if take > 0 {
                 takes.push((id, take));
                 width += take;
-                keys.insert((Arc::clone(s.client), s.level));
+                keys.push((Arc::clone(s.client), s.level));
             }
             if width == cap {
                 break;
             }
         }
         let (op, level) = group?;
+        keys.sort_unstable();
+        keys.dedup();
+        // The keys end up in the batch's trace record, and the trace
+        // window holds tens of thousands of records: copy them into an
+        // exact-size buffer. (`shrink_to_fit` in place left each record's
+        // spare tail to fragment the heap: +0.8 MiB of `svc_sim` RSS.)
+        let mut exact = Vec::with_capacity(keys.len());
+        exact.extend(keys);
         Some(BatchPlan {
             op,
             level,
@@ -762,7 +742,7 @@ impl Scheduler {
             takes,
             upload_us: 0.0,
             sessioned: false,
-            keys,
+            keys: exact,
         })
     }
 
@@ -772,7 +752,58 @@ impl Scheduler {
     /// regardless; the scoreboard applies the same check at admission.
     #[must_use]
     pub fn blocks(&self, plan: &BatchPlan) -> bool {
-        plan.keys.iter().any(|k| self.keys.contains(k))
+        self.in_flight(&plan.keys)
+    }
+
+    /// Whether any of `keys` is held by a batch in the window.
+    fn in_flight(&self, keys: &[(Arc<str>, usize)]) -> bool {
+        self.window
+            .iter()
+            .any(|(e, _)| overlap(&e.record.keys, keys))
+    }
+
+    /// Turns a plan into its entry at its serial position: the record's
+    /// plan-time fields filled, the plan's key upload counted (plans enter
+    /// in serial order in both modes), the admission and join fields left
+    /// for later.
+    fn entry(&mut self, plan: BatchPlan) -> Entry {
+        let BatchPlan {
+            op,
+            level,
+            width,
+            takes,
+            upload_us,
+            sessioned,
+            keys,
+        } = plan;
+        if upload_us > 0.0 {
+            self.now.key_uploads += 1;
+            self.now.key_upload_us += upload_us;
+        }
+        let record = BatchRecord {
+            seq: 0,
+            serial_seq: self.serial_count,
+            planned_at: self.now.event_tick,
+            planned_frontier_us: self.now.frontier_us,
+            bypassed: 0,
+            op,
+            level,
+            admitted_at: 0,
+            joined_at: 0,
+            joins_at_admit: 0,
+            frontier_us: 0.0,
+            width,
+            keys,
+            sessioned,
+            upload_us,
+            stall_us: 0.0,
+            start_us: 0.0,
+            wall_us: 0.0,
+            completion_us: 0.0,
+            placements: Vec::new(),
+        };
+        self.serial_count += 1;
+        Entry { record, takes }
     }
 
     /// Freezes the next serial plan into the scoreboard. The caller must
@@ -785,30 +816,18 @@ impl Scheduler {
     /// ([`Scheduler::can_freeze`] gates every freeze).
     pub fn freeze(&mut self, plan: BatchPlan) {
         assert!(self.can_freeze(), "scoreboard is full or in-order");
-        let pp = PendingPlan {
-            plan,
-            serial_seq: self.serial_count,
-            planned_at: self.event_tick,
-            planned_frontier_us: self.joined_frontier,
-            bypassed: 0,
-        };
-        self.serial_count += 1;
-        self.event_tick += 1;
-        self.pending.push_back(pp);
+        let entry = self.entry(plan);
+        self.now.event_tick += 1;
+        self.pending.push_back(entry);
     }
 
     /// Whether pending plan `idx` is key-eligible: disjoint from every
     /// in-flight batch *and* from every older pending plan (the
     /// program-order guard).
     fn keys_eligible(&self, idx: usize) -> bool {
-        let p = &self.pending[idx];
-        if self.blocks(&p.plan) {
-            return false;
-        }
-        self.pending
-            .iter()
-            .take(idx)
-            .all(|older| older.plan.keys.is_disjoint(&p.plan.keys))
+        let keys = &self.pending[idx].record.keys;
+        !self.in_flight(keys)
+            && (self.pending.iter().take(idx)).all(|older| !overlap(&older.record.keys, keys))
     }
 
     /// The scoreboard pick: the pending index the greedy-then-oldest rule
@@ -818,195 +837,125 @@ impl Scheduler {
         if !self.has_room() {
             return None;
         }
-        let eligible: Vec<usize> = (0..self.pending.len())
-            .filter(|&i| self.keys_eligible(i))
-            .collect();
         // Aging gate: once any plan has been bypassed `aging_bound`
         // times, only plans at or before the oldest starving plan's
         // serial position may admit. A starving plan is always eligible
         // (eligibility is monotone: younger admissions are key-disjoint
         // from it by the program-order guard, and joins only release
         // keys), so the gate forces it through.
-        let starve_min = self
-            .pending
-            .iter()
-            .filter(|p| p.bypassed >= self.aging_bound)
-            .map(|p| p.serial_seq)
+        let starve_min = (self.pending.iter())
+            .filter(|e| e.record.bypassed >= self.aging_bound)
+            .map(|e| e.record.serial_seq)
             .min();
-        let gated: Vec<usize> = match starve_min {
-            Some(m) => eligible
-                .into_iter()
-                .filter(|&i| self.pending[i].serial_seq <= m)
-                .collect(),
-            None => eligible,
-        };
-        let first = *gated.first()?;
+        let mut gated = (0..self.pending.len()).filter(|&i| {
+            starve_min.is_none_or(|m| self.pending[i].record.serial_seq <= m)
+                && self.keys_eligible(i)
+        });
+        let first = gated.next()?;
         // Greedy: prefer the most recently admitted `(op, level)` group,
         // oldest among matches; else oldest eligible. `pending` is in
         // serial order, so index order is age order.
-        if let Some(g) = self.last_group {
-            if let Some(&i) = gated
-                .iter()
-                .find(|&&i| (self.pending[i].plan.op, self.pending[i].plan.level) == g)
-            {
-                return Some(i);
-            }
-        }
-        Some(first)
+        let group = |i: usize| (self.pending[i].record.op, self.pending[i].record.level);
+        Some(match self.last_group {
+            Some(g) if group(first) != g => gated.find(|&i| group(i) == g).unwrap_or(first),
+            _ => first,
+        })
     }
 
-    /// The `(op, level, width)` of the pending plan the scoreboard would
-    /// admit next, or `None` when the window is full or no pending plan
-    /// is eligible. The service dispatches work for exactly this plan and
-    /// then calls [`Scheduler::admit_pending`].
-    #[must_use]
-    pub fn peek_admissible(&self) -> Option<(FheOp, usize, usize)> {
-        let i = self.pick_admissible()?;
-        let p = &self.pending[i].plan;
-        Some((p.op, p.level, p.width))
-    }
-
-    /// Admits the scoreboard's current pick (the plan
-    /// [`Scheduler::peek_admissible`] reported) into the window, bumping
-    /// the bypass count of every older pending plan that was key-eligible
-    /// at this instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no pending plan is admissible — the caller must have
-    /// observed a `Some` from [`Scheduler::peek_admissible`] with no
-    /// intervening scheduler mutation.
-    pub fn admit_pending(&mut self, work: Work) {
-        let idx = self
-            .pick_admissible()
-            .expect("admit_pending without an admissible plan");
+    /// Admits the scoreboard's pick, if any plan is admissible: bumps the
+    /// bypass count of every older pending plan that was key-eligible at
+    /// this instant, hands the pick's batch to `dispatch`, and admits it
+    /// with the handle `dispatch` returns. `false` when the window is full
+    /// or no pending plan is eligible (`dispatch` is then not called).
+    pub fn admit_next(&mut self, dispatch: impl FnOnce(ExecBatch) -> ExecHandle) -> bool {
+        let Some(idx) = self.pick_admissible() else {
+            return false;
+        };
         // Only key-*eligible* older plans age: a key-blocked plan is
         // waiting on program order, not being skipped unfairly — and
         // counting it would let a long dependent chain trip the aging
         // gate while unadmittable, strangling all younger admissions.
-        let bumps: Vec<bool> = (0..idx).map(|i| self.keys_eligible(i)).collect();
-        for (i, bump) in bumps.into_iter().enumerate() {
-            if bump {
-                self.pending[i].bypassed += 1;
+        // (Eligibility reads keys only, so bumping as we go is exact.)
+        for i in 0..idx {
+            if self.keys_eligible(i) {
+                self.pending[i].record.bypassed += 1;
             }
         }
-        let pp = self.pending.remove(idx).expect("pick index in range");
+        let entry = self
+            .pending
+            .remove(idx)
+            .expect("the pick is a pending index");
         debug_assert!(
-            pp.bypassed <= self.aging_bound,
+            entry.record.bypassed <= self.aging_bound,
             "aging bound violated at admission"
         );
-        self.admit_at(
-            pp.plan,
-            work,
-            pp.serial_seq,
-            pp.planned_at,
-            pp.planned_frontier_us,
-            pp.bypassed,
-        );
+        self.enter(entry, dispatch);
+        true
     }
 
-    /// Admits a planned batch into the window (in-order admission:
-    /// planning and admission are one step, so the serial index advances
-    /// here and the freeze snapshot equals the admission snapshot).
+    /// Admits a planned batch into the window with the handle `dispatch`
+    /// returns for its batch (in-order admission: planning and admission
+    /// are one step, so the serial index advances here and the freeze
+    /// snapshot equals the admission snapshot).
     ///
     /// # Panics
     ///
     /// Panics if the window is full ([`Scheduler::has_room`] gates every
     /// admission) — admitting past `depth` would silently void the
     /// window-constraint semantics the overlap clock models.
-    pub fn admit(&mut self, plan: BatchPlan, work: Work) {
-        let serial_seq = self.serial_count;
-        self.serial_count += 1;
-        let planned_at = self.event_tick;
-        let planned_frontier_us = self.joined_frontier;
-        self.admit_at(plan, work, serial_seq, planned_at, planned_frontier_us, 0);
+    pub fn admit(&mut self, plan: BatchPlan, dispatch: impl FnOnce(ExecBatch) -> ExecHandle) {
+        let entry = self.entry(plan);
+        self.enter(entry, dispatch);
     }
 
-    /// The shared admission step: inserts keys, builds the trace record,
-    /// pushes the batch into the window, and updates the greedy
-    /// preference and reorder stats.
-    fn admit_at(
-        &mut self,
-        plan: BatchPlan,
-        work: Work,
-        serial_seq: usize,
-        planned_at: u64,
-        planned_frontier_us: f64,
-        bypassed: usize,
-    ) {
+    /// The shared admission step: fills the record's admission fields,
+    /// dispatches the batch, pushes it into the window, and updates the
+    /// greedy preference and reorder stats.
+    fn enter(&mut self, mut entry: Entry, dispatch: impl FnOnce(ExecBatch) -> ExecHandle) {
         assert!(self.has_room(), "window is full");
-        for k in &plan.keys {
-            let fresh = self.keys.insert(k.clone());
-            debug_assert!(fresh, "dependent batch admitted: {k:?}");
-        }
-        let seq = self.joined_count + self.window.len();
-        self.reorder_max = self.reorder_max.max(seq.abs_diff(serial_seq));
+        debug_assert!(
+            !self.in_flight(&entry.record.keys),
+            "dependent batch admitted: {:?}",
+            entry.record.keys
+        );
+        let now = &mut self.now;
+        let r = &mut entry.record;
+        r.seq = now.dropped + self.window.len();
+        r.admitted_at = now.event_tick;
+        r.joins_at_admit = now.dropped;
+        r.frontier_us = now.frontier_us;
+        now.reorder_max = now.reorder_max.max(r.seq.abs_diff(r.serial_seq));
         // Same monotone variable sampled at freeze and at admission, so
         // the in-order difference is exactly 0.0 and the accumulator
         // never perturbs bit-identity.
-        self.head_blocked_us += self.joined_frontier - planned_frontier_us;
-        let record = BatchRecord {
-            seq,
-            serial_seq,
-            planned_at,
-            planned_frontier_us,
-            bypassed,
-            op: plan.op,
-            level: plan.level,
-            admitted_at: self.event_tick,
-            joined_at: 0,
-            joins_at_admit: self.joined_count,
-            frontier_us: self.joined_frontier,
-            width: plan.width,
-            keys: plan.keys.iter().cloned().collect(),
-            sessioned: plan.sessioned,
-            upload_us: plan.upload_us,
-            stall_us: 0.0,
-            start_us: 0.0,
-            wall_us: 0.0,
-            completion_us: 0.0,
-            placements: Vec::new(),
-        };
-        self.event_tick += 1;
-        self.last_group = Some((plan.op, plan.level));
-        self.window.push_back(InFlight {
-            plan,
-            work,
-            frontier_us: self.joined_frontier,
-            record,
+        now.head_blocked_us += now.frontier_us - r.planned_frontier_us;
+        now.event_tick += 1;
+        self.last_group = Some((r.op, r.level));
+        let handle = dispatch(ExecBatch {
+            op: r.op,
+            level: r.level,
+            width: r.width,
         });
+        self.window.push_back((entry, handle));
         self.inflight_hwm = self.inflight_hwm.max(self.window.len());
     }
 
     /// Joins the *oldest* in-flight batch (blocking if it is still
-    /// executing), releases its independence keys, advances the overlap
-    /// clock, and parks the finished work in the reorder buffer under its
-    /// serial index. Returns `false` when nothing was in flight. Settleable
-    /// batches are then drained in serial order by
-    /// [`Scheduler::drain_settleable`]; under in-order admission the
-    /// joined batch is always the next one.
+    /// executing), which releases its independence keys, advances the
+    /// overlap clock, moves its record into the trace and parks the
+    /// finished work in the reorder buffer under its serial index.
+    /// Returns `false` when nothing was in flight. Settleable batches are
+    /// then taken in serial order by [`Scheduler::settle_next`]; under
+    /// in-order admission the joined batch is always the next one.
     pub fn join_next(&mut self, exec: &mut Pool) -> bool {
-        let Some(inflight) = self.window.pop_front() else {
+        let Some((Entry { mut record, takes }, handle)) = self.window.pop_front() else {
             return false;
         };
-        let result = match inflight.work {
-            Work::Cached(r) => r,
-            Work::Submitted(h) => exec.join(h),
-        };
-        for k in &inflight.plan.keys {
-            self.keys.remove(k);
-        }
-        let mut record = inflight.record;
-        record.joined_at = self.event_tick;
-        self.event_tick += 1;
-        self.joined_count += 1;
-        self.advance_clock(
-            inflight.frontier_us,
-            inflight.plan.upload_us,
-            &result,
-            &mut record,
-        );
-        let serial_seq = record.serial_seq;
+        let result = exec.join(handle);
+        record.joined_at = self.now.event_tick;
+        self.now.event_tick += 1;
+        self.now.dropped += 1;
+        self.advance_clock(&result, &mut record);
         // An empty window means the next admission starts a fresh
         // schedule epoch: the greedy preference must not leak across it,
         // or depth-1 out-of-order would reorder admissions and break
@@ -1014,9 +963,11 @@ impl Scheduler {
         if self.window.is_empty() {
             self.last_group = None;
         }
+        let (serial_seq, width) = (record.serial_seq, record.width);
         self.trace.push(record);
         let fin = Finished {
-            plan: inflight.plan,
+            takes,
+            width,
             result,
         };
         let prev = self.rob.insert(serial_seq, fin);
@@ -1024,16 +975,21 @@ impl Scheduler {
         true
     }
 
-    /// Pops every reorder-buffer batch that is next in *serial* order.
-    /// Settling strictly serially is what keeps attribution folds — and
-    /// therefore reports and stats — bit-identical across admission modes.
-    pub fn drain_settleable(&mut self) -> Vec<Finished> {
-        let mut out = Vec::new();
-        while let Some(fin) = self.rob.remove(&self.settled_count) {
-            self.settled_count += 1;
-            out.push(fin);
+    /// Takes the reorder-buffer batch that is next in *serial* order, if
+    /// it has joined, and folds it into the batch totals: busy time, each
+    /// device's busy time and the ops completed. Settling strictly
+    /// serially is what keeps attribution folds — and therefore reports
+    /// and stats — bit-identical across admission modes.
+    pub fn settle_next(&mut self) -> Option<Finished> {
+        let fin = self.rob.remove(&self.settled_count)?;
+        self.settled_count += 1;
+        let now = &mut self.now;
+        now.busy_us += fin.result.stats.time_us;
+        for (busy, t) in now.device_busy_us.iter_mut().zip(&fin.result.per_device_us) {
+            *busy += t;
         }
-        out
+        now.ops_completed += fin.width;
+        Some(fin)
     }
 
     /// The overlap-clock step for one joined batch: place its shards on
@@ -1047,13 +1003,7 @@ impl Scheduler {
     /// clock and the makespan accumulates exactly `Σ wall` — the same
     /// float additions, in the same order, as the service's busy-time
     /// accounting.
-    fn advance_clock(
-        &mut self,
-        frontier_us: f64,
-        upload_us: f64,
-        result: &BatchResult,
-        record: &mut BatchRecord,
-    ) {
+    fn advance_clock(&mut self, result: &BatchResult, record: &mut BatchRecord) {
         let mut shards: Vec<f64> = result
             .per_device_us
             .iter()
@@ -1062,41 +1012,42 @@ impl Scheduler {
             .collect();
         // Longest shard first (stable: equal shards keep device order).
         shards.sort_by(|a, b| b.partial_cmp(a).expect("shard times are finite"));
-        debug_assert!(shards.len() <= self.free_at.len());
+        let now = &mut self.now;
+        debug_assert!(shards.len() <= now.free_at.len());
         // Least-loaded virtual devices first, ties to the lowest index.
-        let mut order: Vec<usize> = (0..self.free_at.len()).collect();
+        let mut order: Vec<usize> = (0..now.free_at.len()).collect();
         order.sort_by(|&a, &b| {
-            self.free_at[a]
-                .partial_cmp(&self.free_at[b])
+            now.free_at[a]
+                .partial_cmp(&now.free_at[b])
                 .expect("free times are finite")
                 .then(a.cmp(&b))
         });
         let chosen = &order[..shards.len()];
-        let mut start = frontier_us;
+        let mut start = record.frontier_us;
         for &d in chosen {
-            start = start.max(self.free_at[d]);
+            start = start.max(now.free_at[d]);
         }
         record.stall_us = start;
         // Non-resident keys stall the gang on the copy engine before any
         // shard can launch. The guard keeps the anonymous/no-session path
         // bit-identical: `start + 0.0` is a float op this clock never did.
         // The serial reference pays the same stall, in the same order.
-        if upload_us > 0.0 {
-            start += upload_us;
-            self.serial_us += upload_us;
+        if record.upload_us > 0.0 {
+            start += record.upload_us;
+            now.serial_us += record.upload_us;
         }
-        self.serial_us += result.stats.time_us;
+        now.serial_us += result.stats.time_us;
         // Longest shard onto the least-loaded device keeps queues level.
         for (&d, &t) in chosen.iter().zip(&shards) {
-            self.free_at[d] = start + t;
+            now.free_at[d] = start + t;
             record.placements.push((d, start, t));
         }
         let completion = start + result.stats.time_us;
         record.start_us = start;
         record.wall_us = result.stats.time_us;
         record.completion_us = completion;
-        self.elapsed_us = self.elapsed_us.max(completion);
-        self.joined_frontier = self.joined_frontier.max(completion);
+        now.elapsed_us = now.elapsed_us.max(completion);
+        now.frontier_us = now.frontier_us.max(completion);
     }
 }
 
@@ -1170,11 +1121,22 @@ mod tests {
 
     /// Joins the oldest in-flight batch and settles it: under in-order
     /// admission it leaves the reorder buffer at once.
-    fn settle_next(s: &mut Scheduler, exec: &mut Pool) -> Finished {
+    fn join_and_settle(s: &mut Scheduler, exec: &mut Pool) -> Finished {
         assert!(s.join_next(exec), "nothing in flight");
-        let mut settled = s.drain_settleable();
-        assert_eq!(settled.len(), 1, "an in-order join settles at once");
-        settled.pop().expect("one settled")
+        let fin = s.settle_next().expect("an in-order join settles at once");
+        assert!(s.settle_next().is_none(), "one join settles one batch");
+        fin
+    }
+
+    /// Admits the scoreboard's pick with a one-shard result and returns
+    /// its `(op, level)`, or `None` when nothing is admissible.
+    fn admit_pick(s: &mut Scheduler) -> Option<(FheOp, usize)> {
+        let mut picked = None;
+        s.admit_next(|b| {
+            picked = Some((b.op, b.level));
+            ExecHandle::ready(result(vec![1.0, 0.0]))
+        });
+        picked
     }
 
     #[test]
@@ -1207,7 +1169,7 @@ mod tests {
         let mut s = sched(4, 2);
         let first =
             Scheduler::plan(4, [(RequestId(0), view(FheOp::HMult, 3, 4, "a"))]).expect("a batch");
-        s.admit(first, Work::Cached(result(vec![1.0, 1.0])));
+        s.admit(first, |_| ExecHandle::ready(result(vec![1.0, 1.0])));
 
         // Same client, same level, different op: program order applies.
         let chained = [(RequestId(1), view(FheOp::HAdd, 3, 2, "a"))];
@@ -1226,7 +1188,7 @@ mod tests {
 
         // Joining the holder releases the key.
         let mut exec = sim_pool(2);
-        settle_next(&mut s, &mut exec);
+        join_and_settle(&mut s, &mut exec);
         assert!(!s.blocks(&Scheduler::plan(4, chained).expect("a batch")));
     }
 
@@ -1235,12 +1197,12 @@ mod tests {
         let mut s = sched(2, 1);
         for i in 0..2 {
             let p = plan_one(&s, RequestId(i as u64), FheOp::HMult, i, "x");
-            s.admit(p, Work::Cached(result(vec![1.0])));
+            s.admit(p, |_| ExecHandle::ready(result(vec![1.0])));
         }
         assert!(!s.has_room());
         assert_eq!(s.window.len(), 2);
         assert_eq!(s.inflight_hwm(), 2);
-        let ops: usize = s.window.iter().map(|f| f.plan.width).sum();
+        let ops: usize = s.window.iter().map(|(e, _)| e.record.width).sum();
         assert_eq!(ops, 2);
     }
 
@@ -1256,8 +1218,8 @@ mod tests {
             let p = plan_one(&s, RequestId(i as u64), FheOp::HMult, 3, "c");
             // Ragged shards: the batch still gang-starts after the
             // previous completion because the window is one deep.
-            s.admit(p, Work::Cached(result(vec![w, w / 2.0, 0.0, 0.0])));
-            settle_next(&mut s, &mut exec);
+            s.admit(p, |_| ExecHandle::ready(result(vec![w, w / 2.0, 0.0, 0.0])));
+            join_and_settle(&mut s, &mut exec);
             serial += w;
             assert_eq!(s.elapsed_us().to_bits(), serial.to_bits());
         }
@@ -1271,10 +1233,10 @@ mod tests {
         let mut s = sched(4, 4);
         for i in 0..4usize {
             let p = plan_one(&s, RequestId(i as u64), FheOp::HMult, i, "c");
-            s.admit(p, Work::Cached(result(vec![10.0, 0.0, 0.0, 0.0])));
+            s.admit(p, |_| ExecHandle::ready(result(vec![10.0, 0.0, 0.0, 0.0])));
         }
         for _ in 0..4 {
-            settle_next(&mut s, &mut exec);
+            join_and_settle(&mut s, &mut exec);
         }
         assert_eq!(s.elapsed_us(), 10.0, "four batches share one wall");
         assert_eq!(s.inflight_hwm(), 4);
@@ -1282,8 +1244,8 @@ mod tests {
         // A fifth batch admitted after one join stacks behind the window
         // frontier, not at zero.
         let p = plan_one(&s, RequestId(9), FheOp::HMult, 9, "c");
-        s.admit(p, Work::Cached(result(vec![10.0, 0.0, 0.0, 0.0])));
-        settle_next(&mut s, &mut exec);
+        s.admit(p, |_| ExecHandle::ready(result(vec![10.0, 0.0, 0.0, 0.0])));
+        join_and_settle(&mut s, &mut exec);
         assert_eq!(s.elapsed_us(), 20.0, "fifth batch queues behind the window");
     }
 
@@ -1294,22 +1256,18 @@ mod tests {
         // frozen behind them admits past the blocked head.
         let mut s = ooo(4, 2, 8, 4);
         freeze_one(&mut s, RequestId(0), FheOp::HMult, 3, "chain");
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert_eq!(admit_pick(&mut s), Some((FheOp::HMult, 3)));
         freeze_one(&mut s, RequestId(1), FheOp::Rescale, 3, "chain");
         freeze_one(&mut s, RequestId(2), FheOp::HMult, 5, "tenant");
         // The chain link is key-blocked (in-flight key); the tenant is
         // eligible and admits past it.
-        let (op, level, _) = s.peek_admissible().expect("tenant admissible");
-        assert_eq!((op, level), (FheOp::HMult, 5));
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert_eq!(admit_pick(&mut s), Some((FheOp::HMult, 5)));
         assert_eq!(s.reorder_distance(), 1, "tenant overtook one plan");
         // The blocked chain link never aged: it was key-blocked, not
         // bypassed while eligible.
         assert_eq!(s.pending.len(), 1);
-        assert!(
-            s.peek_admissible().is_none(),
-            "chain link still key-blocked"
-        );
+        assert_eq!(s.pending[0].record.bypassed, 0);
+        assert_eq!(admit_pick(&mut s), None, "chain link still key-blocked");
     }
 
     #[test]
@@ -1319,17 +1277,17 @@ mod tests {
         freeze_one(&mut s, RequestId(1), FheOp::Rescale, 4, "b");
         freeze_one(&mut s, RequestId(2), FheOp::HMult, 3, "c");
         // Nothing in flight, no last group: oldest eligible wins.
-        let (op, level, _) = s.peek_admissible().expect("admissible");
-        assert_eq!((op, level), (FheOp::HMult, 3));
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert_eq!(admit_pick(&mut s), Some((FheOp::HMult, 3)));
         // Greedy: the (HMult, 3) plan from "c" jumps the older Rescale.
-        let (op, level, _) = s.peek_admissible().expect("admissible");
-        assert_eq!((op, level), (FheOp::HMult, 3), "greedy group match");
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert_eq!(
+            admit_pick(&mut s),
+            Some((FheOp::HMult, 3)),
+            "greedy group match"
+        );
         assert_eq!(s.reorder_distance(), 1);
         // Bypassed while eligible: the Rescale plan aged once.
-        let (op, level, _) = s.peek_admissible().expect("admissible");
-        assert_eq!((op, level), (FheOp::Rescale, 4));
+        assert_eq!(s.pending[0].record.bypassed, 1);
+        assert_eq!(admit_pick(&mut s), Some((FheOp::Rescale, 4)));
     }
 
     #[test]
@@ -1338,18 +1296,20 @@ mod tests {
         // the starving plan.
         let mut s = ooo(8, 2, 8, 1);
         freeze_one(&mut s, RequestId(0), FheOp::HMult, 3, "a");
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert_eq!(admit_pick(&mut s), Some((FheOp::HMult, 3)));
         freeze_one(&mut s, RequestId(1), FheOp::Rescale, 4, "b");
         freeze_one(&mut s, RequestId(2), FheOp::HMult, 3, "c");
         // Greedy admits the (HMult, 3) group match, bypassing the
         // eligible Rescale.
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert_eq!(admit_pick(&mut s), Some((FheOp::HMult, 3)));
         // The Rescale plan hit the bound: even after freezing another
         // greedy match, the gate forces the starving plan through.
         freeze_one(&mut s, RequestId(3), FheOp::HMult, 3, "d");
-        let (op, level, _) = s.peek_admissible().expect("admissible");
-        assert_eq!((op, level), (FheOp::Rescale, 4), "aging gate wins");
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert_eq!(
+            admit_pick(&mut s),
+            Some((FheOp::Rescale, 4)),
+            "aging gate wins"
+        );
         assert_eq!(s.pending.len(), 1, "only the last greedy match waits");
     }
 
@@ -1361,23 +1321,26 @@ mod tests {
         // admits second. Joins pop admission order (0 then 2), but
         // settles must come out 0, then — only after 1 settles — 2.
         freeze_one(&mut s, RequestId(0), FheOp::HMult, 3, "chain");
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert!(admit_pick(&mut s).is_some());
         freeze_one(&mut s, RequestId(1), FheOp::Rescale, 3, "chain");
         freeze_one(&mut s, RequestId(2), FheOp::HMult, 5, "tenant");
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert!(admit_pick(&mut s).is_some());
 
         assert!(s.join_next(&mut exec), "serial 0 joins");
-        let first = s.drain_settleable();
-        assert_eq!(first.len(), 1, "serial 0 settles immediately");
+        let first = s.settle_next().expect("serial 0 settles immediately");
+        assert_eq!(first.takes, vec![(RequestId(0), 1)]);
+        assert!(s.settle_next().is_none());
         // Chain link (serial 1) is now eligible and admits.
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
+        assert_eq!(admit_pick(&mut s), Some((FheOp::Rescale, 3)));
         // Joins pop admission order: tenant (serial 2) joins next and
         // parks in the reorder buffer until serial 1 settles.
         assert!(s.join_next(&mut exec));
-        assert!(s.drain_settleable().is_empty(), "serial 2 waits for 1");
+        assert!(s.settle_next().is_none(), "serial 2 waits for 1");
         assert!(s.join_next(&mut exec));
-        let rest = s.drain_settleable();
-        assert_eq!(rest.len(), 2, "serial 1 unblocks 2");
+        let rest: Vec<Finished> = std::iter::from_fn(|| s.settle_next()).collect();
+        let ids: Vec<RequestId> = rest.iter().map(|f| f.takes[0].0).collect();
+        assert_eq!(ids, vec![RequestId(1), RequestId(2)], "serial 1 unblocks 2");
+        assert_eq!((s.settled_count(), s.totals().ops_completed), (3, 3));
         assert!(s.quiescent());
         assert_eq!(
             s.trace().iter().map(|r| r.serial_seq).collect::<Vec<_>>(),
@@ -1391,13 +1354,6 @@ mod tests {
     fn trace_folds_a_generation_at_a_time_at_quiescent_points_only() {
         let mut exec = sim_pool(2);
         let mut s = sched(2, 2);
-        let settled = |busy: f64, ops: usize| SettledTotals {
-            busy_us: busy,
-            device_busy_us: vec![busy, 0.0],
-            key_uploads: 0,
-            key_upload_us: 0.0,
-            ops_completed: ops,
-        };
         // Pairs of independent batches: two in flight, then both joined —
         // every second join is a quiescent point.
         let mut busy = 0.0f64;
@@ -1407,20 +1363,24 @@ mod tests {
             for half in 0..2usize {
                 let id = RequestId((2 * pair + half) as u64);
                 let p = plan_one(&s, id, FheOp::HMult, half, "c");
-                s.admit(p, Work::Cached(result(vec![1.5, 0.0])));
+                s.admit(p, |_| ExecHandle::ready(result(vec![1.5, 0.0])));
             }
-            settle_next(&mut s, &mut exec);
+            join_and_settle(&mut s, &mut exec);
             busy += 1.5;
             // Mid-pair: one batch still in flight, so never a fold — even
             // when the young generation is long enough.
             assert!(!s.quiescent());
-            s.fold_trace(|| unreachable!("folded with a batch in flight"));
-            settle_next(&mut s, &mut exec);
+            let (base, mark) = (s.base.clone(), s.mark.clone());
+            s.fold_trace();
+            assert_eq!((&s.base, &s.mark), (&base, &mark), "folded in flight");
+            join_and_settle(&mut s, &mut exec);
             busy += 1.5;
             assert!(s.quiescent());
+            assert_eq!(s.totals().busy_us.to_bits(), busy.to_bits());
+            assert_eq!(s.totals().device_busy_us, vec![busy, 0.0]);
             elapsed_after.push(s.elapsed_us());
             let dropped = s.trace_base().dropped;
-            s.fold_trace(|| settled(busy, 2 * (pair + 1)));
+            s.fold_trace();
             if s.trace_base().dropped != dropped {
                 folds.push(2 * (pair + 1));
             }
@@ -1432,12 +1392,13 @@ mod tests {
         let base = s.trace_base();
         assert_eq!(base.dropped, TRACE_WINDOW);
         assert_eq!(base.event_tick, 2 * TRACE_WINDOW as u64);
-        assert_eq!(base.settled.ops_completed, TRACE_WINDOW);
+        assert_eq!(base.ops_completed, TRACE_WINDOW);
         // Read from the accumulators as they stood when it closed.
         let then = elapsed_after[TRACE_WINDOW / 2 - 1];
         assert_eq!(base.elapsed_us.to_bits(), then.to_bits());
         assert_eq!(base.frontier_us.to_bits(), then.to_bits());
-        assert_eq!(base.settled.busy_us, 1.5 * TRACE_WINDOW as f64);
+        assert_eq!(base.busy_us, 1.5 * TRACE_WINDOW as f64);
+        assert_eq!(base.device_busy_us, vec![1.5 * TRACE_WINDOW as f64, 0.0]);
         // The window: everything since the base, first record at `dropped`.
         assert_eq!(s.trace().len(), TRACE_WINDOW + 16);
         assert_eq!(s.trace()[0].seq, TRACE_WINDOW);
@@ -1452,11 +1413,14 @@ mod tests {
         let mut s = ooo(4, 2, 8, 4);
         freeze_one(&mut s, RequestId(0), FheOp::HMult, 3, "a");
         freeze_one(&mut s, RequestId(1), FheOp::Rescale, 3, "a");
-        let (op, _, _) = s.peek_admissible().expect("oldest admissible");
-        assert_eq!(op, FheOp::HMult, "program order picks the older plan");
-        s.admit_pending(Work::Cached(result(vec![1.0, 0.0])));
-        assert!(
-            s.peek_admissible().is_none(),
+        assert_eq!(
+            admit_pick(&mut s),
+            Some((FheOp::HMult, 3)),
+            "program order picks the older plan"
+        );
+        assert_eq!(
+            admit_pick(&mut s),
+            None,
             "younger same-key plan blocked behind in-flight older"
         );
     }

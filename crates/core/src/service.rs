@@ -53,10 +53,9 @@
 use crate::api::{check_request, FheOp, OpReport, TensorFheBuilder};
 use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::exec::{ExecBackend, ExecBatch, Pool};
+use crate::exec::{ExecBackend, Pool};
 use crate::sched::{
-    AdmissionMode, BatchPlan, Finished, Scheduler, SettledTotals, SlotView, Work,
-    DEFAULT_AGING_BOUND, DEFAULT_LOOKAHEAD,
+    AdmissionMode, BatchPlan, Finished, Scheduler, SlotView, DEFAULT_AGING_BOUND, DEFAULT_LOOKAHEAD,
 };
 use crate::session::{
     default_galois_steps, jain_index, key_set_bytes, ClientSession, CoalescePolicy, DrrState,
@@ -391,22 +390,18 @@ pub struct FheService {
     power_watts: f64,
     /// Unfinished requests, sorted by id.
     queue: VecDeque<Pending>,
-    /// The in-flight window + overlap clock.
+    /// The in-flight window, the overlap clock and the batch totals
+    /// (busy time — the service's clock — per-device busy time, batches
+    /// and ops settled, key uploads).
     sched: Scheduler,
     next_id: u64,
-    clock_us: f64,
     // Cumulative accounting.
     requests_completed: usize,
     ops_submitted: usize,
-    ops_completed: usize,
     ops_shed: usize,
     ops_rejected: usize,
-    batches_dispatched: usize,
     launches_total: usize,
     fill_sum: f64,
-    busy_us: f64,
-    /// Busy time per device (sum of the shards each device executed).
-    device_busy_us: Vec<f64>,
     energy_j: f64,
     queue_latency_sum_us: f64,
     // --- Session tier (all inert while `sessions` is empty) ---
@@ -424,8 +419,6 @@ pub struct FheService {
     global_queue_cap: Option<usize>,
     /// Session ops currently queued, service-wide.
     queued_session_ops: usize,
-    key_upload_us_total: f64,
-    key_upload_count: usize,
     rejected: BTreeSet<RequestId>,
     shed: BTreeSet<RequestId>,
     deadline_misses: usize,
@@ -514,17 +507,12 @@ impl FheService {
                 DEFAULT_AGING_BOUND,
             ),
             next_id: 0,
-            clock_us: 0.0,
             requests_completed: 0,
             ops_submitted: 0,
-            ops_completed: 0,
             ops_shed: 0,
             ops_rejected: 0,
-            batches_dispatched: 0,
             launches_total: 0,
             fill_sum: 0.0,
-            busy_us: 0.0,
-            device_busy_us: vec![0.0; b.devices],
             energy_j: 0.0,
             queue_latency_sum_us: 0.0,
             device: b.device,
@@ -534,8 +522,6 @@ impl FheService {
             drr,
             global_queue_cap: b.global_queue_cap,
             queued_session_ops: 0,
-            key_upload_us_total: 0.0,
-            key_upload_count: 0,
             rejected: BTreeSet::new(),
             shed: BTreeSet::new(),
             deadline_misses: 0,
@@ -831,7 +817,7 @@ impl FheService {
             client_key,
             remaining,
             executing: 0,
-            submitted_us: self.clock_us,
+            submitted_us: self.clock_us(),
             time_us: 0.0,
             energy_j: 0.0,
             occ_weighted: 0.0,
@@ -864,7 +850,7 @@ impl FheService {
     pub fn drain(&mut self) -> Vec<RequestReport> {
         let mut done = Vec::new();
         while self.pump_into(&mut done) {}
-        self.fold_trace();
+        self.sched.fold_trace();
         done
     }
 
@@ -878,24 +864,14 @@ impl FheService {
     pub fn pump(&mut self) -> Vec<RequestReport> {
         let mut done = Vec::new();
         self.pump_into(&mut done);
-        self.fold_trace();
+        self.sched.fold_trace();
         done
     }
 
-    /// Lets the schedule trace shed its old generation if this is a
-    /// quiescent point and the young one is long enough (the rule lives
-    /// in [`crate::sched`], "the trace is a window"). The scheduler
-    /// snapshots its own accumulators; the settle-side ones are the
-    /// service's, so it hands them over — read as they stand, never
-    /// recomputed, so the verifier can resume every exact fold from them.
-    fn fold_trace(&mut self) {
-        self.sched.fold_trace(|| SettledTotals {
-            busy_us: self.busy_us,
-            device_busy_us: self.device_busy_us.clone(),
-            key_uploads: self.key_upload_count,
-            key_upload_us: self.key_upload_us_total,
-            ops_completed: self.ops_completed,
-        });
+    /// The request-accounting clock (µs, virtual): the busy time of every
+    /// settled batch, which the scheduler keeps.
+    fn clock_us(&self) -> f64 {
+        self.sched.totals().busy_us
     }
 
     /// The drain step: fill the window, join the oldest batch, and settle
@@ -910,7 +886,7 @@ impl FheService {
         if !self.sched.join_next(&mut self.pool) {
             return false;
         }
-        for fin in self.sched.drain_settleable() {
+        while let Some(fin) = self.sched.settle_next() {
             self.settle(fin, done);
         }
         true
@@ -933,8 +909,7 @@ impl FheService {
                     break;
                 }
                 self.apply_plan(&mut plan, bucket, alone);
-                let work = self.dispatch(plan.op, plan.level, plan.width);
-                self.sched.admit(plan, work);
+                self.sched.admit(plan, |batch| self.pool.submit(batch));
             }
         }
     }
@@ -957,9 +932,7 @@ impl FheService {
                 self.sched.freeze(plan);
                 progressed = true;
             }
-            while let Some((op, level, width)) = self.sched.peek_admissible() {
-                let work = self.dispatch(op, level, width);
-                self.sched.admit_pending(work);
+            while self.sched.admit_next(|batch| self.pool.submit(batch)) {
                 progressed = true;
             }
             if !progressed {
@@ -1052,7 +1025,7 @@ impl FheService {
             let (Some(deadline), Some((_, submitted_us))) = (s.deadline_us, oldest[b]) else {
                 continue;
             };
-            let slack = deadline - (self.clock_us - submitted_us);
+            let slack = deadline - (self.clock_us() - submitted_us);
             if slack <= deadline * URGENCY_FRACTION {
                 let better = match urgent {
                     Some((best, _)) => slack < best,
@@ -1116,8 +1089,6 @@ impl FheService {
             let upload_bytes = self.key_cache.place(&keys, shards);
             if upload_bytes > 0 {
                 plan.upload_us = crate::engine::key_upload_us(upload_bytes, &self.device);
-                self.key_upload_us_total += plan.upload_us;
-                self.key_upload_count += 1;
             }
         }
         // Urgent batches jump the rotation without spending
@@ -1135,13 +1106,14 @@ impl FheService {
     /// requests are never shed; their eventual completion counts as a
     /// deadline miss instead.
     fn shed_expired(&mut self) {
+        let now = self.clock_us();
         self.queue.retain(|p| {
             let Some(sid) = p.req.session else {
                 return true;
             };
             let s = &mut self.sessions[sid.0 as usize];
             let expired = s.deadline_us.is_some_and(|deadline| {
-                p.executing == 0 && p.batches == 0 && self.clock_us - p.submitted_us > deadline
+                p.executing == 0 && p.batches == 0 && now - p.submitted_us > deadline
             });
             if expired {
                 self.shed.insert(p.id);
@@ -1154,28 +1126,22 @@ impl FheService {
     }
 
     /// Attributes one completed batch to the requests that rode in it and
-    /// finalizes any that are now fully served. `takes` is in id
-    /// (= submission) order and batches settle in serial plan order, so
+    /// finalizes any that are now fully served. The scheduler has already
+    /// folded it into the batch totals, the clock included. `takes` is in
+    /// id (= submission) order and batches settle in serial plan order, so
     /// report order is FIFO exactly as the synchronous drain produced.
     fn settle(&mut self, fin: Finished, done: &mut Vec<RequestReport>) {
-        let Finished { plan, result } = fin;
-        let BatchPlan {
-            width, ref takes, ..
-        } = plan;
-        let cap = self.batch_cap;
-        for (dev, t) in result.per_device_us.iter().enumerate() {
-            self.device_busy_us[dev] += t;
-        }
+        let Finished {
+            takes,
+            width,
+            result,
+        } = fin;
         let stats = result.stats;
-        self.clock_us += stats.time_us;
-        self.busy_us += stats.time_us;
         self.energy_j += stats.energy_j;
-        self.batches_dispatched += 1;
         self.launches_total += stats.launches;
-        self.fill_sum += width as f64 / cap as f64;
-        self.ops_completed += width;
+        self.fill_sum += width as f64 / self.batch_cap as f64;
 
-        let launch_shares = Self::apportion(stats.launches as u64, takes, width);
+        let launch_shares = Self::apportion(stats.launches as u64, &takes, width);
         for (&(id, take), &launches) in takes.iter().zip(&launch_shares) {
             let share = take as f64 / width as f64;
             let i = self.slot(id).expect("take names an unfinished request");
@@ -1206,21 +1172,16 @@ impl FheService {
     /// Cumulative service statistics.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        let ops_per_second = if self.busy_us > 0.0 {
-            self.ops_completed as f64 / (self.busy_us * 1e-6)
+        let totals = self.sched.totals();
+        let busy_us = totals.busy_us;
+        let batches = self.sched.settled_count();
+        let ops_per_second = if busy_us > 0.0 {
+            totals.ops_completed as f64 / (busy_us * 1e-6)
         } else {
             0.0
         };
-        let device_utilization = self
-            .device_busy_us
-            .iter()
-            .map(|&t| {
-                if self.busy_us > 0.0 {
-                    t / self.busy_us
-                } else {
-                    0.0
-                }
-            })
+        let device_utilization = (totals.device_busy_us.iter())
+            .map(|&t| if busy_us > 0.0 { t / busy_us } else { 0.0 })
             .collect();
         let elapsed_us = self.sched.elapsed_us();
         // Measured against the serial makespan *with* the upload stalls
@@ -1235,17 +1196,17 @@ impl FheService {
             0.0
         };
         let pipelined_ops_per_second = if elapsed_us > 0.0 {
-            self.ops_completed as f64 / (elapsed_us * 1e-6)
+            totals.ops_completed as f64 / (elapsed_us * 1e-6)
         } else {
             0.0
         };
         ServiceStats {
             requests_completed: self.requests_completed,
             ops_submitted: self.ops_submitted,
-            ops_completed: self.ops_completed,
+            ops_completed: totals.ops_completed,
             ops_shed: self.ops_shed,
             ops_rejected: self.ops_rejected,
-            batches_dispatched: self.batches_dispatched,
+            batches_dispatched: batches,
             launches: self.launches_total,
             batch_cap: self.batch_cap,
             devices: self.devices(),
@@ -1258,14 +1219,14 @@ impl FheService {
             reorder_distance: self.sched.reorder_distance(),
             head_blocked_us: self.sched.head_blocked_us(),
             inflight_hwm: self.sched.inflight_hwm(),
-            device_busy_us: self.device_busy_us.clone(),
+            device_busy_us: totals.device_busy_us.clone(),
             device_utilization,
-            batch_fill: if self.batches_dispatched > 0 {
-                self.fill_sum / self.batches_dispatched as f64
+            batch_fill: if batches > 0 {
+                self.fill_sum / batches as f64
             } else {
                 0.0
             },
-            busy_us: self.busy_us,
+            busy_us,
             elapsed_us,
             overlap_fraction,
             energy_j: self.energy_j,
@@ -1281,8 +1242,8 @@ impl FheService {
             key_cache_hits: self.key_cache.hits(),
             key_cache_misses: self.key_cache.misses(),
             key_cache_evictions: self.key_cache.evictions(),
-            key_uploads: self.key_upload_count,
-            key_upload_us: self.key_upload_us_total,
+            key_uploads: totals.key_uploads,
+            key_upload_us: totals.key_upload_us,
             per_session_ops: self
                 .sessions
                 .iter()
@@ -1332,14 +1293,8 @@ impl FheService {
         shares
     }
 
-    /// Submits one coalesced batch to the pool, joined later in admission
-    /// order.
-    fn dispatch(&mut self, op: FheOp, level: usize, width: usize) -> Work {
-        Work::Submitted(self.pool.submit(ExecBatch { op, level, width }))
-    }
-
     fn finalize(&mut self, p: Pending) -> RequestReport {
-        let queue_us = self.clock_us - p.submitted_us;
+        let queue_us = self.clock_us() - p.submitted_us;
         self.requests_completed += 1;
         self.queue_latency_sum_us += queue_us;
         if let Some(sid) = p.req.session {

@@ -141,16 +141,6 @@ impl BigUint {
         }
     }
 
-    /// Approximate conversion to `f64` (used only for diagnostics).
-    #[must_use]
-    pub fn to_f64(&self) -> f64 {
-        let mut acc = 0.0f64;
-        for &limb in self.limbs.iter().rev() {
-            acc = acc * 1.844_674_407_370_955_2e19 + limb as f64;
-        }
-        acc
-    }
-
     fn normalize(&mut self) {
         while self.limbs.len() > 1 && *self.limbs.last().expect("non-empty") == 0 {
             self.limbs.pop();

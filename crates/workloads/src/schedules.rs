@@ -1,17 +1,19 @@
 //! Operation-schedule builders for the four evaluation workloads (§V).
 
 use crate::spec::{Step, WorkloadSpec};
+use tensorfhe_boot::BootConfig;
 use tensorfhe_ckks::CkksParams;
 use tensorfhe_core::api::FheOp;
 
-/// Sine parameters used inside workload bootstraps (Taylor degree 7 per
-/// §IV-A, six double angles).
-const BOOT: FheOp = FheOp::Bootstrap {
-    taylor_degree: 7,
-    double_angles: 6,
-};
-/// Levels a bootstrap consumes (2 transforms + sine depth 15).
-const BOOT_DEPTH: usize = 17;
+/// A workload bootstrap: the bootstrapper's default sine (Taylor degree 7
+/// per §IV-A, six double angles).
+fn boot() -> FheOp {
+    let sine = BootConfig::default().sine;
+    FheOp::Bootstrap {
+        taylor_degree: sine.taylor_degree,
+        double_angles: sine.double_angles,
+    }
+}
 
 /// Tracks the level budget of a straight-line program, inserting bootstrap
 /// steps whenever the budget runs out.
@@ -25,7 +27,10 @@ struct LevelBudget {
 impl LevelBudget {
     fn new(params: &CkksParams) -> Self {
         let top = params.max_level();
-        assert!(top > BOOT_DEPTH, "parameters too shallow to bootstrap");
+        assert!(
+            top > BootConfig::default().depth(),
+            "parameters too shallow to bootstrap"
+        );
         Self {
             level: top,
             top,
@@ -63,11 +68,12 @@ impl LevelBudget {
 
     fn bootstrap(&mut self) {
         self.steps.push(Step {
-            op: BOOT,
+            op: boot(),
             level: self.top,
             count: 1,
         });
-        self.level = self.top - BOOT_DEPTH;
+        // Levels a bootstrap consumes: the two transforms and the sine.
+        self.level = self.top - BootConfig::default().depth();
         self.bootstraps += 1;
     }
 }
@@ -215,7 +221,7 @@ pub fn packed_bootstrapping() -> WorkloadSpec {
         name: "Packed Bootstrapping".into(),
         params: params.clone(),
         steps: vec![Step {
-            op: BOOT,
+            op: boot(),
             level: params.max_level(),
             count: 1,
         }],
