@@ -615,9 +615,11 @@ fn check_base(base: &TraceBase, devices: usize, v: &mut Vec<Violation>) {
 /// `base` is the service's [`FheService::schedule_trace_base`] (the empty
 /// base for a trace nothing was folded out of); `pending_ops` is the
 /// service's live op count (queued + in flight) at the moment `stats` was
-/// taken; `devices` bounds placement indices. Pass the trace of a
-/// *quiescent or mid-drain* service — the checks are valid at any point,
-/// since every record is final once joined.
+/// taken; `devices` bounds placement indices. Pass the trace of a service
+/// at a quiescent point, e.g. after `drain`: every record is final once
+/// joined, but key uploads are counted when a plan enters the scheduler
+/// and busy time when a batch settles, so mid-drain the stats run ahead
+/// of the trace.
 #[must_use]
 pub fn verify_schedule_from(
     base: &TraceBase,
@@ -1103,9 +1105,9 @@ pub fn verify_schedule_from(
 }
 
 /// Verifies a service end to end: its scheduler trace against its own
-/// cumulative stats. Call at any drain point; a clean report means the
-/// overlap clock, residency charging, window discipline, and accounting
-/// all reconcile.
+/// cumulative stats. Call at a quiescent point, e.g. after `drain` (see
+/// [`verify_schedule_from`]); a clean report means the overlap clock,
+/// residency charging, window discipline, and accounting all reconcile.
 #[must_use]
 pub fn verify_service(svc: &FheService) -> ScheduleReport {
     verify_schedule_from(

@@ -2,14 +2,15 @@
 //!
 //! Every operation is decomposed into the seven reusable kernels exactly as
 //! Algorithms 2–6 prescribe. An operation reports its kernels to the
-//! attached [`KernelTracer`] as its [`OpStream`] — the one generator of its
-//! kernel sequence, which the TensorFHE engine's costing reads too — inside
-//! the operation's scope, once its arithmetic is done.
+//! attached [`KernelTracer`] as its [`FheOp`]'s stream — the one generator
+//! of its kernel sequence, which the TensorFHE engine's costing reads too —
+//! inside the operation's scope, once its arithmetic is done.
 
 use crate::context::CkksContext;
 use crate::error::CkksError;
 use crate::keys::KeyChain;
-use crate::keyswitch::{key_switch, OpStream};
+use crate::keyswitch::key_switch;
+use crate::ops::FheOp;
 use crate::par::{run_phases, split_threads, Slots, Stock};
 use crate::poly::{Ciphertext, Domain, Plaintext, RnsPoly};
 use crate::trace::{KernelTracer, Tracing};
@@ -65,11 +66,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Reports one operation on a ciphertext at `level`: the `scope`
-    /// markers around `stream`'s events. Without a tracer nothing is built.
-    fn trace(&mut self, scope: &str, stream: OpStream, level: usize) {
+    /// markers around `op`'s events. Without a tracer nothing is built.
+    fn trace(&mut self, scope: &str, op: FheOp, level: usize) {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.op_begin(scope);
-            for e in stream.events(self.ctx.params(), level) {
+            for e in op.events(self.ctx.params(), level) {
                 t.kernel(e);
             }
             t.op_end(scope);
@@ -103,7 +104,7 @@ impl<'a> Evaluator<'a> {
         self.check_binary(a, b)?;
         let c0 = RnsPoly::sum(self.ctx, &a.c0, &b.c0);
         let c1 = RnsPoly::sum(self.ctx, &a.c1, &b.c1);
-        self.trace("HADD", OpStream::HAdd, a.level());
+        self.trace("HADD", FheOp::HAdd, a.level());
         Ok(Ciphertext {
             c0,
             c1,
@@ -177,7 +178,7 @@ impl<'a> Evaluator<'a> {
         self.check_binary(a, b)?;
         let c0 = RnsPoly::difference(self.ctx, &a.c0, &b.c0);
         let c1 = RnsPoly::difference(self.ctx, &a.c1, &b.c1);
-        self.trace("HADD", OpStream::HSub, a.level());
+        self.trace("HADD", FheOp::HSub, a.level());
         Ok(Ciphertext {
             c0,
             c1,
@@ -217,7 +218,7 @@ impl<'a> Evaluator<'a> {
         let (ks0, ks1) = key_switch(ctx, &mut Tracing::new(None), &d2, keys.relin_key());
         d0.add_assign(ctx, &ks0);
         d1.add_assign(ctx, &ks1);
-        self.trace("HMULT", OpStream::HMult, a.level());
+        self.trace("HMULT", FheOp::HMult, a.level());
         Ok(Ciphertext {
             c0: d0,
             c1: d1,
@@ -250,7 +251,7 @@ impl<'a> Evaluator<'a> {
         }
         let c0 = RnsPoly::hada(self.ctx, &ct.c0, &pt.poly);
         let c1 = RnsPoly::hada(self.ctx, &ct.c1, &pt.poly);
-        self.trace("CMULT", OpStream::CMult, ct.level());
+        self.trace("CMULT", FheOp::CMult, ct.level());
         Ok(Ciphertext {
             c0,
             c1,
@@ -275,7 +276,7 @@ impl<'a> Evaluator<'a> {
             )));
         }
         let c0 = RnsPoly::sum(self.ctx, &ct.c0, &pt.poly);
-        self.trace("HADD", OpStream::AddPlain, ct.level());
+        self.trace("HADD", FheOp::AddPlain, ct.level());
         Ok(Ciphertext {
             c0,
             c1: ct.c1.clone(),
@@ -294,7 +295,7 @@ impl<'a> Evaluator<'a> {
         c0.scale_limbs(ctx, &scalars);
         let mut c1 = ct.c1.clone();
         c1.scale_limbs(ctx, &scalars);
-        self.trace("CMULT", OpStream::CMult, ct.level());
+        self.trace("CMULT", FheOp::CMult, ct.level());
         Ciphertext {
             c0,
             c1,
@@ -315,7 +316,7 @@ impl<'a> Evaluator<'a> {
                 *x = m.add(*x, r);
             }
         }
-        self.trace("HADD", OpStream::AddPlain, ct.level());
+        self.trace("HADD", FheOp::AddPlain, ct.level());
         Ciphertext {
             c0,
             c1: ct.c1.clone(),
@@ -329,7 +330,7 @@ impl<'a> Evaluator<'a> {
         c0.neg_assign(self.ctx);
         let mut c1 = ct.c1.clone();
         c1.neg_assign(self.ctx);
-        self.trace("HADD", OpStream::HSub, ct.level());
+        self.trace("HADD", FheOp::HSub, ct.level());
         Ciphertext {
             c0,
             c1,
@@ -354,7 +355,7 @@ impl<'a> Evaluator<'a> {
         let q_l = self.ctx.q_primes()[l];
         let threads = split_threads((2 + 2 * l) * self.ctx.params().n());
         let (c0, c1) = rescale_rows(self.ctx, &ct.c0, &ct.c1, threads);
-        self.trace("RESCALE", OpStream::Rescale, l);
+        self.trace("RESCALE", FheOp::Rescale, l);
         Ok(Ciphertext {
             c0,
             c1,
@@ -450,8 +451,8 @@ impl<'a> Evaluator<'a> {
     /// The one Galois path: applies the automorphism `X → X^g` (the
     /// NTT-domain permutation of both components), switches the permuted
     /// `c1` from `σ(s)` back to `s`, and adds the switched `c0` part —
-    /// reported as one `HROTATE` scope carrying its [`OpStream::Rotate`] or
-    /// [`OpStream::Conjugate`] stream. `g = 1` returns a clone and reports
+    /// reported as one `HROTATE` scope carrying its [`FheOp::HRotate`] or
+    /// [`FheOp::Conjugate`] stream. `g = 1` returns a clone and reports
     /// nothing.
     fn automorphism(
         &mut self,
@@ -469,12 +470,12 @@ impl<'a> Evaluator<'a> {
         let c1 = ct.c1.automorphism_ntt(&tables);
         let (k0, k1) = key_switch(ctx, &mut Tracing::new(None), &c1, ksk);
         c0.add_assign(ctx, &k0);
-        let stream = if g == ctx.conjugation_element() {
-            OpStream::Conjugate
+        let op = if g == ctx.conjugation_element() {
+            FheOp::Conjugate
         } else {
-            OpStream::Rotate
+            FheOp::HRotate
         };
-        self.trace("HROTATE", stream, ct.level());
+        self.trace("HROTATE", op, ct.level());
         Ok(Ciphertext {
             c0,
             c1: k1,

@@ -158,7 +158,6 @@ impl<'a> KeyChain<'a> {
 
     fn make_galois_key<R: Rng + ?Sized>(&self, g: u64, rng: &mut R) -> KsKey {
         // Target key: σ_g(s) over the extended basis.
-        let tables = self.ctx.galois_tables(g);
         let n = self.ctx.params().n();
         let two_n = 2 * n as u64;
         let mut rotated = vec![0i64; n];
@@ -170,7 +169,6 @@ impl<'a> KeyChain<'a> {
                 rotated[(idx - n as u64) as usize] -= c;
             }
         }
-        let _ = tables; // permutation identity validated in poly tests
         let target = signed_ext(self.ctx, &rotated);
         generate_ks_key(self.ctx, rng, &self.s_ext, &target)
     }

@@ -391,110 +391,11 @@ impl KeySwitchShape {
 }
 
 /// The kernel-event stream of one [`key_switch`] at `level`: what it
-/// emits, and the middle of every [`OpStream`] that switches keys.
+/// emits, and the middle of every [`crate::ops::FheOp`] stream that
+/// switches keys.
 #[must_use]
 pub fn key_switch_events(params: &CkksParams, level: usize) -> Vec<KernelEvent> {
     KeySwitchShape::new(params, level).events()
-}
-
-/// The kernel-event stream of each CKKS operation (Algorithms 2–6) — the
-/// one generator per operation. The evaluator emits `events` inside the
-/// operation's scope, and `tensorfhe-core` costs the same streams, so an
-/// operation's kernel sequence is written once, here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpStream {
-    /// HADD (Algorithm 5): one Ele-Add over both components.
-    HAdd,
-    /// Ciphertext subtraction and negation: one Ele-Sub over both
-    /// components.
-    HSub,
-    /// A plaintext or constant added to `c0`: one Ele-Add over one
-    /// component.
-    AddPlain,
-    /// CMULT (Algorithm 3) and constant multiplication: one Hada-Mult over
-    /// both components.
-    CMult,
-    /// HMULT (Algorithm 2): the tensor step, the key switch of `d2`, the
-    /// fold of the switched pair.
-    HMult,
-    /// RESCALE (Algorithm 6): the two top limbs back to coefficients, the
-    /// lifted rows forward, the scaled subtraction.
-    Rescale,
-    /// HROTATE (Algorithm 4): the Frobenius map, the key switch, the add
-    /// into `c0`.
-    Rotate,
-    /// Conjugation: HROTATE's stream with the Conjugate permutation.
-    Conjugate,
-}
-
-impl OpStream {
-    /// The operation's kernel events on a ciphertext at `level` of
-    /// `params`.
-    #[must_use]
-    pub fn events(self, params: &CkksParams, level: usize) -> Vec<KernelEvent> {
-        let n = params.n();
-        let limbs = level + 1;
-        match self {
-            OpStream::HAdd => vec![KernelEvent::EleAdd {
-                n,
-                limbs: 2 * limbs,
-            }],
-            OpStream::HSub => vec![KernelEvent::EleSub {
-                n,
-                limbs: 2 * limbs,
-            }],
-            OpStream::AddPlain => vec![KernelEvent::EleAdd { n, limbs }],
-            OpStream::CMult => vec![KernelEvent::HadaMult {
-                n,
-                limbs: 2 * limbs,
-            }],
-            OpStream::HMult => {
-                let mut ev = vec![
-                    KernelEvent::HadaMult {
-                        n,
-                        limbs: 4 * limbs,
-                    },
-                    KernelEvent::EleAdd { n, limbs },
-                ];
-                ev.extend(key_switch_events(params, level));
-                ev.push(KernelEvent::EleAdd {
-                    n,
-                    limbs: 2 * limbs,
-                });
-                ev
-            }
-            OpStream::Rescale => vec![
-                KernelEvent::Ntt {
-                    n,
-                    limbs: 2,
-                    inverse: true,
-                },
-                KernelEvent::Ntt {
-                    n,
-                    limbs: 2 * level,
-                    inverse: false,
-                },
-                KernelEvent::EleSub {
-                    n,
-                    limbs: 2 * level,
-                },
-            ],
-            OpStream::Rotate | OpStream::Conjugate => {
-                let limbs = 2 * limbs;
-                let mut ev = vec![if self == OpStream::Rotate {
-                    KernelEvent::FrobeniusMap { n, limbs }
-                } else {
-                    KernelEvent::Conjugate { n, limbs }
-                }];
-                ev.extend(key_switch_events(params, level));
-                ev.push(KernelEvent::EleAdd {
-                    n,
-                    limbs: level + 1,
-                });
-                ev
-            }
-        }
-    }
 }
 
 /// One digit of a key-switching key: an RLWE pair over the extended basis.

@@ -17,12 +17,14 @@
 //! * [`keys`] / [`encrypt`] — key generation (secret, public, relinearisation
 //!   and rotation keys in the hybrid gadget) and RLWE encryption.
 //! * [`keyswitch`] — `Dcomp` → `ModUp` → inner product → `ModDown`
-//!   (Algorithm 1 of the paper), and [`keyswitch::OpStream`], the one
-//!   kernel-stream generator per operation.
+//!   (Algorithm 1 of the paper).
+//! * [`ops`] — [`FheOp`], the one operation vocabulary from the evaluator
+//!   to the service, and [`FheOp::events`], the one kernel-stream generator
+//!   per operation (the slim bootstrap's stream included).
 //! * [`eval`] — the five CKKS operations of Table II (`HADD`, `HMULT`,
 //!   `CMULT`, `HROTATE`, `RESCALE`) plus conjugation, built from the seven
-//!   reusable kernels; each operation reports its `OpStream` to an optional
-//!   [`trace::KernelTracer`] so the GPU engine can cost it.
+//!   reusable kernels; each operation reports its `FheOp`'s stream to an
+//!   optional [`trace::KernelTracer`] so the GPU engine can cost it.
 //!
 //! # Examples
 //!
@@ -60,15 +62,18 @@ pub mod error;
 pub mod eval;
 pub mod keys;
 pub mod keyswitch;
+pub mod ops;
 mod par;
 pub mod params;
 pub mod poly;
+mod schedule;
 pub mod trace;
 
 pub use context::CkksContext;
 pub use error::CkksError;
 pub use eval::Evaluator;
 pub use keys::KeyChain;
+pub use ops::FheOp;
 pub use params::CkksParams;
 pub use poly::{Ciphertext, Domain, Plaintext, RnsPoly};
 pub use trace::{KernelEvent, KernelTracer};

@@ -1,18 +1,18 @@
 //! The slim-bootstrap costing (Fig. 6), composed from the per-operation
 //! kernel streams.
 //!
-//! Every CKKS operation's stream has one generator,
-//! [`tensorfhe_ckks::keyswitch::OpStream`], which the evaluator emits and
-//! [`crate::api::schedule_events`] costs. This module builds what has no
-//! single evaluator op — the BSGS linear transforms, the factorized DFT,
-//! the sine evaluation and the bootstrap around them — from `(N, L, dnum,
-//! K)` alone, calling the generators wherever a step is one of those
-//! operations. The key switch inside every rotation and multiplication is
-//! the NTT-lean form of `tensorfhe_ckks::keyswitch` (`D·E + 2K + 2m` rows
-//! per switch).
+//! Every CKKS operation's stream has one generator, [`FheOp::events`],
+//! which the evaluator emits and `tensorfhe-core` costs. This module
+//! builds what has no single evaluator op — the BSGS linear transforms,
+//! the factorized DFT, the sine evaluation and the bootstrap around them —
+//! from `(N, L, dnum, K)` alone, calling the generators wherever a step is
+//! one of those operations; [`FheOp::Bootstrap`]'s stream is
+//! [`bootstrap_schedule`]. The key switch inside every rotation and
+//! multiplication is the NTT-lean form of [`crate::keyswitch`]
+//! (`D·E + 2K + 2m` rows per switch).
 
-use tensorfhe_ckks::keyswitch::OpStream;
-use tensorfhe_ckks::{CkksParams, KernelEvent};
+use crate::ops::FheOp;
+use crate::{CkksParams, KernelEvent};
 
 /// One BSGS linear-transform stage over `diags` generalized diagonals at
 /// `level` (Fig. 6's "BSGS" boxes): baby rotations, per-diagonal CMULTs and
@@ -23,7 +23,7 @@ fn bsgs_stage_schedule(params: &CkksParams, level: usize, diags: usize) -> Vec<K
     let mut ev = Vec::new();
     // Baby rotations (j = 1..n1).
     for _ in 1..n1 {
-        ev.extend(OpStream::Rotate.events(params, level));
+        ev.extend(FheOp::HRotate.events(params, level));
     }
     // Per-diagonal multiply-accumulate.
     ev.push(KernelEvent::HadaMult {
@@ -36,9 +36,9 @@ fn bsgs_stage_schedule(params: &CkksParams, level: usize, diags: usize) -> Vec<K
     });
     // Giant rotations (i = 1..n2).
     for _ in 1..n2 {
-        ev.extend(OpStream::Rotate.events(params, level));
+        ev.extend(FheOp::HRotate.events(params, level));
     }
-    ev.extend(OpStream::Rescale.events(params, level));
+    ev.extend(FheOp::Rescale.events(params, level));
     ev
 }
 
@@ -85,11 +85,7 @@ fn faster_dft_schedule(params: &CkksParams, level: usize) -> (Vec<KernelEvent>, 
 /// the sine evaluation `taylor_degree + double_angles + 2`, and two more
 /// levels are spent around them.
 #[must_use]
-pub(crate) fn bootstrap_depth(
-    params: &CkksParams,
-    taylor_degree: usize,
-    double_angles: usize,
-) -> usize {
+pub fn bootstrap_depth(params: &CkksParams, taylor_degree: usize, double_angles: usize) -> usize {
     taylor_degree + double_angles + 2 + 2 * dft_stages(params) + 2
 }
 
@@ -127,7 +123,7 @@ pub(crate) fn bootstrap_schedule(
     });
 
     // CoeffToSlot: conjugation + 4 factorized transforms + 2 additions.
-    ev.extend(OpStream::Conjugate.events(params, level));
+    ev.extend(FheOp::Conjugate.events(params, level));
     let mut stages = 1;
     for _ in 0..4 {
         let (t, st) = faster_dft_schedule(params, level);
@@ -170,44 +166,43 @@ fn sine_schedule(
 ) -> usize {
     let mut level = start_level;
     // Fold constant.
-    ev.extend(OpStream::CMult.events(params, level));
-    ev.extend(OpStream::Rescale.events(params, level));
+    ev.extend(FheOp::CMult.events(params, level));
+    ev.extend(FheOp::Rescale.events(params, level));
     level -= 1;
     // Initial Taylor constant multiply, then the constant term.
-    ev.extend(OpStream::CMult.events(params, level));
-    ev.extend(OpStream::Rescale.events(params, level));
+    ev.extend(FheOp::CMult.events(params, level));
+    ev.extend(FheOp::Rescale.events(params, level));
     level -= 1;
-    ev.extend(OpStream::AddPlain.events(params, level));
+    ev.extend(FheOp::AddPlain.events(params, level));
     // Horner multiplications, each followed by its constant term.
     for _ in 0..taylor_degree.saturating_sub(1) {
-        ev.extend(OpStream::HMult.events(params, level));
-        ev.extend(OpStream::Rescale.events(params, level));
+        ev.extend(FheOp::HMult.events(params, level));
+        ev.extend(FheOp::Rescale.events(params, level));
         level -= 1;
-        ev.extend(OpStream::AddPlain.events(params, level));
+        ev.extend(FheOp::AddPlain.events(params, level));
     }
     // Double-angle squarings.
     for _ in 0..double_angles {
-        ev.extend(OpStream::HMult.events(params, level));
-        ev.extend(OpStream::Rescale.events(params, level));
+        ev.extend(FheOp::HMult.events(params, level));
+        ev.extend(FheOp::Rescale.events(params, level));
         level -= 1;
     }
     // Conjugate, subtract, final complex constant multiply.
-    ev.extend(OpStream::Conjugate.events(params, level));
-    ev.extend(OpStream::HSub.events(params, level));
-    ev.extend(OpStream::CMult.events(params, level));
-    ev.extend(OpStream::Rescale.events(params, level));
+    ev.extend(FheOp::Conjugate.events(params, level));
+    ev.extend(FheOp::HSub.events(params, level));
+    ev.extend(FheOp::CMult.events(params, level));
+    ev.extend(FheOp::Rescale.events(params, level));
     level - 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{schedule_events, FheOp};
+    use crate::keyswitch::key_switch_events;
+    use crate::trace::RecordingTracer;
+    use crate::{CkksContext, Evaluator, KeyChain};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tensorfhe_ckks::keyswitch::key_switch_events;
-    use tensorfhe_ckks::trace::RecordingTracer;
-    use tensorfhe_ckks::{CkksContext, Evaluator, KeyChain};
     use tensorfhe_math::Complex64;
 
     /// Capture the real kernel trace of an operation at toy parameters.
@@ -251,45 +246,36 @@ mod tests {
     #[test]
     fn hmult_schedule_matches_real_trace() {
         let (params, real) = capture(FheOp::HMult);
-        let synth = schedule_events(&params, FheOp::HMult, params.max_level());
+        let synth = FheOp::HMult.events(&params, params.max_level());
         assert_eq!(synth, real);
     }
 
     #[test]
     fn hadd_schedule_matches_real_trace() {
         let (params, real) = capture(FheOp::HAdd);
-        assert_eq!(
-            schedule_events(&params, FheOp::HAdd, params.max_level()),
-            real
-        );
+        assert_eq!(FheOp::HAdd.events(&params, params.max_level()), real);
     }
 
     #[test]
     fn cmult_schedule_matches_real_trace() {
         let (params, real) = capture(FheOp::CMult);
-        assert_eq!(
-            schedule_events(&params, FheOp::CMult, params.max_level()),
-            real
-        );
+        assert_eq!(FheOp::CMult.events(&params, params.max_level()), real);
     }
 
     #[test]
     fn hrotate_schedule_matches_real_trace() {
         let (params, real) = capture(FheOp::HRotate);
-        assert_eq!(
-            schedule_events(&params, FheOp::HRotate, params.max_level()),
-            real
-        );
+        assert_eq!(FheOp::HRotate.events(&params, params.max_level()), real);
     }
 
     #[test]
     fn rescale_schedule_matches_real_trace() {
         // The capture records the setup HMULT first; slice its events off.
         let (params, real) = capture(FheOp::Rescale);
-        let hmult_len = schedule_events(&params, FheOp::HMult, params.max_level()).len();
+        let hmult_len = FheOp::HMult.events(&params, params.max_level()).len();
         let real_rescale = &real[hmult_len..];
         assert_eq!(
-            schedule_events(&params, FheOp::Rescale, params.max_level()),
+            FheOp::Rescale.events(&params, params.max_level()),
             real_rescale
         );
     }
@@ -338,13 +324,13 @@ mod tests {
                 let (m, k) = (level + 1, params.special_primes());
                 let lean = m.div_ceil(params.alpha()) * (m + k) + 2 * k + 2 * m;
                 for op in [FheOp::HMult, FheOp::HRotate, FheOp::Conjugate] {
-                    let ev = schedule_events(&params, op, level);
+                    let ev = op.events(&params, level);
                     assert_eq!(ntt_rows(&ev), lean, "{} level {level}", params.name());
                 }
             }
         }
         let set_b = CkksParams::heax_set_b();
-        let hmult = schedule_events(&set_b, FheOp::HMult, set_b.max_level());
+        let hmult = FheOp::HMult.events(&set_b, set_b.max_level());
         assert_eq!(ntt_rows(&hmult), 48);
     }
 

@@ -25,73 +25,22 @@ use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::exec::ExecBackend;
 use crate::sched::SchedPolicy;
-use crate::schedule;
 use crate::service::FheService;
 use crate::session::CoalescePolicy;
-use tensorfhe_ckks::keyswitch::OpStream;
+use tensorfhe_ckks::ops::bootstrap_depth;
 use tensorfhe_ckks::{CkksParams, KernelEvent};
 use tensorfhe_gpu::DeviceConfig;
 
-/// A CKKS operation request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FheOp {
-    /// Ciphertext addition.
-    HAdd,
-    /// Ciphertext multiplication (with relinearisation).
-    HMult,
-    /// Ciphertext × plaintext multiplication.
-    CMult,
-    /// Slot rotation.
-    HRotate,
-    /// Rescaling.
-    Rescale,
-    /// Conjugation.
-    Conjugate,
-    /// Full bootstrap with the given sine parameters.
-    Bootstrap {
-        /// Taylor degree of the `exp(iθ)` approximation.
-        taylor_degree: usize,
-        /// Double-angle squarings.
-        double_angles: usize,
-    },
-}
-
-impl FheOp {
-    /// Operation name as the paper prints it.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            FheOp::HAdd => "HADD",
-            FheOp::HMult => "HMULT",
-            FheOp::CMult => "CMULT",
-            FheOp::HRotate => "HROTATE",
-            FheOp::Rescale => "RESCALE",
-            FheOp::Conjugate => "HCONJ",
-            FheOp::Bootstrap { .. } => "BOOTSTRAP",
-        }
-    }
-}
+pub use tensorfhe_ckks::FheOp;
 
 /// The kernel schedule of an operation at a level — the workflow the API
-/// layer "sequentially invokes" (§IV-E), and the one costing entry: every
-/// operation but the bootstrap is its [`OpStream`], the stream the
-/// evaluator emits for it. Shared by [`TensorFhe`] and the request
-/// service.
+/// layer "sequentially invokes" (§IV-E), and the one costing entry: the
+/// operation's [`FheOp::events`], the stream the evaluator emits for it
+/// (the slim bootstrap's composition for a bootstrap). Shared by
+/// [`TensorFhe`] and the request service.
 #[must_use]
 pub fn schedule_events(params: &CkksParams, op: FheOp, level: usize) -> Vec<KernelEvent> {
-    let stream = match op {
-        FheOp::HAdd => OpStream::HAdd,
-        FheOp::HMult => OpStream::HMult,
-        FheOp::CMult => OpStream::CMult,
-        FheOp::HRotate => OpStream::Rotate,
-        FheOp::Rescale => OpStream::Rescale,
-        FheOp::Conjugate => OpStream::Conjugate,
-        FheOp::Bootstrap {
-            taylor_degree,
-            double_angles,
-        } => return schedule::bootstrap_schedule(params, taylor_degree, double_angles),
-    };
-    stream.events(params, level)
+    op.events(params, level)
 }
 
 /// The one set of checks on a request for `count` instances of `op` at
@@ -119,7 +68,7 @@ pub fn check_request(params: &CkksParams, op: FheOp, level: usize, count: usize)
         double_angles,
     } = op
     {
-        let need = schedule::bootstrap_depth(params, taylor_degree, double_angles);
+        let need = bootstrap_depth(params, taylor_degree, double_angles);
         if top < need {
             return Err(CoreError::InvalidRequest(format!(
                 "bootstrap needs L ≥ {need}, the chain has L = {top}"

@@ -201,7 +201,7 @@ impl Engine {
     /// The batch size the API layer auto-selects: [`auto_batch_for_vram`]
     /// on the engine's device. Single source of the policy for both
     /// `TensorFhe::auto_batch` and the request service's default cap (the
-    /// service reads the VRAM figure through its executor's `caps()`).
+    /// service reads the VRAM figure off its own device model).
     #[must_use]
     pub fn auto_batch(&self, params: &CkksParams) -> usize {
         auto_batch_for_vram(self.cfg.device.vram_bytes(), params)
@@ -212,8 +212,7 @@ impl Engine {
 /// operation batch fitting `vram_bytes` (working set of 6 ciphertexts per
 /// batched operation, 85% budget), capped at the parameter preset's
 /// configured batch. Shared by [`Engine::auto_batch`] and the request
-/// service, which reads the VRAM figure from its executor's
-/// [`crate::exec::ExecCaps`] so a real backend's capacity flows through.
+/// service, which passes the VRAM of one device of its cluster.
 #[must_use]
 pub fn auto_batch_for_vram(vram_bytes: u64, params: &CkksParams) -> usize {
     let per_op = params.ciphertext_bytes() * 6;
@@ -226,7 +225,8 @@ pub fn auto_batch_for_vram(vram_bytes: u64, params: &CkksParams) -> usize {
 /// Deterministic cost of staging `bytes` of switch-key material onto a
 /// device: one launch overhead plus the PCIe DMA time of the copy engine
 /// ([`tensorfhe_gpu::H2D_BANDWIDTH_GBPS`]). Zero bytes cost nothing —
-/// a fully resident key set never touches the bus.
+/// a fully resident key set never touches the bus. This is the one model
+/// of a key upload: the simulator never launches one.
 #[must_use]
 pub fn key_upload_us(bytes: u64, device: &DeviceConfig) -> f64 {
     if bytes == 0 {

@@ -552,22 +552,63 @@ mod tests {
                 assert_eq!(s.steals, 0, "a lone worker has nobody to steal from");
             }
         }
-        // A pure-thief worker (workers > devices where device 0 owns the
-        // only engine) *must* steal: it has no deque traffic of its own.
+        // More workers than devices: the surplus worker is a pure thief
+        // (`a_pure_thief_steals_every_chunk` pins its stealing without
+        // racing the owner), and the work is still conserved.
         let mut pool = pool(1, 2, ExecBackend::HostParallel);
         drain(&mut pool, &[16, 16, 16, 16]);
         let s = pool.steal_stats().expect("host backend");
         assert_eq!(s.planned_rows, s.executed_rows);
-        assert!(
-            s.steals > 0,
-            "a worker with no owned device only eats by stealing: {s:?}"
-        );
+        assert!(s.stolen_rows <= s.executed_rows);
+    }
+
+    #[test]
+    fn a_pure_thief_steals_every_chunk() {
+        // Device 0's chunks land on worker 0's deque; worker 1 owns no
+        // device, so serving them on this thread as worker 1 must steal
+        // every one, and the tally replies once with their whole fold.
+        let events: Arc<[KernelEvent]> = [KernelEvent::Ntt {
+            n: 1 << 12,
+            limbs: 64,
+            inverse: false,
+        }]
+        .into();
+        let (specs, _) = plan_chunks(&events, &[1], 0);
+        assert_eq!(specs.len(), 16, "4 rows of 2^12 per chunk");
+        let mut want = HostWorkStats::default();
+        let mut real = RealWork::default();
+        for spec in &specs {
+            want.absorb(real.run_chunk(&events, spec));
+        }
+        let shared = StealShared::new(2);
+        let (reply, replies) = mpsc::channel();
+        let tally = Arc::new(ChunkTally::new(specs.len(), reply));
+        for spec in specs {
+            let (events, tally) = (Arc::clone(&events), Arc::clone(&tally));
+            shared.push(Chunk {
+                spec,
+                events,
+                tally,
+            });
+        }
+        let (wake, woken) = mpsc::channel();
+        wake.send(()).expect("receiver alive");
+        drop(wake);
+        shared.serve(1, &woken);
+        let s = shared.stats();
+        assert_eq!((s.steals, s.stolen_rows, s.executed_rows), (16, 64, 64));
+        assert_eq!(replies.try_recv(), Ok(want));
+        assert_eq!(want.ntt_rows, 64);
+        assert!(replies.try_recv().is_err(), "one reply per batch");
     }
 
     #[test]
     fn caps_name_the_backend() {
-        let caps = pool(2, 2, ExecBackend::HostParallel).caps();
-        assert_eq!((caps.backend, caps.devices), ("host-parallel", 2));
+        let pool = pool(2, 2, ExecBackend::HostParallel);
+        assert_eq!(
+            (pool.backend().label(), pool.devices()),
+            ("host-parallel", 2)
+        );
         assert_eq!(DEFAULT_ROWS_CAP, 0, "default is uncapped full width");
     }
 
@@ -575,10 +616,10 @@ mod tests {
     fn workers_beyond_devices_are_kept_and_reported() {
         // Regression: the host backend used to clamp workers to devices
         // silently, so a user asking for 8 workers over 4 devices saw the
-        // requested number in `caps()` but got 4 threads. Host pools keep
-        // every worker (surplus ones steal).
+        // requested number in `workers()` but got 4 threads. Host pools
+        // keep every worker (surplus ones steal).
         let pool = pool(4, 8, ExecBackend::HostParallel);
         assert_eq!(pool.handles.len(), 8);
-        assert_eq!(pool.caps().workers, 8, "caps must report actual threads");
+        assert_eq!(pool.workers(), 8, "workers() must report actual threads");
     }
 }

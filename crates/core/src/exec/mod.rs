@@ -4,7 +4,7 @@
 //! into device work is this module's job, and [`Pool`] does it. A batch
 //! is an operation, a level and a width ([`ExecBatch`]), and the pool is
 //! the one place that turns it into device work: it derives the
-//! operation's kernel stream ([`crate::api::schedule_events`]) and costs
+//! operation's kernel stream ([`FheOp::events`]) and costs
 //! the batch's per-device shards on its one simulated [`Engine`] in
 //! [`Pool::submit`], on the calling thread, in device order — the paper's
 //! API layer likewise takes an operation and a batch size and then
@@ -20,6 +20,11 @@
 //!   else; `submit` queues the batch's chunks and wakes them before it
 //!   costs the shards. One worker spawns nothing and runs the chunks at
 //!   `submit` too.
+//!
+//! The pool reports what it drives and nothing more: [`Pool::devices`],
+//! [`Pool::workers`] (the threads that really run chunks) and
+//! [`Pool::backend`]. What a device is — its VRAM, board power and name —
+//! is its `DeviceConfig`'s to say, which the service holds.
 //!
 //! Results are **bit-identical** at every worker count and on both
 //! backends: every shard is costed on a fresh, zero-based simulator
@@ -67,7 +72,7 @@
 //! cut `peak_rss_mb` from 5.82 to 5.25 MiB, a saving a persistent
 //! runtime should keep.
 
-use crate::api::{schedule_events, FheOp};
+use crate::api::FheOp;
 use crate::engine::{Engine, EngineConfig, OpStats};
 use crate::error::{CoreError, CoreResult};
 use host::{plan_chunks, Chunk, ChunkTally, RealWork, StealShared};
@@ -165,26 +170,6 @@ impl BatchResult {
     pub fn devices_used(&self) -> usize {
         self.per_device_us.iter().filter(|&&t| t > 0.0).count()
     }
-}
-
-/// Static capabilities of an execution backend.
-#[derive(Debug, Clone)]
-pub struct ExecCaps {
-    /// Device count the pool drives.
-    pub devices: usize,
-    /// Host threads running the batches' real-arithmetic chunks: the
-    /// configured `workers` on the host backend (1 = the calling thread,
-    /// nothing spawned), always 1 under [`ExecBackend::Sim`]. The engine
-    /// shards run on the calling thread either way.
-    pub workers: usize,
-    /// VRAM per device, bytes (bounds the feasible shard width).
-    pub vram_bytes_per_device: u64,
-    /// Aggregate board power across devices (W).
-    pub power_watts: f64,
-    /// Device model name, as reports print it.
-    pub device_name: String,
-    /// Stable backend name (`sim`, `host-parallel`).
-    pub backend: &'static str,
 }
 
 /// Splits a batch of `width` operations across `devices` following the
@@ -292,7 +277,7 @@ pub fn merge_shards(per_device: Vec<(usize, OpStats)>, devices: usize) -> BatchR
 /// the pool holds nothing per outstanding batch.
 #[derive(Debug)]
 pub struct Pool {
-    caps: ExecCaps,
+    devices: usize,
     backend: ExecBackend,
     rows_cap: usize,
     params: CkksParams,
@@ -345,14 +330,7 @@ impl Pool {
         };
         let spawned = if threads == 1 { 0 } else { threads };
         let mut pool = Self {
-            caps: ExecCaps {
-                devices,
-                workers: threads,
-                vram_bytes_per_device: cfg.device.vram_bytes(),
-                power_watts: cfg.device.power_watts * devices as f64,
-                device_name: cfg.device.name.clone(),
-                backend: backend.label(),
-            },
+            devices,
             backend,
             rows_cap,
             params: params.clone(),
@@ -400,9 +378,8 @@ impl Pool {
                 rx: None,
             },
             (known, backend) => {
-                let events: Arc<[KernelEvent]> =
-                    schedule_events(&self.params, batch.op, batch.level).into();
-                let widths = shard_widths(batch.width, self.caps.devices);
+                let events: Arc<[KernelEvent]> = batch.op.events(&self.params, batch.level).into();
+                let widths = shard_widths(batch.width, self.devices);
                 let (rx, work) = match backend {
                     ExecBackend::Sim => (None, HostWorkStats::default()),
                     ExecBackend::HostParallel => self.start_chunks(&events, &widths),
@@ -420,7 +397,7 @@ impl Pool {
             .filter(|&(_, &w)| w > 0)
             .map(|(d, &w)| (d, self.engine.run_schedule(batch.op.name(), events, w)))
             .collect();
-        let result = merge_shards(shards, self.caps.devices);
+        let result = merge_shards(shards, self.devices);
         self.memo.insert(batch, result.clone());
         result
     }
@@ -499,10 +476,25 @@ impl Pool {
         result
     }
 
-    /// Backend capabilities (device count, workers, VRAM, power).
+    /// Device count the pool drives.
     #[must_use]
-    pub fn caps(&self) -> ExecCaps {
-        self.caps.clone()
+    pub fn devices(&self) -> usize {
+        self.devices
+    }
+
+    /// Host threads running the batches' real-arithmetic chunks: the
+    /// configured `workers` on the host backend (1 = the calling thread,
+    /// nothing spawned), always 1 under [`ExecBackend::Sim`]. The engine
+    /// shards run on the calling thread either way.
+    #[must_use]
+    pub fn workers(&self) -> usize {
+        self.handles.len().max(1)
+    }
+
+    /// What the pool runs besides the simulated launches.
+    #[must_use]
+    pub fn backend(&self) -> ExecBackend {
+        self.backend
     }
 
     /// Accumulated real-arithmetic work counters on the host backend;
@@ -567,7 +559,7 @@ mod tests {
 
     /// The kernel stream the pool derives for [`batch`].
     fn events() -> Vec<KernelEvent> {
-        schedule_events(&params(), FheOp::HMult, params().max_level())
+        FheOp::HMult.events(&params(), params().max_level())
     }
 
     pub(super) fn pool(devices: usize, workers: usize, backend: ExecBackend) -> Pool {
@@ -636,7 +628,7 @@ mod tests {
                     ExecBackend::Sim => 1,
                     ExecBackend::HostParallel => workers,
                 };
-                assert_eq!(pool.caps().workers, threads, "{point}: caps().workers");
+                assert_eq!(pool.workers(), threads, "{point}: workers()");
                 let spawned = if threads == 1 { 0 } else { threads };
                 assert_eq!(pool.handles.len(), spawned, "{point}: threads spawned");
                 for (got, want) in drain(&mut pool, &widths).iter().zip(want.iter()) {
@@ -762,11 +754,12 @@ mod tests {
     fn caps_report_the_cluster() {
         // A simulated pool runs everything on the calling thread, so it
         // reports one worker whatever it was asked for.
-        let caps = pool(4, 4, ExecBackend::Sim).caps();
-        assert_eq!(caps.devices, 4);
-        assert_eq!(caps.workers, 1);
-        assert!((caps.power_watts - 4.0 * cfg().device.power_watts).abs() < 1e-9);
-        assert_eq!(caps.vram_bytes_per_device, cfg().device.vram_bytes());
+        let sim = pool(4, 4, ExecBackend::Sim);
+        assert_eq!((sim.devices(), sim.workers()), (4, 1));
+        assert_eq!(sim.backend(), ExecBackend::Sim);
+        let host = pool(4, 4, ExecBackend::HostParallel);
+        assert_eq!((host.devices(), host.workers()), (4, 4));
+        assert_eq!(host.backend(), ExecBackend::HostParallel);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!   tensor-core pipeline with 16 plane GEMMs across 16 streams
 //!   (full TensorFHE, Fig. 8).
 //! * **API layer** ([`api`]) — [`api::schedule_events`] is the one costing
-//!   entry: an operation's schedule is the `tensorfhe_ckks` kernel-stream
-//!   generator the evaluator emits (Algorithms 1–6), so paper-scale
+//!   entry: an operation is a [`FheOp`] (re-exported from
+//!   [`tensorfhe_ckks::ops`], the one op vocabulary from the evaluator to
+//!   the service), and its schedule is [`FheOp::events`], the stream the
+//!   evaluator emits (Algorithms 1–6), so paper-scale
 //!   workloads (N = 2^16, L = 44, batch 128) are *costed* without executing
 //!   the arithmetic. [`TensorFhe::builder`] configures params, device
 //!   model, NTT variant, device count and the scheduler policy
@@ -164,7 +166,11 @@
 //!    `TENSORFHE_WORKERS`) run only the host backend's real-arithmetic
 //!    chunks — on a memo hit too; one worker spawns nothing. Every thread
 //!    count is bit-identical, because every shard is costed in a fresh
-//!    window and the merge folds in the same order.
+//!    window and the merge folds in the same order. The pool answers only
+//!    what it drives ([`exec::Pool::devices`], [`exec::Pool::workers`],
+//!    [`exec::Pool::backend`]); what a device is — its VRAM, board power
+//!    and name — the service reads off the one `DeviceConfig` it was
+//!    built with.
 //!
 //!    6a. **Backend selection** ([`TensorFheBuilder::backend`] /
 //!    `TENSORFHE_BACKEND`) only chooses what the pool runs besides the
@@ -230,8 +236,8 @@
 //! plan time the cache *places* the batch's sessions on the devices the
 //! batch will shard across, preferring the devices already holding the
 //! most of those bytes; misses evict LRU sets and charge a PCIe DMA
-//! (`tensorfhe_gpu::H2D_BANDWIDTH_GBPS`) to the batch's gang start in
-//! the overlap clock — compute cost stays history-free, upload cost is
+//! ([`engine::key_upload_us`], the one upload model) to the batch's gang
+//! start in the overlap clock — compute cost stays history-free, upload cost is
 //! pure schedule state. Footprints larger than the whole cache stream:
 //! they pay the DMA on every use and are never resident. Hits, misses,
 //! evictions and uploaded bytes surface in
@@ -411,7 +417,6 @@ mod env;
 pub mod error;
 pub mod exec;
 pub mod sched;
-mod schedule;
 pub mod service;
 pub mod session;
 pub mod tracer;

@@ -51,6 +51,7 @@
 //! request waited behind earlier batches.
 
 use crate::api::{check_request, FheOp, OpReport, TensorFheBuilder};
+use crate::engine::OpStats;
 use crate::env::EnvConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::exec::{ExecBackend, Pool};
@@ -380,14 +381,7 @@ impl Pending {
 pub struct FheService {
     params: CkksParams,
     pool: Pool,
-    /// Pool capabilities, snapshotted at construction (static for the
-    /// service's lifetime; avoids re-querying `caps()` on every stats
-    /// call).
-    caps: crate::exec::ExecCaps,
-    /// Resolved execution backend (the stats' label and SIMD lanes).
-    backend: ExecBackend,
     batch_cap: usize,
-    power_watts: f64,
     /// Unfinished requests, sorted by id.
     queue: VecDeque<Pending>,
     /// The in-flight window, the overlap clock and the batch totals
@@ -404,9 +398,11 @@ pub struct FheService {
     fill_sum: f64,
     energy_j: f64,
     queue_latency_sum_us: f64,
-    // --- Session tier (all inert while `sessions` is empty) ---
-    /// Device model, kept for key-upload costing (launch overhead + DMA).
+    /// The model of every device in the pool: its name, its board power
+    /// (ops/W) and, for sessions, its key-upload costing (launch overhead
+    /// + DMA).
     device: DeviceConfig,
+    // --- Session tier (all inert while `sessions` is empty) ---
     /// Registered sessions, indexed by `SessionId::raw()`.
     sessions: Vec<ClientSession>,
     /// Per-device LRU over session key-set footprints.
@@ -450,15 +446,11 @@ impl FheService {
         let backend = env.backend(b.backend)?;
         let rows_cap = env.rows_cap(b.rows_cap)?;
         let pool = Pool::new(&cfg, &b.params, b.devices, workers, backend, rows_cap)?;
-        // The pool owns the capability queries: a backend with different
-        // board power or VRAM reports it through `caps()`, and the batch
-        // policy / ops/W follow automatically.
-        let caps = pool.caps();
-        let power_watts = caps.power_watts;
         // §IV-E: the batch size is chosen by the API layer, bounded by VRAM
         // (and the parameter preset's configured batch), scaled across the
         // cluster — each device only ever holds its own shard.
-        let auto = crate::engine::auto_batch_for_vram(caps.vram_bytes_per_device, &b.params);
+        let vram_bytes = b.device.vram_bytes();
+        let auto = crate::engine::auto_batch_for_vram(vram_bytes, &b.params);
         // A user-supplied cap may narrow batches below the VRAM bound but
         // never widen them past it: the docs promise "VRAM-feasible
         // batches", so caps above `auto_batch × devices` are clamped down.
@@ -481,7 +473,7 @@ impl FheService {
         // policy leaves free.
         let key_cache_bytes = match b.key_cache_mb {
             Some(mb) => mb.saturating_mul(1 << 20),
-            None => (caps.vram_bytes_per_device as f64 * KEY_CACHE_VRAM_FRACTION) as u64,
+            None => (vram_bytes as f64 * KEY_CACHE_VRAM_FRACTION) as u64,
         };
         if b.global_queue_cap == Some(0) {
             return Err(CoreError::InvalidConfig(
@@ -494,10 +486,7 @@ impl FheService {
         Ok(Self {
             params: b.params,
             pool,
-            caps,
-            backend,
             batch_cap,
-            power_watts,
             queue: VecDeque::new(),
             sched: Scheduler::with_policy(
                 depth,
@@ -537,13 +526,13 @@ impl FheService {
     /// Number of devices serving the queue.
     #[must_use]
     pub fn devices(&self) -> usize {
-        self.caps.devices
+        self.pool.devices()
     }
 
     /// Number of host worker threads driving the devices (1 = serial).
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.caps.workers
+        self.pool.workers()
     }
 
     /// Real-arithmetic counters from the pool on the host backend;
@@ -567,7 +556,7 @@ impl FheService {
     /// Device model name behind the pool, as reports print it.
     #[must_use]
     pub fn device_name(&self) -> &str {
-        &self.caps.device_name
+        &self.device.name
     }
 
     /// The widest batch the service will coalesce.
@@ -1211,7 +1200,7 @@ impl FheService {
             batch_cap: self.batch_cap,
             devices: self.devices(),
             workers: self.workers(),
-            backend: self.backend.label(),
+            backend: self.pool.backend().label(),
             pipeline_depth: self.sched.depth(),
             admission: self.sched.admission(),
             lookahead: self.sched.lookahead(),
@@ -1237,7 +1226,7 @@ impl FheService {
             },
             ops_per_second,
             pipelined_ops_per_second,
-            ops_per_watt: ops_per_second / self.power_watts,
+            ops_per_watt: ops_per_second / self.power_watts(),
             key_cache_hit_rate: self.key_cache.hit_rate(),
             key_cache_hits: self.key_cache.hits(),
             key_cache_misses: self.key_cache.misses(),
@@ -1261,7 +1250,7 @@ impl FheService {
             rejected_count: self.rejected.len(),
             steals: self.pool.steal_stats().map_or(0, |s| s.steals),
             stolen_rows: self.pool.steal_stats().map_or(0, |s| s.stolen_rows),
-            simd_lanes: match self.backend {
+            simd_lanes: match self.pool.backend() {
                 ExecBackend::Sim => 0,
                 ExecBackend::HostParallel => tensorfhe_math::simd::active_lanes(),
             },
@@ -1305,11 +1294,17 @@ impl FheService {
                 self.deadline_misses += 1;
             }
         }
-        let count = p.req.count;
-        let ops_per_second = if p.time_us > 0.0 {
-            count as f64 / (p.time_us * 1e-6)
+        let occupancy = if p.time_us > 0.0 {
+            p.occ_weighted / p.time_us
         } else {
             0.0
+        };
+        let stats = OpStats {
+            time_us: p.time_us,
+            occupancy,
+            energy_j: p.energy_j,
+            launches: p.launches as usize,
+            by_kernel: p.by_kernel.into_iter().collect(),
         };
         RequestReport {
             id: p.id,
@@ -1317,23 +1312,14 @@ impl FheService {
             level: p.req.level,
             queue_us,
             batches: p.batches,
-            report: OpReport {
-                op: p.req.op,
-                batch: count,
-                time_us: p.time_us,
-                per_op_us: p.time_us / count.max(1) as f64,
-                occupancy: if p.time_us > 0.0 {
-                    p.occ_weighted / p.time_us
-                } else {
-                    0.0
-                },
-                energy_j: p.energy_j,
-                ops_per_second,
-                ops_per_watt: ops_per_second / self.power_watts,
-                launches: p.launches as usize,
-                by_kernel: p.by_kernel.into_iter().collect(),
-            },
+            report: OpReport::from_stats(p.req.op, p.req.count, self.power_watts(), stats),
         }
+    }
+
+    /// Board power of the whole cluster (W): every device draws its
+    /// model's figure.
+    fn power_watts(&self) -> f64 {
+        self.device.power_watts * self.devices() as f64
     }
 }
 
@@ -1359,6 +1345,38 @@ mod tests {
         assert_eq!(s.batches_dispatched, 0);
         assert_eq!(s.ops_completed, 0);
         assert_eq!(s.busy_us, 0.0);
+    }
+
+    #[test]
+    fn a_cluster_reports_its_board_power_and_vram() {
+        // Four devices draw four boards' power, and each device's VRAM
+        // bounds its own shard and its key cache.
+        let params = CkksParams::test_small();
+        let device = DeviceConfig::a100();
+        let mut svc = TensorFhe::builder(&params)
+            .devices(4)
+            .service()
+            .expect("valid service config");
+        assert_eq!((svc.devices(), svc.device_name()), (4, &*device.name));
+        let auto = crate::engine::auto_batch_for_vram(device.vram_bytes(), &params);
+        assert_eq!(svc.batch_cap(), 4 * auto);
+        let key_cache = (device.vram_bytes() as f64 * KEY_CACHE_VRAM_FRACTION) as u64;
+        assert_eq!(svc.key_cache().capacity_bytes(), key_cache);
+        let level = params.max_level();
+        svc.submit(FheRequest::new(FheOp::HMult, level, 8, "a"))
+            .expect("valid");
+        let reports = svc.drain();
+        let (s, r) = (svc.stats(), &reports[0].report);
+        let board = 4.0 * device.power_watts;
+        assert!(s.ops_per_second > 0.0 && r.ops_per_second > 0.0);
+        assert_eq!(
+            s.ops_per_watt.to_bits(),
+            (s.ops_per_second / board).to_bits()
+        );
+        assert_eq!(
+            r.ops_per_watt.to_bits(),
+            (r.ops_per_second / board).to_bits()
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   footprints with hit/miss/eviction accounting and an eviction-visible
 //!   [`ResidencyEvent`] trace. A batch whose session keys are non-resident
 //!   pays a deterministic PCIe upload
-//!   ([`tensorfhe_gpu::kernel::KernelClass::KeyUpload`]) in the service's
-//!   overlap clock.
+//!   ([`crate::engine::key_upload_us`], never a simulated launch) in the
+//!   service's overlap clock.
 //! * **Fair scheduling** (`DrrState`) — deficit round robin across
 //!   sessions ahead of the coalescing walk, so one heavy client cannot
 //!   starve the rest; weights scale each session's quantum. Sessions may

@@ -46,8 +46,6 @@ pub enum BoundBy {
     Memory,
     /// Tensor-core throughput limited.
     TensorCore,
-    /// Dominated by host launch overhead.
-    Launch,
 }
 
 /// Per-launch measurement record, built on demand from the launch log
@@ -214,7 +212,6 @@ enum ClassKey {
     GemmTcu(usize, usize, usize, usize),
     Elementwise(u64, u32, u32),
     Permute(u64),
-    KeyUpload(u64),
     BasisConv(u64, usize),
     Fft(usize, usize),
     Dwt(usize, usize),
@@ -231,7 +228,6 @@ fn class_key(c: &KernelClass) -> ClassKey {
             bytes_per_elem,
         } => ClassKey::Elementwise(elems, ops_per_elem, bytes_per_elem),
         KernelClass::Permute { elems } => ClassKey::Permute(elems),
-        KernelClass::KeyUpload { bytes } => ClassKey::KeyUpload(bytes),
         KernelClass::BasisConv { elems, l_src } => ClassKey::BasisConv(elems, l_src),
         KernelClass::FftButterfly { n, batch } => ClassKey::Fft(n, batch),
         KernelClass::DwtLifting { n, batch } => ClassKey::Dwt(n, batch),
@@ -730,20 +726,6 @@ impl DeviceSim {
         let mem_eff = mem_efficiency(desc);
         let mem_us = desc.bytes_moved() as f64 / (d.mem_bandwidth_gbps * 1e3 * mem_eff);
 
-        if let KernelClass::KeyUpload { .. } = desc.class {
-            // Copy-engine model: PCIe, not DRAM or the SM array, bounds a
-            // key-set upload, and the DMA barely contends with compute —
-            // streams overlap it almost entirely.
-            return CostProfile {
-                standalone_us: desc.dma_us().max(d.kernel_launch_us),
-                parallel_fraction: 0.05,
-                breakdown: StallBreakdown::new(),
-                occupancy: 0.0,
-                bound: BoundBy::Memory,
-                pool: Pool::Cuda,
-            };
-        }
-
         if let KernelClass::GemmTcu { m, cols, batch, .. } = desc.class {
             // Tensor-core pipeline model: padded MACs over peak rate, scaled
             // by how many tiles the launch can spread over the TCUs.
@@ -889,31 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn key_upload_launch_is_costed_by_the_copy_engine() {
-        let mut s = sim();
-        let st = s.create_stream();
-        s.set_scope("KEY-UPLOAD");
-        let bytes = 256 * 1024 * 1024; // a paper-scale galois key set slice
-        let desc = KernelDesc::new(KernelClass::KeyUpload { bytes }, "key-upload");
-        let expect_us = desc.dma_us();
-        s.launch(st, desc);
-        s.synchronize();
-        let done = s.stats();
-        assert_eq!(done.len(), 1);
-        let k = &done[0];
-        // PCIe-bound: the launch takes at least the DMA time, and nowhere
-        // near the DRAM-bandwidth time a compute kernel would be charged.
-        assert!(
-            k.duration_us >= expect_us * 0.99,
-            "DMA undercharged: {} vs {}",
-            k.duration_us,
-            expect_us
-        );
-        assert_eq!(k.occupancy, 0.0, "the copy engine occupies no SMs");
-        assert_eq!(k.tcu_macs, 0);
-    }
-
-    #[test]
     fn memo_outlives_its_simulator_and_costs_nothing_twice() {
         let mut first = sim();
         let st = first.create_stream();
@@ -1054,32 +1011,36 @@ mod tests {
     }
 
     #[test]
-    fn a_key_upload_overlapping_compute_logs_in_end_time_order() {
-        // A key-set upload on one stream runs beside a train of compute
-        // kernels on another; the launches retire interleaved, and the
-        // log (which nothing sorts) comes out in end-time order.
+    fn a_long_launch_overlapping_compute_logs_in_end_time_order() {
+        // A long, narrow launch on one stream (few threads, so it leaves
+        // most of the device free) runs beside a train of compute kernels
+        // on another; the launches retire interleaved, and the log (which
+        // nothing sorts) comes out in end-time order.
         let mut s = sim();
-        let (copy, compute) = (s.create_stream(), s.create_stream());
-        let upload = KernelDesc::new(
-            KernelClass::KeyUpload {
-                bytes: 64 * 1024 * 1024,
+        let (side, compute) = (s.create_stream(), s.create_stream());
+        let long = KernelDesc::new(
+            KernelClass::Elementwise {
+                elems: 1 << 24,
+                ops_per_elem: 2,
+                bytes_per_elem: 12,
             },
-            "key-upload",
-        );
-        s.launch(copy, upload);
+            "long",
+        )
+        .with_threads(1 << 12);
+        s.launch(side, long);
         for _ in 0..8 {
             s.launch(compute, ew(1 << 22));
         }
-        s.launch(copy, ew(1 << 20));
+        s.launch(side, ew(1 << 20));
         s.synchronize();
         let log = s.stats();
-        let upload_at = log
+        let long_at = log
             .iter()
-            .position(|k| k.class_tag == "key-upload")
-            .expect("the upload retired");
+            .position(|k| &*k.name == "long")
+            .expect("the long launch retired");
         assert!(
-            upload_at > 0 && upload_at < log.len() - 1,
-            "the upload overlaps the compute train"
+            long_at > 0 && long_at < log.len() - 1,
+            "the long launch overlaps the compute train"
         );
         assert!(log.windows(2).all(|p| p[0].end_us <= p[1].end_us));
         let intervals: Vec<_> = s.intervals().collect();

@@ -40,7 +40,9 @@ pub const RESIDUE_BYTES: u64 = 4;
 /// sets are exactly that shape — hundreds of MB of contiguous limb data.
 /// One figure for every device model keeps the residency cost model simple:
 /// the interconnect, unlike the SM array, does not differ first-order
-/// across the paper's three GPUs.
+/// across the paper's three GPUs. An upload is never launched on the
+/// simulator: `tensorfhe_core::engine::key_upload_us` (one launch overhead
+/// plus bytes over this bandwidth) is its one cost.
 pub const H2D_BANDWIDTH_GBPS: f64 = 25.0;
 
 /// The computation shape of one kernel launch.
@@ -107,14 +109,6 @@ pub enum KernelClass {
         /// Source-basis size (dot-product length).
         l_src: usize,
     },
-    /// Host→device DMA of a client's key-switch key set (galois +
-    /// relinearisation keys). Not a compute kernel: the copy engine
-    /// streams `bytes` over PCIe while the SMs stay free, so the service
-    /// charges it to the overlap clock, never to kernel occupancy.
-    KeyUpload {
-        /// Bytes of key material copied host→device.
-        bytes: u64,
-    },
     /// Complex FFT butterfly reference kernel (Fig. 4 only).
     FftButterfly {
         /// Transform size.
@@ -157,7 +151,6 @@ impl KernelClass {
             KernelClass::GemmTcu { .. } => "gemm-tcu",
             KernelClass::Elementwise { .. } => "elementwise",
             KernelClass::Permute { .. } => "permute",
-            KernelClass::KeyUpload { .. } => "key-upload",
             KernelClass::BasisConv { .. } => "basis-conv",
             KernelClass::FftButterfly { .. } => "fft",
             KernelClass::DwtLifting { .. } => "dwt",
@@ -234,9 +227,6 @@ impl KernelDesc {
             KernelClass::GemmTcu { m, k, cols, batch } => (m * k * cols * batch) as u64,
             KernelClass::Elementwise { elems, .. } => elems,
             KernelClass::Permute { elems } => elems,
-            // The copy engine moves one residue per "iteration"; the SMs do
-            // no work, but the unit keeps the accounting uniform.
-            KernelClass::KeyUpload { bytes } => bytes.div_ceil(RESIDUE_BYTES).max(1),
             // One dependent MAC per source term: the serial chain cannot
             // pack multiple accumulators per template iteration.
             KernelClass::BasisConv { elems, l_src } => elems * l_src as u64,
@@ -264,7 +254,6 @@ impl KernelDesc {
             // bandwidth penalty).
             KernelClass::Elementwise { elems, .. } => elems.div_ceil(4),
             KernelClass::Permute { elems } => elems.div_ceil(4),
-            KernelClass::KeyUpload { bytes } => bytes.div_ceil(RESIDUE_BYTES).div_ceil(4),
             KernelClass::BasisConv { elems, .. } => elems,
             KernelClass::FftButterfly { n, batch } => (n as u64 / 2) * batch as u64,
             KernelClass::DwtLifting { n, batch } => (n as u64 / 2) * batch as u64,
@@ -283,17 +272,6 @@ impl KernelDesc {
     #[must_use]
     pub fn iters_per_thread(&self) -> u64 {
         self.total_work().div_ceil(self.threads()).max(1)
-    }
-
-    /// Host→device copy time over the PCIe model (µs); zero for compute
-    /// kernels. DMA classes bypass the warp simulator — the copy engine,
-    /// not the SM array, bounds them.
-    #[must_use]
-    pub fn dma_us(&self) -> f64 {
-        match self.class {
-            KernelClass::KeyUpload { bytes } => bytes as f64 / (H2D_BANDWIDTH_GBPS * 1e3),
-            _ => 0.0,
-        }
     }
 
     /// DRAM bytes moved by the launch (reads + writes).
@@ -327,9 +305,6 @@ impl KernelDesc {
                 ..
             } => elems * bytes_per_elem as u64,
             KernelClass::Permute { elems } => elems * RESIDUE_BYTES * 2,
-            // The DMA writes the key set into device DRAM once; the host
-            // side of the copy does not touch device bandwidth.
-            KernelClass::KeyUpload { bytes } => bytes,
             KernelClass::BasisConv { elems, l_src } => {
                 // Every output residue re-reads its l_src source residues
                 // (no cross-target operand reuse in the scalar kernel) and
@@ -582,8 +557,8 @@ impl KernelDesc {
                 loop_redirect_cycles: 4,
             },
             // TCU kernels are timed by the tensor-core pipeline model and
-            // DMA uploads by the copy-engine model; neither runs warps.
-            KernelClass::GemmTcu { .. } | KernelClass::KeyUpload { .. } => return None,
+            // run no warps.
+            KernelClass::GemmTcu { .. } => return None,
         };
         Some(t)
     }
@@ -654,25 +629,6 @@ mod tests {
             assert!(d.total_work() > 0);
             assert!(d.bytes_moved() > 0);
         }
-    }
-
-    #[test]
-    fn key_upload_is_a_pcie_dma_not_a_compute_kernel() {
-        // A HEAX-Set-C-sized key set: ~52 MB over 25 GB/s ≈ 2.1 ms.
-        let bytes = 52 * 1024 * 1024;
-        let k = KernelDesc::new(KernelClass::KeyUpload { bytes }, "key-upload");
-        assert_eq!(k.class.tag(), "key-upload");
-        assert!(k.template().is_none(), "DMA never runs warps");
-        assert_eq!(k.bytes_moved(), bytes, "DRAM sees the key set once");
-        let us = k.dma_us();
-        let expect = bytes as f64 / (H2D_BANDWIDTH_GBPS * 1e3);
-        assert!((us - expect).abs() < 1e-9, "got {us}, want {expect}");
-        // Copy time scales linearly in bytes.
-        let half = KernelDesc::new(KernelClass::KeyUpload { bytes: bytes / 2 }, "key-upload");
-        assert!((half.dma_us() * 2.0 - us).abs() < 1e-9);
-        // Compute kernels report zero DMA time.
-        let p = KernelDesc::new(KernelClass::Permute { elems: 64 }, "p");
-        assert_eq!(p.dma_us(), 0.0);
     }
 
     #[test]
